@@ -1,9 +1,8 @@
 //! Subcommand implementations.
 
 use crate::args::{err, Args, CliError};
-use simquery::plan;
 use simquery::prelude::*;
-use simshard::{gather, ShardConfig, ShardedIndex};
+use simshard::{ShardConfig, ShardedIndex, Store};
 use std::path::{Path, PathBuf};
 
 /// Help text.
@@ -23,37 +22,27 @@ USAGE:
                [--engine auto|mt|st|scan] [--limit N]
   simseq nn    --index DIR/ (--query-index I | --query-csv FILE --row I)
                --k K [--ma LO..HI]
-  simseq serve --index DIR/ [--addr HOST:PORT] [--workers N] [--queue N]
-               [--max-conns N] [--pool-pages N] [--result-cache N]
-               [--cache-floor COST] [--slow-query-ms N] [--trace-sample K]
-               [--replicate-from HOST:PORT]
-  simseq load  --addr HOST:PORT [--conns N] [--ops N] [--seed S]
-               [--ma LO..HI] [--rho R] [--engine auto|mt|st|scan]
-               [--verify-index DIR/] [--timeout-ms MS]
-               [--failover HOST:PORT,HOST:PORT]
+  simseq serve …   (= simserved; flags: `simseq serve help`)
+  simseq load  …   (= simload;   flags: `simseq load help`)
   simseq promote --addr HOST:PORT [--timeout-ms MS]
   simseq metrics --addr HOST:PORT [--trace N] [--timeout-ms MS]
   simseq recover --index DIR/ --wal DIR/ [--pool-pages N]
   simseq shard build --data FILE.csv --out DIR/ --shards N
                [--partitioner hash|round-robin|range]
-  simseq shard info  --index DIR/
-  simseq shard query --index DIR/ (--query-index I | --query-csv FILE --row I)
-               [--ma LO..HI] [--rho R | --eps E] [--engine mt|st|scan]
-               [--policy adaptive|safe] [--mode symmetric|data-only]
-               [--limit N]
-  simseq shard nn    --index DIR/ (--query-index I | --query-csv FILE --row I)
-               --k K [--ma LO..HI]
+  simseq shard info|query|nn …   (aliases of info|query|nn)
+
+`info`, `query`, `nn` and `recover` take either directory layout: a
+single index (`build`) or a shard group (`shard build`), whose queries
+scatter-gather across the shards and return exactly the single-index
+answer (`--policy paper` is refused there: its false dismissals depend
+on the tree layout). `join` needs a single index.
 
 Thresholds: --rho is a cross-correlation in [-1, 1], converted through
 Eq. 9; --eps is a Euclidean distance over transformed normal forms.
 
-`serve` runs the simserved line protocol (see crates/serve/PROTOCOL.md)
-over the given index; with --replicate-from it runs an in-memory
-read-only follower of a durable primary instead (writes get ERR
-code=READONLY). `load` replays a seeded closed-loop workload against a
-running server and prints a latency/throughput table; --failover lists
-extra endpoints its client rotates to on ERR READONLY or connection
-failure, and --timeout-ms bounds every socket operation (0 = none).
+`serve` and `load` run the same entry points as the `simserved` and
+`simload` binaries (protocol: crates/serve/PROTOCOL.md), so every flag
+of one exists on the other; their own `help` lists them.
 
 `promote` flips a running follower to primary: the follower bumps its
 WAL epoch past everything it has seen, fences the old timeline, and
@@ -63,20 +52,14 @@ itself to read-only the moment it sees the higher epoch.
 `metrics` fetches a running server's METRICS exposition (one
 `name{labels} value` line per metric — the same numbers STATS reports)
 and, with --trace N, drains up to N recorded spans from its sampling
-tracer. `serve --slow-query-ms N` logs queries at or over the
-threshold; `--trace-sample K` records every K-th request's span tree
-(0 disables); `--cache-floor COST` only admits query results whose
-execution cost met the floor.
+tracer.
 
 `recover` replays a write-ahead log (written by `simserved --wal`) on
 top of the index snapshot, reports what it salvaged, and checkpoints so
-the directory opens clean afterwards. It detects sharded directories by
-their `sharding.txt`.
+the directory opens clean afterwards.
 
 `shard build` partitions the corpus across N independent indexes (serve
-the directory with `simserved --index DIR/` to get per-shard STATS);
-`shard query`/`shard nn` scatter-gather across the shards and return
-exactly the single-index answer.
+the directory with `simserved --index DIR/` to get per-shard STATS).
 ";
 
 type CliResult = Result<(), CliError>;
@@ -127,35 +110,51 @@ pub fn build(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `simseq info` — describe a persisted index.
+/// `simseq info` — describe a persisted index (either layout).
 pub fn info(args: &Args) -> CliResult {
-    let (index, names) = open_index(args)?;
-    println!("sequences:   {}", index.len());
-    println!("length:      {}", index.seq_len());
-    println!("tree height: {}", index.height());
-    println!("leaf fanout: {}", index.leaf_capacity());
-    println!("skipped:     {}", index.skipped().len());
-    println!("deleted:     {}", index.deleted_count());
+    let (store, names) = open_store(args)?;
+    let info = store.describe();
+    let get = |key: &str| info.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+    for (key, label) in [
+        ("sequences", "sequences:   "),
+        ("seq_len", "length:      "),
+        ("tree_height", "tree height: "),
+        ("leaf_capacity", "leaf fanout: "),
+        ("skipped", "skipped:     "),
+        ("shards", "shards:      "),
+        ("partitioner", "partitioner: "),
+        ("deleted", "deleted:     "),
+    ] {
+        if let Some(value) = get(key) {
+            println!("{label}{value}");
+        }
+    }
+    if let Some(loads) = get("shard_loads") {
+        for (i, (load, height)) in loads.split(',').zip(store.tree_heights()).enumerate() {
+            println!("shard {i}:     {load} seqs, tree height {height}");
+        }
+    }
     if let Some(first) = names.first() {
         println!("first name:  {first}");
     }
     Ok(())
 }
 
-/// `simseq query` — Query 1.
+/// `simseq query` — Query 1, scatter-gathered when the index is sharded.
 pub fn query(args: &Args) -> CliResult {
-    let (index, names) = open_index(args)?;
-    let family = family_from(args, index.seq_len())?;
+    let (store, names) = open_store(args)?;
+    let family = family_from(args, store.read().seq_len())?;
     let spec = spec_from(args)?;
-    let q = query_series(args, &index)?;
+    if !store.supports_policy(spec.policy) {
+        return Err(err(
+            "--policy paper is tree-layout-dependent and may differ across \
+             shard counts; use adaptive|safe",
+        ));
+    }
+    let q = query_series(args, &store)?;
 
-    let engine = engine_pref_from(args)?;
-    index
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine);
-    let stats = StatsRegistry::new();
-    let (chosen, out) = plan::run(&index, &stats, &lq, Some(&q)).map_err(|e| err(e.to_string()))?;
+    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine_pref_from(args)?);
+    let (chosen, out, per_shard) = execute_cold(&store, &lq, Some(&q))?;
     let PlanOutput::Range(result) = out else {
         return Err(err("range plan produced a non-range result"));
     };
@@ -163,14 +162,7 @@ pub fn query(args: &Args) -> CliResult {
     let limit: usize = args.parse_or("limit", 20)?;
     let mut matches = result.matches.clone();
     matches.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-    for m in matches.iter().take(limit) {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
+    print_matches(&names, &family, matches.iter().take(limit));
     if matches.len() > limit {
         println!("… and {} more (raise --limit)", matches.len() - limit);
     }
@@ -180,22 +172,23 @@ pub fn query(args: &Args) -> CliResult {
         result.matched_sequences().len(),
         result.metrics
     );
+    print_per_shard(&per_shard);
     eprintln!("{}", plan_line(&chosen));
     Ok(())
 }
 
 /// `simseq join` — Query 2.
 pub fn join(args: &Args) -> CliResult {
-    let (index, names) = open_index(args)?;
-    let family = family_from(args, index.seq_len())?;
-    let spec = spec_from(args)?;
-    let engine = engine_pref_from(args)?;
-    index
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::join(family.clone(), spec).with_engine(engine);
-    let stats = StatsRegistry::new();
-    let (chosen, out) = plan::run(&index, &stats, &lq, None).map_err(|e| err(e.to_string()))?;
+    let (store, names) = open_store(args)?;
+    if store.single().is_none() {
+        return Err(err(
+            "join is not supported on a sharded index (pairs cross shards)",
+        ));
+    }
+    let family = family_from(args, store.read().seq_len())?;
+    let lq =
+        LogicalQuery::join(family.clone(), spec_from(args)?).with_engine(engine_pref_from(args)?);
+    let (chosen, out, _) = execute_cold(&store, &lq, None)?;
     let PlanOutput::Join(result) = out else {
         return Err(err("join plan produced a non-join result"));
     };
@@ -221,191 +214,21 @@ pub fn join(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `simseq nn` — k nearest neighbours under the family.
+/// `simseq nn` — k nearest neighbours under the family (exact global kNN
+/// with bound propagation when the index is sharded).
 pub fn nn(args: &Args) -> CliResult {
-    let (index, names) = open_index(args)?;
-    let family = family_from(args, index.seq_len())?;
+    let (store, names) = open_store(args)?;
+    let family = family_from(args, store.read().seq_len())?;
     let k: usize = args.req_parse("k")?;
-    let q = query_series(args, &index)?;
-    index
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
+    let q = query_series(args, &store)?;
     let lq = LogicalQuery::knn(family.clone(), k);
-    let stats = StatsRegistry::new();
-    let (_, out) = plan::run(&index, &stats, &lq, Some(&q)).map_err(|e| err(e.to_string()))?;
+    let (_, out, per_shard) = execute_cold(&store, &lq, Some(&q))?;
     let PlanOutput::Knn(matches, metrics) = out else {
         return Err(err("kNN plan produced a non-kNN result"));
     };
-    for m in &matches {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
+    print_matches(&names, &family, matches.iter());
     eprintln!("{metrics}");
-    Ok(())
-}
-
-/// `simseq serve` — serve a persisted index over TCP (blocks forever).
-/// With `--replicate-from HOST:PORT` it runs an in-memory read-only
-/// follower instead: `--index` seeds the starting state (optional —
-/// without it the whole state bootstraps from a snapshot transfer).
-pub fn serve(args: &Args) -> CliResult {
-    let replicate_from = args.opt("replicate-from").map(str::to_string);
-    let pool_pages: usize = args.parse_or("pool-pages", 256)?;
-    let defaults = simserve::server::ServerConfig::default();
-    let cfg = simserve::server::ServerConfig {
-        addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
-        workers: args.parse_or("workers", defaults.workers)?,
-        queue_depth: args.parse_or("queue", defaults.queue_depth)?,
-        max_conns: args.parse_or("max-conns", defaults.max_conns)?,
-        result_cache: args.parse_or("result-cache", defaults.result_cache)?,
-        cache_floor: args.parse_or("cache-floor", defaults.cache_floor)?,
-        slow_query_us: match args.opt("slow-query-ms") {
-            None => defaults.slow_query_us,
-            Some(raw) => raw
-                .parse::<u64>()
-                .map(|ms| ms.saturating_mul(1000))
-                .map_err(|_| err(format!("--slow-query-ms must be an integer, got `{raw}`")))?,
-        },
-        trace_sample: args.parse_or("trace-sample", defaults.trace_sample)?,
-    };
-    let (shared, follower) = match &replicate_from {
-        None => {
-            let dir = PathBuf::from(args.req("index")?);
-            let shared = SharedIndex::open(&dir, pool_pages)
-                .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
-            (shared, None)
-        }
-        Some(primary) => {
-            // Per-node jitter seed: distinct listen addresses give
-            // distinct reconnect schedules, so a follower fleet doesn't
-            // thundering-herd a recovering primary.
-            let reconnect_seed = {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                cfg.addr.hash(&mut h);
-                h.finish()
-            };
-            let fopts = simserve::repl::FollowerOpts {
-                reconnect_seed,
-                ..simserve::repl::FollowerOpts::default()
-            };
-            let (shared, follower) = match args.opt("index") {
-                None => simserve::repl::bootstrap(primary, fopts)
-                    .map_err(|e| err(format!("bootstrapping from {primary}: {e}")))?,
-                Some(dir) => {
-                    let dir = PathBuf::from(dir);
-                    let shared = SharedIndex::open(&dir, pool_pages)
-                        .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
-                    let follower =
-                        simserve::repl::Follower::connect(primary, shared.clone(), fopts)
-                            .map_err(|e| err(format!("connecting to primary {primary}: {e}")))?;
-                    (shared, follower)
-                }
-            };
-            (shared, Some(follower))
-        }
-    };
-    {
-        let index = shared.read();
-        let role = match &replicate_from {
-            Some(primary) => format!("following {primary}, "),
-            None => String::new(),
-        };
-        eprintln!(
-            "serving {} sequences of length {} ({role}{} workers, queue {}, max {} conns)",
-            index.len(),
-            index.seq_len(),
-            cfg.workers,
-            cfg.queue_depth,
-            cfg.max_conns
-        );
-    }
-    let handle = match follower {
-        None => simserve::server::serve(shared, &cfg)
-            .map_err(|e| err(format!("starting server: {e}")))?,
-        Some(follower) => {
-            let stats = follower.stats();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let loop_handle = follower.spawn(std::sync::Arc::clone(&stop));
-            let handle = simserve::server::serve_with(shared, &cfg, Some(stats))
-                .map_err(|e| err(format!("starting server: {e}")))?;
-            // Registered so a PROMOTE request can halt the poll loop
-            // before flipping this server to primary.
-            handle.repl().register_follower_loop(stop, loop_handle);
-            handle
-        }
-    };
-    println!("listening on {}", handle.addr);
-    handle.join();
-    Ok(())
-}
-
-/// `simseq load` — closed-loop load generation against a running server.
-pub fn load(args: &Args) -> CliResult {
-    let defaults = simserve::load::LoadConfig::default();
-    let engine = match args.opt("engine").unwrap_or("mt") {
-        "auto" => simserve::protocol::EngineKind::Auto,
-        "mt" => simserve::protocol::EngineKind::Mt,
-        "st" => simserve::protocol::EngineKind::St,
-        "scan" => simserve::protocol::EngineKind::Scan,
-        other => {
-            return Err(err(format!(
-                "--engine must be auto|mt|st|scan, got `{other}`"
-            )))
-        }
-    };
-    let verify = match args.opt("verify-index") {
-        None => None,
-        Some(dir) => {
-            let pool_pages: usize = args.parse_or("pool-pages", 256)?;
-            Some(
-                // Read-only: the oracle may be the directory the server
-                // under test is serving (and holding the LOCK on).
-                SharedIndex::open_read_only(Path::new(dir), pool_pages)
-                    .map_err(|e| err(format!("opening verify index {dir}: {e}")))?,
-            )
-        }
-    };
-    let cfg = simserve::load::LoadConfig {
-        addr: args.req("addr")?.to_string(),
-        conns: args.parse_or("conns", defaults.conns)?,
-        ops_per_conn: args.parse_or("ops", defaults.ops_per_conn)?,
-        seed: args.parse_or("seed", defaults.seed)?,
-        ma: args.range("ma")?.unwrap_or(defaults.ma),
-        rho: args.parse_or("rho", defaults.rho)?,
-        engine,
-        verify,
-        failover_to: args
-            .opt("failover")
-            .map(|raw| {
-                raw.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default(),
-        timeout_ms: match args.opt("timeout-ms") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| err(format!("--timeout-ms: cannot parse `{raw}`")))?,
-            ),
-        },
-    };
-    let report = simserve::load::run(&cfg).map_err(|e| err(format!("load run failed: {e}")))?;
-    print!("{}", report.render());
-    if report.total_errors() > 0 || report.total_parity_failures() > 0 {
-        return Err(err(format!(
-            "{} errors, {} parity failures",
-            report.total_errors(),
-            report.total_parity_failures()
-        )));
-    }
+    print_per_shard(&per_shard);
     Ok(())
 }
 
@@ -460,57 +283,44 @@ pub fn recover(args: &Args) -> CliResult {
     let dir = PathBuf::from(args.req("index")?);
     let wal = PathBuf::from(args.req("wal")?);
     let pool_pages: usize = args.parse_or("pool-pages", 256)?;
-    let policy = simwal::FsyncPolicy::Always;
     let oops = |e: &dyn std::fmt::Display| err(format!("recovering {}: {e}", dir.display()));
-    if dir.join("sharding.txt").is_file() {
-        let (sharded, rec) =
-            ShardedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
-        println!("shards:      {}", sharded.shard_count());
-        println!("wal epoch:   {}", rec.epoch);
-        println!("replayed:    {} frames", rec.replayed);
+    let (store, rec) = Store::open_durable(&dir, &wal, pool_pages, simwal::FsyncPolicy::Always)
+        .map_err(|e| oops(&e))?;
+    let sharding = store.sharding();
+    if let Some(sharding) = sharding {
+        println!("shards:      {}", sharding.shards);
+    }
+    println!("wal epoch:   {}", rec.epoch);
+    println!("replayed:    {} frames", rec.replayed);
+    if sharding.is_some() {
         println!(
             "dropped:     {} frames (past the first unsynced gap)",
             rec.dropped
         );
-        println!(
-            "stale:       {} frames (already in the snapshot)",
-            rec.stale_frames
-        );
-        println!("torn bytes:  {} truncated", rec.truncated_bytes);
-        let epoch = sharded.checkpoint().map_err(|e| oops(&e))?;
-        println!(
-            "checkpointed {} sequences at epoch {}",
-            sharded.len(),
-            epoch.expect("durable index checkpoints")
-        );
-    } else {
-        let (shared, rep) =
-            SharedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
-        println!("wal epoch:   {}", rep.epoch);
-        println!("replayed:    {} frames", rep.frames);
-        println!(
-            "stale:       {} frames (already in the snapshot)",
-            rep.stale_frames
-        );
-        println!("torn bytes:  {} truncated", rep.truncated_bytes);
-        let epoch = shared.checkpoint().map_err(|e| oops(&e))?;
-        println!(
-            "checkpointed {} sequences at epoch {}",
-            shared.read().len(),
-            epoch.expect("durable index checkpoints")
-        );
     }
+    println!(
+        "stale:       {} frames (already in the snapshot)",
+        rec.stale_frames
+    );
+    println!("torn bytes:  {} truncated", rec.truncated_bytes);
+    let epoch = store.checkpoint().map_err(|e| oops(&e))?;
+    println!(
+        "checkpointed {} sequences at epoch {}",
+        store.read().len(),
+        epoch.expect("durable index checkpoints")
+    );
     Ok(())
 }
 
-/// `simseq shard …` — nested subcommands over a sharded index.
+/// `simseq shard …` — `build` partitions a corpus; `info`/`query`/`nn`
+/// are aliases of the top-level commands, which take either layout.
 pub fn shard(argv: &[String]) -> CliResult {
     let args = Args::parse(argv)?;
     match args.sub() {
         "build" => shard_build(&args),
-        "info" => shard_info(&args),
-        "query" => shard_query(&args),
-        "nn" => shard_nn(&args),
+        "info" => info(&args),
+        "query" => query(&args),
+        "nn" => nn(&args),
         other => Err(err(format!(
             "unknown shard subcommand `{other}`; try `simseq help`"
         ))),
@@ -543,93 +353,6 @@ fn shard_build(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `simseq shard info` — describe a persisted sharded index.
-fn shard_info(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    println!("sequences:   {}", sharded.len());
-    println!("length:      {}", sharded.seq_len());
-    println!("shards:      {}", sharded.shard_count());
-    println!("partitioner: {}", sharded.partitioner_kind());
-    println!("deleted:     {}", sharded.deleted_count());
-    let loads = sharded.shard_loads();
-    for (i, (load, handle)) in loads.iter().zip(sharded.shards()).enumerate() {
-        let index = handle.read();
-        println!("shard {i}:     {load} seqs, tree height {}", index.height());
-    }
-    if let Some(first) = names.first() {
-        println!("first name:  {first}");
-    }
-    Ok(())
-}
-
-/// `simseq shard query` — Query 1, scatter-gathered across the shards.
-fn shard_query(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    let family = family_from(args, sharded.seq_len())?;
-    let spec = shard_spec_from(args)?;
-    let q = shard_query_series(args, &sharded)?;
-    let engine = engine_pref_from(args)?;
-    sharded
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine);
-    let (chosen, result, per_shard) =
-        gather::execute_range(&sharded, &lq, &q).map_err(|e| err(e.to_string()))?;
-
-    let limit: usize = args.parse_or("limit", 20)?;
-    let mut matches = result.matches.clone();
-    matches.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-    for m in matches.iter().take(limit) {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
-    if matches.len() > limit {
-        println!("… and {} more (raise --limit)", matches.len() - limit);
-    }
-    eprintln!(
-        "{} matches over {} sequences | {}",
-        result.matches.len(),
-        result.matched_sequences().len(),
-        result.metrics
-    );
-    for (i, m) in per_shard.iter().enumerate() {
-        eprintln!("  shard {i}: {m}");
-    }
-    eprintln!("{}", plan_line(&chosen));
-    Ok(())
-}
-
-/// `simseq shard nn` — exact global kNN with bound propagation.
-fn shard_nn(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    let family = family_from(args, sharded.seq_len())?;
-    let k: usize = args.req_parse("k")?;
-    let q = shard_query_series(args, &sharded)?;
-    sharded
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::knn(family.clone(), k);
-    let (_, matches, metrics, per_shard) =
-        gather::execute_knn(&sharded, &lq, &q).map_err(|e| err(e.to_string()))?;
-    for m in &matches {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
-    eprintln!("{metrics}");
-    for (i, m) in per_shard.iter().enumerate() {
-        eprintln!("  shard {i}: {m}");
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 
 /// Dials a server for the point commands (`promote`, `metrics`),
@@ -648,60 +371,47 @@ fn connect_client(args: &Args, addr: &str) -> Result<simserve::client::Client, C
         .map_err(|e| err(format!("connecting to {addr}: {e}")))
 }
 
-// Every `shard info`/`shard query`/`shard nn` invocation is read-only, so
-// skip the directory LOCK and coexist with a live simserved on the same
-// files.
-fn open_sharded(args: &Args) -> Result<(ShardedIndex, Vec<String>), CliError> {
-    let dir = PathBuf::from(args.req("index")?);
-    let sharded = ShardedIndex::open_read_only(&dir, 256)
-        .map_err(|e| err(format!("opening sharded index {}: {e}", dir.display())))?;
-    let names = std::fs::read_to_string(dir.join("names.txt"))
-        .map(|s| s.lines().map(String::from).collect())
-        .unwrap_or_default();
-    Ok((sharded, names))
-}
-
-/// Like [`spec_from`], but the `paper` filter policy is rejected: its
-/// false dismissals depend on tree layout, so the answer would vary with
-/// the shard count.
-fn shard_spec_from(args: &Args) -> Result<RangeSpec, CliError> {
-    if args.opt("policy") == Some("paper") {
-        return Err(err(
-            "--policy paper is tree-layout-dependent and may differ across \
-             shard counts; use adaptive|safe",
-        ));
-    }
-    spec_from(args)
-}
-
-fn shard_query_series(args: &Args, sharded: &ShardedIndex) -> Result<TimeSeries, CliError> {
-    if let Some(raw) = args.opt("query-index") {
-        let ordinal: usize = raw
-            .parse()
-            .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
-        if ordinal >= sharded.len() {
-            return Err(err(format!(
-                "--query-index {ordinal} out of range (0..{})",
-                sharded.len()
-            )));
-        }
-        return sharded
-            .fetch_series(ordinal)
-            .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")));
-    }
-    csv_query_series(args)
-}
-
 // `info`/`query`/`join`/`nn` are read-only, so skip the directory LOCK
 // and coexist with a live simserved on the same files.
-fn open_index(args: &Args) -> Result<(SeqIndex, Vec<String>), CliError> {
+fn open_store(args: &Args) -> Result<(Store, Vec<String>), CliError> {
     let dir = PathBuf::from(args.req("index")?);
-    let index = SeqIndex::open_read_only(&dir, 256)
+    let store = Store::open_read_only(&dir, 256)
         .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
     let names = std::fs::read_to_string(dir.join("names.txt"))
         .map(|s| s.lines().map(String::from).collect())
         .unwrap_or_default();
-    Ok((index, names))
+    Ok((store, names))
+}
+
+/// Executes with cold counters (the paper's per-query accounting),
+/// returning the plan, the output and each shard's own metrics.
+fn execute_cold(
+    store: &Store,
+    lq: &LogicalQuery,
+    q: Option<&TimeSeries>,
+) -> Result<(PhysicalPlan, PlanOutput, Vec<EngineMetrics>), CliError> {
+    store
+        .reset_counters()
+        .map_err(|e| err(format!("resetting counters: {e}")))?;
+    let (plan, out, _, per_shard) = store.execute_timed(lq, q).map_err(|e| err(e.to_string()))?;
+    Ok((plan, out, per_shard))
+}
+
+fn print_matches<'a>(names: &[String], family: &Family, matches: impl Iterator<Item = &'a Match>) {
+    for m in matches {
+        println!(
+            "{:24} via {:12} D = {:.4}",
+            display_name(names, m.seq),
+            family.transforms()[m.transform].label(),
+            m.dist
+        );
+    }
+}
+
+fn print_per_shard(per_shard: &[EngineMetrics]) {
+    for (i, m) in per_shard.iter().enumerate() {
+        eprintln!("  shard {i}: {m}");
+    }
 }
 
 fn display_name(names: &[String], ordinal: usize) -> String {
@@ -711,18 +421,19 @@ fn display_name(names: &[String], ordinal: usize) -> String {
         .unwrap_or_else(|| format!("#{ordinal}"))
 }
 
-fn query_series(args: &Args, index: &SeqIndex) -> Result<TimeSeries, CliError> {
+fn query_series(args: &Args, store: &Store) -> Result<TimeSeries, CliError> {
     if let Some(raw) = args.opt("query-index") {
         let ordinal: usize = raw
             .parse()
             .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
-        if ordinal >= index.len() {
+        let reader = store.read();
+        if ordinal >= reader.len() {
             return Err(err(format!(
                 "--query-index {ordinal} out of range (0..{})",
-                index.len()
+                reader.len()
             )));
         }
-        return index
+        return reader
             .fetch_series(ordinal)
             .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")));
     }
@@ -773,15 +484,9 @@ fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
 /// `--engine` → planner preference. `mt` stays the default (matching the
 /// wire protocol); `auto` hands the choice to the cost model.
 fn engine_pref_from(args: &Args) -> Result<EnginePref, CliError> {
-    match args.opt("engine").unwrap_or("mt") {
-        "auto" => Ok(EnginePref::Auto),
-        "mt" => Ok(EnginePref::Force(EngineChoice::Mt)),
-        "st" => Ok(EnginePref::Force(EngineChoice::St)),
-        "scan" => Ok(EnginePref::Force(EngineChoice::Scan)),
-        other => Err(err(format!(
-            "--engine must be auto|mt|st|scan, got `{other}`"
-        ))),
-    }
+    simserve::cmd::engine_flag(args.opt("engine"))
+        .map(simserve::server::engine_pref)
+        .map_err(err)
 }
 
 /// The one-line plan summary the query commands print to stderr.

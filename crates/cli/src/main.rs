@@ -27,32 +27,33 @@ fn main() {
         print!("{}", commands::USAGE);
         return;
     }
-    // `shard` prefixes a nested subcommand: `simseq shard build --…`.
-    if argv.first().map(String::as_str) == Some("shard") {
-        if let Err(e) = commands::shard(&argv[1..]) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
+    let result = match argv[0].as_str() {
+        // `shard` prefixes a nested subcommand: `simseq shard build --…`.
+        "shard" => commands::shard(&argv[1..]),
+        // The same entry points `simserved` and `simload` run.
+        "serve" => simserve::cmd::serve(&argv[1..]).map_err(args::err),
+        "load" => simserve::cmd::load(&argv[1..]).map_err(args::err),
+        _ => dispatch(&argv),
+    };
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
-    let result = Args::parse(&argv).and_then(|args| match args.sub() {
+}
+
+fn dispatch(argv: &[String]) -> Result<(), args::CliError> {
+    Args::parse(argv).and_then(|args| match args.sub() {
         "gen" => commands::gen(&args),
         "build" => commands::build(&args),
         "info" => commands::info(&args),
         "query" => commands::query(&args),
         "join" => commands::join(&args),
         "nn" => commands::nn(&args),
-        "serve" => commands::serve(&args),
-        "load" => commands::load(&args),
         "promote" => commands::promote(&args),
         "metrics" => commands::metrics(&args),
         "recover" => commands::recover(&args),
         other => Err(args::err(format!(
             "unknown subcommand `{other}`; try `simseq help`"
         ))),
-    });
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
+    })
 }

@@ -26,6 +26,25 @@ fn run_ok(cmd: &mut Command) -> (String, String) {
     (stdout, stderr)
 }
 
+/// `gen` a walks corpus and `build` it; returns `(data.csv, index dir)`.
+fn gen_and_build(dir: &std::path::Path, count: &str, seed: &str) -> (PathBuf, PathBuf) {
+    let (data, idx) = (dir.join("data.csv"), dir.join("idx"));
+    run_ok(
+        simseq()
+            .args(["gen", "--kind", "walks", "--len", "64"])
+            .args(["--count", count, "--seed", seed, "--out"])
+            .arg(&data),
+    );
+    run_ok(
+        simseq()
+            .args(["build", "--data"])
+            .arg(&data)
+            .arg("--out")
+            .arg(&idx),
+    );
+    (data, idx)
+}
+
 #[test]
 fn full_pipeline() {
     let dir = workdir("pipeline");
@@ -161,4 +180,159 @@ fn helpful_errors() {
 
     let (stdout, _) = run_ok(simseq().arg("help"));
     assert!(stdout.contains("USAGE"));
+}
+
+/// `query`/`nn`/`info` take either directory layout: on a shard group
+/// they print what the `shard …` aliases print, and the result lines are
+/// the single-index build's, byte for byte.
+#[test]
+fn query_commands_accept_either_layout() {
+    let dir = workdir("layouts");
+    let (data, one) = gen_and_build(&dir, "90", "11");
+    let many = dir.join("many");
+    run_ok(
+        simseq()
+            .args(["shard", "build", "--shards", "3", "--data"])
+            .arg(&data)
+            .arg("--out")
+            .arg(&many),
+    );
+
+    let query = [
+        "--query-index",
+        "7",
+        "--ma",
+        "3..12",
+        "--rho",
+        "0.9",
+        "--limit",
+        "1000",
+    ];
+    let nn = ["--query-index", "7", "--k", "6", "--ma", "2..9"];
+    for (verb, flags) in [("query", &query[..]), ("nn", &nn[..])] {
+        let run = |prefix: &[&str], index: &PathBuf| {
+            let mut cmd = simseq();
+            cmd.args(prefix).arg(verb).args(flags).arg("--index");
+            run_ok(cmd.arg(index))
+        };
+        let (single, _) = run(&[], &one);
+        let (sharded, stderr) = run(&[], &many);
+        let (alias, _) = run(&["shard"], &many);
+        assert!(single.lines().count() > 3, "{verb}: a broad enough query");
+        assert_eq!(sharded, single, "{verb}: sharded vs single stdout");
+        assert_eq!(alias, sharded, "{verb}: `shard {verb}` is an alias");
+        assert!(stderr.contains("  shard 2: "), "{verb}: per-shard metrics");
+    }
+
+    let (info, _) = run_ok(simseq().args(["info", "--index"]).arg(&many));
+    let (alias, _) = run_ok(simseq().args(["shard", "info", "--index"]).arg(&many));
+    assert_eq!(info, alias);
+    assert!(info.contains("shards:      3"), "{info}");
+    assert!(info.contains("shard 2:     "), "{info}");
+
+    // The layout-dependent filter is still refused on a shard group, and
+    // a join still needs a single index.
+    let out = simseq()
+        .args([
+            "query",
+            "--query-index",
+            "7",
+            "--policy",
+            "paper",
+            "--index",
+        ])
+        .arg(&many)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--policy paper"));
+    run_ok(
+        simseq()
+            .args([
+                "query",
+                "--query-index",
+                "7",
+                "--policy",
+                "paper",
+                "--index",
+            ])
+            .arg(&one),
+    );
+    let out = simseq()
+        .args(["join", "--rho", "0.9", "--index"])
+        .arg(&many)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `simseq serve` is `simserved` and `simseq load` is `simload`: the
+/// durability flags work, `--engine auto` is accepted, and a killed
+/// server's log is recovered by `simseq recover`.
+#[test]
+fn serve_takes_the_simserved_flags() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = workdir("serve");
+    let (_, idx) = gen_and_build(&dir, "40", "3");
+    let wal = dir.join("wal");
+
+    let mut server = simseq()
+        .args(["serve", "--addr", "127.0.0.1:0", "--fsync", "always"])
+        .arg("--index")
+        .arg(&idx)
+        .arg("--wal")
+        .arg(&wal)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn simseq serve");
+    let mut line = String::new();
+    BufReader::new(server.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner `{line}`"))
+        .to_string();
+
+    let mut client = simserve::client::Client::connect(&addr).unwrap();
+    let info = client.info().unwrap().unwrap();
+    assert!(
+        info.contains(&("durable".to_string(), "true".to_string())),
+        "{info:?}"
+    );
+    let (stdout, _) = run_ok(
+        simseq()
+            .args(["load", "--conns", "2", "--ops", "5", "--engine", "auto"])
+            .args(["--addr", &addr])
+            .arg("--verify-index")
+            .arg(&idx),
+    );
+    assert!(stdout.contains("parity: 100%"), "{stdout}");
+    let walk: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() * 5.0).collect();
+    assert_eq!(client.insert(walk).unwrap().unwrap(), 40);
+    drop(client);
+    server.kill().unwrap(); // a crash: no checkpoint
+    server.wait().unwrap();
+
+    let (stdout, _) = run_ok(
+        simseq()
+            .args(["recover", "--index"])
+            .arg(&idx)
+            .arg("--wal")
+            .arg(&wal),
+    );
+    assert!(stdout.contains("replayed:    1 frames"), "{stdout}");
+    assert!(!stdout.contains("dropped:"), "{stdout}");
+    assert!(
+        stdout.contains("checkpointed 41 sequences at epoch 2"),
+        "{stdout}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,28 +9,13 @@
 use crate::feature::{FRect, SeqFeatures, DIMS};
 use crate::report::QueryError;
 use pagestore::{BufferPool, Disk, DynHeapFile, PageDevice, PageError};
-use rstartree::{
-    bulk_load_str, MemStore, Neighbor, NodeStore, PagedStore, Params, RStarTree, SearchStats,
-};
+use rstartree::{bulk_load_str, Neighbor, NodeStore, PagedStore, Params, RStarTree, SearchStats};
 use std::sync::Arc;
 use tseries::{Corpus, TimeSeries};
-
-/// Where tree nodes live.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Nodes serialised to pages of a simulated disk; node reads are disk
-    /// accesses (the paper's cold-per-query accounting).
-    #[default]
-    Paged,
-    /// Nodes in memory; accesses still counted identically.
-    Mem,
-}
 
 /// Index construction options.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexConfig {
-    /// Node storage backend.
-    pub store: StoreKind,
     /// Fanout override; defaults to the page capacity (78 at `D = 6`).
     pub fanout: Option<usize>,
     /// Bulk-load with STR (fast, well-packed) instead of one-by-one
@@ -43,17 +28,11 @@ pub struct IndexConfig {
 impl Default for IndexConfig {
     fn default() -> Self {
         Self {
-            store: StoreKind::Paged,
             fanout: None,
             bulk: true,
             heap_pool_pages: 64,
         }
     }
-}
-
-enum TreeImpl {
-    Mem(RStarTree<DIMS, MemStore<DIMS>>),
-    Paged(RStarTree<DIMS, PagedStore<DIMS>>),
 }
 
 /// Combined access counters of the index structures.
@@ -71,7 +50,9 @@ pub struct AccessCounters {
 
 /// An indexed corpus of equal-length sequences.
 pub struct SeqIndex {
-    tree: TreeImpl,
+    // Nodes serialised to pages of a (simulated) disk: node reads are disk
+    // accesses, the paper's cold-per-query accounting.
+    tree: RStarTree<DIMS, PagedStore<DIMS>>,
     heap: DynHeapFile,
     heap_pool: Arc<BufferPool>,
     // Concrete disk handles, kept only when the index owns plain in-memory
@@ -162,16 +143,7 @@ impl SeqIndex {
         };
         let leaf_capacity = params.max_entries;
 
-        let tree = match config.store {
-            StoreKind::Mem => {
-                let store = MemStore::new();
-                TreeImpl::Mem(build_tree(store, params, items, config.bulk)?)
-            }
-            StoreKind::Paged => {
-                let store = PagedStore::new_dyn(tree_device);
-                TreeImpl::Paged(build_tree(store, params, items, config.bulk)?)
-            }
-        };
+        let tree = build_tree(PagedStore::new_dyn(tree_device), params, items, config.bulk)?;
 
         Ok(Some(Self {
             tree,
@@ -209,10 +181,7 @@ impl SeqIndex {
         match SeqFeatures::extract(ts) {
             Some(f) => {
                 let rect = rstartree::Rect::point(f.point);
-                match &mut self.tree {
-                    TreeImpl::Mem(t) => t.insert(rect, ordinal as u64)?,
-                    TreeImpl::Paged(t) => t.insert(rect, ordinal as u64)?,
-                }
+                self.tree.insert(rect, ordinal as u64)?;
             }
             None => self.skipped.push(ordinal),
         }
@@ -233,10 +202,7 @@ impl SeqIndex {
             let ts = self.fetch_series(ordinal)?;
             let f = SeqFeatures::extract(&ts).expect("indexed entries are non-degenerate");
             let rect = rstartree::Rect::point(f.point);
-            let removed = match &mut self.tree {
-                TreeImpl::Mem(t) => t.delete(&rect, ordinal as u64)?,
-                TreeImpl::Paged(t) => t.delete(&rect, ordinal as u64)?,
-            };
+            let removed = self.tree.delete(&rect, ordinal as u64)?;
             debug_assert!(removed, "tree entry for live ordinal {ordinal} must exist");
         }
         self.deleted[ordinal] = true;
@@ -286,19 +252,13 @@ impl SeqIndex {
 
     /// Tree height.
     pub fn height(&self) -> u32 {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.height(),
-            TreeImpl::Paged(t) => t.height(),
-        }
+        self.tree.height()
     }
 
     /// Per-level node counts and mean MBR extents — the structural inputs
     /// of the analytical cost model (§4.3). One full tree walk.
     pub fn level_summaries(&self) -> Result<Vec<rstartree::LevelSummary<DIMS>>, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.level_summaries(),
-            TreeImpl::Paged(t) => t.level_summaries(),
-        }
+        self.tree.level_summaries()
     }
 
     /// Prepares a query sequence: validates its length and extracts its
@@ -361,10 +321,7 @@ impl SeqIndex {
         pred: impl FnMut(&FRect) -> bool,
         on_data: impl FnMut(&FRect, u64),
     ) -> Result<SearchStats, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.search(pred, on_data),
-            TreeImpl::Paged(t) => t.search(pred, on_data),
-        }
+        self.tree.search(pred, on_data)
     }
 
     /// Duplicate-free self join (see [`RStarTree::self_join`]).
@@ -373,10 +330,7 @@ impl SeqIndex {
         pred: impl FnMut(&FRect, &FRect) -> bool,
         on_pair: impl FnMut(&FRect, u64, &FRect, u64),
     ) -> Result<SearchStats, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.self_join(pred, on_pair),
-            TreeImpl::Paged(t) => t.self_join(pred, on_pair),
-        }
+        self.tree.self_join(pred, on_pair)
     }
 
     /// Best-first nearest-neighbour search (see [`RStarTree::nearest_by`]).
@@ -387,10 +341,7 @@ impl SeqIndex {
         node_bound: impl FnMut(&FRect) -> f64,
         leaf_score: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.nearest_by(k, node_bound, leaf_score),
-            TreeImpl::Paged(t) => t.nearest_by(k, node_bound, leaf_score),
-        }
+        self.tree.nearest_by(k, node_bound, leaf_score)
     }
 
     /// Optimal multi-step k-NN (see [`RStarTree::nearest_by_refine`]).
@@ -402,10 +353,8 @@ impl SeqIndex {
         leaf_bound: impl FnMut(&FRect, u64) -> f64,
         refine: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.nearest_by_refine(k, node_bound, leaf_bound, refine),
-            TreeImpl::Paged(t) => t.nearest_by_refine(k, node_bound, leaf_bound, refine),
-        }
+        self.tree
+            .nearest_by_refine(k, node_bound, leaf_bound, refine)
     }
 
     /// [`Self::nearest_by_refine`] seeded with an external pruning bound
@@ -421,24 +370,15 @@ impl SeqIndex {
         leaf_bound: impl FnMut(&FRect, u64) -> f64,
         refine: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => {
-                t.nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
-            }
-            TreeImpl::Paged(t) => {
-                t.nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
-            }
-        }
+        self.tree
+            .nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
     }
 
     /// Zeroes all access counters and empties the record pool, so the next
     /// query is measured cold (the paper's per-query accounting). Fails when
     /// flushing a dirty record page back to a faulted device fails.
     pub fn reset_counters(&self) -> Result<(), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.store().reset_stats(),
-            TreeImpl::Paged(t) => t.store().reset_stats(),
-        }
+        self.tree.store().reset_stats();
         self.heap_pool.clear()?;
         self.heap_pool.reset_stats();
         self.heap_pool.device().reset_stats();
@@ -448,10 +388,7 @@ impl SeqIndex {
 
     /// Snapshot of the access counters.
     pub fn counters(&self) -> AccessCounters {
-        let node_reads = match &self.tree {
-            TreeImpl::Mem(t) => t.store().stats().reads,
-            TreeImpl::Paged(t) => t.store().stats().reads,
-        };
+        let node_reads = self.tree.store().stats().reads;
         AccessCounters {
             node_reads,
             record_page_reads: self.heap_pool.stats().misses,
@@ -462,19 +399,13 @@ impl SeqIndex {
     /// Structural self-check (test support). `Err` means a device failure
     /// prevented the check, not an invariant violation (those panic).
     pub fn validate(&self) -> Result<usize, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.validate(),
-            TreeImpl::Paged(t) => t.validate(),
-        }
+        self.tree.validate()
     }
 
     /// True when a mutation aborted mid-way on a device error, leaving the
     /// tree structurally suspect (see [`RStarTree::is_poisoned`]).
     pub fn tree_poisoned(&self) -> bool {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.is_poisoned(),
-            TreeImpl::Paged(t) => t.is_poisoned(),
-        }
+        self.tree.is_poisoned()
     }
 }
 
@@ -573,24 +504,12 @@ mod tests {
     }
 
     #[test]
-    fn mem_and_paged_stores_agree() {
-        let c = corpus(150);
-        let a = SeqIndex::build(
-            &c,
-            IndexConfig {
-                store: StoreKind::Mem,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = SeqIndex::build(&c, IndexConfig::default()).unwrap();
-        let mut got_a = Vec::new();
-        let mut got_b = Vec::new();
-        a.search(|_| true, |_, d| got_a.push(d)).unwrap();
-        b.search(|_| true, |_, d| got_b.push(d)).unwrap();
-        got_a.sort_unstable();
-        got_b.sort_unstable();
-        assert_eq!(got_a, got_b);
+    fn full_search_returns_every_ordinal() {
+        let idx = SeqIndex::build(&corpus(150), IndexConfig::default()).unwrap();
+        let mut got = Vec::new();
+        idx.search(|_| true, |_, d| got.push(d)).unwrap();
+        got.sort_unstable();
+        assert_eq!(got, (0..150).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -695,7 +614,7 @@ impl SeqIndex {
 
     /// Persists the index to `dir`, stamping the snapshot with
     /// `wal_epoch`: the tree's page image, the record heap's page image,
-    /// and a small metadata file. Only paged indexes can be saved.
+    /// and a small metadata file.
     ///
     /// The save is crash-atomic. Page images go to *fresh*
     /// generation-numbered file names (`tree-<gen>.pg`), then `meta.txt` —
@@ -704,11 +623,6 @@ impl SeqIndex {
     /// previous, untouched images; the orphaned half-written generation
     /// is deleted by the next successful save over the directory.
     pub fn save_with_epoch(&self, dir: &std::path::Path, wal_epoch: u64) -> std::io::Result<()> {
-        let TreeImpl::Paged(tree) = &self.tree else {
-            return Err(std::io::Error::other(
-                "only StoreKind::Paged indexes can be saved",
-            ));
-        };
         let (Some(tree_disk), Some(heap_disk)) = (&self.tree_disk, &self.heap_disk) else {
             return Err(std::io::Error::other(
                 "indexes built on custom devices cannot be saved",
@@ -725,16 +639,16 @@ impl SeqIndex {
 
         let mut meta = String::new();
         use std::fmt::Write as _;
-        let params = tree.params();
+        let params = self.tree.params();
         let _ = writeln!(meta, "simseq-index v1");
         let _ = writeln!(meta, "gen {gen}");
         let _ = writeln!(meta, "files {tree_file} {records_file}");
         let _ = writeln!(meta, "wal_epoch {wal_epoch}");
         let _ = writeln!(meta, "seq_len {}", self.seq_len);
         let _ = writeln!(meta, "len {}", self.len);
-        let _ = writeln!(meta, "tree_root {}", tree.root_id().0);
-        let _ = writeln!(meta, "tree_root_level {}", tree.root_level());
-        let _ = writeln!(meta, "tree_len {}", tree.len());
+        let _ = writeln!(meta, "tree_root {}", self.tree.root_id().0);
+        let _ = writeln!(meta, "tree_root_level {}", self.tree.root_level());
+        let _ = writeln!(meta, "tree_len {}", self.tree.len());
         let _ = writeln!(
             meta,
             "params {} {} {}",
@@ -963,7 +877,7 @@ impl SeqIndex {
         );
 
         Ok(Self {
-            tree: TreeImpl::Paged(tree),
+            tree,
             heap,
             heap_pool,
             tree_disk: tree_handle,
@@ -1119,20 +1033,6 @@ mod persistence_tests {
             assert_eq!(a.values(), b.values());
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mem_index_refuses_to_save() {
-        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 10, 64, 1);
-        let index = SeqIndex::build(
-            &corpus,
-            IndexConfig {
-                store: StoreKind::Mem,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(index.save(&tmpdir("mem")).is_err());
     }
 
     #[test]

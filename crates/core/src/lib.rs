@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::engine;
     pub use crate::expr::SimilarityExpr;
     pub use crate::feature::{FeatureVec, SeqFeatures, DIMS};
-    pub use crate::index::{IndexConfig, SeqIndex, StoreKind};
+    pub use crate::index::{IndexConfig, SeqIndex};
     pub use crate::ordering::OrderedFamily;
     pub use crate::partition::PartitionStrategy;
     pub use crate::plan::{

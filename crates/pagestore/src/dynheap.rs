@@ -7,7 +7,14 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::sync::Mutex;
 use std::sync::Arc;
 
-use crate::heap::RecordId;
+/// Address of a record: page plus slot.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+pub struct RecordId {
+    /// The page holding the record.
+    pub page: PageId,
+    /// Slot index within the page.
+    pub slot: u16,
+}
 
 const HEADER: usize = 8; // [count: u16][pad: 6]
 

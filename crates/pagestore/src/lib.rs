@@ -12,9 +12,10 @@
 //!   relation);
 //! * [`BufferPool`] — a latch-protected LRU pool with pin counts; its *miss*
 //!   counter is the number of physical accesses the experiments report;
-//! * [`HeapFile`] — a fixed-size-record heap file used to store full
-//!   sequence records (retrieved in the post-processing step 5 of
-//!   Algorithm 1);
+//! * [`DynHeapFile`] — an append-only heap of fixed-size byte records (the
+//!   size is chosen at creation, from the corpus' sequence length) that
+//!   stores the full sequence records retrieved in the post-processing
+//!   step 5 of Algorithm 1;
 //! * [`FaultyDisk`] / [`FaultPlan`] — deterministic, seeded fault
 //!   injection over the [`PageDevice`] trait, with typed [`PageError`]s
 //!   that every layer above propagates instead of panicking.
@@ -28,16 +29,14 @@ mod dynheap;
 mod error;
 mod fault;
 mod filedisk;
-mod heap;
 mod page;
 mod stats;
 pub mod sync;
 
 pub use buffer::{BufferPool, BufferStats, TRANSIENT_RETRIES};
 pub use disk::{Disk, DiskStats, PageDevice};
-pub use dynheap::DynHeapFile;
+pub use dynheap::{DynHeapFile, RecordId};
 pub use error::{PageError, PageErrorKind, PageOp};
 pub use fault::{FaultCounters, FaultKind, FaultPlan, FaultSpec, FaultyDisk, PlanParams, Trigger};
-pub use heap::{HeapFile, Record, RecordId};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use stats::AccessStats;

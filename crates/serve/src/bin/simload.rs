@@ -1,118 +1,14 @@
-//! `simload` — closed-loop load generator for `simserved`.
-//!
-//! ```sh
-//! simload --addr 127.0.0.1:7878 --conns 8 --ops 100 [--seed 1]
-//!         [--ma 5..20] [--rho 0.96] [--engine mt|st|scan]
-//!         [--verify-index idx/] [--timeout-ms MS] [--failover A,B]
-//! ```
+//! `simload` — closed-loop load generator for `simserved` (see
+//! [`simserve::cmd`] for the flags; `simseq load` is the same thing).
 //!
 //! Exits non-zero on any error response or (with `--verify-index`) any
 //! result-parity failure.
 
-use simquery::shared::SharedIndex;
-use simserve::load::{run, LoadConfig};
-use simserve::opts::Opts;
-use simserve::protocol::EngineKind;
-use std::path::PathBuf;
-
-const USAGE: &str = "\
-simload — closed-loop load generator for simserved
-
-USAGE:
-  simload --addr HOST:PORT [--conns N] [--ops N] [--seed S]
-          [--ma LO..HI] [--rho R] [--engine mt|st|scan]
-          [--verify-index DIR/] [--pool-pages N]
-          [--timeout-ms MS] [--failover HOST:PORT,HOST:PORT]
-
-Each connection replays a seeded stream of QUERY requests and reports a
-per-connection latency/throughput table. --verify-index opens the same
-index directly and checks every response for result parity against a
-single-threaded engine call. --timeout-ms bounds connect/read/write on
-every socket (0 = no timeouts); --failover lists extra endpoints the
-client rotates to on ERR READONLY or connection failure.
-";
-
 fn main() {
-    if let Err(e) = run_cli() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = simserve::cmd::load(&argv) {
         eprintln!("error: {e}");
-        eprint!("{USAGE}");
+        eprint!("{}", simserve::cmd::LOAD_USAGE);
         std::process::exit(1);
     }
-}
-
-fn run_cli() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("help") {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    let opts = Opts::parse(&argv).map_err(|e| e.to_string())?;
-    let defaults = LoadConfig::default();
-    let engine = match opts.get("engine").unwrap_or("mt") {
-        "mt" => EngineKind::Mt,
-        "st" => EngineKind::St,
-        "scan" => EngineKind::Scan,
-        other => return Err(format!("--engine must be mt|st|scan, got `{other}`")),
-    };
-    let verify = match opts.get("verify-index") {
-        None => None,
-        Some(dir) => {
-            let pool: usize = opts
-                .parse_or("pool-pages", 256)
-                .map_err(|e| e.to_string())?;
-            Some(
-                // Read-only: the oracle may be the very directory the
-                // server under test is serving (and holding the LOCK on).
-                SharedIndex::open_read_only(&PathBuf::from(dir), pool)
-                    .map_err(|e| format!("opening verify index {dir}: {e}"))?,
-            )
-        }
-    };
-    let cfg = LoadConfig {
-        addr: opts.req("addr").map_err(|e| e.to_string())?.to_string(),
-        conns: opts
-            .parse_or("conns", defaults.conns)
-            .map_err(|e| e.to_string())?,
-        ops_per_conn: opts
-            .parse_or("ops", defaults.ops_per_conn)
-            .map_err(|e| e.to_string())?,
-        seed: opts
-            .parse_or("seed", defaults.seed)
-            .map_err(|e| e.to_string())?,
-        ma: opts
-            .range_or("ma", defaults.ma)
-            .map_err(|e| e.to_string())?,
-        rho: opts
-            .parse_or("rho", defaults.rho)
-            .map_err(|e| e.to_string())?,
-        engine,
-        verify,
-        failover_to: opts
-            .get("failover")
-            .map(|raw| {
-                raw.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default(),
-        timeout_ms: match opts.get("timeout-ms") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| format!("--timeout-ms: bad value `{raw}`"))?,
-            ),
-        },
-    };
-    let report = run(&cfg).map_err(|e| format!("load run failed: {e}"))?;
-    print!("{}", report.render());
-    if report.total_errors() > 0 || report.total_parity_failures() > 0 {
-        return Err(format!(
-            "{} errors, {} parity failures",
-            report.total_errors(),
-            report.total_parity_failures()
-        ));
-    }
-    Ok(())
 }

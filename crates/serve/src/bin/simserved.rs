@@ -1,333 +1,11 @@
-//! `simserved` — serve a persisted similarity index over TCP.
-//!
-//! ```sh
-//! simserved --index idx/ [--addr 127.0.0.1:7878] [--workers N]
-//!           [--queue 64] [--max-conns 64] [--pool-pages 256]
-//!           [--shards N] [--partitioner hash|round-robin|range]
-//!           [--wal DIR/] [--fsync always|never|N]
-//!           [--result-cache N]
-//! ```
-//!
-//! With `--shards N > 1` the opened index is repartitioned across N
-//! independent shards: an insert write-locks one shard while the others
-//! keep serving reads, queries scatter-gather, and `STATS` gains a
-//! per-shard breakdown. A directory written by `simseq shard build` (it
-//! contains `sharding.txt`) is served sharded as-is; passing `--shards`
-//! or `--partitioner` against one is an error unless the values match
-//! its manifest.
-//!
-//! With `--wal DIR/` every `INSERT`/`DELETE` is appended to a write-ahead
-//! log before it is acknowledged; on startup the log tail is replayed on
-//! top of the snapshot, so a crash loses at most the unsynced suffix.
-//! `--fsync` trades durability for throughput: `always` syncs every
-//! append, `N` every N appends, `never` leaves syncing to the OS.
-//!
-//! `--result-cache N` keeps the last N query results in an LRU cache
-//! keyed on the query fingerprint and the index epoch; any `INSERT`,
-//! `DELETE`, or `CHECKPOINT` moves the epoch, so cached results are
-//! never stale. `0` (the default) disables the cache.
-//!
-//! With `--replicate-from HOST:PORT` the server runs as a **follower**:
-//! it streams WAL frames from the primary over the `REPL` verb, applies
-//! them through the crash-recovery replay path, and serves read-only
-//! queries (writes get `ERR code=READONLY`). Without `--index` the
-//! follower bootstraps its whole state from a snapshot transfer; with
-//! `--index` (optionally plus `--wal` for a durable follower that
-//! resumes from its persisted replica position) it starts from local
-//! state and catches up.
-
-use simquery::shared::SharedIndex;
-use simserve::opts::Opts;
-use simserve::repl::{self, Follower, FollowerOpts};
-use simserve::server::{serve, serve_with, Backend, ServerConfig};
-use simshard::{ShardConfig, ShardedIndex};
-use simwal::FsyncPolicy;
-use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
-const USAGE: &str = "\
-simserved — serve a persisted similarity index over TCP
-
-USAGE:
-  simserved --index DIR/ [--addr HOST:PORT] [--workers N]
-            [--queue N] [--max-conns N] [--pool-pages N]
-            [--shards N] [--partitioner hash|round-robin|range]
-            [--wal DIR/] [--fsync always|never|N]
-            [--result-cache N] [--cache-floor COST]
-            [--slow-query-ms N] [--trace-sample K]
-  simserved --replicate-from HOST:PORT [--index DIR/] [--wal DIR/]
-            [--addr HOST:PORT] [...]
-
-The protocol is documented in crates/serve/PROTOCOL.md. Build an index
-with `simseq gen` + `simseq build` first (or a sharded one with
-`simseq shard build`). `--shards N` repartitions a single-index
-directory across N shards at startup; JOIN requires an unsharded
-backend. `--wal DIR/` makes INSERT/DELETE durable (write-ahead logged,
-replayed on restart; see SYNC and CHECKPOINT in the protocol).
-`--result-cache N` answers repeated queries from an epoch-keyed LRU
-cache (mutations invalidate; see the EXPLAIN verb and the STATS PLAN
-line in the protocol); `--cache-floor COST` admits only results whose
-measured execution cost reaches COST work units. `--slow-query-ms N`
-logs any query at or over N ms (inspect with `simseq metrics`), and
-`--trace-sample K` records every K-th query's span tree into a bounded
-ring served by the TRACE verb (0 disables; see METRICS and TRACE in
-the protocol). `--replicate-from HOST:PORT` runs a read-only
-follower of a durable primary: without --index it bootstraps from a
-snapshot transfer, with --index (+ --wal for durability) it resumes
-from local state; writes are refused with ERR code=READONLY.
-";
+//! `simserved` — serve a persisted similarity index over TCP (see
+//! [`simserve::cmd`] for the flags; `simseq serve` is the same thing).
 
 fn main() {
-    if let Err(e) = run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = simserve::cmd::serve(&argv) {
         eprintln!("error: {e}");
-        eprint!("{USAGE}");
+        eprint!("{}", simserve::cmd::SERVE_USAGE);
         std::process::exit(1);
     }
-}
-
-fn announce(sharded: &ShardedIndex, cfg: &ServerConfig) {
-    eprintln!(
-        "serving {} sequences of length {} across {} shards ({}, {} workers, queue {})",
-        sharded.len(),
-        sharded.seq_len(),
-        sharded.shard_count(),
-        sharded.partitioner_kind(),
-        cfg.workers,
-        cfg.queue_depth
-    );
-}
-
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("help") {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    let opts = Opts::parse(&argv).map_err(|e| e.to_string())?;
-    let replicate_from = opts.get("replicate-from").map(str::to_string);
-    let dir = match (opts.get("index"), &replicate_from) {
-        (Some(d), _) => Some(PathBuf::from(d)),
-        (None, Some(_)) => None, // a fresh follower bootstraps from a snapshot
-        (None, None) => return Err("missing required --index".into()),
-    };
-    let pool_pages: usize = opts
-        .parse_or("pool-pages", 256)
-        .map_err(|e| e.to_string())?;
-    let defaults = ServerConfig::default();
-    let cfg = ServerConfig {
-        addr: opts
-            .get("addr")
-            .unwrap_or(defaults.addr.as_str())
-            .to_string(),
-        workers: opts
-            .parse_or("workers", defaults.workers)
-            .map_err(|e| e.to_string())?,
-        queue_depth: opts
-            .parse_or("queue", defaults.queue_depth)
-            .map_err(|e| e.to_string())?,
-        max_conns: opts
-            .parse_or("max-conns", defaults.max_conns)
-            .map_err(|e| e.to_string())?,
-        result_cache: opts
-            .parse_or("result-cache", defaults.result_cache)
-            .map_err(|e| e.to_string())?,
-        cache_floor: opts
-            .parse_or("cache-floor", defaults.cache_floor)
-            .map_err(|e| e.to_string())?,
-        // The flag is in milliseconds (human scale); the log gates in µs.
-        slow_query_us: match opts.get("slow-query-ms") {
-            None => defaults.slow_query_us,
-            Some(raw) => raw
-                .parse::<u64>()
-                .map(|ms| ms.saturating_mul(1000))
-                .map_err(|_| format!("--slow-query-ms must be an integer, got `{raw}`"))?,
-        },
-        trace_sample: opts
-            .parse_or("trace-sample", defaults.trace_sample)
-            .map_err(|e| e.to_string())?,
-    };
-
-    // One shardcfg parse covers both flags (shared with `simseq shard`).
-    let shard_cfg = ShardConfig::parse(opts.get("shards").unwrap_or("1"), opts.get("partitioner"))?;
-
-    let wal_dir = opts.get("wal").map(PathBuf::from);
-    let policy = match opts.get("fsync") {
-        None => FsyncPolicy::Always,
-        Some(raw) => FsyncPolicy::parse(raw)
-            .ok_or_else(|| format!("--fsync must be always|never|N, got `{raw}`"))?,
-    };
-    if wal_dir.is_none() && opts.get("fsync").is_some() {
-        return Err("--fsync requires --wal".into());
-    }
-
-    if let Some(primary) = &replicate_from {
-        if opts.get("shards").is_some() || opts.get("partitioner").is_some() {
-            return Err(
-                "--replicate-from serves a single-index follower; --shards/--partitioner \
-                 do not apply (shards ship separately)"
-                    .into(),
-            );
-        }
-        // Per-node jitter seed: distinct listen addresses give distinct
-        // reconnect schedules, so a follower fleet doesn't thundering-herd
-        // a recovering primary.
-        let reconnect_seed = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            cfg.addr.hash(&mut h);
-            h.finish()
-        };
-        let fopts = FollowerOpts {
-            state_dir: wal_dir.clone(),
-            reconnect_seed,
-            ..FollowerOpts::default()
-        };
-        let (shared, follower) = match &dir {
-            None => {
-                if wal_dir.is_some() {
-                    return Err("--wal on a follower requires --index \
-                         (a durable follower opens both directories)"
-                        .into());
-                }
-                repl::bootstrap(primary, fopts)
-                    .map_err(|e| format!("bootstrapping from {primary}: {e}"))?
-            }
-            Some(dir) => {
-                if dir.join("sharding.txt").is_file() {
-                    return Err(format!(
-                        "{} is a sharded directory; replication requires a single index",
-                        dir.display()
-                    ));
-                }
-                let shared = match &wal_dir {
-                    None => SharedIndex::open(dir, pool_pages)
-                        .map_err(|e| format!("opening index {}: {e}", dir.display()))?,
-                    Some(wal) => {
-                        let (shared, rep) = SharedIndex::open_durable(dir, wal, pool_pages, policy)
-                            .map_err(|e| format!("opening index {}: {e}", dir.display()))?;
-                        eprintln!(
-                            "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
-                            rep.epoch, rep.frames, rep.stale_frames, rep.truncated_bytes
-                        );
-                        shared
-                    }
-                };
-                let follower = Follower::connect(primary, shared.clone(), fopts)
-                    .map_err(|e| format!("connecting to primary {primary}: {e}"))?;
-                (shared, follower)
-            }
-        };
-        {
-            let index = shared.read();
-            eprintln!(
-                "follower of {primary}: {} sequences of length {}, applied lsn {} \
-                 ({} workers, queue {})",
-                index.len(),
-                index.seq_len(),
-                shared.applied_lsn(),
-                cfg.workers,
-                cfg.queue_depth
-            );
-        }
-        let stats = follower.stats();
-        let stop = Arc::new(AtomicBool::new(false));
-        let loop_handle = follower.spawn(Arc::clone(&stop));
-        let handle = serve_with(Backend::from(shared), &cfg, Some(stats))
-            .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-        // Registered so a PROMOTE request can halt the poll loop before
-        // flipping this server to primary.
-        handle.repl().register_follower_loop(stop, loop_handle);
-        println!("listening on {}", handle.addr);
-        handle.join();
-        return Ok(());
-    }
-    let dir = dir.expect("--index is required without --replicate-from");
-
-    let backend = if dir.join("sharding.txt").is_file() {
-        // A `simseq shard build` directory is already partitioned; explicit
-        // flags must agree with its manifest, not be silently ignored.
-        let sharded = match &wal_dir {
-            None => ShardedIndex::open(&dir, pool_pages)
-                .map_err(|e| format!("opening sharded index {}: {e}", dir.display()))?,
-            Some(wal) => {
-                let (sharded, rec) = ShardedIndex::open_durable(&dir, wal, pool_pages, policy)
-                    .map_err(|e| format!("opening sharded index {}: {e}", dir.display()))?;
-                eprintln!(
-                    "wal: epoch {}, replayed {} frames ({} dropped, {} stale, {} torn bytes)",
-                    rec.epoch, rec.replayed, rec.dropped, rec.stale_frames, rec.truncated_bytes
-                );
-                sharded
-            }
-        };
-        if opts.get("shards").is_some() && shard_cfg.shards != sharded.shard_count() {
-            return Err(format!(
-                "--shards {} conflicts with {}, which was built with {} shards; \
-                 drop the flag or rebuild with `simseq shard build`",
-                shard_cfg.shards,
-                dir.join("sharding.txt").display(),
-                sharded.shard_count()
-            ));
-        }
-        if opts.get("partitioner").is_some() && shard_cfg.partitioner != sharded.partitioner_kind()
-        {
-            return Err(format!(
-                "--partitioner {} conflicts with {}, which was built with '{}'; \
-                 drop the flag or rebuild with `simseq shard build`",
-                shard_cfg.partitioner,
-                dir.join("sharding.txt").display(),
-                sharded.partitioner_kind()
-            ));
-        }
-        announce(&sharded, &cfg);
-        Backend::from(sharded)
-    } else if shard_cfg.shards > 1 {
-        if wal_dir.is_some() {
-            return Err(
-                "--wal cannot be combined with --shards repartitioning; build a sharded \
-                 directory first (`simseq shard build`) and serve that with --wal"
-                    .into(),
-            );
-        }
-        let shared = SharedIndex::open(&dir, pool_pages)
-            .map_err(|e| format!("opening index {}: {e}", dir.display()))?;
-        let index_cfg = simquery::index::IndexConfig {
-            heap_pool_pages: pool_pages,
-            ..Default::default()
-        };
-        let sharded = ShardedIndex::from_index(&shared.read(), shard_cfg, index_cfg)
-            .map_err(|e| format!("sharding {}: {e}", dir.display()))?;
-        announce(&sharded, &cfg);
-        Backend::from(sharded)
-    } else {
-        let shared = match &wal_dir {
-            None => SharedIndex::open(&dir, pool_pages)
-                .map_err(|e| format!("opening index {}: {e}", dir.display()))?,
-            Some(wal) => {
-                let (shared, rep) = SharedIndex::open_durable(&dir, wal, pool_pages, policy)
-                    .map_err(|e| format!("opening index {}: {e}", dir.display()))?;
-                eprintln!(
-                    "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
-                    rep.epoch, rep.frames, rep.stale_frames, rep.truncated_bytes
-                );
-                shared
-            }
-        };
-        {
-            let index = shared.read();
-            eprintln!(
-                "serving {} sequences of length {} ({} workers, queue {})",
-                index.len(),
-                index.seq_len(),
-                cfg.workers,
-                cfg.queue_depth
-            );
-        }
-        Backend::from(shared)
-    };
-
-    let handle = serve(backend, &cfg).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-    println!("listening on {}", handle.addr);
-    handle.join();
-    Ok(())
 }

@@ -10,11 +10,71 @@
 //! the loopback metrics suite pins it op-for-op anyway.
 
 use crate::metrics::Registry;
-use crate::protocol::Response;
+use crate::protocol::{PlanStatLine, ReplStatLine, Response, ShardStatLine, WalStatLine};
 use crate::repl::ReplState;
 use crate::server::Backend;
 use simobs::Exposition;
+use simquery::index::AccessCounters;
 use simquery::prelude::*;
+
+/// One reading of everything `STATS` and `METRICS` report about the
+/// backend rather than about the server's own op table.
+pub(crate) struct BackendSample {
+    /// Index access totals since server start.
+    pub counters: AccessCounters,
+    /// Per-shard breakdown (empty on a single index); sums to `counters`.
+    pub shards: Vec<ShardStatLine>,
+    /// WAL activity, absent without `--wal`.
+    pub wal: Option<WalStatLine>,
+    /// Planner dispatch and result-cache counters.
+    pub plan: PlanStatLine,
+    /// Replication position (primary fleet view or follower position).
+    pub repl: Option<ReplStatLine>,
+}
+
+/// Samples the backend, the result cache and the replication state — the
+/// one reading both `STATS` and `METRICS` render.
+pub(crate) fn sample(backend: &Backend, cache: &PlanCache, repl: &ReplState) -> BackendSample {
+    let (counters, per_shard) = backend.counters();
+    let shards = per_shard
+        .into_iter()
+        .enumerate()
+        .map(|(id, (seqs, c))| ShardStatLine {
+            id,
+            seqs: seqs as u64,
+            node_reads: c.node_reads,
+            record_page_reads: c.record_page_reads,
+            record_fetches: c.record_fetches,
+        })
+        .collect();
+    let wal = backend.wal_stats().map(|(s, epoch)| WalStatLine {
+        appends: s.appends,
+        fsyncs: s.fsyncs,
+        replayed: s.replayed,
+        epoch,
+    });
+    let snap = backend.stats().snapshot();
+    let cc = cache.counters();
+    let plan = PlanStatLine {
+        built: snap.plans_built,
+        cache_hits: cc.hits,
+        cache_misses: cc.misses,
+        cache_evictions: cc.evictions,
+        cache_entries: cc.entries,
+        cache_admitted: cc.admitted,
+        cache_rejected: cc.rejected,
+        mt: snap.dispatch_mt,
+        st: snap.dispatch_st,
+        scan: snap.dispatch_scan,
+    };
+    BackendSample {
+        counters,
+        shards,
+        wal,
+        plan,
+        repl: repl.stat_line(backend),
+    }
+}
 
 /// Renders the full exposition for one `METRICS` request.
 pub(crate) fn render(
@@ -25,91 +85,71 @@ pub(crate) fn render(
 ) -> Response {
     let mut exp = Exposition::new();
     metrics.render_into(&mut exp);
+    let s = sample(backend, cache, repl);
 
-    // Index access counters — totals, plus a per-shard breakdown on a
-    // sharded backend (the totals then equal the sum of the shard lines,
-    // same invariant as the STATS COUNTERS/SHARD split).
-    let totals = match backend {
-        Backend::Single(shared) => shared.read().counters(),
-        Backend::Sharded(sharded) => {
-            let per = sharded.per_shard_counters();
-            for (id, c) in per.iter().enumerate() {
-                let id = id.to_string();
-                let labels = [("shard", id.as_str())];
-                exp.counter("simseq_index_node_reads_total", &labels, c.node_reads);
-                exp.counter(
-                    "simseq_index_record_page_reads_total",
-                    &labels,
-                    c.record_page_reads,
-                );
-                exp.counter(
-                    "simseq_index_record_fetches_total",
-                    &labels,
-                    c.record_fetches,
-                );
-            }
-            per.iter()
-                .fold(simquery::index::AccessCounters::default(), |acc, c| {
-                    simquery::index::AccessCounters {
-                        node_reads: acc.node_reads + c.node_reads,
-                        record_page_reads: acc.record_page_reads + c.record_page_reads,
-                        record_fetches: acc.record_fetches + c.record_fetches,
-                    }
-                })
-        }
+    // Index access counters — the per-shard breakdown first, then the
+    // totals (which equal the sum of the shard lines, same invariant as
+    // the STATS COUNTERS/SHARD split).
+    let mut index_counters = |labels: &[(&str, &str)], (nodes, pages, fetches): (u64, u64, u64)| {
+        exp.counter("simseq_index_node_reads_total", labels, nodes);
+        exp.counter("simseq_index_record_page_reads_total", labels, pages);
+        exp.counter("simseq_index_record_fetches_total", labels, fetches);
     };
-    exp.counter("simseq_index_node_reads_total", &[], totals.node_reads);
-    exp.counter(
-        "simseq_index_record_page_reads_total",
-        &[],
-        totals.record_page_reads,
-    );
-    exp.counter(
-        "simseq_index_record_fetches_total",
-        &[],
-        totals.record_fetches,
-    );
+    for shard in &s.shards {
+        index_counters(
+            &[("shard", shard.id.to_string().as_str())],
+            (
+                shard.node_reads,
+                shard.record_page_reads,
+                shard.record_fetches,
+            ),
+        );
+    }
+    let c = s.counters;
+    index_counters(&[], (c.node_reads, c.record_page_reads, c.record_fetches));
 
     // WAL activity (absent without --wal, like the STATS WAL line).
-    let wal = match backend {
-        Backend::Single(shared) => shared.wal_stats().map(|s| (s, shared.wal_epoch())),
-        Backend::Sharded(sharded) => sharded.wal_stats().map(|s| (s, Some(sharded.epoch()))),
-    };
-    if let Some((s, epoch)) = wal {
-        exp.counter("simseq_wal_appends_total", &[], s.appends);
-        exp.counter("simseq_wal_fsyncs_total", &[], s.fsyncs);
-        exp.counter("simseq_wal_replayed_total", &[], s.replayed);
-        exp.gauge("simseq_wal_epoch", &[], epoch.unwrap_or(0) as f64);
+    if let Some(w) = &s.wal {
+        exp.counter("simseq_wal_appends_total", &[], w.appends);
+        exp.counter("simseq_wal_fsyncs_total", &[], w.fsyncs);
+        exp.counter("simseq_wal_replayed_total", &[], w.replayed);
+        exp.gauge("simseq_wal_epoch", &[], w.epoch as f64);
     }
 
     // Planner dispatch and result-cache admission counters.
-    let stats = match backend {
-        Backend::Single(shared) => shared.stats(),
-        Backend::Sharded(sharded) => sharded.stats(),
-    };
-    let snap = stats.snapshot();
-    exp.counter("simseq_plans_built_total", &[], snap.plans_built);
-    for (engine, n) in [
-        ("mt", snap.dispatch_mt),
-        ("st", snap.dispatch_st),
-        ("scan", snap.dispatch_scan),
-    ] {
+    exp.counter("simseq_plans_built_total", &[], s.plan.built);
+    for (engine, n) in [("mt", s.plan.mt), ("st", s.plan.st), ("scan", s.plan.scan)] {
         exp.counter("simseq_plan_dispatch_total", &[("engine", engine)], n);
     }
-    let cc = cache.counters();
-    exp.counter("simseq_result_cache_hits_total", &[], cc.hits);
-    exp.counter("simseq_result_cache_misses_total", &[], cc.misses);
-    exp.counter("simseq_result_cache_evictions_total", &[], cc.evictions);
-    exp.counter("simseq_result_cache_admitted_total", &[], cc.admitted);
-    exp.counter("simseq_result_cache_rejected_total", &[], cc.rejected);
-    exp.gauge("simseq_result_cache_entries", &[], cc.entries as f64);
+    exp.counter("simseq_result_cache_hits_total", &[], s.plan.cache_hits);
+    exp.counter("simseq_result_cache_misses_total", &[], s.plan.cache_misses);
+    exp.counter(
+        "simseq_result_cache_evictions_total",
+        &[],
+        s.plan.cache_evictions,
+    );
+    exp.counter(
+        "simseq_result_cache_admitted_total",
+        &[],
+        s.plan.cache_admitted,
+    );
+    exp.counter(
+        "simseq_result_cache_rejected_total",
+        &[],
+        s.plan.cache_rejected,
+    );
+    exp.gauge(
+        "simseq_result_cache_entries",
+        &[],
+        s.plan.cache_entries as f64,
+    );
     exp.gauge("simseq_result_cache_floor", &[], cache.floor());
 
     // Est-vs-actual cost drift per (family, engine): measured work over
     // the planner's Eq. 18–20 estimate — 1.0 means the model was exact
     // on average; rows without a recorded estimate are omitted rather
     // than rendered as a fake zero.
-    for row in stats.drift_report() {
+    for row in backend.stats().drift_report() {
         let labels = [("family", row.family.as_str()), ("engine", row.engine)];
         exp.counter("simseq_cost_drift_queries_total", &labels, row.queries);
         if let Some(r) = row.pages_ratio() {
@@ -128,7 +168,7 @@ pub(crate) fn render(
         if repl.is_follower() { 0.0 } else { 1.0 },
     );
     exp.counter("simseq_promotions_total", &[], repl.promotions());
-    if let Backend::Single(shared) = backend {
+    if let Some(shared) = backend.single() {
         exp.gauge("simseq_fence_epoch", &[], shared.fence() as f64);
         exp.gauge(
             "simseq_fenced",
@@ -138,7 +178,7 @@ pub(crate) fn render(
     }
 
     // Replication position (primary fleet view or follower position).
-    if let Some(r) = repl.stat_line(backend) {
+    if let Some(r) = &s.repl {
         let labels = [("role", r.role.as_str())];
         exp.gauge("simseq_repl_followers", &labels, r.followers as f64);
         exp.gauge("simseq_repl_acked_lsn", &labels, r.acked_lsn as f64);

@@ -23,6 +23,8 @@
 //!   `PROMOTE`/fencing failover state;
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy for failover
 //!   and partition tests;
+//! * [`cmd`] — the `serve` and `load` entry points behind `simserved`,
+//!   `simload` and the `simseq serve` / `simseq load` subcommands;
 //! * [`load`] — the `simload` closed-loop load generator: N concurrent
 //!   connections replaying seeded workloads, with optional result-parity
 //!   verification against a directly-opened copy of the index.
@@ -34,6 +36,7 @@
 
 pub mod chaos;
 pub mod client;
+pub mod cmd;
 pub mod expose;
 pub mod failover;
 pub mod load;

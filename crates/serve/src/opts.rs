@@ -12,6 +12,12 @@ impl fmt::Display for OptError {
     }
 }
 
+impl From<OptError> for String {
+    fn from(e: OptError) -> Self {
+        e.0
+    }
+}
+
 /// Parsed `--key value` pairs.
 pub struct Opts(Vec<(String, String)>);
 

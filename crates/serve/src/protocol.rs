@@ -37,7 +37,7 @@ impl EngineKind {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, ProtoError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, ProtoError> {
         match s {
             "mt" => Ok(Self::Mt),
             "st" => Ok(Self::St),

@@ -306,10 +306,7 @@ impl ReplState {
             .unwrap_or_else(|e| e.into_inner())
             .clone();
         if let Some(f) = follower {
-            let applied = match backend {
-                Backend::Single(shared) => shared.applied_lsn(),
-                Backend::Sharded(_) => 0,
-            };
+            let applied = backend.single().map_or(0, |s| s.applied_lsn());
             let end = f.end.load(Ordering::Relaxed);
             return Some(ReplStatLine {
                 role: "follower".into(),
@@ -330,13 +327,9 @@ impl ReplState {
             peers.values().map(|p| p.acked).min().unwrap_or(0),
         );
         drop(peers);
-        let (next, epoch) = match backend {
-            Backend::Single(shared) => (
-                shared.wal_next_lsn().unwrap_or(1),
-                shared.wal_epoch().unwrap_or(0),
-            ),
-            Backend::Sharded(_) => (1, 0),
-        };
+        let (next, epoch) = backend.single().map_or((1, 0), |s| {
+            (s.wal_next_lsn().unwrap_or(1), s.wal_epoch().unwrap_or(0))
+        });
         Some(ReplStatLine {
             role: "primary".into(),
             followers,
@@ -376,7 +369,7 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
         max,
         wait_ms,
     } = poll;
-    let Backend::Single(shared) = backend else {
+    let Some(shared) = backend.single() else {
         return Response::Err {
             code: ErrCode::Query,
             msg: "replication requires a single-index primary (shards ship separately)".into(),

@@ -19,15 +19,13 @@
 use crate::metrics::{op_index, Registry};
 use crate::pool::{PushError, WorkerPool};
 use crate::protocol::{
-    EngineKind, ErrCode, PlanStatLine, QueryParams, Request, Response, WireMatch, WireMetrics,
-    WirePair, WireThreshold, WireTraceEvent,
+    EngineKind, ErrCode, Request, Response, WireMatch, WireMetrics, WirePair, WireTraceEvent,
 };
 use crate::repl::{serve_repl, FollowerStats, ReplPoll, ReplState};
 use simobs::{SlowEntry, SlowLog};
 use simquery::prelude::*;
 use simquery::report::{JoinResult, QueryError};
 use simquery::shared::DurableError;
-use simshard::{gather, ShardError, ShardedIndex};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -78,35 +76,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// The index a server executes against: a single [`SharedIndex`] (one
-/// lock), or a [`ShardedIndex`] (per-shard locks, scatter-gather
-/// execution, per-shard `STATS` breakdown). `JOIN` is only available on a
-/// single backend — its cross-shard pairs would defeat the partitioning.
-#[derive(Clone)]
-pub enum Backend {
-    /// One index behind one lock.
-    Single(SharedIndex),
-    /// N shards queried by scatter-gather.
-    Sharded(Arc<ShardedIndex>),
-}
-
-impl From<SharedIndex> for Backend {
-    fn from(shared: SharedIndex) -> Self {
-        Self::Single(shared)
-    }
-}
-
-impl From<ShardedIndex> for Backend {
-    fn from(sharded: ShardedIndex) -> Self {
-        Self::Sharded(Arc::new(sharded))
-    }
-}
-
-impl From<Arc<ShardedIndex>> for Backend {
-    fn from(sharded: Arc<ShardedIndex>) -> Self {
-        Self::Sharded(sharded)
-    }
-}
+/// The index a server executes against: a bare [`SharedIndex`], a
+/// `ShardedIndex` or an `Arc` of one all convert into it.
+pub use simshard::Store as Backend;
 
 /// A running server; dropping it does NOT stop the threads — call
 /// [`ServerHandle::shutdown`] (tests) or [`ServerHandle::join`] (daemon).
@@ -196,6 +168,10 @@ pub fn serve_with(
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // A reply over the BufWriter's 8 KiB leaves in two
+                    // writes; with Nagle on, the second would wait ~40 ms
+                    // for the client's delayed ACK.
+                    stream.set_nodelay(true).ok();
                     if live_conns.load(Ordering::SeqCst) >= max_conns {
                         metrics.record_busy();
                         let mut w = BufWriter::new(&stream);
@@ -391,24 +367,14 @@ fn execute(
         );
     }
     match request {
-        Request::Query(p) => run_query(backend, cache, metrics.slow(), p),
-        Request::Knn { ord, k, ma } => run_knn(backend, cache, metrics.slow(), ord, k, ma),
-        Request::Join {
-            ma,
-            threshold,
-            engine,
-            limit,
-        } => run_join(backend, cache, metrics.slow(), ma, threshold, engine, limit),
-        Request::Explain { inner } => run_explain(backend, *inner),
+        Request::Query(_) | Request::Knn { .. } | Request::Join { .. } => {
+            run_query_verb(backend, cache, metrics.slow(), &request)
+        }
+        Request::Explain { inner } => run_explain(backend, &inner),
         Request::Insert { values } => {
-            let ts = TimeSeries::new(values);
             // The WAL-aware mutation paths: logged-then-acked when the
             // backend is durable, plain apply otherwise.
-            let outcome = match backend {
-                Backend::Single(shared) => shared.insert_series(&ts),
-                Backend::Sharded(sharded) => sharded.insert_series(&ts),
-            };
-            match outcome {
+            match backend.insert_series(&TimeSeries::new(values)) {
                 Ok(ord) => {
                     repl.notify_append();
                     Response::Inserted { ord }
@@ -416,164 +382,56 @@ fn execute(
                 Err(e) => durable_err(e),
             }
         }
-        Request::Delete { ord } => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.delete_series(ord),
-                Backend::Sharded(sharded) => sharded.delete_series(ord),
-            };
-            match outcome {
-                Ok(existed) => {
-                    if existed {
-                        repl.notify_append();
-                    }
-                    Response::Deleted { existed }
+        Request::Delete { ord } => match backend.delete_series(ord) {
+            Ok(existed) => {
+                if existed {
+                    repl.notify_append();
                 }
-                Err(e) => durable_err(e),
+                Response::Deleted { existed }
             }
-        }
-        Request::Sync => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.sync_wal().map_err(durable_err),
-                Backend::Sharded(sharded) => sharded.sync_wal().map_err(shard_err),
-            };
-            match outcome {
-                Ok(true) => Response::Ok,
-                Ok(false) => not_durable(),
-                Err(resp) => resp,
-            }
-        }
-        Request::Checkpoint => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.checkpoint().map_err(durable_err),
-                Backend::Sharded(sharded) => sharded.checkpoint().map_err(shard_err),
-            };
-            match outcome {
-                Ok(Some(epoch)) => Response::Checkpointed { epoch },
-                Ok(None) => not_durable(),
-                Err(resp) => resp,
-            }
-        }
-        Request::Info => match backend {
-            Backend::Single(shared) => {
-                let index = shared.read();
-                let mut info = vec![
-                    ("sequences".into(), index.len().to_string()),
-                    ("seq_len".into(), index.seq_len().to_string()),
-                    ("tree_height".into(), index.height().to_string()),
-                    ("leaf_capacity".into(), index.leaf_capacity().to_string()),
-                    ("skipped".into(), index.skipped().len().to_string()),
-                    ("deleted".into(), index.deleted_count().to_string()),
-                    ("durable".into(), shared.is_durable().to_string()),
-                    (
-                        "role".into(),
-                        if repl.is_follower() {
-                            "follower".into()
-                        } else {
-                            "primary".to_string()
-                        },
-                    ),
-                ];
-                if let Some(epoch) = shared.wal_epoch() {
-                    info.push(("wal_epoch".into(), epoch.to_string()));
-                }
-                info.push(("fenced".into(), shared.is_fenced().to_string()));
-                let fence = shared.fence();
-                if fence > 0 {
-                    info.push(("fence_epoch".into(), fence.to_string()));
-                }
+            Err(e) => durable_err(e),
+        },
+        Request::Sync => match backend.sync_wal() {
+            Ok(true) => Response::Ok,
+            Ok(false) => not_durable(),
+            Err(e) => durable_err(e),
+        },
+        Request::Checkpoint => match backend.checkpoint() {
+            Ok(Some(epoch)) => Response::Checkpointed { epoch },
+            Ok(None) => not_durable(),
+            Err(e) => durable_err(e),
+        },
+        Request::Info => {
+            let mut info = backend.describe();
+            // Role and applied position are replication state, which only
+            // a single index has.
+            if let Some(shared) = backend.single() {
+                let role = if repl.is_follower() {
+                    "follower"
+                } else {
+                    "primary"
+                };
+                let after_durable = info
+                    .iter()
+                    .position(|(k, _)| k == "durable")
+                    .map_or(info.len(), |i| i + 1);
+                info.insert(after_durable, ("role".into(), role.into()));
                 if repl.is_follower() {
                     info.push(("applied_lsn".into(), shared.applied_lsn().to_string()));
                 }
-                Response::Info(info)
             }
-            Backend::Sharded(sharded) => {
-                let loads = sharded.shard_loads();
-                let mut info = vec![
-                    ("sequences".into(), sharded.len().to_string()),
-                    ("seq_len".into(), sharded.seq_len().to_string()),
-                    ("shards".into(), sharded.shard_count().to_string()),
-                    ("partitioner".into(), sharded.partitioner_kind().to_string()),
-                    ("deleted".into(), sharded.deleted_count().to_string()),
-                    (
-                        "shard_loads".into(),
-                        loads
-                            .iter()
-                            .map(|l| l.to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ),
-                    ("durable".into(), sharded.is_durable().to_string()),
-                ];
-                if sharded.is_durable() {
-                    info.push(("wal_epoch".into(), sharded.epoch().to_string()));
-                }
-                Response::Info(info)
-            }
-        },
+            Response::Info(info)
+        }
         Request::Stats { reset } => {
-            let (counters, shards) = match backend {
-                Backend::Single(shared) => (shared.read().counters(), Vec::new()),
-                Backend::Sharded(sharded) => {
-                    let loads = sharded.shard_loads();
-                    let per = sharded.per_shard_counters();
-                    let lines = per
-                        .iter()
-                        .enumerate()
-                        .map(|(id, c)| crate::protocol::ShardStatLine {
-                            id,
-                            seqs: loads.get(id).copied().unwrap_or(0) as u64,
-                            node_reads: c.node_reads,
-                            record_page_reads: c.record_page_reads,
-                            record_fetches: c.record_fetches,
-                        })
-                        .collect();
-                    // Totals from the same snapshot, so the COUNTERS line
-                    // always equals the sum of the SHARD lines.
-                    let total =
-                        per.iter()
-                            .fold(simquery::index::AccessCounters::default(), |acc, c| {
-                                simquery::index::AccessCounters {
-                                    node_reads: acc.node_reads + c.node_reads,
-                                    record_page_reads: acc.record_page_reads + c.record_page_reads,
-                                    record_fetches: acc.record_fetches + c.record_fetches,
-                                }
-                            });
-                    (total, lines)
-                }
-            };
-            let wal = match backend {
-                Backend::Single(shared) => shared.wal_stats().map(|s| (s, shared.wal_epoch())),
-                Backend::Sharded(sharded) => {
-                    sharded.wal_stats().map(|s| (s, Some(sharded.epoch())))
-                }
-            }
-            .map(|(s, epoch)| crate::protocol::WalStatLine {
-                appends: s.appends,
-                fsyncs: s.fsyncs,
-                replayed: s.replayed,
-                epoch: epoch.unwrap_or(0),
-            });
-            let snap = match backend {
-                Backend::Single(shared) => shared.stats().snapshot(),
-                Backend::Sharded(sharded) => sharded.stats().snapshot(),
-            };
-            let cc = cache.counters();
-            let plan_line = Some(PlanStatLine {
-                built: snap.plans_built,
-                cache_hits: cc.hits,
-                cache_misses: cc.misses,
-                cache_evictions: cc.evictions,
-                cache_entries: cc.entries,
-                cache_admitted: cc.admitted,
-                cache_rejected: cc.rejected,
-                mt: snap.dispatch_mt,
-                st: snap.dispatch_st,
-                scan: snap.dispatch_scan,
-            });
-            let repl_line = repl.stat_line(backend);
-            Response::Stats(Box::new(
-                metrics.report(counters, shards, wal, plan_line, repl_line, reset),
-            ))
+            let s = crate::expose::sample(backend, cache, repl);
+            Response::Stats(Box::new(metrics.report(
+                s.counters,
+                s.shards,
+                s.wal,
+                Some(s.plan),
+                s.repl,
+                reset,
+            )))
         }
         Request::Metrics => crate::expose::render(backend, metrics, cache, repl),
         Request::Trace { n } => {
@@ -591,32 +449,31 @@ fn execute(
                 .collect();
             Response::Trace { events }
         }
-        Request::Promote => match backend {
-            Backend::Single(shared) => {
-                if !repl.is_follower() {
-                    return err(
-                        ErrCode::Query,
-                        "PROMOTE: this server is already a primary (or standalone)",
-                    );
-                }
-                // Halt the replication loop and wait out any in-flight
-                // poll BEFORE touching the index, so no frame or
-                // snapshot from the old timeline can land on (or roll
-                // back) the promoted state.
-                repl.halt_follower_loop();
-                match shared.promote() {
-                    Ok(epoch) => {
-                        repl.promote_to_primary();
-                        Response::Promoted { epoch }
-                    }
-                    Err(e) => durable_err(e),
-                }
+        Request::Promote => {
+            let Some(shared) = backend.single() else {
+                return err(
+                    ErrCode::Query,
+                    "PROMOTE requires a single-index server (shards replicate separately)",
+                );
+            };
+            if !repl.is_follower() {
+                return err(
+                    ErrCode::Query,
+                    "PROMOTE: this server is already a primary (or standalone)",
+                );
             }
-            Backend::Sharded(_) => err(
-                ErrCode::Query,
-                "PROMOTE requires a single-index server (shards replicate separately)",
-            ),
-        },
+            // Halt the replication loop and wait out any in-flight poll
+            // BEFORE touching the index, so no frame or snapshot from the
+            // old timeline can land on (or roll back) the promoted state.
+            repl.halt_follower_loop();
+            match shared.promote() {
+                Ok(epoch) => {
+                    repl.promote_to_primary();
+                    Response::Promoted { epoch }
+                }
+                Err(e) => durable_err(e),
+            }
+        }
         // Both handled on the connection thread, never submitted here.
         Request::Repl { .. } | Request::Quit => Response::Ok,
     }
@@ -639,11 +496,6 @@ fn query_err(e: QueryError) -> Response {
     err(code, e.to_string())
 }
 
-/// A raw page failure (e.g. fetching the query ordinal's record).
-fn io_err(e: pagestore::PageError) -> Response {
-    err(ErrCode::Io, QueryError::from(e).to_string())
-}
-
 /// Durable-mutation errors: engine rejections keep their `QUERY`/`IO`
 /// split; WAL and snapshot failures are `IO`; a replication gap is a
 /// protocol-level inconsistency, so `SERVER`.
@@ -657,15 +509,6 @@ fn durable_err(e: DurableError) -> Response {
         // A fenced node is read-only by definition: the same signal a
         // follower sends, so FailoverClient chases both identically.
         fenced @ DurableError::Fenced { .. } => err(ErrCode::ReadOnly, fenced.to_string()),
-    }
-}
-
-fn shard_err(e: ShardError) -> Response {
-    match e {
-        ShardError::Page(_) | ShardError::Wal(_) | ShardError::Io(_) | ShardError::Poisoned => {
-            err(ErrCode::Io, e.to_string())
-        }
-        e => err(ErrCode::Query, e.to_string()),
     }
 }
 
@@ -688,7 +531,7 @@ fn family_for(ma: (usize, usize), seq_len: usize) -> Result<Family, Response> {
 }
 
 /// Wire engine choice → planner preference.
-pub(crate) fn engine_pref(kind: EngineKind) -> EnginePref {
+pub fn engine_pref(kind: EngineKind) -> EnginePref {
     match kind {
         EngineKind::Mt => EnginePref::Force(EngineChoice::Mt),
         EngineKind::St => EnginePref::Force(EngineChoice::St),
@@ -741,85 +584,56 @@ fn prepare(
     ord: usize,
     ma: (usize, usize),
 ) -> Result<(Family, TimeSeries), Response> {
-    match backend {
-        Backend::Single(shared) => {
-            let index = shared.read();
-            if ord >= index.len() {
-                return Err(err(
-                    ErrCode::Range,
-                    format!("ordinal {ord} out of range (0..{})", index.len()),
-                ));
-            }
-            let family = family_for(ma, index.seq_len())?;
-            let q = index.fetch_series(ord).map_err(io_err)?;
-            Ok((family, q))
-        }
-        Backend::Sharded(sharded) => {
-            if ord >= sharded.len() {
-                return Err(err(
-                    ErrCode::Range,
-                    format!("ordinal {ord} out of range (0..{})", sharded.len()),
-                ));
-            }
-            let family = family_for(ma, sharded.seq_len())?;
-            let q = sharded.fetch_series(ord).map_err(query_err)?;
-            Ok((family, q))
-        }
+    let reader = backend.read();
+    if ord >= reader.len() {
+        return Err(err(
+            ErrCode::Range,
+            format!("ordinal {ord} out of range (0..{})", reader.len()),
+        ));
     }
+    let family = family_for(ma, reader.seq_len())?;
+    let q = reader.fetch_series(ord).map_err(query_err)?;
+    Ok((family, q))
 }
 
-/// The cache epoch of the backend's current state.
-fn backend_epoch(backend: &Backend) -> QueryEpoch {
-    match backend {
-        Backend::Single(shared) => shared.query_epoch(),
-        Backend::Sharded(sharded) => sharded.query_epoch(),
-    }
-}
-
-/// Plans and executes a logical query against either backend shape,
-/// returning the plan and its output.
-fn dispatch(
+/// Lowers a query verb to its logical query and query sequence — shared
+/// by execution and `EXPLAIN`. `JOIN` gets its typed rejection on a
+/// sharded backend here.
+fn lower(
     backend: &Backend,
-    lq: &LogicalQuery,
-    q: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
-    let (plan, out, _) = dispatch_timed(backend, lq, q)?;
-    Ok((plan, out))
-}
-
-/// [`dispatch`], but also reporting the plan/execute wall-clock split.
-/// The scatter-gather path can't separate planning from execution (each
-/// shard plans inside its lane), so there the whole call counts as
-/// execution and `plan_us` stays 0.
-fn dispatch_timed(
-    backend: &Backend,
-    lq: &LogicalQuery,
-    q: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput, StageTimings), QueryError> {
-    match backend {
-        Backend::Single(shared) => shared.execute_timed(lq, q),
-        Backend::Sharded(sharded) => {
-            let start = Instant::now();
-            let (plan, out) = match lq.verb {
-                LogicalVerb::Range => {
-                    let query = q.expect("range queries carry a query sequence");
-                    let (plan, r, _per_shard) = gather::execute_range(sharded, lq, query)?;
-                    (plan, PlanOutput::Range(r))
-                }
-                LogicalVerb::Knn { .. } => {
-                    let query = q.expect("kNN queries carry a query sequence");
-                    let (plan, matches, merged, _per_shard) =
-                        gather::execute_knn(sharded, lq, query)?;
-                    (plan, PlanOutput::Knn(matches, merged))
-                }
-                LogicalVerb::Join => unreachable!("JOIN is rejected on sharded backends"),
-            };
-            let timings = StageTimings {
-                plan_us: 0,
-                exec_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            };
-            Ok((plan, out, timings))
+    request: &Request,
+) -> Result<(LogicalQuery, Option<TimeSeries>), Response> {
+    match *request {
+        Request::Query(p) => {
+            let (family, q) = prepare(backend, p.ord, p.ma)?;
+            let lq = LogicalQuery::range(family, p.threshold.to_spec())
+                .with_engine(engine_pref(p.engine));
+            Ok((lq, Some(q)))
         }
+        Request::Knn { ord, k, ma } => {
+            let (family, q) = prepare(backend, ord, ma)?;
+            Ok((LogicalQuery::knn(family, k), Some(q)))
+        }
+        Request::Join {
+            ma,
+            threshold,
+            engine,
+            ..
+        } => {
+            let Some(shared) = backend.single() else {
+                return Err(err(
+                    ErrCode::Query,
+                    "JOIN is not supported on a sharded backend (pairs cross shards); \
+                     serve the index unsharded to join",
+                ));
+            };
+            let family = family_for(ma, shared.read().seq_len())?;
+            let lq =
+                LogicalQuery::join(family, threshold.to_spec()).with_engine(engine_pref(engine));
+            Ok((lq, None))
+        }
+        // Request::parse only wraps query verbs in EXPLAIN.
+        _ => Err(err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN")),
     }
 }
 
@@ -847,14 +661,14 @@ fn run_cached(
     q: Option<&TimeSeries>,
     describe: impl FnOnce() -> String,
 ) -> Result<PlanOutput, Response> {
-    let epoch = backend_epoch(backend);
+    let epoch = backend.query_epoch();
     let fp = lq.fingerprint(q);
     if let Some((_, out)) = cache.get(fp, epoch) {
         return Ok(out);
     }
     let start = Instant::now();
-    match dispatch_timed(backend, lq, q) {
-        Ok((plan, out, timings)) => {
+    match backend.execute_timed(lq, q) {
+        Ok((plan, out, timings, _per_shard)) => {
             let total_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             let m = out.metrics();
             slow.observe(total_us, || SlowEntry {
@@ -883,74 +697,28 @@ fn run_cached(
     }
 }
 
-fn run_query(backend: &Backend, cache: &PlanCache, slow: &SlowLog, p: QueryParams) -> Response {
-    let (family, q) = match prepare(backend, p.ord, p.ma) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let lq = LogicalQuery::range(family, p.threshold.to_spec()).with_engine(engine_pref(p.engine));
-    let describe = || Request::Query(p).to_line();
-    match run_cached(backend, cache, slow, &lq, Some(&q), describe) {
-        Ok(PlanOutput::Range(r)) => matches_response(&r.matches, &r.metrics, p.limit),
-        Ok(_) => err(ErrCode::Server, "range plan produced a non-range result"),
-        Err(resp) => resp,
-    }
-}
-
-fn run_knn(
+/// `QUERY` / `KNN` / `JOIN`: lowers the verb, runs it through the result
+/// cache, and renders the output, truncating the body by the verb's
+/// `limit`.
+fn run_query_verb(
     backend: &Backend,
     cache: &PlanCache,
     slow: &SlowLog,
-    ord: usize,
-    k: usize,
-    ma: (usize, usize),
+    request: &Request,
 ) -> Response {
-    let (family, q) = match prepare(backend, ord, ma) {
+    let (lq, q) = match lower(backend, request) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    let lq = LogicalQuery::knn(family, k);
-    let describe = || Request::Knn { ord, k, ma }.to_line();
-    match run_cached(backend, cache, slow, &lq, Some(&q), describe) {
-        Ok(PlanOutput::Knn(matches, metrics)) => matches_response(&matches, &metrics, 0),
-        Ok(_) => err(ErrCode::Server, "kNN plan produced a non-kNN result"),
-        Err(resp) => resp,
-    }
-}
-
-fn run_join(
-    backend: &Backend,
-    cache: &PlanCache,
-    slow: &SlowLog,
-    ma: (usize, usize),
-    threshold: WireThreshold,
-    engine: EngineKind,
-    limit: usize,
-) -> Response {
-    let Backend::Single(shared) = backend else {
-        return err(
-            ErrCode::Query,
-            "JOIN is not supported on a sharded backend (pairs cross shards); \
-             serve the index unsharded to join",
-        );
+    let limit = match request {
+        Request::Query(p) => p.limit,
+        Request::Join { limit, .. } => *limit,
+        _ => 0,
     };
-    let family = match family_for(ma, shared.read().seq_len()) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
-    let lq = LogicalQuery::join(family, threshold.to_spec()).with_engine(engine_pref(engine));
-    let describe = || {
-        Request::Join {
-            ma,
-            threshold,
-            engine,
-            limit,
-        }
-        .to_line()
-    };
-    match run_cached(backend, cache, slow, &lq, None, describe) {
+    match run_cached(backend, cache, slow, &lq, q.as_ref(), || request.to_line()) {
+        Ok(PlanOutput::Range(r)) => matches_response(&r.matches, &r.metrics, limit),
+        Ok(PlanOutput::Knn(matches, metrics)) => matches_response(&matches, &metrics, limit),
         Ok(PlanOutput::Join(r)) => pairs_response(&r, limit),
-        Ok(_) => err(ErrCode::Server, "join plan produced a non-join result"),
         Err(resp) => resp,
     }
 }
@@ -959,50 +727,13 @@ fn run_join(
 /// cache (an EXPLAIN that answered from cache would have no actual cost
 /// to report), and renders the chosen plan with estimated-vs-actual
 /// counters.
-fn run_explain(backend: &Backend, inner: Request) -> Response {
-    let (verb, lq, q) = match inner {
-        Request::Query(p) => {
-            let (family, q) = match prepare(backend, p.ord, p.ma) {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            let lq = LogicalQuery::range(family, p.threshold.to_spec())
-                .with_engine(engine_pref(p.engine));
-            ("query", lq, Some(q))
-        }
-        Request::Knn { ord, k, ma } => {
-            let (family, q) = match prepare(backend, ord, ma) {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            ("knn", LogicalQuery::knn(family, k), Some(q))
-        }
-        Request::Join {
-            ma,
-            threshold,
-            engine,
-            ..
-        } => {
-            let Backend::Single(shared) = backend else {
-                return err(
-                    ErrCode::Query,
-                    "JOIN is not supported on a sharded backend (pairs cross shards); \
-                     serve the index unsharded to join",
-                );
-            };
-            let family = match family_for(ma, shared.read().seq_len()) {
-                Ok(f) => f,
-                Err(resp) => return resp,
-            };
-            let lq =
-                LogicalQuery::join(family, threshold.to_spec()).with_engine(engine_pref(engine));
-            ("join", lq, None)
-        }
-        // Request::parse only wraps query verbs in EXPLAIN.
-        _ => return err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN"),
+fn run_explain(backend: &Backend, inner: &Request) -> Response {
+    let (lq, q) = match lower(backend, inner) {
+        Ok(v) => v,
+        Err(resp) => return resp,
     };
-    match dispatch(backend, &lq, q.as_ref()) {
-        Ok((plan, out)) => {
+    match backend.execute_timed(&lq, q.as_ref()) {
+        Ok((plan, out, ..)) => {
             let m = out.metrics();
             let n = match &out {
                 PlanOutput::Range(r) => r.matches.len(),
@@ -1010,7 +741,7 @@ fn run_explain(backend: &Backend, inner: Request) -> Response {
                 PlanOutput::Join(r) => r.matches.len(),
             };
             Response::Plan(vec![
-                ("verb".into(), verb.into()),
+                ("verb".into(), inner.op_name().into()),
                 ("engine".into(), plan.engine.as_str().into()),
                 ("chosen_by".into(), plan.chosen_by.as_str().into()),
                 ("partitions".into(), plan.partitions().to_string()),

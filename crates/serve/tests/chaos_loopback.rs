@@ -4,23 +4,15 @@
 //! fault-free requests succeed — and the per-op STATS counters must
 //! account for every request and every error exactly.
 
+mod common;
+
+use common::test_config;
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice};
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
-use simserve::server::{serve, ServerConfig, ServerHandle};
+use simserve::server::{serve, ServerHandle};
 use std::sync::Arc;
-
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
 
 /// A served index whose devices the test can arm and disarm.
 struct FaultedServer {

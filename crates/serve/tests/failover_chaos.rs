@@ -10,6 +10,9 @@
 //! cut is retried after the server applied it), so the assertions are
 //! content-based — every acked series is present — never count-based.
 
+mod common;
+
+use common::{fresh_dir, POOL, SEQ_LEN};
 use simquery::prelude::*;
 use simquery::shared::SharedIndex;
 use simserve::chaos::{ChaosPlan, ChaosProxy};
@@ -19,15 +22,12 @@ use simserve::protocol::{EngineKind, QueryParams, Request, Response, WireThresho
 use simserve::repl::{Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
 use simwal::FsyncPolicy;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 
-const SEQ_LEN: usize = 32;
-const POOL: usize = 32;
 const MA: (usize, usize) = (3, 9);
 const RHO: f64 = 0.9;
 
@@ -37,20 +37,9 @@ const SEEDS: [u64; 3] = [0xC0FFEE1, 0xC0FFEE2, 0xC0FFEE3];
 
 fn test_config() -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
         max_conns: 32,
-        result_cache: 0,
-        ..ServerConfig::default()
+        ..common::test_config()
     }
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simserve_chaos_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The oracle result set, computed locally through the plan layer on

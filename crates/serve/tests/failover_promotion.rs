@@ -5,84 +5,21 @@
 //! timeline. The follower is stepped one `poll_once` at a time, never on
 //! a background thread, so every run replays the same schedule.
 
+mod common;
+
+use common::{assert_state_identical, drain, fresh_dir, retry_locked, test_config, POOL, SEQ_LEN};
 use simquery::prelude::*;
 use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::{ErrCode, Request, Response};
 use simserve::repl::{Follower, FollowerOpts};
-use simserve::server::{serve, serve_with, ServerConfig};
+use simserve::server::{serve, serve_with};
 use simwal::FsyncPolicy;
-use std::path::PathBuf;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 use tseries::TimeSeries;
 
-const SEQ_LEN: usize = 32;
-const POOL: usize = 32;
 const FRAMES: u64 = 6;
-
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simserve_failover_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Reopens survive the short window where a shut-down server's
-/// connection threads still hold the directory `LOCK`.
-fn retry_locked<T, E: std::fmt::Display>(mut open: impl FnMut() -> Result<T, E>) -> T {
-    let mut last = None;
-    for _ in 0..500 {
-        match open() {
-            Ok(v) => return v,
-            Err(e) if e.to_string().contains("locked") => {
-                last = Some(e);
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            Err(e) => panic!("open failed: {e}"),
-        }
-    }
-    panic!("open kept failing after 5s: {}", last.unwrap());
-}
-
-/// Byte-level state equality (same shape as the replication suite):
-/// identical ordinal space, tombstones, and values per ordinal.
-fn assert_state_identical(a: &SharedIndex, b: &SharedIndex, ctx: &str) {
-    let (ga, gb) = (a.read(), b.read());
-    assert_eq!(ga.len(), gb.len(), "{ctx}: ordinal space diverged");
-    assert_eq!(ga.seq_len(), gb.seq_len(), "{ctx}");
-    let (mut da, mut db) = (ga.deleted_ordinals(), gb.deleted_ordinals());
-    da.sort_unstable();
-    db.sort_unstable();
-    assert_eq!(da, db, "{ctx}: tombstone sets diverged");
-    for ord in 0..ga.len() {
-        assert_eq!(
-            ga.fetch_series(ord).unwrap().values(),
-            gb.fetch_series(ord).unwrap().values(),
-            "{ctx}: values diverged at ordinal {ord}"
-        );
-    }
-}
-
-fn drain(follower: &mut Follower) {
-    for _ in 0..1000 {
-        if follower.poll_once().unwrap() == 0 && follower.lag() == 0 {
-            return;
-        }
-    }
-    panic!("follower failed to drain");
-}
 
 /// One acked mutation on the primary's timeline.
 #[derive(Clone)]

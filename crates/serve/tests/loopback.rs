@@ -2,6 +2,9 @@
 //! server instance, a real [`Client`], every protocol verb, error frames,
 //! malformed input, and admission control.
 
+mod common;
+
+use common::{corpus, test_config};
 use simquery::engine::mtindex;
 use simquery::prelude::*;
 use simserve::client::Client;
@@ -10,20 +13,8 @@ use simserve::server::{serve, ServerConfig, ServerHandle};
 use std::io::BufReader;
 use std::net::TcpStream;
 
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(), // pick a free port
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
-
 fn start(n: usize, seed: u64) -> (SharedIndex, ServerHandle) {
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, n, 64, seed);
-    let index = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
+    let index = SeqIndex::build(&corpus(n, seed), IndexConfig::default()).unwrap();
     let shared = SharedIndex::new(index);
     let handle = serve(shared.clone(), &test_config()).unwrap();
     (shared, handle)
@@ -493,6 +484,44 @@ fn cache_disabled_by_default_never_hits() {
     assert_eq!(plan.cache_hits, 0, "{plan:?}");
     assert_eq!(plan.cache_entries, 0, "{plan:?}");
     assert_eq!(plan.cache_misses, 2, "{plan:?}");
+    client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// A reply over 8 KiB leaves the server's `BufWriter` in two writes; with
+/// Nagle on, the second waits ~40 ms for the client's delayed ACK. The
+/// acceptor sets `TCP_NODELAY`, so 20 such replies (served from the result
+/// cache, so the clock sees the wire and not the engines) take nowhere
+/// near 20 × 40 ms.
+#[test]
+fn large_replies_do_not_stall_on_nagle() {
+    let index = SeqIndex::build(&corpus(120, 53), IndexConfig::default()).unwrap();
+    let cfg = ServerConfig {
+        result_cache: 32,
+        ..test_config()
+    };
+    let handle = serve(SharedIndex::new(index), &cfg).unwrap();
+    let mut client = Client::connect(handle.addr).unwrap();
+    let broad = |ord| QueryParams {
+        ord,
+        ma: (4, 12),
+        threshold: WireThreshold::Rho(0.0),
+        engine: EngineKind::Mt,
+        limit: 0,
+    };
+    for ord in 0..20 {
+        let (n, _) = client.query(broad(ord)).unwrap().unwrap();
+        assert!(n >= 300, "ord {ord}: {n} matches is not a > 8 KiB reply");
+    }
+    let start = std::time::Instant::now();
+    for ord in 0..20 {
+        client.query(broad(ord)).unwrap().unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 cached large replies took {elapsed:?}"
+    );
     client.quit().unwrap();
     handle.shutdown();
 }

@@ -4,55 +4,18 @@
 //! `CHECKPOINT` as protocol verbs, the WAL keys in `INFO`/`STATS`, and
 //! the error on a server that runs without durability.
 
+mod common;
+
+use common::{fresh_dir, retry_locked, test_config, POOL, SEQ_LEN};
 use simquery::prelude::*;
 use simquery::shared::SharedIndex;
 use simserve::client::Client;
-use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
-use simserve::server::{serve, Backend, ServerConfig};
+use simserve::protocol::{EngineKind, ErrCode, Response};
+use simserve::server::{serve, Backend};
 use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
-use std::path::PathBuf;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
-
-const SEQ_LEN: usize = 32;
-const POOL: usize = 32;
-
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simserve_recovery_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Connection handlers are detached threads each holding a backend clone;
-/// `shutdown()` joins only the acceptor, so the directory `LOCK` can be
-/// released a moment after it returns. Restarts therefore retry briefly.
-fn retry_locked<T, E: std::fmt::Display>(mut open: impl FnMut() -> Result<T, E>) -> T {
-    let mut last = None;
-    for _ in 0..500 {
-        match open() {
-            Ok(v) => return v,
-            Err(e) if e.to_string().contains("locked") => {
-                last = Some(e);
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            Err(e) => panic!("open failed: {e}"),
-        }
-    }
-    panic!("open kept failing after 5s: {}", last.unwrap());
-}
 
 fn info_value(pairs: &[(String, String)], key: &str) -> String {
     pairs
@@ -63,22 +26,8 @@ fn info_value(pairs: &[(String, String)], key: &str) -> String {
         .clone()
 }
 
-/// Query fingerprint used to compare a recovered server with a control
-/// that never crashed.
 fn fingerprint(client: &mut Client, ord: usize) -> Vec<(usize, usize)> {
-    let (_, matches) = client
-        .query(QueryParams {
-            ord,
-            ma: (3, 10),
-            threshold: WireThreshold::Rho(0.9),
-            engine: EngineKind::Mt,
-            limit: 0,
-        })
-        .unwrap()
-        .unwrap();
-    let mut key: Vec<_> = matches.iter().map(|m| (m.seq, m.transform)).collect();
-    key.sort_unstable();
-    key
+    common::query_key(client, ord, EngineKind::Mt).1
 }
 
 #[test]

@@ -6,13 +6,16 @@
 //! blindly re-applying the frame. After the device recovers, one poll
 //! re-installs the exact primary state.
 
+mod common;
+
+use common::{fresh_dir, test_config, POOL, SEQ_LEN};
 use pagestore::{Disk, FaultKind, FaultPlan, FaultSpec, FaultyDisk, PageDevice, Trigger};
 use simquery::prelude::*;
 use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::repl::{Follower, FollowerOpts};
-use simserve::server::{serve, serve_with, ServerConfig, ServerHandle};
+use simserve::server::{serve, serve_with, ServerHandle};
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -20,43 +23,10 @@ use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 
-const SEQ_LEN: usize = 32;
-const POOL: usize = 32;
 const BASE: usize = 18;
 
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("simserve_repl_chaos_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn query_key(client: &mut Client, ord: usize) -> (usize, Vec<(usize, usize)>) {
-    let (n, matches) = client
-        .query(QueryParams {
-            ord,
-            ma: (3, 10),
-            threshold: WireThreshold::Rho(0.9),
-            engine: EngineKind::Mt,
-            limit: 0,
-        })
-        .unwrap()
-        .unwrap();
-    let mut key: Vec<_> = matches.iter().map(|m| (m.seq, m.transform)).collect();
-    key.sort_unstable();
-    (n, key)
+    common::query_key(client, ord, EngineKind::Mt)
 }
 
 /// Persistent write errors on every page.

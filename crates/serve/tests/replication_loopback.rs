@@ -6,6 +6,9 @@
 //! the plan-cache regression: a cached result on a lagging follower
 //! must not outlive an applied frame.
 
+mod common;
+
+use common::{drain, fresh_dir, query_key, POOL, SEQ_LEN};
 use simquery::prelude::*;
 use simquery::shared::SharedIndex;
 use simserve::client::Client;
@@ -13,56 +16,14 @@ use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThresho
 use simserve::repl::{self, Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
 use simwal::FsyncPolicy;
-use std::path::PathBuf;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 
-const SEQ_LEN: usize = 32;
-const POOL: usize = 32;
-
 fn test_config(result_cache: usize) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
         result_cache,
-        ..ServerConfig::default()
+        ..common::test_config()
     }
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simserve_repl_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Steps the follower until a poll ships nothing and the lag is zero.
-fn drain(follower: &mut Follower) {
-    for _ in 0..1000 {
-        if follower.poll_once().unwrap() == 0 && follower.lag() == 0 {
-            return;
-        }
-    }
-    panic!("follower failed to drain within 1000 polls");
-}
-
-/// Order-independent result key of a range query under one engine.
-fn query_key(client: &mut Client, ord: usize, engine: EngineKind) -> (usize, Vec<(usize, usize)>) {
-    let (n, matches) = client
-        .query(QueryParams {
-            ord,
-            ma: (3, 10),
-            threshold: WireThreshold::Rho(0.9),
-            engine,
-            limit: 0,
-        })
-        .unwrap()
-        .unwrap();
-    let mut key: Vec<_> = matches.iter().map(|m| (m.seq, m.transform)).collect();
-    key.sort_unstable();
-    (n, key)
 }
 
 fn knn_key(client: &mut Client, ord: usize, k: usize) -> Vec<(usize, usize, String)> {

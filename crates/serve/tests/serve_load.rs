@@ -120,3 +120,27 @@ fn busy_responses_are_counted_not_fatal() {
     );
     handle.shutdown();
 }
+
+/// The `simload` binary takes `--engine auto`, like `simseq load` always
+/// did (the two used to parse the flag separately).
+#[test]
+fn simload_binary_accepts_engine_auto() {
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 40, 64, 41);
+    let index = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    };
+    let handle = serve(SharedIndex::new(index), &cfg).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simload"))
+        .args(["--conns", "2", "--ops", "4", "--engine", "auto", "--addr"])
+        .arg(handle.addr.to_string())
+        .output()
+        .expect("spawn simload");
+    assert!(
+        out.status.success(),
+        "simload failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    handle.shutdown();
+}

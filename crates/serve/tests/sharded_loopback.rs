@@ -2,26 +2,14 @@
 //! results identical to the single-index backend, per-shard STATS lines,
 //! the JOIN restriction, and the mutation path.
 
+mod common;
+
+use common::{corpus, test_config};
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
-use simserve::server::{serve, Backend, ServerConfig, ServerHandle};
+use simserve::server::{serve, Backend, ServerHandle};
 use simshard::{ShardConfig, ShardedIndex};
-
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 16,
-        max_conns: 16,
-        result_cache: 0,
-        ..ServerConfig::default()
-    }
-}
-
-fn corpus(n: usize, seed: u64) -> Corpus {
-    Corpus::generate(CorpusKind::SyntheticWalks, n, 64, seed)
-}
 
 fn start_pair(n: usize, seed: u64, shards: usize) -> (ServerHandle, ServerHandle) {
     let c = corpus(n, seed);

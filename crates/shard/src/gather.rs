@@ -36,6 +36,7 @@
 use crate::index::ShardedIndex;
 use simquery::plan::{
     self, EngineChoice, EnginePref, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner,
+    StageTimings,
 };
 use simquery::query::RangeSpec;
 use simquery::report::{EngineMetrics, Match, QueryError, QueryResult};
@@ -300,6 +301,39 @@ pub fn execute_knn(
 
     let total = merge_metrics(&per_shard, start.elapsed());
     Ok((plan, top, total, per_shard))
+}
+
+/// Executes a logical range or kNN query over the shard group — the
+/// sharded counterpart of [`simquery::shared::SharedIndex::execute_timed`].
+/// The scatter can't separate planning from execution (each shard plans
+/// inside its lane), so the whole call counts as execution and `plan_us`
+/// stays 0. `JOIN` never reaches here: its pairs cross shards, so every
+/// caller rejects it before dispatch.
+#[allow(clippy::type_complexity)]
+pub fn execute_timed(
+    sharded: &ShardedIndex,
+    lq: &LogicalQuery,
+    query: Option<&TimeSeries>,
+) -> Result<(PhysicalPlan, PlanOutput, StageTimings, Vec<EngineMetrics>), QueryError> {
+    let start = Instant::now();
+    let (plan, out, per_shard) = match lq.verb {
+        LogicalVerb::Range => {
+            let query = query.expect("range queries carry a query sequence");
+            let (plan, r, per_shard) = execute_range(sharded, lq, query)?;
+            (plan, PlanOutput::Range(r), per_shard)
+        }
+        LogicalVerb::Knn { .. } => {
+            let query = query.expect("kNN queries carry a query sequence");
+            let (plan, matches, merged, per_shard) = execute_knn(sharded, lq, query)?;
+            (plan, PlanOutput::Knn(matches, merged), per_shard)
+        }
+        LogicalVerb::Join => unreachable!("JOIN is rejected on sharded backends"),
+    };
+    let timings = StageTimings {
+        plan_us: 0,
+        exec_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
+    };
+    Ok((plan, out, timings, per_shard))
 }
 
 /// [`knn_detailed`] without the per-shard breakdown.

@@ -129,6 +129,25 @@ impl From<DurableError> for ShardError {
     }
 }
 
+/// The reverse lift, for [`crate::Store`]: a shard group's durable-path
+/// failures (log, snapshot, poisoning, device) map onto the variant of
+/// the same meaning; build-time rejections have none and travel as
+/// invalid-data I/O errors.
+impl From<ShardError> for DurableError {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::Page(p) => Self::Query(QueryError::Io(p)),
+            ShardError::Wal(w) => Self::Wal(w),
+            ShardError::Io(io) => Self::Io(io),
+            ShardError::Poisoned => Self::Poisoned,
+            other => Self::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                other.to_string(),
+            )),
+        }
+    }
+}
+
 /// What sharded recovery did: aggregate of the per-shard WAL reports plus
 /// the cross-shard merge outcome.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -462,13 +481,7 @@ impl ShardedIndex {
 
     /// Aggregate access counters across all shards.
     pub fn counters(&self) -> AccessCounters {
-        self.per_shard_counters()
-            .into_iter()
-            .fold(AccessCounters::default(), |acc, c| AccessCounters {
-                node_reads: acc.node_reads + c.node_reads,
-                record_page_reads: acc.record_page_reads + c.record_page_reads,
-                record_fetches: acc.record_fetches + c.record_fetches,
-            })
+        sum_counters(&self.per_shard_counters())
     }
 
     /// Zeroes every shard's counters and record pool (cold per-query
@@ -524,6 +537,12 @@ impl ShardedIndex {
                 .join(",")
         );
         simwal::atomic_write(&dir.join("sharding.txt"), meta.as_bytes())
+    }
+
+    /// Whether `dir` holds a shard group (a [`Self::save`] manifest) rather
+    /// than a single index.
+    pub(crate) fn is_sharded_dir(dir: &Path) -> bool {
+        dir.join("sharding.txt").is_file()
     }
 
     /// Reopens a directory written by [`Self::save`]. `heap_pool_pages`
@@ -895,6 +914,16 @@ impl ShardedIndex {
         self.epoch.store(new_epoch, Ordering::Relaxed);
         Ok(Some(new_epoch))
     }
+}
+
+/// Sums per-shard access counters.
+pub(crate) fn sum_counters(per: &[AccessCounters]) -> AccessCounters {
+    per.iter()
+        .fold(AccessCounters::default(), |acc, c| AccessCounters {
+            node_reads: acc.node_reads + c.node_reads,
+            record_page_reads: acc.record_page_reads + c.record_page_reads,
+            record_fetches: acc.record_fetches + c.record_fetches,
+        })
 }
 
 /// Parsed `sharding.txt`.

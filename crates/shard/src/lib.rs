@@ -16,6 +16,9 @@
 //!   sequentially, propagating the running k-th distance bound so later
 //!   shards prune — exact against the single-index answer, with a
 //!   deterministic (distance, global-ordinal) tie-break.
+//! - **One handle** ([`store`]): [`Store`] wraps either a single index or
+//!   a shard group and owns every layout-dependent operation, so the
+//!   server and the CLI never branch on which one they hold.
 //! - **Accounting**: per-shard [`simquery::index::AccessCounters`] and
 //!   [`simquery::report::EngineMetrics`] aggregate across shards, so the
 //!   paper's disk-access figures stay reproducible per fragment.
@@ -24,8 +27,10 @@ pub mod cfg;
 pub mod gather;
 pub mod index;
 pub mod partition;
+pub mod store;
 
 pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
 pub use gather::Engine;
 pub use index::{ShardError, ShardRecovery, ShardedIndex};
 pub use partition::{Partitioner, ShardMap};
+pub use store::Store;

@@ -7,6 +7,9 @@
 //! may falsely dismiss, and those dismissals legitimately depend on tree
 //! layout, which sharding changes.
 
+mod common;
+
+use common::{sharded, single, specs};
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice};
 use simquery::engine::{knn as knn_engine, mtindex, seqscan, stindex};
 use simquery::index::{IndexConfig, SeqIndex};
@@ -23,23 +26,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn corpus() -> Corpus {
     Corpus::generate(CorpusKind::SyntheticWalks, N, LEN, 4242)
-}
-
-fn single(c: &Corpus) -> SeqIndex {
-    SeqIndex::build(c, IndexConfig::default()).unwrap()
-}
-
-fn sharded(c: &Corpus, shards: usize) -> ShardedIndex {
-    ShardedIndex::build(c, ShardConfig::new(shards).unwrap(), IndexConfig::default()).unwrap()
-}
-
-fn specs() -> Vec<RangeSpec> {
-    vec![
-        RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe),
-        RangeSpec::correlation(0.95).with_policy(FilterPolicy::Adaptive),
-        RangeSpec::euclidean(3.0).with_policy(FilterPolicy::Safe),
-        RangeSpec::euclidean(2.0).with_policy(FilterPolicy::Adaptive),
-    ]
 }
 
 fn single_range(

@@ -12,13 +12,16 @@
 //! Only lossless filter policies (`Safe`, `Adaptive`) are exercised —
 //! the `Paper` policy's dismissals legitimately depend on tree layout.
 
-use simquery::index::{IndexConfig, SeqIndex};
+mod common;
+
+use common::{sharded, single, specs};
+use simquery::index::SeqIndex;
 use simquery::plan::{self, EngineChoice, EnginePref, LogicalQuery, PlanCache, PlanOutput};
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::shared::SharedIndex;
 use simquery::stats::StatsRegistry;
 use simquery::transform::Family;
-use simshard::{gather, ShardConfig, ShardedIndex};
+use simshard::{gather, ShardedIndex};
 use tseries::{Corpus, CorpusKind, TimeSeries};
 
 const N: usize = 120;
@@ -27,23 +30,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn corpus() -> Corpus {
     Corpus::generate(CorpusKind::SyntheticWalks, N, LEN, 9191)
-}
-
-fn single(c: &Corpus) -> SeqIndex {
-    SeqIndex::build(c, IndexConfig::default()).unwrap()
-}
-
-fn sharded(c: &Corpus, shards: usize) -> ShardedIndex {
-    ShardedIndex::build(c, ShardConfig::new(shards).unwrap(), IndexConfig::default()).unwrap()
-}
-
-fn specs() -> Vec<RangeSpec> {
-    vec![
-        RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe),
-        RangeSpec::correlation(0.95).with_policy(FilterPolicy::Adaptive),
-        RangeSpec::euclidean(3.0).with_policy(FilterPolicy::Safe),
-        RangeSpec::euclidean(2.0).with_policy(FilterPolicy::Adaptive),
-    ]
 }
 
 const PREFS: [EnginePref; 4] = [

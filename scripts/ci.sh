@@ -17,6 +17,11 @@
 #                           # frame boundary, FailoverClient through the
 #                           # seeded ChaosProxy (fixed seed matrix
 #                           # 0xC0FFEE1..3), graceful-shutdown drain
+#   scripts/ci.sh e2e       # tier-2: builds the benchmark (e2ebench/, a
+#                           # workspace of its own that no PR may edit)
+#                           # against the workspace crates and runs its
+#                           # ~8 s smoke, so an API break against it is
+#                           # caught here and not by the bench pipeline
 #
 # The chaos stage replays the fixed seed ranges baked into tests/chaos.rs
 # and crates/serve/tests/chaos_loopback.rs. Every violation panics with
@@ -191,7 +196,16 @@ run_failover() {
     echo "ci: failover green"
 }
 
+run_e2e() {
+    echo "== e2e: the benchmark builds against the workspace crates and its smoke passes =="
+    cargo test --offline --manifest-path e2ebench/Cargo.toml
+    echo "ci: e2e green"
+}
+
 case "$stage" in
+e2e)
+    run_e2e
+    ;;
 chaos)
     run_chaos
     ;;
@@ -226,7 +240,7 @@ all)
     echo "ci: all green"
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|e2e]" >&2
     exit 2
     ;;
 esac
