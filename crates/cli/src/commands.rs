@@ -286,18 +286,8 @@ pub fn recover(args: &Args) -> CliResult {
     let oops = |e: &dyn std::fmt::Display| err(format!("recovering {}: {e}", dir.display()));
     let (store, rec) = Store::open_durable(&dir, &wal, pool_pages, simwal::FsyncPolicy::Always)
         .map_err(|e| oops(&e))?;
-    let sharding = store.sharding();
-    if let Some(sharding) = sharding {
-        println!("shards:      {}", sharding.shards);
-    }
     println!("wal epoch:   {}", rec.epoch);
-    println!("replayed:    {} frames", rec.replayed);
-    if sharding.is_some() {
-        println!(
-            "dropped:     {} frames (past the first unsynced gap)",
-            rec.dropped
-        );
-    }
+    println!("replayed:    {} frames", rec.frames);
     println!(
         "stale:       {} frames (already in the snapshot)",
         rec.stale_frames

@@ -277,7 +277,7 @@ fn serve_takes_the_simserved_flags() {
     use std::process::Stdio;
 
     let dir = workdir("serve");
-    let (_, idx) = gen_and_build(&dir, "40", "3");
+    let (data, idx) = gen_and_build(&dir, "40", "3");
     let wal = dir.join("wal");
 
     let mut server = simseq()
@@ -333,6 +333,31 @@ fn serve_takes_the_simserved_flags() {
         stdout.contains("checkpointed 41 sequences at epoch 2"),
         "{stdout}"
     );
+
+    // A shard group recovers through the same report and keeps the same
+    // one-log directory.
+    let (many, many_wal) = (dir.join("many"), dir.join("many-wal"));
+    let shard_build = ["shard", "build", "--shards", "3", "--data"];
+    run_ok(
+        simseq()
+            .args(shard_build)
+            .arg(&data)
+            .arg("--out")
+            .arg(&many),
+    );
+    let recover = ["recover", "--wal"];
+    let (sharded, _) = run_ok(
+        simseq()
+            .args(recover)
+            .arg(&many_wal)
+            .arg("--index")
+            .arg(&many),
+    );
+    let expected = stdout
+        .replace("    1 frames", "    0 frames")
+        .replace("checkpointed 41", "checkpointed 40");
+    assert_eq!(sharded, expected);
+    assert!(many_wal.join("wal.log").is_file() && !many_wal.join("shard-0").exists());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -51,6 +51,7 @@ pub mod engine;
 pub mod expr;
 pub mod feature;
 pub mod index;
+pub mod journal;
 pub mod ordering;
 pub mod partition;
 pub mod plan;

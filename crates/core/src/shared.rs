@@ -34,13 +34,14 @@
 //!    guard is deliberately held.
 
 use crate::index::{DeviceWrap, SeqIndex};
+use crate::journal::Journal;
 use crate::plan::{self, LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
 use crate::report::QueryError;
 use crate::stats::StatsRegistry;
 use pagestore::sync::RwLock;
-use simwal::{FsyncPolicy, ReplayReport, Wal, WalError, WalOp, WalStats};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use simwal::{FsyncPolicy, ReplayReport, WalError, WalOp, WalStats};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use tseries::TimeSeries;
 
@@ -151,23 +152,41 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
-/// The durability attachment of a [`SharedIndex`]: its WAL, the snapshot
-/// directory checkpoints go to, and the LSN allocator.
-struct Durability {
-    wal: Wal,
-    index_dir: PathBuf,
-    next_lsn: AtomicU64,
-    /// Set when a WAL append failed after its mutation applied: the log
-    /// has a hole the live state depends on, so no later mutation may be
-    /// acknowledged (replay would surface it without its predecessor).
-    poisoned: AtomicBool,
+/// The one idempotent frame apply of a single index — recovery replay
+/// and [`SharedIndex::apply_replicated`] both run it. An insert lands only
+/// when its ordinal extends the current prefix: a frame the snapshot (or
+/// an earlier frame) already absorbed is skipped, a frame *beyond* the
+/// prefix is a typed [`DurableError::Gap`]. A delete of a missing or
+/// already-tombstoned ordinal is a no-op. Returns whether state changed.
+fn apply(index: &mut SeqIndex, op: &WalOp) -> Result<bool, DurableError> {
+    let len = index.len();
+    match *op {
+        WalOp::Insert {
+            lsn,
+            global,
+            ref values,
+            ..
+        } => {
+            if global as usize > len {
+                return Err(DurableError::Gap { lsn, global, len });
+            }
+            let extends = global as usize == len;
+            if extends {
+                index.insert_series(&TimeSeries::new(values.clone()))?;
+            }
+            Ok(extends)
+        }
+        WalOp::Delete { global, .. } => {
+            Ok((global as usize) < len && index.delete_series(global as usize)?)
+        }
+    }
 }
 
 /// A cloneable, thread-safe handle to one [`SeqIndex`].
 #[derive(Clone)]
 pub struct SharedIndex {
     inner: Arc<RwLock<SeqIndex>>,
-    durable: Option<Arc<Durability>>,
+    durable: Option<Arc<Journal>>,
     stats: Arc<StatsRegistry>,
     /// Mutations acknowledged through the typed paths since this handle
     /// (group) was created — the fine-grained half of [`QueryEpoch`].
@@ -240,9 +259,8 @@ impl SharedIndex {
     /// [`Self::open_durable`] with caller-wrapped page devices (see
     /// [`SeqIndex::open_with`]), so WAL replay itself runs against an
     /// armed [`pagestore::FaultyDisk`]. Replay faults surface as typed
-    /// [`DurableError::Query`] — never a panic, never a partial ack.
-    /// Checkpointing is unavailable on such an index, so gap-dropped
-    /// frames stay in the log for the next (unfaulted) open.
+    /// [`DurableError::Query`] — never a panic, never a partial ack —
+    /// and leave the log as it was for the next (unfaulted) open.
     pub fn open_durable_with(
         index_dir: &Path,
         wal_dir: &Path,
@@ -260,65 +278,20 @@ impl SharedIndex {
         policy: FsyncPolicy,
         wrap: Option<DeviceWrap>,
     ) -> Result<(Self, ReplayReport), DurableError> {
-        let faulted = wrap.is_some();
         let mut index = match wrap {
             None => SeqIndex::open(index_dir, heap_pool_pages)?,
             Some(wrap) => SeqIndex::open_with(index_dir, heap_pool_pages, wrap)?,
         };
-        let (wal, ops, mut report) = Wal::open(wal_dir, policy, index.wal_epoch())?;
-        let mut max_lsn = 0u64;
-        let mut applied = 0usize;
-        for op in &ops {
-            match op {
-                WalOp::Insert { global, values, .. } => {
-                    let g = *global as usize;
-                    if g > index.len() {
-                        // A frame for an ordinal beyond the recovered
-                        // prefix (should be impossible for a single
-                        // index, whose log is written in ack order).
-                        break;
-                    }
-                    if g == index.len() {
-                        index.insert_series(&TimeSeries::new(values.clone()))?;
-                    }
-                    // g < len: the snapshot already absorbed this frame
-                    // (a crash interrupted the checkpoint after the
-                    // snapshot install); nothing to redo.
-                }
-                WalOp::Delete { global, .. } => {
-                    let g = *global as usize;
-                    if g >= index.len() {
-                        break;
-                    }
-                    index.delete_series(g)?; // Ok(false) if already gone
-                }
-            }
-            max_lsn = max_lsn.max(op.lsn());
-            applied += 1;
-        }
-        let dropped = applied < ops.len();
-        report.frames = applied;
-        let shared = Self {
-            inner: Arc::new(RwLock::new(index)),
-            durable: Some(Arc::new(Durability {
-                wal,
-                index_dir: index_dir.to_path_buf(),
-                next_lsn: AtomicU64::new(max_lsn + 1),
-                poisoned: AtomicBool::new(false),
-            })),
-            stats: Arc::new(StatsRegistry::new()),
-            mutations: Arc::new(AtomicU64::new(0)),
-            // On a durable follower the local log stores the primary's
-            // LSNs, so the replayed maximum is the applied position.
-            applied_lsn: Arc::new(AtomicU64::new(max_lsn)),
-            repl_epoch: Arc::new(AtomicU64::new(0)),
-            mem_fence: Arc::new(AtomicU64::new(0)),
-        };
-        if dropped && !faulted {
-            // Frames past the recovered prefix would otherwise replay on
-            // the next open; fold the prefix into a snapshot and reset.
-            shared.checkpoint()?;
-        }
+        let epoch = index.wal_epoch();
+        let (journal, report) = Journal::open(index_dir, wal_dir, policy, epoch, |op| {
+            apply(&mut index, op).map(|_changed| ())
+        })?;
+        // On a durable follower the local log stores the primary's
+        // LSNs, so the replayed maximum is the applied position.
+        let applied = journal.next_lsn() - 1;
+        let mut shared = Self::new(index);
+        shared.durable = Some(Arc::new(journal));
+        shared.applied_lsn.store(applied, Ordering::Release);
         Ok((shared, report))
     }
 
@@ -329,12 +302,12 @@ impl SharedIndex {
 
     /// WAL counter snapshot, when durable.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durable.as_ref().map(|d| d.wal.stats())
+        self.durable.as_ref().map(|j| j.stats())
     }
 
     /// Current checkpoint epoch, when durable.
     pub fn wal_epoch(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.wal.epoch())
+        self.durable.as_ref().map(|j| j.epoch())
     }
 
     /// The epoch of this node on the replication timeline: its own WAL
@@ -349,7 +322,7 @@ impl SharedIndex {
     /// at (`0` = unfenced). Persisted in the WAL manifest when durable.
     pub fn fence(&self) -> u64 {
         match &self.durable {
-            Some(d) => d.wal.fence(),
+            Some(j) => j.fence(),
             None => self.mem_fence.load(Ordering::Acquire),
         }
     }
@@ -372,9 +345,9 @@ impl SharedIndex {
     /// clears it once the node has re-synced.
     pub fn fence_at(&self, epoch: u64) -> Result<(), DurableError> {
         match &self.durable {
-            Some(d) => {
-                if epoch > d.wal.fence() {
-                    d.wal.set_fence(epoch)?;
+            Some(j) => {
+                if epoch > j.fence() {
+                    j.set_fence(epoch)?;
                 }
             }
             None => {
@@ -395,20 +368,18 @@ impl SharedIndex {
     /// the new timeline epoch.
     pub fn promote(&self) -> Result<u64, DurableError> {
         let guard = self.inner.write();
-        self.check_poisoned()?;
-        let new_epoch = self
-            .timeline_epoch()
-            .max(self.replica_epoch())
-            .max(self.fence())
-            + 1;
-        if let Some(d) = &self.durable {
-            d.wal.sync()?;
-            guard.save_with_epoch(&d.index_dir, new_epoch)?;
-            d.wal.install_epoch(new_epoch)?;
-            d.wal.set_fence(new_epoch)?;
-        } else {
-            self.mem_fence.store(new_epoch, Ordering::Release);
-        }
+        let floor = self.replica_epoch().max(self.fence());
+        let new_epoch = match &self.durable {
+            Some(j) => {
+                let epoch = j.checkpoint(floor, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
+                j.set_fence(epoch)?;
+                epoch
+            }
+            None => {
+                self.mem_fence.store(floor + 1, Ordering::Release);
+                floor + 1
+            }
+        };
         self.repl_epoch.store(new_epoch, Ordering::Release);
         // Bump under the guard: cached results keyed on the follower-era
         // epoch must not survive the timeline switch.
@@ -424,24 +395,15 @@ impl SharedIndex {
     /// a WAL this is plain `write().insert_series`.
     pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, DurableError> {
         let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        self.check_fenced()?;
+        self.check_writable()?;
         let ordinal = guard.insert_series(ts)?;
-        if let Some(d) = &self.durable {
-            let lsn = d.next_lsn.fetch_add(1, Ordering::Relaxed);
-            let logged = d.wal.append(&WalOp::Insert {
+        if let Some(j) = &self.durable {
+            j.log(|lsn| WalOp::Insert {
                 lsn,
                 global: ordinal as u64,
-                local: ordinal as u64,
+                shard: 0,
                 values: ts.values().to_vec(),
-            });
-            if let Err(e) = logged {
-                // The insert is applied in memory but absent from the
-                // log; a later logged mutation would replay on a state
-                // missing this one. Refuse all further mutations.
-                d.poisoned.store(true, Ordering::Release);
-                return Err(e.into());
-            }
+            })?;
         }
         // Bump while still under the write guard so no reader can observe
         // the new state under the old epoch.
@@ -453,37 +415,25 @@ impl SharedIndex {
     /// [`Self::insert_series`]); no-op deletes are not logged.
     pub fn delete_series(&self, ordinal: usize) -> Result<bool, DurableError> {
         let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        self.check_fenced()?;
+        self.check_writable()?;
         let deleted = guard.delete_series(ordinal)?;
         if deleted {
-            if let Some(d) = &self.durable {
-                let lsn = d.next_lsn.fetch_add(1, Ordering::Relaxed);
-                let logged = d.wal.append(&WalOp::Delete {
+            if let Some(j) = &self.durable {
+                j.log(|lsn| WalOp::Delete {
                     lsn,
                     global: ordinal as u64,
-                    local: ordinal as u64,
-                });
-                if let Err(e) = logged {
-                    d.poisoned.store(true, Ordering::Release);
-                    return Err(e.into());
-                }
+                    shard: 0,
+                })?;
             }
-        }
-        if deleted {
             self.mutations.fetch_add(1, Ordering::Release);
         }
         Ok(deleted)
     }
 
     /// Applies one WAL frame shipped from a replication primary, under
-    /// the write guard and with exactly the recovery replay's idempotent
-    /// semantics: an insert lands only when its ordinal extends the
-    /// current prefix (a frame the snapshot already absorbed is skipped,
-    /// a frame *beyond* the prefix is a typed [`DurableError::Gap`]); a
-    /// delete of an already-tombstoned ordinal is a no-op. Returns
-    /// whether the frame changed state. Re-applying any shipped prefix
-    /// is therefore always safe — no gaps, no duplicates.
+    /// the write guard and through the very `apply` recovery replays
+    /// with. Returns whether the frame changed state. Re-applying any
+    /// shipped prefix is therefore always safe — no gaps, no duplicates.
     ///
     /// On a durable handle every state-changing frame is also appended
     /// to the *local* WAL carrying the primary's LSN, so a restarted
@@ -495,70 +445,16 @@ impl SharedIndex {
     pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
         let mut guard = self.inner.write();
         self.check_poisoned()?;
-        let changed = match op {
-            WalOp::Insert {
-                lsn,
-                global,
-                values,
-                ..
-            } => {
-                let g = *global as usize;
-                if g > guard.len() {
-                    return Err(DurableError::Gap {
-                        lsn: *lsn,
-                        global: *global,
-                        len: guard.len(),
-                    });
-                }
-                if g == guard.len() {
-                    guard.insert_series(&TimeSeries::new(values.clone()))?;
-                    true
-                } else {
-                    false // the snapshot (or an earlier frame) already holds it
-                }
-            }
-            WalOp::Delete { global, .. } => {
-                let g = *global as usize;
-                g < guard.len() && guard.delete_series(g)?
-            }
-        };
+        let changed = apply(&mut guard, op)?;
         if changed {
-            if let Some(d) = &self.durable {
-                if let Err(e) = d.wal.append(op) {
-                    d.poisoned.store(true, Ordering::Release);
-                    return Err(e.into());
-                }
-                // Keep the local allocator strictly ahead of the shipped
-                // LSNs, so a promoted follower could not reuse one.
-                let mut cur = d.next_lsn.load(Ordering::Relaxed);
-                while cur <= op.lsn() {
-                    match d.next_lsn.compare_exchange(
-                        cur,
-                        op.lsn() + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(now) => cur = now,
-                    }
-                }
+            if let Some(j) = &self.durable {
+                j.log_shipped(op)?;
             }
             self.mutations.fetch_add(1, Ordering::Release);
         }
         // Still under the guard: a reader that observes this applied
         // position is guaranteed to see the state that includes it.
-        let mut cur = self.applied_lsn.load(Ordering::Relaxed);
-        while cur < op.lsn() {
-            match self.applied_lsn.compare_exchange(
-                cur,
-                op.lsn(),
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
+        self.applied_lsn.fetch_max(op.lsn(), Ordering::Release);
         drop(guard);
         Ok(changed)
     }
@@ -592,17 +488,14 @@ impl SharedIndex {
             });
         }
         *guard = index;
-        if let Some(d) = &self.durable {
-            d.wal.sync()?;
-            let new_epoch = d.wal.epoch() + 1;
-            guard.save_with_epoch(&d.index_dir, new_epoch)?;
-            d.wal.install_epoch(new_epoch)?;
-            d.next_lsn.store(next_lsn, Ordering::Relaxed);
+        if let Some(j) = &self.durable {
+            j.checkpoint(0, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
+            j.set_next_lsn(next_lsn);
             // The node now holds the new timeline's state byte-for-byte;
             // a demotion fence (if any) has served its purpose. Clearing
             // it last means a crash anywhere above restarts fenced —
             // never writable with half-installed state.
-            d.wal.set_fence(0)?;
+            j.set_fence(0)?;
         }
         self.mem_fence.store(0, Ordering::Release);
         self.repl_epoch.store(primary_epoch, Ordering::Release);
@@ -649,9 +542,7 @@ impl SharedIndex {
     /// exclusive upper bound of the log's coverage, which the `REPL`
     /// handshake checks a follower's resume position against.
     pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.durable
-            .as_ref()
-            .map(|d| d.next_lsn.load(Ordering::Relaxed))
+        self.durable.as_ref().map(|j| j.next_lsn())
     }
 
     /// Bytes of this index's WAL covered by the last fsync — the prefix
@@ -659,7 +550,7 @@ impl SharedIndex {
     /// feeder serves under. Crash-point tests truncate the log file to
     /// this length to simulate losing the page-cache tail.
     pub fn wal_durable_bytes(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.wal.durable_len())
+        self.durable.as_ref().map(|j| j.durable_len())
     }
 
     /// Reads up to `max` frames with `lsn >= from_lsn` from the durable
@@ -682,7 +573,7 @@ impl SharedIndex {
         hint: Option<(u64, u64)>,
     ) -> Result<(Vec<WalOp>, (u64, u64)), DurableError> {
         match &self.durable {
-            Some(d) => Ok(d.wal.frames_since_hinted(from_lsn, max, hint)?),
+            Some(j) => j.frames_since_hinted(from_lsn, max, hint),
             None => Err(DurableError::Io(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "index has no write-ahead log to stream from",
@@ -694,19 +585,17 @@ impl SharedIndex {
     /// [`DurableError::Poisoned`]). Queries still serve; mutations and
     /// checkpoints are rejected until the index is reopened.
     pub fn is_poisoned(&self) -> bool {
-        self.durable
-            .as_ref()
-            .is_some_and(|d| d.poisoned.load(Ordering::Acquire))
+        self.durable.as_ref().is_some_and(|j| j.is_poisoned())
     }
 
     fn check_poisoned(&self) -> Result<(), DurableError> {
-        if self.is_poisoned() {
-            return Err(DurableError::Poisoned);
-        }
-        Ok(())
+        self.durable.as_ref().map_or(Ok(()), |j| j.check())
     }
 
-    fn check_fenced(&self) -> Result<(), DurableError> {
+    /// The gate of every mutation and checkpoint: neither poisoned nor
+    /// fenced.
+    fn check_writable(&self) -> Result<(), DurableError> {
+        self.check_poisoned()?;
         let fence = self.fence();
         let epoch = self.timeline_epoch();
         if fence > epoch {
@@ -719,10 +608,7 @@ impl SharedIndex {
     /// `Ok(false)` when the handle has no WAL.
     pub fn sync_wal(&self) -> Result<bool, DurableError> {
         match &self.durable {
-            Some(d) => {
-                d.wal.sync()?;
-                Ok(true)
-            }
+            Some(j) => j.sync().map(|()| true),
             None => Ok(false),
         }
     }
@@ -734,24 +620,16 @@ impl SharedIndex {
     /// handle. A crash at any point leaves a recoverable state — see the
     /// crash matrix in DESIGN.md §5.
     pub fn checkpoint(&self) -> Result<Option<u64>, DurableError> {
-        let Some(d) = &self.durable else {
+        let Some(j) = &self.durable else {
             return Ok(None);
         };
         let guard = self.inner.write();
-        // A poisoned handle holds an applied-but-unlogged mutation that
-        // was never acknowledged; folding it into a snapshot would make
-        // the recovered state more than the acknowledged prefix. A
-        // fenced one must not checkpoint either: each checkpoint bumps
-        // the epoch, and enough of them would walk it up to the fence
-        // and silently unfence a node that never re-synced.
-        self.check_poisoned()?;
-        self.check_fenced()?;
-        d.wal.sync()?;
-        let new_epoch = d.wal.epoch() + 1;
-        guard.save_with_epoch(&d.index_dir, new_epoch)?;
-        d.wal.install_epoch(new_epoch)?;
-        drop(guard);
-        Ok(Some(new_epoch))
+        // A fenced node must not checkpoint: each checkpoint bumps the
+        // epoch, and enough of them would walk it up to the fence and
+        // silently unfence a node that never re-synced.
+        self.check_writable()?;
+        let epoch = j.checkpoint(0, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
+        Ok(Some(epoch))
     }
 
     /// The runtime-statistics registry the planner reads and the plan
@@ -877,7 +755,7 @@ mod tests {
         )
         .unwrap();
         shared.insert_series(&extra.series()[0]).unwrap();
-        shared.durable.as_ref().unwrap().wal.arm_append_fault();
+        shared.durable.as_ref().unwrap().arm_append_fault();
         let err = shared.insert_series(&extra.series()[1]).unwrap_err();
         assert!(matches!(err, DurableError::Wal(_)), "{err}");
         assert!(shared.is_poisoned());
@@ -955,7 +833,7 @@ mod tests {
         let ins = |lsn: u64, g: u64, ts: &TimeSeries| WalOp::Insert {
             lsn,
             global: g,
-            local: g,
+            shard: 0,
             values: ts.values().to_vec(),
         };
         let e0 = shared.query_epoch();
@@ -994,7 +872,7 @@ mod tests {
         let del = WalOp::Delete {
             lsn: 2,
             global: 4,
-            local: 4,
+            shard: 0,
         };
         assert!(shared.apply_replicated(&del).unwrap());
         assert!(!shared.apply_replicated(&del).unwrap());
@@ -1004,7 +882,7 @@ mod tests {
             .apply_replicated(&WalOp::Delete {
                 lsn: 7,
                 global: 4,
-                local: 4
+                shard: 0,
             })
             .unwrap());
         assert_eq!(shared.applied_lsn(), 7);
@@ -1035,7 +913,7 @@ mod tests {
                 .apply_replicated(&WalOp::Insert {
                     lsn: 10 + i as u64 * 10,
                     global: 3 + i as u64,
-                    local: 3 + i as u64,
+                    shard: 0,
                     values: ts.values().to_vec(),
                 })
                 .unwrap();
@@ -1114,7 +992,7 @@ mod tests {
             .apply_replicated(&WalOp::Insert {
                 lsn: 9,
                 global: 3,
-                local: 3,
+                shard: 0,
                 values: extra.series()[0].values().to_vec(),
             })
             .unwrap();

@@ -153,14 +153,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         };
         let (store, rec) =
             Backend::open_durable(dir, wal, pool_pages, policy).map_err(|e| fail(&e))?;
-        // Only sibling shard logs can fall behind one another.
-        let dropped = match store.sharding() {
-            Some(_) => format!("{} dropped, ", rec.dropped),
-            None => String::new(),
-        };
         eprintln!(
-            "wal: epoch {}, replayed {} frames ({dropped}{} stale, {} torn bytes)",
-            rec.epoch, rec.replayed, rec.stale_frames, rec.truncated_bytes
+            "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
+            rec.epoch, rec.frames, rec.stale_frames, rec.truncated_bytes
         );
         Ok(store)
     };

@@ -812,15 +812,15 @@ impl Response {
                         WalOp::Insert {
                             lsn,
                             global,
-                            local,
+                            shard,
                             values,
                         } => writeln!(
                             w,
-                            "FRAME lsn={lsn} op=insert global={global} local={local} data={}",
+                            "FRAME lsn={lsn} op=insert global={global} shard={shard} data={}",
                             join_floats(values)
                         )?,
-                        WalOp::Delete { lsn, global, local } => {
-                            writeln!(w, "FRAME lsn={lsn} op=delete global={global} local={local}")?
+                        WalOp::Delete { lsn, global, shard } => {
+                            writeln!(w, "FRAME lsn={lsn} op=delete global={global} shard={shard}")?
                         }
                     }
                 }
@@ -1003,15 +1003,15 @@ impl Response {
                     let fkv = KvTokens::collect(tokens)?;
                     let lsn = fkv.req_parse("lsn")?;
                     let global = fkv.req_parse("global")?;
-                    let local = fkv.req_parse("local")?;
+                    let shard = fkv.parse_or("shard", 0)?;
                     frames.push(match fkv.req("op")? {
                         "insert" => WalOp::Insert {
                             lsn,
                             global,
-                            local,
+                            shard,
                             values: parse_floats_or_empty(fkv.req("data")?)?,
                         },
-                        "delete" => WalOp::Delete { lsn, global, local },
+                        "delete" => WalOp::Delete { lsn, global, shard },
                         other => {
                             return Err(ProtoError::bad(format!("unknown frame op `{other}`")));
                         }
@@ -1599,13 +1599,13 @@ mod tests {
                 WalOp::Insert {
                     lsn: 8,
                     global: 4,
-                    local: 4,
+                    shard: 0,
                     values: vec![1.5, -0.25, 3.0],
                 },
                 WalOp::Delete {
                     lsn: 9,
                     global: 2,
-                    local: 2,
+                    shard: 3,
                 },
             ],
         });
@@ -1699,7 +1699,7 @@ mod tests {
             frames: vec![WalOp::Insert {
                 lsn: 2,
                 global: 5,
-                local: 5,
+                shard: 0,
                 values: vec![],
             }],
         });

@@ -15,31 +15,32 @@
 //! snapshot predates — is handled by the gather's defensive snapshot
 //! translation (see [`crate::gather`]'s linearization docs).
 //!
-//! On a *durable* index the gate serves a second role: it serialises LSN
-//! allocation with the append+fsync of every mutation — deletes included —
-//! so that when a mutation is acknowledged, every lower LSN is already
-//! durable. Without that, a crash could leave an LSN gap below an
-//! acknowledged frame, and recovery (which stops at the first gap) would
-//! drop the acknowledged mutation.
+//! On a *durable* index the gate serves a second role: it is the guard
+//! the group's one [`Journal`] logs under. Every mutation — deletes
+//! included — applies on its shard and is appended while holding it, so
+//! the log's order is the order the mutations were acknowledged in, and
+//! recovery is a replay of that one log through `apply`.
 
 use crate::cfg::{PartitionerKind, ShardConfig};
 use crate::partition::{Partitioner, ShardMap};
 use pagestore::sync::{Mutex, RwLock};
 use pagestore::{PageDevice, PageError};
 use simquery::index::{AccessCounters, DeviceWrap, IndexConfig, SeqIndex};
+use simquery::journal::Journal;
 use simquery::plan::QueryEpoch;
 use simquery::report::QueryError;
 use simquery::shared::{DurableError, SharedIndex};
 use simquery::stats::StatsRegistry;
-use simwal::{DirLock, FsyncPolicy, Wal, WalError, WalOp, WalStats};
+use simwal::{DirLock, FsyncPolicy, ReplayReport, WalError, WalOp, WalStats};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tseries::{Corpus, TimeSeries};
 
-/// Errors raised while building, opening, or durably mutating a sharded
-/// index.
+/// Errors raised while building a sharded index. The durable paths
+/// (open with a log, mutate, sync, checkpoint) return [`DurableError`],
+/// exactly like a single [`SharedIndex`].
 #[derive(Debug)]
 pub enum ShardError {
     /// The corpus is empty or has zero-length sequences.
@@ -52,14 +53,6 @@ pub enum ShardError {
     Config(String),
     /// A page device failed during construction.
     Page(PageError),
-    /// The write-ahead log failed (lock, append, epoch reconciliation).
-    Wal(WalError),
-    /// A snapshot load/save failed.
-    Io(std::io::Error),
-    /// An earlier WAL append failed after its mutation applied; further
-    /// mutations and checkpoints are refused (see
-    /// [`DurableError::Poisoned`]). Reopen the index to recover.
-    Poisoned,
 }
 
 impl fmt::Display for ShardError {
@@ -71,9 +64,6 @@ impl fmt::Display for ShardError {
             }
             Self::Config(msg) => write!(f, "bad shard configuration: {msg}"),
             Self::Page(e) => write!(f, "page access failed building shard: {e}"),
-            Self::Wal(e) => write!(f, "{e}"),
-            Self::Io(e) => write!(f, "snapshot i/o failed: {e}"),
-            Self::Poisoned => write!(f, "{}", DurableError::Poisoned),
         }
     }
 }
@@ -82,8 +72,6 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Page(e) => Some(e),
-            Self::Wal(e) => Some(e),
-            Self::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -92,18 +80,6 @@ impl std::error::Error for ShardError {
 impl From<PageError> for ShardError {
     fn from(e: PageError) -> Self {
         Self::Page(e)
-    }
-}
-
-impl From<WalError> for ShardError {
-    fn from(e: WalError) -> Self {
-        Self::Wal(e)
-    }
-}
-
-impl From<std::io::Error> for ShardError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
     }
 }
 
@@ -116,56 +92,6 @@ impl From<QueryError> for ShardError {
     }
 }
 
-impl From<DurableError> for ShardError {
-    fn from(e: DurableError) -> Self {
-        match e {
-            DurableError::Query(q) => q.into(),
-            DurableError::Wal(w) => Self::Wal(w),
-            DurableError::Io(io) => Self::Io(io),
-            DurableError::Poisoned => Self::Poisoned,
-            gap @ DurableError::Gap { .. } => Self::Config(gap.to_string()),
-            fenced @ DurableError::Fenced { .. } => Self::Config(fenced.to_string()),
-        }
-    }
-}
-
-/// The reverse lift, for [`crate::Store`]: a shard group's durable-path
-/// failures (log, snapshot, poisoning, device) map onto the variant of
-/// the same meaning; build-time rejections have none and travel as
-/// invalid-data I/O errors.
-impl From<ShardError> for DurableError {
-    fn from(e: ShardError) -> Self {
-        match e {
-            ShardError::Page(p) => Self::Query(QueryError::Io(p)),
-            ShardError::Wal(w) => Self::Wal(w),
-            ShardError::Io(io) => Self::Io(io),
-            ShardError::Poisoned => Self::Poisoned,
-            other => Self::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                other.to_string(),
-            )),
-        }
-    }
-}
-
-/// What sharded recovery did: aggregate of the per-shard WAL reports plus
-/// the cross-shard merge outcome.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardRecovery {
-    /// Checkpoint epoch the index recovered at.
-    pub epoch: u64,
-    /// Frames replayed onto the snapshots, across all shards.
-    pub replayed: usize,
-    /// Frames dropped at an LSN gap (an unsynced sibling-shard tail) —
-    /// everything after the first missing LSN is discarded to keep the
-    /// recovered state an exact prefix of the mutation schedule.
-    pub dropped: usize,
-    /// Torn-tail bytes truncated, summed over the shard logs.
-    pub truncated_bytes: u64,
-    /// Frames discarded because a log's epoch predated its snapshot.
-    pub stale_frames: usize,
-}
-
 /// A corpus partitioned across N independent [`SeqIndex`] shards.
 pub struct ShardedIndex {
     shards: Vec<SharedIndex>,
@@ -175,22 +101,12 @@ pub struct ShardedIndex {
     kind: PartitionerKind,
     seq_len: usize,
     // Checkpoint epoch of `sharding.txt` (1 for fresh builds); the
-    // authority every per-shard WAL is reconciled against.
+    // authority the group's log is reconciled against.
     epoch: AtomicU64,
-    // Next log sequence number. Globally monotone across shards; the
-    // manifest records it at checkpoint so recovery knows where the
-    // contiguous post-checkpoint LSN run must start.
-    next_lsn: AtomicU64,
-    // One WAL per shard when opened durably; frames are appended under
-    // the owning shard's write guard, after the mutation has applied.
-    wals: Option<Vec<Arc<Wal>>>,
-    // Where checkpoints go (the directory the index was opened from).
-    durable_dir: Option<PathBuf>,
-    // Set when a WAL append failed after its shard mutation applied: the
-    // LSN run has a hole, so acknowledging any later mutation would make
-    // it unrecoverable (recovery stops at the gap). Mutations and
-    // checkpoints are refused until the index is reopened.
-    poisoned: AtomicBool,
+    // The group's one log when opened durably; frames are appended under
+    // the insert gate and the owning shard's write guard, after the
+    // mutation has applied.
+    journal: Option<Journal>,
     // Advisory lock on the index directory, held while open.
     _dir_lock: Option<DirLock>,
     // Planner statistics for the shard group (shard 0's tree shape is the
@@ -264,25 +180,38 @@ impl ShardedIndex {
                 .collect();
             let sub = Corpus::from_parts(names, series);
             let index = build(shard, &sub)?.ok_or(ShardError::EmptyShard(shard))?;
-            shards.push(SharedIndex::new(index));
+            shards.push(index);
         }
-
-        Ok(Self {
-            shards,
-            map: RwLock::new(map),
-            insert_gate: Mutex::new(()),
-            partitioner,
+        let manifest = ShardManifest {
+            shards: cfg.shards,
             kind: cfg.partitioner,
             seq_len: corpus.series_len(),
-            epoch: AtomicU64::new(1),
-            next_lsn: AtomicU64::new(1),
-            wals: None,
-            durable_dir: None,
-            poisoned: AtomicBool::new(false),
+            assignment,
+            epoch: 1,
+        };
+        Ok(Self::assemble(&manifest, shards, map, None, None))
+    }
+
+    fn assemble(
+        m: &ShardManifest,
+        shards: Vec<SeqIndex>,
+        map: ShardMap,
+        journal: Option<Journal>,
+        lock: Option<DirLock>,
+    ) -> Self {
+        Self {
+            shards: shards.into_iter().map(SharedIndex::new).collect(),
+            map: RwLock::new(map),
+            insert_gate: Mutex::new(()),
+            partitioner: Partitioner::new(m.kind, m.shards),
+            kind: m.kind,
+            seq_len: m.seq_len,
+            epoch: AtomicU64::new(m.epoch),
+            journal,
             stats: Arc::new(StatsRegistry::new()),
             mutations: AtomicU64::new(0),
-            _dir_lock: None,
-        })
+            _dir_lock: lock,
+        }
     }
 
     /// Repartitions an existing single index: fetches every record from
@@ -302,7 +231,8 @@ impl ShardedIndex {
         }
         let sharded = Self::build(&Corpus::from_parts(names, series), cfg, index_cfg)?;
         for g in index.deleted_ordinals() {
-            sharded.delete_series(g)?;
+            let (shard, local) = sharded.locate(g).expect("every source ordinal was mapped");
+            sharded.shards[shard].write().delete_series(local)?;
         }
         Ok(sharded)
     }
@@ -359,17 +289,15 @@ impl ShardedIndex {
     }
 
     /// Appends a sequence, returning its global ordinal. On a durable
-    /// index the mutation is applied, then logged to the owning shard's
-    /// WAL *before* this returns (still under the shard's write guard, so
-    /// log order is apply order).
+    /// index the mutation is applied, then logged *before* this returns
+    /// (still under the gate and the shard's write guard, so log order is
+    /// apply order).
     ///
     /// Only the receiving shard is write-locked; reads on the other N−1
     /// shards proceed throughout (see the module docs on locking).
     pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, DurableError> {
         let _gate = self.insert_gate.lock();
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DurableError::Poisoned);
-        }
+        self.check_journal()?;
         let (global, shard) = {
             let map = self.map.read();
             let g = map.len();
@@ -384,80 +312,53 @@ impl ShardedIndex {
             (g, self.partitioner.assign_insert(g, &loads))
         };
         let mut guard = self.shards[shard].write();
-        let local = guard.insert_series(ts).map_err(DurableError::Query)?;
-        if let Some(wals) = &self.wals {
-            let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-            let logged = wals[shard].append(&WalOp::Insert {
+        guard.insert_series(ts)?;
+        let logged = self.journal.as_ref().map_or(Ok(()), |j| {
+            j.log(|lsn| WalOp::Insert {
                 lsn,
                 global: global as u64,
-                local: local as u64,
+                shard: shard as u64,
                 values: ts.values().to_vec(),
-            });
-            if let Err(e) = logged {
-                // The insert is applied in the shard but missing from the
-                // log, and its LSN is burnt. Record the mapping anyway so
-                // the shard and the global map never diverge (reads,
-                // save() and the manifest stay coherent), and poison the
-                // index: acknowledging any later LSN would lose it at the
-                // gap during recovery.
-                drop(guard);
-                self.poisoned.store(true, Ordering::Release);
-                let mut map = self.map.write();
-                let (g, l) = map.push(shard);
-                debug_assert_eq!((g, l), (global, local), "gate must serialise ordinals");
-                return Err(DurableError::Wal(e));
-            }
-        }
+            })
+        });
         drop(guard);
-        let mut map = self.map.write();
-        let (g, l) = map.push(shard);
-        debug_assert_eq!((g, l), (global, local), "gate must serialise ordinals");
+        // The insert is applied in its shard, so it is mapped even when
+        // the append failed and poisoned the journal: the shard and the
+        // global map never diverge (reads and `save` stay coherent).
+        let mapped = self.map.write().push(shard).0;
+        debug_assert_eq!(mapped, global, "gate must serialise ordinals");
+        logged?;
         self.mutations.fetch_add(1, Ordering::Release);
         Ok(global)
     }
 
     /// Tombstones a global ordinal. `Ok(false)` when out of range or
     /// already deleted. Write-locks only the owning shard; on a durable
-    /// index an effective delete is logged before this returns.
-    ///
-    /// On a durable index the delete also holds the insert gate: LSN
-    /// allocation and append+fsync must be serialised *across shards* for
-    /// every mutation kind, or a delete's LSN n+1 could be durable and
-    /// acknowledged while an insert's LSN n on a sibling shard is not —
-    /// after a crash, recovery stops at the gap and drops the
-    /// acknowledged delete, violating the `FsyncPolicy::Always` contract.
+    /// index an effective delete is logged before this returns, under the
+    /// insert gate like every logged mutation.
     pub fn delete_series(&self, global: usize) -> Result<bool, DurableError> {
-        let _gate = self.wals.is_some().then(|| self.insert_gate.lock());
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DurableError::Poisoned);
-        }
+        let _gate = self.journal.is_some().then(|| self.insert_gate.lock());
+        self.check_journal()?;
         let Some((shard, local)) = self.locate(global) else {
             return Ok(false);
         };
         let mut guard = self.shards[shard].write();
-        let deleted = guard.delete_series(local).map_err(DurableError::Query)?;
+        let deleted = guard.delete_series(local)?;
         if deleted {
-            if let Some(wals) = &self.wals {
-                let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-                let logged = wals[shard].append(&WalOp::Delete {
+            if let Some(j) = &self.journal {
+                j.log(|lsn| WalOp::Delete {
                     lsn,
                     global: global as u64,
-                    local: local as u64,
-                });
-                if let Err(e) = logged {
-                    // Applied-but-unlogged, LSN burnt: same hole as a
-                    // failed insert append (the map needs no repair —
-                    // deletes are tombstones).
-                    drop(guard);
-                    self.poisoned.store(true, Ordering::Release);
-                    return Err(DurableError::Wal(e));
-                }
+                    shard: shard as u64,
+                })?;
             }
-        }
-        if deleted {
             self.mutations.fetch_add(1, Ordering::Release);
         }
         Ok(deleted)
+    }
+
+    fn check_journal(&self) -> Result<(), DurableError> {
+        self.journal.as_ref().map_or(Ok(()), |j| j.check())
     }
 
     /// Fetches a sequence's raw samples by global ordinal (a counted
@@ -504,20 +405,26 @@ impl ShardedIndex {
     /// Mutations are quiesced for the duration (insert gate + every
     /// shard's read guard, taken up front): a concurrent insert landing
     /// between one shard's save and the manifest write would otherwise
-    /// persist a snapshot whose assignment/`next_lsn` disagree with the
-    /// shard contents — a state [`Self::open`] rejects.
+    /// persist a snapshot whose assignment disagrees with the shard
+    /// contents — a state [`Self::open`] rejects.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let _gate = self.insert_gate.lock();
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let epoch = self.epoch.load(Ordering::Relaxed);
+        self.save_quiesced(dir, &guards, self.epoch.load(Ordering::Relaxed))
+    }
+
+    /// Shard snapshots first, then the manifest — the commit point. The
+    /// caller holds the insert gate and a guard on every shard.
+    fn save_quiesced(
+        &self,
+        dir: &Path,
+        guards: &[impl std::ops::Deref<Target = SeqIndex>],
+        epoch: u64,
+    ) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         for (i, g) in guards.iter().enumerate() {
             g.save_with_epoch(&dir.join(format!("shard-{i}")), epoch)?;
         }
-        self.write_manifest(dir, epoch)
-    }
-
-    fn write_manifest(&self, dir: &Path, epoch: u64) -> std::io::Result<()> {
         let map = self.map.read();
         let mut meta = String::new();
         use std::fmt::Write as _;
@@ -526,7 +433,6 @@ impl ShardedIndex {
         let _ = writeln!(meta, "partitioner {}", self.kind);
         let _ = writeln!(meta, "seq_len {}", self.seq_len);
         let _ = writeln!(meta, "epoch {epoch}");
-        let _ = writeln!(meta, "next_lsn {}", self.next_lsn.load(Ordering::Relaxed));
         let _ = writeln!(
             meta,
             "assignment {}",
@@ -574,7 +480,7 @@ impl ShardedIndex {
     fn open_impl(
         dir: &Path,
         heap_pool_pages: usize,
-        mut wrap: impl FnMut(usize) -> Option<DeviceWrap>,
+        wrap: impl FnMut(usize) -> Option<DeviceWrap>,
         take_lock: bool,
     ) -> std::io::Result<Self> {
         let lock = if take_lock {
@@ -582,248 +488,97 @@ impl ShardedIndex {
         } else {
             None
         };
-        let m = read_shard_manifest(dir)?;
-        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let mut shards = Vec::with_capacity(m.shards);
-        for i in 0..m.shards {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            let index = match (wrap(i), take_lock) {
-                (None, true) => SeqIndex::open(&shard_dir, heap_pool_pages)?,
-                (None, false) => SeqIndex::open_read_only(&shard_dir, heap_pool_pages)?,
-                (Some(w), _) => SeqIndex::open_with(&shard_dir, heap_pool_pages, w)?,
-            };
-            shards.push(SharedIndex::new(index));
-        }
+        let (m, indexes) = load_snapshots(dir, heap_pool_pages, wrap, take_lock)?;
         let map = ShardMap::from_assignment(m.shards, &m.assignment);
-        for (i, s) in shards.iter().enumerate() {
-            if s.read().len() != map.globals_of(i).len() {
+        Self::opened(&m, indexes, map, None, lock)
+    }
+
+    /// The last step of every open: the shard snapshots (after replay, on
+    /// a durable open) must hold exactly the sequences the map gives them.
+    fn opened(
+        m: &ShardManifest,
+        indexes: Vec<SeqIndex>,
+        map: ShardMap,
+        journal: Option<Journal>,
+        lock: Option<DirLock>,
+    ) -> std::io::Result<Self> {
+        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        for (i, idx) in indexes.iter().enumerate() {
+            if idx.len() != map.globals_of(i).len() {
                 return Err(bad(format!(
-                    "shard {i} holds {} sequences but the manifest maps {}",
-                    s.read().len(),
+                    "shard {i} holds {} sequences but the manifest (plus any log) maps {} — \
+                     snapshot, manifest and log do not belong together",
+                    idx.len(),
                     map.globals_of(i).len()
                 )));
             }
         }
         // A missing or corrupt seq_len line must not silently poison every
         // future family validation; the shards know the true length.
-        let disk_len = shards[0].read().seq_len();
+        let disk_len = indexes[0].seq_len();
         if m.seq_len != disk_len {
             return Err(bad(format!(
                 "manifest seq_len {} does not match the on-disk sequence length {disk_len}",
                 m.seq_len
             )));
         }
-        Ok(Self {
-            shards,
-            map: RwLock::new(map),
-            insert_gate: Mutex::new(()),
-            partitioner: Partitioner::new(m.kind, m.shards),
-            kind: m.kind,
-            seq_len: m.seq_len,
-            epoch: AtomicU64::new(m.epoch),
-            next_lsn: AtomicU64::new(m.next_lsn),
-            wals: None,
-            durable_dir: None,
-            poisoned: AtomicBool::new(false),
-            stats: Arc::new(StatsRegistry::new()),
-            mutations: AtomicU64::new(0),
-            _dir_lock: lock,
-        })
+        Ok(Self::assemble(m, indexes, map, journal, lock))
     }
 
-    /// Opens a persisted sharded index *with one write-ahead log per
-    /// shard* under `wal_root` (`wal_root/shard-N/`), each reconciled
-    /// against the `sharding.txt` epoch, and replays the merged log tails
-    /// on top of the shard snapshots.
+    /// Opens a persisted sharded index *with its write-ahead log*: one
+    /// log for the whole group, directly in `wal_root`, reconciled against
+    /// the `sharding.txt` epoch and replayed in order on top of the shard
+    /// snapshots through `apply`. The recovered index is an exact prefix
+    /// of the acknowledged mutation schedule, also from a half-finished
+    /// checkpoint (shard snapshots ahead of the manifest).
     ///
-    /// Frames from all shards are merged by LSN and replayed in that
-    /// order; replay stops at the first missing LSN (a tail some shard
-    /// never fsynced), so the recovered index is an exact prefix of the
-    /// acknowledged mutation schedule. Replay is idempotent against
-    /// half-checkpoint states: a frame whose effects a shard snapshot
-    /// already holds re-extends the global map without re-applying.
-    /// When frames were dropped at a gap the index is checkpointed
-    /// immediately, folding the recovered prefix into a fresh epoch.
+    /// Earlier builds kept one log per shard under `wal_root/shard-N/`.
+    /// Such a directory is refused, untouched, with a typed error: its
+    /// frames cannot be replayed here, and starting a fresh log beside
+    /// them would silently lose them.
     pub fn open_durable(
         dir: &Path,
         wal_root: &Path,
         heap_pool_pages: usize,
         policy: FsyncPolicy,
-    ) -> Result<(Self, ShardRecovery), ShardError> {
-        Self::open_durable_impl(dir, wal_root, heap_pool_pages, policy, |_| None, false)
+    ) -> Result<(Self, ReplayReport), DurableError> {
+        Self::open_durable_with(dir, wal_root, heap_pool_pages, policy, |_| None)
     }
 
     /// [`Self::open_durable`] with caller-wrapped page devices per shard,
     /// so WAL replay itself runs against armed [`pagestore::FaultyDisk`]s.
-    /// Replay faults surface as typed errors ([`ShardError::Page`]) —
-    /// never a panic. No auto-checkpoint happens on such an index (its
-    /// devices are surrendered to the wrappers), so gap-dropped frames
-    /// stay in the logs for the next unfaulted open.
+    /// Replay faults surface as typed errors — never a panic — and leave
+    /// the log as it was for the next unfaulted open.
     pub fn open_durable_with(
         dir: &Path,
         wal_root: &Path,
         heap_pool_pages: usize,
         policy: FsyncPolicy,
         wrap: impl FnMut(usize) -> Option<DeviceWrap>,
-    ) -> Result<(Self, ShardRecovery), ShardError> {
-        Self::open_durable_impl(dir, wal_root, heap_pool_pages, policy, wrap, true)
-    }
-
-    fn open_durable_impl(
-        dir: &Path,
-        wal_root: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-        mut wrap: impl FnMut(usize) -> Option<DeviceWrap>,
-        faulted: bool,
-    ) -> Result<(Self, ShardRecovery), ShardError> {
+    ) -> Result<(Self, ReplayReport), DurableError> {
+        let old = wal_root.join("shard-0");
+        if old.is_dir() {
+            return Err(WalError::Corrupt(format!(
+                "{} is a per-shard log of an earlier build, which this build cannot replay: \
+                 recover and checkpoint with that build (`simseq recover`), or remove the \
+                 shard-N/ log directories if they are known to be empty",
+                old.display()
+            ))
+            .into());
+        }
         let lock = DirLock::acquire(dir)?;
-        let m = read_shard_manifest(dir)?;
-        let bad = |msg: String| ShardError::Config(msg);
-
-        // Shard snapshots. During recovery a shard may legitimately hold
-        // *more* sequences than the manifest maps (its snapshot comes
-        // from a checkpoint the crash interrupted before the manifest
-        // bump); the surplus must be covered by replayed frames, checked
-        // after replay. Fewer is unrecoverable.
-        let mut indexes = Vec::with_capacity(m.shards);
-        for i in 0..m.shards {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            let index = match wrap(i) {
-                None => SeqIndex::open(&shard_dir, heap_pool_pages)?,
-                Some(w) => SeqIndex::open_with(&shard_dir, heap_pool_pages, w)?,
-            };
-            indexes.push(index);
-        }
+        let (m, mut indexes) = load_snapshots(dir, heap_pool_pages, wrap, true)?;
         let mut map = ShardMap::from_assignment(m.shards, &m.assignment);
-        for (i, idx) in indexes.iter().enumerate() {
-            if idx.len() < map.globals_of(i).len() {
-                return Err(bad(format!(
-                    "shard {i} holds {} sequences but the manifest maps {}",
-                    idx.len(),
-                    map.globals_of(i).len()
-                )));
-            }
-        }
-
-        // Per-shard logs, all reconciled against the manifest's epoch —
-        // the authority; a shard snapshot stamped epoch+1 is a
-        // half-finished checkpoint whose WAL still holds the frames.
-        let mut recovery = ShardRecovery {
-            epoch: m.epoch,
-            ..Default::default()
-        };
-        let mut wals = Vec::with_capacity(m.shards);
-        let mut merged: Vec<(usize, WalOp)> = Vec::new();
-        for i in 0..m.shards {
-            let (wal, ops, report) =
-                Wal::open(&wal_root.join(format!("shard-{i}")), policy, m.epoch)?;
-            recovery.truncated_bytes += report.truncated_bytes;
-            recovery.stale_frames += report.stale_frames;
-            merged.extend(ops.into_iter().map(|op| (i, op)));
-            wals.push(Arc::new(wal));
-        }
-        merged.sort_by_key(|(_, op)| op.lsn());
-
-        // Replay in global LSN order, stopping at the first gap.
-        let mut expected = m.next_lsn;
-        let mut replayed = 0usize;
-        'replay: for (shard, op) in &merged {
-            if op.lsn() < expected {
-                // Absorbed by a newer snapshot of this very directory.
-                recovery.stale_frames += 1;
-                continue;
-            }
-            if op.lsn() > expected {
-                break; // gap: the prefix ends here
-            }
-            let s = *shard;
-            match op {
-                WalOp::Insert {
-                    global,
-                    local,
-                    values,
-                    ..
-                } => {
-                    let (g, l) = (*global as usize, *local as usize);
-                    if g > map.len() || l > indexes[s].len() {
-                        break 'replay;
-                    }
-                    if l == indexes[s].len() {
-                        indexes[s]
-                            .insert_series(&TimeSeries::new(values.clone()))
-                            .map_err(ShardError::from)?;
-                    }
-                    if g == map.len() {
-                        let (pg, pl) = map.push(s);
-                        if (pg, pl) != (g, l) {
-                            return Err(bad(format!(
-                                "wal frame for global {g} (shard {s}, local {l}) does not \
-                                 extend the manifest mapping (next is {pg}/{pl})"
-                            )));
-                        }
-                    } else if map.locate(g) != Some((s, l)) {
-                        return Err(bad(format!(
-                            "wal frame for global {g} contradicts the manifest mapping"
-                        )));
-                    }
-                }
-                WalOp::Delete { global, local, .. } => {
-                    let (g, l) = (*global as usize, *local as usize);
-                    if g >= map.len() {
-                        break 'replay;
-                    }
-                    // Idempotent: Ok(false) when the snapshot already
-                    // carries the tombstone.
-                    indexes[s].delete_series(l).map_err(ShardError::from)?;
-                }
-            }
-            expected += 1;
-            replayed += 1;
-        }
-        recovery.replayed = replayed;
-        recovery.dropped = merged.iter().filter(|(_, op)| op.lsn() >= expected).count();
-
-        // After replay every surplus snapshot sequence must be mapped.
-        for (i, idx) in indexes.iter().enumerate() {
-            if idx.len() != map.globals_of(i).len() {
-                return Err(bad(format!(
-                    "shard {i} holds {} sequences but manifest+wal map {} — \
-                     the log does not belong to this index",
-                    idx.len(),
-                    map.globals_of(i).len()
-                )));
-            }
-        }
-
-        let sharded = Self {
-            shards: indexes.into_iter().map(SharedIndex::new).collect(),
-            map: RwLock::new(map),
-            insert_gate: Mutex::new(()),
-            partitioner: Partitioner::new(m.kind, m.shards),
-            kind: m.kind,
-            seq_len: m.seq_len,
-            epoch: AtomicU64::new(m.epoch),
-            next_lsn: AtomicU64::new(expected),
-            wals: Some(wals),
-            durable_dir: Some(dir.to_path_buf()),
-            poisoned: AtomicBool::new(false),
-            stats: Arc::new(StatsRegistry::new()),
-            mutations: AtomicU64::new(0),
-            _dir_lock: Some(lock),
-        };
-        if recovery.dropped > 0 && !faulted {
-            // Dropped frames would collide with the LSNs of future
-            // appends; fold the recovered prefix into a fresh epoch,
-            // which resets every shard log.
-            sharded.checkpoint()?;
-        }
-        Ok((sharded, recovery))
+        let (journal, report) = Journal::open(dir, wal_root, policy, m.epoch, |op| {
+            apply(&mut indexes, &mut map, op)
+        })?;
+        let sharded = Self::opened(&m, indexes, map, Some(journal), Some(lock))?;
+        Ok((sharded, report))
     }
 
-    /// Whether this index logs mutations to per-shard WALs.
+    /// Whether this index logs mutations to a WAL.
     pub fn is_durable(&self) -> bool {
-        self.wals.is_some()
+        self.journal.is_some()
     }
 
     /// The planner-statistics registry of this shard group.
@@ -841,10 +596,10 @@ impl ShardedIndex {
     }
 
     /// Whether an earlier WAL append failure poisoned this index (see
-    /// [`ShardError::Poisoned`]). Queries still serve; mutations and
+    /// [`DurableError::Poisoned`]). Queries still serve; mutations and
     /// checkpoints are rejected until the index is reopened.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.journal.as_ref().is_some_and(|j| j.is_poisoned())
     }
 
     /// Current checkpoint epoch.
@@ -852,68 +607,96 @@ impl ShardedIndex {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Aggregate WAL counters across shards, when durable.
+    /// WAL counters, when durable.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        let wals = self.wals.as_ref()?;
-        Some(wals.iter().fold(WalStats::default(), |acc, w| {
-            let s = w.stats();
-            WalStats {
-                appends: acc.appends + s.appends,
-                fsyncs: acc.fsyncs + s.fsyncs,
-                replayed: acc.replayed + s.replayed,
-                truncated_bytes: acc.truncated_bytes + s.truncated_bytes,
-            }
-        }))
+        self.journal.as_ref().map(|j| j.stats())
     }
 
-    /// Forces every shard log to stable storage (the `SYNC` op).
-    /// `Ok(false)` when the index has no WALs.
-    pub fn sync_wal(&self) -> Result<bool, ShardError> {
-        let Some(wals) = &self.wals else {
-            return Ok(false);
-        };
-        for w in wals {
-            w.sync()?;
+    /// Bytes of the log covered by the last fsync, when durable — the
+    /// prefix a crash keeps (see [`SharedIndex::wal_durable_bytes`]).
+    pub fn wal_durable_bytes(&self) -> Option<u64> {
+        self.journal.as_ref().map(|j| j.durable_len())
+    }
+
+    /// Forces the log to stable storage (the `SYNC` op). `Ok(false)`
+    /// when the index has no WAL.
+    pub fn sync_wal(&self) -> Result<bool, DurableError> {
+        match &self.journal {
+            Some(j) => j.sync().map(|()| true),
+            None => Ok(false),
         }
-        Ok(true)
     }
 
     /// Checkpoints a durable index: quiesces all mutations (insert gate +
-    /// every shard's write guard), syncs the logs, saves every shard
-    /// atomically stamped with the next epoch, commits the epoch in
-    /// `sharding.txt` (the atomic commit point), then resets every shard
-    /// log. Returns the new epoch, or `None` for a non-durable index.
+    /// every shard's write guard), then — sequenced by the journal —
+    /// syncs the log, saves every shard atomically stamped with the next
+    /// epoch, commits the epoch in `sharding.txt` (the atomic commit
+    /// point), and resets the log. Returns the new epoch, or `None` for a
+    /// non-durable index.
     ///
-    /// A crash before the manifest commit leaves epoch-N snapshots-plus-
-    /// logs (replayed idempotently); a crash after it leaves stale
-    /// epoch-N logs under an epoch-N+1 manifest (discarded at open).
-    pub fn checkpoint(&self) -> Result<Option<u64>, ShardError> {
-        let (Some(wals), Some(dir)) = (&self.wals, &self.durable_dir) else {
+    /// A crash before the manifest commit leaves epoch-N snapshots plus
+    /// the log (replayed idempotently); a crash after it leaves a stale
+    /// epoch-N log under an epoch-N+1 manifest (discarded at open).
+    pub fn checkpoint(&self) -> Result<Option<u64>, DurableError> {
+        let Some(j) = &self.journal else {
             return Ok(None);
         };
         let _gate = self.insert_gate.lock();
-        // A poisoned index holds an applied-but-unlogged mutation that
-        // was never acknowledged; folding it into a snapshot would make
-        // the recovered state more than the acknowledged prefix.
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(ShardError::Poisoned);
-        }
         let guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for w in wals {
-            w.sync()?;
-        }
-        let new_epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        std::fs::create_dir_all(dir)?;
-        for (i, g) in guards.iter().enumerate() {
-            g.save_with_epoch(&dir.join(format!("shard-{i}")), new_epoch)?;
-        }
-        self.write_manifest(dir, new_epoch)?;
-        for w in wals {
-            w.install_epoch(new_epoch)?;
-        }
-        self.epoch.store(new_epoch, Ordering::Relaxed);
-        Ok(Some(new_epoch))
+        let epoch = j.checkpoint(0, |dir, epoch| self.save_quiesced(dir, &guards, epoch))?;
+        self.epoch.store(epoch, Ordering::Relaxed);
+        Ok(Some(epoch))
     }
+}
+
+/// The idempotent frame apply of a shard group — what recovery replays
+/// the log through. The frame names its shard (placement is not
+/// re-derivable: Range reads live loads, and a half-finished checkpoint
+/// leaves shard snapshots ahead of the manifest); the local ordinal
+/// follows from the map. An insert whose shard snapshot already holds it
+/// only re-extends the map; a delete of a missing or tombstoned ordinal
+/// is a no-op.
+fn apply(indexes: &mut [SeqIndex], map: &mut ShardMap, op: &WalOp) -> Result<(), DurableError> {
+    match op {
+        WalOp::Insert {
+            lsn,
+            global,
+            shard,
+            values,
+        } => {
+            let (g, s) = (*global as usize, *shard as usize);
+            // Where the frame landed: the next slot of its shard when it
+            // extends the map; its mapped slot when the snapshots are
+            // ahead of the manifest and replay revisits it.
+            let slot = match map.locate(g) {
+                Some((mapped, local)) if mapped == s => Some(local),
+                None if g == map.len() && s < indexes.len() => Some(map.globals_of(s).len()),
+                _ => None,
+            };
+            // Beyond the prefix, on a shard the group lacks or the
+            // manifest disagrees with, or past the end of its shard's
+            // snapshot: this log was not written over these snapshots.
+            let Some(local) = slot.filter(|&l| l <= indexes[s].len()) else {
+                return Err(DurableError::Gap {
+                    lsn: *lsn,
+                    global: *global,
+                    len: map.len(),
+                });
+            };
+            if local == indexes[s].len() {
+                indexes[s].insert_series(&TimeSeries::new(values.clone()))?;
+            }
+            if g == map.len() {
+                map.push(s);
+            }
+        }
+        WalOp::Delete { global, .. } => {
+            if let Some((s, local)) = map.locate(*global as usize) {
+                indexes[s].delete_series(local)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Sums per-shard access counters.
@@ -933,7 +716,28 @@ struct ShardManifest {
     seq_len: usize,
     assignment: Vec<usize>,
     epoch: u64,
-    next_lsn: u64,
+}
+
+/// Reads the manifest and opens every shard snapshot it names, through
+/// `wrap`'s device wrappers where it returns one; `locked` picks between
+/// the locking and the read-only open of a plain shard.
+fn load_snapshots(
+    dir: &Path,
+    heap_pool_pages: usize,
+    mut wrap: impl FnMut(usize) -> Option<DeviceWrap>,
+    locked: bool,
+) -> std::io::Result<(ShardManifest, Vec<SeqIndex>)> {
+    let m = read_shard_manifest(dir)?;
+    let mut indexes = Vec::with_capacity(m.shards);
+    for i in 0..m.shards {
+        let shard_dir = dir.join(format!("shard-{i}"));
+        indexes.push(match (wrap(i), locked) {
+            (None, true) => SeqIndex::open(&shard_dir, heap_pool_pages)?,
+            (None, false) => SeqIndex::open_read_only(&shard_dir, heap_pool_pages)?,
+            (Some(w), _) => SeqIndex::open_with(&shard_dir, heap_pool_pages, w)?,
+        });
+    }
+    Ok((m, indexes))
 }
 
 fn read_shard_manifest(dir: &Path) -> std::io::Result<ShardManifest> {
@@ -948,10 +752,10 @@ fn read_shard_manifest(dir: &Path) -> std::io::Result<ShardManifest> {
         kind: PartitionerKind::Hash,
         seq_len: 0,
         assignment: Vec::new(),
-        // Pre-durability manifests carry neither line; they are at the
-        // initial epoch with no LSNs ever allocated.
+        // Pre-durability manifests carry no epoch line; they are at the
+        // initial epoch. (A `next_lsn` line, which earlier builds wrote,
+        // is skipped like any unknown key.)
         epoch: 1,
-        next_lsn: 1,
     };
     for line in lines {
         match line.split_once(' ') {
@@ -975,12 +779,6 @@ fn read_shard_manifest(dir: &Path) -> std::io::Result<ShardManifest> {
                     .trim()
                     .parse()
                     .map_err(|e| bad(format!("bad epoch: {e}")))?;
-            }
-            Some(("next_lsn", v)) => {
-                m.next_lsn = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| bad(format!("bad next_lsn: {e}")))?;
             }
             Some(("assignment", v)) if !v.trim().is_empty() => {
                 m.assignment = v
@@ -1153,9 +951,7 @@ mod tests {
             ShardedIndex::open_durable(&idx_dir, &wal_dir, 16, FsyncPolicy::Always).unwrap();
         let extra = corpus(30);
         s.insert_series(&extra.series()[20]).unwrap();
-        for w in s.wals.as_ref().unwrap() {
-            w.arm_append_fault();
-        }
+        s.journal.as_ref().unwrap().arm_append_fault();
         let err = s.insert_series(&extra.series()[21]).unwrap_err();
         assert!(matches!(err, DurableError::Wal(_)), "{err}");
         assert!(s.is_poisoned());
@@ -1176,14 +972,17 @@ mod tests {
             s.delete_series(0).unwrap_err(),
             DurableError::Poisoned
         ));
-        assert!(matches!(s.checkpoint().unwrap_err(), ShardError::Poisoned));
+        assert!(matches!(
+            s.checkpoint().unwrap_err(),
+            DurableError::Poisoned
+        ));
         drop(s);
         // A reopen recovers exactly the acknowledged prefix and resumes.
         let (s, rep) =
             ShardedIndex::open_durable(&idx_dir, &wal_dir, 16, FsyncPolicy::Always).unwrap();
-        assert_eq!(rep.replayed, 1, "only the acknowledged insert replays");
+        assert_eq!(rep.frames, 1, "only the acknowledged insert replays");
         assert_eq!(
-            rep.dropped, 0,
+            rep.truncated_bytes, 0,
             "the torn frame was rewound, not left behind"
         );
         assert_eq!(s.len(), 21);

@@ -31,6 +31,6 @@ pub mod store;
 
 pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
 pub use gather::Engine;
-pub use index::{ShardError, ShardRecovery, ShardedIndex};
+pub use index::{ShardError, ShardedIndex};
 pub use partition::{Partitioner, ShardMap};
 pub use store::Store;

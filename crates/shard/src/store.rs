@@ -6,15 +6,15 @@
 //! module — the server, the daemons, the CLI — holds a `Store` and calls
 //! methods; the layout is decided once, in [`Store::open`] and friends.
 //!
-//! What is deliberately *not* unified: the two WAL regimes. A single
-//! index logs through [`SharedIndex`]'s own WAL, a shard group through
-//! [`ShardedIndex`]'s per-shard logs, and replication, `PROMOTE` and
-//! fencing exist only on the former — those verbs reach it through
-//! [`Store::single`].
+//! Durability is the same on both: one log per store, written and
+//! replayed through [`simquery::journal::Journal`], with the same typed
+//! errors and the same recovery report. Replication, `PROMOTE` and
+//! fencing are still wired to a single index only — those verbs reach it
+//! through [`Store::single`].
 
 use crate::cfg::ShardConfig;
 use crate::gather;
-use crate::index::{sum_counters, ShardRecovery, ShardedIndex};
+use crate::index::{sum_counters, ShardedIndex};
 use pagestore::PageError;
 use simquery::index::{AccessCounters, SeqIndex};
 use simquery::plan::{LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch, StageTimings};
@@ -22,7 +22,7 @@ use simquery::query::FilterPolicy;
 use simquery::report::{EngineMetrics, QueryError};
 use simquery::shared::{DurableError, SharedIndex};
 use simquery::stats::StatsRegistry;
-use simwal::{FsyncPolicy, WalStats};
+use simwal::{FsyncPolicy, ReplayReport, WalStats};
 use std::path::Path;
 use std::sync::{Arc, RwLockReadGuard};
 use tseries::TimeSeries;
@@ -118,35 +118,27 @@ impl Store {
         })
     }
 
-    /// Opens a persisted directory with its write-ahead log(s) under
-    /// `wal_dir` and replays them (see [`SharedIndex::open_durable`] and
-    /// [`ShardedIndex::open_durable`]). A single index's one log has no
-    /// sibling to fall behind, so its report never counts dropped frames.
+    /// Opens a persisted directory with its write-ahead log in `wal_dir`
+    /// and replays it (see [`SharedIndex::open_durable`] and
+    /// [`ShardedIndex::open_durable`]).
     pub fn open_durable(
         dir: &Path,
         wal_dir: &Path,
         heap_pool_pages: usize,
         policy: FsyncPolicy,
-    ) -> Result<(Self, ShardRecovery), DurableError> {
+    ) -> Result<(Self, ReplayReport), DurableError> {
         if ShardedIndex::is_sharded_dir(dir) {
-            let (sharded, rec) = ShardedIndex::open_durable(dir, wal_dir, heap_pool_pages, policy)?;
-            Ok((sharded.into(), rec))
+            let (sharded, rep) = ShardedIndex::open_durable(dir, wal_dir, heap_pool_pages, policy)?;
+            Ok((sharded.into(), rep))
         } else {
             let (shared, rep) = SharedIndex::open_durable(dir, wal_dir, heap_pool_pages, policy)?;
-            let rec = ShardRecovery {
-                epoch: rep.epoch,
-                replayed: rep.frames,
-                dropped: 0,
-                truncated_bytes: rep.truncated_bytes,
-                stale_frames: rep.stale_frames,
-            };
-            Ok((shared.into(), rec))
+            Ok((shared.into(), rep))
         }
     }
 
     /// The single index, for the verbs that are single-index by contract:
     /// `JOIN` (its pairs would cross shards), `REPL`, `PROMOTE` and
-    /// fencing (one WAL is one replication feed).
+    /// fencing (not yet wired to a shard group's log).
     pub fn single(&self) -> Option<&SharedIndex> {
         match self {
             Self::Single(shared) => Some(shared),
@@ -193,22 +185,20 @@ impl Store {
         }
     }
 
-    /// Forces the log(s) to stable storage; `Ok(false)` without a WAL.
-    /// Errors of either layout arrive as [`DurableError`], so a fenced
-    /// single index stays distinguishable (the server answers `READONLY`).
+    /// Forces the log to stable storage; `Ok(false)` without a WAL.
     pub fn sync_wal(&self) -> Result<bool, DurableError> {
         match self {
             Self::Single(s) => s.sync_wal(),
-            Self::Sharded(s) => Ok(s.sync_wal()?),
+            Self::Sharded(s) => s.sync_wal(),
         }
     }
 
-    /// Folds the log(s) into a fresh snapshot at the next epoch, which it
+    /// Folds the log into a fresh snapshot at the next epoch, which it
     /// returns; `Ok(None)` without a WAL.
     pub fn checkpoint(&self) -> Result<Option<u64>, DurableError> {
         match self {
             Self::Single(s) => s.checkpoint(),
-            Self::Sharded(s) => Ok(s.checkpoint()?),
+            Self::Sharded(s) => s.checkpoint(),
         }
     }
 

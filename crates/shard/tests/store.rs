@@ -88,14 +88,14 @@ fn open_picks_the_variant_the_layout_calls_for() {
 
         let (store, rec) = Store::open_durable(&dir, &wal, 16, FsyncPolicy::Always).unwrap();
         assert_eq!(store.sharding(), want);
-        assert_eq!((rec.epoch, rec.replayed, rec.dropped), (1, 0, 0));
+        assert_eq!((rec.epoch, rec.frames), (1, 0));
         store.insert_series(&c.series()[0]).unwrap();
         assert!(store.sync_wal().unwrap());
         assert_eq!(store.wal_stats().map(|(w, e)| (w.appends, e)), Some((1, 1)));
         assert_eq!(store.checkpoint().unwrap(), Some(2));
         drop(store);
         let (store, rec) = Store::open_durable(&dir, &wal, 16, FsyncPolicy::Always).unwrap();
-        assert_eq!((store.read().len(), rec.epoch, rec.replayed), (N + 1, 2, 0));
+        assert_eq!((store.read().len(), rec.epoch, rec.frames), (N + 1, 2, 0));
         assert!(store.describe().contains(&("wal_epoch".into(), "2".into())));
     }
     let _ = std::fs::remove_dir_all(&root);

@@ -4,18 +4,20 @@
 //! payload only. Payloads:
 //!
 //! ```text
-//! insert: [tag=1][lsn u64][global u64][local u64][count u32][count × f64]
-//! delete: [tag=2][lsn u64][global u64][local u64]
+//! insert: [tag=1][lsn u64][global u64][shard u64][count u32][count × f64]
+//! delete: [tag=2][lsn u64][global u64][shard u64]
 //! ```
 //!
-//! Every frame carries an **LSN** — a log sequence number that is globally
-//! monotone across all shards of one index (allocated from a single
-//! counter under the mutation guard). Single-index logs replay in file
-//! order; sharded recovery merges all per-shard logs by LSN and stops at
-//! the first gap, which restores exactly the acknowledged prefix of the
-//! mutation schedule. `global`/`local` are the global ordinal and the
-//! shard-local ordinal of the affected sequence (equal for single-index
-//! deployments, where the shard is the index).
+//! Every frame carries an **LSN** — a log sequence number that is monotone
+//! within one store's log (allocated from a single counter under the
+//! mutation guard). A store, single index or shard group, keeps one log
+//! and replays it in file order, which restores exactly the acknowledged
+//! prefix of the mutation schedule. `global` is the global ordinal of the
+//! affected sequence and `shard` the shard that owns it: placement can
+//! depend on state replay cannot reconstruct (live loads, a snapshot ahead
+//! of its manifest), so a shard group reads it from the frame. A single
+//! index writes `0` and never reads the slot — logs whose third slot holds
+//! anything else (earlier builds stored the ordinal there) replay the same.
 
 use crate::crc32::crc32;
 
@@ -37,8 +39,8 @@ pub enum WalOp {
         lsn: u64,
         /// Global ordinal the insert was acknowledged with.
         global: u64,
-        /// Ordinal inside the owning shard (== `global` when unsharded).
-        local: u64,
+        /// Shard that owns the sequence (`0`, and unread, when unsharded).
+        shard: u64,
         /// The raw series values, so replay can re-run the insert.
         values: Vec<f64>,
     },
@@ -48,8 +50,8 @@ pub enum WalOp {
         lsn: u64,
         /// Global ordinal that was deleted.
         global: u64,
-        /// Ordinal inside the owning shard (== `global` when unsharded).
-        local: u64,
+        /// Shard that owns the sequence (`0`, and unread, when unsharded).
+        shard: u64,
     },
 }
 
@@ -69,23 +71,23 @@ pub fn encode_frame(op: &WalOp) -> Vec<u8> {
         WalOp::Insert {
             lsn,
             global,
-            local,
+            shard,
             values,
         } => {
             payload.push(TAG_INSERT);
             payload.extend_from_slice(&lsn.to_le_bytes());
             payload.extend_from_slice(&global.to_le_bytes());
-            payload.extend_from_slice(&local.to_le_bytes());
+            payload.extend_from_slice(&shard.to_le_bytes());
             payload.extend_from_slice(&(values.len() as u32).to_le_bytes());
             for v in values {
                 payload.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
-        WalOp::Delete { lsn, global, local } => {
+        WalOp::Delete { lsn, global, shard } => {
             payload.push(TAG_DELETE);
             payload.extend_from_slice(&lsn.to_le_bytes());
             payload.extend_from_slice(&global.to_le_bytes());
-            payload.extend_from_slice(&local.to_le_bytes());
+            payload.extend_from_slice(&shard.to_le_bytes());
         }
     }
     let mut frame = Vec::with_capacity(8 + payload.len());
@@ -107,7 +109,7 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
     let tag = *payload.first()?;
     let lsn = read_u64(payload, 1)?;
     let global = read_u64(payload, 9)?;
-    let local = read_u64(payload, 17)?;
+    let shard = read_u64(payload, 17)?;
     match tag {
         TAG_INSERT => {
             let count = u32::from_le_bytes(payload.get(25..29)?.try_into().ok()?) as usize;
@@ -122,11 +124,11 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
             Some(WalOp::Insert {
                 lsn,
                 global,
-                local,
+                shard,
                 values,
             })
         }
-        TAG_DELETE if payload.len() == 25 => Some(WalOp::Delete { lsn, global, local }),
+        TAG_DELETE if payload.len() == 25 => Some(WalOp::Delete { lsn, global, shard }),
         _ => None,
     }
 }
@@ -285,18 +287,18 @@ mod tests {
             WalOp::Insert {
                 lsn: 1,
                 global: 7,
-                local: 3,
+                shard: 3,
                 values: vec![0.25, -1.5, f64::MIN_POSITIVE, 1e300],
             },
             WalOp::Delete {
                 lsn: 2,
                 global: 4,
-                local: 1,
+                shard: 1,
             },
             WalOp::Insert {
                 lsn: 3,
                 global: 8,
-                local: 4,
+                shard: 4,
                 values: vec![],
             },
         ]
@@ -397,7 +399,7 @@ mod tests {
         let mut buf = encode_frame(&WalOp::Delete {
             lsn: 9,
             global: 0,
-            local: 0,
+            shard: 0,
         });
         let keep = buf.len();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());

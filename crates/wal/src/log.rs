@@ -644,7 +644,7 @@ mod tests {
         WalOp::Insert {
             lsn,
             global: lsn,
-            local: lsn,
+            shard: 0,
             values: vec![lsn as f64, -1.0],
         }
     }

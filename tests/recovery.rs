@@ -2,18 +2,19 @@
 //! byte offset**, recover, and assert the index is an **exact prefix** of
 //! the acknowledged mutation schedule — never a wrong answer, never a
 //! panic. Covers the single-index backend and 1/2/4/8-shard backends
-//! (where a missing tail on one shard must also fence off later frames of
-//! the *other* shards, by LSN), half-finished checkpoints, fault plans
-//! armed while replay itself runs, and the advisory directory locks.
+//! (one log per store either way), half-finished checkpoints, the group
+//! fsync window, logs of earlier builds, fault plans armed while replay
+//! itself runs, and the advisory directory locks.
 
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice, PlanParams};
 use simquery::index::{DeviceWrap, IndexConfig, SeqIndex};
 use simquery::prelude::*;
 use simquery::report::QueryError;
 use simquery::shared::{DurableError, SharedIndex};
-use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex};
-use simwal::{decode_frames, FsyncPolicy, HEADER_LEN, LOG_FILE, MANIFEST_FILE};
-use std::collections::HashSet;
+use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex, Store};
+use simwal::{decode_frames, FsyncPolicy, Wal, WalError, WalOp};
+use simwal::{HEADER_LEN, LOG_FILE, MANIFEST_FILE};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use tseries::random_walk;
@@ -48,7 +49,7 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Round-robin keeps every shard non-empty on small corpora and spreads
-/// the schedule's frames across all the logs.
+/// the schedule's frames across all the shards.
 fn rr_config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
@@ -159,29 +160,59 @@ fn apply_sharded(ix: &ShardedIndex, ops: &[Op]) {
     }
 }
 
-/// Cuts the single index's log at every byte offset; the recovered index
-/// must hold exactly the frames that survive intact below the cut.
-#[test]
-fn single_index_recovers_exact_prefix_at_every_cut() {
-    let root = fresh_dir("single_cut");
+/// Every file under `dir` with its bytes, `LOCK`s aside — what "left
+/// untouched" is checked against.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else if path.file_name().unwrap() != "LOCK" {
+            let bytes = std::fs::read(&path).unwrap();
+            files.insert(path, bytes);
+        }
+    }
+    files
+}
+
+fn assert_state(store: &Store, want: &[(Vec<f64>, bool)], ctx: &str) {
+    match store {
+        Store::Single(shared) => assert_single_state(&shared.read(), want, ctx),
+        Store::Sharded(ix) => assert_sharded_state(ix, want, ctx),
+    }
+}
+
+/// Saves a snapshot with `save`, logs `ops` on it, then cuts the store's
+/// one log at every byte offset: the recovered store must hold exactly
+/// the frames that survive intact below the cut. Either layout.
+fn recovers_exact_prefix_at_every_cut(
+    name: &str,
+    corpus: &Corpus,
+    save: &dyn Fn(&Path),
+    ops: &[Op],
+) {
+    let root = fresh_dir(name);
     let idx = root.join("idx");
     let wal = root.join("wal");
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 6, SEQ_LEN, 0xD0C);
-    SeqIndex::build(&corpus, IndexConfig::default())
-        .expect("non-empty corpus")
-        .save(&idx)
-        .unwrap();
-
-    let ops = schedule(0xBEEF, 6, 10);
+    save(&idx);
     {
-        let (shared, rep) =
-            SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
+        let (store, rep) =
+            Store::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
         assert_eq!(rep.frames, 0);
-        assert!(shared.is_durable());
-        assert_eq!(shared.wal_epoch(), Some(1));
-        apply_single(&shared, &ops);
-        assert!(shared.sync_wal().unwrap());
+        assert_eq!(store.wal_stats().map(|(_, epoch)| epoch), Some(1));
+        match &store {
+            Store::Single(shared) => apply_single(shared, ops),
+            Store::Sharded(ix) => apply_sharded(ix, ops),
+        }
+        assert!(store.sync_wal().unwrap());
     }
+    let on_disk: Vec<PathBuf> = tree(&wal).into_keys().collect();
+    assert_eq!(
+        on_disk,
+        [wal.join(MANIFEST_FILE), wal.join(LOG_FILE)],
+        "{name}: a store keeps one log, directly in its wal directory"
+    );
     let log = std::fs::read(wal.join(LOG_FILE)).unwrap();
     assert!(log.len() as u64 > HEADER_LEN, "schedule produced no frames");
 
@@ -202,182 +233,240 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
         } else {
             decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
         };
-        let (shared, rep) = SharedIndex::open_durable(
+        let ctx = format!("{name}: cut {cut}");
+        let (store, rep) = Store::open_durable(
             &case.join("idx"),
             &case.join("wal"),
             POOL,
             FsyncPolicy::Never,
         )
-        .unwrap_or_else(|e| panic!("cut {cut}: recovery errored: {e}"));
-        assert_eq!(rep.frames, expect, "cut {cut}: replayed frame count");
-        assert_single_state(
-            &shared.read(),
-            &shadow_after(&corpus, &ops[..expect]),
-            &format!("cut {cut}"),
-        );
-        drop(shared);
+        .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+        assert_eq!(rep.frames, expect, "{ctx}: replayed frame count");
+        assert_state(&store, &shadow_after(corpus, &ops[..expect]), &ctx);
+        drop(store);
         std::fs::remove_dir_all(&case).unwrap();
     }
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// For 1/2/4/8 shards: cut each shard's log at every byte offset. The
-/// recovered index must be the longest schedule prefix whose LSNs all
-/// survive — the cut shard's first missing frame fences off every later
-/// frame on the other shards too, and the fenced-off frames are folded
-/// away by the automatic post-recovery checkpoint.
+#[test]
+fn single_index_recovers_exact_prefix_at_every_cut() {
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 6, SEQ_LEN, 0xD0C);
+    let save = |dir: &Path| {
+        SeqIndex::build(&corpus, IndexConfig::default())
+            .expect("non-empty corpus")
+            .save(dir)
+            .unwrap()
+    };
+    recovers_exact_prefix_at_every_cut("single_cut", &corpus, &save, &schedule(0xBEEF, 6, 10));
+}
+
+/// The same cut for 1/2/4/8 shards: the group's frames interleave in one
+/// log, so a lost tail can never sit *below* a surviving frame of a
+/// sibling shard.
 #[test]
 fn sharded_recovers_exact_prefix_at_every_cut() {
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0x5EED);
-    let n_ops = 8usize;
     for shards in [1usize, 2, 4, 8] {
-        let root = fresh_dir(&format!("shard{shards}_cut"));
-        let idx = root.join("idx");
-        let wal = root.join("wal");
-        ShardedIndex::build(&corpus, rr_config(shards), IndexConfig::default())
-            .expect("buildable corpus")
-            .save(&idx)
-            .unwrap();
-
-        let ops = schedule(0xAB0 + shards as u64, 12, n_ops);
-        {
-            let (ix, rec) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never)
-                .expect("clean open");
-            assert_eq!(rec.replayed, 0);
-            apply_sharded(&ix, &ops);
-            assert!(ix.sync_wal().unwrap());
-        }
-
-        // Full per-shard logs and their frame LSNs, for computing the
-        // expected prefix under each cut.
-        let logs: Vec<Vec<u8>> = (0..shards)
-            .map(|s| std::fs::read(wal.join(format!("shard-{s}")).join(LOG_FILE)).unwrap())
-            .collect();
-        let lsns: Vec<Vec<u64>> = logs
-            .iter()
-            .map(|log| {
-                decode_frames(&log[HEADER_LEN as usize..])
-                    .0
-                    .iter()
-                    .map(|op| op.lsn())
-                    .collect()
-            })
-            .collect();
-
-        for cut_shard in 0..shards {
-            let log = &logs[cut_shard];
-            for cut in 0..=log.len() {
-                let case = root.join(format!("s{cut_shard}c{cut}"));
-                copy_dir(&idx, &case.join("idx"));
-                copy_dir(&wal, &case.join("wal"));
-                let cut_dir = case.join("wal").join(format!("shard-{cut_shard}"));
-                std::fs::write(cut_dir.join(LOG_FILE), &log[..cut]).unwrap();
-
-                // Frames surviving on the cut shard; its first missing
-                // LSN bounds the recoverable prefix (op j has LSN j+1).
-                let surviving = if cut <= HEADER_LEN as usize {
-                    0
-                } else {
-                    decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
-                };
-                let fence = lsns[cut_shard]
-                    .get(surviving)
-                    .copied()
-                    .unwrap_or(n_ops as u64 + 1);
-                let expect = (fence - 1) as usize;
-                // Frames past the fence that still sit intact in some
-                // log get dropped at the gap (the cut shard's lost tail
-                // is gone from disk entirely, so it can't be "dropped").
-                let lost = lsns[cut_shard].len() - surviving;
-                let want_dropped = n_ops - lost - expect;
-
-                let ctx = format!("{shards} shards, shard {cut_shard} cut {cut}");
-                let (ix, rec) = ShardedIndex::open_durable(
-                    &case.join("idx"),
-                    &case.join("wal"),
-                    POOL,
-                    FsyncPolicy::Never,
-                )
-                .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
-                assert_eq!(rec.replayed, expect, "{ctx}: replayed frame count");
-                assert_eq!(rec.dropped, want_dropped, "{ctx}: dropped frame count");
-                assert_sharded_state(&ix, &shadow_after(&corpus, &ops[..expect]), &ctx);
-                drop(ix);
-
-                // Frames were dropped → the open checkpointed; a second
-                // open must see clean logs and the identical state at a
-                // bumped epoch.
-                if rec.dropped > 0 {
-                    let (again, rec2) = ShardedIndex::open_durable(
-                        &case.join("idx"),
-                        &case.join("wal"),
-                        POOL,
-                        FsyncPolicy::Never,
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: reopen errored: {e}"));
-                    assert_eq!(rec2.replayed, 0, "{ctx}: reopen replays nothing");
-                    assert!(rec2.epoch > rec.epoch, "{ctx}: checkpoint bumped the epoch");
-                    assert_sharded_state(&again, &shadow_after(&corpus, &ops[..expect]), &ctx);
-                }
-                std::fs::remove_dir_all(&case).unwrap();
-            }
-        }
-        let _ = std::fs::remove_dir_all(&root);
+        let save = |dir: &Path| {
+            ShardedIndex::build(&corpus, rr_config(shards), IndexConfig::default())
+                .expect("buildable corpus")
+                .save(dir)
+                .unwrap()
+        };
+        let ops = schedule(0xAB0 + shards as u64, 12, 8);
+        recovers_exact_prefix_at_every_cut(&format!("shard{shards}_cut"), &corpus, &save, &ops);
     }
 }
 
-/// A crash after every shard snapshot was checkpointed but before the
-/// manifest bump: an epoch-1 manifest and epoch-1 logs over epoch-2 shard
-/// snapshots. Replay must be idempotent — skip frames the snapshots
-/// already hold, re-extend the global map — and land on exactly the
-/// pre-crash state.
+/// `--fsync N` bounds the un-synced acknowledged mutations of the *group*
+/// by N: a crash that keeps only the fsynced bytes recovers exactly the
+/// first ⌊k/N⌋·N of k mutations, however they spread over the shards.
 #[test]
-fn sharded_half_checkpoint_replays_idempotently() {
-    let root = fresh_dir("half_ckpt");
+fn sharded_fsync_window_bounds_the_group() {
+    let root = fresh_dir("fsync_window");
     let idx = root.join("idx");
     let wal = root.join("wal");
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 10, SEQ_LEN, 0xCAFE);
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0xF5);
     ShardedIndex::build(&corpus, rr_config(4), IndexConfig::default())
         .unwrap()
         .save(&idx)
         .unwrap();
-
-    let ops = schedule(0x51AB, 10, 12);
-    {
-        let (ix, _) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+    let ops = schedule(0xF5F5, 12, 10);
+    let durable = {
+        let (ix, _) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(3)).unwrap();
         apply_sharded(&ix, &ops);
-    }
-    // Pre-checkpoint image: epoch-1 manifest + full logs.
-    let pre = root.join("pre");
-    copy_dir(&idx, &pre.join("idx"));
-    copy_dir(&wal, &pre.join("wal"));
+        ix.wal_durable_bytes().unwrap()
+    };
+    // The crash: the page-cache tail past the last fsync is gone.
+    let log = std::fs::read(wal.join(LOG_FILE)).unwrap();
+    assert!(durable < log.len() as u64, "the tenth frame is unsynced");
+    std::fs::write(wal.join(LOG_FILE), &log[..durable as usize]).unwrap();
 
-    // Run the checkpoint for real, then compose the torn state: the
-    // checkpointed (epoch 2) shard snapshots under the OLD (epoch 1)
-    // manifest and logs.
+    let (ix, rep) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(3)).unwrap();
+    assert_eq!((rep.frames, rep.truncated_bytes), (9, 0));
+    assert_sharded_state(&ix, &shadow_after(&corpus, &ops[..9]), "fsync window");
+    drop(ix);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash after every shard snapshot was checkpointed but before the
+/// manifest bump: an epoch-1 manifest and epoch-1 log over epoch-2 shard
+/// snapshots. Replay must be idempotent — skip frames the snapshots
+/// already hold, re-extend the global map — and land on exactly the
+/// pre-crash state.
+///
+/// The Range case is the one that needs the frame's `shard` slot: its
+/// schedule tombstones all of shard 3, so the inserts that follow refill
+/// it (least *live* load) — a placement replay could not re-derive from
+/// snapshots that already hold those inserts and a manifest that does not.
+#[test]
+fn sharded_half_checkpoint_replays_idempotently() {
+    let mut rng = SeededRng::seed_from_u64(0x4A6E);
+    let mut refill: Vec<Op> = (9..12).map(Op::Delete).collect();
+    refill.extend(
+        (0..5).map(|_| Op::Insert(random_walk(&mut rng, SEQ_LEN, 100.0).values().to_vec())),
+    );
+    let range = ShardConfig {
+        shards: 4,
+        partitioner: PartitionerKind::Range,
+    };
+    for (name, cfg, initial, ops) in [
+        ("half_ckpt", rr_config(4), 10, schedule(0x51AB, 10, 12)),
+        ("half_ckpt_range", range, 12, refill),
+    ] {
+        let root = fresh_dir(name);
+        let idx = root.join("idx");
+        let wal = root.join("wal");
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, initial, SEQ_LEN, 0xCAFE);
+        ShardedIndex::build(&corpus, cfg, IndexConfig::default())
+            .unwrap()
+            .save(&idx)
+            .unwrap();
+        {
+            let (ix, _) =
+                ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+            apply_sharded(&ix, &ops);
+            if cfg.partitioner == PartitionerKind::Range {
+                assert_eq!(
+                    ix.locate(12).unwrap().0,
+                    3,
+                    "Range refills the emptied shard"
+                );
+            }
+        }
+        // Pre-checkpoint image: epoch-1 manifest + full log.
+        let pre = root.join("pre");
+        copy_dir(&idx, &pre.join("idx"));
+        copy_dir(&wal, &pre.join("wal"));
+
+        // Run the checkpoint for real, then compose the torn state: the
+        // checkpointed (epoch 2) shard snapshots under the OLD (epoch 1)
+        // manifest and log.
+        {
+            let (ix, _) =
+                ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+            assert_eq!(ix.checkpoint().unwrap(), Some(2));
+        }
+        let torn = root.join("torn");
+        copy_dir(&idx, &torn.join("idx")); // epoch-2 shard snapshots
+        copy_dir(&pre.join("wal"), &torn.join("wal")); // epoch-1 log
+        std::fs::copy(
+            pre.join("idx").join("sharding.txt"),
+            torn.join("idx").join("sharding.txt"),
+        )
+        .unwrap();
+
+        let (ix, rec) = ShardedIndex::open_durable(
+            &torn.join("idx"),
+            &torn.join("wal"),
+            POOL,
+            FsyncPolicy::Always,
+        )
+        .unwrap_or_else(|e| panic!("{name}: half-checkpoint state must recover: {e}"));
+        assert_eq!(rec.epoch, 1, "{name}: the manifest is the epoch authority");
+        assert_eq!(rec.frames, ops.len(), "{name}: every frame replays");
+        assert_sharded_state(&ix, &shadow_after(&corpus, &ops), name);
+        drop(ix);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// Earlier builds kept one log per shard under `wal_root/shard-N/`. Such
+/// a directory is refused with a typed error naming it, and nothing in
+/// either directory is created, changed or removed — above all no fresh
+/// `wal.log` beside the un-replayed frames.
+#[test]
+fn per_shard_log_layout_is_refused_untouched() {
+    let root = fresh_dir("old_layout");
+    let idx = root.join("idx");
+    let wal = root.join("wal");
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 8, SEQ_LEN, 0x01D);
+    ShardedIndex::build(&corpus, rr_config(2), IndexConfig::default())
+        .unwrap()
+        .save(&idx)
+        .unwrap();
+    for shard in 0..2u64 {
+        let (log, _, _) =
+            Wal::open(&wal.join(format!("shard-{shard}")), FsyncPolicy::Always, 1).unwrap();
+        log.append(&WalOp::Delete {
+            lsn: shard + 1,
+            global: shard,
+            shard: 0,
+        })
+        .unwrap();
+    }
+    let before = (tree(&idx), tree(&wal));
+    let refusals = [
+        ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).err(),
+        Store::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).err(),
+    ];
+    for err in refusals {
+        match err.expect("the old layout must be refused") {
+            DurableError::Wal(WalError::Corrupt(msg)) => {
+                assert!(msg.contains("shard-0") && msg.contains("recover"), "{msg}")
+            }
+            other => panic!("wrong error type: {other}"),
+        }
+    }
+    assert!((tree(&idx), tree(&wal)) == before, "files changed");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A single index never reads a frame's third slot. Earlier builds stored
+/// the ordinal there (this build writes 0); their logs replay to the same
+/// state.
+#[test]
+fn single_index_replays_logs_with_a_nonzero_third_slot() {
+    let root = fresh_dir("third_slot");
+    let idx = root.join("idx");
+    let wal = root.join("wal");
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 6, SEQ_LEN, 0x3D);
+    SeqIndex::build(&corpus, IndexConfig::default())
+        .unwrap()
+        .save(&idx)
+        .unwrap();
+    let values = corpus.series()[0].values().to_vec();
+    let ops = [Op::Insert(values.clone()), Op::Delete(2), Op::Delete(6)];
     {
-        let (ix, _) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
-        assert_eq!(ix.checkpoint().unwrap(), Some(2));
+        let (log, _, _) = Wal::open(&wal, FsyncPolicy::Always, 1).unwrap();
+        let (lsn, global, shard) = (1, 6, 6);
+        let insert = WalOp::Insert {
+            lsn,
+            global,
+            shard,
+            values,
+        };
+        log.append(&insert).unwrap();
+        for (lsn, global) in [(2, 2), (3, 6)] {
+            let shard = global;
+            log.append(&WalOp::Delete { lsn, global, shard }).unwrap();
+        }
     }
-    let torn = root.join("torn");
-    copy_dir(&idx, &torn.join("idx")); // epoch-2 shard snapshots
-    copy_dir(&pre.join("wal"), &torn.join("wal")); // epoch-1 logs
-    std::fs::copy(
-        pre.join("idx").join("sharding.txt"),
-        torn.join("idx").join("sharding.txt"),
-    )
-    .unwrap();
-
-    let (ix, rec) = ShardedIndex::open_durable(
-        &torn.join("idx"),
-        &torn.join("wal"),
-        POOL,
-        FsyncPolicy::Always,
-    )
-    .expect("half-checkpoint state recovers");
-    assert_eq!(rec.epoch, 1, "the manifest is the epoch authority");
-    assert_eq!(rec.dropped, 0);
-    assert_sharded_state(&ix, &shadow_after(&corpus, &ops), "half checkpoint");
+    let (shared, rep) = SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+    assert_eq!(rep.frames, ops.len());
+    assert_single_state(&shared.read(), &shadow_after(&corpus, &ops), "third slot");
+    drop(shared);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -483,9 +572,8 @@ fn faulted_replay_is_typed_error_or_exact_result() {
 }
 
 /// The sharded variant: a fault plan armed on ONE shard's devices during
-/// a durable open. No auto-checkpoint may run on a faulted open, so the
-/// dropped frames stay in the logs and a later clean open still recovers
-/// the full prefix.
+/// a durable open. A failed replay leaves the log as it was, so a later
+/// clean open still recovers the full prefix.
 #[test]
 fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
     let root = fresh_dir("sharded_faulted_replay");
@@ -540,7 +628,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
         );
         match result {
             Ok((ix, rec)) => {
-                assert_eq!(rec.replayed, ops.len(), "seed {seed}: full replay");
+                assert_eq!(rec.frames, ops.len(), "seed {seed}: full replay");
                 let devices = std::mem::take(&mut *torn_flag.lock().unwrap());
                 for d in &devices {
                     d.disarm();
@@ -552,7 +640,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
             }
             Err(_) => {
                 errs += 1;
-                // The faulted open must not have checkpointed: a clean
+                // The faulted open must not have touched the log: a clean
                 // open right after still recovers the full schedule.
                 let (ix, rec) = ShardedIndex::open_durable(
                     &case.join("idx"),
@@ -561,7 +649,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
                     FsyncPolicy::Never,
                 )
                 .unwrap_or_else(|e| panic!("seed {seed}: clean reopen errored: {e}"));
-                assert_eq!(rec.replayed, ops.len(), "seed {seed}: logs were preserved");
+                assert_eq!(rec.frames, ops.len(), "seed {seed}: the log was preserved");
                 assert_sharded_state(&ix, &want, &format!("seed {seed} reopen"));
             }
         }
