@@ -2,7 +2,7 @@
 //!
 //! Three modes over the same seeded corpus and query set, all running the
 //! full plan path (`plan::run_timed`) plus the per-query slow-log check —
-//! exactly what a `simserved` worker does per request:
+//! exactly what `simserved` does per request:
 //!
 //! * `obs-off` — tracer sampling disabled (`sample = 0`) and the
 //!   slow-query threshold at its default (off): every span guard is a

@@ -60,7 +60,9 @@ USAGE:
 
 The protocol is documented in crates/serve/PROTOCOL.md. Build an index
 with `simseq gen` + `simseq build` first (or a sharded one with
-`simseq shard build`). `--shards N` repartitions a single-index
+`simseq shard build`). At most `--workers N` requests execute at once
+and `--queue N` more wait their turn in arrival order; the next is
+answered ERR code=BUSY. `--shards N` repartitions a single-index
 directory across N shards at startup; JOIN requires an unsharded
 backend. `--wal DIR/` makes INSERT/DELETE durable (write-ahead logged,
 replayed on restart; see SYNC and CHECKPOINT in the protocol).

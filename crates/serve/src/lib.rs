@@ -6,10 +6,12 @@
 //!
 //! * [`protocol`] — the line-oriented request/response protocol (one typed
 //!   parser/serializer shared by server and client; see `PROTOCOL.md`);
-//! * [`server`] — the `simserved` core: an acceptor, per-connection I/O
-//!   threads, and a worker pool consuming a **bounded** request queue —
-//!   when the queue is full the request is rejected with `ERR code=BUSY`
-//!   instead of piling up (explicit admission control);
+//! * [`server`] — the `simserved` core: an acceptor and one thread per
+//!   connection, which reads, executes and answers its own requests;
+//! * [`admission`] — the gate every request passes before it executes:
+//!   a **bounded** number run at once, a bounded number wait in arrival
+//!   order, and the rest are rejected with `ERR code=BUSY` instead of
+//!   piling up (explicit admission control);
 //! * [`metrics`] — per-operation counters and log₂-bucketed latency
 //!   histograms (p50/p95/p99), plus index access-counter deltas, reported
 //!   by the `STATS` request;
@@ -29,11 +31,12 @@
 //!   connections replaying seeded workloads, with optional result-parity
 //!   verification against a directly-opened copy of the index.
 //!
-//! The index is shared across workers through
+//! The index is shared across connection threads through
 //! [`simquery::shared::SharedIndex`]: queries run under a read guard (the
 //! engines' access counters are atomics, so concurrent queries stay
 //! consistent), `INSERT`/`DELETE` take the write guard.
 
+pub mod admission;
 pub mod chaos;
 pub mod client;
 pub mod cmd;
@@ -42,7 +45,6 @@ pub mod failover;
 pub mod load;
 pub mod metrics;
 pub mod opts;
-pub mod pool;
 pub mod protocol;
 pub mod repl;
 pub mod server;

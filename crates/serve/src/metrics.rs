@@ -50,10 +50,11 @@ struct OpHandles {
     hist: Arc<Histogram>,
 }
 
-/// The server-wide metrics registry shared by all workers.
+/// The server-wide metrics registry shared by all connection threads.
 pub struct Registry {
     metrics: MetricsRegistry,
     ops: [OpHandles; OPS.len()],
+    admission_wait: Arc<Histogram>,
     busy_rejected: Arc<Counter>,
     connections: Arc<Counter>,
     slow: SlowLog,
@@ -79,11 +80,13 @@ impl Registry {
                 hist: metrics.histogram(&labeled("simseq_op_latency_us", &op)),
             }
         });
+        let admission_wait = metrics.histogram("simseq_admission_wait_us");
         let busy_rejected = metrics.counter("simseq_busy_rejected_total");
         let connections = metrics.counter("simseq_connections_total");
         Self {
             metrics,
             ops,
+            admission_wait,
             busy_rejected,
             connections,
             slow: SlowLog::new(SLOW_RING),
@@ -99,6 +102,13 @@ impl Registry {
             s.errors.inc();
         }
         s.hist.record(latency);
+    }
+
+    /// Time requests spent at the admission gate before executing, or
+    /// being refused (`METRICS` renders it as `simseq_admission_wait_us`;
+    /// `STATS` does not carry it).
+    pub fn admission_wait(&self) -> &Histogram {
+        &self.admission_wait
     }
 
     /// Counts a request rejected by admission control.
@@ -195,6 +205,7 @@ impl Registry {
                 s.errors.reset();
                 s.hist.reset();
             }
+            self.admission_wait.reset();
         }
         report
     }
@@ -221,6 +232,7 @@ mod tests {
         }
         reg.record(q, Duration::from_micros(100), true);
         reg.record_connection();
+        reg.admission_wait().record(Duration::from_micros(700));
         let report = reg.report(
             AccessCounters {
                 node_reads: 0,
@@ -242,6 +254,8 @@ mod tests {
         assert!(lines.contains(&"simseq_op_total{op=\"query\"} 6".to_string()));
         assert!(lines.contains(&"simseq_op_errors_total{op=\"query\"} 1".to_string()));
         assert!(lines.contains(&"simseq_connections_total 1".to_string()));
+        assert!(lines.contains(&"simseq_admission_wait_us_count 1".to_string()));
+        assert!(lines.contains(&"simseq_admission_wait_us_max_us 700".to_string()));
         assert!(lines.contains(&"simseq_slow_queries_total 0".to_string()));
     }
 

@@ -10,6 +10,7 @@
 
 use simquery::prelude::*;
 use simwal::WalOp;
+use std::cell::Cell;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -278,7 +279,7 @@ impl Request {
             .next()
             .ok_or_else(|| ProtoError::bad("empty request"))?;
         let kv = KvTokens::collect(tokens)?;
-        match verb {
+        let request = match verb {
             "QUERY" => Ok(Self::Query(QueryParams {
                 ord: kv.req_parse("ord")?,
                 ma: kv.range_or("ma", (1, 8))?,
@@ -306,9 +307,11 @@ impl Request {
             "SYNC" => Ok(Self::Sync),
             "CHECKPOINT" => Ok(Self::Checkpoint),
             "INFO" => Ok(Self::Info),
-            "STATS" => Ok(Self::Stats {
-                reset: kv.get("reset") == Some("yes"),
-            }),
+            "STATS" => match kv.get("reset") {
+                None | Some("no") => Ok(Self::Stats { reset: false }),
+                Some("yes") => Ok(Self::Stats { reset: true }),
+                Some(_) => Err(ProtoError::bad("reset= must be yes or no")),
+            },
             "METRICS" => Ok(Self::Metrics),
             "TRACE" => Ok(Self::Trace {
                 n: kv.parse_or("n", 100)?,
@@ -324,7 +327,11 @@ impl Request {
             "QUIT" => Ok(Self::Quit),
             "EXPLAIN" => Err(ProtoError::bad("EXPLAIN wraps QUERY, KNN or JOIN")),
             other => Err(ProtoError::bad(format!("unknown verb `{other}`"))),
-        }
+        }?;
+        // A key the verb did not read would be a different request
+        // answered without an error.
+        kv.reject_unread(verb)?;
+        Ok(request)
     }
 }
 
@@ -1261,8 +1268,9 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Collected `key=value` tokens of one line.
-struct KvTokens<'a>(Vec<(&'a str, &'a str)>);
+/// Collected `key=value` tokens of one line, each with a mark set once
+/// a getter has read it.
+struct KvTokens<'a>(Vec<(&'a str, &'a str, Cell<bool>)>);
 
 impl<'a> KvTokens<'a> {
     fn collect(tokens: impl Iterator<Item = &'a str>) -> Result<Self, ProtoError> {
@@ -1271,13 +1279,29 @@ impl<'a> KvTokens<'a> {
             let (k, v) = t
                 .split_once('=')
                 .ok_or_else(|| ProtoError::bad(format!("token `{t}` is not key=value")))?;
-            kv.push((k, v));
+            kv.push((k, v, Cell::new(false)));
         }
         Ok(Self(kv))
     }
 
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        let (_, v, read) = self.0.iter().find(|(k, ..)| *k == key)?;
+        read.set(true);
+        Some(v)
+    }
+
+    /// Requests only (responses stay lenient, so new keys reach old
+    /// clients): fails on a key given twice or one `verb` never read.
+    fn reject_unread(&self, verb: &str) -> Result<(), ProtoError> {
+        for (i, (k, _, read)) in self.0.iter().enumerate() {
+            if self.0[..i].iter().any(|(earlier, ..)| earlier == k) {
+                return Err(ProtoError::bad(format!("{k}= given twice")));
+            }
+            if !read.get() {
+                return Err(ProtoError::bad(format!("{verb} takes no {k}=")));
+            }
+        }
+        Ok(())
     }
 
     fn req(&self, key: &str) -> Result<&'a str, ProtoError> {
@@ -1323,8 +1347,8 @@ impl<'a> KvTokens<'a> {
     }
 
     fn threshold(&self) -> Result<WireThreshold, ProtoError> {
-        // Validated here, not in the worker: RangeSpec::correlation asserts
-        // its range and a panicking job must never reach the pool. The
+        // Validated here, not at execution: RangeSpec::correlation asserts
+        // its range and a request must never panic while it runs. The
         // validation itself lives in `Threshold::parse_args`, shared with
         // the CLI front end.
         match Threshold::parse_args(self.get("rho"), self.get("eps"))
@@ -1464,6 +1488,11 @@ mod tests {
             "QUERY ord=1 rho=0.9 eps=1",   // both thresholds
             "QUERY ord=1 engine=quantum",  // unknown engine
             "QUERY ord=1 junk",            // token without =
+            "QUERY ord=1 rh0=0.99",        // a key QUERY does not read
+            "QUERY ord=1 ord=2",           // a key given twice
+            "KNN ord=1 k=3 engine=mt",     // read by QUERY, not by KNN
+            "INFO verbose=yes",            // verbs without keys take none
+            "STATS reset=true",            // reset= is yes|no
             "KNN ord=1",                   // missing k
             "INSERT",                      // missing data
             "INSERT data=1,x,3",           // bad float in data
@@ -1480,6 +1509,9 @@ mod tests {
         ] {
             assert!(Request::parse(bad).is_err(), "should reject `{bad}`");
         }
+        let stray = Request::parse("QUERY ord=1 rh0=0.99").unwrap_err();
+        assert!(stray.to_string().contains("rh0="), "names the key: {stray}");
+        assert!(Request::parse("STATS reset=no").is_ok());
     }
 
     fn round_trip_response(resp: Response) {

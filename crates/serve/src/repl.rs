@@ -357,9 +357,9 @@ pub struct ReplPoll {
     pub wait_ms: u64,
 }
 
-/// Serves one `REPL` request on the primary. Runs inline on the
-/// connection thread (like `QUIT`): a long-poll parked in the bounded
-/// worker pool would starve query traffic.
+/// Serves one `REPL` request on the primary. Runs outside the admission
+/// gate (like `QUIT`): a long-poll parked in one of its bounded running
+/// slots would starve query traffic.
 pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPoll) -> Response {
     let _span = simobs::trace::span("repl.feed");
     let ReplPoll {

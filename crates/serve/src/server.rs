@@ -3,21 +3,22 @@
 //! Threading model:
 //!
 //! * one **acceptor** thread blocks on [`TcpListener::accept`];
-//! * each accepted connection gets a lightweight **handler** thread that
-//!   reads request lines, parses them, and *submits* execution to the
-//!   worker pool (capped at [`ServerConfig::max_conns`] concurrent
-//!   connections — beyond that the connection is greeted with
-//!   `ERR code=BUSY` and closed);
-//! * a fixed pool of **workers** executes requests against the shared
-//!   index and sends the response back to the handler over a one-shot
-//!   channel. The pool's queue is bounded: a full queue rejects the
-//!   request with `ERR code=BUSY` *before* any index work happens.
+//! * each accepted connection gets a **connection** thread that reads
+//!   request lines, parses them, and executes each request itself
+//!   (capped at [`ServerConfig::max_conns`] concurrent connections —
+//!   beyond that the connection is greeted with `ERR code=BUSY` and
+//!   closed);
+//! * before executing, a request passes the one admission
+//!   [`Gate`]: at most [`ServerConfig::workers`] requests execute at
+//!   once, at most [`ServerConfig::queue_depth`] wait for a slot in
+//!   arrival order, and the rest are refused with `ERR code=BUSY`
+//!   *before* any index work happens.
 //!
 //! Queries take the index's read lock (concurrent), `INSERT`/`DELETE`
 //! take the write lock (exclusive).
 
+use crate::admission::{Gate, Refused};
 use crate::metrics::{op_index, Registry};
-use crate::pool::{PushError, WorkerPool};
 use crate::protocol::{
     EngineKind, ErrCode, Request, Response, WireMatch, WireMetrics, WirePair, WireTraceEvent,
 };
@@ -28,8 +29,9 @@ use simquery::report::{JoinResult, QueryError};
 use simquery::shared::DurableError;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -38,9 +40,10 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads executing requests.
+    /// Requests executing at once.
     pub workers: usize,
-    /// Bounded request-queue depth (admission control threshold).
+    /// Requests waiting for an execution slot before the next is refused
+    /// with `ERR code=BUSY` (0 refuses every request).
     pub queue_depth: usize,
     /// Maximum concurrent connections.
     pub max_conns: usize,
@@ -90,7 +93,7 @@ pub struct ServerHandle {
     /// Shared metrics, exposed for in-process inspection.
     pub metrics: Arc<Registry>,
     repl: Arc<ReplState>,
-    pool: Arc<WorkerPool>,
+    gate: Arc<Gate>,
 }
 
 impl ServerHandle {
@@ -100,20 +103,18 @@ impl ServerHandle {
     pub fn repl(&self) -> &Arc<ReplState> {
         &self.repl
     }
-}
 
-impl ServerHandle {
     /// Graceful shutdown: stops accepting, joins the acceptor, then
-    /// drains the worker pool — already-admitted requests finish and
-    /// answer their clients, later submissions from still-open
-    /// connections get the typed shutting-down error, and every worker
-    /// thread is joined before this returns.
+    /// closes the admission gate and waits it out — requests admitted
+    /// before the close, executing or waiting, finish and answer their
+    /// clients; later ones from still-open connections get the typed
+    /// shutting-down error.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
-        self.pool.drain();
+        self.gate.close_and_drain();
     }
 
     /// Blocks until the acceptor exits (i.e. forever, for a daemon).
@@ -147,7 +148,7 @@ pub fn serve_with(
     // server handle); the most recently started server wins the rate.
     simobs::trace::global().set_sample(cfg.trace_sample);
     let stop = Arc::new(AtomicBool::new(false));
-    let pool = Arc::new(WorkerPool::new(cfg.workers, cfg.queue_depth));
+    let gate = Arc::new(Gate::new(cfg.workers, cfg.queue_depth));
     let cache = Arc::new(PlanCache::with_floor(cfg.result_cache, cfg.cache_floor));
     let repl = Arc::new(match follower {
         Some(stats) => ReplState::follower(stats),
@@ -157,7 +158,7 @@ pub fn serve_with(
     let max_conns = cfg.max_conns;
 
     let repl_handle = Arc::clone(&repl);
-    let pool_handle = Arc::clone(&pool);
+    let gate_handle = Arc::clone(&gate);
     let acceptor = {
         let (metrics, stop) = (Arc::clone(&metrics), Arc::clone(&stop));
         std::thread::Builder::new()
@@ -175,11 +176,8 @@ pub fn serve_with(
                     if live_conns.load(Ordering::SeqCst) >= max_conns {
                         metrics.record_busy();
                         let mut w = BufWriter::new(&stream);
-                        let _ = Response::Err {
-                            code: ErrCode::Busy,
-                            msg: format!("connection limit {max_conns} reached"),
-                        }
-                        .write_to(&mut w);
+                        let msg = format!("connection limit {max_conns} reached");
+                        let _ = err(ErrCode::Busy, msg).write_to(&mut w);
                         let _ = w.flush();
                         continue;
                     }
@@ -187,7 +185,7 @@ pub fn serve_with(
                     live_conns.fetch_add(1, Ordering::SeqCst);
                     let backend = backend.clone();
                     let metrics = Arc::clone(&metrics);
-                    let pool = Arc::clone(&pool);
+                    let gate = Arc::clone(&gate);
                     let cache = Arc::clone(&cache);
                     let repl = Arc::clone(&repl);
                     let live_conns = Arc::clone(&live_conns);
@@ -199,7 +197,7 @@ pub fn serve_with(
                                 .map(|a| a.to_string())
                                 .unwrap_or_else(|_| "unknown".into());
                             let _ = handle_connection(
-                                stream, &backend, &metrics, &pool, &cache, &repl, &peer,
+                                stream, &backend, &metrics, &gate, &cache, &repl, &peer,
                             );
                             repl.drop_peer(&peer);
                             live_conns.fetch_sub(1, Ordering::SeqCst);
@@ -214,106 +212,93 @@ pub fn serve_with(
         acceptor,
         metrics,
         repl: repl_handle,
-        pool: pool_handle,
+        gate: gate_handle,
     })
 }
 
 fn handle_connection(
     stream: TcpStream,
     backend: &Backend,
-    metrics: &Arc<Registry>,
-    pool: &Arc<WorkerPool>,
-    cache: &Arc<PlanCache>,
-    repl: &Arc<ReplState>,
+    metrics: &Registry,
+    gate: &Gate,
+    cache: &PlanCache,
+    repl: &ReplState,
     peer: &str,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // Bytes, not `read_line`: an undecodable line is the client's
+        // error to be told about, not an I/O error ending the connection.
+        if reader.read_until(b'\n', &mut line)? == 0 {
             return Ok(()); // client hung up
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::parse(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                Response::Err {
-                    code: ErrCode::BadRequest,
-                    msg: e.to_string(),
-                }
-                .write_to(&mut writer)?;
-                writer.flush()?;
-                continue;
-            }
+        let request = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => Request::parse(text).map_err(|e| e.to_string()),
+            Err(_) => Err("request line is not valid UTF-8".into()),
         };
-        if matches!(request, Request::Quit) {
-            Response::Ok.write_to(&mut writer)?;
-            writer.flush()?;
-            return Ok(());
-        }
-        if let Request::Repl {
-            epoch,
-            from,
-            ack,
-            max,
-            wait_ms,
-        } = request
-        {
-            // Served inline, like QUIT: a long-poll parked in the
-            // bounded worker pool would starve query traffic.
-            let start = Instant::now();
-            let poll = ReplPoll {
+        let response = match request {
+            Err(msg) => err(ErrCode::BadRequest, msg),
+            Ok(Request::Quit) => {
+                Response::Ok.write_to(&mut writer)?;
+                return writer.flush();
+            }
+            Ok(Request::Repl {
                 epoch,
                 from,
                 ack,
                 max,
                 wait_ms,
-            };
-            let response = serve_repl(backend, repl, peer, poll);
-            let is_err = matches!(response, Response::Err { .. });
-            metrics.record(op_index("repl"), start.elapsed(), is_err);
-            response.write_to(&mut writer)?;
-            writer.flush()?;
-            continue;
-        }
-
-        // Hand execution to the worker pool; a full queue is an immediate
-        // BUSY error — the admission-control contract.
-        let (tx, rx) = mpsc::channel::<Response>();
-        let job = {
-            let backend = backend.clone();
-            let metrics = Arc::clone(metrics);
-            let cache = Arc::clone(cache);
-            let repl = Arc::clone(repl);
-            Box::new(move || {
-                let op = op_index(request.op_name());
+            }) => {
+                // Served outside the gate, like QUIT: a long-poll parked
+                // in a running slot would starve query traffic.
                 let start = Instant::now();
-                let response = execute(&backend, &metrics, &cache, &repl, request);
+                let poll = ReplPoll {
+                    epoch,
+                    from,
+                    ack,
+                    max,
+                    wait_ms,
+                };
+                let response = serve_repl(backend, repl, peer, poll);
                 let is_err = matches!(response, Response::Err { .. });
-                metrics.record(op, start.elapsed(), is_err);
-                let _ = tx.send(response);
-            })
-        };
-        let response = match pool.submit(job) {
-            Ok(()) => rx.recv().unwrap_or(Response::Err {
-                code: ErrCode::Server,
-                msg: "worker dropped the request".into(),
-            }),
-            Err(PushError::Full) => {
-                metrics.record_busy();
-                Response::Err {
-                    code: ErrCode::Busy,
-                    msg: format!("request queue full (depth {})", pool.queue_depth()),
+                metrics.record(op_index("repl"), start.elapsed(), is_err);
+                response
+            }
+            Ok(request) => {
+                let asked = Instant::now();
+                let admitted = gate.enter();
+                metrics.admission_wait().record(asked.elapsed());
+                match admitted {
+                    // The permit covers execution, not the write below: a
+                    // slow reader must not hold a running slot.
+                    Ok(_permit) => {
+                        let op = op_index(request.op_name());
+                        let start = Instant::now();
+                        // A panicking request costs its client one response;
+                        // the connection and (through the permit's drop) the
+                        // slot survive.
+                        let response = catch_unwind(AssertUnwindSafe(|| {
+                            execute(backend, metrics, cache, repl, request)
+                        }))
+                        .unwrap_or_else(|_| err(ErrCode::Server, "the request panicked"));
+                        let is_err = matches!(response, Response::Err { .. });
+                        metrics.record(op, start.elapsed(), is_err);
+                        response
+                    }
+                    // A full line is an immediate BUSY error — the
+                    // admission-control contract.
+                    Err(Refused::Full) => {
+                        metrics.record_busy();
+                        let msg = format!("request queue full (depth {})", gate.waiting());
+                        err(ErrCode::Busy, msg)
+                    }
+                    Err(Refused::Closed) => err(ErrCode::Server, "server shutting down"),
                 }
             }
-            Err(PushError::Closed) => Response::Err {
-                code: ErrCode::Server,
-                msg: "server shutting down".into(),
-            },
         };
         response.write_to(&mut writer)?;
         writer.flush()?;
@@ -474,7 +459,7 @@ fn execute(
                 Err(e) => durable_err(e),
             }
         }
-        // Both handled on the connection thread, never submitted here.
+        // Both answered outside the admission gate, never executed here.
         Request::Repl { .. } | Request::Quit => Response::Ok,
     }
 }

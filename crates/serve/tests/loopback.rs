@@ -10,7 +10,7 @@ use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::server::{serve, ServerConfig, ServerHandle};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 fn start(n: usize, seed: u64) -> (SharedIndex, ServerHandle) {
@@ -201,6 +201,10 @@ fn error_frames_for_bad_input() {
         "QUERY ord=1 rho=2",
         "JOIN rho=-1.5",
         "QUERY ord=1 eps=-3",
+        // Keys the verb does not read would silently change the request.
+        "QUERY ord=1 rh0=0.99",
+        "QUERY ord=1 ord=2",
+        "STATS reset=true",
     ] {
         let response = client.call_raw(bad).unwrap();
         assert!(
@@ -217,6 +221,18 @@ fn error_frames_for_bad_input() {
     let info = client.info().unwrap();
     assert!(info.is_ok(), "connection survives malformed input");
     client.quit().unwrap();
+
+    // A line that is not UTF-8 gets a typed error too, and the same
+    // connection then serves INFO.
+    let mut raw = TcpStream::connect(handle.addr).unwrap();
+    raw.write_all(b"QUERY ord=\xff\nINFO\n").unwrap();
+    let mut replies = BufReader::new(raw);
+    match Response::read_from(&mut replies).unwrap() {
+        Response::Err { code, .. } => assert_eq!(code, ErrCode::BadRequest),
+        other => panic!("an undecodable line must answer BADREQ, got {other:?}"),
+    }
+    let info = Response::read_from(&mut replies).unwrap();
+    assert!(matches!(&info, Response::Info(_)), "{info:?}");
     handle.shutdown();
 }
 

@@ -1,7 +1,7 @@
 //! Graceful-shutdown drain: `ServerHandle::shutdown` must stop
 //! accepting, let every in-flight (and already-queued) request finish
-//! and answer its client, reject late submissions with the typed
-//! shutting-down error, and join every worker thread before returning.
+//! and answer its client, and reject late submissions with the typed
+//! shutting-down error.
 //! Admission control stays intact right up to the close: a full queue
 //! still answers `ERR code=BUSY`.
 
@@ -57,6 +57,7 @@ fn shutdown_drains_in_flight_and_queued_requests() {
     let shared = SharedIndex::new(SeqIndex::build(&corpus, IndexConfig::default()).unwrap());
     let handle = serve(shared, &drain_config()).unwrap();
     let addr = handle.addr;
+    let metrics = std::sync::Arc::clone(&handle.metrics);
 
     // A: the in-flight request — a slow JOIN the single worker picks up.
     let a = std::thread::spawn(move || {
@@ -110,6 +111,16 @@ fn shutdown_drains_in_flight_and_queued_requests() {
         Response::Matches { .. } => {}
         other => panic!("the queued QUERY must complete through the drain, got {other:?}"),
     }
+
+    // The admission gate timed it: A and B were both admitted, and B
+    // sat behind the JOIN from before C's BUSY until the JOIN finished.
+    let wait = metrics.admission_wait();
+    assert!(wait.count() >= 2, "A and B passed the gate");
+    assert!(
+        wait.max_us() >= 50_000,
+        "B waited behind the JOIN, max {} µs",
+        wait.max_us()
+    );
 
     // Stopped accepting: the listener is gone.
     assert!(

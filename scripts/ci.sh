@@ -18,6 +18,10 @@
 #                           # frame boundary, FailoverClient through the
 #                           # seeded ChaosProxy (fixed seed matrix
 #                           # 0xC0FFEE1..3), graceful-shutdown drain
+#   scripts/ci.sh serve     # tier-2: the suites that pin admission
+#                           # (workers/queue/BUSY), the shutdown drain
+#                           # and STATS over the wire, plus simserve's
+#                           # unit tests (the admission gate's among them)
 #   scripts/ci.sh e2e       # tier-2: builds the benchmark (e2ebench/, a
 #                           # workspace of its own that no PR may edit)
 #                           # against the workspace crates and runs its
@@ -51,6 +55,11 @@ obs|-p simserve --test metrics_parity|
 failover|-p simserve --test failover_promotion|promotion at every frame boundary + fencing
 failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3)
 failover|-p simserve --test shutdown_drain|graceful-shutdown drain
+serve|-p simserve --lib|admission gate, protocol and metrics unit tests
+serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 0
+serve|-p simserve --test serve_load|8-connection parity, BUSY counted not fatal
+serve|-p simserve --test sharded_loopback|the same wire over a shard group
+serve|-p simserve --test shutdown_drain|drain answers admitted requests, times the gate
 e2e|--manifest-path e2ebench/Cargo.toml|the benchmark builds against the workspace crates and its smoke passes
 '
 
@@ -96,7 +105,7 @@ obs_overhead_gate() {
 }
 
 case "$stage" in
-chaos | recovery | parity | replication | failover | e2e)
+chaos | recovery | parity | replication | failover | serve | e2e)
     run_stage "$stage"
     ;;
 obs)
@@ -122,7 +131,7 @@ all)
     cargo test --offline --manifest-path e2ebench/Cargo.toml --no-run
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|e2e]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|e2e]" >&2
     exit 2
     ;;
 esac
