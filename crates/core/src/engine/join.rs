@@ -6,7 +6,9 @@
 //! from the correlation threshold through Eq. 9 — the paper's ρ ≥ 0.99
 //! becomes ε = √(2(n−1−0.99n)). The MT variant applies the transformation
 //! MBR to *both* rectangles of every node pair before testing overlap,
-//! exactly as §4.1 describes for join queries.
+//! exactly as §4.1 describes for join queries. The ST variant is the same
+//! loop over the family's singleton rectangles, one self-join per
+//! transformation (see [`crate::engine::stindex`]).
 
 use crate::engine::{check_family, CandidateCache};
 use crate::feature::SeqFeatures;
@@ -14,9 +16,7 @@ use crate::index::SeqIndex;
 use crate::query::{Filter, RangeSpec};
 use crate::report::{EngineMetrics, JoinMatch, JoinResult, QueryError};
 use crate::tmbr::TransformMbr;
-use crate::transform::Family;
-#[allow(unused_imports)] // used by paired joins below
-use crate::transform::Transform;
+use crate::transform::{Family, Transform};
 use std::time::Instant;
 
 /// Query 2 by nested-loop scan: all `|S|·(|S|−1)/2` pairs × all
@@ -75,48 +75,7 @@ pub fn st_join(
     family: &Family,
     spec: &RangeSpec,
 ) -> Result<JoinResult, QueryError> {
-    let start = Instant::now();
-    check_family(family, index.seq_len())?;
-    let eps = spec.epsilon(index.seq_len());
-    let filter = Filter::new(eps, spec.policy);
-
-    let before = index.counters();
-    let mut metrics = EngineMetrics::default();
-    let mut matches = Vec::new();
-    let mut cache = CandidateCache::new(index);
-
-    for (ti, t) in family.transforms().iter().enumerate() {
-        let mut pairs = Vec::new();
-        let stats = index.self_join(
-            |r1, r2| filter.hit(&t.apply_rect(r1), &t.apply_rect(r2)),
-            |_, d1, _, d2| pairs.push((d1 as usize, d2 as usize)),
-        )?;
-        metrics.node_accesses += stats.nodes_accessed;
-        metrics.leaf_accesses += stats.leaf_nodes_accessed;
-        metrics.candidates += pairs.len() as u64;
-        for (sa, sb) in pairs {
-            let d = {
-                let fa = cache.get(sa)?;
-                let fb = cache.get(sb)?;
-                t.transformed_distance(&fa, &fb)
-            };
-            metrics.comparisons += 1;
-            if d < eps {
-                let (seq_a, seq_b) = (sa.min(sb), sa.max(sb));
-                matches.push(JoinMatch {
-                    seq_a,
-                    seq_b,
-                    transform: ti,
-                    dist: d,
-                });
-            }
-        }
-    }
-    let after = index.counters();
-    metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = cache.touches;
-    metrics.wall = start.elapsed();
-    Ok(JoinResult { matches, metrics })
+    mt_join_with_mbrs(index, family, spec, &TransformMbr::singletons(family))
 }
 
 /// Query 2 by MT-index: one self-join per transformation rectangle, with
@@ -315,12 +274,7 @@ pub fn scan_join_paired(
 }
 
 /// `D(L(x), R(y))` over full spectra.
-fn pair_spectrum_distance(
-    lt: &crate::transform::Transform,
-    rt: &crate::transform::Transform,
-    x: &SeqFeatures,
-    y: &SeqFeatures,
-) -> f64 {
+fn pair_spectrum_distance(lt: &Transform, rt: &Transform, x: &SeqFeatures, y: &SeqFeatures) -> f64 {
     let tx = lt.apply_spectrum(&x.spectrum);
     let ty = rt.apply_spectrum(&y.spectrum);
     tx.iter()

@@ -3,8 +3,16 @@
 //! | module | paper name | index traversals | comparisons |
 //! |--------|-----------|------------------|-------------|
 //! | [`seqscan`] | sequential-scan | 0 (full relation scan) | `|S|·|T|` |
-//! | [`stindex`] | ST-index | `|T|` | `Σ_t cands(t)` |
+//! | [`stindex`] | ST-index | `|T|` (one singleton rectangle each) | `Σ_t cands(t)` |
 //! | [`mtindex`] | MT-index (Algorithm 1) | `k` (number of MBRs) | `Σ_r cands(r)·NT(r)` |
+//!
+//! The two index rows are one executor: ST-index is MT-index over the
+//! singleton partitioning (`k = |T|`, `NT(rᵢ) = 1`), because Eq. 12 over a
+//! one-member rectangle reduces to the member's own `apply_rect`. The
+//! traverse → fetch → verify loop lives once, in
+//! [`mtindex::range_query_features`] (and [`join::mt_join_with_mbrs`] for
+//! Query 2); [`seqscan`] stays apart as the oracle the suites compare
+//! against.
 //!
 //! All three return identical result sets (property-tested under
 //! [`FilterPolicy::Safe`](crate::query::FilterPolicy)); they differ only in

@@ -10,10 +10,11 @@
 //! explore.
 
 use crate::engine::{check_family, verify_candidate, CandidateCache, VerifyMode};
+use crate::feature::FeatureVec;
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::partition::PartitionStrategy;
-use crate::query::{mt_query_region, Filter, RangeSpec};
+use crate::query::{mt_query_region, Filter, QueryMode, RangeSpec};
 use crate::report::{EngineMetrics, QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
@@ -117,31 +118,22 @@ pub fn range_query_features(
     let mut matches = Vec::new();
     let mut traversals = Vec::with_capacity(mbrs.len());
     let mut cache = CandidateCache::new(index);
+    let mode = match ordered {
+        Some(of) => VerifyMode::Ordered(of),
+        None => VerifyMode::Exhaustive,
+    };
 
     for mbr in mbrs {
-        // Step 1–2: the transformed query region for this rectangle.
-        let region = mt_query_region(mbr, &q.point, spec.mode);
-        // Steps 3–4: one descent, transforming every index rectangle.
         let mut candidates = Vec::new();
-        let stats = index.search(
-            |rect| filter.hit(&mbr.apply_to_rect(rect), &region),
-            |_, data| candidates.push(data as usize),
-        )?;
-        metrics.node_accesses += stats.nodes_accessed;
-        metrics.leaf_accesses += stats.leaf_nodes_accessed;
-        metrics.candidates += candidates.len() as u64;
-        traversals.push(RectTraversal {
-            da_all: stats.nodes_accessed,
-            da_leaf: stats.leaf_nodes_accessed,
-            candidates: candidates.len() as u64,
-            nt: mbr.nt(),
-        });
+        let traversal = traverse(index, mbr, &q.point, spec.mode, &filter, |seq| {
+            candidates.push(seq)
+        })?;
+        metrics.node_accesses += traversal.da_all;
+        metrics.leaf_accesses += traversal.da_leaf;
+        metrics.candidates += traversal.candidates;
+        traversals.push(traversal);
 
         // Step 5: retrieve full records and verify every member.
-        let mode = match ordered {
-            Some(of) => VerifyMode::Ordered(of),
-            None => VerifyMode::Exhaustive,
-        };
         for seq in candidates {
             let x = cache.get(seq)?;
             verify_candidate(
@@ -181,22 +173,37 @@ pub fn probe(
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
-    let mut out = Vec::with_capacity(mbrs.len());
-    for mbr in mbrs {
-        let region = mt_query_region(mbr, &q.point, spec.mode);
-        let mut candidates = 0u64;
-        let stats = index.search(
-            |rect| filter.hit(&mbr.apply_to_rect(rect), &region),
-            |_, _| candidates += 1,
-        )?;
-        out.push(RectTraversal {
-            da_all: stats.nodes_accessed,
-            da_leaf: stats.leaf_nodes_accessed,
-            candidates,
-            nt: mbr.nt(),
-        });
-    }
-    Ok(out)
+    mbrs.iter()
+        .map(|mbr| traverse(index, mbr, &q.point, spec.mode, &filter, |_| {}))
+        .collect()
+}
+
+/// Algorithm 1 steps 1–4 for one rectangle: the transformed query region,
+/// then one descent that transforms every index rectangle through Eq. 12
+/// and hands each surviving leaf entry to `on_candidate`.
+fn traverse(
+    index: &SeqIndex,
+    mbr: &TransformMbr,
+    q: &FeatureVec,
+    mode: QueryMode,
+    filter: &Filter,
+    mut on_candidate: impl FnMut(usize),
+) -> Result<RectTraversal, QueryError> {
+    let region = mt_query_region(mbr, q, mode);
+    let mut candidates = 0;
+    let stats = index.search(
+        |rect| filter.hit(&mbr.apply_to_rect(rect), &region),
+        |_, data| {
+            candidates += 1;
+            on_candidate(data as usize);
+        },
+    )?;
+    Ok(RectTraversal {
+        da_all: stats.nodes_accessed,
+        da_leaf: stats.leaf_nodes_accessed,
+        candidates,
+        nt: mbr.nt(),
+    })
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@ use crate::feature::SeqFeatures;
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::query::RangeSpec;
-use crate::report::{EngineMetrics, QueryError, QueryResult};
+use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
 use crate::transform::Family;
+use pagestore::PageError;
 use std::time::Instant;
 use tseries::TimeSeries;
 
@@ -19,7 +20,7 @@ pub fn range_query(
     family: &Family,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    run(index, query, family, spec, VerifyMode::Exhaustive)
+    run(index, query, family, spec, VerifyMode::Exhaustive, 1)
 }
 
 /// Sequential scan over an *ordered* family (§4.4): `|S|·log|T|`
@@ -30,13 +31,8 @@ pub fn range_query_ordered(
     ordered: &OrderedFamily,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    run(
-        index,
-        query,
-        ordered.family(),
-        spec,
-        VerifyMode::Ordered(ordered),
-    )
+    let mode = VerifyMode::Ordered(ordered);
+    run(index, query, ordered.family(), spec, mode, 1)
 }
 
 /// A multi-threaded sequential scan: the relation is partitioned into
@@ -52,61 +48,77 @@ pub fn range_query_parallel(
     threads: usize,
 ) -> Result<QueryResult, QueryError> {
     assert!(threads >= 1, "need at least one thread");
+    run(index, query, family, spec, VerifyMode::Exhaustive, threads)
+}
+
+fn run(
+    index: &SeqIndex,
+    query: &TimeSeries,
+    family: &Family,
+    spec: &RangeSpec,
+    mode: VerifyMode<'_>,
+    threads: usize,
+) -> Result<QueryResult, QueryError> {
     let start = Instant::now();
     check_family(family, index.seq_len())?;
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
     let members: Vec<usize> = (0..family.len()).collect();
 
+    // One disjoint ordinal range: extract each row, try every member.
+    let scan_chunk = |lo: usize, hi: usize| -> Result<(Vec<Match>, u64), PageError> {
+        let mut matches = Vec::new();
+        let mut comparisons = 0;
+        index.scan_range(lo, hi, |ordinal, ts| {
+            let Some(x) = SeqFeatures::extract(&ts) else {
+                return; // degenerate rows cannot match a normal-form query
+            };
+            verify_candidate(
+                family,
+                &members,
+                mode,
+                spec.mode,
+                ordinal,
+                &x,
+                &q,
+                eps,
+                &mut comparisons,
+                &mut matches,
+            );
+        })?;
+        Ok((matches, comparisons))
+    };
+
     let before = index.counters();
     let n = index.len();
-    let chunk = n.div_ceil(threads);
-    type WorkerResult = Result<(Vec<crate::report::Match>, u64), pagestore::PageError>;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
-                let (q, members) = (&q, &members);
-                scope.spawn(move || {
-                    let mut matches = Vec::new();
-                    let mut comparisons = 0;
-                    index.scan_range(lo, hi, |ordinal, ts| {
-                        let Some(x) = SeqFeatures::extract(&ts) else {
-                            return;
-                        };
-                        verify_candidate(
-                            family,
-                            members,
-                            VerifyMode::Exhaustive,
-                            spec.mode,
-                            ordinal,
-                            &x,
-                            q,
-                            eps,
-                            &mut comparisons,
-                            &mut matches,
-                        );
-                    })?;
-                    Ok((matches, comparisons))
+    let results = if threads == 1 {
+        vec![scan_chunk(0, n)]
+    } else {
+        let chunk = n.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let scan_chunk = &scan_chunk;
+                    scope.spawn(move || scan_chunk(t * chunk, ((t + 1) * chunk).min(n)))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scan worker panicked"))
+                .collect()
+        })
+    };
 
     let mut matches = Vec::new();
     let mut comparisons = 0;
     // Workers stop at their first failed page; the query reports the first
-    // failure rather than a partial result.
+    // failure rather than a partial result. Chunks arrive in ordinal
+    // order, so the concatenation is sorted by (seq, transform).
     for worker in results {
         let (m, c) = worker?;
         matches.extend(m);
         comparisons += c;
     }
-    matches.sort_by_key(|a| (a.seq, a.transform));
     let after = index.counters();
 
     Ok(QueryResult {
@@ -118,55 +130,6 @@ pub fn range_query_parallel(
             record_fetches: after.record_fetches - before.record_fetches,
             comparisons,
             candidates: n as u64,
-            wall: start.elapsed(),
-        },
-    })
-}
-
-fn run(
-    index: &SeqIndex,
-    query: &TimeSeries,
-    family: &Family,
-    spec: &RangeSpec,
-    mode: VerifyMode<'_>,
-) -> Result<QueryResult, QueryError> {
-    let start = Instant::now();
-    check_family(family, index.seq_len())?;
-    let q = index.prepare_query(query)?;
-    let eps = spec.epsilon(index.seq_len());
-    let members: Vec<usize> = (0..family.len()).collect();
-
-    let before = index.counters();
-    let mut comparisons = 0;
-    let mut matches = Vec::new();
-    index.scan(|ordinal, ts| {
-        let Some(x) = SeqFeatures::extract(&ts) else {
-            return; // degenerate rows cannot match a normal-form query
-        };
-        verify_candidate(
-            family,
-            &members,
-            mode,
-            spec.mode,
-            ordinal,
-            &x,
-            &q,
-            eps,
-            &mut comparisons,
-            &mut matches,
-        );
-    })?;
-    let after = index.counters();
-
-    Ok(QueryResult {
-        matches,
-        metrics: EngineMetrics {
-            node_accesses: 0,
-            leaf_accesses: 0,
-            record_page_accesses: after.record_page_reads - before.record_page_reads,
-            record_fetches: after.record_fetches - before.record_fetches,
-            comparisons,
-            candidates: index.len() as u64,
             wall: start.elapsed(),
         },
     })
@@ -232,7 +195,11 @@ mod tests {
         for threads in [1usize, 2, 4, 7] {
             let a = range_query(&idx, &c.series()[11], &family, &spec).unwrap();
             let b = range_query_parallel(&idx, &c.series()[11], &family, &spec, threads).unwrap();
-            assert_eq!(a.sorted_pairs(), b.sorted_pairs(), "threads = {threads}");
+            // Same matches in the same (seq, transform) order.
+            let pairs = |r: &QueryResult| -> Vec<_> {
+                r.matches.iter().map(|m| (m.seq, m.transform)).collect()
+            };
+            assert_eq!(pairs(&a), pairs(&b), "threads = {threads}");
             assert_eq!(a.metrics.comparisons, b.metrics.comparisons);
         }
     }

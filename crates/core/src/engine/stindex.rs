@@ -3,63 +3,36 @@
 //! For every `t ∈ T`, apply `t` to the index (every rectangle met during
 //! the descent is transformed through `a⊙x + b`) and run a range search
 //! around `t(q)`; the union over `t` is the answer. Costs `|T|` traversals.
+//!
+//! That is MT-index over the *singleton* partitioning (`k = |T|`,
+//! `NT(rᵢ) = 1`, the left end of Fig. 8's axis), so [`range_query`] runs
+//! the one driver in [`mtindex`]. The identity is exact: a singleton has
+//! `mult_lo = mult_hi = a` and `add_lo = add_hi = b`, so Eq. 12 yields
+//! `b + min(a·lo, a·hi)` — `Transform::apply_rect`'s `min(a·lo + b,
+//! a·hi + b)`, because rounding is monotone
+//! (`proptests::singleton_mbr_is_the_transform` pins it bit for bit).
 
-use crate::engine::{check_family, pair_distance, CandidateCache};
+use crate::engine::{check_family, mtindex};
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::query::{st_query_region, Filter, RangeSpec};
 use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
+use crate::tmbr::TransformMbr;
 use crate::transform::Family;
 use std::time::Instant;
 use tseries::TimeSeries;
 
-/// Query 1 by ST-index.
+/// Query 1 by ST-index: one traversal per member transformation.
 pub fn range_query(
     index: &SeqIndex,
     query: &TimeSeries,
     family: &Family,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    let start = Instant::now();
-    check_family(family, index.seq_len())?;
-    let q = index.prepare_query(query)?;
-    let eps = spec.epsilon(index.seq_len());
-    let filter = Filter::new(eps, spec.policy);
-
-    let before = index.counters();
-    let mut metrics = EngineMetrics::default();
-    let mut matches = Vec::new();
-    let mut cache = CandidateCache::new(index);
-
-    for (ti, t) in family.transforms().iter().enumerate() {
-        let region = st_query_region(t, &q.point, spec.mode);
-        let mut candidates = Vec::new();
-        let stats = index.search(
-            |rect| filter.hit(&t.apply_rect(rect), &region),
-            |_, data| candidates.push(data as usize),
-        )?;
-        metrics.node_accesses += stats.nodes_accessed;
-        metrics.leaf_accesses += stats.leaf_nodes_accessed;
-        metrics.candidates += candidates.len() as u64;
-        for seq in candidates {
-            let x = cache.get(seq)?;
-            let d = pair_distance(t, &x, &q, spec.mode);
-            metrics.comparisons += 1;
-            if d < eps {
-                matches.push(Match {
-                    seq,
-                    transform: ti,
-                    dist: d,
-                });
-            }
-        }
-    }
-
-    let after = index.counters();
-    metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = cache.touches;
-    metrics.wall = start.elapsed();
-    Ok(QueryResult { matches, metrics })
+    let singletons = TransformMbr::singletons(family);
+    let (result, _) =
+        mtindex::range_query_with_mbrs(index, query, family, spec, &singletons, None)?;
+    Ok(result)
 }
 
 /// ST-index over an *ordered* family (§4.4, refined): since qualifying

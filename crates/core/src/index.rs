@@ -18,9 +18,6 @@ use tseries::{Corpus, TimeSeries};
 pub struct IndexConfig {
     /// Fanout override; defaults to the page capacity (78 at `D = 6`).
     pub fanout: Option<usize>,
-    /// Bulk-load with STR (fast, well-packed) instead of one-by-one
-    /// R*-tree insertion.
-    pub bulk: bool,
     /// Buffer-pool frames for the record heap.
     pub heap_pool_pages: usize,
 }
@@ -29,7 +26,6 @@ impl Default for IndexConfig {
     fn default() -> Self {
         Self {
             fanout: None,
-            bulk: true,
             heap_pool_pages: 64,
         }
     }
@@ -143,7 +139,9 @@ impl SeqIndex {
         };
         let leaf_capacity = params.max_entries;
 
-        let tree = build_tree(PagedStore::new_dyn(tree_device), params, items, config.bulk)?;
+        // Bulk-load with STR: fast and well-packed; later mutations go
+        // through one-by-one R*-tree insertion.
+        let tree = bulk_load_str(PagedStore::new_dyn(tree_device), params, items);
 
         Ok(Some(Self {
             tree,
@@ -409,23 +407,6 @@ impl SeqIndex {
     }
 }
 
-fn build_tree<S: rstartree::NodeStore<DIMS>>(
-    store: S,
-    params: Params,
-    items: Vec<(FRect, u64)>,
-    bulk: bool,
-) -> Result<RStarTree<DIMS, S>, PageError> {
-    if bulk {
-        Ok(bulk_load_str(store, params, items))
-    } else {
-        let mut tree = RStarTree::with_params(store, params);
-        for (rect, data) in items {
-            tree.insert(rect, data)?;
-        }
-        Ok(tree)
-    }
-}
-
 fn encode_record(ts: &TimeSeries, buf: &mut [u8]) {
     debug_assert_eq!(buf.len(), ts.len() * 8);
     for (chunk, v) in buf.chunks_exact_mut(8).zip(ts.values()) {
@@ -516,14 +497,12 @@ mod tests {
     fn insert_built_tree_matches_bulk_tree() {
         let c = corpus(120);
         let bulk = SeqIndex::build(&c, IndexConfig::default()).unwrap();
-        let incr = SeqIndex::build(
-            &c,
-            IndexConfig {
-                bulk: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        // STR needs one sequence to fix the length; the other 119 enter
+        // through one-by-one R*-tree insertion.
+        let mut incr = SeqIndex::build(&c.truncated(1), IndexConfig::default()).unwrap();
+        for ts in &c.series()[1..] {
+            incr.insert_series(ts).unwrap();
+        }
         incr.validate().unwrap();
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -1061,51 +1040,60 @@ mod persistence_tests {
     }
 }
 
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod open_robustness {
     use super::*;
-    use proptest::prelude::*;
+    use tseries::rng::SeededRng;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Up to `max` characters drawn from printable ASCII, newlines,
+    /// digits-heavy runs and a few multi-byte code points.
+    fn garbage(rng: &mut SeededRng, max: usize) -> String {
+        const EXTRA: [char; 6] = ['\n', ' ', '-', 'é', '∞', '\u{1F4C8}'];
+        (0..rng.random_range(0..=max))
+            .map(|_| match rng.random_range(0..4u32) {
+                0 => char::from(rng.random_range(b'0'..=b'9')),
+                1 => EXTRA[rng.random_range(0..EXTRA.len())],
+                _ => char::from(rng.random_range(b' '..=b'~')),
+            })
+            .collect()
+    }
 
-        /// Arbitrary bytes in meta.txt must produce an error, never a panic.
-        #[test]
-        fn garbage_meta_is_an_error(garbage in ".{0,400}") {
-            let dir = std::env::temp_dir()
-                .join("simquery_meta_fuzz")
-                .join(format!("{:x}", garbage.len() * 31 + garbage.bytes().map(u64::from).sum::<u64>() as usize));
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join("meta.txt"), &garbage).unwrap();
-            // tree.pg / records.pg absent or garbage — open must just Err.
-            std::fs::write(dir.join("tree.pg"), b"junk").ok();
-            std::fs::write(dir.join("records.pg"), b"junk").ok();
-            prop_assert!(SeqIndex::open(&dir, 8).is_err());
-            std::fs::remove_dir_all(&dir).ok();
+    /// Writes `meta` beside junk page files and opens the directory.
+    fn open_with_meta(tag: &str, case: usize, meta: &str) -> std::io::Result<SeqIndex> {
+        let dir = std::env::temp_dir()
+            .join(format!("simquery_meta_fuzz_{}", std::process::id()))
+            .join(format!("{tag}{case}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("meta.txt"), meta).unwrap();
+        std::fs::write(dir.join("tree.pg"), b"junk").unwrap();
+        std::fs::write(dir.join("records.pg"), b"junk").unwrap();
+        let opened = SeqIndex::open(&dir, 8);
+        std::fs::remove_dir_all(&dir).ok();
+        opened
+    }
+
+    /// Arbitrary bytes in meta.txt must produce an error, never a panic.
+    #[test]
+    fn garbage_meta_is_an_error() {
+        let mut rng = SeededRng::seed_from_u64(0x6A2B);
+        for case in 0..24 {
+            let meta = garbage(&mut rng, 400);
+            assert!(open_with_meta("garbage", case, &meta).is_err(), "{meta:?}");
         }
+    }
 
-        /// A valid header with corrupted numeric fields errors cleanly too.
-        #[test]
-        fn corrupted_fields_are_errors(
-            seq_len in ".{0,8}",
-            root in ".{0,8}",
-        ) {
-            let dir = std::env::temp_dir().join("simquery_meta_fuzz2").join(format!(
-                "{:x}",
-                seq_len.len() * 131 + root.len()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
+    /// A valid header with corrupted numeric fields errors cleanly too:
+    /// either field parsing fails or the page images are rejected.
+    #[test]
+    fn corrupted_fields_are_errors() {
+        let mut rng = SeededRng::seed_from_u64(0xC0FF);
+        for case in 0..24 {
+            let (seq_len, root) = (garbage(&mut rng, 8), garbage(&mut rng, 8));
             let meta = format!(
                 "simseq-index v1\nseq_len {seq_len}\nlen 1\ntree_root {root}\n\
                  tree_root_level 0\ntree_len 1\nparams 8 3 2\nskipped \nheap_pages 0\n"
             );
-            std::fs::write(dir.join("meta.txt"), meta).unwrap();
-            std::fs::write(dir.join("tree.pg"), b"junk").ok();
-            std::fs::write(dir.join("records.pg"), b"junk").ok();
-            // Either field parsing fails or the page images are rejected —
-            // never a panic.
-            prop_assert!(SeqIndex::open(&dir, 8).is_err());
-            std::fs::remove_dir_all(&dir).ok();
+            assert!(open_with_meta("fields", case, &meta).is_err(), "{meta:?}");
         }
     }
 }

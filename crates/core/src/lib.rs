@@ -63,7 +63,7 @@ pub mod subseq;
 pub mod tmbr;
 pub mod transform;
 
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod proptests;
 
 /// Everything a typical user needs.

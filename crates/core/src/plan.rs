@@ -24,6 +24,7 @@
 //!   plus a mutation counter, so any insert/delete invalidates cached
 //!   results without explicit bookkeeping.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -33,7 +34,7 @@ use pagestore::PAGE_SIZE;
 use tseries::TimeSeries;
 
 use crate::cost::{analytic_disk_accesses, CostModel};
-use crate::engine::{join, knn, mtindex, seqscan, stindex};
+use crate::engine::{join, knn, mtindex, seqscan};
 use crate::expr::SimilarityExpr;
 use crate::feature::{SeqFeatures, DIMS};
 use crate::index::SeqIndex;
@@ -341,30 +342,22 @@ impl Planner {
             Some(ts) => Some(index.prepare_query(ts)?),
             None => None,
         };
-        let candidates: [EngineChoice; 3] =
-            [EngineChoice::Scan, EngineChoice::St, EngineChoice::Mt];
-        let (mut best, mut best_est): (Option<EngineChoice>, Option<Estimate>) = (None, None);
-        match lq.engine {
-            EnginePref::Force(e) => {
-                let est = self.estimate(index, stats, lq, q.as_ref(), e)?;
-                return Ok(self.finish(e, est, ChosenBy::Forced));
-            }
-            EnginePref::Auto => {
-                for e in candidates {
-                    let est = self.estimate(index, stats, lq, q.as_ref(), e)?;
-                    if best_est.as_ref().is_none_or(|b| est.cost < b.cost) {
-                        best = Some(e);
-                        best_est = Some(est);
-                    }
-                }
+        let (engines, chosen_by) = match lq.engine {
+            EnginePref::Force(e) => (vec![e], ChosenBy::Forced),
+            EnginePref::Auto => (
+                vec![EngineChoice::Scan, EngineChoice::St, EngineChoice::Mt],
+                ChosenBy::CostModel,
+            ),
+        };
+        let mut best: Option<(EngineChoice, Estimate)> = None;
+        for e in engines {
+            let est = self.estimate(index, stats, lq, q.as_ref(), e)?;
+            if best.as_ref().is_none_or(|(_, b)| est.cost < b.cost) {
+                best = Some((e, est));
             }
         }
-        let engine = best.expect("three candidates priced");
-        Ok(self.finish(engine, best_est.expect("estimate"), ChosenBy::CostModel))
-    }
-
-    fn finish(&self, engine: EngineChoice, est: Estimate, chosen_by: ChosenBy) -> PhysicalPlan {
-        PhysicalPlan {
+        let (engine, est) = best.expect("at least one engine priced");
+        Ok(PhysicalPlan {
             engine,
             mbrs: est.mbrs,
             fanout: 1,
@@ -374,7 +367,7 @@ impl Planner {
             est_comparisons: est.comparisons,
             est_cost: est.cost,
             chosen_by,
-        }
+        })
     }
 
     /// Prices one engine alternative. Measured statistics win once the
@@ -410,71 +403,47 @@ impl Planner {
             }
         }
 
-        let est = match engine {
-            EngineChoice::Scan => {
-                // One heap pass plus |S|·|T| comparisons (Eq. 17 in
-                // spirit): records are seq_len f64s plus a small header.
-                let rec = (index.seq_len() * 8 + 16) as f64;
-                let per_page = (PAGE_SIZE as f64 / rec).floor().max(1.0);
-                let pages = (n_live / per_page).ceil();
-                let comparisons = n_live * nt;
-                Estimate {
-                    nodes: 0.0,
-                    pages,
-                    comparisons,
-                    cost: self.model.cda * pages + self.model.ccmp * comparisons,
-                    mbrs: Vec::new(),
-                }
-            }
-            EngineChoice::St => {
-                let shape = stats.tree_shape(index).map_err(QueryError::Io)?;
-                let eps = lq.spec.epsilon(index.seq_len());
-                let e = expansion(eps, lq.spec.policy);
-                let mut widths = [0.0; DIMS];
-                for d in 0..DIMS {
-                    widths[d] = if e[d].is_finite() {
-                        2.0 * e[d]
-                    } else {
-                        shape.extent[d]
-                    };
-                }
-                // The analytical model is placement-blind (§4.3), so every
-                // transformation's traversal is priced identically.
-                let per = analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
-                let leaves = leaf_accesses(&shape, &widths);
-                let nodes = nt * per;
-                let comparisons = nt * leaves * index.leaf_capacity() as f64;
-                Estimate {
-                    nodes,
-                    pages: comparisons, // one candidate fetch per comparison
-                    comparisons,
-                    cost: self.model.cda * nodes + self.model.ccmp * comparisons,
-                    mbrs: Vec::new(),
-                }
-            }
-            EngineChoice::Mt => {
-                let shape = stats.tree_shape(index).map_err(QueryError::Io)?;
-                let eps = lq.spec.epsilon(index.seq_len());
-                let e = expansion(eps, lq.spec.policy);
-                let mut nodes = 0.0;
-                let mut comparisons = 0.0;
-                for mbr in &mbrs {
-                    let widths = mbr_widths(mbr, q, &e, &shape.extent, lq.spec.mode);
-                    nodes += analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
-                    comparisons += leaf_accesses(&shape, &widths)
-                        * index.leaf_capacity() as f64
-                        * mbr.nt() as f64;
-                }
-                Estimate {
-                    nodes,
-                    pages: comparisons / nt.max(1.0),
-                    comparisons,
-                    cost: self.model.cda * nodes + self.model.ccmp * comparisons,
-                    mbrs,
-                }
-            }
+        if engine == EngineChoice::Scan {
+            // One heap pass plus |S|·|T| comparisons (Eq. 17 in spirit):
+            // records are seq_len f64s plus a small header.
+            let rec = (index.seq_len() * 8 + 16) as f64;
+            let per_page = (PAGE_SIZE as f64 / rec).floor().max(1.0);
+            let pages = (n_live / per_page).ceil();
+            let comparisons = n_live * nt;
+            return Ok(Estimate {
+                nodes: 0.0,
+                pages,
+                comparisons,
+                cost: self.model.cda * pages + self.model.ccmp * comparisons,
+                mbrs,
+            });
+        }
+        // Eq. 20 over the plan's rectangles. ST's singletons have zero
+        // span, so each prices at the bare filter window `2·e` — the
+        // placement-blind per-transformation traversal of §4.3.
+        let shape = stats.tree_shape(index).map_err(QueryError::Io)?;
+        let e = expansion(lq.spec.epsilon(index.seq_len()), lq.spec.policy);
+        let (nodes, comparisons) = price_rects(
+            &shape,
+            &index_rects(engine, &mbrs, &lq.family),
+            q,
+            &e,
+            lq.spec.mode,
+            index.leaf_capacity() as f64,
+        );
+        // ST fetches one candidate per comparison; an MT candidate is
+        // fetched once for all the members it is verified against.
+        let pages = match engine {
+            EngineChoice::St => comparisons,
+            _ => comparisons / nt.max(1.0),
         };
-        Ok(est)
+        Ok(Estimate {
+            nodes,
+            pages,
+            comparisons,
+            cost: self.model.cda * nodes + self.model.ccmp * comparisons,
+            mbrs,
+        })
     }
 
     /// The §4.3 choice: evaluate a few candidate partitionings under the
@@ -520,13 +489,8 @@ impl Planner {
             let mut best: Option<(f64, Vec<TransformMbr>)> = None;
             for strat in &candidates {
                 let mbrs = partition(&lq.family, strat);
-                let mut cost = 0.0;
-                for mbr in &mbrs {
-                    let widths = mbr_widths(mbr, q, &e, &shape.extent, lq.spec.mode);
-                    let nodes = analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
-                    let cand = leaf_accesses(&shape, &widths) * ca_leaf * mbr.nt() as f64;
-                    cost += model.cda * nodes + model.ccmp * cand;
-                }
+                let (nodes, cmps) = price_rects(&shape, &mbrs, q, &e, lq.spec.mode, ca_leaf);
+                let cost = model.cda * nodes + model.ccmp * cmps;
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     best = Some((cost, mbrs));
                 }
@@ -534,6 +498,45 @@ impl Planner {
             best.expect("at least Single was priced").1
         }))
     }
+}
+
+/// The rectangles an index-driven plan traverses: the planner's
+/// partitioning when it chose one; otherwise ST is the singleton
+/// partitioning (`k = |T|`, `NT(rᵢ) = 1`) and MT the whole family in one
+/// rectangle (§5.1).
+fn index_rects<'a>(
+    engine: EngineChoice,
+    mbrs: &'a [TransformMbr],
+    family: &Family,
+) -> Cow<'a, [TransformMbr]> {
+    if !mbrs.is_empty() {
+        Cow::Borrowed(mbrs)
+    } else if engine == EngineChoice::St {
+        Cow::Owned(TransformMbr::singletons(family))
+    } else {
+        Cow::Owned(vec![TransformMbr::of_family(family)])
+    }
+}
+
+/// Eq. 20's analytical sums over a rectangle list: node accesses, and
+/// comparisons as `DA_leaf · CA_leaf · NT(rᵢ)`.
+fn price_rects(
+    shape: &crate::stats::TreeShape,
+    rects: &[TransformMbr],
+    q: Option<&SeqFeatures>,
+    e: &[f64; DIMS],
+    mode: QueryMode,
+    ca_leaf: f64,
+) -> (f64, f64) {
+    let (mut nodes, mut comparisons) = (0.0, 0.0);
+    for mbr in rects {
+        let widths = mbr_widths(mbr, q, e, &shape.extent, mode);
+        nodes += analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
+        // `summaries[0]` is the leaf level.
+        let leaves = analytic_disk_accesses(&shape.summaries[..1], &shape.extent, &widths);
+        comparisons += leaves * ca_leaf * mbr.nt() as f64;
+    }
+    (nodes, comparisons)
 }
 
 /// Window widths of one MT rectangle's traversal: the rectangle applied to
@@ -560,27 +563,6 @@ fn mbr_widths(
         }
     }
     widths
-}
-
-/// The leaf-level share of the analytical estimate.
-fn leaf_accesses(shape: &crate::stats::TreeShape, widths: &[f64; DIMS]) -> f64 {
-    shape
-        .summaries
-        .iter()
-        .filter(|l| l.level == 0)
-        .map(|l| {
-            let frac: f64 = (0..DIMS)
-                .map(|d| {
-                    if shape.extent[d] <= 0.0 {
-                        1.0
-                    } else {
-                        ((l.avg_extent[d] + widths[d]) / shape.extent[d]).min(1.0)
-                    }
-                })
-                .product();
-            l.nodes as f64 * frac
-        })
-        .sum()
 }
 
 /// The result of executing a physical plan.
@@ -616,43 +598,27 @@ pub fn execute_plan(
 ) -> Result<PlanOutput, QueryError> {
     let _span = simobs::trace::span("plan.execute");
     stats.note_dispatch(plan.engine);
+    let rects = || index_rects(plan.engine, &plan.mbrs, &lq.family);
     let out = match &lq.verb {
         LogicalVerb::Range => {
             let q = query.ok_or(QueryError::DegenerateQuery)?;
-            let result = match plan.engine {
+            PlanOutput::Range(match plan.engine {
                 EngineChoice::Scan => seqscan::range_query(index, q, &lq.family, &lq.spec)?,
-                EngineChoice::St => stindex::range_query(index, q, &lq.family, &lq.spec)?,
-                EngineChoice::Mt => {
-                    let mbrs: &[TransformMbr] = if plan.mbrs.is_empty() {
-                        &[TransformMbr::of_family(&lq.family)]
-                    } else {
-                        &plan.mbrs
-                    };
-                    mtindex::range_query_with_mbrs(index, q, &lq.family, &lq.spec, mbrs, None)?.0
+                _ => {
+                    mtindex::range_query_with_mbrs(index, q, &lq.family, &lq.spec, &rects(), None)?
+                        .0
                 }
-            };
-            PlanOutput::Range(result)
+            })
         }
         LogicalVerb::Knn { k } => {
             let q = query.ok_or(QueryError::DegenerateQuery)?;
             let (matches, metrics) = knn::knn(index, q, &lq.family, *k)?;
             PlanOutput::Knn(matches, metrics)
         }
-        LogicalVerb::Join => {
-            let result = match plan.engine {
-                EngineChoice::Scan => join::scan_join(index, &lq.family, &lq.spec)?,
-                EngineChoice::St => join::st_join(index, &lq.family, &lq.spec)?,
-                EngineChoice::Mt => {
-                    let mbrs: &[TransformMbr] = if plan.mbrs.is_empty() {
-                        &[TransformMbr::of_family(&lq.family)]
-                    } else {
-                        &plan.mbrs
-                    };
-                    join::mt_join_with_mbrs(index, &lq.family, &lq.spec, mbrs)?
-                }
-            };
-            PlanOutput::Join(result)
-        }
+        LogicalVerb::Join => PlanOutput::Join(match plan.engine {
+            EngineChoice::Scan => join::scan_join(index, &lq.family, &lq.spec)?,
+            _ => join::mt_join_with_mbrs(index, &lq.family, &lq.spec, &rects())?,
+        }),
     };
     let live = (index.len() - index.deleted_count()) as u64;
     let pairs = live * lq.family.len() as u64;
@@ -1054,6 +1020,115 @@ mod tests {
             .plan(&index, &stats, &lq, Some(&corpus.series()[0]))
             .unwrap();
         assert!((plan.est_nodes - fs.avg_nodes()).abs() < 1e-9);
+    }
+
+    /// The analytical estimates, spelled as the closed forms the planner
+    /// used when ST, MT and the §4.3 search each priced their own loop:
+    /// `price_rects` must reproduce them, and `auto` must pick the same
+    /// engine.
+    #[test]
+    fn analytic_estimates_match_the_per_engine_closed_forms() {
+        // Large and selective enough that the index engines beat the scan
+        // and price within 2 % of each other.
+        let n = 600.0;
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, n as usize, 64, 7);
+        let index = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
+        let q = &corpus.series()[3];
+        let qf = index.prepare_query(q).unwrap();
+        let spec = RangeSpec::correlation(0.975).with_policy(FilterPolicy::Adaptive);
+        let shape = StatsRegistry::new().tree_shape(&index).unwrap();
+        let e = expansion(spec.epsilon(64), spec.policy);
+        let model = CostModel::default();
+        let ca_leaf = index.leaf_capacity() as f64;
+        let leaves = |widths: &[f64; DIMS]| {
+            let level0: Vec<_> = shape
+                .summaries
+                .iter()
+                .filter(|l| l.level == 0)
+                .cloned()
+                .collect();
+            analytic_disk_accesses(&level0, &shape.extent, widths)
+        };
+        // (nodes, pages, comparisons, cost) per engine.
+        let st_form = |nt: f64| {
+            let mut widths = shape.extent;
+            for d in 0..DIMS {
+                if e[d].is_finite() {
+                    widths[d] = 2.0 * e[d];
+                }
+            }
+            let nodes = nt * analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
+            let cmps = nt * leaves(&widths) * ca_leaf;
+            [nodes, cmps, cmps, model.cda * nodes + model.ccmp * cmps]
+        };
+        let mt_form = |mbrs: &[TransformMbr], nt: f64| {
+            let (mut nodes, mut cmps) = (0.0, 0.0);
+            for mbr in mbrs {
+                let widths = mbr_widths(mbr, Some(&qf), &e, &shape.extent, spec.mode);
+                nodes += analytic_disk_accesses(&shape.summaries, &shape.extent, &widths);
+                cmps += leaves(&widths) * ca_leaf * mbr.nt() as f64;
+            }
+            [
+                nodes,
+                cmps / nt,
+                cmps,
+                model.cda * nodes + model.ccmp * cmps,
+            ]
+        };
+        let scan_form = |nt: f64| {
+            let pages = (n / (PAGE_SIZE as f64 / (64.0 * 8.0 + 16.0)).floor()).ceil();
+            let cmps = n * nt;
+            [0.0, pages, cmps, model.cda * pages + model.ccmp * cmps]
+        };
+        let plan_of = |fam: &Family, engine: EnginePref| {
+            let lq = LogicalQuery::range(fam.clone(), spec).with_engine(engine);
+            Planner::new()
+                .plan(&index, &StatsRegistry::new(), &lq, Some(q))
+                .unwrap()
+        };
+        let assert_pinned = |plan: &PhysicalPlan, want: [f64; 4], what: &str| {
+            let got = [
+                plan.est_nodes,
+                plan.est_pages,
+                plan.est_comparisons,
+                plan.est_cost,
+            ];
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 1e-9 * w.abs(),
+                    "{what}: {got:?} vs {want:?}"
+                );
+            }
+        };
+
+        let fam = Family::moving_averages(2..=9, 64);
+        let st = plan_of(&fam, EnginePref::Force(EngineChoice::St));
+        assert_eq!((st.engine, st.partitions()), (EngineChoice::St, 0));
+        assert_pinned(&st, st_form(8.0), "forced ST");
+
+        // Two members: §4.3 keeps the family in one rectangle.
+        let pair = Family::moving_averages(2..=3, 64);
+        let mt1 = plan_of(&pair, EnginePref::Force(EngineChoice::Mt));
+        assert_eq!((mt1.engine, mt1.partitions()), (EngineChoice::Mt, 1));
+        assert_pinned(&mt1, mt_form(&mt1.mbrs, 2.0), "forced single-rectangle MT");
+
+        let mt = plan_of(&fam, EnginePref::Force(EngineChoice::Mt));
+        let forms = [
+            (EngineChoice::Scan, scan_form(8.0)),
+            (EngineChoice::St, st_form(8.0)),
+            (EngineChoice::Mt, mt_form(&mt.mbrs, 8.0)),
+        ];
+        let (cheapest, want) = forms
+            .into_iter()
+            .min_by(|a, b| a.1[3].total_cmp(&b.1[3]))
+            .unwrap();
+        assert_eq!(cheapest, EngineChoice::Mt);
+        let auto = plan_of(&fam, EnginePref::Auto);
+        assert_eq!(
+            (auto.engine, auto.partitions()),
+            (cheapest, mt.partitions())
+        );
+        assert_pinned(&auto, want, "auto");
     }
 
     #[test]

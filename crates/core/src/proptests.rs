@@ -1,98 +1,161 @@
 #![allow(clippy::needless_range_loop)] // parallel-array loops over DIMS read clearer indexed
-//! Crate-wide property tests of the core geometric/algebraic invariants.
+//! Crate-wide property tests of the core geometric/algebraic invariants,
+//! run as seeded loops over [`tseries::rng`].
 
 use crate::feature::{FeatureVec, DIMS};
 use crate::query::{Filter, FilterPolicy};
 use crate::tmbr::TransformMbr;
 use crate::transform::{Family, Transform};
-use proptest::prelude::*;
 use rstartree::Rect;
+use std::f64::consts::PI;
+use tseries::rng::SeededRng;
 
-fn fvec() -> impl Strategy<Value = FeatureVec> {
-    // mean/std plain; magnitudes non-negative; angles within (−π, π].
-    let pi = std::f64::consts::PI;
-    (
-        -100f64..100.0,
-        0.1f64..50.0,
-        0f64..12.0,
-        -pi..pi,
-        0f64..8.0,
-        -pi..pi,
-    )
-        .prop_map(|(m, s, r1, t1, r2, t2)| [m, s, r1, t1, r2, t2])
+const CASES: usize = 64;
+
+/// Mean/std plain; magnitudes non-negative; angles within (−π, π].
+fn fvec(rng: &mut SeededRng) -> FeatureVec {
+    [
+        rng.random_range(-100f64..100.0),
+        rng.random_range(0.1f64..50.0),
+        rng.random_range(0f64..12.0),
+        rng.random_range(-PI..PI),
+        rng.random_range(0f64..8.0),
+        rng.random_range(-PI..PI),
+    ]
 }
 
-fn frect() -> impl Strategy<Value = Rect<DIMS>> {
-    (fvec(), prop::collection::vec(0f64..3.0, DIMS)).prop_map(|(lo, ext)| {
-        let mut hi = lo;
-        for (h, e) in hi.iter_mut().zip(&ext) {
-            *h += e;
-        }
-        Rect { lo, hi }
-    })
+fn frect(rng: &mut SeededRng) -> Rect<DIMS> {
+    let lo = fvec(rng);
+    let mut hi = lo;
+    for h in &mut hi {
+        *h += rng.random_range(0f64..3.0);
+    }
+    Rect { lo, hi }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Applying a single transformation's MBR to a point equals applying
-    /// the transformation — degenerate rectangles stay degenerate.
-    #[test]
-    fn single_member_mbr_is_the_transform(p in fvec(), m in 1usize..20) {
-        let fam = Family::moving_averages(1..=20, 64);
-        let mbr = TransformMbr::of(&fam, vec![m - 1]);
-        let rect = mbr.apply_to_point(&p);
-        let tp = fam.transforms()[m - 1].apply_point(&p);
-        for i in 0..DIMS {
-            prop_assert!((rect.lo[i] - tp[i]).abs() < 1e-9);
-            prop_assert!((rect.hi[i] - tp[i]).abs() < 1e-9);
-        }
+fn grown(r: &Rect<DIMS>, rng: &mut SeededRng, max: f64) -> Rect<DIMS> {
+    let mut big = *r;
+    for i in 0..DIMS {
+        let g = rng.random_range(0.0..max);
+        big.lo[i] -= g;
+        big.hi[i] += g;
     }
+    big
+}
 
-    /// Eq. 12 is monotone: a bigger data rectangle yields a bigger
-    /// transformed rectangle (the property the index descent relies on).
-    #[test]
-    fn apply_to_rect_is_monotone(r in frect(), grow in prop::collection::vec(0f64..2.0, DIMS)) {
-        let fam = Family::moving_averages(2..=9, 64).with_inverted();
-        let mbr = TransformMbr::of_family(&fam);
-        let mut big = r;
-        for i in 0..DIMS {
-            big.lo[i] -= grow[i];
-            big.hi[i] += grow[i];
-        }
-        let small_t = mbr.apply_to_rect(&r);
-        let big_t = mbr.apply_to_rect(&big);
-        prop_assert!(big_t.contains_rect(&small_t), "{small_t:?} not within {big_t:?}");
-    }
-
-    /// Filter monotonicity: growing either rectangle can only turn a miss
-    /// into a hit, never the reverse — under every policy.
-    #[test]
-    fn filter_hit_is_monotone(
-        a in frect(),
-        b in frect(),
-        grow in prop::collection::vec(0f64..1.5, DIMS),
-        eps in 0.1f64..5.0,
-    ) {
-        for policy in [FilterPolicy::Paper, FilterPolicy::Safe, FilterPolicy::Adaptive] {
-            let filter = Filter::new(eps, policy);
-            if filter.hit(&a, &b) {
-                let mut bigger = a;
-                for i in 0..DIMS {
-                    bigger.lo[i] -= grow[i];
-                    bigger.hi[i] += grow[i];
-                }
-                prop_assert!(filter.hit(&bigger, &b), "{policy:?} lost a hit when a grew");
+/// The guard ST-index leans on: Eq. 12 over a one-member rectangle is the
+/// member's own `apply_rect`, bit for bit — for smoothing, inverted,
+/// shifting, differencing and negatively scaled members alike.
+#[test]
+fn singleton_mbr_is_the_transform() {
+    let mut rng = SeededRng::seed_from_u64(0x51_7E);
+    let families = [
+        Family::moving_averages(1..=20, 64),
+        Family::moving_averages(5..=12, 128).with_inverted(),
+        Family::circular_shifts(0..=6, 64),
+        Family::momenta(1..=5, 128),
+        Family::scalings(&[-3.0, -0.5, 0.25, 1.0, 7.5], 32),
+    ];
+    for _ in 0..CASES {
+        let fam = &families[rng.random_range(0..families.len())];
+        let r = frect(&mut rng);
+        for (i, (mbr, t)) in TransformMbr::singletons(fam)
+            .iter()
+            .zip(fam.transforms())
+            .enumerate()
+        {
+            assert_eq!(mbr.members, [i]);
+            let (got, want) = (mbr.apply_to_rect(&r), t.apply_rect(&r));
+            for d in 0..DIMS {
+                assert_eq!(
+                    got.lo[d].to_bits(),
+                    want.lo[d].to_bits(),
+                    "{} lo",
+                    t.label()
+                );
+                assert_eq!(
+                    got.hi[d].to_bits(),
+                    want.hi[d].to_bits(),
+                    "{} hi",
+                    t.label()
+                );
             }
         }
     }
+}
 
-    /// Adaptive admits a subset of Safe and a superset of nothing it
-    /// shouldn't: any pair of points whose *true* complex distance over the
-    /// two stored coefficients is within ε/√2 must hit under Adaptive.
-    #[test]
-    fn adaptive_is_sound_on_points(x in fvec(), q in fvec(), eps in 0.2f64..6.0) {
-        use tsfft::Complex64;
+/// Eq. 12 is monotone: a bigger data rectangle yields a bigger
+/// transformed rectangle (the property the index descent relies on).
+#[test]
+fn apply_to_rect_is_monotone() {
+    let mut rng = SeededRng::seed_from_u64(0xE912);
+    let mbr = TransformMbr::of_family(&Family::moving_averages(2..=9, 64).with_inverted());
+    for _ in 0..CASES {
+        let r = frect(&mut rng);
+        let big = grown(&r, &mut rng, 2.0);
+        let (small_t, big_t) = (mbr.apply_to_rect(&r), mbr.apply_to_rect(&big));
+        assert!(
+            big_t.contains_rect(&small_t),
+            "{small_t:?} not within {big_t:?}"
+        );
+    }
+}
+
+/// Filter monotonicity: growing either rectangle can only turn a miss
+/// into a hit, never the reverse — under every policy.
+#[test]
+fn filter_hit_is_monotone() {
+    let mut rng = SeededRng::seed_from_u64(0xF117);
+    let mut hits = 0;
+    for case in 0..CASES {
+        let a = frect(&mut rng);
+        // Independent rectangles rarely meet; every other case puts `b`
+        // beside `a` so the premise holds often.
+        let b = if case % 2 == 0 {
+            frect(&mut rng)
+        } else {
+            grown(&a, &mut rng, 1.0)
+        };
+        let bigger = grown(&a, &mut rng, 1.5);
+        let eps = rng.random_range(0.1f64..5.0);
+        for policy in [
+            FilterPolicy::Paper,
+            FilterPolicy::Safe,
+            FilterPolicy::Adaptive,
+        ] {
+            let filter = Filter::new(eps, policy);
+            if filter.hit(&a, &b) {
+                hits += 1;
+                assert!(filter.hit(&bigger, &b), "{policy:?} lost a hit when a grew");
+            }
+        }
+    }
+    assert!(hits > CASES, "premise held {hits} times");
+}
+
+/// Adaptive never dismisses a qualifying pair: any two points whose
+/// *true* complex distance over the two stored coefficients is within
+/// ε/√2 must hit.
+#[test]
+fn adaptive_is_sound_on_points() {
+    use tsfft::Complex64;
+    let mut rng = SeededRng::seed_from_u64(0xADA9);
+    let mut qualifying = 0;
+    for case in 0..4 * CASES {
+        let x = fvec(&mut rng);
+        // Half the cases perturb x slightly so the premise holds often.
+        let q = if case % 2 == 0 {
+            fvec(&mut rng)
+        } else {
+            let mut q = x;
+            for v in &mut q {
+                *v += rng.random_range(-0.3f64..0.3);
+            }
+            q[2] = q[2].abs();
+            q[4] = q[4].abs();
+            q
+        };
+        let eps = rng.random_range(0.2f64..6.0);
         let per_coeff: f64 = [(2usize, 3usize), (4, 5)]
             .iter()
             .map(|&(md, ad)| {
@@ -103,42 +166,53 @@ proptest! {
         // If the full distance could be ≤ ε then (symmetry) the two-coeff
         // part is ≤ ε²/2.
         if per_coeff.sqrt() <= eps / std::f64::consts::SQRT_2 {
-            let filter = Filter::new(eps, FilterPolicy::Adaptive);
-            prop_assert!(
-                filter.hit(&Rect::point(x), &Rect::point(q)),
+            qualifying += 1;
+            assert!(
+                Filter::new(eps, FilterPolicy::Adaptive).hit(&Rect::point(x), &Rect::point(q)),
                 "Adaptive dismissed a qualifying pair: coeff dist {} vs {}",
                 per_coeff.sqrt(),
                 eps / std::f64::consts::SQRT_2
             );
         }
     }
+    assert!(qualifying > CASES / 2, "premise held {qualifying} times");
+}
 
-    /// Composition is associative on the feature action.
-    #[test]
-    fn composition_associative_on_features(p in fvec()) {
-        let a = Transform::moving_average(3, 64);
-        let b = Transform::circular_shift(2, 64);
-        let c = Transform::scaling(1.5, 64);
-        let left = a.compose(&b).compose(&c);
-        let right = a.compose(&b.compose(&c));
-        let lp = left.apply_point(&p);
-        let rp = right.apply_point(&p);
+/// Composition is associative on the feature action.
+#[test]
+fn composition_associative_on_features() {
+    let mut rng = SeededRng::seed_from_u64(0xA550C);
+    let a = Transform::moving_average(3, 64);
+    let b = Transform::circular_shift(2, 64);
+    let c = Transform::scaling(1.5, 64);
+    let left = a.compose(&b).compose(&c);
+    let right = a.compose(&b.compose(&c));
+    for _ in 0..CASES {
+        let p = fvec(&mut rng);
+        let (lp, rp) = (left.apply_point(&p), right.apply_point(&p));
         for i in 0..DIMS {
-            prop_assert!((lp[i] - rp[i]).abs() < 1e-9);
+            assert!((lp[i] - rp[i]).abs() < 1e-9);
         }
     }
+}
 
-    /// `apply_rect` of a degenerate rectangle equals `apply_point`, for
-    /// arbitrary (including negative-multiplier) transformations.
-    #[test]
-    fn apply_rect_point_consistency(p in fvec(), k in -4f64..4.0) {
-        prop_assume!(k.abs() > 1e-3);
+/// `apply_rect` of a degenerate rectangle equals `apply_point`, for
+/// arbitrary (including negative-multiplier) transformations.
+#[test]
+fn apply_rect_point_consistency() {
+    let mut rng = SeededRng::seed_from_u64(0x9017);
+    for _ in 0..CASES {
+        let p = fvec(&mut rng);
+        let k = rng.random_range(-4f64..4.0);
+        if k.abs() <= 1e-3 {
+            continue;
+        }
         let t = Transform::scaling(k, 64);
         let r = t.apply_rect(&Rect::point(p));
         let tp = t.apply_point(&p);
         for i in 0..DIMS {
-            prop_assert!((r.lo[i] - tp[i]).abs() < 1e-9);
-            prop_assert!((r.hi[i] - tp[i]).abs() < 1e-9);
+            assert!((r.lo[i] - tp[i]).abs() < 1e-9);
+            assert!((r.hi[i] - tp[i]).abs() < 1e-9);
         }
     }
 }

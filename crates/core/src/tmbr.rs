@@ -16,7 +16,7 @@
 //! against `Y` never dismiss a qualifying sequence.
 
 use crate::feature::{FRect, FeatureVec, DIMS};
-use crate::transform::{Family, Transform};
+use crate::transform::Family;
 use rstartree::Rect;
 
 /// The MBR of a set of transformations, pre-split into its multiplicative
@@ -75,14 +75,17 @@ impl TransformMbr {
         Self::of(family, (0..family.len()).collect())
     }
 
+    /// One rectangle per member: the ST-index end of §4.3's partitioning
+    /// axis (`k = |T|`, `NT(rᵢ) = 1`).
+    pub fn singletons(family: &Family) -> Vec<Self> {
+        (0..family.len())
+            .map(|i| Self::of(family, vec![i]))
+            .collect()
+    }
+
     /// `NT(r)` — the number of transformations inside this rectangle.
     pub fn nt(&self) -> usize {
         self.members.len()
-    }
-
-    /// The member transformations, borrowed from their family.
-    pub fn transforms<'a>(&'a self, family: &'a Family) -> impl Iterator<Item = &'a Transform> {
-        self.members.iter().map(move |&i| &family.transforms()[i])
     }
 
     /// Eq. 12 — applies the transformation rectangle to a data rectangle.

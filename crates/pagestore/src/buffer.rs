@@ -643,68 +643,51 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod shadow_model {
     use super::*;
     use crate::disk::Disk;
-    use proptest::prelude::*;
+    use tseries::rng::SeededRng;
 
     /// Randomized ops against a shadow map: whatever sequence of writes,
     /// reads, flushes and clears runs against the pool, reads must always
     /// see the latest written value, and after a flush the device must too.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Write { page: usize, value: u64 },
-        Read { page: usize },
-        Flush,
-        Clear,
-    }
-
-    fn op_strategy(pages: usize) -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0..pages, any::<u64>()).prop_map(|(page, value)| Op::Write { page, value }),
-            (0..pages).prop_map(|page| Op::Read { page }),
-            Just(Op::Flush),
-            Just(Op::Clear),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn pool_is_a_transparent_cache(
-            cap in 1usize..6,
-            ops in prop::collection::vec(op_strategy(8), 1..120),
-        ) {
+    #[test]
+    fn pool_is_a_transparent_cache() {
+        let mut rng = SeededRng::seed_from_u64(0xB0FF);
+        for _ in 0..48 {
             let disk = Arc::new(Disk::new());
             let ids: Vec<PageId> = (0..8).map(|_| disk.alloc()).collect();
-            let pool = BufferPool::new(Arc::clone(&disk), cap);
+            let pool = BufferPool::new(Arc::clone(&disk), rng.random_range(1..6usize));
             let mut shadow = [0u64; 8];
-            for op in ops {
-                match op {
-                    Op::Write { page, value } => {
-                        pool.with_page_mut(ids[page], |p| p.put_u64(0, value)).unwrap();
+            let device_matches = |shadow: &[u64; 8]| {
+                for (i, want) in shadow.iter().enumerate() {
+                    assert_eq!(disk.read(ids[i]).get_u64(0), *want);
+                }
+            };
+            for _ in 0..rng.random_range(1..120usize) {
+                let page = rng.random_range(0..8usize);
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        let value = rng.next_u64();
+                        pool.with_page_mut(ids[page], |p| p.put_u64(0, value))
+                            .unwrap();
                         shadow[page] = value;
                     }
-                    Op::Read { page } => {
+                    1 => {
                         let got = pool.with_page(ids[page], |p| p.get_u64(0)).unwrap();
-                        prop_assert_eq!(got, shadow[page], "read through the pool");
+                        assert_eq!(got, shadow[page], "read through the pool");
                     }
-                    Op::Flush => {
+                    2 => {
                         pool.flush_all().unwrap();
-                        for (i, want) in shadow.iter().enumerate() {
-                            prop_assert_eq!(disk.read(ids[i]).get_u64(0), *want);
-                        }
+                        device_matches(&shadow);
                     }
-                    Op::Clear => pool.clear().unwrap(),
+                    _ => pool.clear().unwrap(),
                 }
             }
             // Final flush: the device reflects every write.
             pool.flush_all().unwrap();
-            for (i, want) in shadow.iter().enumerate() {
-                prop_assert_eq!(disk.read(ids[i]).get_u64(0), *want);
-            }
+            device_matches(&shadow);
         }
     }
 }

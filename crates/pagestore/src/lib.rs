@@ -30,7 +30,6 @@ mod error;
 mod fault;
 mod filedisk;
 mod page;
-mod stats;
 pub mod sync;
 
 pub use buffer::{BufferPool, BufferStats, TRANSIENT_RETRIES};
@@ -39,4 +38,3 @@ pub use dynheap::{DynHeapFile, RecordId};
 pub use error::{PageError, PageErrorKind, PageOp};
 pub use fault::{FaultCounters, FaultKind, FaultPlan, FaultSpec, FaultyDisk, PlanParams, Trigger};
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use stats::AccessStats;

@@ -398,6 +398,16 @@ fn explain_reports_the_chosen_plan() {
     };
     assert_eq!(find(&forced, "engine"), "scan");
     assert_eq!(find(&forced, "chosen_by"), "forced");
+    // ST executes as the singleton partitioning, but its plan carries no
+    // rectangles: the wire keeps reporting none.
+    let Response::Plan(st) = client
+        .call_raw("EXPLAIN QUERY ord=0 ma=4..10 rho=0.95 engine=st")
+        .unwrap()
+    else {
+        panic!("forced ST EXPLAIN failed");
+    };
+    assert_eq!(find(&st, "engine"), "st");
+    assert_eq!(find(&st, "partitions"), "0");
 
     let Response::Plan(knn) = client.call_raw("EXPLAIN KNN ord=0 k=3 ma=4..10").unwrap() else {
         panic!("EXPLAIN KNN failed");

@@ -65,6 +65,18 @@ fn wire_results_match_single_backend() {
         assert_eq!(n2[0].seq, ord, "self is nearest");
     }
 
+    // k = 0 is the empty answer on both layouts, with nothing searched.
+    let empty = |c: &mut Client| match c.call_raw("KNN ord=0 k=0 ma=4..10").unwrap() {
+        Response::Matches {
+            n,
+            matches,
+            metrics,
+        } => (n, matches, metrics.nodes, metrics.fetches, metrics.cmps),
+        other => panic!("KNN k=0 answered {other:?}"),
+    };
+    assert_eq!(empty(&mut a), (0, Vec::new(), 0, 0, 0));
+    assert_eq!(empty(&mut b), empty(&mut a));
+
     a.quit().unwrap();
     b.quit().unwrap();
     h_single.shutdown();

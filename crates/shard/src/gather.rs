@@ -35,35 +35,11 @@
 
 use crate::index::ShardedIndex;
 use simquery::plan::{
-    self, EngineChoice, EnginePref, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner,
-    StageTimings,
+    self, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner, StageTimings,
 };
-use simquery::query::RangeSpec;
 use simquery::report::{EngineMetrics, Match, QueryError, QueryResult};
-use simquery::transform::Family;
 use std::time::Instant;
 use tseries::TimeSeries;
-
-/// Which single-index engine each shard runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// MT-index: one traversal, transformed MBRs applied per node.
-    Mt,
-    /// ST-index: one traversal per transformation.
-    St,
-    /// Sequential scan of the shard's heap.
-    Scan,
-}
-
-impl From<Engine> for EngineChoice {
-    fn from(e: Engine) -> Self {
-        match e {
-            Engine::Mt => EngineChoice::Mt,
-            Engine::St => EngineChoice::St,
-            Engine::Scan => EngineChoice::Scan,
-        }
-    }
-}
 
 /// Minimum recorded fragment executions before measured selectivity may
 /// reshape the scatter (mirrors the planner's own warm-up gate).
@@ -217,46 +193,6 @@ pub fn execute_range(
     Ok((plan, merged, per_shard))
 }
 
-/// Scatters a range query with a forced engine to every shard — the
-/// pre-planner entry point, kept for callers (and tests) that pin the
-/// engine themselves. Internally this is [`execute_range`] with
-/// [`EnginePref::Force`].
-pub fn range_query_detailed(
-    sharded: &ShardedIndex,
-    engine: Engine,
-    query: &TimeSeries,
-    family: &Family,
-    spec: &RangeSpec,
-) -> Result<(QueryResult, Vec<EngineMetrics>), QueryError> {
-    let lq =
-        LogicalQuery::range(family.clone(), *spec).with_engine(EnginePref::Force(engine.into()));
-    execute_range(sharded, &lq, query).map(|(_, r, per)| (r, per))
-}
-
-/// [`range_query_detailed`] without the per-shard breakdown.
-pub fn range_query(
-    sharded: &ShardedIndex,
-    engine: Engine,
-    query: &TimeSeries,
-    family: &Family,
-    spec: &RangeSpec,
-) -> Result<QueryResult, QueryError> {
-    range_query_detailed(sharded, engine, query, family, spec).map(|(r, _)| r)
-}
-
-/// Exact global kNN with bound propagation (see the module docs), also
-/// returning each shard's metrics. Matches are sorted by
-/// (distance, global ordinal) — the deterministic tie-break.
-pub fn knn_detailed(
-    sharded: &ShardedIndex,
-    query: &TimeSeries,
-    family: &Family,
-    k: usize,
-) -> Result<(Vec<Match>, EngineMetrics, Vec<EngineMetrics>), QueryError> {
-    let lq = LogicalQuery::knn(family.clone(), k);
-    execute_knn(sharded, &lq, query).map(|(_, m, t, per)| (m, t, per))
-}
-
 /// The distributed executor for a planned kNN query: the planner shapes
 /// the fan-out, then the τ-threaded bounded merge of the module docs runs
 /// the shards sequentially.
@@ -273,6 +209,13 @@ pub fn execute_knn(
     let mut plan = plan_fanout(sharded, lq, Some(query))?;
     // Bound propagation is inherently sequential; the plan records that.
     plan.threads = 1;
+    if k == 0 {
+        // Nothing to find: the empty answer a single index gives. The
+        // merge below reads `top[k - 1]`, so it needs k ≥ 1.
+        let per_shard = vec![EngineMetrics::default(); sharded.shards().len()];
+        let total = merge_metrics(&per_shard, start.elapsed());
+        return Ok((plan, Vec::new(), total, per_shard));
+    }
     let map = sharded.map_snapshot();
     let shards = sharded.shards();
 
@@ -336,22 +279,19 @@ pub fn execute_timed(
     Ok((plan, out, timings, per_shard))
 }
 
-/// [`knn_detailed`] without the per-shard breakdown.
-pub fn knn(
-    sharded: &ShardedIndex,
-    query: &TimeSeries,
-    family: &Family,
-    k: usize,
-) -> Result<(Vec<Match>, EngineMetrics), QueryError> {
-    knn_detailed(sharded, query, family, k).map(|(m, t, _)| (m, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cfg::ShardConfig;
     use simquery::index::IndexConfig;
+    use simquery::plan::{EngineChoice, EnginePref};
+    use simquery::query::RangeSpec;
+    use simquery::transform::Family;
     use tseries::{Corpus, CorpusKind};
+
+    fn forced(family: &Family, spec: RangeSpec, engine: EngineChoice) -> LogicalQuery {
+        LogicalQuery::range(family.clone(), spec).with_engine(EnginePref::Force(engine))
+    }
 
     fn fixtures(n: usize, shards: usize) -> (Corpus, ShardedIndex) {
         let c = Corpus::generate(CorpusKind::SyntheticWalks, n, 64, 23);
@@ -369,8 +309,8 @@ mod tests {
         let (c, s) = fixtures(90, 4);
         let family = Family::moving_averages(2..=6, 64);
         let spec = RangeSpec::correlation(0.9);
-        let (result, per_shard) =
-            range_query_detailed(&s, Engine::Mt, &c.series()[7], &family, &spec).unwrap();
+        let lq = forced(&family, spec, EngineChoice::Mt);
+        let (_, result, per_shard) = execute_range(&s, &lq, &c.series()[7]).unwrap();
         assert_eq!(per_shard.len(), 4);
         // Ordinal 7 matches itself under the identity-like mv2 window.
         assert!(result.matched_sequences().contains(&7));
@@ -385,7 +325,8 @@ mod tests {
     fn knn_finds_self_first() {
         let (c, s) = fixtures(60, 3);
         let family = Family::moving_averages(1..=4, 64);
-        let (top, _, per_shard) = knn_detailed(&s, &c.series()[31], &family, 3).unwrap();
+        let lq = LogicalQuery::knn(family, 3);
+        let (_, top, _, per_shard) = execute_knn(&s, &lq, &c.series()[31]).unwrap();
         assert_eq!(top[0].seq, 31);
         assert!(top[0].dist < 1e-9);
         assert_eq!(per_shard.len(), 3);
@@ -404,7 +345,8 @@ mod tests {
         // not-yet-mapped local ordinal; now such matches are dropped.
         let (c, s) = fixtures(64, 4);
         let family = Family::moving_averages(2..=4, 64);
-        let spec = RangeSpec::correlation(0.8);
+        let range = forced(&family, RangeSpec::correlation(0.8), EngineChoice::Scan);
+        let knn = LogicalQuery::knn(family, 3);
         std::thread::scope(|scope| {
             let sref = &s;
             let extra = Corpus::generate(CorpusKind::SyntheticWalks, 64, 64, 99);
@@ -414,13 +356,11 @@ mod tests {
                 }
             });
             for _ in 0..20 {
-                let (result, _) =
-                    range_query_detailed(sref, Engine::Scan, &c.series()[3], &family, &spec)
-                        .unwrap();
+                let (_, result, _) = execute_range(sref, &range, &c.series()[3]).unwrap();
                 for m in &result.matches {
                     assert!(m.seq < sref.len(), "translated past the live corpus");
                 }
-                let (top, _, _) = knn_detailed(sref, &c.series()[3], &family, 3).unwrap();
+                let (_, top, _, _) = execute_knn(sref, &knn, &c.series()[3]).unwrap();
                 assert_eq!(top[0].seq, 3);
             }
         });
@@ -467,7 +407,8 @@ mod tests {
     fn later_shards_are_pruned_by_the_bound() {
         let (c, s) = fixtures(400, 4);
         let family = Family::moving_averages(3..=5, 64);
-        let (_, _, per_shard) = knn_detailed(&s, &c.series()[0], &family, 2).unwrap();
+        let lq = LogicalQuery::knn(family, 2);
+        let (_, _, _, per_shard) = execute_knn(&s, &lq, &c.series()[0]).unwrap();
         let first = per_shard[0].candidates;
         let later: u64 = per_shard[1..].iter().map(|m| m.candidates).sum();
         // The unbounded first shard refines more candidates than the three

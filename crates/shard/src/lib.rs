@@ -30,7 +30,6 @@ pub mod partition;
 pub mod store;
 
 pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
-pub use gather::Engine;
 pub use index::{ShardError, ShardedIndex};
 pub use partition::{Partitioner, ShardMap};
 pub use store::Store;

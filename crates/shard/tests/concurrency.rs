@@ -3,8 +3,11 @@
 //! while it is held (see the write-guard starvation notes in
 //! `simquery::shared`).
 
+mod common;
+
 use simquery::engine::mtindex;
 use simquery::index::IndexConfig;
+use simquery::plan::EngineChoice;
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::transform::Family;
 use simshard::{PartitionerKind, ShardConfig, ShardedIndex};
@@ -97,8 +100,7 @@ fn mixed_traffic_stays_consistent() {
             scope.spawn(move || {
                 for i in 0..6 {
                     let q = &c.series()[(t * 13 + i) % 80];
-                    let r = simshard::gather::range_query(s, simshard::Engine::Mt, q, family, spec)
-                        .unwrap();
+                    let r = common::range_query(s, EngineChoice::Mt, q, family, spec).unwrap();
                     assert!(r.matched_sequences().iter().all(|&g| g < s.len()));
                 }
             });

@@ -9,14 +9,15 @@
 
 mod common;
 
-use common::{sharded, single, specs};
+use common::{knn, range_query, sharded, single, specs};
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice};
 use simquery::engine::{knn as knn_engine, mtindex, seqscan, stindex};
 use simquery::index::{IndexConfig, SeqIndex};
+use simquery::plan::EngineChoice;
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::report::QueryError;
 use simquery::transform::Family;
-use simshard::{gather, Engine, ShardConfig, ShardedIndex};
+use simshard::{ShardConfig, ShardedIndex};
 use std::sync::Arc;
 use tseries::{Corpus, CorpusKind, TimeSeries};
 
@@ -30,15 +31,15 @@ fn corpus() -> Corpus {
 
 fn single_range(
     index: &SeqIndex,
-    engine: Engine,
+    engine: EngineChoice,
     q: &TimeSeries,
     family: &Family,
     spec: &RangeSpec,
 ) -> Vec<(usize, usize)> {
     match engine {
-        Engine::Mt => mtindex::range_query(index, q, family, spec),
-        Engine::St => stindex::range_query(index, q, family, spec),
-        Engine::Scan => seqscan::range_query(index, q, family, spec),
+        EngineChoice::Mt => mtindex::range_query(index, q, family, spec),
+        EngineChoice::St => stindex::range_query(index, q, family, spec),
+        EngineChoice::Scan => seqscan::range_query(index, q, family, spec),
     }
     .unwrap()
     .sorted_pairs()
@@ -51,12 +52,12 @@ fn range_queries_identical_across_shard_counts() {
     let family = Family::moving_averages(2..=7, LEN);
     for shards in SHARD_COUNTS {
         let s = sharded(&c, shards);
-        for engine in [Engine::Mt, Engine::St, Engine::Scan] {
+        for engine in [EngineChoice::Mt, EngineChoice::St, EngineChoice::Scan] {
             for spec in specs() {
                 for qi in [3usize, 57, 111] {
                     let q = &c.series()[qi];
                     let want = single_range(&reference, engine, q, &family, &spec);
-                    let got = gather::range_query(&s, engine, q, &family, &spec)
+                    let got = range_query(&s, engine, q, &family, &spec)
                         .unwrap()
                         .sorted_pairs();
                     assert_eq!(
@@ -84,10 +85,10 @@ fn knn_identical_across_shard_counts() {
     for shards in SHARD_COUNTS {
         let s = sharded(&c, shards);
         for qi in [0usize, 44, 88] {
-            for k in [1usize, 5, 12] {
+            for k in [0usize, 1, 5, 12] {
                 let q = &c.series()[qi];
                 let (want, _) = knn_engine::knn(&reference, q, &family, k).unwrap();
-                let (got, _) = gather::knn(&s, q, &family, k).unwrap();
+                let (got, _) = knn(&s, q, &family, k).unwrap();
                 assert_eq!(
                     canon(&got),
                     canon(&want),
@@ -129,15 +130,15 @@ fn parity_survives_mutations() {
         }
         for qi in [8usize, 90] {
             let q = &c.series()[qi];
-            for engine in [Engine::Mt, Engine::St, Engine::Scan] {
+            for engine in [EngineChoice::Mt, EngineChoice::St, EngineChoice::Scan] {
                 let want = single_range(&reference, engine, q, &family, &spec);
-                let got = gather::range_query(&s, engine, q, &family, &spec)
+                let got = range_query(&s, engine, q, &family, &spec)
                     .unwrap()
                     .sorted_pairs();
                 assert_eq!(got, want, "post-mutation divergence at {shards} shards");
             }
             let (want, _) = knn_engine::knn(&reference, q, &family, 6).unwrap();
-            let (got, _) = gather::knn(&s, q, &family, 6).unwrap();
+            let (got, _) = knn(&s, q, &family, 6).unwrap();
             assert_eq!(canon(&got), canon(&want));
         }
         // Undo the reference mutations for the next shard count.
@@ -183,7 +184,7 @@ fn faulted_shard_yields_typed_error_or_exact_result() {
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
     let (s, tree, heap) = sharded_with_fault(&c, 4);
     let q = &c.series()[12];
-    let want = single_range(&reference, Engine::Mt, q, &family, &spec);
+    let want = single_range(&reference, EngineChoice::Mt, q, &family, &spec);
     let (want_knn, _) = knn_engine::knn(&reference, q, &family, 5).unwrap();
 
     let mut errors = 0usize;
@@ -194,7 +195,7 @@ fn faulted_shard_yields_typed_error_or_exact_result() {
         tree.arm(FaultPlan::new().read_error_at(at));
         heap.arm(FaultPlan::new().read_error_at(at));
         s.reset_counters().unwrap();
-        match gather::range_query(&s, Engine::Mt, q, &family, &spec) {
+        match range_query(&s, EngineChoice::Mt, q, &family, &spec) {
             Ok(r) => {
                 assert_eq!(
                     r.sorted_pairs(),
@@ -206,7 +207,7 @@ fn faulted_shard_yields_typed_error_or_exact_result() {
             Err(QueryError::Io(_)) => errors += 1,
             Err(e) => panic!("unexpected error class under fault: {e}"),
         }
-        match gather::knn(&s, q, &family, 5) {
+        match knn(&s, q, &family, 5) {
             Ok((got, _)) => assert_eq!(canon(&got), canon(&want_knn)),
             Err(QueryError::Io(_)) => errors += 1,
             Err(e) => panic!("unexpected error class under fault: {e}"),
@@ -214,7 +215,7 @@ fn faulted_shard_yields_typed_error_or_exact_result() {
         tree.disarm();
         heap.disarm();
         // Disarmed, the same shard must answer exactly again.
-        let healed = gather::range_query(&s, Engine::Mt, q, &family, &spec).unwrap();
+        let healed = range_query(&s, EngineChoice::Mt, q, &family, &spec).unwrap();
         assert_eq!(healed.sorted_pairs(), want);
     }
     assert!(errors > 0, "no fault ever fired — schedule too late");

@@ -31,8 +31,5 @@ pub use ops::{
 };
 pub use series::{NormalForm, TimeSeries};
 
-// Property tests require the external `proptest` crate; the workspace
-// builds offline by default, so they sit behind a non-default feature
-// (see DESIGN.md "Offline builds").
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod proptests;

@@ -43,5 +43,5 @@ pub use real::{energy, energy_complex, RealDft};
 pub use rfft::rfft;
 pub use spectrum::{convolve_circular, cross_spectrum, Spectrum};
 
-#[cfg(all(test, feature = "proptests"))]
+#[cfg(test)]
 mod proptests;

@@ -22,6 +22,11 @@
 #                           # (workers/queue/BUSY), the shutdown drain
 #                           # and STATS over the wire, plus simserve's
 #                           # unit tests (the admission gate's among them)
+#   scripts/ci.sh engines   # tier-2: what pins "ST-index is MT-index over
+#                           # singleton rectangles" — the engine, planner
+#                           # and Eq. 12 unit tests, the figure counters
+#                           # against tests/golden/, recall, ordering,
+#                           # extensions and the sharded planner parity
 #   scripts/ci.sh e2e       # tier-2: builds the benchmark (e2ebench/, a
 #                           # workspace of its own that no PR may edit)
 #                           # against the workspace crates and runs its
@@ -60,6 +65,12 @@ serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 
 serve|-p simserve --test serve_load|8-connection parity, BUSY counted not fatal
 serve|-p simserve --test sharded_loopback|the same wire over a shard group
 serve|-p simserve --test shutdown_drain|drain answers admitted requests, times the gate
+engines|-p simquery --lib|engines, planner pricing and the Eq. 12 singleton guard
+engines|-p simquery --test figures_smoke|figure counters against tests/golden/ (Fig. 8 x = 1 is ST)
+engines|-p simquery --test recall|Lemma 1 recall, ordered families, extensions
+engines|-p simquery --test ordering|
+engines|-p simquery --test extensions|
+engines|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards
 e2e|--manifest-path e2ebench/Cargo.toml|the benchmark builds against the workspace crates and its smoke passes
 '
 
@@ -105,7 +116,7 @@ obs_overhead_gate() {
 }
 
 case "$stage" in
-chaos | recovery | parity | replication | failover | serve | e2e)
+chaos | recovery | parity | replication | failover | serve | engines | e2e)
     run_stage "$stage"
     ;;
 obs)
@@ -131,7 +142,7 @@ all)
     cargo test --offline --manifest-path e2ebench/Cargo.toml --no-run
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|e2e]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|e2e]" >&2
     exit 2
     ;;
 esac

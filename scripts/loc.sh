@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Tracked Rust lines outside e2ebench/, per crate and in total — the
-# number CHANGES.md quotes for a net-deletion PR. Counts every line
-# (code, comments, blanks) of every `git ls-files '*.rs'` entry.
+# numbers CHANGES.md quotes for a net-deletion PR. First column: every
+# line (code, comments, blanks) of every `git ls-files '*.rs'` entry.
+# Second column: the lines before a file's first `#[cfg(test)]` /
+# `#[cfg(all(test` — its non-test source (a file with no such line
+# counts whole, so integration tests, examples and `proptests.rs`
+# modules gated from `lib.rs` show up here too).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,11 +14,14 @@ git ls-files '*.rs' | grep -v '^e2ebench/' | while read -r f; do
     crates/*) group="$(echo "$f" | cut -d/ -f1-2)" ;;
     *) group="$(dirname "$f")" ;;
     esac
-    printf '%s %s\n' "$group" "$(wc -l <"$f")"
+    awk -v g="$group" '
+        !cut && /^[[:space:]]*#\[cfg\((all\()?test/ { cut = NR - 1 }
+        END { print g, NR, (cut ? cut : NR) }' "$f"
 done | awk '
-    { lines[$1] += $2; total += $2 }
+    { lines[$1] += $2; src[$1] += $3; total += $2; total_src += $3 }
     END {
-        for (g in lines) printf "%7d  %s\n", lines[g], g | "sort -k2"
-        close("sort -k2")
-        printf "%7d  total\n", total
+        printf "%7s %8s\n", "lines", "non-test"
+        for (g in lines) printf "%7d %8d  %s\n", lines[g], src[g], g | "sort -k3"
+        close("sort -k3")
+        printf "%7d %8d  total\n", total, total_src
     }'

@@ -679,10 +679,12 @@ fn sharded_reopen_under_faults_is_typed_or_exact() {
     let family = Family::moving_averages(2..=6, SEQ_LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
     let q = corpus.series()[3].clone();
+    let lq = LogicalQuery::range(family, spec).with_engine(EnginePref::Force(EngineChoice::Mt));
     let control = {
         let ix = ShardedIndex::open(&idx, POOL).unwrap();
-        gather::range_query(&ix, gather::Engine::Mt, &q, &family, &spec)
+        gather::execute_range(&ix, &lq, &q)
             .unwrap()
+            .1
             .sorted_pairs()
     };
 
@@ -708,8 +710,8 @@ fn sharded_reopen_under_faults_is_typed_or_exact() {
             })
         })
         .expect("the open itself runs on the plain disks");
-        match gather::range_query(&ix, gather::Engine::Mt, &q, &family, &spec) {
-            Ok(r) => {
+        match gather::execute_range(&ix, &lq, &q) {
+            Ok((_, r, _)) => {
                 assert_eq!(
                     r.sorted_pairs(),
                     control,
