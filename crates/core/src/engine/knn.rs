@@ -7,12 +7,14 @@
 //! `min_{t ∈ T} D(t(x̂), t(q̂))`; the k sequences minimising it are
 //! returned, each with its best transformation.
 
-use crate::engine::check_family;
+use crate::engine::{check_family, VerifyKernel};
 use crate::feature::{FRect, MAG_DIMS};
 use crate::index::SeqIndex;
+use crate::query::QueryMode;
 use crate::report::{EngineMetrics, Match, QueryError};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
+use std::collections::HashMap;
 use std::time::Instant;
 use tseries::TimeSeries;
 
@@ -47,10 +49,15 @@ pub fn knn_bounded(
 
     let before = index.counters();
     let mut comparisons = 0u64;
-    let mut best_transform: Vec<(usize, usize, f64)> = Vec::new();
+    // Best member and distance of every refined sequence; the neighbour
+    // list reports a subset of them.
+    let mut best_of: HashMap<usize, (usize, f64)> = HashMap::new();
     // The refine closure cannot return a Result; the first fetch failure is
     // parked here and re-raised after the traversal returns.
     let mut fetch_err: Option<pagestore::PageError> = None;
+    // Exact scores come from the kernel whenever it covers the query, else
+    // from full features per candidate — the same bits either way.
+    let mut kernel = VerifyKernel::for_query(index, family, &q, QueryMode::Symmetric);
 
     // Optimal multi-step search: leaf entries carry the cheap feature-space
     // bound; the expensive fetch-and-verify runs only when an entry reaches
@@ -62,25 +69,28 @@ pub fn knn_bounded(
         |rect, _| mindist_bound(&mbr.apply_to_rect(rect), &qregion),
         |_, data| {
             let seq = data as usize;
-            let x = match index.fetch(seq) {
-                Ok(x) => x,
+            let scored = match &mut kernel {
+                // The traversal refines a leaf entry once: no row to keep.
+                Some(kernel) => kernel
+                    .touch_once(seq)
+                    .map(|row| best_member(family.len(), |ti| kernel.distance(row, ti))),
+                None => index.fetch(seq).map(|x| {
+                    best_member(family.len(), |ti| {
+                        family.transforms()[ti].transformed_distance(&x, &q)
+                    })
+                }),
+            };
+            match scored {
+                Ok(best) => {
+                    comparisons += family.len() as u64;
+                    best_of.insert(seq, best);
+                    Some(best.1)
+                }
                 Err(e) => {
                     fetch_err.get_or_insert(e);
-                    return None;
-                }
-            };
-            // Exact score: the best member transformation.
-            let (mut best_t, mut best_d) = (0usize, f64::INFINITY);
-            for (ti, t) in family.transforms().iter().enumerate() {
-                let d = t.transformed_distance(&x, &q);
-                comparisons += 1;
-                if d < best_d {
-                    best_d = d;
-                    best_t = ti;
+                    None
                 }
             }
-            best_transform.push((seq, best_t, best_d));
-            Some(best_d)
         },
     )?;
     if let Some(e) = fetch_err {
@@ -92,16 +102,12 @@ pub fn knn_bounded(
         .iter()
         .map(|n| {
             let seq = n.data as usize;
-            let (_, t, d) = best_transform
-                .iter()
-                .find(|(s, _, _)| *s == seq)
-                .copied()
-                .expect("scored before reported");
-            debug_assert!((d - n.dist).abs() < 1e-12);
+            let (transform, dist) = *best_of.get(&seq).expect("scored before reported");
+            debug_assert!((dist - n.dist).abs() < 1e-12);
             Match {
                 seq,
-                transform: t,
-                dist: d,
+                transform,
+                dist,
             }
         })
         .collect();
@@ -116,6 +122,20 @@ pub fn knn_bounded(
         wall: start.elapsed(),
     };
     Ok((matches, metrics))
+}
+
+/// Exact score of one sequence: the first member attaining the least
+/// distance, with that distance.
+fn best_member(members: usize, distance: impl Fn(usize) -> f64) -> (usize, f64) {
+    let (mut best_t, mut best_d) = (0usize, f64::INFINITY);
+    for ti in 0..members {
+        let d = distance(ti);
+        if d < best_d {
+            best_d = d;
+            best_t = ti;
+        }
+    }
+    (best_t, best_d)
 }
 
 /// Lower bound on `min_t D(t(x), t(q))` for everything under a transformed
@@ -192,6 +212,28 @@ mod tests {
                 let _ = ws;
             }
         }
+    }
+
+    /// A family the kernel turns down (a reversal scales angles by −1)
+    /// scores candidates from full features; same contract.
+    #[test]
+    fn knn_without_the_kernel_matches_brute_force() {
+        let (c, idx) = setup(120);
+        let mut members = Family::moving_averages(5..=9, 128).transforms().to_vec();
+        members.push(crate::transform::Transform::time_reverse(128));
+        let family = Family::new("mv+reverse", members);
+        let q = idx.prepare_query(&c.series()[17]).unwrap();
+        assert!(VerifyKernel::for_query(&idx, &family, &q, QueryMode::Symmetric).is_none());
+        let (got, metrics) = knn(&idx, &c.series()[17], &family, 5).unwrap();
+        let want = brute_force(&idx, &c, &c.series()[17], &family, 5);
+        assert_eq!(got.len(), 5);
+        for (g, (_, wd)) in got.iter().zip(&want) {
+            assert!((g.dist - wd).abs() < 1e-9, "{} vs {wd}", g.dist);
+        }
+        assert_eq!(
+            metrics.comparisons,
+            metrics.record_fetches * family.len() as u64
+        );
     }
 
     #[test]

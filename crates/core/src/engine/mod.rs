@@ -14,6 +14,30 @@
 //! Query 2); [`seqscan`] stays apart as the oracle the suites compare
 //! against.
 //!
+//! Step 5 (fetch → verify) has two implementations, chosen per query from
+//! what the query is — never by an option:
+//!
+//! * `VerifyKernel` — when the query is symmetric (`D(t(x), t(q))`), the
+//!   sequence length even, the query target conjugate-symmetric and every
+//!   family member conjugate-symmetric with angle multipliers exactly 1
+//!   (every convolution-derived operator, scaling, inversion, band-pass
+//!   and their compositions). Then `cos(θx_f − θq_f)` depends on the
+//!   candidate and the coefficient only: one half-spectrum row per
+//!   distinct candidate, six flops per coefficient per member, no
+//!   `SeqFeatures` per candidate. Range queries (ST, MT, partitioned MT)
+//!   and [`knn`] run on it.
+//! * `CandidateCache` + `verify_candidate` over full [`SeqFeatures`] —
+//!   for everything else: data-only queries, `time_reverse`,
+//!   `paper_shift`, prepared asymmetric targets, odd lengths,
+//!   `VerifyMode::Ordered`, and both joins (a pair needs both sides'
+//!   features and has no query side to hoist).
+//!
+//! The kernel's distance has the bits of
+//! [`Transform::transformed_distance`], so nothing downstream can tell
+//! which ran. [`seqscan`]'s exhaustive path deliberately keeps calling
+//! `transformed_distance` per pair: it is the oracle, and an error in the
+//! kernel must not be able to hide in both.
+//!
 //! All three return identical result sets (property-tested under
 //! [`FilterPolicy::Safe`](crate::query::FilterPolicy)); they differ only in
 //! cost, which is the paper's entire point.
@@ -25,10 +49,14 @@ pub mod seqscan;
 pub mod stindex;
 
 use crate::feature::SeqFeatures;
+use crate::index::{decode_samples, SeqIndex};
 use crate::ordering::OrderedFamily;
 use crate::query::QueryMode;
 use crate::report::{Match, QueryError};
 use crate::transform::{Family, Transform};
+use pagestore::PageError;
+use std::collections::HashMap;
+use tsfft::{Complex64, RfftPlan};
 
 /// Validates that a family targets the indexed sequence length.
 pub(crate) fn check_family(family: &Family, indexed_len: usize) -> Result<(), QueryError> {
@@ -61,22 +89,22 @@ pub(crate) enum VerifyMode<'a> {
 /// cache fetches each distinct candidate once and counts every *touch* —
 /// the logical access count the paper's figures report.
 pub(crate) struct CandidateCache<'a> {
-    index: &'a crate::index::SeqIndex,
-    cache: std::collections::HashMap<usize, std::rc::Rc<SeqFeatures>>,
+    index: &'a SeqIndex,
+    cache: HashMap<usize, std::rc::Rc<SeqFeatures>>,
     /// Logical record touches (≥ distinct fetches).
     pub touches: u64,
 }
 
 impl<'a> CandidateCache<'a> {
-    pub fn new(index: &'a crate::index::SeqIndex) -> Self {
+    pub fn new(index: &'a SeqIndex) -> Self {
         Self {
             index,
-            cache: std::collections::HashMap::new(),
+            cache: HashMap::new(),
             touches: 0,
         }
     }
 
-    pub fn get(&mut self, seq: usize) -> Result<std::rc::Rc<SeqFeatures>, pagestore::PageError> {
+    pub fn get(&mut self, seq: usize) -> Result<std::rc::Rc<SeqFeatures>, PageError> {
         self.touches += 1;
         if let Some(f) = self.cache.get(&seq) {
             return Ok(std::rc::Rc::clone(f));
@@ -84,6 +112,206 @@ impl<'a> CandidateCache<'a> {
         let f = std::rc::Rc::new(self.index.fetch(seq)?);
         self.cache.insert(seq, std::rc::Rc::clone(&f));
         Ok(f)
+    }
+}
+
+/// Algorithm 1 step 5 for one symmetric query, with everything that does
+/// not depend on the member transformation taken out of the member loop.
+///
+/// In `D(t(x), t(q))` the angle addend of `t` cancels, and when every
+/// angle multiplier is 1 the law-of-cosines term of
+/// [`Transform::transformed_distance`] is
+/// `ra² + rb² − 2·ra·rb·cos(θx_f − θq_f)` with `ra = a_r·rx_f + b_r`,
+/// `rb = a_r·rq_f + b_r`: only `ra` depends on both the candidate and the
+/// member. So the kernel keeps, per member, the tables `a_r | b_r | rb`
+/// (query side hoisted) and, per distinct candidate, one arena row
+/// `rx | c` with `c_f = cos(θx_f − θq_f)` filled at first touch; each
+/// later touch — another of ST's singleton rectangles, another member,
+/// another partition — is six flops per coefficient and no trigonometry.
+/// All over the half spectrum `f ∈ 0..=n/2`, which is all a real sequence
+/// has (Eq. 6).
+///
+/// The expression tree and the summation order are those of
+/// `transformed_distance`, so [`Self::distance`] returns the same bits
+/// (`proptests::kernel_distance_is_the_naive_distance`); match order,
+/// golden counters and wire bytes cannot tell the two apart.
+///
+/// A row is filled straight from the record heap: borrowed page bytes →
+/// samples and normal form in one reused buffer → a planned real FFT →
+/// polar form. No `SeqFeatures` is built for a candidate, and nothing
+/// outlives the query: a feature cache that did would answer without a
+/// heap page access and so change the paper's cost unit.
+pub(crate) struct VerifyKernel<'a> {
+    index: &'a SeqIndex,
+    /// Coefficients per table and per half row: `n/2 + 1`.
+    half: usize,
+    /// Member `t`'s tables at `3·half·t`: `a_r | b_r | rb`.
+    members: Vec<f64>,
+    /// `θq_f`.
+    query_angle: Vec<f64>,
+    /// Ordinal → row of `arena`.
+    rows: HashMap<usize, usize>,
+    /// Row `i` at `2·half·i`: `rx | c`.
+    arena: Vec<f64>,
+    plan: RfftPlan,
+    samples: Vec<f64>,
+    spectrum: Vec<Complex64>,
+    /// Logical record touches (≥ distinct fetches), counted as
+    /// [`CandidateCache`] counts them.
+    pub touches: u64,
+}
+
+impl<'a> VerifyKernel<'a> {
+    /// The kernel for `(family, q, mode)` over `index`, or `None` when the
+    /// identity above does not hold for this query: a data-only query, an
+    /// odd sequence length (the general FFT path vouches for no
+    /// symmetry), a prepared target that lost conjugate symmetry, or a
+    /// member that is asymmetric (`paper_shift`) or scales angles
+    /// (`time_reverse`). Those run [`CandidateCache`] +
+    /// [`verify_candidate`], the only correct path for them.
+    pub fn for_query(
+        index: &'a SeqIndex,
+        family: &Family,
+        q: &SeqFeatures,
+        mode: QueryMode,
+    ) -> Option<Self> {
+        let n = index.seq_len();
+        debug_assert_eq!(q.len(), n);
+        let applies = mode == QueryMode::Symmetric
+            && n.is_multiple_of(2)
+            && q.conj_symmetric
+            && family
+                .transforms()
+                .iter()
+                .all(Transform::half_spectrum_unit_angle);
+        if !applies {
+            return None;
+        }
+        let half = n / 2 + 1;
+        let mut members = Vec::with_capacity(3 * half * family.len());
+        for t in family.transforms() {
+            members.extend((0..half).map(|f| t.magnitude_action(f).0));
+            members.extend((0..half).map(|f| t.magnitude_action(f).1));
+            members.extend((0..half).map(|f| {
+                let (a_r, b_r) = t.magnitude_action(f);
+                a_r * q.polar[f].0 + b_r
+            }));
+        }
+        Some(Self {
+            index,
+            half,
+            members,
+            query_angle: q.polar[..half].iter().map(|&(_, theta)| theta).collect(),
+            rows: HashMap::new(),
+            arena: Vec::new(),
+            plan: RfftPlan::new(n),
+            samples: Vec::with_capacity(n),
+            spectrum: vec![Complex64::ZERO; half],
+            touches: 0,
+        })
+    }
+
+    /// The arena row of candidate `seq`, fetched (one counted record
+    /// access) and filled the first time the query meets it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record decodes to a degenerate sequence, as
+    /// [`SeqIndex::fetch`] does.
+    pub fn touch(&mut self, seq: usize) -> Result<usize, PageError> {
+        self.touches += 1;
+        if let Some(&row) = self.rows.get(&seq) {
+            return Ok(row);
+        }
+        let row = self.rows.len();
+        self.fill(seq, row)?;
+        self.rows.insert(seq, row);
+        Ok(row)
+    }
+
+    /// [`Self::touch`] for a caller that meets every candidate once
+    /// (k-NN's refine step): the row goes into the arena's first slot, in
+    /// place of the candidate before, and nothing is remembered — the
+    /// arena stays one row long however many candidates are scored.
+    pub fn touch_once(&mut self, seq: usize) -> Result<usize, PageError> {
+        self.touches += 1;
+        self.rows.clear();
+        self.fill(seq, 0)?;
+        Ok(0)
+    }
+
+    /// Fetches candidate `seq` and writes `rx | c` into arena row `row`,
+    /// which is an existing row or the next one.
+    fn fill(&mut self, seq: usize, row: usize) -> Result<(), PageError> {
+        let samples = &mut self.samples;
+        self.index.with_record(seq, |bytes| {
+            samples.clear();
+            samples.extend(decode_samples(bytes));
+        })?;
+        tseries::normalize_in_place(samples)
+            .unwrap_or_else(|| panic!("fetched degenerate sequence {seq}"));
+        self.plan.forward_half(samples, &mut self.spectrum);
+
+        let base = 2 * self.half * row;
+        if self.arena.len() == base {
+            self.arena.resize(base + 2 * self.half, 0.0);
+        }
+        let (rx, c) = self.arena[base..base + 2 * self.half].split_at_mut(self.half);
+        for (f, x) in self.spectrum.iter().enumerate() {
+            let (r, theta) = x.to_polar();
+            rx[f] = r;
+            // The angle multiplier is exactly 1 and 1·d = d, so this is
+            // the argument `transformed_distance` hands to `cos`.
+            c[f] = (theta - self.query_angle[f]).cos();
+        }
+        Ok(())
+    }
+
+    /// `D(t(x), t(q))` for the candidate in `row` under family member
+    /// `member` — the bits of [`Transform::transformed_distance`].
+    pub fn distance(&self, row: usize, member: usize) -> f64 {
+        let h = self.half;
+        let (rx, c) = self.arena[2 * h * row..2 * h * (row + 1)].split_at(h);
+        let (a_r, rest) = self.members[3 * h * member..3 * h * (member + 1)].split_at(h);
+        let (b_r, rb) = rest.split_at(h);
+        let term = |f: usize| -> f64 {
+            let (ra, rb) = (a_r[f] * rx[f] + b_r[f], rb[f]);
+            ra * ra + rb * rb - 2.0 * ra * rb * c[f]
+        };
+        // `n` is even: coefficients 1..n/2 count twice (their mirrors
+        // contribute the same), 0 and n/2 once.
+        let mut acc = term(0);
+        for f in 1..h - 1 {
+            acc += 2.0 * term(f);
+        }
+        acc += term(h - 1);
+        acc.max(0.0).sqrt()
+    }
+
+    /// [`verify_candidate`]'s exhaustive arm over the kernel: every
+    /// member in `members` against candidate `seq`, in order, each
+    /// distance one comparison.
+    pub fn verify(
+        &mut self,
+        seq: usize,
+        members: &[usize],
+        eps: f64,
+        comparisons: &mut u64,
+        out: &mut Vec<Match>,
+    ) -> Result<(), PageError> {
+        let row = self.touch(seq)?;
+        for &ti in members {
+            let d = self.distance(row, ti);
+            *comparisons += 1;
+            if d < eps {
+                out.push(Match {
+                    seq,
+                    transform: ti,
+                    dist: d,
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 //! the index is traversed once per rectangle — the trade-off Figures 8–9
 //! explore.
 
-use crate::engine::{check_family, verify_candidate, CandidateCache, VerifyMode};
+use crate::engine::{check_family, verify_candidate, CandidateCache, VerifyKernel, VerifyMode};
 use crate::feature::FeatureVec;
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
@@ -117,11 +117,17 @@ pub fn range_query_features(
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
     let mut traversals = Vec::with_capacity(mbrs.len());
-    let mut cache = CandidateCache::new(index);
-    let mode = match ordered {
-        Some(of) => VerifyMode::Ordered(of),
-        None => VerifyMode::Exhaustive,
+    // Step 5 runs on the kernel whenever it covers the query; ordered
+    // verification and the inputs `VerifyKernel::for_query` turns down
+    // keep full features per candidate.
+    let (mut kernel, mode) = match ordered {
+        None => (
+            VerifyKernel::for_query(index, family, q, spec.mode),
+            VerifyMode::Exhaustive,
+        ),
+        Some(of) => (None, VerifyMode::Ordered(of)),
     };
+    let mut cache = CandidateCache::new(index);
 
     for mbr in mbrs {
         let mut candidates = Vec::new();
@@ -135,25 +141,31 @@ pub fn range_query_features(
 
         // Step 5: retrieve full records and verify every member.
         for seq in candidates {
-            let x = cache.get(seq)?;
-            verify_candidate(
-                family,
-                &mbr.members,
-                mode,
-                spec.mode,
-                seq,
-                &x,
-                q,
-                eps,
-                &mut metrics.comparisons,
-                &mut matches,
-            );
+            let (comparisons, out) = (&mut metrics.comparisons, &mut matches);
+            match &mut kernel {
+                Some(kernel) => kernel.verify(seq, &mbr.members, eps, comparisons, out)?,
+                None => {
+                    let x = cache.get(seq)?;
+                    verify_candidate(
+                        family,
+                        &mbr.members,
+                        mode,
+                        spec.mode,
+                        seq,
+                        &x,
+                        q,
+                        eps,
+                        comparisons,
+                        out,
+                    );
+                }
+            }
         }
     }
 
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = cache.touches;
+    metrics.record_fetches = kernel.map_or(cache.touches, |k| k.touches);
     metrics.wall = start.elapsed();
     Ok((QueryResult { matches, metrics }, traversals))
 }
@@ -294,6 +306,159 @@ mod tests {
             trav.iter().map(|t| t.candidates).sum::<u64>(),
             res.metrics.candidates
         );
+    }
+
+    fn bits(matches: &[crate::report::Match]) -> Vec<(usize, usize, u64)> {
+        matches
+            .iter()
+            .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+            .collect()
+    }
+
+    /// The kernel replaces `CandidateCache` + `verify_candidate` on the
+    /// queries it covers and nothing may show: the same matches with the
+    /// same distance bits in the same order, the same counters — run
+    /// after run.
+    #[test]
+    fn kernel_path_reports_what_verify_candidate_would_in_order() {
+        let (c, idx) = setup(200);
+        let family = Family::moving_averages(5..=20, 128);
+        let spec = RangeSpec::correlation(0.8).with_policy(FilterPolicy::Safe);
+        let query = &c.series()[9];
+        let q = idx.prepare_query(query).unwrap();
+        assert!(VerifyKernel::for_query(&idx, &family, &q, spec.mode).is_some());
+
+        let eps = spec.epsilon(128);
+        let filter = Filter::new(eps, spec.policy);
+        let (mut want, mut comparisons) = (Vec::new(), 0);
+        let mut cache = CandidateCache::new(&idx);
+        for mbr in TransformMbr::singletons(&family) {
+            let mut candidates = Vec::new();
+            traverse(&idx, &mbr, &q.point, spec.mode, &filter, |seq| {
+                candidates.push(seq)
+            })
+            .unwrap();
+            for seq in candidates {
+                verify_candidate(
+                    &family,
+                    &mbr.members,
+                    VerifyMode::Exhaustive,
+                    spec.mode,
+                    seq,
+                    &cache.get(seq).unwrap(),
+                    &q,
+                    eps,
+                    &mut comparisons,
+                    &mut want,
+                );
+            }
+        }
+        assert!(
+            want.len() > 2 * family.len(),
+            "more than the query matching itself: {} matches",
+            want.len()
+        );
+
+        let first = stindex::range_query(&idx, query, &family, &spec).unwrap();
+        let second = stindex::range_query(&idx, query, &family, &spec).unwrap();
+        assert_eq!(bits(&first.matches), bits(&want));
+        assert_eq!(bits(&second.matches), bits(&want));
+        assert_eq!(first.metrics.comparisons, comparisons);
+        assert_eq!(first.metrics.record_fetches, cache.touches);
+        // And the one-rectangle MT plan finds the same pairs at the same
+        // distances, member-major per candidate.
+        let mt = range_query(&idx, query, &family, &spec).unwrap();
+        let by_pair = |mut v: Vec<(usize, usize, u64)>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(by_pair(bits(&mt.matches)), by_pair(bits(&want)));
+    }
+
+    /// Every input `VerifyKernel::for_query` turns down runs the
+    /// full-feature path, which must still be exact: ST ≡ MT ≡ scan.
+    #[test]
+    fn inputs_the_kernel_turns_down_still_equal_scan() {
+        use crate::query::QueryMode;
+        use crate::transform::Transform;
+        let safe = RangeSpec::correlation(0.92).with_policy(FilterPolicy::Safe);
+        let cases: Vec<(&str, usize, Family, RangeSpec)> = vec![
+            (
+                "data-only shifts",
+                128,
+                Family::circular_shifts(0..=6, 128),
+                safe.with_mode(QueryMode::DataOnly),
+            ),
+            (
+                "time reversal scales angles by -1",
+                128,
+                Family::new(
+                    "rev",
+                    vec![
+                        Transform::moving_average(5, 128),
+                        Transform::time_reverse(128),
+                        Transform::exponential_moving_average(0.4, 128),
+                    ],
+                ),
+                safe,
+            ),
+            (
+                "the paper's approximate shift is not conjugate-symmetric",
+                128,
+                Family::new(
+                    "pshift",
+                    vec![
+                        Transform::paper_shift(1, 128),
+                        Transform::paper_shift(3, 128),
+                        Transform::moving_average(4, 128),
+                    ],
+                ),
+                safe,
+            ),
+            (
+                "odd length: the general FFT path",
+                127,
+                Family::moving_averages(3..=9, 127),
+                safe,
+            ),
+        ];
+        for (what, len, family, spec) in cases {
+            let c = Corpus::generate(CorpusKind::SyntheticWalks, 150, len, 31);
+            let idx = SeqIndex::build(&c, IndexConfig::default()).unwrap();
+            for qi in [4usize, 77] {
+                let query = &c.series()[qi];
+                let q = idx.prepare_query(query).unwrap();
+                assert!(
+                    VerifyKernel::for_query(&idx, &family, &q, spec.mode).is_none(),
+                    "{what}"
+                );
+                let scan = seqscan::range_query(&idx, query, &family, &spec).unwrap();
+                let st = stindex::range_query(&idx, query, &family, &spec).unwrap();
+                let mt = range_query(&idx, query, &family, &spec).unwrap();
+                assert!(
+                    !scan.matches.is_empty(),
+                    "{what}: query {qi} matches itself"
+                );
+                assert_eq!(scan.sorted_pairs(), st.sorted_pairs(), "ST, {what}");
+                assert_eq!(scan.sorted_pairs(), mt.sorted_pairs(), "MT, {what}");
+            }
+        }
+
+        // Ordered verification binary-searches full features even over a
+        // family the kernel would cover.
+        let (c, idx) = setup(150);
+        let factors: Vec<f64> = (1..=16).map(|k| 0.25 * k as f64).collect();
+        let ordered = OrderedFamily::scalings(&factors, 128);
+        let spec = RangeSpec::euclidean(9.0).with_policy(FilterPolicy::Safe);
+        let query = &c.series()[8];
+        let q = idx.prepare_query(query).unwrap();
+        assert!(VerifyKernel::for_query(&idx, ordered.family(), &q, spec.mode).is_some());
+        let scan = seqscan::range_query(&idx, query, ordered.family(), &spec).unwrap();
+        let mt = range_query_ordered(&idx, query, &ordered, &spec).unwrap();
+        let st = stindex::range_query_ordered(&idx, query, &ordered, &spec).unwrap();
+        assert!(!scan.matches.is_empty());
+        assert_eq!(scan.sorted_pairs(), mt.sorted_pairs(), "ordered MT");
+        assert_eq!(scan.sorted_pairs(), st.sorted_pairs(), "ordered ST");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use rstartree::Rect;
 use tseries::TimeSeries;
-use tsfft::{Complex64, RealDft};
+use tsfft::Complex64;
 
 /// Number of feature dimensions.
 pub const DIMS: usize = 6;
@@ -59,19 +59,41 @@ pub struct SeqFeatures {
 impl SeqFeatures {
     /// Extracts features; `None` for degenerate (constant or too-short)
     /// sequences, which have no normal form.
+    ///
+    /// For an even length the two-for-one [`tsfft::rfft`] mirrors
+    /// `X[n−f] = conj(X[f])` by construction, so the polar form is taken
+    /// for `f ∈ 0..=n/2` only and mirrored as `(r_f, −θ_f)` — exact,
+    /// `hypot` being even and `atan2` odd in the imaginary part — and
+    /// conjugate symmetry is known, not measured. The result is bit for
+    /// bit [`Self::from_spectrum`] of that spectrum, which matters:
+    /// [`crate::index::SeqIndex::delete_series`] finds a tree entry by
+    /// recomputing its point.
     pub fn extract(ts: &TimeSeries) -> Option<Self> {
-        if ts.len() <= 2 * COEFFS {
+        let n = ts.len();
+        if n <= 2 * COEFFS {
             return None;
         }
         let nf = ts.normal_form()?;
-        let dft = RealDft::forward(nf.series.values());
-        Some(Self::from_spectrum(dft.coeffs().to_vec(), nf.mean, nf.std))
+        let spectrum = tsfft::rfft(nf.series.values());
+        if !n.is_multiple_of(2) {
+            return Some(Self::from_spectrum(spectrum, nf.mean, nf.std));
+        }
+        let mut polar = vec![(0.0, 0.0); n];
+        for f in 0..=n / 2 {
+            polar[f] = spectrum[f].to_polar();
+        }
+        for f in 1..n / 2 {
+            polar[n - f] = (polar[f].0, -polar[f].1);
+        }
+        Some(Self::assemble(spectrum, polar, true, nf.mean, nf.std))
     }
 
     /// Builds features directly from a spectrum — for *prepared* query
     /// targets, e.g. comparing candidates against a transformed version of
     /// a sequence (`mom(q̂)` in the Example 1.2 workflow). The index point
     /// is recomputed from the spectrum so filters and verification agree.
+    /// Nobody vouches for such a spectrum, so its conjugate symmetry is
+    /// checked coefficient by coefficient.
     pub fn from_spectrum(spectrum: Vec<Complex64>, mean: f64, std: f64) -> Self {
         assert!(
             spectrum.len() > 2 * COEFFS,
@@ -82,6 +104,16 @@ impl SeqFeatures {
         let scale: f64 = polar.iter().map(|(r, _)| r.abs()).fold(0.0, f64::max) + 1e-12;
         let conj_symmetric =
             (1..n).all(|f| (spectrum[f] - spectrum[n - f].conj()).abs() <= 1e-9 * scale);
+        Self::assemble(spectrum, polar, conj_symmetric, mean, std)
+    }
+
+    fn assemble(
+        spectrum: Vec<Complex64>,
+        polar: Vec<(f64, f64)>,
+        conj_symmetric: bool,
+        mean: f64,
+        std: f64,
+    ) -> Self {
         let mut point = [0.0; DIMS];
         point[0] = mean;
         point[1] = std;
@@ -148,6 +180,46 @@ mod tests {
         assert!((f.point[3] - f.spectrum[1].arg()).abs() < 1e-12);
         assert!((f.point[4] - f.spectrum[2].abs()).abs() < 1e-12);
         assert!((f.point[5] - f.spectrum[2].arg()).abs() < 1e-12);
+    }
+
+    /// `extract` takes the polar form of half the spectrum and mirrors
+    /// it; the result must be the bits of the constructor that computes
+    /// and checks everything — over even lengths (two of them not powers
+    /// of two) and an odd one, which runs the general FFT path.
+    #[test]
+    fn extract_is_from_spectrum_bit_for_bit() {
+        let mut rng = tseries::rng::SeededRng::seed_from_u64(0xB175);
+        for len in [64usize, 100, 128, 130, 127] {
+            for _ in 0..40 {
+                let ts = tseries::random_walk(&mut rng, len, 500.0);
+                let nf = ts.normal_form().unwrap();
+                let want =
+                    SeqFeatures::from_spectrum(tsfft::rfft(nf.series.values()), nf.mean, nf.std);
+                let got = SeqFeatures::extract(&ts).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.point), bits(&want.point), "len {len}: point");
+                assert_eq!(got.polar.len(), len);
+                for (f, (g, w)) in got.polar.iter().zip(&want.polar).enumerate() {
+                    assert_eq!(
+                        (g.0.to_bits(), g.1.to_bits()),
+                        (w.0.to_bits(), w.1.to_bits()),
+                        "len {len}: polar[{f}]"
+                    );
+                }
+                for (f, (g, w)) in got.spectrum.iter().zip(&want.spectrum).enumerate() {
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "len {len}: spectrum[{f}]"
+                    );
+                }
+                assert_eq!(
+                    (got.mean.to_bits(), got.std.to_bits()),
+                    (want.mean.to_bits(), want.std.to_bits())
+                );
+                assert!(got.conj_symmetric && want.conj_symmetric, "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -272,7 +272,11 @@ impl SeqIndex {
     }
 
     /// Fetches a sequence's full record (a counted page access) and
-    /// recomputes its features.
+    /// recomputes its features — all of them, spectrum and polar form over
+    /// every coefficient, as joins, ordered verification and the queries
+    /// `engine::VerifyKernel` does not cover need them. A range or k-NN
+    /// query the kernel covers never comes here: it reads the record where
+    /// it lies in the pool and keeps 1 KB of half-spectrum per candidate.
     ///
     /// # Panics
     ///
@@ -286,10 +290,20 @@ impl SeqIndex {
 
     /// Fetches a sequence's raw samples (a counted page access).
     pub fn fetch_series(&self, ordinal: usize) -> Result<TimeSeries, PageError> {
+        self.with_record(ordinal, decode_record)
+    }
+
+    /// Runs `f` over a sequence's record where it lies in the buffer pool
+    /// (see [`decode_samples`]) — a counted page access that copies
+    /// nothing. The page stays pinned while `f` runs.
+    pub(crate) fn with_record<R>(
+        &self,
+        ordinal: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, PageError> {
         self.fetches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let bytes = self.heap.get(self.rids[ordinal])?;
-        Ok(decode_record(&bytes))
+        self.heap.with_record(self.rids[ordinal], f)
     }
 
     /// Scans the whole relation (the sequential-scan baseline); one page
@@ -414,11 +428,15 @@ fn encode_record(ts: &TimeSeries, buf: &mut [u8]) {
     }
 }
 
-fn decode_record(bytes: &[u8]) -> TimeSeries {
+/// The samples of a heap record, in order.
+pub(crate) fn decode_samples(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-        .collect()
+}
+
+fn decode_record(bytes: &[u8]) -> TimeSeries {
+    decode_samples(bytes).collect()
 }
 
 #[cfg(test)]
@@ -950,6 +968,43 @@ mod maintenance_tests {
         // Deleted sequence no longer matches even itself.
         let r = mtindex::range_query(&reopened, &corpus.series()[7], &family, &spec).unwrap();
         assert!(r.matches.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `delete_series` finds a tree entry by recomputing the sequence's
+    /// feature point and comparing rectangles with `==`; on a miss a
+    /// release build tombstones the ordinal anyway and the index-driven
+    /// engines, which never consult `deleted`, keep serving it. So the
+    /// point extracted today must be, to the bit, the point that was
+    /// stored — here by a build saved to disk and reopened. A point that
+    /// moved by one ulp would leave its entry in the tree and a candidate
+    /// in the query below.
+    #[test]
+    fn every_saved_entry_is_found_again_by_delete() {
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 150, 128, 83);
+        let dir = std::env::temp_dir()
+            .join("simquery_index_persistence")
+            .join("delete_all");
+        std::fs::create_dir_all(&dir).unwrap();
+        SeqIndex::build(&corpus, IndexConfig::default())
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let mut index = SeqIndex::open(&dir, 16).unwrap();
+        for ordinal in 0..index.len() {
+            assert!(index.delete_series(ordinal).unwrap());
+        }
+        index.validate().unwrap();
+        let mut left = 0;
+        index.search(|_| true, |_, _| left += 1).unwrap();
+        assert_eq!(left, 0, "entries left in the tree");
+        let family = Family::moving_averages(5..=20, 128);
+        let spec = RangeSpec::euclidean(1e6).with_policy(FilterPolicy::Safe);
+        let st = crate::engine::stindex::range_query(&index, &corpus.series()[0], &family, &spec)
+            .unwrap();
+        assert_eq!(st.metrics.candidates, 0);
+        assert!(st.matches.is_empty());
+        drop(index);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -216,3 +216,112 @@ fn apply_rect_point_consistency() {
         }
     }
 }
+
+/// The verification kernel is the naive formula: for random families —
+/// moving averages, their inversions, momenta, circular shifts, scalings
+/// (negative ones too), EMAs and composed pairs — over power-of-two and
+/// other even lengths, every `(candidate, member)` distance has the bits
+/// of [`Transform::transformed_distance`]. A family with a member the
+/// kernel cannot serve is turned down, never served approximately.
+#[test]
+fn kernel_distance_is_the_naive_distance() {
+    use crate::engine::VerifyKernel;
+    use crate::index::{IndexConfig, SeqIndex};
+    use crate::query::QueryMode;
+    use tseries::{random_walk, Corpus};
+
+    const LENGTHS: [usize; 3] = [64, 100, 128];
+    let mut rng = SeededRng::seed_from_u64(0x4E12);
+    let (mut served, mut turned_down, mut pairs) = ([0; 3], 0, 0);
+    for case in 0..2 * CASES {
+        let len = rng.random_range(0..LENGTHS.len());
+        let n = LENGTHS[len];
+        let mut family = match rng.random_range(0..7u32) {
+            0 => Family::moving_averages(2..=rng.random_range(3..20usize), n),
+            1 => Family::moving_averages(3..=rng.random_range(4..9usize), n).with_inverted(),
+            2 => Family::momenta(1..=rng.random_range(1..6usize), n),
+            3 => Family::circular_shifts(0..=rng.random_range(1..7usize), n),
+            4 => Family::scalings(
+                &[
+                    rng.random_range(-4f64..-0.1),
+                    rng.random_range(0.1f64..4.0),
+                    1.0,
+                ],
+                n,
+            ),
+            5 => Family::new(
+                "ema",
+                vec![
+                    Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
+                    Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
+                ],
+            ),
+            _ => Family::moving_averages(2..=4, n).compose(&Family::momenta(1..=2, n)),
+        };
+        // One case in four gets a member with an angle multiplier of −1.
+        let reversed = case % 4 == 3;
+        if reversed {
+            let mut members = family.transforms().to_vec();
+            members.push(Transform::time_reverse(n));
+            family = Family::new("with reversal", members);
+        }
+
+        let series: Vec<_> = (0..12).map(|_| random_walk(&mut rng, n, 500.0)).collect();
+        let names = (0..series.len()).map(|i| format!("s{i}")).collect();
+        let index = SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default())
+            .expect("non-empty corpus");
+        let q = index
+            .prepare_query(&random_walk(&mut rng, n, 500.0))
+            .unwrap();
+        // Besides the reversal, a moving average whose spectrum has an
+        // exact zero is turned down at length 100: Bluestein leaves 1e-15
+        // there at an arbitrary angle, and `detect_symmetry` believes it.
+        let covered = family
+            .transforms()
+            .iter()
+            .all(Transform::half_spectrum_unit_angle);
+        assert!(!(reversed && covered), "a reversal passed for unit-angle");
+        let Some(mut kernel) = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
+        else {
+            assert!(!covered, "{} over length {n} turned down", family.name());
+            turned_down += 1;
+            continue;
+        };
+        assert!(covered, "{} over length {n} served", family.name());
+        served[len] += 1;
+        // Twice round, so that the second touch of a candidate reads the
+        // row the first one filled.
+        for seq in (0..index.len()).chain(0..index.len()) {
+            let x = index.fetch(seq).unwrap();
+            let row = kernel.touch(seq).unwrap();
+            for (ti, t) in family.transforms().iter().enumerate() {
+                assert_eq!(
+                    kernel.distance(row, ti).to_bits(),
+                    t.transformed_distance(&x, &q).to_bits(),
+                    "{} on sequence {seq}, length {n}",
+                    t.label()
+                );
+                pairs += 1;
+            }
+        }
+        assert_eq!(kernel.touches, 2 * index.len() as u64);
+        // k-NN's way in: one slot, refilled per candidate.
+        for seq in [3usize, 0, 3] {
+            let x = index.fetch(seq).unwrap();
+            let row = kernel.touch_once(seq).unwrap();
+            for (ti, t) in family.transforms().iter().enumerate() {
+                assert_eq!(
+                    kernel.distance(row, ti).to_bits(),
+                    t.transformed_distance(&x, &q).to_bits(),
+                    "{} on sequence {seq} alone, length {n}",
+                    t.label()
+                );
+            }
+        }
+    }
+    assert!(
+        served.iter().all(|&s| s >= 8) && turned_down >= CASES / 2,
+        "kernel served {served:?} cases per length, turned {turned_down} down"
+    );
+    assert!(pairs > 5000, "{pairs} pairs compared");
+}

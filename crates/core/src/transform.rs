@@ -35,6 +35,13 @@ pub struct Transform {
     /// Whether the action is conjugate-symmetric (coefficient `n−f`
     /// mirrors `f`), enabling the half-spectrum distance fast path.
     symmetric: bool,
+    /// Whether every angle multiplier is exactly 1 — true of every
+    /// convolution-derived operator, scaling, inversion and band-pass and
+    /// of their compositions, false of time reversal. Then the angle
+    /// difference in [`Self::transformed_distance`] is `θx − θq` whatever
+    /// the member, which is what lets `engine::VerifyKernel` take one
+    /// cosine per candidate and coefficient instead of one per member.
+    unit_angle: bool,
 }
 
 impl Transform {
@@ -47,6 +54,7 @@ impl Transform {
             spec_a: vec![0.0; 2 * n],
             spec_b: vec![0.0; 2 * n],
             symmetric: true,
+            unit_angle: true,
         };
         for f in 0..n {
             t.spec_a[2 * f] = 1.0; // magnitude × 1
@@ -59,8 +67,10 @@ impl Transform {
     /// angle multiplier mirror (`v[n−f] = v[f]`), the angle addend
     /// conjugates (`b_θ[n−f] ≡ −b_θ[f] (mod 2π)`). All convolution-derived
     /// transformations have it; §3.1.2's approximate shift does not.
+    /// Records [`Self::unit_angle`] in the same pass.
     fn detect_symmetry(&mut self) {
         let n = self.seq_len();
+        self.unit_angle = (0..n).all(|f| self.spec_a[2 * f + 1] == 1.0);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs() + b.abs());
         let angle_conj = |a: f64, b: f64| {
             let d = Complex64::cis(a) - Complex64::cis(-b);
@@ -296,6 +306,19 @@ impl Transform {
     /// Sequence length this transform was built for.
     pub fn seq_len(&self) -> usize {
         self.spec_a.len() / 2
+    }
+
+    /// True when the symmetric distance under this transformation can be
+    /// taken over the half spectrum with the member-independent angle
+    /// difference `θx − θq`: the action is conjugate-symmetric and every
+    /// angle multiplier is exactly 1.
+    pub(crate) fn half_spectrum_unit_angle(&self) -> bool {
+        self.symmetric && self.unit_angle
+    }
+
+    /// The action on coefficient `f`'s magnitude: `r ↦ a·r + b`.
+    pub(crate) fn magnitude_action(&self, f: usize) -> (f64, f64) {
+        (self.spec_a[2 * f], self.spec_b[2 * f])
     }
 
     /// The multiplicative feature-space part `a`.

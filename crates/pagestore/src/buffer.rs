@@ -309,20 +309,23 @@ impl BufferPool {
         }
         meta.stats.misses += 1;
 
-        // Candidate victims: unpinned frames, empties first, then LRU. A
-        // dirty victim whose writeback fails is skipped (it stays dirty
-        // and resident — no update lost) and the next candidate is tried.
-        let mut candidates: Vec<usize> = (0..meta.frames.len())
-            .filter(|&i| meta.frames[i].pins == 0)
-            .collect();
-        candidates.sort_by_key(|&i| (meta.frames[i].pid.is_valid(), meta.frames[i].last_used));
-        assert!(
-            !candidates.is_empty(),
-            "buffer pool exhausted: every frame is pinned"
-        );
-        let mut chosen = None;
+        // The victim: among unpinned frames an empty one, else the least
+        // recently used; the lowest index wins a tie. A dirty victim whose
+        // writeback fails is passed over (it stays dirty and resident — no
+        // update lost) and the next-best frame is tried.
+        let mut passed_over: Vec<usize> = Vec::new();
         let mut last_err = None;
-        for idx in candidates {
+        let idx = loop {
+            let victim = (0..meta.frames.len())
+                .filter(|i| meta.frames[*i].pins == 0 && !passed_over.contains(i))
+                .min_by_key(|&i| (meta.frames[i].pid.is_valid(), meta.frames[i].last_used));
+            let Some(idx) = victim else {
+                assert!(
+                    !passed_over.is_empty(),
+                    "buffer pool exhausted: every frame is pinned"
+                );
+                return Err(last_err.expect("a frame is passed over on a writeback error"));
+            };
             let old = meta.frames[idx];
             if old.pid.is_valid() && old.dirty {
                 // Unpinned frame ⇒ no one holds its page lock; this cannot
@@ -331,27 +334,17 @@ impl BufferPool {
                     let page = self.pages[idx].read();
                     self.write_retry(old.pid, &page)
                 };
-                match res {
-                    Ok(()) => {
-                        meta.stats.writebacks += 1;
-                        meta.map.remove(&old.pid);
-                        chosen = Some(idx);
-                        break;
-                    }
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
+                if let Err(e) = res {
+                    last_err = Some(e);
+                    passed_over.push(idx);
+                    continue;
                 }
+                meta.stats.writebacks += 1;
             }
             if old.pid.is_valid() {
                 meta.map.remove(&old.pid);
             }
-            chosen = Some(idx);
-            break;
-        }
-        let Some(idx) = chosen else {
-            return Err(last_err.expect("no victim chosen without a writeback error"));
+            break idx;
         };
 
         // Mark the frame pinned *before* loading so no concurrent pin()
@@ -627,6 +620,46 @@ mod tests {
         assert_eq!(pool.with_page(ids[0], |p| p.get_u64(0)).unwrap(), 111);
         pool.flush_all().unwrap();
         assert_eq!(faulty.inner().read(ids[0]).get_u64(0), 111);
+    }
+
+    /// Victim order is observable (it decides every later hit and miss):
+    /// empties before residents, the lowest index among equals, and after
+    /// a failed writeback the next least recently used — never just any
+    /// other frame.
+    #[test]
+    fn victim_is_first_empty_then_lru_then_next_best_after_failed_writeback() {
+        let (faulty, pool, ids) = faulty_setup(3, 5);
+        let frame_of = |pid: PageId| pool.meta.lock().map.get(&pid).copied();
+        // Three empties tie on `last_used`: frames fill in index order.
+        pool.with_page_mut(ids[0], |p| p.put_u64(0, 7)).unwrap();
+        pool.with_page(ids[1], |_| ()).unwrap();
+        pool.with_page(ids[2], |_| ()).unwrap();
+        assert_eq!(
+            [frame_of(ids[0]), frame_of(ids[1]), frame_of(ids[2])],
+            [Some(0), Some(1), Some(2)]
+        );
+        // The LRU frame 0 is dirty and its writeback fails: the victim is
+        // frame 1, the next oldest, and frames 0 and 2 keep their pages.
+        faulty.arm(FaultPlan::new().write_error_at(1));
+        pool.with_page(ids[3], |_| ()).unwrap();
+        faulty.disarm();
+        assert_eq!(
+            [
+                frame_of(ids[0]),
+                frame_of(ids[1]),
+                frame_of(ids[2]),
+                frame_of(ids[3])
+            ],
+            [Some(0), None, Some(2), Some(1)]
+        );
+        assert_eq!(pool.stats().writebacks, 0);
+        // A freed frame is empty again and goes before any resident one,
+        // however recently that was used.
+        pool.free(ids[2]);
+        pool.with_page(ids[4], |_| ()).unwrap();
+        assert_eq!(frame_of(ids[4]), Some(2));
+        assert_eq!(pool.with_page(ids[0], |p| p.get_u64(0)).unwrap(), 7);
+        assert_eq!(pool.stats().misses, 5);
     }
 
     #[test]

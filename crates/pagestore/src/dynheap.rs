@@ -146,6 +146,16 @@ impl DynHeapFile {
 
     /// Reads the record at `rid` into a fresh buffer.
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>, PageError> {
+        self.with_record(rid, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` over the record at `rid` where it lies in the pool — one
+    /// page access, no copy. The page stays pinned while `f` runs.
+    pub fn with_record<R>(
+        &self,
+        rid: RecordId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, PageError> {
         self.pool.with_page(rid.page, |p| {
             let count = p.get_u16(0);
             assert!(
@@ -154,7 +164,7 @@ impl DynHeapFile {
                 rid.slot
             );
             let off = HEADER + rid.slot as usize * self.record_size;
-            p.get_bytes(off, self.record_size).to_vec()
+            f(p.get_bytes(off, self.record_size))
         })
     }
 

@@ -29,7 +29,7 @@ pub use ops::{
     add_scalar, invert, momentum, momentum_circular, moving_average_circular,
     moving_average_sliding, scale, shift_right,
 };
-pub use series::{NormalForm, TimeSeries};
+pub use series::{normalize_in_place, NormalForm, TimeSeries};
 
 #[cfg(test)]
 mod proptests;

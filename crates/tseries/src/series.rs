@@ -35,10 +35,7 @@ impl TimeSeries {
 
     /// Arithmetic mean; 0 for an empty series.
     pub fn mean(&self) -> f64 {
-        if self.0.is_empty() {
-            return 0.0;
-        }
-        self.0.iter().sum::<f64>() / self.0.len() as f64
+        mean_of(&self.0)
     }
 
     /// Sample variance (the `n − 1` denominator); 0 when `len < 2`.
@@ -47,12 +44,7 @@ impl TimeSeries {
     /// both use the *sample* standard deviation — see
     /// [`crate::cross_correlation`].
     pub fn variance(&self) -> f64 {
-        let n = self.0.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mu = self.mean();
-        self.0.iter().map(|v| (v - mu) * (v - mu)).sum::<f64>() / (n - 1) as f64
+        variance_about(&self.0, self.mean())
     }
 
     /// Sample standard deviation.
@@ -66,16 +58,12 @@ impl TimeSeries {
     /// Returns `None` for degenerate series (fewer than 2 samples, or
     /// constant): the normal form divides by σ.
     pub fn normal_form(&self) -> Option<NormalForm> {
-        let sigma = self.std();
-        if sigma <= 0.0 || !sigma.is_finite() {
-            return None;
-        }
-        let mu = self.mean();
-        let values: Vec<f64> = self.0.iter().map(|v| (v - mu) / sigma).collect();
+        let mut values = self.0.clone();
+        let (mean, std) = normalize_in_place(&mut values)?;
         Some(NormalForm {
             series: TimeSeries(values),
-            mean: mu,
-            std: sigma,
+            mean,
+            std,
         })
     }
 
@@ -83,6 +71,37 @@ impl TimeSeries {
     pub fn map(&self, f: impl FnMut(&f64) -> f64) -> Self {
         Self(self.0.iter().map(f).collect())
     }
+}
+
+fn mean_of(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+fn variance_about(values: &[f64], mu: f64) -> f64 {
+    let n = values.len();
+    if n < 2 {
+        return 0.0;
+    }
+    values.iter().map(|v| (v - mu) * (v - mu)).sum::<f64>() / (n - 1) as f64
+}
+
+/// Overwrites `values` with their normal form `(x − μ)/σ` and returns
+/// `(μ, σ)` — [`TimeSeries::normal_form`] for a caller that normalises
+/// record after record in one buffer. `None`, with `values` untouched,
+/// for a degenerate sequence.
+pub fn normalize_in_place(values: &mut [f64]) -> Option<(f64, f64)> {
+    let mu = mean_of(values);
+    let sigma = variance_about(values, mu).sqrt();
+    if sigma <= 0.0 || !sigma.is_finite() {
+        return None;
+    }
+    for v in values.iter_mut() {
+        *v = (*v - mu) / sigma;
+    }
+    Some((mu, sigma))
 }
 
 impl Index<usize> for TimeSeries {
@@ -169,6 +188,23 @@ mod tests {
         let nf = ts.normal_form().unwrap();
         assert!(nf.series.mean().abs() < 1e-12);
         assert!((nf.series.std() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_place_normal_form_is_the_normal_form() {
+        let ts = TimeSeries::new(
+            (0..100)
+                .map(|t| (t as f64 * 0.37).cos() * 9.0 + t as f64)
+                .collect(),
+        );
+        let mut values = ts.values().to_vec();
+        let (mu, sigma) = normalize_in_place(&mut values).unwrap();
+        assert_eq!(mu.to_bits(), ts.mean().to_bits());
+        assert_eq!(sigma.to_bits(), ts.std().to_bits());
+        assert_eq!(values, ts.normal_form().unwrap().series.values());
+        let mut flat = [4.0; 9];
+        assert!(normalize_in_place(&mut flat).is_none());
+        assert_eq!(flat, [4.0; 9]);
     }
 
     #[test]

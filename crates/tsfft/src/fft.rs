@@ -79,28 +79,55 @@ pub fn fft_in_place(buf: &mut [Complex64]) {
 
 /// Unnormalised iterative radix-2 butterfly network.
 pub(crate) fn radix2_in_place(buf: &mut [Complex64], dir: Direction) {
+    radix2_with(buf, &radix2_twiddles(buf.len(), dir));
+}
+
+/// The twiddle factors of every butterfly stage of a length-`n` network,
+/// stage after stage: for `len = 2, 4, …, n` the `len/2` powers `w⁰, w¹, …`
+/// of `w = e^{sign·2πj/len}`. Each power is the previous one times `w` —
+/// the recurrence the butterflies ran inline before the table existed —
+/// so a transform over the table has the same bits as one without it.
+pub(crate) fn radix2_twiddles(n: usize, dir: Direction) -> Vec<Complex64> {
+    debug_assert!(n <= 1 || is_power_of_two(n));
+    let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+    let sign = dir.sign();
+    let mut len = 2;
+    while len <= n {
+        let wlen = Complex64::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+        let mut w = Complex64::ONE;
+        for _ in 0..len / 2 {
+            twiddles.push(w);
+            w *= wlen;
+        }
+        len <<= 1;
+    }
+    twiddles
+}
+
+/// [`radix2_in_place`] over twiddles tabulated by [`radix2_twiddles`] for
+/// `buf.len()` — a caller transforming many signals of one length builds
+/// the table once.
+pub(crate) fn radix2_with(buf: &mut [Complex64], twiddles: &[Complex64]) {
     let n = buf.len();
     debug_assert!(is_power_of_two(n));
     if n <= 1 {
         return;
     }
+    debug_assert_eq!(twiddles.len(), n - 1);
 
     bit_reverse_permute(buf);
 
-    let sign = dir.sign();
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
+        // Stage `len` owns twiddles[len/2 − 1 .. len − 1].
+        let stage = &twiddles[len / 2 - 1..len - 1];
         for chunk in buf.chunks_exact_mut(len) {
             let (lo, hi) = chunk.split_at_mut(len / 2);
-            let mut w = Complex64::ONE;
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
                 let u = *a;
                 let v = *b * w;
                 *a = u + v;
                 *b = u - v;
-                w *= wlen;
             }
         }
         len <<= 1;

@@ -13,6 +13,8 @@
 //!   Cooley–Tukey for powers of two, Bluestein's chirp-z otherwise);
 //! * [`dft_naive`] — the O(n²) textbook definition (Eq. 1 of the paper),
 //!   kept as the oracle for property tests;
+//! * [`rfft`]/[`RfftPlan`] — the two-for-one transform of a real sequence,
+//!   one-shot or planned once per length for a caller that transforms many;
 //! * [`RealDft`] — conveniences for real-valued sequences: the conjugate
 //!   symmetry `X[n−f] = conj(X[f])` (Eq. 6) that the paper exploits to halve
 //!   the effective search radius, energy (Eq. 2) and Parseval's relation
@@ -40,7 +42,7 @@ pub use complex::Complex64;
 pub use dft::{dft_naive, idft_naive};
 pub use fft::{fft, fft_in_place, ifft, is_power_of_two};
 pub use real::{energy, energy_complex, RealDft};
-pub use rfft::rfft;
+pub use rfft::{rfft, RfftPlan};
 pub use spectrum::{convolve_circular, cross_spectrum, Spectrum};
 
 #[cfg(test)]

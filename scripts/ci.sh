@@ -32,6 +32,17 @@
 #                           # against the workspace crates and runs its
 #                           # ~8 s smoke, so an API break against it is
 #                           # caught here and not by the bench pipeline
+#   scripts/ci.sh bench     # tier-2, ~7 min: one `e2e --all` round of the
+#                           # working tree into results/bench.json, then
+#                           # `e2e --check` of it against the tracked
+#                           # baseline e2ebench/baseline/BENCH_11.json;
+#                           # prints the verdict table and exits with the
+#                           # comparator's status (non-zero on a
+#                           # `regressed` or `differs` row). One round has
+#                           # no spread of its own: a claimed gain still
+#                           # needs the ten alternating pairs CHANGES.md
+#                           # describes, and its `--all --runs 3` file
+#                           # committed as BENCH_<PR>.json at the root
 #
 # The chaos stage replays the fixed seed ranges baked into tests/chaos.rs
 # and crates/serve/tests/chaos_loopback.rs. Every violation panics with
@@ -115,9 +126,20 @@ obs_overhead_gate() {
     fi
 }
 
+bench_against_baseline() {
+    local e2e=(cargo run --offline --release --quiet --manifest-path e2ebench/Cargo.toml --bin e2e --)
+    echo "== bench: e2e --all, one round, into results/bench.json =="
+    "${e2e[@]}" --all --runs 1 --out results/bench.json
+    echo "== bench: against e2ebench/baseline/BENCH_11.json =="
+    "${e2e[@]}" --check e2ebench/baseline/BENCH_11.json results/bench.json
+}
+
 case "$stage" in
 chaos | recovery | parity | replication | failover | serve | engines | e2e)
     run_stage "$stage"
+    ;;
+bench)
+    bench_against_baseline
     ;;
 obs)
     run_stage obs
@@ -142,7 +164,7 @@ all)
     cargo test --offline --manifest-path e2ebench/Cargo.toml --no-run
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|e2e]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|e2e|bench]" >&2
     exit 2
     ;;
 esac
