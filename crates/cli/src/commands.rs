@@ -119,6 +119,8 @@ pub fn info(args: &Args) -> CliResult {
         ("sequences", "sequences:   "),
         ("seq_len", "length:      "),
         ("tree_height", "tree height: "),
+        ("tree_nodes", "tree nodes:  "),
+        ("tree_leaves", "tree leaves: "),
         ("leaf_capacity", "leaf fanout: "),
         ("skipped", "skipped:     "),
         ("shards", "shards:      "),

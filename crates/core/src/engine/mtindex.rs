@@ -190,9 +190,11 @@ pub fn probe(
         .collect()
 }
 
-/// Algorithm 1 steps 1–4 for one rectangle: the transformed query region,
-/// then one descent that transforms every index rectangle through Eq. 12
-/// and hands each surviving leaf entry to `on_candidate`.
+/// Algorithm 1 steps 1–4 for one rectangle: the transformed query region
+/// and the filter bound to it once, then one descent that tests every
+/// index rectangle against it through Eq. 12 — in the dimensions the
+/// filter looks at, see [`crate::query::RectFilter`] — and hands each
+/// surviving leaf entry to `on_candidate`.
 fn traverse(
     index: &SeqIndex,
     mbr: &TransformMbr,
@@ -201,10 +203,10 @@ fn traverse(
     filter: &Filter,
     mut on_candidate: impl FnMut(usize),
 ) -> Result<RectTraversal, QueryError> {
-    let region = mt_query_region(mbr, q, mode);
+    let bound = filter.bind(mbr, mt_query_region(mbr, q, mode));
     let mut candidates = 0;
     let stats = index.search(
-        |rect| filter.hit(&mbr.apply_to_rect(rect), &region),
+        |rect| bound.hit(rect),
         |_, data| {
             candidates += 1;
             on_candidate(data as usize);

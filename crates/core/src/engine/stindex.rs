@@ -56,11 +56,14 @@ pub fn range_query_ordered(
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
 
-    let t0 = &family.transforms()[0];
-    let region = st_query_region(t0, &q.point, spec.mode);
+    // The minimal transformation as a singleton rectangle (Eq. 12 over it
+    // is `t0` itself, bit for bit — see the module docs).
+    let t0 = TransformMbr::of(family, vec![0]);
+    let region = st_query_region(&family.transforms()[0], &q.point, spec.mode);
+    let bound = filter.bind(&t0, region);
     let mut candidates = Vec::new();
     let stats = index.search(
-        |rect| filter.hit(&t0.apply_rect(rect), &region),
+        |rect| bound.hit(rect),
         |_, data| candidates.push(data as usize),
     )?;
     metrics.node_accesses = stats.nodes_accessed;

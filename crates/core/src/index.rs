@@ -61,6 +61,9 @@ pub struct SeqIndex {
     len: usize,
     skipped: Vec<usize>,
     deleted: Vec<bool>,
+    // `deleted.iter().filter(|d| **d).count()`, kept beside the vector:
+    // the planner reads it several times per query.
+    deleted_count: usize,
     leaf_capacity: usize,
     fetches: std::sync::atomic::AtomicU64,
     // Checkpoint epoch recorded in the snapshot this index was opened
@@ -154,6 +157,7 @@ impl SeqIndex {
             len: corpus.len(),
             skipped,
             deleted: vec![false; corpus.len()],
+            deleted_count: 0,
             leaf_capacity,
             fetches: std::sync::atomic::AtomicU64::new(0),
             wal_epoch: 1,
@@ -204,12 +208,13 @@ impl SeqIndex {
             debug_assert!(removed, "tree entry for live ordinal {ordinal} must exist");
         }
         self.deleted[ordinal] = true;
+        self.deleted_count += 1;
         Ok(true)
     }
 
-    /// Ordinals currently tombstoned by [`Self::delete_series`].
+    /// Number of ordinals currently tombstoned by [`Self::delete_series`].
     pub fn deleted_count(&self) -> usize {
-        self.deleted.iter().filter(|d| **d).count()
+        self.deleted_count
     }
 
     /// The tombstoned ordinals themselves, ascending. Lets a repartitioner
@@ -411,6 +416,11 @@ impl SeqIndex {
     /// Structural self-check (test support). `Err` means a device failure
     /// prevented the check, not an invariant violation (those panic).
     pub fn validate(&self) -> Result<usize, PageError> {
+        assert_eq!(
+            self.deleted_count,
+            self.deleted.iter().filter(|d| **d).count(),
+            "tombstone count out of step with the tombstones"
+        );
         self.tree.validate()
     }
 
@@ -883,6 +893,7 @@ impl SeqIndex {
             seq_len,
             len,
             skipped,
+            deleted_count: deleted.iter().filter(|d| **d).count(),
             deleted,
             leaf_capacity: params.max_entries,
             fetches: std::sync::atomic::AtomicU64::new(0),
@@ -961,8 +972,15 @@ mod maintenance_tests {
             .join("tombstones");
         std::fs::create_dir_all(&dir).unwrap();
         index.save(&dir).unwrap();
-        let reopened = SeqIndex::open(&dir, 16).unwrap();
+        let mut reopened = SeqIndex::open(&dir, 16).unwrap();
         assert_eq!(reopened.deleted_count(), 2);
+        // The count kept beside the tombstones follows them through a
+        // reopen and later deletes (`validate` checks it against a scan).
+        assert!(reopened.delete_series(3).unwrap());
+        assert!(!reopened.delete_series(12).unwrap());
+        assert_eq!(reopened.deleted_count(), reopened.deleted_ordinals().len());
+        assert_eq!(reopened.deleted_ordinals(), [3, 7, 12]);
+        reopened.validate().unwrap();
         let family = Family::moving_averages(1..=1, 64);
         let spec = RangeSpec::euclidean(1e-6).with_policy(FilterPolicy::Safe);
         // Deleted sequence no longer matches even itself.

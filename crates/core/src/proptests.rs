@@ -133,6 +133,245 @@ fn filter_hit_is_monotone() {
     assert!(hits > CASES, "premise held {hits} times");
 }
 
+/// The bound filter is `hit ∘ apply_to_rect`: for families with negative
+/// and mixed-sign multipliers, rectangles of one, two and all members,
+/// every policy and mode, and data rectangles of every shape the tree can
+/// hold — points, proper rectangles, angle intervals that wrap past π and
+/// ones wider than the circle — `RectFilter::hit(x)` is the boolean
+/// `Filter::hit(&mbr.apply_to_rect(x), &region)`, whichever test decides.
+#[test]
+fn bound_filter_is_hit_after_apply_to_rect() {
+    use crate::query::{expansion, mt_query_region, within, QueryMode};
+    const POLICIES: [FilterPolicy; 3] = [
+        FilterPolicy::Paper,
+        FilterPolicy::Safe,
+        FilterPolicy::Adaptive,
+    ];
+    let mut rng = SeededRng::seed_from_u64(0xB0F1);
+    let families = [
+        Family::moving_averages(3..=9, 64).with_inverted(),
+        Family::momenta(1..=5, 128),
+        Family::scalings(&[-3.0, -0.5, 0.25, 1.0, 7.5], 32),
+        Family::circular_shifts(0..=6, 64),
+        Family::moving_averages(2..=4, 64).compose(&Family::momenta(1..=2, 64)),
+        // Angle multipliers of both signs in one rectangle.
+        Family::new(
+            "mirror",
+            vec![
+                Transform::identity(64),
+                Transform::time_reverse(64),
+                Transform::scaling(-2.0, 64),
+            ],
+        ),
+    ];
+    // Per policy: decided by a window, by the chord test, passed.
+    let mut exits = [[0usize; 3]; 3];
+    for case in 0..4 * CASES {
+        let fam = &families[case % families.len()];
+        let members: Vec<usize> = match rng.random_range(0..3u32) {
+            0 => vec![rng.random_range(0..fam.len())],
+            1 => {
+                let first = rng.random_range(0..fam.len() - 1);
+                vec![first, first + 1]
+            }
+            _ => (0..fam.len()).collect(),
+        };
+        let mbr = TransformMbr::of(fam, members);
+        let q = fvec(&mut rng);
+        let eps = [0.3, 2.0, 8.0, 40.0][rng.random_range(0..4usize)];
+        for mode in [QueryMode::Symmetric, QueryMode::DataOnly] {
+            let region = mt_query_region(&mbr, &q, mode);
+            for (pi, policy) in POLICIES.into_iter().enumerate() {
+                let filter = Filter::new(eps, policy);
+                let bound = filter.bind(&mbr, region);
+                for shape in 0..4 {
+                    // Beside q in magnitude, beside it or far from it in
+                    // angle: every exit is taken often.
+                    let mut lo = q;
+                    for i in 0..DIMS {
+                        let reach = if i % 2 == 1 && rng.random_bool(0.5) {
+                            2.5
+                        } else {
+                            0.3
+                        };
+                        lo[i] += rng.random_range(-reach..reach);
+                    }
+                    lo[2] = lo[2].abs();
+                    lo[4] = lo[4].abs();
+                    let mut hi = lo;
+                    match shape {
+                        0 => {}
+                        1 => hi
+                            .iter_mut()
+                            .for_each(|h| *h += rng.random_range(0f64..1.0)),
+                        2 => {
+                            for ad in [3, 5] {
+                                lo[ad] = PI - rng.random_range(0f64..0.4);
+                                hi[ad] = PI + rng.random_range(0f64..0.8);
+                            }
+                        }
+                        _ => {
+                            for ad in [3, 5] {
+                                hi[ad] = lo[ad] + rng.random_range(6.3f64..9.0);
+                            }
+                        }
+                    }
+                    let x = Rect { lo, hi };
+                    let y = mbr.apply_to_rect(&x);
+                    let want = filter.hit(&y, &region);
+                    assert_eq!(
+                        bound.hit(&x),
+                        want,
+                        "{} {:?} {policy:?} {mode:?} eps {eps}: {x:?}",
+                        fam.name(),
+                        mbr.members
+                    );
+                    let exit = if !within(&y, &region, &expansion(eps, policy)) {
+                        0
+                    } else if !want {
+                        1
+                    } else {
+                        2
+                    };
+                    exits[pi][exit] += 1;
+                }
+            }
+        }
+    }
+    let [paper, safe, adaptive] = exits;
+    assert!(
+        paper[0] > 50 && paper[2] > 50 && safe[0] > 50 && safe[2] > 50,
+        "window exits {exits:?}"
+    );
+    assert_eq!(
+        (paper[1], safe[1]),
+        (0, 0),
+        "only Adaptive has a chord test"
+    );
+    assert!(adaptive.iter().all(|&n| n > 50), "adaptive exits {exits:?}");
+}
+
+/// The engines that took the bound form report what the spelled-out
+/// filter would: `mtindex` (per rectangle of a partitioning) and
+/// `stindex::range_query_ordered` see the candidates of a hand-run
+/// `index.search(|r| filter.hit(&mbr.apply_to_rect(r), &region), ..)` in
+/// the same order for the same node and leaf accesses.
+#[test]
+fn engines_on_the_bound_filter_walk_the_spelled_out_walk() {
+    use crate::engine::{mtindex, stindex};
+    use crate::index::{IndexConfig, SeqIndex};
+    use crate::ordering::OrderedFamily;
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::{mt_query_region, QueryMode, RangeSpec};
+    use tseries::{Corpus, CorpusKind};
+
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 600, 64, 0xB0F2);
+    let config = IndexConfig {
+        fanout: Some(8),
+        ..IndexConfig::default()
+    };
+    let index = SeqIndex::build(&corpus, config).unwrap();
+    // What the spelled-out filter finds for one rectangle: candidates in
+    // order, node accesses, leaf accesses.
+    let by_hand = |mbr: &TransformMbr, q: &FeatureVec, spec: &RangeSpec| {
+        let filter = Filter::new(spec.epsilon(64), spec.policy);
+        let region = mt_query_region(mbr, q, spec.mode);
+        let mut candidates = Vec::new();
+        let stats = index
+            .search(
+                |r| filter.hit(&mbr.apply_to_rect(r), &region),
+                |_, seq| candidates.push(seq as usize),
+            )
+            .unwrap();
+        (candidates, stats.nodes_accessed, stats.leaf_nodes_accessed)
+    };
+    // The sequences of a result in first-match order.
+    let seqs_in_order = |matches: &[crate::report::Match]| {
+        let mut seqs: Vec<usize> = matches.iter().map(|m| m.seq).collect();
+        seqs.dedup();
+        seqs
+    };
+
+    let family = Family::moving_averages(3..=10, 64).with_inverted();
+    let mut candidates_seen = 0;
+    for (qi, policy, mode) in [
+        (7usize, FilterPolicy::Adaptive, QueryMode::Symmetric),
+        (91, FilterPolicy::Paper, QueryMode::Symmetric),
+        (333, FilterPolicy::Safe, QueryMode::DataOnly),
+    ] {
+        let query = &corpus.series()[qi];
+        let q = index.prepare_query(query).unwrap();
+        let spec = RangeSpec::correlation(0.9)
+            .with_policy(policy)
+            .with_mode(mode);
+        for strategy in [
+            PartitionStrategy::Single,
+            PartitionStrategy::EqualWidth { per_mbr: 2 },
+            PartitionStrategy::EqualWidth { per_mbr: 1 },
+        ] {
+            let mbrs = partition(&family, &strategy);
+            let (result, traversals) =
+                mtindex::range_query_with_mbrs(&index, query, &family, &spec, &mbrs, None).unwrap();
+            let mut matched = result.matches.as_slice();
+            for (mbr, traversal) in mbrs.iter().zip(&traversals) {
+                let (candidates, nodes, leaves) = by_hand(mbr, &q.point, &spec);
+                assert_eq!(
+                    (traversal.candidates, traversal.da_all, traversal.da_leaf),
+                    (candidates.len() as u64, nodes, leaves),
+                    "{policy:?} {strategy:?} {:?}",
+                    mbr.members
+                );
+                // This rectangle's matches: its candidates that matched
+                // under one of its members, in candidate order.
+                let mine = matched
+                    .iter()
+                    .take_while(|m| mbr.members.contains(&m.transform))
+                    .count();
+                let (head, rest) = matched.split_at(mine);
+                matched = rest;
+                let hit: Vec<usize> = seqs_in_order(head);
+                let expected: Vec<usize> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|seq| hit.contains(seq))
+                    .collect();
+                assert_eq!(hit, expected, "{policy:?} {strategy:?}: candidate order");
+                candidates_seen += candidates.len();
+            }
+            assert!(matched.is_empty());
+        }
+    }
+    assert!(
+        candidates_seen > 500,
+        "{candidates_seen} candidates compared"
+    );
+
+    // §4.4's single traversal under the minimal member.
+    let factors: Vec<f64> = (1..=8).map(|k| 0.5 + k as f64 * 0.25).collect();
+    let ordered = OrderedFamily::scalings(&factors, 64);
+    let t0 = TransformMbr::of(ordered.family(), vec![0]);
+    for policy in [FilterPolicy::Paper, FilterPolicy::Adaptive] {
+        let spec = RangeSpec::euclidean(6.0).with_policy(policy);
+        let query = &corpus.series()[44];
+        let q = index.prepare_query(query).unwrap();
+        let (candidates, nodes, leaves) = by_hand(&t0, &q.point, &spec);
+        let result = stindex::range_query_ordered(&index, query, &ordered, &spec).unwrap();
+        let m = &result.metrics;
+        assert_eq!(
+            (m.candidates, m.node_accesses, m.leaf_accesses),
+            (candidates.len() as u64, nodes, leaves),
+            "ordered {policy:?}"
+        );
+        let hit = seqs_in_order(&result.matches);
+        assert!(hit.len() > 3, "ordered {policy:?}: {} sequences", hit.len());
+        let expected: Vec<usize> = candidates
+            .into_iter()
+            .filter(|seq| hit.contains(seq))
+            .collect();
+        assert_eq!(hit, expected, "ordered {policy:?}: candidate order");
+    }
+}
+
 /// Adaptive never dismisses a qualifying pair: any two points whose
 /// *true* complex distance over the two stored coefficients is within
 /// ε/√2 must hit.

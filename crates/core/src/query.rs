@@ -260,20 +260,104 @@ impl Filter {
             return true;
         }
         // Adaptive angle test per retained coefficient.
-        for (&md, &ad) in MAG_DIMS.iter().zip(&ANGLE_DIMS) {
-            let delta = circular_gap(a.lo[ad], a.hi[ad], b.lo[ad], b.hi[ad]);
-            if delta <= 0.0 {
-                continue;
-            }
-            let r_a = a.lo[md].max(0.0);
-            let r_b = b.lo[md].max(0.0);
-            let chord = 2.0 * (r_a * r_b).sqrt() * (delta / 2.0).sin();
-            if chord > self.w {
+        MAG_DIMS.iter().zip(&ANGLE_DIMS).all(|(&md, &ad)| {
+            chord_hit(
+                self.w,
+                (a.lo[md], a.lo[ad], a.hi[ad]),
+                (b.lo[md], b.lo[ad], b.hi[ad]),
+            )
+        })
+    }
+
+    /// Binds the filter to one transformation rectangle and its query
+    /// region (steps 1–2 of Algorithm 1), for the per-entry test of steps
+    /// 3–4: `bound.hit(x)` is `self.hit(&mbr.apply_to_rect(x), &region)`.
+    pub fn bind<'a>(&self, mbr: &'a TransformMbr, region: FRect) -> RectFilter<'a> {
+        let windows = (0..DIMS)
+            .filter(|&i| !self.expand[i].is_infinite())
+            .map(|i| {
+                (
+                    i,
+                    region.lo[i] - self.expand[i],
+                    region.hi[i] + self.expand[i],
+                )
+            })
+            .collect();
+        RectFilter {
+            mbr,
+            region,
+            windows,
+            chord_w: (self.policy == FilterPolicy::Adaptive).then_some(self.w),
+        }
+    }
+}
+
+/// A [`Filter`] bound to one transformation rectangle and query region —
+/// what a traversal evaluates on every index rectangle it meets.
+///
+/// [`Self::hit`] returns exactly `filter.hit(&mbr.apply_to_rect(x),
+/// &region)`, computing less: that expression is a conjunction of
+/// per-dimension tests, each reading only its own dimension of Eq. 12's
+/// output, so the bound form evaluates Eq. 12 one dimension at a time
+/// ([`TransformMbr::apply_to_dim`], the arithmetic `apply_to_rect` is
+/// made of), in [`Filter::hit`]'s order, and stops at the first failing
+/// test. The unconstrained dimensions (mean and std always, the angles
+/// unless the policy looks at them) are never computed, and the window
+/// ends `region.lo − e`, `region.hi + e` are computed once per rectangle
+/// — the same `f64`s [`within`] computes per entry.
+#[derive(Clone, Debug)]
+pub struct RectFilter<'a> {
+    mbr: &'a TransformMbr,
+    region: FRect,
+    /// `(dimension, region.lo − e, region.hi + e)` per constrained
+    /// dimension, ascending.
+    windows: Vec<(usize, f64, f64)>,
+    /// `ε/√2` when the adaptive angle test applies.
+    chord_w: Option<f64>,
+}
+
+impl RectFilter<'_> {
+    /// True when the data rectangle `x`, transformed by the bound
+    /// rectangle, may contain a point within ε of the bound region.
+    pub fn hit(&self, x: &FRect) -> bool {
+        let dim = |i: usize| self.mbr.apply_to_dim(i, x.lo[i], x.hi[i]);
+        for &(i, w_lo, w_hi) in &self.windows {
+            let (lo, hi) = dim(i);
+            if !window_hit(i, lo, hi, w_lo, w_hi) {
                 return false;
             }
         }
-        true
+        let Some(w) = self.chord_w else {
+            return true;
+        };
+        let b = &self.region;
+        MAG_DIMS.iter().zip(&ANGLE_DIMS).all(|(&md, &ad)| {
+            let (angle_lo, angle_hi) = dim(ad);
+            chord_hit(
+                w,
+                (dim(md).0, angle_lo, angle_hi),
+                (b.lo[md], b.lo[ad], b.hi[ad]),
+            )
+        })
     }
+}
+
+/// The adaptive angle test of one coefficient (see
+/// [`FilterPolicy::Adaptive`]): each side is `(magnitude lower bound,
+/// angle lo, angle hi)`; false when the angular gap between the two angle
+/// intervals forces a chord longer than `w = ε/√2` at those magnitudes.
+fn chord_hit(w: f64, a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
+    let delta = circular_gap(a.1, a.2, b.1, b.2);
+    if delta <= 0.0 {
+        return true;
+    }
+    let r_a = a.0.max(0.0);
+    let r_b = b.0.max(0.0);
+    let chord = 2.0 * (r_a * r_b).sqrt() * (delta / 2.0).sin();
+    // Prune on `>` only: a NaN chord (an infinite magnitude bound against a
+    // zero one) proves nothing and keeps the entry.
+    let too_far = chord > w;
+    !too_far
 }
 
 /// Minimal angular distance between two intervals on the 2π circle
@@ -309,20 +393,20 @@ pub fn circular_gap(alo: f64, ahi: f64, blo: f64, bhi: f64) -> f64 {
 /// dimension — i.e. `a` intersects `b` grown by `expand`. Angle dimensions
 /// compare circularly (period 2π).
 pub fn within(a: &FRect, b: &FRect, expand: &[f64; DIMS]) -> bool {
-    for (i, &e) in expand.iter().enumerate() {
-        if e.is_infinite() {
-            continue;
-        }
-        let circular = ANGLE_DIMS.contains(&i);
-        if circular {
-            if !circular_overlap(a.lo[i], a.hi[i], b.lo[i] - e, b.hi[i] + e) {
-                return false;
-            }
-        } else if !(a.lo[i] <= b.hi[i] + e && b.lo[i] - e <= a.hi[i]) {
-            return false;
-        }
+    expand
+        .iter()
+        .enumerate()
+        .all(|(i, &e)| e.is_infinite() || window_hit(i, a.lo[i], a.hi[i], b.lo[i] - e, b.hi[i] + e))
+}
+
+/// One dimension of [`within`]: does `[a_lo, a_hi]` meet the window
+/// `[w_lo, w_hi]`? Circular on angle dimensions.
+fn window_hit(dim: usize, a_lo: f64, a_hi: f64, w_lo: f64, w_hi: f64) -> bool {
+    if ANGLE_DIMS.contains(&dim) {
+        circular_overlap(a_lo, a_hi, w_lo, w_hi)
+    } else {
+        a_lo <= w_hi && w_lo <= a_hi
     }
-    true
 }
 
 /// Interval overlap on the circle of circumference 2π.

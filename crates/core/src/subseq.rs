@@ -142,11 +142,11 @@ impl SubseqIndex {
         let eps = spec.epsilon(self.window);
         let filter = Filter::new(eps, spec.policy);
         let mbr = TransformMbr::of_family(family);
-        let region = mt_query_region(&mbr, &q.point, spec.mode);
+        let bound = filter.bind(&mbr, mt_query_region(&mbr, &q.point, spec.mode));
 
         let mut candidates = Vec::new();
         let stats = self.tree.search(
-            |rect| filter.hit(&mbr.apply_to_rect(rect), &region),
+            |rect| bound.hit(rect),
             |_, trail_id| candidates.push(trail_id as usize),
         )?;
 
@@ -297,6 +297,66 @@ mod tests {
         let (b, bm) = index.query(&pattern, &family, &adaptive).unwrap();
         assert_eq!(sorted_subseq(&a), sorted_subseq(&b));
         assert!(bm.candidates <= am.candidates);
+    }
+
+    /// The traversal runs on the bound filter; it must visit and report
+    /// what the spelled-out `filter.hit(&mbr.apply_to_rect(r), &region)`
+    /// does: the same trails in the same order for the same accesses.
+    #[test]
+    fn bound_filter_walks_the_spelled_out_walk() {
+        let seqs = long_sequences(10, 300, 17);
+        let index = SubseqIndex::build(seqs.clone(), 32, 4).unwrap();
+        let family = Family::moving_averages(2..=6, 32).with_inverted();
+        let pattern: TimeSeries = seqs[2].values()[40..72].to_vec().into();
+        for policy in [
+            FilterPolicy::Paper,
+            FilterPolicy::Safe,
+            FilterPolicy::Adaptive,
+        ] {
+            let spec = RangeSpec::correlation(0.9).with_policy(policy);
+            let q = index.prepare(&pattern, &family).unwrap();
+            let filter = Filter::new(spec.epsilon(32), policy);
+            let mbr = TransformMbr::of_family(&family);
+            let region = mt_query_region(&mbr, &q.point, spec.mode);
+            let mut trails = Vec::new();
+            let stats = index
+                .tree
+                .search(
+                    |r| filter.hit(&mbr.apply_to_rect(r), &region),
+                    |_, trail| trails.push(trail as usize),
+                )
+                .unwrap();
+
+            let (matches, metrics) = index.query(&pattern, &family, &spec).unwrap();
+            assert_eq!(
+                (
+                    metrics.candidates,
+                    metrics.node_accesses,
+                    metrics.leaf_accesses
+                ),
+                (
+                    trails.len() as u64,
+                    stats.nodes_accessed,
+                    stats.leaf_nodes_accessed
+                ),
+                "{policy:?}"
+            );
+            // Matches come out trail by trail, window by window: their
+            // (sequence, offset) order is that of the trails walked.
+            let mut found: Vec<(usize, usize)> =
+                matches.iter().map(|m| (m.seq, m.offset)).collect();
+            found.dedup();
+            let expected: Vec<(usize, usize)> = trails
+                .iter()
+                .flat_map(|&t| {
+                    let trail = &index.trails[t];
+                    (0..trail.len).map(move |k| (trail.seq, trail.start + k))
+                })
+                .filter(|window| found.contains(window))
+                .collect();
+            assert!(found.len() > 3, "{policy:?}: {} windows", found.len());
+            assert_eq!(found, expected, "{policy:?}: trail order");
+        }
     }
 
     #[test]

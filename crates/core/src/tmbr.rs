@@ -88,19 +88,30 @@ impl TransformMbr {
         self.members.len()
     }
 
+    /// Eq. 12 in dimension `i` alone: the interval `[x_lo, x_hi]` under
+    /// every `(a, b)` of the rectangle's `i`-th side. The one place the
+    /// equation is spelled — [`Self::apply_to_rect`] is this in every
+    /// dimension, and the bound filter ([`crate::query::RectFilter`])
+    /// calls it only in the dimensions its tests look at.
+    pub fn apply_to_dim(&self, i: usize, x_lo: f64, x_hi: f64) -> (f64, f64) {
+        let products = [
+            self.mult_lo[i] * x_lo,
+            self.mult_lo[i] * x_hi,
+            self.mult_hi[i] * x_lo,
+            self.mult_hi[i] * x_hi,
+        ];
+        (
+            self.add_lo[i] + products.iter().copied().fold(f64::INFINITY, f64::min),
+            self.add_hi[i] + products.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        )
+    }
+
     /// Eq. 12 — applies the transformation rectangle to a data rectangle.
     pub fn apply_to_rect(&self, x: &FRect) -> FRect {
         let mut lo = [0.0; DIMS];
         let mut hi = [0.0; DIMS];
         for i in 0..DIMS {
-            let products = [
-                self.mult_lo[i] * x.lo[i],
-                self.mult_lo[i] * x.hi[i],
-                self.mult_hi[i] * x.lo[i],
-                self.mult_hi[i] * x.hi[i],
-            ];
-            lo[i] = self.add_lo[i] + products.iter().copied().fold(f64::INFINITY, f64::min);
-            hi[i] = self.add_hi[i] + products.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (lo[i], hi[i]) = self.apply_to_dim(i, x.lo[i], x.hi[i]);
         }
         Rect { lo, hi }
     }

@@ -5,10 +5,22 @@
 //! (see DESIGN.md §2.3 — the 1999 testbed's spindle is not the point; the
 //! *counts* drive the cost model of Eq. 18–20, which the paper itself uses
 //! to normalise Figures 8–9).
+//!
+//! Reads are **shared**: the page table sits behind a reader–writer lock
+//! that `read`, `with_page`, `stats` and the persistence snapshot take
+//! shared and only `alloc`, `free` and `write` take exclusively, so
+//! concurrent traversals of one index never wait on each other — only on a
+//! writer. [`Disk::with_page`] lends the page where it lies instead of
+//! copying it out, which is what the R*-tree's in-place node view stands
+//! on; the price is that its reader runs *under* the shared lock, so it
+//! must not call back into the same device: an `alloc`/`free`/`write`
+//! would wait for a lock its own thread holds, and a nested `read` or
+//! `with_page` can deadlock behind a writer queued between the two
+//! acquisitions. Take what you need from the page, return, then go on.
 
 use crate::error::PageError;
 use crate::page::{Page, PageId};
-use crate::sync::Mutex;
+use crate::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters of physical page traffic.
@@ -36,6 +48,11 @@ pub trait PageDevice: Send + Sync {
     fn free(&self, pid: PageId);
     /// Reads a page, counting one disk access.
     fn read(&self, pid: PageId) -> Result<Page, PageError>;
+    /// Lends the page to `f` where it lies — the same one counted access
+    /// and the same failures as [`Self::read`], without the copy. `f` runs
+    /// at most once, and not at all on `Err`. It may run under the
+    /// device's shared lock and must not call back into the device.
+    fn with_page(&self, pid: PageId, f: &mut dyn FnMut(&Page)) -> Result<(), PageError>;
     /// Writes a page, counting one disk access.
     fn write(&self, pid: PageId, page: &Page) -> Result<(), PageError>;
     /// Snapshot of the access counters.
@@ -57,6 +74,11 @@ impl PageDevice for Disk {
         Ok(Disk::read(self, pid))
     }
 
+    fn with_page(&self, pid: PageId, f: &mut dyn FnMut(&Page)) -> Result<(), PageError> {
+        Disk::with_page(self, pid, f);
+        Ok(())
+    }
+
     fn write(&self, pid: PageId, page: &Page) -> Result<(), PageError> {
         Disk::write(self, pid, page);
         Ok(())
@@ -74,7 +96,7 @@ impl PageDevice for Disk {
 /// A thread-safe in-memory page device with a free list.
 #[derive(Default)]
 pub struct Disk {
-    inner: Mutex<DiskInner>,
+    inner: RwLock<DiskInner>,
     reads: AtomicU64,
     writes: AtomicU64,
 }
@@ -93,7 +115,7 @@ impl Disk {
 
     /// Allocates a zeroed page and returns its id.
     pub fn alloc(&self) -> PageId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         if let Some(pid) = inner.free.pop() {
             inner.pages[pid.0 as usize] = Some(Page::zeroed());
             pid
@@ -112,7 +134,7 @@ impl Disk {
     /// Panics if the page was never allocated or was already freed — a
     /// double free is a bug in the caller, not a recoverable condition.
     pub fn free(&self, pid: PageId) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let slot = inner
             .pages
             .get_mut(pid.0 as usize)
@@ -123,20 +145,13 @@ impl Disk {
 
     /// Reads a page, counting one disk access.
     pub fn read(&self, pid: PageId) -> Page {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.lock();
-        inner
-            .pages
-            .get(pid.0 as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("read of unallocated {pid}"))
-            .clone()
+        self.with_page(pid, Page::clone)
     }
 
     /// Writes a page, counting one disk access.
     pub fn write(&self, pid: PageId, page: &Page) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let slot = inner
             .pages
             .get_mut(pid.0 as usize)
@@ -146,10 +161,12 @@ impl Disk {
     }
 
     /// Runs `f` against a page without copying it out, still counting one
-    /// read access. Useful on hot paths (index node scans).
+    /// read access — the hot path of index node scans. `f` runs under the
+    /// shared lock: other readers proceed beside it, writers wait for it,
+    /// and it must not call back into this device (see the module docs).
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> R {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         let page = inner
             .pages
             .get(pid.0 as usize)
@@ -160,7 +177,7 @@ impl Disk {
 
     /// Snapshot of the access counters.
     pub fn stats(&self) -> DiskStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         DiskStats {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
@@ -178,7 +195,7 @@ impl Disk {
 
     /// Copies the device state out (persistence support).
     pub(crate) fn snapshot(&self) -> DiskSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         DiskSnapshot {
             pages: inner.pages.clone(),
             free: inner.free.clone(),
@@ -188,7 +205,7 @@ impl Disk {
     /// Rebuilds a device from a snapshot (persistence support).
     pub(crate) fn from_snapshot(pages: Vec<Option<Page>>, free: Vec<PageId>) -> Self {
         Self {
-            inner: Mutex::new(DiskInner { pages, free }),
+            inner: RwLock::new(DiskInner { pages, free }),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
         }
@@ -236,6 +253,21 @@ mod tests {
         let s = d.stats();
         assert_eq!((s.reads, s.writes), (0, 0));
         assert_eq!(s.allocated, 1);
+    }
+
+    #[test]
+    fn trait_with_page_lends_what_read_copies() {
+        let d = Disk::new();
+        let a = d.alloc();
+        let mut p = Page::zeroed();
+        p.put_u64(8, 7);
+        d.write(a, &p);
+        let dev: &dyn PageDevice = &d;
+        let mut lent = None;
+        dev.with_page(a, &mut |page| lent = Some(*page.bytes()))
+            .unwrap();
+        assert_eq!(lent.unwrap(), *dev.read(a).unwrap().bytes());
+        assert_eq!(d.stats().reads, 2, "one counted access each");
     }
 
     #[test]

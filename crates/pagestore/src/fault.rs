@@ -363,19 +363,12 @@ impl FaultyDisk {
         }
         None
     }
-}
 
-impl PageDevice for FaultyDisk {
-    fn alloc(&self) -> PageId {
-        self.inner.alloc()
-    }
-
-    fn free(&self, pid: PageId) {
-        self.state.lock().torn.remove(&pid);
-        self.inner.free(pid)
-    }
-
-    fn read(&self, pid: PageId) -> Result<Page, PageError> {
+    /// The fault gate every read access passes — [`PageDevice::read`] and
+    /// [`PageDevice::with_page`] alike, so a borrowed read is one `firing`
+    /// and fails exactly where a copied one would. The state lock is held
+    /// for the gate only, never while the page is being read.
+    fn read_gate(&self, pid: PageId) -> Result<(), PageError> {
         let mut st = self.state.lock();
         match Self::firing(&mut st, true, pid) {
             Some(FaultKind::ReadError) => {
@@ -395,8 +388,29 @@ impl PageDevice for FaultyDisk {
             self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
             return Err(PageError::corrupt(pid));
         }
-        drop(st);
+        Ok(())
+    }
+}
+
+impl PageDevice for FaultyDisk {
+    fn alloc(&self) -> PageId {
+        self.inner.alloc()
+    }
+
+    fn free(&self, pid: PageId) {
+        self.state.lock().torn.remove(&pid);
+        self.inner.free(pid)
+    }
+
+    fn read(&self, pid: PageId) -> Result<Page, PageError> {
+        self.read_gate(pid)?;
         Ok(self.inner.read(pid))
+    }
+
+    fn with_page(&self, pid: PageId, f: &mut dyn FnMut(&Page)) -> Result<(), PageError> {
+        self.read_gate(pid)?;
+        self.inner.with_page(pid, f);
+        Ok(())
     }
 
     fn write(&self, pid: PageId, page: &Page) -> Result<(), PageError> {
@@ -470,6 +484,31 @@ mod tests {
         assert_eq!(err, PageError::read_io(pid));
         assert!(fd.read(pid).is_ok(), "one-shot: access 3 clean");
         assert_eq!(fd.injected().read_errors, 1);
+    }
+
+    /// A borrowed read is one access through the same gate as a copied
+    /// one: `OnAccess` numbers do not shift, the reader does not run on a
+    /// fault, and a torn page is a typed error, never bytes.
+    #[test]
+    fn with_page_passes_the_same_gate_as_read() {
+        let (_d, fd, pid) = device();
+        let peek = |fd: &FaultyDisk| {
+            let mut seen = None;
+            fd.with_page(pid, &mut |p| seen = Some(p.get_u64(0)))
+                .map(|()| seen.expect("reader ran"))
+        };
+        fd.arm(FaultPlan::new().read_error_at(2).torn_write_at(4));
+        assert_eq!(peek(&fd), Ok(99), "access 1 clean");
+        let mut ran = false;
+        let err = fd.with_page(pid, &mut |_| ran = true).unwrap_err();
+        assert_eq!(err, PageError::read_io(pid));
+        assert!(!ran, "the reader must not run on a failed access");
+        assert_eq!(peek(&fd), Ok(99), "one-shot: access 3 clean");
+        fd.write(pid, &Page::zeroed()).unwrap(); // access 4, silently torn
+        assert_eq!(peek(&fd), Err(PageError::corrupt(pid)));
+        let c = fd.injected();
+        assert_eq!((c.read_errors, c.torn_writes, c.corrupt_reads), (1, 1, 1));
+        assert_eq!(fd.stats().reads, 2, "failed accesses never reach the disk");
     }
 
     #[test]

@@ -27,6 +27,21 @@
 //!   [`pagestore::Disk`] page; both count node accesses, which is the
 //!   "number of disk accesses" of the paper's Figures 8–9.
 //!
+//! **Reading a node.** Read-only traversals — [`RStarTree::search`], the
+//! nearest-neighbour searches, [`RStarTree::level_summaries`],
+//! [`RStarTree::validate`] — never build a [`Node`]: [`NodeStore::view`]
+//! lends them a [`NodeView`] of the node where it lies (the page's bytes
+//! under the device's *shared* lock, or the memory store's slot), they
+//! test its entries in place and keep the few they need. Insertion,
+//! deletion and the joins take an owned copy through [`NodeStore::get`].
+//! Either way a visit is one counted access. Two rules follow from the
+//! view holding a lock while its closure runs: **views never nest** —
+//! take what you need, let go, then visit the next node — and therefore
+//! `search` evaluates its predicate on *all* entries of a node before it
+//! reports or descends into the first hit (hits are then handled in slot
+//! order, so for a predicate that depends on the rectangle alone nothing
+//! observable differs from testing and descending entry by entry).
+//!
 //! Dimensions are a compile-time constant (`const D: usize`); the paper's
 //! feature space is `D = 6` (mean, std, and two DFT coefficients in polar
 //! form).
@@ -58,7 +73,7 @@ mod store;
 mod tree;
 
 pub use bulk::bulk_load_str;
-pub use node::{Node, NodeId};
+pub use node::{Node, NodeId, NodeView};
 pub use params::Params;
 pub use rect::Rect;
 pub use store::{MemStore, NodeStore, PagedStore, StoreStats};

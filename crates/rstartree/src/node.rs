@@ -119,32 +119,106 @@ impl<const D: usize> Node<D> {
             off += 8;
         }
     }
+}
 
-    /// Deserialises from a page.
-    pub fn read_page(page: &Page) -> Self {
-        let level = page.get_u32(0);
+/// A read-only view of a node where it lies — the bytes of its page or a
+/// [`crate::MemStore`] slot — lent by [`crate::NodeStore::view`] for the
+/// duration of one closure. Nothing is decoded up front and no `Vec` is
+/// built: [`Self::entries`] yields the slots by value, one at a time, in
+/// slot order, so a traversal tests a node's rectangles in place and keeps
+/// only the few that pass.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a, const D: usize> {
+    level: u32,
+    // Exactly one of the two is non-empty: a serialised node lends its
+    // entry region (`count · ENTRY_BYTES` bytes), a stored one its slots.
+    page: &'a [u8],
+    slots: &'a [Entry<D>],
+}
+
+impl<'a, const D: usize> NodeView<'a, D> {
+    /// The view of a serialised node; `None` when the stored count exceeds
+    /// [`Node::page_capacity`] — no node this crate wrote, so the page is
+    /// corrupt and must surface as a typed error, not as a clamped count
+    /// or an out-of-bounds slice.
+    pub fn of_page(page: &'a Page) -> Option<Self> {
         let count = page.get_u32(4) as usize;
-        let mut entries = Vec::with_capacity(count);
-        let mut off = Self::HEADER_BYTES;
-        for _ in 0..count {
-            let mut lo = [0.0; D];
-            let mut hi = [0.0; D];
-            for slot in lo.iter_mut() {
-                *slot = page.get_f64(off);
-                off += 8;
-            }
-            for slot in hi.iter_mut() {
-                *slot = page.get_f64(off);
-                off += 8;
-            }
-            let payload = page.get_u64(off);
-            off += 8;
-            entries.push(Entry {
-                rect: Rect { lo, hi },
-                payload,
-            });
+        (count <= Node::<D>::page_capacity()).then(|| Self {
+            level: page.get_u32(0),
+            page: page.get_bytes(Node::<D>::HEADER_BYTES, count * Node::<D>::ENTRY_BYTES),
+            slots: &[],
+        })
+    }
+
+    /// The view of an in-memory node.
+    pub fn of_node(node: &'a Node<D>) -> Self {
+        Self {
+            level: node.level,
+            page: &[],
+            slots: &node.entries,
         }
-        Self { level, entries }
+    }
+
+    /// Distance from the leaf level (leaves are level 0).
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// True for leaf nodes.
+    pub fn is_leaf(&self) -> bool {
+        self.level == 0
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.page.len() / Node::<D>::ENTRY_BYTES + self.slots.len()
+    }
+
+    /// True when the node has no slots.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slots in order, each decoded as it is reached.
+    pub fn entries(&self) -> impl Iterator<Item = Entry<D>> + 'a {
+        // One side of the chain is always empty (see the fields).
+        self.page
+            .chunks_exact(Node::<D>::ENTRY_BYTES)
+            .map(decode_entry)
+            .chain(self.slots.iter().copied())
+    }
+
+    /// The MBR covering all entries.
+    pub fn mbr(&self) -> Rect<D> {
+        let mut mbr = Rect::empty();
+        for e in self.entries() {
+            mbr.enlarge(&e.rect);
+        }
+        mbr
+    }
+
+    /// An owned copy of the node.
+    pub fn to_node(&self) -> Node<D> {
+        Node {
+            level: self.level,
+            entries: self.entries().collect(),
+        }
+    }
+}
+
+/// Decodes one serialised entry (`ENTRY_BYTES` bytes, the layout
+/// [`Node::write_page`] writes).
+fn decode_entry<const D: usize>(bytes: &[u8]) -> Entry<D> {
+    // Sliced once to the constant width, so the reads below are in bounds
+    // by construction.
+    let bytes = &bytes[..Node::<D>::ENTRY_BYTES];
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    Entry {
+        rect: Rect {
+            lo: std::array::from_fn(|d| f64::from_bits(word(d))),
+            hi: std::array::from_fn(|d| f64::from_bits(word(D + d))),
+        },
+        payload: word(2 * D),
     }
 }
 
@@ -171,9 +245,10 @@ mod tests {
         }
         let mut page = Page::zeroed();
         node.write_page(&mut page);
-        let back = Node::<3>::read_page(&page);
-        assert_eq!(node, back);
-        assert!(!back.is_leaf());
+        let view = NodeView::<3>::of_page(&page).unwrap();
+        assert_eq!((view.level(), view.len(), view.is_leaf()), (2, 10, false));
+        assert_eq!(view.mbr(), node.mbr());
+        assert_eq!(view.to_node(), node);
     }
 
     #[test]
@@ -186,7 +261,30 @@ mod tests {
         }
         let mut page = Page::zeroed();
         node.write_page(&mut page);
-        assert_eq!(Node::<6>::read_page(&page), node);
+        assert_eq!(NodeView::<6>::of_page(&page).unwrap().to_node(), node);
+    }
+
+    #[test]
+    fn view_of_a_node_is_the_node() {
+        let mut node = Node::<2>::new(1);
+        assert!(NodeView::of_node(&node).is_empty());
+        node.entries
+            .push(Entry::branch(Rect::new([0.0, 1.0], [2.0, 3.0]), NodeId(9)));
+        let view = NodeView::of_node(&node);
+        assert_eq!((view.level(), view.len()), (1, 1));
+        assert_eq!(view.entries().next().unwrap().child(), NodeId(9));
+        assert_eq!(view.to_node(), node);
+    }
+
+    #[test]
+    fn count_beyond_capacity_is_not_a_node() {
+        let mut page = Page::zeroed();
+        Node::<6>::new(0).write_page(&mut page);
+        assert!(NodeView::<6>::of_page(&page).unwrap().is_empty());
+        page.put_u32(4, Node::<6>::page_capacity() as u32 + 1);
+        assert!(NodeView::<6>::of_page(&page).is_none());
+        page.put_u32(4, u32::MAX);
+        assert!(NodeView::<6>::of_page(&page).is_none());
     }
 
     #[test]

@@ -729,3 +729,463 @@ fn mbr_containment_under_mixed_insert_delete() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// The borrowed node view: what read-only traversals see through
+// `NodeStore::view` is the node `get` decodes, and walking it in place
+// reports what a decode-every-node walk reports, in the same order, for
+// the same counted accesses — on every kind of store.
+// ---------------------------------------------------------------------
+
+/// An entry, comparable to the bit: `(lo bits, hi bits, payload)`.
+type EntryBits<const D: usize> = ([u64; D], [u64; D], u64);
+/// What a traversal reported, in order.
+type Reported<const D: usize> = Vec<EntryBits<D>>;
+/// What a k-NN search returned, in order: `(distance bits, entry)`.
+type Ranked<const D: usize> = Vec<(u64, EntryBits<D>)>;
+
+/// A leaf scorer: the score of an entry, or `None` to disqualify it.
+type Scorer<'a, const D: usize> = dyn Fn(&Rect<D>, u64) -> Option<f64> + 'a;
+
+fn bits<const D: usize>(rect: &Rect<D>, payload: u64) -> EntryBits<D> {
+    (
+        rect.lo.map(f64::to_bits),
+        rect.hi.map(f64::to_bits),
+        payload,
+    )
+}
+
+fn neighbor_bits<const D: usize>(found: &[Neighbor<D>]) -> Ranked<D> {
+    found
+        .iter()
+        .map(|n| (n.dist.to_bits(), bits(&n.rect, n.data)))
+        .collect()
+}
+
+/// Reference predicate search over owned nodes: test an entry, report it
+/// or descend into it, then test the next — the walk `search` replaced.
+fn ref_search<const D: usize, S: NodeStore<D>>(
+    tree: &RStarTree<D, S>,
+    id: NodeId,
+    pred: &impl Fn(&Rect<D>) -> bool,
+    out: &mut Reported<D>,
+    stats: &mut SearchStats,
+) {
+    let node = tree.store().get(id).unwrap();
+    stats.nodes_accessed += 1;
+    stats.leaf_nodes_accessed += u64::from(node.is_leaf());
+    for e in &node.entries {
+        stats.entries_tested += 1;
+        if !pred(&e.rect) {
+            continue;
+        }
+        if node.is_leaf() {
+            stats.candidates += 1;
+            out.push(bits(&e.rect, e.payload));
+        } else {
+            ref_search(tree, e.child(), pred, out, stats);
+        }
+    }
+}
+
+/// A best-first queue item of the reference k-NN walks: smallest key
+/// first; at equal keys exact results (rank 0) before candidates (1)
+/// before nodes (2, `payload` = node id) — the documented tie rule.
+struct RefItem<const D: usize> {
+    key: f64,
+    rank: u8,
+    rect: Rect<D>,
+    payload: u64,
+}
+
+impl<const D: usize> PartialEq for RefItem<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<const D: usize> Eq for RefItem<D> {}
+impl<const D: usize> PartialOrd for RefItem<D> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<const D: usize> Ord for RefItem<D> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: `BinaryHeap` pops the greatest.
+        other
+            .key
+            .total_cmp(&self.key)
+            .then(other.rank.cmp(&self.rank))
+    }
+}
+
+/// Reference best-first k-NN over owned nodes. With `refine`, leaf entries
+/// queue as candidates under `leaf_key` and are refined when they surface
+/// (`nearest_by_refine`); without, `leaf_key` is the exact score
+/// (`nearest_by`). `None` from either disqualifies the entry.
+fn ref_nearest<const D: usize, S: NodeStore<D>>(
+    tree: &RStarTree<D, S>,
+    k: usize,
+    node_bound: impl Fn(&Rect<D>) -> f64,
+    leaf_key: impl Fn(&Rect<D>, u64) -> Option<f64>,
+    refine: Option<&Scorer<'_, D>>,
+) -> (Ranked<D>, SearchStats) {
+    use std::collections::BinaryHeap;
+    let mut stats = SearchStats::default();
+    let mut out = Vec::new();
+    let mut heap = BinaryHeap::new();
+    heap.push(RefItem {
+        key: 0.0,
+        rank: 2,
+        rect: Rect::empty(),
+        payload: u64::from(tree.root_id().0),
+    });
+    while let Some(item) = heap.pop() {
+        let RefItem {
+            key,
+            rank,
+            rect,
+            payload,
+        } = item;
+        match rank {
+            0 => {
+                out.push((key.to_bits(), bits(&rect, payload)));
+                if out.len() == k {
+                    break;
+                }
+            }
+            1 => {
+                stats.candidates += 1;
+                let refine = refine.expect("candidates are only queued when refining");
+                if let Some(exact) = refine(&rect, payload) {
+                    heap.push(RefItem {
+                        key: exact,
+                        rank: 0,
+                        rect,
+                        payload,
+                    });
+                }
+            }
+            _ => {
+                let node = tree.store().get(NodeId(payload as u32)).unwrap();
+                stats.nodes_accessed += 1;
+                stats.leaf_nodes_accessed += u64::from(node.is_leaf());
+                for e in &node.entries {
+                    stats.entries_tested += 1;
+                    let queued = if !node.is_leaf() {
+                        Some((node_bound(&e.rect), 2))
+                    } else if refine.is_some() {
+                        leaf_key(&e.rect, e.payload).map(|key| (key, 1))
+                    } else {
+                        // Scored here and now: every scored entry counts.
+                        let scored = leaf_key(&e.rect, e.payload);
+                        stats.candidates += u64::from(scored.is_some());
+                        scored.map(|key| (key, 0))
+                    };
+                    if let Some((key, rank)) = queued {
+                        heap.push(RefItem {
+                            key,
+                            rank,
+                            rect: e.rect,
+                            payload: e.payload,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    (out, stats)
+}
+
+fn random_rect<const D: usize>(rng: &mut MiniRng, max_side: f64) -> Rect<D> {
+    let lo: [f64; D] = std::array::from_fn(|_| rng.range_f64(-1000.0, 1000.0));
+    // Every third rectangle is a point, like the engine's leaf entries.
+    let side = if rng.below(3) == 0 { 0.0 } else { max_side };
+    let hi = lo.map(|l| l + rng.range_f64(0.0, 1.0) * side);
+    Rect { lo, hi }
+}
+
+/// One store, one fanout, one seed: random inserts and deletes, then the
+/// view against `get` node by node, and every view-driven traversal
+/// against its reference walk. `accesses` reads the store's cumulative
+/// count of node accesses (each store kind counts them somewhere else).
+fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
+    what: &str,
+    store: S,
+    accesses: impl Fn(&S) -> u64,
+    fanout: usize,
+    seed: u64,
+) {
+    let mut rng = MiniRng::new(seed);
+    let mut tree = RStarTree::with_params(store, Params::with_max(fanout));
+    let mut live: Vec<(Rect<D>, u64)> = Vec::new();
+    let n = if fanout > 16 { 900 } else { 350 };
+    for i in 0..n {
+        let r = random_rect(&mut rng, 40.0);
+        tree.insert(r, i).unwrap();
+        live.push((r, i));
+        if i % 4 == 3 {
+            let (r, d) = live.swap_remove(rng.below(live.len() as u64) as usize);
+            assert!(tree.delete(&r, d).unwrap(), "{what}: lost {d}");
+        }
+    }
+    assert!(tree.height() >= 2, "{what}: the walk must cross levels");
+
+    // Node by node: the view is what `get` decodes, field for field.
+    let mut per_level = vec![0u64; tree.height() as usize];
+    let mut queue = vec![tree.root_id()];
+    while let Some(id) = queue.pop() {
+        let node = tree.store().get(id).unwrap();
+        per_level[node.level as usize] += 1;
+        let before = accesses(tree.store());
+        tree.store()
+            .view(id, |view| {
+                assert_eq!(view.level(), node.level, "{what} {id:?}");
+                assert_eq!(view.len(), node.entries.len(), "{what} {id:?}");
+                assert_eq!(view.is_leaf(), node.is_leaf(), "{what} {id:?}");
+                assert_eq!(view.is_empty(), node.entries.is_empty(), "{what} {id:?}");
+                let seen: Reported<D> = view.entries().map(|e| bits(&e.rect, e.payload)).collect();
+                let want: Reported<D> = node
+                    .entries
+                    .iter()
+                    .map(|e| bits(&e.rect, e.payload))
+                    .collect();
+                assert_eq!(seen, want, "{what} {id:?}");
+                assert_eq!(bits(&view.mbr(), 0), bits(&node.mbr(), 0), "{what} {id:?}");
+                assert_eq!(view.to_node(), node, "{what} {id:?}");
+            })
+            .unwrap();
+        assert_eq!(
+            accesses(tree.store()) - before,
+            1,
+            "{what}: a view is one access"
+        );
+        if !node.is_leaf() {
+            queue.extend(node.entries.iter().map(|e| e.child()));
+        }
+    }
+
+    // The whole-tree walks that moved onto the view.
+    let total: u64 = per_level.iter().sum();
+    assert_eq!(tree.validate().unwrap() as u64, total, "{what}");
+    let summaries = tree.level_summaries().unwrap();
+    let counted: Vec<u64> = summaries.iter().map(|s| s.nodes).collect();
+    assert_eq!(counted, per_level, "{what}");
+    let root = tree.store().get(tree.root_id()).unwrap();
+    assert_eq!(
+        bits(&tree.root_mbr().unwrap(), 0),
+        bits(&root.mbr(), 0),
+        "{what}"
+    );
+
+    for case in 0..6 {
+        let what = format!("{what} case {case}");
+        // Counts the accesses of one traversal and checks them against
+        // the traversal's own `nodes_accessed`.
+        let counted = |stats: &SearchStats, before: u64| {
+            assert_eq!(
+                accesses(tree.store()) - before,
+                stats.nodes_accessed,
+                "{what}: accesses"
+            );
+        };
+
+        let query: Rect<D> = random_rect(&mut rng, 700.0);
+        let pred = |r: &Rect<D>| r.intersects(&query);
+        let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
+        ref_search(&tree, tree.root_id(), &pred, &mut want, &mut want_stats);
+
+        let before = accesses(tree.store());
+        let mut got = Vec::new();
+        let stats = tree.search(pred, |r, d| got.push(bits(r, d))).unwrap();
+        counted(&stats, before);
+        assert_eq!((&got, stats), (&want, want_stats), "{what}: search");
+
+        let before = accesses(tree.store());
+        let (hits, stats) = tree.range(&query).unwrap();
+        counted(&stats, before);
+        let got: Reported<D> = hits.iter().map(|(r, d)| bits(r, *d)).collect();
+        assert_eq!((&got, stats), (&want, want_stats), "{what}: range");
+
+        let q: [f64; D] = std::array::from_fn(|_| rng.range_f64(-1000.0, 1000.0));
+        let k = 1 + rng.below(12) as usize;
+        let node_bound = |r: &Rect<D>| r.min_dist_sq(&q);
+        let score = |r: &Rect<D>, d: u64| (d % 5 < 4).then(|| r.min_dist_sq(&q));
+
+        let before = accesses(tree.store());
+        let (found, stats) = tree.nearest_by(k, node_bound, score).unwrap();
+        counted(&stats, before);
+        let (want, want_stats) = ref_nearest(&tree, k, node_bound, score, None);
+        assert_eq!(
+            (neighbor_bits(&found), stats),
+            (want, want_stats),
+            "{what}: nearest_by"
+        );
+
+        // Halved MINDIST: a cheap bound that is not the exact score.
+        let half_bound = |r: &Rect<D>| 0.5 * r.min_dist_sq(&q);
+        let before = accesses(tree.store());
+        let (found, stats) = tree
+            .nearest_by_refine(k, half_bound, |r, _| half_bound(r), score)
+            .unwrap();
+        counted(&stats, before);
+        let (want, want_stats) = ref_nearest(
+            &tree,
+            k,
+            half_bound,
+            |r, _| Some(half_bound(r)),
+            Some(&score),
+        );
+        assert_eq!(
+            (neighbor_bits(&found), stats),
+            (want, want_stats),
+            "{what}: nearest_by_refine"
+        );
+
+        // Depth-first k-NN agrees on the distances (ties may differ).
+        let before = accesses(tree.store());
+        let (dfs, stats) = tree.nearest_dfs(k, &q, false).unwrap();
+        counted(&stats, before);
+        let (best_first, _) = tree
+            .nearest_by(k, node_bound, |r, _| Some(r.min_dist_sq(&q)))
+            .unwrap();
+        let dists =
+            |found: &[Neighbor<D>]| found.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>();
+        assert_eq!(dists(&dfs), dists(&best_first), "{what}: nearest_dfs");
+    }
+}
+
+#[test]
+fn node_view_is_the_node_on_every_store() {
+    use pagestore::{BufferPool, Disk, FaultyDisk};
+    use std::sync::Arc;
+    for (fanout, seed) in [(4usize, 0x51E4u64), (8, 0x51E8), (78, 0x5178)] {
+        view_is_the_node_in_order::<6, _>(
+            &format!("mem/{fanout}"),
+            MemStore::new(),
+            |s| s.stats().reads,
+            fanout,
+            seed,
+        );
+        view_is_the_node_in_order::<6, _>(
+            &format!("paged/{fanout}"),
+            PagedStore::new(Arc::new(Disk::new())),
+            |s| s.device().stats().reads,
+            fanout,
+            seed,
+        );
+        // A pool smaller than the tree: hits and misses both occur, and
+        // either is one access.
+        view_is_the_node_in_order::<6, _>(
+            &format!("pooled/{fanout}"),
+            PagedStore::with_pool(Arc::new(BufferPool::new(Arc::new(Disk::new()), 8))),
+            |s| {
+                let pool = s.pool().expect("pooled store").stats();
+                pool.hits + pool.misses
+            },
+            fanout,
+            seed,
+        );
+        view_is_the_node_in_order::<6, _>(
+            &format!("unarmed-faulty/{fanout}"),
+            PagedStore::new(Arc::new(FaultyDisk::new(Arc::new(Disk::new())))),
+            |s| s.device().stats().reads,
+            fanout,
+            seed,
+        );
+    }
+}
+
+/// Two readers inside the same unbuffered paged tree at once: A parks in
+/// its predicate — that is, inside a view of the root, holding whatever
+/// the device takes for a node read — until B has finished a whole
+/// `search`. If node reads took the device lock exclusively, B would wait
+/// for A's view and A for B's search. `mixed_rw` (two clients over the
+/// wire on one index) is the benchmark workload that pays for that: with
+/// views served under an exclusive device lock its readers serialise for
+/// a whole node's worth of predicate calls per visit.
+#[test]
+fn a_reader_parked_in_its_predicate_does_not_block_another() {
+    use pagestore::Disk;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+    let mut tree: RStarTree<2, PagedStore<2>> =
+        RStarTree::with_params(PagedStore::new(Arc::new(Disk::new())), Params::with_max(8));
+    for (r, d) in random_points(300, 77) {
+        tree.insert(r, d).unwrap();
+    }
+    let tree = &tree;
+    let (a_parked, a_is_parked) = mpsc::channel();
+    let (b_done, b_is_done) = mpsc::channel();
+    std::thread::scope(|s| {
+        let a = s.spawn(move || {
+            let mut parked = false;
+            tree.search(
+                |_| {
+                    if !parked {
+                        parked = true;
+                        a_parked.send(()).unwrap();
+                        // A watchdog, not a synchronisation: B's send is
+                        // what ends the wait.
+                        b_is_done
+                            .recv_timeout(Duration::from_secs(30))
+                            .expect("B cannot read while A holds a view: node reads are exclusive");
+                    }
+                    true
+                },
+                |_, _| {},
+            )
+            .unwrap()
+        });
+        let b = s.spawn(move || {
+            a_is_parked.recv().unwrap();
+            let stats = tree.search(|_| true, |_, _| {}).unwrap();
+            b_done.send(()).unwrap();
+            stats
+        });
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!(a, b, "both readers walked the whole tree");
+        assert_eq!(a.candidates, 300);
+    });
+}
+
+/// A tree page comes from a file (`Disk::load_from`); one whose stored
+/// entry count exceeds the page capacity is not a node. Every reader
+/// reports it as a typed corrupt-page error — never a panic, never a
+/// clamped count.
+#[test]
+fn node_count_beyond_capacity_is_a_typed_error() {
+    use pagestore::{Disk, PageError, PageId};
+    use std::sync::Arc;
+    let disk = Arc::new(Disk::new());
+    let mut tree: RStarTree<2, PagedStore<2>> =
+        RStarTree::with_params(PagedStore::new(Arc::clone(&disk)), Params::with_max(8));
+    for (r, d) in random_points(200, 78) {
+        tree.insert(r, d).unwrap();
+    }
+    // The leftmost leaf, so the error comes from below the root.
+    let mut id = tree.root_id();
+    loop {
+        let node = tree.store().get(id).unwrap();
+        if node.is_leaf() {
+            break;
+        }
+        id = node.entries[0].child();
+    }
+    assert_ne!(id, tree.root_id());
+    let pid = PageId(id.0);
+    let mut page = disk.read(pid);
+    page.put_u32(4, Node::<2>::page_capacity() as u32 + 1);
+    disk.write(pid, &page);
+
+    let corrupt = PageError::corrupt(pid);
+    assert_eq!(tree.store().get(id).unwrap_err(), corrupt);
+    assert_eq!(tree.store().view(id, |_| ()).unwrap_err(), corrupt);
+    assert_eq!(tree.search(|_| true, |_, _| {}).unwrap_err(), corrupt);
+    assert_eq!(
+        tree.nearest_by(200, |_| 0.0, |_, _| Some(0.0)).unwrap_err(),
+        corrupt
+    );
+    assert_eq!(tree.validate().unwrap_err(), corrupt);
+    assert_eq!(tree.level_summaries().unwrap_err(), corrupt);
+}

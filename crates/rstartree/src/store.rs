@@ -5,10 +5,25 @@
 //! buffer-pool lookup when a pool is attached); for [`MemStore`] the
 //! counters model the same traffic without serialisation cost. Experiments
 //! use the counters as the paper's "number of disk accesses".
+//!
+//! A node is read in one of two ways, and either is **one** counted
+//! access. [`NodeStore::view`] lends the node where it lies — page bytes
+//! under the device's shared lock (or a pinned pool frame), a slot under
+//! the [`MemStore`] mutex — to a closure; read-only traversals (search,
+//! nearest-neighbour, summaries, validation) use it and never build a
+//! [`Node`]. [`NodeStore::get`] hands out an owned copy; insertion,
+//! deletion and the joins use it because they mutate the node or hold two
+//! nodes across a recursion.
+//!
+//! **Never nest views.** A view holds a lock for as long as its closure
+//! runs: the `MemStore` mutex is not re-entrant, and a second shared read
+//! of the device taken inside the first can deadlock behind a writer
+//! queued in between. Take what you need out of the node, return from the
+//! closure, *then* visit the next node.
 
-use crate::node::{Node, NodeId};
+use crate::node::{Node, NodeId, NodeView};
 use pagestore::sync::Mutex;
-use pagestore::{BufferPool, PageDevice, PageError, PageId};
+use pagestore::{BufferPool, Page, PageDevice, PageError, PageId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,15 +38,20 @@ pub struct StoreStats {
 
 /// Storage abstraction for tree nodes.
 ///
-/// Accessors return [`PageError`] when the backing device fails (only
-/// possible for paged stores over a faulty device); passing an id that was
-/// never allocated or already freed is a caller bug and still panics.
+/// Accessors return [`PageError`] when the backing device fails or a page
+/// does not hold a node (only possible for paged stores: a faulty device,
+/// or an image from a file whose stored entry count exceeds the page
+/// capacity — reported as [`PageError::corrupt`], never clamped); passing
+/// an id that was never allocated or already freed is a caller bug and
+/// still panics.
 pub trait NodeStore<const D: usize> {
     /// Allocates a slot for a node and stores it.
     fn alloc(&self, node: &Node<D>) -> Result<NodeId, PageError>;
 
-    /// Runs `f` over the stored node, counting one read.
-    fn read<R>(&self, id: NodeId, f: &mut dyn FnMut(&Node<D>) -> R) -> Result<R, PageError>;
+    /// Lends the stored node to `f` where it lies, counting one read. `f`
+    /// runs under the store's lock: it must not touch the store again
+    /// (the module docs' never-nest rule).
+    fn view<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> Result<R, PageError>;
 
     /// Replaces a stored node, counting one write.
     fn write(&self, id: NodeId, node: &Node<D>) -> Result<(), PageError>;
@@ -45,9 +65,9 @@ pub trait NodeStore<const D: usize> {
     /// Zeroes the counters.
     fn reset_stats(&self);
 
-    /// Convenience: clone the node out.
+    /// An owned copy of the stored node, counting one read.
     fn get(&self, id: NodeId) -> Result<Node<D>, PageError> {
-        self.read(id, &mut |n| n.clone())
+        self.view(id, |n| n.to_node())
     }
 }
 
@@ -104,7 +124,7 @@ impl<const D: usize> NodeStore<D> for MemStore<D> {
         })
     }
 
-    fn read<R>(&self, id: NodeId, f: &mut dyn FnMut(&Node<D>) -> R) -> Result<R, PageError> {
+    fn view<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> Result<R, PageError> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let slots = self.slots.lock();
         let node = slots
@@ -112,7 +132,7 @@ impl<const D: usize> NodeStore<D> for MemStore<D> {
             .get(id.0 as usize)
             .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("read of unallocated node {id:?}"));
-        Ok(f(node))
+        Ok(f(NodeView::of_node(node)))
     }
 
     fn write(&self, id: NodeId, node: &Node<D>) -> Result<(), PageError> {
@@ -199,15 +219,20 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
         Ok(id)
     }
 
-    fn read<R>(&self, id: NodeId, f: &mut dyn FnMut(&Node<D>) -> R) -> Result<R, PageError> {
+    fn view<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> Result<R, PageError> {
         let pid = PageId(id.0);
+        // The device lends its page to a `dyn FnMut`; `f` runs at most once.
+        let mut f = Some(f);
+        let mut out = None;
+        let mut on_page = |page: &Page| {
+            let f = f.take().expect("a page is lent once per access");
+            out = NodeView::of_page(page).map(f);
+        };
         match &self.pool {
-            Some(pool) => pool.with_page(pid, |p| f(&Node::read_page(p))),
-            None => {
-                let page = self.device.read(pid)?;
-                Ok(f(&Node::read_page(&page)))
-            }
+            Some(pool) => pool.with_page(pid, on_page)?,
+            None => self.device.with_page(pid, &mut on_page)?,
         }
+        out.ok_or(PageError::corrupt(pid))
     }
 
     fn write(&self, id: NodeId, node: &Node<D>) -> Result<(), PageError> {

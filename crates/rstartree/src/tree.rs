@@ -187,7 +187,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
 
     /// MBR of the whole tree ([`Rect::empty`] when empty).
     pub fn root_mbr(&self) -> Result<Rect<D>, PageError> {
-        self.store.read(self.root, &mut |n| n.mbr())
+        self.store.view(self.root, |n| n.mbr())
     }
 
     // ------------------------------------------------------------------
@@ -524,6 +524,14 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     /// into it, `true` on a leaf entry reports the entry via `on_data`.
     /// This mirrors steps 3–4 of Algorithm 1, where the transformation MBR
     /// is applied to each index rectangle before the intersection test.
+    ///
+    /// Evaluation order: a node's entries are tested in place, in slot
+    /// order, through [`NodeStore::view`], and `pred` has seen **all** of
+    /// them before the node is released and the first hit is reported or
+    /// descended into (views never nest). Hits are reported, and children
+    /// visited, in slot order — so for a `pred` whose answer depends on the
+    /// rectangle alone, the reported sequence and every counter are those
+    /// of a test-and-descend-as-you-go walk.
     pub fn search(
         &self,
         mut pred: impl FnMut(&Rect<D>) -> bool,
@@ -542,23 +550,21 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         stats: &mut SearchStats,
     ) -> Result<(), PageError> {
         stats.nodes_accessed += 1;
-        // Collect matches inside the (locked) read, recurse outside it — the
-        // store's lock is not re-entrant.
-        let node = self.store.get(node_id)?;
-        stats.entries_tested += node.entries.len() as u64;
-        if node.is_leaf() {
+        let mut hits: Vec<Entry<D>> = Vec::new();
+        let is_leaf = self.store.view(node_id, |node| {
+            stats.entries_tested += node.len() as u64;
+            hits.extend(node.entries().filter(|e| pred(&e.rect)));
+            node.is_leaf()
+        })?;
+        if is_leaf {
             stats.leaf_nodes_accessed += 1;
-            for e in &node.entries {
-                if pred(&e.rect) {
-                    stats.candidates += 1;
-                    on_data(&e.rect, e.payload);
-                }
+            stats.candidates += hits.len() as u64;
+            for e in &hits {
+                on_data(&e.rect, e.payload);
             }
         } else {
-            for e in &node.entries {
-                if pred(&e.rect) {
-                    self.search_rec(e.child(), pred, on_data, stats)?;
-                }
+            for e in &hits {
+                self.search_rec(e.child(), pred, on_data, stats)?;
             }
         }
         Ok(())
@@ -614,10 +620,10 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                 }
                 ItemKind::Node(id) => {
                     stats.nodes_accessed += 1;
-                    self.store.read(id, &mut |node: &Node<D>| {
+                    self.store.view(id, |node| {
                         if node.is_leaf() {
                             stats.leaf_nodes_accessed += 1;
-                            for e in &node.entries {
+                            for e in node.entries() {
                                 stats.entries_tested += 1;
                                 if let Some(d) = leaf_score(&e.rect, e.payload) {
                                     stats.candidates += 1;
@@ -628,7 +634,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                                 }
                             }
                         } else {
-                            for e in &node.entries {
+                            for e in node.entries() {
                                 stats.entries_tested += 1;
                                 heap.push(Reverse(HeapItem {
                                     key: node_bound(&e.rect),
@@ -703,44 +709,44 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         stats: &mut SearchStats,
     ) -> Result<(), PageError> {
         stats.nodes_accessed += 1;
-        let node = self.store.get(node_id)?;
-        if node.is_leaf() {
-            stats.leaf_nodes_accessed += 1;
-            for e in &node.entries {
-                stats.entries_tested += 1;
-                let d = e.rect.min_dist_sq(query);
-                if best.len() < k {
-                    best.push(HeapItem {
-                        key: d,
-                        kind: ItemKind::Data(e.rect, e.payload),
-                    });
-                } else if d < best.peek().expect("k > 0").key {
-                    best.pop();
-                    best.push(HeapItem {
-                        key: d,
-                        kind: ItemKind::Data(e.rect, e.payload),
-                    });
+        // A leaf is scored in place; a branch hands out its children's
+        // bounds and the recursion runs after the view is released.
+        let mut children: Vec<(f64, f64, NodeId)> = Vec::new();
+        self.store.view(node_id, |node| {
+            if node.is_leaf() {
+                stats.leaf_nodes_accessed += 1;
+                for e in node.entries() {
+                    stats.entries_tested += 1;
+                    let d = e.rect.min_dist_sq(query);
+                    if best.len() < k {
+                        best.push(HeapItem {
+                            key: d,
+                            kind: ItemKind::Data(e.rect, e.payload),
+                        });
+                    } else if d < best.peek().expect("k > 0").key {
+                        best.pop();
+                        best.push(HeapItem {
+                            key: d,
+                            kind: ItemKind::Data(e.rect, e.payload),
+                        });
+                    }
+                    if best.len() == k {
+                        *prune = prune.min(best.peek().expect("non-empty").key);
+                    }
                 }
-                if best.len() == k {
-                    *prune = prune.min(best.peek().expect("non-empty").key);
-                }
+            } else {
+                children.extend(node.entries().map(|e| {
+                    (
+                        e.rect.min_dist_sq(query),
+                        e.rect.min_max_dist_sq(query),
+                        e.child(),
+                    )
+                }));
             }
-            return Ok(());
-        }
+        })?;
 
         // Order children by MINDIST; optionally tighten the bound with
-        // MINMAXDIST (k = 1 only).
-        let mut children: Vec<(f64, f64, NodeId)> = node
-            .entries
-            .iter()
-            .map(|e| {
-                (
-                    e.rect.min_dist_sq(query),
-                    e.rect.min_max_dist_sq(query),
-                    e.child(),
-                )
-            })
-            .collect();
+        // MINMAXDIST (k = 1 only). (A leaf has none.)
         children.sort_by(|a, b| a.0.total_cmp(&b.0));
         if minmax {
             for &(_, mm, _) in &children {
@@ -835,10 +841,10 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                 }
                 RefineKind::Node(id) => {
                     stats.nodes_accessed += 1;
-                    self.store.read(id, &mut |node: &Node<D>| {
+                    self.store.view(id, |node| {
                         if node.is_leaf() {
                             stats.leaf_nodes_accessed += 1;
-                            for e in &node.entries {
+                            for e in node.entries() {
                                 stats.entries_tested += 1;
                                 heap.push(Reverse(RefineItem {
                                     key: leaf_bound(&e.rect, e.payload),
@@ -846,7 +852,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                                 }));
                             }
                         } else {
-                            for e in &node.entries {
+                            for e in node.entries() {
                                 stats.entries_tested += 1;
                                 heap.push(Reverse(RefineItem {
                                     key: node_bound(&e.rect),
@@ -1054,19 +1060,23 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         node_id: NodeId,
         acc: &mut Vec<(u64, [f64; D])>,
     ) -> Result<(), PageError> {
-        let node = self.store.get(node_id)?;
-        let mbr = node.mbr();
-        let slot = &mut acc[node.level as usize];
-        slot.0 += 1;
-        if !mbr.is_empty() {
-            for (d, total) in slot.1.iter_mut().enumerate() {
-                *total += mbr.hi[d] - mbr.lo[d];
+        let children: Vec<NodeId> = self.store.view(node_id, |node| {
+            let mbr = node.mbr();
+            let slot = &mut acc[node.level() as usize];
+            slot.0 += 1;
+            if !mbr.is_empty() {
+                for (d, total) in slot.1.iter_mut().enumerate() {
+                    *total += mbr.hi[d] - mbr.lo[d];
+                }
             }
-        }
-        if !node.is_leaf() {
-            for e in &node.entries {
-                self.summarize_rec(e.child(), acc)?;
+            if node.is_leaf() {
+                Vec::new()
+            } else {
+                node.entries().map(|e| e.child()).collect()
             }
+        })?;
+        for child in children {
+            self.summarize_rec(child, acc)?;
         }
         Ok(())
     }
@@ -1105,45 +1115,52 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         entry_count: &mut usize,
     ) -> Result<Rect<D>, PageError> {
         *node_count += 1;
-        let node = self.store.get(node_id)?;
-        assert_eq!(node.level, expected_level, "level mismatch at {node_id:?}");
-        assert!(
-            node.entries.len() <= self.params.max_entries,
-            "node {node_id:?} overflows: {}",
-            node.entries.len()
-        );
-        if !is_root && self.len > 0 {
-            assert!(
-                node.entries.len() >= self.params.min_entries,
-                "node {node_id:?} underflows: {} < {}",
-                node.entries.len(),
-                self.params.min_entries
+        // The node's own invariants are checked in place; a branch hands
+        // out its entries and the children are checked after the release.
+        let (mbr, branch_entries) = self.store.view(node_id, |node| {
+            assert_eq!(
+                node.level(),
+                expected_level,
+                "level mismatch at {node_id:?}"
             );
-        }
-        if node.is_leaf() {
-            *entry_count += node.entries.len();
-        } else {
             assert!(
-                !node.entries.is_empty() || is_root,
-                "empty branch node {node_id:?}"
+                node.len() <= self.params.max_entries,
+                "node {node_id:?} overflows: {}",
+                node.len()
             );
-            for e in &node.entries {
-                let child_mbr = self.validate_rec(
-                    e.child(),
-                    expected_level - 1,
-                    false,
-                    node_count,
-                    entry_count,
-                )?;
-                assert_eq!(
-                    e.rect,
-                    child_mbr,
-                    "stale parent rect at {node_id:?} for child {:?}",
-                    e.child()
+            if !is_root && self.len > 0 {
+                assert!(
+                    node.len() >= self.params.min_entries,
+                    "node {node_id:?} underflows: {} < {}",
+                    node.len(),
+                    self.params.min_entries
                 );
             }
+            let branch_entries: Vec<Entry<D>> = if node.is_leaf() {
+                *entry_count += node.len();
+                Vec::new()
+            } else {
+                assert!(!node.is_empty() || is_root, "empty branch node {node_id:?}");
+                node.entries().collect()
+            };
+            (node.mbr(), branch_entries)
+        })?;
+        for e in &branch_entries {
+            let child_mbr = self.validate_rec(
+                e.child(),
+                expected_level - 1,
+                false,
+                node_count,
+                entry_count,
+            )?;
+            assert_eq!(
+                e.rect,
+                child_mbr,
+                "stale parent rect at {node_id:?} for child {:?}",
+                e.child()
+            );
         }
-        Ok(node.mbr())
+        Ok(mbr)
     }
 }
 

@@ -291,11 +291,23 @@ impl Store {
                     pair("sequences", index.len().to_string()),
                     pair("seq_len", index.seq_len().to_string()),
                     pair("tree_height", index.height().to_string()),
+                ];
+                // How many nodes and leaves a traversal's `node_accesses`
+                // and `leaf_accesses` are out of — from the planner's
+                // memoised tree shape (a full walk only after a write).
+                // Left out when the walk fails on a faulty device.
+                if let Ok(shape) = shared.stats().tree_shape(&index) {
+                    let nodes: u64 = shape.summaries.iter().map(|l| l.nodes).sum();
+                    let leaves = shape.summaries.first().map_or(0, |l| l.nodes);
+                    info.push(pair("tree_nodes", nodes.to_string()));
+                    info.push(pair("tree_leaves", leaves.to_string()));
+                }
+                info.extend([
                     pair("leaf_capacity", index.leaf_capacity().to_string()),
                     pair("skipped", index.skipped().len().to_string()),
                     pair("deleted", index.deleted_count().to_string()),
                     pair("durable", shared.is_durable().to_string()),
-                ];
+                ]);
                 if let Some(epoch) = shared.wal_epoch() {
                     info.push(pair("wal_epoch", epoch.to_string()));
                 }

@@ -129,6 +129,8 @@ fn single_store_agrees_with_the_shared_index() {
             "sequences",
             "seq_len",
             "tree_height",
+            "tree_nodes",
+            "tree_leaves",
             "leaf_capacity",
             "skipped",
             "deleted",

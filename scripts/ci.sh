@@ -34,15 +34,18 @@
 #                           # caught here and not by the bench pipeline
 #   scripts/ci.sh bench     # tier-2, ~7 min: one `e2e --all` round of the
 #                           # working tree into results/bench.json, then
-#                           # `e2e --check` of it against the tracked
-#                           # baseline e2ebench/baseline/BENCH_11.json;
-#                           # prints the verdict table and exits with the
-#                           # comparator's status (non-zero on a
-#                           # `regressed` or `differs` row). One round has
-#                           # no spread of its own: a claimed gain still
-#                           # needs the ten alternating pairs CHANGES.md
-#                           # describes, and its `--all --runs 3` file
-#                           # committed as BENCH_<PR>.json at the root
+#                           # `e2e --check` of it against the newest
+#                           # tracked baseline — the highest-numbered
+#                           # BENCH_<PR>.json at the repo root (version
+#                           # sort), or e2ebench/baseline/BENCH_11.json
+#                           # when the root has none; prints the verdict
+#                           # table and exits with the comparator's status
+#                           # (non-zero on a `regressed` or `differs`
+#                           # row). One round has no spread of its own: a
+#                           # claimed gain still needs the ten alternating
+#                           # pairs CHANGES.md describes, and its `--all
+#                           # --runs 3` file committed as BENCH_<PR>.json
+#                           # at the root — which then is the baseline
 #
 # The chaos stage replays the fixed seed ranges baked into tests/chaos.rs
 # and crates/serve/tests/chaos_loopback.rs. Every violation panics with
@@ -126,12 +129,23 @@ obs_overhead_gate() {
     fi
 }
 
+# The newest row of perf history: the highest-numbered tracked
+# BENCH_<PR>.json at the repo root (e2ebench/ may not be edited, so only
+# the first row lives there), else that first row.
+newest_baseline() {
+    local newest
+    newest="$(git ls-files 'BENCH_*.json' | sort -V | tail -n 1)"
+    echo "${newest:-e2ebench/baseline/BENCH_11.json}"
+}
+
 bench_against_baseline() {
     local e2e=(cargo run --offline --release --quiet --manifest-path e2ebench/Cargo.toml --bin e2e --)
+    local baseline
+    baseline="$(newest_baseline)"
     echo "== bench: e2e --all, one round, into results/bench.json =="
     "${e2e[@]}" --all --runs 1 --out results/bench.json
-    echo "== bench: against e2ebench/baseline/BENCH_11.json =="
-    "${e2e[@]}" --check e2ebench/baseline/BENCH_11.json results/bench.json
+    echo "== bench: against $baseline =="
+    "${e2e[@]}" --check "$baseline" results/bench.json
 }
 
 case "$stage" in
@@ -165,6 +179,7 @@ all)
     ;;
 *)
     echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|e2e|bench]" >&2
+    echo "  (no argument: tier-1; bench compares against $(newest_baseline))" >&2
     exit 2
     ;;
 esac
