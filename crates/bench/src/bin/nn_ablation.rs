@@ -9,7 +9,7 @@
 //! `cargo run -p bench --release --bin nn_ablation`
 
 use bench::table::{f2, Table};
-use rstartree::{bulk_load_str, MemStore, Params, RStarTree, Rect};
+use rstartree::{bulk_load_str, PagedStore, Params, RStarTree, Rect};
 use tseries::rng::SeededRng;
 
 fn main() {
@@ -23,8 +23,7 @@ fn main() {
             )
         })
         .collect();
-    let tree: RStarTree<2, MemStore<2>> =
-        bulk_load_str(MemStore::new(), Params::with_max(32), items);
+    let tree: RStarTree<2> = bulk_load_str(PagedStore::in_memory(), Params::with_max(32), items);
     let queries: Vec<[f64; 2]> = (0..200)
         .map(|_| {
             [

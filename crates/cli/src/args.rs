@@ -1,114 +1,25 @@
-//! A small hand-rolled argument parser: `--key value` flags plus a leading
-//! subcommand. No external dependencies.
+//! The `simseq` command line: a leading subcommand, then `--key value`
+//! flags parsed by [`simserve::opts::Opts`] — the parser `simserved` and
+//! `simload` use, so a repeated or unknown flag is refused the same way
+//! everywhere.
 
-use std::collections::HashMap;
+use simserve::opts::Opts;
 
-/// Parsed command line: subcommand plus `--key value` options.
-pub struct Args {
-    sub: String,
-    options: HashMap<String, String>,
-}
-
-/// A user-facing CLI error (message already formatted).
-#[derive(Debug)]
-pub struct CliError(pub String);
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for CliError {}
+/// A user-facing CLI error (message already formatted): the parser's own
+/// error type, so `?` carries a bad flag straight out of a subcommand.
+pub use simserve::opts::OptError as CliError;
 
 /// Shorthand error constructor.
 pub fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-impl Args {
-    /// Parses `argv[1..]`: first token is the subcommand, the rest are
-    /// `--key value` pairs.
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
-        let mut iter = argv.iter();
-        let sub = iter
-            .next()
-            .ok_or_else(|| err("missing subcommand; try `simseq help`"))?;
-        let mut options = HashMap::new();
-        while let Some(token) = iter.next() {
-            let key = token
-                .strip_prefix("--")
-                .ok_or_else(|| err(format!("expected --flag, got `{token}`")))?;
-            let value = iter
-                .next()
-                .ok_or_else(|| err(format!("--{key} needs a value")))?;
-            if options.insert(key.to_string(), value.clone()).is_some() {
-                return Err(err(format!("--{key} given twice")));
-            }
-        }
-        Ok(Self {
-            sub: sub.clone(),
-            options,
-        })
-    }
-
-    /// The subcommand.
-    pub fn sub(&self) -> &str {
-        &self.sub
-    }
-
-    /// A required string option.
-    pub fn req(&self, key: &str) -> Result<&str, CliError> {
-        self.options
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| err(format!("missing required --{key}")))
-    }
-
-    /// An optional string option.
-    pub fn opt(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
-    }
-
-    /// A required parsed value.
-    pub fn req_parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
-        self.req(key)?.parse().map_err(|_| {
-            err(format!(
-                "--{key}: cannot parse `{}`",
-                self.req(key).unwrap_or("")
-            ))
-        })
-    }
-
-    /// An optional parsed value with a default.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.opt(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| err(format!("--{key}: cannot parse `{raw}`"))),
-        }
-    }
-
-    /// Parses `LO..HI` (inclusive) range options, e.g. `--ma 5..34`.
-    pub fn range(&self, key: &str) -> Result<Option<(usize, usize)>, CliError> {
-        let Some(raw) = self.opt(key) else {
-            return Ok(None);
-        };
-        let (lo, hi) = raw
-            .split_once("..")
-            .ok_or_else(|| err(format!("--{key}: expected LO..HI, got `{raw}`")))?;
-        let lo = lo
-            .parse()
-            .map_err(|_| err(format!("--{key}: bad LO `{lo}`")))?;
-        let hi = hi
-            .parse()
-            .map_err(|_| err(format!("--{key}: bad HI `{hi}`")))?;
-        if lo > hi {
-            return Err(err(format!("--{key}: LO > HI")));
-        }
-        Ok(Some((lo, hi)))
-    }
+/// Splits `argv[1..]` into the subcommand and its flags.
+pub fn parse(argv: &[String]) -> Result<(&str, Opts), CliError> {
+    let (sub, flags) = argv
+        .split_first()
+        .ok_or_else(|| err("missing subcommand; try `simseq help`"))?;
+    Ok((sub, Opts::parse(flags)?))
 }
 
 #[cfg(test)]
@@ -121,29 +32,32 @@ mod tests {
 
     #[test]
     fn parses_subcommand_and_flags() {
-        let a = Args::parse(&argv("query --index idx --rho 0.96")).unwrap();
-        assert_eq!(a.sub(), "query");
+        let line = argv("query --index idx --rho 0.96");
+        let (sub, a) = parse(&line).unwrap();
+        assert_eq!(sub, "query");
         assert_eq!(a.req("index").unwrap(), "idx");
         let rho: f64 = a.req_parse("rho").unwrap();
         assert!((rho - 0.96).abs() < 1e-12);
-        assert!(a.opt("missing").is_none());
+        assert!(a.get("missing").is_none());
         assert_eq!(a.parse_or("k", 7usize).unwrap(), 7);
     }
 
     #[test]
     fn parses_ranges() {
-        let a = Args::parse(&argv("query --ma 5..34")).unwrap();
+        let line = argv("query --ma 5..34");
+        let (_, a) = parse(&line).unwrap();
         assert_eq!(a.range("ma").unwrap(), Some((5, 34)));
         assert_eq!(a.range("shift").unwrap(), None);
-        let bad = Args::parse(&argv("query --ma 9..3")).unwrap();
+        let line = argv("query --ma 9..3");
+        let (_, bad) = parse(&line).unwrap();
         assert!(bad.range("ma").is_err());
     }
 
     #[test]
     fn rejects_malformed() {
-        assert!(Args::parse(&[]).is_err());
-        assert!(Args::parse(&argv("q stray")).is_err());
-        assert!(Args::parse(&argv("q --flag")).is_err());
-        assert!(Args::parse(&argv("q --a 1 --a 2")).is_err());
+        assert!(parse(&[]).is_err());
+        assert!(parse(&argv("q stray")).is_err());
+        assert!(parse(&argv("q --flag")).is_err());
+        assert!(parse(&argv("q --a 1 --a 2")).is_err());
     }
 }

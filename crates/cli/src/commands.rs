@@ -1,7 +1,8 @@
 //! Subcommand implementations.
 
-use crate::args::{err, Args, CliError};
+use crate::args::{err, CliError};
 use simquery::prelude::*;
+use simserve::opts::Opts;
 use simshard::{ShardConfig, ShardedIndex, Store};
 use std::path::{Path, PathBuf};
 
@@ -65,7 +66,8 @@ the directory with `simserved --index DIR/` to get per-shard STATS).
 type CliResult = Result<(), CliError>;
 
 /// `simseq gen` — write a synthetic corpus as CSV.
-pub fn gen(args: &Args) -> CliResult {
+pub fn gen(args: &Opts) -> CliResult {
+    args.reject_unknown(&["kind", "count", "len", "out", "seed"])?;
     let kind = match args.req("kind")? {
         "walks" => CorpusKind::SyntheticWalks,
         "stocks" => CorpusKind::StockCloses,
@@ -87,7 +89,8 @@ pub fn gen(args: &Args) -> CliResult {
 }
 
 /// `simseq build` — index a CSV corpus and persist it.
-pub fn build(args: &Args) -> CliResult {
+pub fn build(args: &Opts) -> CliResult {
+    args.reject_unknown(&["data", "out"])?;
     let data = PathBuf::from(args.req("data")?);
     let out = PathBuf::from(args.req("out")?);
     let corpus =
@@ -111,7 +114,8 @@ pub fn build(args: &Args) -> CliResult {
 }
 
 /// `simseq info` — describe a persisted index (either layout).
-pub fn info(args: &Args) -> CliResult {
+pub fn info(args: &Opts) -> CliResult {
+    args.reject_unknown(&["index"])?;
     let (store, names) = open_store(args)?;
     let info = store.describe();
     let get = |key: &str| info.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
@@ -143,7 +147,22 @@ pub fn info(args: &Args) -> CliResult {
 }
 
 /// `simseq query` — Query 1, scatter-gathered when the index is sharded.
-pub fn query(args: &Args) -> CliResult {
+pub fn query(args: &Opts) -> CliResult {
+    args.reject_unknown(&[
+        "index",
+        "query-index",
+        "query-csv",
+        "row",
+        "ma",
+        "shift",
+        "inverted",
+        "rho",
+        "eps",
+        "engine",
+        "policy",
+        "mode",
+        "limit",
+    ])?;
     let (store, names) = open_store(args)?;
     let family = family_from(args, store.read().seq_len())?;
     let spec = spec_from(args)?;
@@ -180,7 +199,10 @@ pub fn query(args: &Args) -> CliResult {
 }
 
 /// `simseq join` — Query 2.
-pub fn join(args: &Args) -> CliResult {
+pub fn join(args: &Opts) -> CliResult {
+    args.reject_unknown(&[
+        "index", "ma", "shift", "inverted", "rho", "eps", "engine", "policy", "mode", "limit",
+    ])?;
     let (store, names) = open_store(args)?;
     if store.single().is_none() {
         return Err(err(
@@ -218,7 +240,17 @@ pub fn join(args: &Args) -> CliResult {
 
 /// `simseq nn` — k nearest neighbours under the family (exact global kNN
 /// with bound propagation when the index is sharded).
-pub fn nn(args: &Args) -> CliResult {
+pub fn nn(args: &Opts) -> CliResult {
+    args.reject_unknown(&[
+        "index",
+        "query-index",
+        "query-csv",
+        "row",
+        "k",
+        "ma",
+        "shift",
+        "inverted",
+    ])?;
     let (store, names) = open_store(args)?;
     let family = family_from(args, store.read().seq_len())?;
     let k: usize = args.req_parse("k")?;
@@ -235,7 +267,8 @@ pub fn nn(args: &Args) -> CliResult {
 }
 
 /// `simseq promote` — flip a running follower to primary.
-pub fn promote(args: &Args) -> CliResult {
+pub fn promote(args: &Opts) -> CliResult {
+    args.reject_unknown(&["addr", "timeout-ms"])?;
     let addr = args.req("addr")?;
     let mut client = connect_client(args, addr)?;
     match client
@@ -251,7 +284,8 @@ pub fn promote(args: &Args) -> CliResult {
 }
 
 /// `simseq metrics` — fetch a running server's metrics exposition.
-pub fn metrics(args: &Args) -> CliResult {
+pub fn metrics(args: &Opts) -> CliResult {
+    args.reject_unknown(&["addr", "trace", "timeout-ms"])?;
     let addr = args.req("addr")?;
     let mut client = connect_client(args, addr)?;
     let lines = client
@@ -261,7 +295,7 @@ pub fn metrics(args: &Args) -> CliResult {
     for line in &lines {
         println!("{line}");
     }
-    if let Some(n) = args.opt("trace") {
+    if let Some(n) = args.get("trace") {
         let n: usize = n
             .parse()
             .map_err(|e| err(format!("--trace must be a count: {e}")))?;
@@ -281,7 +315,8 @@ pub fn metrics(args: &Args) -> CliResult {
 }
 
 /// `simseq recover` — replay a WAL onto its snapshot and checkpoint.
-pub fn recover(args: &Args) -> CliResult {
+pub fn recover(args: &Opts) -> CliResult {
+    args.reject_unknown(&["index", "wal", "pool-pages"])?;
     let dir = PathBuf::from(args.req("index")?);
     let wal = PathBuf::from(args.req("wal")?);
     let pool_pages: usize = args.parse_or("pool-pages", 256)?;
@@ -307,8 +342,8 @@ pub fn recover(args: &Args) -> CliResult {
 /// `simseq shard …` — `build` partitions a corpus; `info`/`query`/`nn`
 /// are aliases of the top-level commands, which take either layout.
 pub fn shard(argv: &[String]) -> CliResult {
-    let args = Args::parse(argv)?;
-    match args.sub() {
+    let (sub, args) = crate::args::parse(argv)?;
+    match sub {
         "build" => shard_build(&args),
         "info" => info(&args),
         "query" => query(&args),
@@ -320,11 +355,12 @@ pub fn shard(argv: &[String]) -> CliResult {
 }
 
 /// `simseq shard build` — partition a CSV corpus across N shards.
-fn shard_build(args: &Args) -> CliResult {
+fn shard_build(args: &Opts) -> CliResult {
+    args.reject_unknown(&["data", "out", "shards", "partitioner"])?;
     let data = PathBuf::from(args.req("data")?);
     let out = PathBuf::from(args.req("out")?);
     // The same shardcfg parse that backs `simserved --shards`.
-    let cfg = ShardConfig::parse(args.req("shards")?, args.opt("partitioner")).map_err(err)?;
+    let cfg = ShardConfig::parse(args.req("shards")?, args.get("partitioner")).map_err(err)?;
     let corpus =
         Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;
     let sharded = ShardedIndex::build(&corpus, cfg, IndexConfig::default())
@@ -349,8 +385,8 @@ fn shard_build(args: &Args) -> CliResult {
 
 /// Dials a server for the point commands (`promote`, `metrics`),
 /// honouring `--timeout-ms` (0 = no socket timeouts).
-fn connect_client(args: &Args, addr: &str) -> Result<simserve::client::Client, CliError> {
-    let cfg = match args.opt("timeout-ms") {
+fn connect_client(args: &Opts, addr: &str) -> Result<simserve::client::Client, CliError> {
+    let cfg = match args.get("timeout-ms") {
         None => simserve::client::ClientConfig::default(),
         Some(raw) => {
             let ms: u64 = raw
@@ -365,7 +401,7 @@ fn connect_client(args: &Args, addr: &str) -> Result<simserve::client::Client, C
 
 // `info`/`query`/`join`/`nn` are read-only, so skip the directory LOCK
 // and coexist with a live simserved on the same files.
-fn open_store(args: &Args) -> Result<(Store, Vec<String>), CliError> {
+fn open_store(args: &Opts) -> Result<(Store, Vec<String>), CliError> {
     let dir = PathBuf::from(args.req("index")?);
     let store = Store::open_read_only(&dir, 256)
         .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
@@ -413,8 +449,8 @@ fn display_name(names: &[String], ordinal: usize) -> String {
         .unwrap_or_else(|| format!("#{ordinal}"))
 }
 
-fn query_series(args: &Args, store: &Store) -> Result<TimeSeries, CliError> {
-    if let Some(raw) = args.opt("query-index") {
+fn query_series(args: &Opts, store: &Store) -> Result<TimeSeries, CliError> {
+    if let Some(raw) = args.get("query-index") {
         let ordinal: usize = raw
             .parse()
             .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
@@ -432,7 +468,7 @@ fn query_series(args: &Args, store: &Store) -> Result<TimeSeries, CliError> {
     csv_query_series(args)
 }
 
-fn csv_query_series(args: &Args) -> Result<TimeSeries, CliError> {
+fn csv_query_series(args: &Opts) -> Result<TimeSeries, CliError> {
     let csv = Path::new(args.req("query-csv")?);
     let row: usize = args.req_parse("row")?;
     let corpus =
@@ -446,7 +482,7 @@ fn csv_query_series(args: &Args) -> Result<TimeSeries, CliError> {
     Ok(corpus.series()[row].clone())
 }
 
-fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
+fn family_from(args: &Opts, n: usize) -> Result<Family, CliError> {
     let mut parts: Vec<Family> = Vec::new();
     if let Some((lo, hi)) = args.range("ma")? {
         if hi > n {
@@ -467,7 +503,7 @@ fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
             iter.fold(first, |acc, next| next.compose(&acc))
         }
     };
-    if args.opt("inverted") == Some("yes") {
+    if args.get("inverted") == Some("yes") {
         family = family.with_inverted();
     }
     Ok(family)
@@ -475,8 +511,8 @@ fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
 
 /// `--engine` → planner preference. `mt` stays the default (matching the
 /// wire protocol); `auto` hands the choice to the cost model.
-fn engine_pref_from(args: &Args) -> Result<EnginePref, CliError> {
-    simserve::cmd::engine_flag(args.opt("engine"))
+fn engine_pref_from(args: &Opts) -> Result<EnginePref, CliError> {
+    simserve::cmd::engine_flag(args.get("engine"))
         .map(simserve::server::engine_pref)
         .map_err(err)
 }
@@ -494,16 +530,16 @@ fn plan_line(plan: &PhysicalPlan) -> String {
     )
 }
 
-fn spec_from(args: &Args) -> Result<RangeSpec, CliError> {
+fn spec_from(args: &Opts) -> Result<RangeSpec, CliError> {
     // Threshold validation is shared with the server's protocol parser
     // (`Threshold::parse_args`), so the two front ends cannot drift.
-    let mut spec = match Threshold::parse_args(args.opt("rho"), args.opt("eps"))
+    let mut spec = match Threshold::parse_args(args.get("rho"), args.get("eps"))
         .map_err(|e| err(e.to_string()))?
     {
         Some(t) => RangeSpec::from_threshold(t),
         None => RangeSpec::correlation(0.96), // the paper's default
     };
-    spec = match args.opt("policy").unwrap_or("adaptive") {
+    spec = match args.get("policy").unwrap_or("adaptive") {
         "adaptive" => spec.with_policy(FilterPolicy::Adaptive),
         "safe" => spec.with_policy(FilterPolicy::Safe),
         "paper" => spec.with_policy(FilterPolicy::Paper),
@@ -513,7 +549,7 @@ fn spec_from(args: &Args) -> Result<RangeSpec, CliError> {
             )))
         }
     };
-    spec = match args.opt("mode").unwrap_or("symmetric") {
+    spec = match args.get("mode").unwrap_or("symmetric") {
         "symmetric" => spec.with_mode(QueryMode::Symmetric),
         "data-only" => spec.with_mode(QueryMode::DataOnly),
         other => {

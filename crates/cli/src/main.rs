@@ -19,8 +19,6 @@
 mod args;
 mod commands;
 
-use args::Args;
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("help") || argv.is_empty() {
@@ -42,7 +40,7 @@ fn main() {
 }
 
 fn dispatch(argv: &[String]) -> Result<(), args::CliError> {
-    Args::parse(argv).and_then(|args| match args.sub() {
+    args::parse(argv).and_then(|(sub, args)| match sub {
         "gen" => commands::gen(&args),
         "build" => commands::build(&args),
         "info" => commands::info(&args),

@@ -178,6 +178,12 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
 
+    // A flag the subcommand does not take is refused by name, not run as
+    // if it were absent.
+    let out = simseq().args(["query", "--bogus", "1"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
+
     let (stdout, _) = run_ok(simseq().arg("help"));
     assert!(stdout.contains("USAGE"));
 }

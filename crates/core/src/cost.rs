@@ -157,9 +157,9 @@ pub fn analytic_disk_accesses<const D: usize>(
 #[cfg(test)]
 mod analytic_tests {
     use super::*;
-    use rstartree::{bulk_load_str, MemStore, Params, Rect};
+    use rstartree::{bulk_load_str, PagedStore, Params, Rect};
 
-    fn uniform_tree(n: usize) -> rstartree::RStarTree<2, MemStore<2>> {
+    fn uniform_tree(n: usize) -> rstartree::RStarTree<2> {
         let items: Vec<(Rect<2>, u64)> = (0..n)
             .map(|i| {
                 let x = (i % 100) as f64 * 10.0;
@@ -167,7 +167,7 @@ mod analytic_tests {
                 (Rect::point([x, y]), i as u64)
             })
             .collect();
-        bulk_load_str(MemStore::new(), Params::with_max(16), items)
+        bulk_load_str(PagedStore::in_memory(), Params::with_max(16), items)
     }
 
     #[test]

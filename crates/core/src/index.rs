@@ -9,7 +9,7 @@
 use crate::feature::{FRect, SeqFeatures, DIMS};
 use crate::report::QueryError;
 use pagestore::{BufferPool, Disk, DynHeapFile, PageDevice, PageError};
-use rstartree::{bulk_load_str, Neighbor, NodeStore, PagedStore, Params, RStarTree, SearchStats};
+use rstartree::{bulk_load_str, Neighbor, PagedStore, Params, RStarTree, SearchStats};
 use std::sync::Arc;
 use tseries::{Corpus, TimeSeries};
 
@@ -48,7 +48,7 @@ pub struct AccessCounters {
 pub struct SeqIndex {
     // Nodes serialised to pages of a (simulated) disk: node reads are disk
     // accesses, the paper's cold-per-query accounting.
-    tree: RStarTree<DIMS, PagedStore<DIMS>>,
+    tree: RStarTree<DIMS>,
     heap: DynHeapFile,
     heap_pool: Arc<BufferPool>,
     // Concrete disk handles, kept only when the index owns plain in-memory
@@ -144,7 +144,7 @@ impl SeqIndex {
 
         // Bulk-load with STR: fast and well-packed; later mutations go
         // through one-by-one R*-tree insertion.
-        let tree = bulk_load_str(PagedStore::new_dyn(tree_device), params, items);
+        let tree = bulk_load_str(PagedStore::new(tree_device), params, items);
 
         Ok(Some(Self {
             tree,
@@ -361,23 +361,10 @@ impl SeqIndex {
         self.tree.nearest_by(k, node_bound, leaf_score)
     }
 
-    /// Optimal multi-step k-NN (see [`RStarTree::nearest_by_refine`]).
-    #[allow(clippy::type_complexity)]
-    pub fn nearest_by_refine(
-        &self,
-        k: usize,
-        node_bound: impl FnMut(&FRect) -> f64,
-        leaf_bound: impl FnMut(&FRect, u64) -> f64,
-        refine: impl FnMut(&FRect, u64) -> Option<f64>,
-    ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        self.tree
-            .nearest_by_refine(k, node_bound, leaf_bound, refine)
-    }
-
-    /// [`Self::nearest_by_refine`] seeded with an external pruning bound
-    /// (see [`RStarTree::nearest_by_refine_bounded`]). Used by the sharded
-    /// gather executor to propagate the running global k-th distance into
-    /// later per-shard searches.
+    /// Optimal multi-step k-NN seeded with an external pruning bound
+    /// (see [`RStarTree::nearest_by_refine_bounded`]; `bound = ∞` is the
+    /// plain search). The sharded gather executor propagates the running
+    /// global k-th distance into later per-shard searches through it.
     #[allow(clippy::type_complexity)]
     pub fn nearest_by_refine_bounded(
         &self,
@@ -855,7 +842,7 @@ impl SeqIndex {
         // device-wrapping open surrenders them to the wrapper.
         let (tree_store, heap_pool, tree_handle, heap_handle) = match wrap {
             None => (
-                PagedStore::new(Arc::clone(&tree_disk)),
+                PagedStore::new(tree_disk.clone()),
                 Arc::new(BufferPool::new(
                     Arc::clone(&heap_disk),
                     heap_pool_pages.max(1),
@@ -866,7 +853,7 @@ impl SeqIndex {
             Some(wrap) => {
                 let (tree_dev, heap_dev) = wrap(tree_disk, heap_disk);
                 (
-                    PagedStore::new_dyn(tree_dev),
+                    PagedStore::new(tree_dev),
                     Arc::new(BufferPool::new_dyn(heap_dev, heap_pool_pages.max(1))),
                     None,
                     None,

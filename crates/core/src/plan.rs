@@ -717,10 +717,6 @@ pub struct CacheCounters {
     pub inserts: u64,
     /// Current entry count.
     pub entries: u64,
-    /// Results admitted by the cost floor (every insert is an admission).
-    pub admitted: u64,
-    /// Results refused because their measured cost was under the floor.
-    pub rejected: u64,
 }
 
 struct CacheEntry {
@@ -741,47 +737,20 @@ struct CacheInner {
 /// the caller's current epoch is a miss (and the stale entry is dropped),
 /// so WAL checkpoints *and* individual mutations invalidate without any
 /// explicit flush call. Capacity 0 disables caching entirely.
-///
-/// Admission is adaptive when a cost floor is set ([`Self::with_floor`]):
-/// [`Self::offer`] prices the result by its measured work
-/// ([`execution_cost`]) and refuses entries cheaper than the floor —
-/// caching a result that costs less to recompute than the cache
-/// bookkeeping only evicts entries worth keeping. [`Self::put`] bypasses
-/// the floor for callers that know better.
 pub struct PlanCache {
     cap: usize,
-    floor: f64,
     inner: Mutex<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     inserts: AtomicU64,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// The admission-control price of one executed result: its measured work
-/// in cost-model units (node + page accesses weigh like disk accesses,
-/// comparisons like CPU — the same currency as Eq. 18–20, with unit
-/// weights so the floor is easy to reason about).
-pub fn execution_cost(out: &PlanOutput) -> f64 {
-    let m = out.metrics();
-    (m.node_accesses + m.record_page_accesses + m.comparisons) as f64
 }
 
 impl PlanCache {
-    /// A cache holding at most `cap` results, admitting everything
-    /// (floor 0 — the historical behaviour).
+    /// A cache holding at most `cap` results.
     pub fn new(cap: usize) -> Self {
-        Self::with_floor(cap, 0.0)
-    }
-
-    /// A cache holding at most `cap` results, admitting only results whose
-    /// measured execution cost is at least `floor` work units.
-    pub fn with_floor(cap: usize, floor: f64) -> Self {
         Self {
             cap,
-            floor,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 tick: 0,
@@ -790,40 +759,12 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
     }
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.cap
-    }
-
-    /// Configured admission floor (work units).
-    pub fn floor(&self) -> f64 {
-        self.floor
-    }
-
-    /// Offers a result to the cache: admitted (and stored) when its
-    /// [`execution_cost`] reaches the floor, refused otherwise. Returns
-    /// whether it was admitted.
-    pub fn offer(
-        &self,
-        fingerprint: u64,
-        epoch: QueryEpoch,
-        plan: PhysicalPlan,
-        output: PlanOutput,
-    ) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
-        if execution_cost(&output) < self.floor {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        self.put(fingerprint, epoch, plan, output);
-        true
     }
 
     /// Looks up `fingerprint` at `epoch`. A stored entry from another
@@ -879,7 +820,6 @@ impl PlanCache {
             },
         );
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every entry.
@@ -898,8 +838,6 @@ impl PlanCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             entries: self.inner.lock().map.len() as u64,
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 }
@@ -1229,45 +1167,5 @@ mod tests {
         off.put(9, e, plan, out);
         assert!(off.get(9, e).is_none());
         assert_eq!(off.counters().entries, 0);
-    }
-
-    #[test]
-    fn admission_floor_refuses_cheap_results() {
-        let cache = PlanCache::with_floor(4, 100.0);
-        let plan = PhysicalPlan {
-            engine: EngineChoice::Scan,
-            mbrs: Vec::new(),
-            fanout: 1,
-            threads: 1,
-            est_nodes: 0.0,
-            est_pages: 0.0,
-            est_comparisons: 0.0,
-            est_cost: 0.0,
-            chosen_by: ChosenBy::Forced,
-        };
-        let e = QueryEpoch::default();
-        let cheap = PlanOutput::Range(QueryResult::default());
-        assert!((execution_cost(&cheap) - 0.0).abs() < 1e-12);
-        assert!(!cache.offer(1, e, plan.clone(), cheap), "under the floor");
-        assert!(cache.get(1, e).is_none());
-        let mut costly = QueryResult::default();
-        costly.metrics.comparisons = 80;
-        costly.metrics.node_accesses = 15;
-        costly.metrics.record_page_accesses = 5;
-        let costly = PlanOutput::Range(costly);
-        assert!((execution_cost(&costly) - 100.0).abs() < 1e-12);
-        assert!(
-            cache.offer(2, e, plan.clone(), costly),
-            "at the floor admits"
-        );
-        assert!(cache.get(2, e).is_some());
-        let c = cache.counters();
-        assert_eq!(c.rejected, 1);
-        assert_eq!(c.admitted, 1);
-        assert_eq!(c.inserts, 1);
-        // The floorless constructor admits everything (back-compat).
-        let open = PlanCache::new(4);
-        assert!(open.offer(3, e, plan, PlanOutput::Range(QueryResult::default())));
-        assert_eq!(open.counters().admitted, 1);
     }
 }

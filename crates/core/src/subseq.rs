@@ -23,7 +23,7 @@ use crate::query::{mt_query_region, Filter, RangeSpec};
 use crate::report::{EngineMetrics, QueryError};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
-use rstartree::{bulk_load_str, MemStore, Params, RStarTree, Rect};
+use rstartree::{bulk_load_str, PagedStore, Params, RStarTree, Rect};
 use std::time::Instant;
 use tseries::TimeSeries;
 
@@ -48,7 +48,7 @@ struct Trail {
 
 /// A sliding-window subsequence index over long sequences.
 pub struct SubseqIndex {
-    tree: RStarTree<{ crate::feature::DIMS }, MemStore<{ crate::feature::DIMS }>>,
+    tree: RStarTree<{ crate::feature::DIMS }>,
     trails: Vec<Trail>,
     seqs: Vec<TimeSeries>,
     window: usize,
@@ -103,7 +103,7 @@ impl SubseqIndex {
         if items.is_empty() {
             return None;
         }
-        let tree = bulk_load_str(MemStore::new(), Params::with_max(32), items);
+        let tree = bulk_load_str(PagedStore::in_memory(), Params::with_max(32), items);
         Some(Self {
             tree,
             trails,
@@ -356,6 +356,34 @@ mod tests {
                 .collect();
             assert!(found.len() > 3, "{policy:?}: {} windows", found.len());
             assert_eq!(found, expected, "{policy:?}: trail order");
+        }
+    }
+
+    /// The tree under the subsequence index, by its numbers: trail count,
+    /// node and leaf accesses, candidates, comparisons and matches of one
+    /// seeded query at trail lengths 1 and 8. A change to the node store,
+    /// the STR packing or the traversal that moves any of them shows here.
+    #[test]
+    fn counters_are_pinned_at_trail_lengths_1_and_8() {
+        let seqs = long_sequences(12, 300, 3);
+        let family = Family::moving_averages(2..=5, 32);
+        let spec = RangeSpec::correlation(0.9);
+        let pattern: TimeSeries = seqs[4].values()[100..132].to_vec().into();
+        for (trail_len, expected) in [
+            (1, (3228, 95, 90, 1403, 5612, 287)),
+            (8, (408, 14, 13, 267, 8448, 287)),
+        ] {
+            let index = SubseqIndex::build(seqs.clone(), 32, trail_len).unwrap();
+            let (matches, m) = index.query(&pattern, &family, &spec).unwrap();
+            let got = (
+                index.trail_count(),
+                m.node_accesses,
+                m.leaf_accesses,
+                m.candidates,
+                m.comparisons,
+                matches.len(),
+            );
+            assert_eq!(got, expected, "trail length {trail_len}");
         }
     }
 

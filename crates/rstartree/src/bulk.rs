@@ -8,15 +8,15 @@
 use crate::node::{Entry, Node};
 use crate::params::Params;
 use crate::rect::Rect;
-use crate::store::NodeStore;
+use crate::store::PagedStore;
 use crate::tree::RStarTree;
 
 /// Builds a tree over `items` with STR packing.
-pub fn bulk_load_str<const D: usize, S: NodeStore<D>>(
-    store: S,
+pub fn bulk_load_str<const D: usize>(
+    store: PagedStore<D>,
     params: Params,
     items: Vec<(Rect<D>, u64)>,
-) -> RStarTree<D, S> {
+) -> RStarTree<D> {
     params.validate();
     let len = items.len();
     if len == 0 {
@@ -103,7 +103,6 @@ fn str_sort<const D: usize>(entries: &mut [Entry<D>], cap: usize, node_count: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
 
     fn points(n: usize) -> Vec<(Rect<2>, u64)> {
         (0..n)
@@ -118,11 +117,15 @@ mod tests {
     #[test]
     fn bulk_load_valid_and_complete() {
         for n in [0usize, 1, 5, 16, 100, 1234] {
-            let tree = bulk_load_str(MemStore::<2>::new(), Params::with_max(16), points(n));
+            let tree = bulk_load_str(
+                PagedStore::<2>::in_memory(),
+                Params::with_max(16),
+                points(n),
+            );
             assert_eq!(tree.len(), n);
             tree.validate().unwrap();
             let mut seen = Vec::new();
-            tree.for_each(|_, d| seen.push(d)).unwrap();
+            tree.search(|_| true, |_, d| seen.push(d)).unwrap();
             seen.sort_unstable();
             assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
         }
@@ -131,7 +134,11 @@ mod tests {
     #[test]
     fn bulk_load_matches_linear_scan_on_range_queries() {
         let items = points(500);
-        let tree = bulk_load_str(MemStore::<2>::new(), Params::with_max(16), items.clone());
+        let tree = bulk_load_str(
+            PagedStore::<2>::in_memory(),
+            Params::with_max(16),
+            items.clone(),
+        );
         let query = Rect::new([100.0, 200.0], [600.0, 800.0]);
         let (mut got, _) = tree.range(&query).unwrap();
         got.sort_by_key(|(_, d)| *d);
@@ -146,7 +153,11 @@ mod tests {
 
     #[test]
     fn bulk_load_packs_tightly() {
-        let tree = bulk_load_str(MemStore::<2>::new(), Params::with_max(10), points(1000));
+        let tree = bulk_load_str(
+            PagedStore::<2>::in_memory(),
+            Params::with_max(10),
+            points(1000),
+        );
         // 1000 points at fanout 10 → exactly 100 leaves + 10 branches + root.
         let nodes = tree.validate().unwrap();
         assert_eq!(nodes, 111);
@@ -155,7 +166,11 @@ mod tests {
 
     #[test]
     fn bulk_loaded_tree_accepts_inserts_and_deletes() {
-        let mut tree = bulk_load_str(MemStore::<2>::new(), Params::with_max(8), points(200));
+        let mut tree = bulk_load_str(
+            PagedStore::<2>::in_memory(),
+            Params::with_max(8),
+            points(200),
+        );
         tree.insert(Rect::point([5000.0, 5000.0]), 9999).unwrap();
         assert_eq!(tree.len(), 201);
         tree.validate().unwrap();

@@ -20,36 +20,39 @@
 //!   the hook the MT-index algorithm plugs its transformed-rectangle test
 //!   into), plain range queries, best-first nearest neighbour with
 //!   caller-supplied lower bounds (MINDIST-style, after Roussopoulos et
-//!   al.), and synchronized-descent spatial joins including duplicate-free
-//!   self joins;
-//! * **Pluggable node stores** — [`MemStore`] for pure in-memory use and
-//!   [`PagedStore`] which serialises every node onto one
-//!   [`pagestore::Disk`] page; both count node accesses, which is the
-//!   "number of disk accesses" of the paper's Figures 8–9.
+//!   al.), and the synchronized-descent, duplicate-free self join;
+//! * **One node store** — [`PagedStore`] serialises every node onto one
+//!   page of a [`pagestore::PageDevice`] (a fresh in-memory
+//!   [`pagestore::Disk`] for a tree that is never persisted:
+//!   [`PagedStore::in_memory`]) and counts node accesses there, which is
+//!   the "number of disk accesses" of the paper's Figures 8–9.
 //!
 //! **Reading a node.** Read-only traversals — [`RStarTree::search`], the
 //! nearest-neighbour searches, [`RStarTree::level_summaries`],
-//! [`RStarTree::validate`] — never build a [`Node`]: [`NodeStore::view`]
+//! [`RStarTree::validate`] — never build a [`Node`]: [`PagedStore::view`]
 //! lends them a [`NodeView`] of the node where it lies (the page's bytes
-//! under the device's *shared* lock, or the memory store's slot), they
-//! test its entries in place and keep the few they need. Insertion,
-//! deletion and the joins take an owned copy through [`NodeStore::get`].
-//! Either way a visit is one counted access. Two rules follow from the
-//! view holding a lock while its closure runs: **views never nest** —
-//! take what you need, let go, then visit the next node — and therefore
-//! `search` evaluates its predicate on *all* entries of a node before it
-//! reports or descends into the first hit (hits are then handled in slot
-//! order, so for a predicate that depends on the rectangle alone nothing
-//! observable differs from testing and descending entry by entry).
+//! under the device's *shared* lock), they test its entries in place and
+//! keep the few they need. Insertion, deletion and the self join take an
+//! owned copy through [`PagedStore::get`]. Either way a visit is one
+//! counted access, and the searches and summaries check a node's stored
+//! level against the one its parent implies (pages come from a file; a
+//! mismatch is a corrupt-page error, not a wrong answer). Two rules
+//! follow from the view holding a lock while its closure runs: **views
+//! never nest** — take what you need, let go, then visit the next node —
+//! and therefore `search` evaluates its predicate on *all* entries of a
+//! node before it reports or descends into the first hit (hits are then
+//! handled in slot order, so for a predicate that depends on the rectangle
+//! alone nothing observable differs from testing and descending entry by
+//! entry).
 //!
 //! Dimensions are a compile-time constant (`const D: usize`); the paper's
 //! feature space is `D = 6` (mean, std, and two DFT coefficients in polar
 //! form).
 //!
 //! ```
-//! use rstartree::{MemStore, Params, RStarTree, Rect};
-//! let mut tree: RStarTree<2, MemStore<2>> =
-//!     RStarTree::with_params(MemStore::new(), Params::with_max(8));
+//! use rstartree::{PagedStore, Params, RStarTree, Rect};
+//! let mut tree: RStarTree<2> =
+//!     RStarTree::with_params(PagedStore::in_memory(), Params::with_max(8));
 //! for i in 0..100u64 {
 //!     tree.insert(Rect::point([i as f64, (i * 7 % 13) as f64]), i).unwrap();
 //! }
@@ -60,8 +63,9 @@
 //! ```
 //!
 //! Tree accessors return `Result<_, pagestore::PageError>`: over a plain
-//! in-memory store they never fail, but a [`PagedStore`] over a
-//! [`pagestore::FaultyDisk`] surfaces injected device errors instead of
+//! in-memory disk only a page that does not hold the node its parent
+//! promised fails (an image from a damaged file), but a [`PagedStore`] over
+//! a [`pagestore::FaultyDisk`] surfaces injected device errors instead of
 //! panicking — the fault-injection test harness relies on this.
 
 mod bulk;
@@ -76,8 +80,8 @@ pub use bulk::bulk_load_str;
 pub use node::{Node, NodeId, NodeView};
 pub use params::Params;
 pub use rect::Rect;
-pub use store::{MemStore, NodeStore, PagedStore, StoreStats};
-pub use tree::{JoinSide, LevelSummary, Neighbor, RStarTree, SearchStats};
+pub use store::{PagedStore, StoreStats};
+pub use tree::{LevelSummary, Neighbor, RStarTree, SearchStats};
 
 #[cfg(test)]
 mod proptests;

@@ -3,8 +3,7 @@
 use crate::rect::Rect;
 use pagestore::{Page, PAGE_SIZE};
 
-/// Identifier of a node in a [`crate::NodeStore`]. For the paged store this
-/// is the page number; for the memory store it is a slot index.
+/// Identifier of a node in a [`crate::PagedStore`]: its page number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
@@ -121,19 +120,16 @@ impl<const D: usize> Node<D> {
     }
 }
 
-/// A read-only view of a node where it lies — the bytes of its page or a
-/// [`crate::MemStore`] slot — lent by [`crate::NodeStore::view`] for the
-/// duration of one closure. Nothing is decoded up front and no `Vec` is
-/// built: [`Self::entries`] yields the slots by value, one at a time, in
-/// slot order, so a traversal tests a node's rectangles in place and keeps
-/// only the few that pass.
+/// A read-only view of a node where it lies — the bytes of its page —
+/// lent by [`crate::PagedStore::view`] for the duration of one closure.
+/// Nothing is decoded up front and no `Vec` is built: [`Self::entries`]
+/// yields the slots by value, one at a time, in slot order, so a traversal
+/// tests a node's rectangles in place and keeps only the few that pass.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeView<'a, const D: usize> {
     level: u32,
-    // Exactly one of the two is non-empty: a serialised node lends its
-    // entry region (`count · ENTRY_BYTES` bytes), a stored one its slots.
+    // The page's entry region: `count · ENTRY_BYTES` bytes.
     page: &'a [u8],
-    slots: &'a [Entry<D>],
 }
 
 impl<'a, const D: usize> NodeView<'a, D> {
@@ -146,17 +142,7 @@ impl<'a, const D: usize> NodeView<'a, D> {
         (count <= Node::<D>::page_capacity()).then(|| Self {
             level: page.get_u32(0),
             page: page.get_bytes(Node::<D>::HEADER_BYTES, count * Node::<D>::ENTRY_BYTES),
-            slots: &[],
         })
-    }
-
-    /// The view of an in-memory node.
-    pub fn of_node(node: &'a Node<D>) -> Self {
-        Self {
-            level: node.level,
-            page: &[],
-            slots: &node.entries,
-        }
     }
 
     /// Distance from the leaf level (leaves are level 0).
@@ -171,7 +157,7 @@ impl<'a, const D: usize> NodeView<'a, D> {
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.page.len() / Node::<D>::ENTRY_BYTES + self.slots.len()
+        self.page.len() / Node::<D>::ENTRY_BYTES
     }
 
     /// True when the node has no slots.
@@ -181,11 +167,9 @@ impl<'a, const D: usize> NodeView<'a, D> {
 
     /// The slots in order, each decoded as it is reached.
     pub fn entries(&self) -> impl Iterator<Item = Entry<D>> + 'a {
-        // One side of the chain is always empty (see the fields).
         self.page
             .chunks_exact(Node::<D>::ENTRY_BYTES)
             .map(decode_entry)
-            .chain(self.slots.iter().copied())
     }
 
     /// The MBR covering all entries.
@@ -262,18 +246,6 @@ mod tests {
         let mut page = Page::zeroed();
         node.write_page(&mut page);
         assert_eq!(NodeView::<6>::of_page(&page).unwrap().to_node(), node);
-    }
-
-    #[test]
-    fn view_of_a_node_is_the_node() {
-        let mut node = Node::<2>::new(1);
-        assert!(NodeView::of_node(&node).is_empty());
-        node.entries
-            .push(Entry::branch(Rect::new([0.0, 1.0], [2.0, 3.0]), NodeId(9)));
-        let view = NodeView::of_node(&node);
-        assert_eq!((view.level(), view.len()), (1, 1));
-        assert_eq!(view.entries().next().unwrap().child(), NodeId(9));
-        assert_eq!(view.to_node(), node);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::*;
 
-type Tree2 = RStarTree<2, MemStore<2>>;
+type Tree2 = RStarTree<2>;
 
 /// A tiny SplitMix64 generator keeping this crate dependency-free; the
 /// randomized tests below run a fixed number of seeded cases instead of
@@ -35,8 +35,8 @@ impl MiniRng {
     }
 }
 
-fn mem_tree(max: usize) -> Tree2 {
-    RStarTree::with_params(MemStore::new(), Params::with_max(max))
+fn new_tree(max: usize) -> Tree2 {
+    RStarTree::with_params(PagedStore::in_memory(), Params::with_max(max))
 }
 
 fn random_points(n: usize, seed: u64) -> Vec<(Rect<2>, u64)> {
@@ -54,7 +54,7 @@ fn random_points(n: usize, seed: u64) -> Vec<(Rect<2>, u64)> {
 
 #[test]
 fn empty_tree_sane() {
-    let tree = mem_tree(8);
+    let tree = new_tree(8);
     assert!(tree.is_empty());
     assert_eq!(tree.height(), 1);
     let (hits, stats) = tree.range(&Rect::new([-1e9, -1e9], [1e9, 1e9])).unwrap();
@@ -65,7 +65,7 @@ fn empty_tree_sane() {
 
 #[test]
 fn insert_then_find_everything() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     let items = random_points(500, 1);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
@@ -79,7 +79,7 @@ fn insert_then_find_everything() {
 #[test]
 fn range_query_matches_linear_scan() {
     let items = random_points(800, 2);
-    let mut tree = mem_tree(16);
+    let mut tree = new_tree(16);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -110,7 +110,7 @@ fn range_query_matches_linear_scan() {
 #[test]
 fn delete_removes_and_preserves_invariants() {
     let items = random_points(300, 3);
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -133,7 +133,7 @@ fn delete_removes_and_preserves_invariants() {
 #[test]
 fn delete_everything_leaves_empty_tree() {
     let items = random_points(120, 4);
-    let mut tree = mem_tree(6);
+    let mut tree = new_tree(6);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -150,7 +150,7 @@ fn delete_everything_leaves_empty_tree() {
 
 #[test]
 fn delete_missing_returns_false() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     tree.insert(Rect::point([1.0, 2.0]), 1).unwrap();
     assert!(
         !tree.delete(&Rect::point([1.0, 2.0]), 2).unwrap(),
@@ -165,7 +165,7 @@ fn delete_missing_returns_false() {
 
 #[test]
 fn duplicate_points_supported() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for d in 0..50 {
         tree.insert(Rect::point([3.5, 2.25]), d).unwrap();
     }
@@ -180,7 +180,7 @@ fn duplicate_points_supported() {
 #[test]
 fn nearest_matches_brute_force() {
     let items = random_points(400, 5);
-    let mut tree = mem_tree(16);
+    let mut tree = new_tree(16);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -210,7 +210,7 @@ fn nearest_matches_brute_force() {
 
 #[test]
 fn nearest_leaf_score_filter_applies() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in random_points(100, 6) {
         tree.insert(r, d).unwrap();
     }
@@ -230,7 +230,7 @@ fn nearest_leaf_score_filter_applies() {
 #[test]
 fn nearest_dfs_matches_best_first() {
     let items = random_points(600, 31);
-    let mut tree = mem_tree(16);
+    let mut tree = new_tree(16);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -258,7 +258,7 @@ fn nearest_dfs_matches_best_first() {
 #[test]
 fn nearest_dfs_prunes() {
     let items = random_points(3000, 33);
-    let mut tree = mem_tree(16);
+    let mut tree = new_tree(16);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -274,7 +274,7 @@ fn nearest_dfs_prunes() {
 #[test]
 fn nearest_by_refine_matches_plain_nearest() {
     let items = random_points(500, 21);
-    let mut tree = mem_tree(12);
+    let mut tree = new_tree(12);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -311,7 +311,7 @@ fn nearest_by_refine_matches_plain_nearest() {
 #[test]
 fn nearest_by_refine_filter_via_none() {
     let items = random_points(200, 22);
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -341,7 +341,7 @@ fn nearest_by_refine_filter_via_none() {
 #[test]
 fn self_join_reports_each_pair_once() {
     let items = random_points(150, 7);
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -379,70 +379,13 @@ fn self_join_reports_each_pair_once() {
 }
 
 #[test]
-fn join_two_trees_matches_nested_loop() {
-    let a_items = random_points(120, 8);
-    let b_items: Vec<(Rect<2>, u64)> = random_points(80, 9)
-        .into_iter()
-        .map(|(r, d)| (r, d + 1000))
-        .collect();
-    let mut a = mem_tree(8);
-    let mut b = mem_tree(12);
-    for (r, d) in &a_items {
-        a.insert(*r, *d).unwrap();
-    }
-    for (r, d) in &b_items {
-        b.insert(*r, *d).unwrap();
-    }
-    let thresh = 100.0;
-    let pred = |x: &Rect<2>, y: &Rect<2>| {
-        (0..2).all(|i| x.lo[i] - thresh <= y.hi[i] && y.lo[i] - thresh <= x.hi[i])
-    };
-    let mut got = Vec::new();
-    a.join_with(&b, pred, |_, d1, _, d2| got.push((d1, d2)))
-        .unwrap();
-    got.sort_unstable();
-    let mut want = Vec::new();
-    for (ra, da) in &a_items {
-        for (rb, db) in &b_items {
-            if pred(ra, rb) {
-                want.push((*da, *db));
-            }
-        }
-    }
-    want.sort_unstable();
-    assert_eq!(got, want);
-}
-
-#[test]
-fn paged_store_tree_equals_mem_tree() {
-    use pagestore::Disk;
-    use std::sync::Arc;
-    let items = random_points(300, 10);
-    let mut mem = mem_tree(16);
-    let disk = Arc::new(Disk::new());
-    let mut paged: RStarTree<2, PagedStore<2>> =
-        RStarTree::with_params(PagedStore::new(disk), Params::with_max(16));
-    for (r, d) in &items {
-        mem.insert(*r, *d).unwrap();
-        paged.insert(*r, *d).unwrap();
-    }
-    paged.validate().unwrap();
-    let query = Rect::new([-300.0, -300.0], [300.0, 300.0]);
-    let (mut g1, _) = mem.range(&query).unwrap();
-    let (mut g2, _) = paged.range(&query).unwrap();
-    g1.sort_by_key(|(_, d)| *d);
-    g2.sort_by_key(|(_, d)| *d);
-    assert_eq!(g1, g2);
-}
-
-#[test]
 fn paged_tree_survives_disk_image_roundtrip() {
     use pagestore::Disk;
     use std::sync::Arc;
     let items = random_points(400, 55);
     let disk = Arc::new(Disk::new());
-    let mut tree: RStarTree<2, PagedStore<2>> =
-        RStarTree::with_params(PagedStore::new(Arc::clone(&disk)), Params::with_max(16));
+    let mut tree: Tree2 =
+        RStarTree::with_params(PagedStore::new(disk.clone()), Params::with_max(16));
     for (r, d) in &items {
         tree.insert(*r, *d).unwrap();
     }
@@ -452,8 +395,7 @@ fn paged_tree_survives_disk_image_roundtrip() {
     let path = std::env::temp_dir().join("rstartree_image_test.pg");
     disk.save_to(&path).unwrap();
     let reopened_disk = Arc::new(Disk::load_from(&path).unwrap());
-    let reopened: RStarTree<2, PagedStore<2>> =
-        RStarTree::open(PagedStore::new(reopened_disk), root, level, len, params);
+    let reopened: Tree2 = RStarTree::open(PagedStore::new(reopened_disk), root, level, len, params);
     reopened.validate().unwrap();
 
     let q = Rect::new([-400.0, -400.0], [400.0, 400.0]);
@@ -467,7 +409,7 @@ fn paged_tree_survives_disk_image_roundtrip() {
 
 #[test]
 fn node_access_counting_via_store() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in random_points(200, 11) {
         tree.insert(r, d).unwrap();
     }
@@ -480,7 +422,7 @@ fn node_access_counting_via_store() {
 
 #[test]
 fn search_prunes_subtrees() {
-    let mut tree = mem_tree(8);
+    let mut tree = new_tree(8);
     for (r, d) in random_points(2000, 12) {
         tree.insert(r, d).unwrap();
     }
@@ -499,7 +441,7 @@ fn forced_reinsert_occurs_with_default_params() {
     // first overflow at a level reinserts instead of splitting; observable
     // as fewer nodes than a pure-split policy would produce. Just assert
     // structure is valid and utilisation is decent.
-    let mut tree = mem_tree(10);
+    let mut tree = new_tree(10);
     for i in 0..1000u64 {
         let x = (i % 100) as f64;
         let y = (i / 100) as f64;
@@ -517,7 +459,7 @@ fn invariants_under_random_insert_delete() {
     for case in 0..24 {
         let max = 4 + rng.below(16) as usize;
         let n_ops = 1 + rng.below(299) as usize;
-        let mut tree = mem_tree(max);
+        let mut tree = new_tree(max);
         let mut shadow: Vec<(Rect<2>, u64)> = Vec::new();
         let mut next_id = 0u64;
         for _ in 0..n_ops {
@@ -568,9 +510,13 @@ fn bulk_load_equals_insertion_results() {
                 (Rect::point([x, y]), i as u64)
             })
             .collect();
-        let bulk = bulk_load_str(MemStore::new(), Params::with_max(max), items.clone());
+        let bulk = bulk_load_str(
+            PagedStore::in_memory(),
+            Params::with_max(max),
+            items.clone(),
+        );
         bulk.validate().unwrap();
-        let mut incr = RStarTree::with_params(MemStore::new(), Params::with_max(max));
+        let mut incr = new_tree(max);
         for (r, d) in &items {
             incr.insert(*r, *d).unwrap();
         }
@@ -592,7 +538,7 @@ fn nearest_one_is_global_minimum() {
             .map(|_| (rng.range_f64(-100.0, 100.0), rng.range_f64(-100.0, 100.0)))
             .collect();
         let (qx, qy) = (rng.range_f64(-150.0, 150.0), rng.range_f64(-150.0, 150.0));
-        let mut tree = mem_tree(8);
+        let mut tree = new_tree(8);
         for (i, (x, y)) in pts.iter().enumerate() {
             tree.insert(Rect::point([*x, *y]), i as u64).unwrap();
         }
@@ -650,7 +596,7 @@ fn forced_reinsert_preserves_invariants_and_recall() {
             min_entries: 3,
             reinsert_count: 3,
         };
-        let mut tree: Tree2 = RStarTree::with_params(MemStore::new(), params);
+        let mut tree: Tree2 = RStarTree::with_params(PagedStore::in_memory(), params);
         let mut items = Vec::new();
         for i in 0..600u64 {
             // Clustered around a handful of centres so one subtree keeps
@@ -689,7 +635,7 @@ fn mbr_containment_under_mixed_insert_delete() {
     let mut rng = MiniRng::new(0xC0FF_EE00);
     for case in 0..12 {
         let max = 4 + rng.below(10) as usize;
-        let mut tree = mem_tree(max);
+        let mut tree = new_tree(max);
         let mut live: Vec<(Rect<2>, u64)> = Vec::new();
         let mut next = 0u64;
         for step in 0..400 {
@@ -732,9 +678,9 @@ fn mbr_containment_under_mixed_insert_delete() {
 
 // ---------------------------------------------------------------------
 // The borrowed node view: what read-only traversals see through
-// `NodeStore::view` is the node `get` decodes, and walking it in place
+// `PagedStore::view` is the node `get` decodes, and walking it in place
 // reports what a decode-every-node walk reports, in the same order, for
-// the same counted accesses — on every kind of store.
+// the same counted accesses — on every kind of device.
 // ---------------------------------------------------------------------
 
 /// An entry, comparable to the bit: `(lo bits, hi bits, payload)`.
@@ -764,8 +710,8 @@ fn neighbor_bits<const D: usize>(found: &[Neighbor<D>]) -> Ranked<D> {
 
 /// Reference predicate search over owned nodes: test an entry, report it
 /// or descend into it, then test the next — the walk `search` replaced.
-fn ref_search<const D: usize, S: NodeStore<D>>(
-    tree: &RStarTree<D, S>,
+fn ref_search<const D: usize>(
+    tree: &RStarTree<D>,
     id: NodeId,
     pred: &impl Fn(&Rect<D>) -> bool,
     out: &mut Reported<D>,
@@ -823,8 +769,8 @@ impl<const D: usize> Ord for RefItem<D> {
 /// queue as candidates under `leaf_key` and are refined when they surface
 /// (`nearest_by_refine`); without, `leaf_key` is the exact score
 /// (`nearest_by`). `None` from either disqualifies the entry.
-fn ref_nearest<const D: usize, S: NodeStore<D>>(
-    tree: &RStarTree<D, S>,
+fn ref_nearest<const D: usize>(
+    tree: &RStarTree<D>,
     k: usize,
     node_bound: impl Fn(&Rect<D>) -> f64,
     leaf_key: impl Fn(&Rect<D>, u64) -> Option<f64>,
@@ -905,14 +851,12 @@ fn random_rect<const D: usize>(rng: &mut MiniRng, max_side: f64) -> Rect<D> {
     Rect { lo, hi }
 }
 
-/// One store, one fanout, one seed: random inserts and deletes, then the
+/// One device, one fanout, one seed: random inserts and deletes, then the
 /// view against `get` node by node, and every view-driven traversal
-/// against its reference walk. `accesses` reads the store's cumulative
-/// count of node accesses (each store kind counts them somewhere else).
-fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
+/// against its reference walk.
+fn view_is_the_node_in_order<const D: usize>(
     what: &str,
-    store: S,
-    accesses: impl Fn(&S) -> u64,
+    store: PagedStore<D>,
     fanout: usize,
     seed: u64,
 ) {
@@ -930,6 +874,8 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
         }
     }
     assert!(tree.height() >= 2, "{what}: the walk must cross levels");
+    // The store's cumulative count of node reads.
+    let accesses = || tree.store().stats().reads;
 
     // Node by node: the view is what `get` decodes, field for field.
     let mut per_level = vec![0u64; tree.height() as usize];
@@ -937,7 +883,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
     while let Some(id) = queue.pop() {
         let node = tree.store().get(id).unwrap();
         per_level[node.level as usize] += 1;
-        let before = accesses(tree.store());
+        let before = accesses();
         tree.store()
             .view(id, |view| {
                 assert_eq!(view.level(), node.level, "{what} {id:?}");
@@ -955,11 +901,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
                 assert_eq!(view.to_node(), node, "{what} {id:?}");
             })
             .unwrap();
-        assert_eq!(
-            accesses(tree.store()) - before,
-            1,
-            "{what}: a view is one access"
-        );
+        assert_eq!(accesses() - before, 1, "{what}: a view is one access");
         if !node.is_leaf() {
             queue.extend(node.entries.iter().map(|e| e.child()));
         }
@@ -984,7 +926,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
         // the traversal's own `nodes_accessed`.
         let counted = |stats: &SearchStats, before: u64| {
             assert_eq!(
-                accesses(tree.store()) - before,
+                accesses() - before,
                 stats.nodes_accessed,
                 "{what}: accesses"
             );
@@ -995,13 +937,13 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
         let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
         ref_search(&tree, tree.root_id(), &pred, &mut want, &mut want_stats);
 
-        let before = accesses(tree.store());
+        let before = accesses();
         let mut got = Vec::new();
         let stats = tree.search(pred, |r, d| got.push(bits(r, d))).unwrap();
         counted(&stats, before);
         assert_eq!((&got, stats), (&want, want_stats), "{what}: search");
 
-        let before = accesses(tree.store());
+        let before = accesses();
         let (hits, stats) = tree.range(&query).unwrap();
         counted(&stats, before);
         let got: Reported<D> = hits.iter().map(|(r, d)| bits(r, *d)).collect();
@@ -1012,7 +954,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
         let node_bound = |r: &Rect<D>| r.min_dist_sq(&q);
         let score = |r: &Rect<D>, d: u64| (d % 5 < 4).then(|| r.min_dist_sq(&q));
 
-        let before = accesses(tree.store());
+        let before = accesses();
         let (found, stats) = tree.nearest_by(k, node_bound, score).unwrap();
         counted(&stats, before);
         let (want, want_stats) = ref_nearest(&tree, k, node_bound, score, None);
@@ -1024,7 +966,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
 
         // Halved MINDIST: a cheap bound that is not the exact score.
         let half_bound = |r: &Rect<D>| 0.5 * r.min_dist_sq(&q);
-        let before = accesses(tree.store());
+        let before = accesses();
         let (found, stats) = tree
             .nearest_by_refine(k, half_bound, |r, _| half_bound(r), score)
             .unwrap();
@@ -1043,7 +985,7 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
         );
 
         // Depth-first k-NN agrees on the distances (ties may differ).
-        let before = accesses(tree.store());
+        let before = accesses();
         let (dfs, stats) = tree.nearest_dfs(k, &q, false).unwrap();
         counted(&stats, before);
         let (best_first, _) = tree
@@ -1057,39 +999,18 @@ fn view_is_the_node_in_order<const D: usize, S: NodeStore<D>>(
 
 #[test]
 fn node_view_is_the_node_on_every_store() {
-    use pagestore::{BufferPool, Disk, FaultyDisk};
+    use pagestore::{Disk, FaultyDisk};
     use std::sync::Arc;
     for (fanout, seed) in [(4usize, 0x51E4u64), (8, 0x51E8), (78, 0x5178)] {
-        view_is_the_node_in_order::<6, _>(
-            &format!("mem/{fanout}"),
-            MemStore::new(),
-            |s| s.stats().reads,
-            fanout,
-            seed,
-        );
-        view_is_the_node_in_order::<6, _>(
+        view_is_the_node_in_order::<6>(
             &format!("paged/{fanout}"),
-            PagedStore::new(Arc::new(Disk::new())),
-            |s| s.device().stats().reads,
+            PagedStore::in_memory(),
             fanout,
             seed,
         );
-        // A pool smaller than the tree: hits and misses both occur, and
-        // either is one access.
-        view_is_the_node_in_order::<6, _>(
-            &format!("pooled/{fanout}"),
-            PagedStore::with_pool(Arc::new(BufferPool::new(Arc::new(Disk::new()), 8))),
-            |s| {
-                let pool = s.pool().expect("pooled store").stats();
-                pool.hits + pool.misses
-            },
-            fanout,
-            seed,
-        );
-        view_is_the_node_in_order::<6, _>(
+        view_is_the_node_in_order::<6>(
             &format!("unarmed-faulty/{fanout}"),
             PagedStore::new(Arc::new(FaultyDisk::new(Arc::new(Disk::new())))),
-            |s| s.device().stats().reads,
             fanout,
             seed,
         );
@@ -1106,11 +1027,9 @@ fn node_view_is_the_node_on_every_store() {
 /// a whole node's worth of predicate calls per visit.
 #[test]
 fn a_reader_parked_in_its_predicate_does_not_block_another() {
-    use pagestore::Disk;
-    use std::sync::{mpsc, Arc};
+    use std::sync::mpsc;
     use std::time::Duration;
-    let mut tree: RStarTree<2, PagedStore<2>> =
-        RStarTree::with_params(PagedStore::new(Arc::new(Disk::new())), Params::with_max(8));
+    let mut tree = new_tree(8);
     for (r, d) in random_points(300, 77) {
         tree.insert(r, d).unwrap();
     }
@@ -1149,6 +1068,18 @@ fn a_reader_parked_in_its_predicate_does_not_block_another() {
     });
 }
 
+/// The node ids down the leftmost path: root first, leaf last.
+fn leftmost_path(tree: &Tree2) -> Vec<NodeId> {
+    let mut path = vec![tree.root_id()];
+    loop {
+        let node = tree.store().get(path[path.len() - 1]).unwrap();
+        if node.is_leaf() {
+            return path;
+        }
+        path.push(node.entries[0].child());
+    }
+}
+
 /// A tree page comes from a file (`Disk::load_from`); one whose stored
 /// entry count exceeds the page capacity is not a node. Every reader
 /// reports it as a typed corrupt-page error — never a panic, never a
@@ -1158,20 +1089,13 @@ fn node_count_beyond_capacity_is_a_typed_error() {
     use pagestore::{Disk, PageError, PageId};
     use std::sync::Arc;
     let disk = Arc::new(Disk::new());
-    let mut tree: RStarTree<2, PagedStore<2>> =
-        RStarTree::with_params(PagedStore::new(Arc::clone(&disk)), Params::with_max(8));
+    let mut tree: Tree2 =
+        RStarTree::with_params(PagedStore::new(disk.clone()), Params::with_max(8));
     for (r, d) in random_points(200, 78) {
         tree.insert(r, d).unwrap();
     }
     // The leftmost leaf, so the error comes from below the root.
-    let mut id = tree.root_id();
-    loop {
-        let node = tree.store().get(id).unwrap();
-        if node.is_leaf() {
-            break;
-        }
-        id = node.entries[0].child();
-    }
+    let id = *leftmost_path(&tree).last().unwrap();
     assert_ne!(id, tree.root_id());
     let pid = PageId(id.0);
     let mut page = disk.read(pid);
@@ -1188,4 +1112,62 @@ fn node_count_beyond_capacity_is_a_typed_error() {
     );
     assert_eq!(tree.validate().unwrap_err(), corrupt);
     assert_eq!(tree.level_summaries().unwrap_err(), corrupt);
+}
+
+/// The stored *level* is outside input too. A traversal knows the level
+/// its parent implies and branches on that; a page that says otherwise —
+/// an inner node relabelled a leaf would hand its child ids out as
+/// payloads and hide its subtree, a leaf relabelled inner would send the
+/// walk to its payloads, a level past the height indexes the summaries out
+/// of bounds — is a typed corrupt-page error from every view-based
+/// traversal, at the root, at an inner node and at a leaf.
+#[test]
+fn node_level_other_than_its_parent_implies_is_a_typed_error() {
+    use pagestore::{Disk, PageError, PageId};
+    use std::sync::Arc;
+    let disk = Arc::new(Disk::new());
+    let mut tree: Tree2 =
+        RStarTree::with_params(PagedStore::new(disk.clone()), Params::with_max(4));
+    let items = random_points(200, 79);
+    for (r, d) in &items {
+        tree.insert(*r, *d).unwrap();
+    }
+    let path = leftmost_path(&tree);
+    assert!(path.len() >= 3, "the walk needs an inner level");
+    let (inner_id, leaf_id) = (path[1], path[path.len() - 1]);
+    let inner_level = tree.root_level() - 1;
+    let q = items[0].0.lo;
+    for (id, wrong_level) in [
+        (tree.root_id(), 0),
+        (tree.root_id(), tree.root_level() + 7),
+        (inner_id, 0),
+        (inner_id, inner_level + 1),
+        (leaf_id, 1),
+        (leaf_id, u32::MAX),
+    ] {
+        let pid = PageId(id.0);
+        let intact = disk.read(pid);
+        let mut page = intact.clone();
+        page.put_u32(0, wrong_level);
+        disk.write(pid, &page);
+
+        let errors = [
+            tree.search(|_| true, |_, _| {}).unwrap_err(),
+            tree.nearest_by(200, |_| 0.0, |_, _| Some(0.0)).unwrap_err(),
+            tree.nearest_by_refine_bounded(200, 1.0, |_| 0.0, |_, _| 0.0, |_, _| Some(0.0))
+                .unwrap_err(),
+            tree.nearest_dfs(200, &q, false).unwrap_err(),
+            tree.level_summaries().unwrap_err(),
+        ];
+        assert_eq!(
+            errors,
+            [PageError::corrupt(pid); 5],
+            "{id:?} relabelled level {wrong_level}"
+        );
+
+        disk.write(pid, &intact);
+    }
+    // Put back, the tree is whole again.
+    assert_eq!(tree.search(|_| true, |_, _| {}).unwrap().candidates, 200);
+    tree.validate().unwrap();
 }

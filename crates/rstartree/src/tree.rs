@@ -1,13 +1,13 @@
 //! The R*-tree proper: insertion with forced reinsertion, deletion with
 //! condensation, and the query machinery (predicate search, best-first
-//! nearest neighbour, synchronized-descent joins).
+//! nearest neighbour, the synchronized-descent self join).
 
-use crate::node::{Entry, Node, NodeId};
+use crate::node::{Entry, Node, NodeId, NodeView};
 use crate::params::Params;
 use crate::rect::Rect;
 use crate::split::rstar_split;
-use crate::store::NodeStore;
-use pagestore::PageError;
+use crate::store::PagedStore;
+use pagestore::{PageError, PageId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -59,18 +59,9 @@ pub struct Neighbor<const D: usize> {
     pub data: u64,
 }
 
-/// Marker for which side of a join a tree is on (used by join statistics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinSide {
-    /// The receiver of `join_with`.
-    Left,
-    /// The argument of `join_with`.
-    Right,
-}
-
 /// An R*-tree over `D`-dimensional rectangles with `u64` payloads.
-pub struct RStarTree<const D: usize, S: NodeStore<D>> {
-    store: S,
+pub struct RStarTree<const D: usize> {
+    store: PagedStore<D>,
     root: NodeId,
     root_level: u32,
     len: usize,
@@ -85,14 +76,14 @@ enum Outcome<const D: usize> {
     Split(Rect<D>, Entry<D>),
 }
 
-impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
+impl<const D: usize> RStarTree<D> {
     /// Creates an empty tree with page-derived parameters.
-    pub fn new(store: S) -> Self {
+    pub fn new(store: PagedStore<D>) -> Self {
         Self::with_params(store, Params::for_dimension::<D>())
     }
 
     /// Creates an empty tree with explicit parameters.
-    pub fn with_params(store: S, params: Params) -> Self {
+    pub fn with_params(store: PagedStore<D>, params: Params) -> Self {
         params.validate();
         assert!(
             params.max_entries <= Node::<D>::page_capacity(),
@@ -116,7 +107,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     /// (Internal to the crate) assembles a tree from pre-built parts; used
     /// by bulk loading.
     pub(crate) fn from_parts(
-        store: S,
+        store: PagedStore<D>,
         root: NodeId,
         root_level: u32,
         len: usize,
@@ -137,7 +128,13 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     /// entry count it recorded when the tree was saved. Call
     /// [`Self::validate`] afterwards to verify the structure if the
     /// provenance of the image is in doubt.
-    pub fn open(store: S, root: NodeId, root_level: u32, len: usize, params: Params) -> Self {
+    pub fn open(
+        store: PagedStore<D>,
+        root: NodeId,
+        root_level: u32,
+        len: usize,
+        params: Params,
+    ) -> Self {
         params.validate();
         Self::from_parts(store, root, root_level, len, params)
     }
@@ -168,7 +165,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     }
 
     /// The node store (for access statistics).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &PagedStore<D> {
         &self.store
     }
 
@@ -526,7 +523,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     /// is applied to each index rectangle before the intersection test.
     ///
     /// Evaluation order: a node's entries are tested in place, in slot
-    /// order, through [`NodeStore::view`], and `pred` has seen **all** of
+    /// order, through [`PagedStore::view`], and `pred` has seen **all** of
     /// them before the node is released and the first hit is reported or
     /// descended into (views never nest). Hits are reported, and children
     /// visited, in slot order — so for a `pred` whose answer depends on the
@@ -538,25 +535,49 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         mut on_data: impl FnMut(&Rect<D>, u64),
     ) -> Result<SearchStats, PageError> {
         let mut stats = SearchStats::default();
-        self.search_rec(self.root, &mut pred, &mut on_data, &mut stats)?;
+        self.search_rec(
+            self.root,
+            self.root_level,
+            &mut pred,
+            &mut on_data,
+            &mut stats,
+        )?;
         Ok(stats)
+    }
+
+    /// Lends node `id` to `f` like [`PagedStore::view`], once its stored
+    /// level is the one its parent implies (`root_level` at the root, the
+    /// parent's − 1 below). Pages come from a file: an inner page
+    /// relabelled a leaf would hand out child ids as payloads, a leaf
+    /// relabelled inner payloads as child ids — either is
+    /// [`PageError::corrupt`], not a wrong answer. The traversals branch on
+    /// `level`, never on the stored one.
+    fn view_at<R>(
+        &self,
+        id: NodeId,
+        level: u32,
+        f: impl FnOnce(NodeView<'_, D>) -> R,
+    ) -> Result<R, PageError> {
+        self.store
+            .view(id, |node| (node.level() == level).then(|| f(node)))?
+            .ok_or(PageError::corrupt(PageId(id.0)))
     }
 
     fn search_rec(
         &self,
         node_id: NodeId,
+        level: u32,
         pred: &mut impl FnMut(&Rect<D>) -> bool,
         on_data: &mut impl FnMut(&Rect<D>, u64),
         stats: &mut SearchStats,
     ) -> Result<(), PageError> {
         stats.nodes_accessed += 1;
         let mut hits: Vec<Entry<D>> = Vec::new();
-        let is_leaf = self.store.view(node_id, |node| {
+        self.view_at(node_id, level, |node| {
             stats.entries_tested += node.len() as u64;
             hits.extend(node.entries().filter(|e| pred(&e.rect)));
-            node.is_leaf()
         })?;
-        if is_leaf {
+        if level == 0 {
             stats.leaf_nodes_accessed += 1;
             stats.candidates += hits.len() as u64;
             for e in &hits {
@@ -564,7 +585,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
             }
         } else {
             for e in &hits {
-                self.search_rec(e.child(), pred, on_data, stats)?;
+                self.search_rec(e.child(), level - 1, pred, on_data, stats)?;
             }
         }
         Ok(())
@@ -576,11 +597,6 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         let mut out = Vec::new();
         let stats = self.search(|r| r.intersects(query), |r, d| out.push((*r, d)))?;
         Ok((out, stats))
-    }
-
-    /// Visits every stored entry.
-    pub fn for_each(&self, mut f: impl FnMut(&Rect<D>, u64)) -> Result<(), PageError> {
-        self.search(|_| true, |r, d| f(r, d)).map(|_| ())
     }
 
     /// Best-first k-nearest-neighbour with caller-supplied scoring.
@@ -604,7 +620,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         }
         heap.push(Reverse(HeapItem {
             key: 0.0,
-            kind: ItemKind::Node(self.root),
+            kind: ItemKind::Node(self.root, self.root_level),
         }));
         while let Some(Reverse(item)) = heap.pop() {
             match item.kind {
@@ -618,10 +634,10 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                         break;
                     }
                 }
-                ItemKind::Node(id) => {
+                ItemKind::Node(id, level) => {
                     stats.nodes_accessed += 1;
-                    self.store.view(id, |node| {
-                        if node.is_leaf() {
+                    self.view_at(id, level, |node| {
+                        if level == 0 {
                             stats.leaf_nodes_accessed += 1;
                             for e in node.entries() {
                                 stats.entries_tested += 1;
@@ -638,7 +654,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                                 stats.entries_tested += 1;
                                 heap.push(Reverse(HeapItem {
                                     key: node_bound(&e.rect),
-                                    kind: ItemKind::Node(e.child()),
+                                    kind: ItemKind::Node(e.child(), level - 1),
                                 }));
                             }
                         }
@@ -673,6 +689,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
             let mut prune = f64::INFINITY;
             self.nearest_dfs_rec(
                 self.root,
+                self.root_level,
                 k,
                 query,
                 use_minmaxdist && k == 1,
@@ -690,7 +707,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                     rect,
                     data,
                 },
-                ItemKind::Node(_) => unreachable!("only data items are kept"),
+                ItemKind::Node(..) => unreachable!("only data items are kept"),
             })
             .collect();
         out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
@@ -701,6 +718,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     fn nearest_dfs_rec(
         &self,
         node_id: NodeId,
+        level: u32,
         k: usize,
         query: &[f64; D],
         minmax: bool,
@@ -712,8 +730,8 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         // A leaf is scored in place; a branch hands out its children's
         // bounds and the recursion runs after the view is released.
         let mut children: Vec<(f64, f64, NodeId)> = Vec::new();
-        self.store.view(node_id, |node| {
-            if node.is_leaf() {
+        self.view_at(node_id, level, |node| {
+            if level == 0 {
                 stats.leaf_nodes_accessed += 1;
                 for e in node.entries() {
                     stats.entries_tested += 1;
@@ -763,7 +781,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
             if mind > bound {
                 continue; // downward prune
             }
-            self.nearest_dfs_rec(child, k, query, minmax, best, prune, stats)?;
+            self.nearest_dfs_rec(child, level - 1, k, query, minmax, best, prune, stats)?;
         }
         Ok(())
     }
@@ -811,7 +829,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
         }
         heap.push(Reverse(RefineItem {
             key: 0.0,
-            kind: RefineKind::Node(self.root),
+            kind: RefineKind::Node(self.root, self.root_level),
         }));
         while let Some(Reverse(item)) = heap.pop() {
             // The heap is min-ordered: once the head's lower bound exceeds
@@ -839,10 +857,10 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                         }));
                     }
                 }
-                RefineKind::Node(id) => {
+                RefineKind::Node(id, level) => {
                     stats.nodes_accessed += 1;
-                    self.store.view(id, |node| {
-                        if node.is_leaf() {
+                    self.view_at(id, level, |node| {
+                        if level == 0 {
                             stats.leaf_nodes_accessed += 1;
                             for e in node.entries() {
                                 stats.entries_tested += 1;
@@ -856,7 +874,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
                                 stats.entries_tested += 1;
                                 heap.push(Reverse(RefineItem {
                                     key: node_bound(&e.rect),
-                                    kind: RefineKind::Node(e.child()),
+                                    kind: RefineKind::Node(e.child(), level - 1),
                                 }));
                             }
                         }
@@ -865,84 +883,6 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
             }
         }
         Ok((out, stats))
-    }
-
-    /// Synchronized-descent join against another tree. `pair_pred` must be
-    /// a symmetric filter that is *monotone*: true on a pair of data
-    /// rectangles implies true on every pair of ancestors (intersection
-    /// tests after MBR transformation have this property — Lemma 1).
-    pub fn join_with<S2: NodeStore<D>>(
-        &self,
-        other: &RStarTree<D, S2>,
-        mut pair_pred: impl FnMut(&Rect<D>, &Rect<D>) -> bool,
-        mut on_pair: impl FnMut(&Rect<D>, u64, &Rect<D>, u64),
-    ) -> Result<SearchStats, PageError> {
-        let mut stats = SearchStats::default();
-        self.join_rec(
-            other,
-            self.root,
-            other.root,
-            &mut pair_pred,
-            &mut on_pair,
-            &mut stats,
-        )?;
-        Ok(stats)
-    }
-
-    fn join_rec<S2: NodeStore<D>>(
-        &self,
-        other: &RStarTree<D, S2>,
-        id1: NodeId,
-        id2: NodeId,
-        pred: &mut impl FnMut(&Rect<D>, &Rect<D>) -> bool,
-        on_pair: &mut impl FnMut(&Rect<D>, u64, &Rect<D>, u64),
-        stats: &mut SearchStats,
-    ) -> Result<(), PageError> {
-        let n1 = self.store.get(id1)?;
-        let n2 = other.store.get(id2)?;
-        stats.nodes_accessed += 2;
-        match (n1.is_leaf(), n2.is_leaf()) {
-            (true, true) => {
-                stats.leaf_nodes_accessed += 2;
-                for e1 in &n1.entries {
-                    for e2 in &n2.entries {
-                        stats.entries_tested += 1;
-                        if pred(&e1.rect, &e2.rect) {
-                            on_pair(&e1.rect, e1.payload, &e2.rect, e2.payload);
-                        }
-                    }
-                }
-            }
-            (false, false) => {
-                for e1 in &n1.entries {
-                    for e2 in &n2.entries {
-                        stats.entries_tested += 1;
-                        if pred(&e1.rect, &e2.rect) {
-                            self.join_rec(other, e1.child(), e2.child(), pred, on_pair, stats)?;
-                        }
-                    }
-                }
-            }
-            (false, true) => {
-                let r2 = n2.mbr();
-                for e1 in &n1.entries {
-                    stats.entries_tested += 1;
-                    if pred(&e1.rect, &r2) {
-                        self.join_rec(other, e1.child(), id2, pred, on_pair, stats)?;
-                    }
-                }
-            }
-            (true, false) => {
-                let r1 = n1.mbr();
-                for e2 in &n2.entries {
-                    stats.entries_tested += 1;
-                    if pred(&r1, &e2.rect) {
-                        self.join_rec(other, id1, e2.child(), pred, on_pair, stats)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Duplicate-free self join: every unordered pair of distinct entries
@@ -1035,7 +975,7 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     /// discusses). One full tree walk.
     pub fn level_summaries(&self) -> Result<Vec<LevelSummary<D>>, PageError> {
         let mut acc: Vec<(u64, [f64; D])> = vec![(0, [0.0; D]); self.height() as usize];
-        self.summarize_rec(self.root, &mut acc)?;
+        self.summarize_rec(self.root, self.root_level, &mut acc)?;
         Ok(acc
             .into_iter()
             .enumerate()
@@ -1058,25 +998,26 @@ impl<const D: usize, S: NodeStore<D>> RStarTree<D, S> {
     fn summarize_rec(
         &self,
         node_id: NodeId,
+        level: u32,
         acc: &mut Vec<(u64, [f64; D])>,
     ) -> Result<(), PageError> {
-        let children: Vec<NodeId> = self.store.view(node_id, |node| {
+        let children: Vec<NodeId> = self.view_at(node_id, level, |node| {
             let mbr = node.mbr();
-            let slot = &mut acc[node.level() as usize];
+            let slot = &mut acc[level as usize];
             slot.0 += 1;
             if !mbr.is_empty() {
                 for (d, total) in slot.1.iter_mut().enumerate() {
                     *total += mbr.hi[d] - mbr.lo[d];
                 }
             }
-            if node.is_leaf() {
+            if level == 0 {
                 Vec::new()
             } else {
                 node.entries().map(|e| e.child()).collect()
             }
         })?;
         for child in children {
-            self.summarize_rec(child, acc)?;
+            self.summarize_rec(child, level - 1, acc)?;
         }
         Ok(())
     }
@@ -1170,7 +1111,8 @@ struct RefineItem<const D: usize> {
 }
 
 enum RefineKind<const D: usize> {
-    Node(NodeId),
+    /// A node and the level its parent implies.
+    Node(NodeId, u32),
     Candidate(Rect<D>, u64),
     Exact(Rect<D>, u64),
 }
@@ -1194,7 +1136,7 @@ impl<const D: usize> Ord for RefineItem<D> {
             let rank = |k: &RefineKind<D>| match k {
                 RefineKind::Exact(..) => 0u8,
                 RefineKind::Candidate(..) => 1,
-                RefineKind::Node(_) => 2,
+                RefineKind::Node(..) => 2,
             };
             rank(&self.kind).cmp(&rank(&other.kind))
         })
@@ -1207,7 +1149,8 @@ struct HeapItem<const D: usize> {
 }
 
 enum ItemKind<const D: usize> {
-    Node(NodeId),
+    /// A node and the level its parent implies.
+    Node(NodeId, u32),
     Data(Rect<D>, u64),
 }
 
@@ -1229,7 +1172,7 @@ impl<const D: usize> Ord for HeapItem<D> {
         self.key.total_cmp(&other.key).then_with(|| {
             let rank = |k: &ItemKind<D>| match k {
                 ItemKind::Data(..) => 0u8,
-                ItemKind::Node(_) => 1,
+                ItemKind::Node(..) => 1,
             };
             rank(&self.kind).cmp(&rank(&other.kind))
         })

@@ -53,8 +53,7 @@ USAGE:
             [--queue N] [--max-conns N] [--pool-pages N]
             [--shards N] [--partitioner hash|round-robin|range]
             [--wal DIR/] [--fsync always|never|N]
-            [--result-cache N] [--cache-floor COST]
-            [--slow-query-ms N] [--trace-sample K]
+            [--result-cache N] [--slow-query-ms N] [--trace-sample K]
   simserved --replicate-from HOST:PORT [--index DIR/] [--wal DIR/]
             [--addr HOST:PORT] [...]
 
@@ -68,8 +67,7 @@ backend. `--wal DIR/` makes INSERT/DELETE durable (write-ahead logged,
 replayed on restart; see SYNC and CHECKPOINT in the protocol).
 `--result-cache N` answers repeated queries from an epoch-keyed LRU
 cache (mutations invalidate; see the EXPLAIN verb and the STATS PLAN
-line in the protocol); `--cache-floor COST` admits only results whose
-measured execution cost reaches COST work units. `--slow-query-ms N`
+line in the protocol). `--slow-query-ms N`
 logs any query at or over N ms (inspect with `simseq metrics`), and
 `--trace-sample K` records every K-th query's span tree into a bounded
 ring served by the TRACE verb (0 disables; see METRICS and TRACE in
@@ -113,6 +111,24 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let opts = Opts::parse(argv)?;
+    // A flag nobody reads is a typo (`--wal-dir`): serving without what
+    // it asked for — durability, say — must not be the answer.
+    opts.reject_unknown(&[
+        "index",
+        "addr",
+        "workers",
+        "queue",
+        "max-conns",
+        "pool-pages",
+        "shards",
+        "partitioner",
+        "wal",
+        "fsync",
+        "result-cache",
+        "slow-query-ms",
+        "trace-sample",
+        "replicate-from",
+    ])?;
     let pool_pages: usize = opts.parse_or("pool-pages", 256)?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
@@ -124,7 +140,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         queue_depth: opts.parse_or("queue", defaults.queue_depth)?,
         max_conns: opts.parse_or("max-conns", defaults.max_conns)?,
         result_cache: opts.parse_or("result-cache", defaults.result_cache)?,
-        cache_floor: opts.parse_or("cache-floor", defaults.cache_floor)?,
         // The flag is in milliseconds (human scale); the log gates in µs.
         slow_query_us: match opts.get("slow-query-ms") {
             None => defaults.slow_query_us,
@@ -306,6 +321,19 @@ pub fn load(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let opts = Opts::parse(argv)?;
+    opts.reject_unknown(&[
+        "addr",
+        "conns",
+        "ops",
+        "seed",
+        "ma",
+        "rho",
+        "engine",
+        "verify-index",
+        "pool-pages",
+        "timeout-ms",
+        "failover",
+    ])?;
     let defaults = LoadConfig::default();
     let verify = match opts.get("verify-index") {
         None => None,

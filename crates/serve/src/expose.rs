@@ -61,8 +61,6 @@ pub(crate) fn sample(backend: &Backend, cache: &PlanCache, repl: &ReplState) -> 
         cache_misses: cc.misses,
         cache_evictions: cc.evictions,
         cache_entries: cc.entries,
-        cache_admitted: cc.admitted,
-        cache_rejected: cc.rejected,
         mt: snap.dispatch_mt,
         st: snap.dispatch_st,
         scan: snap.dispatch_scan,
@@ -116,7 +114,7 @@ pub(crate) fn render(
         exp.gauge("simseq_wal_epoch", &[], w.epoch as f64);
     }
 
-    // Planner dispatch and result-cache admission counters.
+    // Planner dispatch and result-cache counters.
     exp.counter("simseq_plans_built_total", &[], s.plan.built);
     for (engine, n) in [("mt", s.plan.mt), ("st", s.plan.st), ("scan", s.plan.scan)] {
         exp.counter("simseq_plan_dispatch_total", &[("engine", engine)], n);
@@ -128,22 +126,11 @@ pub(crate) fn render(
         &[],
         s.plan.cache_evictions,
     );
-    exp.counter(
-        "simseq_result_cache_admitted_total",
-        &[],
-        s.plan.cache_admitted,
-    );
-    exp.counter(
-        "simseq_result_cache_rejected_total",
-        &[],
-        s.plan.cache_rejected,
-    );
     exp.gauge(
         "simseq_result_cache_entries",
         &[],
         s.plan.cache_entries as f64,
     );
-    exp.gauge("simseq_result_cache_floor", &[], cache.floor());
 
     // Est-vs-actual cost drift per (family, engine): measured work over
     // the planner's Eq. 18–20 estimate — 1.0 means the model was exact

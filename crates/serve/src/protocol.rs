@@ -502,10 +502,6 @@ pub struct PlanStatLine {
     pub cache_evictions: u64,
     /// Entries currently resident in the result cache.
     pub cache_entries: u64,
-    /// Results admitted by the cache's cost floor.
-    pub cache_admitted: u64,
-    /// Results refused by the cost floor (too cheap to be worth a slot).
-    pub cache_rejected: u64,
     /// Executions dispatched to the MT-index engine.
     pub mt: u64,
     /// Executions dispatched to the ST-index engine.
@@ -763,15 +759,12 @@ impl Response {
                     writeln!(
                         w,
                         "PLAN built={} cache_hits={} cache_misses={} cache_evictions={} \
-                         cache_entries={} cache_admitted={} cache_rejected={} mt={} st={} \
-                         scan={}",
+                         cache_entries={} mt={} st={} scan={}",
                         p.built,
                         p.cache_hits,
                         p.cache_misses,
                         p.cache_evictions,
                         p.cache_entries,
-                        p.cache_admitted,
-                        p.cache_rejected,
                         p.mt,
                         p.st,
                         p.scan
@@ -1146,10 +1139,6 @@ impl Response {
                         cache_misses: kv.req_parse("cache_misses")?,
                         cache_evictions: kv.req_parse("cache_evictions")?,
                         cache_entries: kv.req_parse("cache_entries")?,
-                        // Admission counters arrived with the cost floor;
-                        // older servers omit them.
-                        cache_admitted: kv.parse_or("cache_admitted", 0)?,
-                        cache_rejected: kv.parse_or("cache_rejected", 0)?,
                         mt: kv.req_parse("mt")?,
                         st: kv.req_parse("st")?,
                         scan: kv.req_parse("scan")?,
@@ -1604,8 +1593,6 @@ mod tests {
                 cache_misses: 33,
                 cache_evictions: 2,
                 cache_entries: 7,
-                cache_admitted: 30,
-                cache_rejected: 3,
                 mt: 25,
                 st: 10,
                 scan: 7,

@@ -51,10 +51,6 @@ pub struct ServerConfig {
     /// results are keyed on the query fingerprint and the index's
     /// [`QueryEpoch`], so mutations can never serve stale reads.
     pub result_cache: usize,
-    /// Result-cache admission floor in cost-model work units
-    /// ([`simquery::plan::execution_cost`]): results cheaper than this
-    /// are not worth a cache slot. 0.0 admits everything.
-    pub cache_floor: f64,
     /// Slow-query log threshold, µs (inclusive). `u64::MAX` disables the
     /// log; 0 logs every cache-missing query.
     pub slow_query_us: u64,
@@ -72,7 +68,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_conns: 64,
             result_cache: 0,
-            cache_floor: 0.0,
             slow_query_us: u64::MAX,
             trace_sample: simobs::trace::DEFAULT_SAMPLE,
         }
@@ -149,7 +144,7 @@ pub fn serve_with(
     simobs::trace::global().set_sample(cfg.trace_sample);
     let stop = Arc::new(AtomicBool::new(false));
     let gate = Arc::new(Gate::new(cfg.workers, cfg.queue_depth));
-    let cache = Arc::new(PlanCache::with_floor(cfg.result_cache, cfg.cache_floor));
+    let cache = Arc::new(PlanCache::new(cfg.result_cache));
     let repl = Arc::new(match follower {
         Some(stats) => ReplState::follower(stats),
         None => ReplState::primary(),
@@ -636,8 +631,7 @@ fn output_matches(out: &PlanOutput) -> u64 {
 /// racing mutation can only waste a cache entry, never leave a stale one
 /// valid for the current epoch. Cache misses are timed and offered to
 /// the slow-query log (`describe` renders the query text only when the
-/// log actually fires); the result is then *offered* to the cache, which
-/// admits it only when its measured cost clears the admission floor.
+/// log actually fires); the result then goes into the cache.
 fn run_cached(
     backend: &Backend,
     cache: &PlanCache,
@@ -675,7 +669,7 @@ fn run_cached(
                 exec_us: timings.exec_us,
                 total_us: 0, // observe() stamps the measured total
             });
-            cache.offer(fp, epoch, plan, out.clone());
+            cache.put(fp, epoch, plan, out.clone());
             Ok(out)
         }
         Err(e) => Err(query_err(e)),

@@ -162,14 +162,6 @@ fn metrics_and_stats_agree_op_for_op() {
         plan.cache_misses
     );
     assert_eq!(
-        metric(&lines, "simseq_result_cache_admitted_total"),
-        plan.cache_admitted
-    );
-    assert_eq!(
-        metric(&lines, "simseq_result_cache_rejected_total"),
-        plan.cache_rejected
-    );
-    assert_eq!(
         metric(&lines, "simseq_result_cache_entries"),
         plan.cache_entries
     );
@@ -177,7 +169,7 @@ fn metrics_and_stats_agree_op_for_op() {
         metric(&lines, "simseq_plan_dispatch_total{engine=\"mt\"}"),
         plan.mt
     );
-    assert!(plan.cache_hits >= 1 && plan.cache_admitted >= 1, "{plan:?}");
+    assert!(plan.cache_hits >= 1 && plan.cache_entries >= 1, "{plan:?}");
 
     // Est-vs-actual drift gauges are populated for every engine that ran.
     for engine in ["mt", "st", "scan"] {

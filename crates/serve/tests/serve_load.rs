@@ -144,3 +144,26 @@ fn simload_binary_accepts_engine_auto() {
     );
     handle.shutdown();
 }
+
+/// A mistyped or repeated flag must not start a server: `--wal-dir` for
+/// `--wal` used to be dropped, and the operator who asked for durability
+/// silently got none.
+#[test]
+fn simserved_binary_refuses_unknown_and_repeated_flags() {
+    let typos = ["--index", "idx", "--wal-dir", "wal/", "--fsinc", "always"];
+    for (more, named) in [
+        (
+            &["--workers", "1", "--workers", "2"][..],
+            "--workers given twice",
+        ),
+        (&[][..], "unknown flag --wal-dir"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simserved"))
+            .args(typos)
+            .args(more)
+            .output()
+            .expect("spawn simserved");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success() && stderr.contains(named), "{stderr}");
+    }
+}

@@ -27,6 +27,11 @@
 #                           # and Eq. 12 unit tests, the figure counters
 #                           # against tests/golden/, recall, ordering,
 #                           # extensions and the sharded planner parity
+#   scripts/ci.sh storage   # tier-2: what pins "one node store" — the page
+#                           # devices under it, the R*-tree's unit,
+#                           # property and doc tests on PagedStore, and
+#                           # the subsequence index (the other tree) with
+#                           # its literal counters
 #   scripts/ci.sh e2e       # tier-2: builds the benchmark (e2ebench/, a
 #                           # workspace of its own that no PR may edit)
 #                           # against the workspace crates and runs its
@@ -85,6 +90,10 @@ engines|-p simquery --test recall|Lemma 1 recall, ordered families, extensions
 engines|-p simquery --test ordering|
 engines|-p simquery --test extensions|
 engines|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards
+storage|-p pagestore|page devices, buffer pool and the fault gate
+storage|-p rstartree|the R*-tree on its one node store (unit, property, doc tests)
+storage|-p simquery --lib subseq|the subsequence index: pinned counters at trail lengths 1 and 8
+storage|-p simquery --test extensions|
 e2e|--manifest-path e2ebench/Cargo.toml|the benchmark builds against the workspace crates and its smoke passes
 '
 
@@ -149,7 +158,7 @@ bench_against_baseline() {
 }
 
 case "$stage" in
-chaos | recovery | parity | replication | failover | serve | engines | e2e)
+chaos | recovery | parity | replication | failover | serve | engines | storage | e2e)
     run_stage "$stage"
     ;;
 bench)
@@ -178,7 +187,7 @@ all)
     cargo test --offline --manifest-path e2ebench/Cargo.toml --no-run
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|e2e|bench]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|storage|e2e|bench]" >&2
     echo "  (no argument: tier-1; bench compares against $(newest_baseline))" >&2
     exit 2
     ;;
