@@ -56,7 +56,8 @@ pub fn knn_bounded(
     // parked here and re-raised after the traversal returns.
     let mut fetch_err: Option<pagestore::PageError> = None;
     // Exact scores come from the kernel whenever it covers the query, else
-    // from full features per candidate — the same bits either way.
+    // from full features per candidate; the two agree to rounding
+    // (`1e-12·max(1, d)`), not to the bit.
     let mut kernel = VerifyKernel::for_query(index, family, &q, QueryMode::Symmetric);
 
     // Optimal multi-step search: leaf entries carry the cheap feature-space
@@ -71,12 +72,15 @@ pub fn knn_bounded(
             let seq = data as usize;
             let scored = match &mut kernel {
                 // The traversal refines a leaf entry once: no row to keep.
-                Some(kernel) => kernel
-                    .touch_once(seq)
-                    .map(|row| best_member(family.len(), |ti| kernel.distance(row, ti))),
+                Some(kernel) => kernel.touch_once(seq).map(|row| {
+                    best_member(family.len(), |ti, best| {
+                        kernel.distance_below(row, ti, best)
+                    })
+                }),
                 None => index.fetch(seq).map(|x| {
-                    best_member(family.len(), |ti| {
-                        family.transforms()[ti].transformed_distance(&x, &q)
+                    best_member(family.len(), |ti, best| {
+                        let d = family.transforms()[ti].transformed_distance(&x, &q);
+                        (d < best).then_some(d)
                     })
                 }),
             };
@@ -125,12 +129,14 @@ pub fn knn_bounded(
 }
 
 /// Exact score of one sequence: the first member attaining the least
-/// distance, with that distance.
-fn best_member(members: usize, distance: impl Fn(usize) -> f64) -> (usize, f64) {
+/// distance, with that distance. `below(t, best)` is member `t`'s
+/// distance when it is below `best`, the least found so far — the
+/// kernel's abandon bound, exact for the argmin: a member whose partial
+/// sum already reaches `best` can never be strictly less.
+fn best_member(members: usize, below: impl Fn(usize, f64) -> Option<f64>) -> (usize, f64) {
     let (mut best_t, mut best_d) = (0usize, f64::INFINITY);
     for ti in 0..members {
-        let d = distance(ti);
-        if d < best_d {
+        if let Some(d) = below(ti, best_d) {
             best_d = d;
             best_t = ti;
         }

@@ -19,24 +19,27 @@
 //!
 //! * `VerifyKernel` — when the query is symmetric (`D(t(x), t(q))`), the
 //!   sequence length even, the query target conjugate-symmetric and every
-//!   family member conjugate-symmetric with angle multipliers exactly 1
-//!   (every convolution-derived operator, scaling, inversion, band-pass
-//!   and their compositions). Then `cos(θx_f − θq_f)` depends on the
-//!   candidate and the coefficient only: one half-spectrum row per
-//!   distinct candidate, six flops per coefficient per member, no
-//!   `SeqFeatures` per candidate. Range queries (ST, MT, partitioned MT)
-//!   and [`knn`] run on it.
+//!   family member linear in the paper's sense: conjugate-symmetric,
+//!   coefficient `f` times `a_f·e^{iφ_f}` (every convolution-derived
+//!   operator, scaling, inversion, band-pass and their compositions).
+//!   Then the phase cancels and a coefficient contributes
+//!   `a_f²·|X_f − Q_f|²`: one half-spectrum row `|X_f − Q_f|²` per
+//!   distinct candidate, one multiply-add per coefficient per member, an
+//!   exact early abandon on ε, no trigonometry and no `SeqFeatures` per
+//!   candidate. Range queries (ST, MT, partitioned MT) and [`knn`] run on
+//!   it.
 //! * `CandidateCache` + `verify_candidate` over full [`SeqFeatures`] —
 //!   for everything else: data-only queries, `time_reverse`,
 //!   `paper_shift`, prepared asymmetric targets, odd lengths,
 //!   `VerifyMode::Ordered`, and both joins (a pair needs both sides'
 //!   features and has no query side to hoist).
 //!
-//! The kernel's distance has the bits of
-//! [`Transform::transformed_distance`], so nothing downstream can tell
-//! which ran. [`seqscan`]'s exhaustive path deliberately keeps calling
-//! `transformed_distance` per pair: it is the oracle, and an error in the
-//! kernel must not be able to hide in both.
+//! The kernel's distance is the law-of-cosines distance of
+//! [`Transform::transformed_distance`] rounded differently: the two agree
+//! to `1e-12·max(1, d)`, and the pair sets, match order and every counter
+//! are the same. [`seqscan`]'s exhaustive path deliberately keeps calling
+//! `transformed_distance` per pair: it is the tolerance oracle, and an
+//! error in the kernel must not be able to hide in both.
 //!
 //! All three return identical result sets (property-tested under
 //! [`FilterPolicy::Safe`](crate::query::FilterPolicy)); they differ only in
@@ -115,43 +118,48 @@ impl<'a> CandidateCache<'a> {
     }
 }
 
-/// Algorithm 1 step 5 for one symmetric query, with everything that does
-/// not depend on the member transformation taken out of the member loop.
+/// Coefficients summed between two early-abandon checks of
+/// [`VerifyKernel::distance_below`].
+const ABANDON_STRIDE: usize = 8;
+
+/// Algorithm 1 step 5 for one symmetric query, in the paper's linear form.
 ///
-/// In `D(t(x), t(q))` the angle addend of `t` cancels, and when every
-/// angle multiplier is 1 the law-of-cosines term of
-/// [`Transform::transformed_distance`] is
-/// `ra² + rb² − 2·ra·rb·cos(θx_f − θq_f)` with `ra = a_r·rx_f + b_r`,
-/// `rb = a_r·rq_f + b_r`: only `ra` depends on both the candidate and the
-/// member. So the kernel keeps, per member, the tables `a_r | b_r | rb`
-/// (query side hoisted) and, per distinct candidate, one arena row
-/// `rx | c` with `c_f = cos(θx_f − θq_f)` filled at first touch; each
-/// later touch — another of ST's singleton rectangles, another member,
-/// another partition — is six flops per coefficient and no trigonometry.
-/// All over the half spectrum `f ∈ 0..=n/2`, which is all a real sequence
-/// has (Eq. 6).
+/// A member the kernel serves multiplies coefficient `f` by
+/// `a_f·e^{iφ_f}`, so in `D(t(x), t(q))` the phase cancels and the
+/// coefficient contributes `a_f²·|X_f − Q_f|²`: a member factor times a
+/// (candidate, query) factor. The kernel keeps, per member, one table
+/// `w_f·a_f²` with `w = 1, 2, …, 2, 1` over the half spectrum
+/// `f ∈ 0..=n/2` — coefficients `1..n/2` stand for their mirrors too
+/// (Eq. 6), and that is all a real sequence has — and, per distinct
+/// candidate, one arena row `P_f = |X_f − Q_f|²` filled at first touch.
+/// Each touch after that — another of ST's singleton rectangles, another
+/// member, another partition — is one multiply-add per coefficient and a
+/// square root.
 ///
-/// The expression tree and the summation order are those of
-/// `transformed_distance`, so [`Self::distance`] returns the same bits
-/// (`proptests::kernel_distance_is_the_naive_distance`); match order,
-/// golden counters and wire bytes cannot tell the two apart.
+/// Every term is ≥ 0, so the running sum never decreases and
+/// [`Self::distance_below`] stops as soon as it reaches ε: a pair it
+/// rejects is exactly one the full sum rejects, and a distance it reports
+/// is always the full sum. That sum rounds differently from the
+/// law-of-cosines tree of [`Transform::transformed_distance`]; the two
+/// agree to `1e-12·max(1, d)`
+/// (`proptests::kernel_distance_is_the_naive_distance`).
 ///
 /// A row is filled straight from the record heap: borrowed page bytes →
 /// samples and normal form in one reused buffer → a planned real FFT →
-/// polar form. No `SeqFeatures` is built for a candidate, and nothing
+/// `|X_f − Q_f|²`. No `SeqFeatures` is built for a candidate, and nothing
 /// outlives the query: a feature cache that did would answer without a
 /// heap page access and so change the paper's cost unit.
 pub(crate) struct VerifyKernel<'a> {
     index: &'a SeqIndex,
-    /// Coefficients per table and per half row: `n/2 + 1`.
+    /// Coefficients per table and per row: `n/2 + 1`.
     half: usize,
-    /// Member `t`'s tables at `3·half·t`: `a_r | b_r | rb`.
+    /// Member `t`'s table at `half·t`: `w_f·a_f²`.
     members: Vec<f64>,
-    /// `θq_f`.
-    query_angle: Vec<f64>,
+    /// `Q_f` over the half spectrum.
+    query: Vec<Complex64>,
     /// Ordinal → row of `arena`.
     rows: HashMap<usize, usize>,
-    /// Row `i` at `2·half·i`: `rx | c`.
+    /// Row `i` at `half·i`: `|X_f − Q_f|²`.
     arena: Vec<f64>,
     plan: RfftPlan,
     samples: Vec<f64>,
@@ -183,25 +191,24 @@ impl<'a> VerifyKernel<'a> {
             && family
                 .transforms()
                 .iter()
-                .all(Transform::half_spectrum_unit_angle);
+                .all(Transform::half_spectrum_linear);
         if !applies {
             return None;
         }
         let half = n / 2 + 1;
-        let mut members = Vec::with_capacity(3 * half * family.len());
+        let mut members = Vec::with_capacity(half * family.len());
         for t in family.transforms() {
-            members.extend((0..half).map(|f| t.magnitude_action(f).0));
-            members.extend((0..half).map(|f| t.magnitude_action(f).1));
             members.extend((0..half).map(|f| {
-                let (a_r, b_r) = t.magnitude_action(f);
-                a_r * q.polar[f].0 + b_r
+                let a = t.magnitude_multiplier(f);
+                let w = if f == 0 || f == half - 1 { 1.0 } else { 2.0 };
+                w * a * a
             }));
         }
         Some(Self {
             index,
             half,
             members,
-            query_angle: q.polar[..half].iter().map(|&(_, theta)| theta).collect(),
+            query: q.spectrum[..half].to_vec(),
             rows: HashMap::new(),
             arena: Vec::new(),
             plan: RfftPlan::new(n),
@@ -240,8 +247,8 @@ impl<'a> VerifyKernel<'a> {
         Ok(0)
     }
 
-    /// Fetches candidate `seq` and writes `rx | c` into arena row `row`,
-    /// which is an existing row or the next one.
+    /// Fetches candidate `seq` and writes `|X_f − Q_f|²` into arena row
+    /// `row`, which is an existing row or the next one.
     fn fill(&mut self, seq: usize, row: usize) -> Result<(), PageError> {
         let samples = &mut self.samples;
         self.index.with_record(seq, |bytes| {
@@ -252,45 +259,46 @@ impl<'a> VerifyKernel<'a> {
             .unwrap_or_else(|| panic!("fetched degenerate sequence {seq}"));
         self.plan.forward_half(samples, &mut self.spectrum);
 
-        let base = 2 * self.half * row;
+        let base = self.half * row;
         if self.arena.len() == base {
-            self.arena.resize(base + 2 * self.half, 0.0);
+            self.arena.resize(base + self.half, 0.0);
         }
-        let (rx, c) = self.arena[base..base + 2 * self.half].split_at_mut(self.half);
-        for (f, x) in self.spectrum.iter().enumerate() {
-            let (r, theta) = x.to_polar();
-            rx[f] = r;
-            // The angle multiplier is exactly 1 and 1·d = d, so this is
-            // the argument `transformed_distance` hands to `cos`.
-            c[f] = (theta - self.query_angle[f]).cos();
+        let p = &mut self.arena[base..base + self.half];
+        for ((p, &x), &q) in p.iter_mut().zip(&self.spectrum).zip(&self.query) {
+            *p = (x - q).norm_sqr();
         }
         Ok(())
     }
 
     /// `D(t(x), t(q))` for the candidate in `row` under family member
-    /// `member` — the bits of [`Transform::transformed_distance`].
-    pub fn distance(&self, row: usize, member: usize) -> f64 {
+    /// `member` when it is below `eps`, else `None`.
+    ///
+    /// The sum runs in coefficient order and is checked every
+    /// [`ABANDON_STRIDE`] coefficients: it stops once `acc ≥ ε²` and
+    /// `√acc ≥ ε` — the second test keeps the decision exact whatever `ε²`
+    /// rounded to, and the terms are ≥ 0, so the full sum is at least
+    /// `acc` and would have been rejected too.
+    pub fn distance_below(&self, row: usize, member: usize, eps: f64) -> Option<f64> {
         let h = self.half;
-        let (rx, c) = self.arena[2 * h * row..2 * h * (row + 1)].split_at(h);
-        let (a_r, rest) = self.members[3 * h * member..3 * h * (member + 1)].split_at(h);
-        let (b_r, rb) = rest.split_at(h);
-        let term = |f: usize| -> f64 {
-            let (ra, rb) = (a_r[f] * rx[f] + b_r[f], rb[f]);
-            ra * ra + rb * rb - 2.0 * ra * rb * c[f]
-        };
-        // `n` is even: coefficients 1..n/2 count twice (their mirrors
-        // contribute the same), 0 and n/2 once.
-        let mut acc = term(0);
-        for f in 1..h - 1 {
-            acc += 2.0 * term(f);
+        let p = &self.arena[h * row..h * (row + 1)];
+        let w = &self.members[h * member..h * (member + 1)];
+        let eps2 = eps * eps;
+        let mut acc = 0.0;
+        for (p, w) in p.chunks(ABANDON_STRIDE).zip(w.chunks(ABANDON_STRIDE)) {
+            for (p, w) in p.iter().zip(w) {
+                acc += w * p;
+            }
+            if acc >= eps2 && acc.sqrt() >= eps {
+                return None;
+            }
         }
-        acc += term(h - 1);
-        acc.max(0.0).sqrt()
+        let d = acc.sqrt();
+        (d < eps).then_some(d)
     }
 
     /// [`verify_candidate`]'s exhaustive arm over the kernel: every
     /// member in `members` against candidate `seq`, in order, each
-    /// distance one comparison.
+    /// distance one comparison however early it is abandoned.
     pub fn verify(
         &mut self,
         seq: usize,
@@ -301,13 +309,12 @@ impl<'a> VerifyKernel<'a> {
     ) -> Result<(), PageError> {
         let row = self.touch(seq)?;
         for &ti in members {
-            let d = self.distance(row, ti);
             *comparisons += 1;
-            if d < eps {
+            if let Some(dist) = self.distance_below(row, ti, eps) {
                 out.push(Match {
                     seq,
                     transform: ti,
-                    dist: d,
+                    dist,
                 });
             }
         }

@@ -281,7 +281,8 @@ impl SeqIndex {
     /// every coefficient, as joins, ordered verification and the queries
     /// `engine::VerifyKernel` does not cover need them. A range or k-NN
     /// query the kernel covers never comes here: it reads the record where
-    /// it lies in the pool and keeps 1 KB of half-spectrum per candidate.
+    /// it lies in the pool and keeps one half-spectrum row of
+    /// `|X_f − Q_f|²` (520 B at length 128) per candidate.
     ///
     /// # Panics
     ///

@@ -456,18 +456,60 @@ fn apply_rect_point_consistency() {
     }
 }
 
-/// The verification kernel is the naive formula: for random families —
-/// moving averages, their inversions, momenta, circular shifts, scalings
-/// (negative ones too), EMAs and composed pairs — over power-of-two and
-/// other even lengths, every `(candidate, member)` distance has the bits
-/// of [`Transform::transformed_distance`]. A family with a member the
-/// kernel cannot serve is turned down, never served approximately.
+/// A random family of linear members over length `n` — moving averages,
+/// their inversions, momenta, circular shifts, scalings (negative ones
+/// too), EMAs or composed pairs.
+fn linear_family(rng: &mut SeededRng, n: usize) -> Family {
+    match rng.random_range(0..7u32) {
+        0 => Family::moving_averages(2..=rng.random_range(3..20usize), n),
+        1 => Family::moving_averages(3..=rng.random_range(4..9usize), n).with_inverted(),
+        2 => Family::momenta(1..=rng.random_range(1..6usize), n),
+        3 => Family::circular_shifts(0..=rng.random_range(1..7usize), n),
+        4 => Family::scalings(
+            &[
+                rng.random_range(-4f64..-0.1),
+                rng.random_range(0.1f64..4.0),
+                1.0,
+            ],
+            n,
+        ),
+        5 => Family::new(
+            "ema",
+            vec![
+                Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
+                Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
+            ],
+        ),
+        _ => Family::moving_averages(2..=4, n).compose(&Family::momenta(1..=2, n)),
+    }
+}
+
+/// An index over 12 random walks of length `n` and a prepared query.
+fn walks_and_query(
+    rng: &mut SeededRng,
+    n: usize,
+) -> (crate::index::SeqIndex, crate::feature::SeqFeatures) {
+    use crate::index::{IndexConfig, SeqIndex};
+    use tseries::{random_walk, Corpus};
+    let series: Vec<_> = (0..12).map(|_| random_walk(rng, n, 500.0)).collect();
+    let names = (0..series.len()).map(|i| format!("s{i}")).collect();
+    let index = SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default())
+        .expect("non-empty corpus");
+    let q = index.prepare_query(&random_walk(rng, n, 500.0)).unwrap();
+    (index, q)
+}
+
+/// The verification kernel is the naive formula up to rounding: for
+/// random linear families over power-of-two and other even lengths —
+/// 100's mask FFTs are Bluestein's, whose exact spectral zeros come out
+/// as 1e-15 at an arbitrary angle — every `(candidate, member)` distance
+/// is [`Transform::transformed_distance`]'s within `1e-12·max(1, d)`. A
+/// family with a member the kernel cannot serve (a reversal) is turned
+/// down, never served approximately; every other family is served.
 #[test]
 fn kernel_distance_is_the_naive_distance() {
     use crate::engine::VerifyKernel;
-    use crate::index::{IndexConfig, SeqIndex};
     use crate::query::QueryMode;
-    use tseries::{random_walk, Corpus};
 
     const LENGTHS: [usize; 3] = [64, 100, 128];
     let mut rng = SeededRng::seed_from_u64(0x4E12);
@@ -475,28 +517,7 @@ fn kernel_distance_is_the_naive_distance() {
     for case in 0..2 * CASES {
         let len = rng.random_range(0..LENGTHS.len());
         let n = LENGTHS[len];
-        let mut family = match rng.random_range(0..7u32) {
-            0 => Family::moving_averages(2..=rng.random_range(3..20usize), n),
-            1 => Family::moving_averages(3..=rng.random_range(4..9usize), n).with_inverted(),
-            2 => Family::momenta(1..=rng.random_range(1..6usize), n),
-            3 => Family::circular_shifts(0..=rng.random_range(1..7usize), n),
-            4 => Family::scalings(
-                &[
-                    rng.random_range(-4f64..-0.1),
-                    rng.random_range(0.1f64..4.0),
-                    1.0,
-                ],
-                n,
-            ),
-            5 => Family::new(
-                "ema",
-                vec![
-                    Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
-                    Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
-                ],
-            ),
-            _ => Family::moving_averages(2..=4, n).compose(&Family::momenta(1..=2, n)),
-        };
+        let mut family = linear_family(&mut rng, n);
         // One case in four gets a member with an angle multiplier of −1.
         let reversed = case % 4 == 3;
         if reversed {
@@ -504,41 +525,31 @@ fn kernel_distance_is_the_naive_distance() {
             members.push(Transform::time_reverse(n));
             family = Family::new("with reversal", members);
         }
-
-        let series: Vec<_> = (0..12).map(|_| random_walk(&mut rng, n, 500.0)).collect();
-        let names = (0..series.len()).map(|i| format!("s{i}")).collect();
-        let index = SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default())
-            .expect("non-empty corpus");
-        let q = index
-            .prepare_query(&random_walk(&mut rng, n, 500.0))
-            .unwrap();
-        // Besides the reversal, a moving average whose spectrum has an
-        // exact zero is turned down at length 100: Bluestein leaves 1e-15
-        // there at an arbitrary angle, and `detect_symmetry` believes it.
-        let covered = family
-            .transforms()
-            .iter()
-            .all(Transform::half_spectrum_unit_angle);
-        assert!(!(reversed && covered), "a reversal passed for unit-angle");
+        let (index, q) = walks_and_query(&mut rng, n);
         let Some(mut kernel) = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
         else {
-            assert!(!covered, "{} over length {n} turned down", family.name());
+            assert!(reversed, "{} over length {n} turned down", family.name());
             turned_down += 1;
             continue;
         };
-        assert!(covered, "{} over length {n} served", family.name());
+        assert!(!reversed, "a reversal served over length {n}");
         served[len] += 1;
+        let check = |d: f64, naive: f64, what: &str| {
+            assert!(
+                (d - naive).abs() <= 1e-12 * naive.max(1.0),
+                "{what}: kernel {d} vs naive {naive}"
+            );
+        };
         // Twice round, so that the second touch of a candidate reads the
         // row the first one filled.
         for seq in (0..index.len()).chain(0..index.len()) {
             let x = index.fetch(seq).unwrap();
             let row = kernel.touch(seq).unwrap();
             for (ti, t) in family.transforms().iter().enumerate() {
-                assert_eq!(
-                    kernel.distance(row, ti).to_bits(),
-                    t.transformed_distance(&x, &q).to_bits(),
-                    "{} on sequence {seq}, length {n}",
-                    t.label()
+                check(
+                    kernel.distance_below(row, ti, f64::INFINITY).unwrap(),
+                    t.transformed_distance(&x, &q),
+                    &format!("{} on sequence {seq}, length {n}", t.label()),
                 );
                 pairs += 1;
             }
@@ -549,18 +560,70 @@ fn kernel_distance_is_the_naive_distance() {
             let x = index.fetch(seq).unwrap();
             let row = kernel.touch_once(seq).unwrap();
             for (ti, t) in family.transforms().iter().enumerate() {
-                assert_eq!(
-                    kernel.distance(row, ti).to_bits(),
-                    t.transformed_distance(&x, &q).to_bits(),
-                    "{} on sequence {seq} alone, length {n}",
-                    t.label()
+                check(
+                    kernel.distance_below(row, ti, f64::INFINITY).unwrap(),
+                    t.transformed_distance(&x, &q),
+                    &format!("{} on sequence {seq} alone, length {n}", t.label()),
                 );
             }
         }
     }
     assert!(
-        served.iter().all(|&s| s >= 8) && turned_down >= CASES / 2,
+        served.iter().all(|&s| s >= 8) && turned_down == CASES / 2,
         "kernel served {served:?} cases per length, turned {turned_down} down"
     );
     assert!(pairs > 5000, "{pairs} pairs compared");
+}
+
+/// The early abandon is exact: with ε set to a member's full-sum distance
+/// and to the floats either side of it, `verify` accepts exactly the
+/// members whose full-sum distance is `< ε`, reports that sum, and counts
+/// every member as one comparison.
+#[test]
+fn early_abandon_decides_as_the_full_sum() {
+    use crate::engine::VerifyKernel;
+    use crate::query::QueryMode;
+
+    let mut rng = SeededRng::seed_from_u64(0xAB4D);
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..CASES {
+        let n = [64, 100, 128][rng.random_range(0..3usize)];
+        let family = linear_family(&mut rng, n);
+        let (index, q) = walks_and_query(&mut rng, n);
+        let mut kernel = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
+            .expect("a linear family is served");
+        let all: Vec<usize> = (0..family.len()).collect();
+        for seq in 0..index.len() {
+            let row = kernel.touch(seq).unwrap();
+            let full: Vec<f64> = all
+                .iter()
+                .map(|&ti| kernel.distance_below(row, ti, f64::INFINITY).unwrap())
+                .collect();
+            let d = full[rng.random_range(0..full.len())];
+            for eps in [d.next_down(), d, d.next_up(), 0.5 * d] {
+                let (mut comparisons, mut out) = (0, Vec::new());
+                kernel
+                    .verify(seq, &all, eps, &mut comparisons, &mut out)
+                    .unwrap();
+                assert_eq!(comparisons, all.len() as u64);
+                let want: Vec<(usize, u64)> = full
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| d < eps)
+                    .map(|(ti, d)| (ti, d.to_bits()))
+                    .collect();
+                let got: Vec<(usize, u64)> = out
+                    .iter()
+                    .map(|m| (m.transform, m.dist.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{} on sequence {seq}, ε = {eps}", family.name());
+                accepted += got.len();
+                rejected += all.len() - got.len();
+            }
+        }
+    }
+    assert!(
+        accepted > 1000 && rejected > 1000,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }

@@ -35,13 +35,14 @@ pub struct Transform {
     /// Whether the action is conjugate-symmetric (coefficient `n−f`
     /// mirrors `f`), enabling the half-spectrum distance fast path.
     symmetric: bool,
-    /// Whether every angle multiplier is exactly 1 — true of every
-    /// convolution-derived operator, scaling, inversion and band-pass and
-    /// of their compositions, false of time reversal. Then the angle
-    /// difference in [`Self::transformed_distance`] is `θx − θq` whatever
-    /// the member, which is what lets `engine::VerifyKernel` take one
-    /// cosine per candidate and coefficient instead of one per member.
-    unit_angle: bool,
+    /// Whether every angle multiplier is exactly 1 and every magnitude
+    /// addend exactly 0 — true of every convolution-derived operator,
+    /// scaling, inversion and band-pass and of their compositions, false
+    /// of time reversal. Then the action is the paper's linear one,
+    /// coefficient `f` times `a_f·e^{iφ_f}`, the phase cancels in
+    /// `D(t(x), t(q))` and each coefficient contributes
+    /// `a_f²·|X_f − Q_f|²` — the form `engine::VerifyKernel` computes.
+    linear: bool,
 }
 
 impl Transform {
@@ -54,7 +55,7 @@ impl Transform {
             spec_a: vec![0.0; 2 * n],
             spec_b: vec![0.0; 2 * n],
             symmetric: true,
-            unit_angle: true,
+            linear: true,
         };
         for f in 0..n {
             t.spec_a[2 * f] = 1.0; // magnitude × 1
@@ -67,10 +68,18 @@ impl Transform {
     /// angle multiplier mirror (`v[n−f] = v[f]`), the angle addend
     /// conjugates (`b_θ[n−f] ≡ −b_θ[f] (mod 2π)`). All convolution-derived
     /// transformations have it; §3.1.2's approximate shift does not.
-    /// Records [`Self::unit_angle`] in the same pass.
+    ///
+    /// The angle of a coefficient the action zeroes is noise — a mask
+    /// whose spectrum has an exact zero leaves ~1e-15 there at an
+    /// arbitrary angle when its FFT is Bluestein's — and a zero has no
+    /// angle to mirror, so angles are compared only where the magnitude
+    /// multiplier is above `1e-12·max_f a_f` or a magnitude addend is set.
+    /// Records [`Self::linear`] in the same pass.
     fn detect_symmetry(&mut self) {
         let n = self.seq_len();
-        self.unit_angle = (0..n).all(|f| self.spec_a[2 * f + 1] == 1.0);
+        self.linear = (0..n).all(|f| self.spec_a[2 * f + 1] == 1.0 && self.spec_b[2 * f] == 0.0);
+        let noise = 1e-12 * (0..n).map(|f| self.spec_a[2 * f].abs()).fold(0.0, f64::max);
+        let zeroed = |f: usize| self.spec_a[2 * f].abs() <= noise && self.spec_b[2 * f] == 0.0;
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs() + b.abs());
         let angle_conj = |a: f64, b: f64| {
             let d = Complex64::cis(a) - Complex64::cis(-b);
@@ -81,7 +90,8 @@ impl Transform {
             close(self.spec_a[2 * f], self.spec_a[2 * m])
                 && close(self.spec_b[2 * f], self.spec_b[2 * m])
                 && close(self.spec_a[2 * f + 1], self.spec_a[2 * m + 1])
-                && angle_conj(self.spec_b[2 * m + 1], self.spec_b[2 * f + 1])
+                && ((zeroed(f) && zeroed(m))
+                    || angle_conj(self.spec_b[2 * m + 1], self.spec_b[2 * f + 1]))
         });
     }
 
@@ -308,17 +318,17 @@ impl Transform {
         self.spec_a.len() / 2
     }
 
-    /// True when the symmetric distance under this transformation can be
-    /// taken over the half spectrum with the member-independent angle
-    /// difference `θx − θq`: the action is conjugate-symmetric and every
-    /// angle multiplier is exactly 1.
-    pub(crate) fn half_spectrum_unit_angle(&self) -> bool {
-        self.symmetric && self.unit_angle
+    /// True when the symmetric distance under this transformation is
+    /// `Σ_f w_f·a_f²·|X_f − Q_f|²` over the half spectrum (`w = 1, 2, …,
+    /// 2, 1`): the action is conjugate-symmetric, every angle multiplier
+    /// is exactly 1 and every magnitude addend exactly 0.
+    pub(crate) fn half_spectrum_linear(&self) -> bool {
+        self.symmetric && self.linear
     }
 
-    /// The action on coefficient `f`'s magnitude: `r ↦ a·r + b`.
-    pub(crate) fn magnitude_action(&self, f: usize) -> (f64, f64) {
-        (self.spec_a[2 * f], self.spec_b[2 * f])
+    /// The multiplier `a_f` of coefficient `f`'s magnitude.
+    pub(crate) fn magnitude_multiplier(&self, f: usize) -> f64 {
+        self.spec_a[2 * f]
     }
 
     /// The multiplicative feature-space part `a`.
