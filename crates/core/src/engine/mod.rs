@@ -12,7 +12,10 @@
 //! traverse → fetch → verify loop lives once, in
 //! [`mtindex::range_query_features`] (and [`join::mt_join_with_mbrs`] for
 //! Query 2); [`seqscan`] stays apart as the oracle the suites compare
-//! against.
+//! against. The traversal counts in the table are the paper's, and they
+//! are what the engines report; physically a range query's rectangles
+//! share one masked descent, each node read once per 64 rectangles
+//! ([`mtindex`]).
 //!
 //! Step 5 (fetch → verify) has two implementations, chosen per query from
 //! what the query is — never by an option:

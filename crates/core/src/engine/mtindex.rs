@@ -5,12 +5,23 @@
 //! add-MBR, and descend the R*-tree **once**, applying the pair to every
 //! index rectangle via Eq. 12 and testing the result against the
 //! ε-expanded query region. Candidates are post-processed with every member
-//! transformation (step 5). With `k > 1` transformation rectangles (§4.3)
-//! the index is traversed once per rectangle — the trade-off Figures 8–9
-//! explore.
+//! transformation (step 5).
+//!
+//! With `k > 1` transformation rectangles (§4.3) the tree is still
+//! descended **once** per group of up to 64 rectangles: a node carries the
+//! mask of the rectangles whose own descent would reach it, each entry is
+//! tested once against the group's hull (window tests only — a sound
+//! prefilter) and then against the rectangles in its node's mask, and a
+//! child inherits the mask of those that hit. Each node is read once per
+//! group, yet every rectangle gets its own candidates in its own descent's
+//! order and its own `DA_all(q, rᵢ)`, `DA_leaf(q, rᵢ)` — a node is
+//! attributed to every rectangle in its mask — so Eq. 19's per-rectangle
+//! sum, the trade-off Figures 8–9 explore, is reported unchanged while
+//! the device reads each node once. Step 5 then runs rectangle by
+//! rectangle, as `k` separate descents would have run it.
 
 use crate::engine::{check_family, verify_candidate, CandidateCache, VerifyKernel, VerifyMode};
-use crate::feature::FeatureVec;
+use crate::feature::{FRect, FeatureVec};
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::partition::PartitionStrategy;
@@ -18,6 +29,7 @@ use crate::query::{mt_query_region, Filter, QueryMode, RangeSpec};
 use crate::report::{EngineMetrics, QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
+use rstartree::mask_bits;
 use std::time::Instant;
 use tseries::TimeSeries;
 
@@ -77,7 +89,8 @@ pub fn range_query_ordered(
     Ok(result)
 }
 
-/// The general driver: one traversal per transformation rectangle.
+/// The general driver: one descent per group of up to 64 transformation
+/// rectangles, then step 5 rectangle by rectangle.
 pub fn range_query_with_mbrs(
     index: &SeqIndex,
     query: &TimeSeries,
@@ -116,7 +129,6 @@ pub fn range_query_features(
     let before = index.counters();
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
-    let mut traversals = Vec::with_capacity(mbrs.len());
     // Step 5 runs on the kernel whenever it covers the query; ordered
     // verification and the inputs `VerifyKernel::for_query` turns down
     // keep full features per candidate.
@@ -129,17 +141,17 @@ pub fn range_query_features(
     };
     let mut cache = CandidateCache::new(index);
 
-    for mbr in mbrs {
-        let mut candidates = Vec::new();
-        let traversal = traverse(index, mbr, &q.point, spec.mode, &filter, |seq| {
-            candidates.push(seq)
-        })?;
+    let mut candidates = vec![Vec::new(); mbrs.len()];
+    let traversals = descend(index, mbrs, &q.point, spec.mode, &filter, |slot, seq| {
+        candidates[slot].push(seq)
+    })?;
+    for ((mbr, traversal), candidates) in mbrs.iter().zip(&traversals).zip(candidates) {
         metrics.node_accesses += traversal.da_all;
         metrics.leaf_accesses += traversal.da_leaf;
         metrics.candidates += traversal.candidates;
-        traversals.push(traversal);
 
-        // Step 5: retrieve full records and verify every member.
+        // Step 5, rectangle by rectangle: retrieve full records and verify
+        // every member.
         for seq in candidates {
             let (comparisons, out) = (&mut metrics.comparisons, &mut matches);
             match &mut kernel {
@@ -170,7 +182,7 @@ pub fn range_query_features(
     Ok((QueryResult { matches, metrics }, traversals))
 }
 
-/// A filter-only probe: runs each rectangle's traversal, counting node and
+/// A filter-only probe: runs the rectangles' descents, counting node and
 /// candidate statistics **without** fetching or verifying candidates. This
 /// is the measurement §4.3's optimizer needs to evaluate Eq. 20 for a
 /// candidate partitioning at a fraction of a real query's cost.
@@ -185,39 +197,81 @@ pub fn probe(
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
-    mbrs.iter()
-        .map(|mbr| traverse(index, mbr, &q.point, spec.mode, &filter, |_| {}))
-        .collect()
+    descend(index, mbrs, &q.point, spec.mode, &filter, |_, _| {})
 }
 
-/// Algorithm 1 steps 1–4 for one rectangle: the transformed query region
-/// and the filter bound to it once, then one descent that tests every
-/// index rectangle against it through Eq. 12 — in the dimensions the
-/// filter looks at, see [`crate::query::RectFilter`] — and hands each
-/// surviving leaf entry to `on_candidate`.
-fn traverse(
+/// Rectangles one descent serves: the bits of a `u64` mask.
+pub(crate) const MASK_WIDTH: usize = 64;
+
+/// Algorithm 1 steps 1–4 for every rectangle of a plan, in one descent per
+/// group of up to [`MASK_WIDTH`]: each rectangle's query region and the
+/// filter bound to it once, then one masked walk of the tree
+/// ([`SeqIndex::search_masked`]) that tests every index rectangle through
+/// Eq. 12 — in the dimensions the filter looks at, see
+/// [`crate::query::RectFilter`] — against the rectangles whose own descent
+/// would have reached it, and hands each surviving leaf entry to
+/// `on_candidate(slot, seq)` once per rectangle it hit, ascending. So the
+/// candidates of slot `j` arrive in the order its own descent yields them,
+/// and its [`RectTraversal`] counts that descent's nodes.
+///
+/// An entry first meets the group's hull ([`TransformMbr::hull`]), window
+/// tests only: the hull's bounds contain every member's, so it never
+/// rejects what any of them accepts ([`RectFilter::hit_windows`]), and
+/// most entries fail it once instead of once per rectangle.
+///
+/// [`RectFilter::hit_windows`]: crate::query::RectFilter::hit_windows
+pub(crate) fn descend(
     index: &SeqIndex,
-    mbr: &TransformMbr,
+    mbrs: &[TransformMbr],
     q: &FeatureVec,
     mode: QueryMode,
     filter: &Filter,
-    mut on_candidate: impl FnMut(usize),
-) -> Result<RectTraversal, QueryError> {
-    let bound = filter.bind(mbr, mt_query_region(mbr, q, mode));
-    let mut candidates = 0;
-    let stats = index.search(
-        |rect| bound.hit(rect),
-        |_, data| {
-            candidates += 1;
-            on_candidate(data as usize);
-        },
-    )?;
-    Ok(RectTraversal {
-        da_all: stats.nodes_accessed,
-        da_leaf: stats.leaf_nodes_accessed,
-        candidates,
-        nt: mbr.nt(),
-    })
+    mut on_candidate: impl FnMut(usize, usize),
+) -> Result<Vec<RectTraversal>, QueryError> {
+    let mut traversals = Vec::with_capacity(mbrs.len());
+    for (g, group) in mbrs.chunks(MASK_WIDTH).enumerate() {
+        let bounds: Vec<_> = group
+            .iter()
+            .map(|mbr| filter.bind(mbr, mt_query_region(mbr, q, mode)))
+            .collect();
+        let mut on_data = |_: &FRect, data: u64, mask: u64| {
+            for j in mask_bits(mask) {
+                on_candidate(g * MASK_WIDTH + j, data as usize);
+            }
+        };
+        // One rectangle gets a walk of its own, with neither hull nor mask
+        // loop, so a one-rectangle plan costs what a plain search does.
+        let (per_rect, _) = match &bounds[..] {
+            [bound] => {
+                index.search_masked(1, |rect, _| u64::from(bound.hit(rect)), &mut on_data)?
+            }
+            _ => {
+                let hull = TransformMbr::hull(group);
+                let hull = filter.bind(&hull, mt_query_region(&hull, q, mode));
+                let pred = |rect: &FRect, live: u64| {
+                    if !hull.hit_windows(rect) {
+                        return 0;
+                    }
+                    mask_bits(live)
+                        .filter(|&j| bounds[j].hit(rect))
+                        .fold(0, |mask, j| mask | 1 << j)
+                };
+                index.search_masked(group.len(), pred, &mut on_data)?
+            }
+        };
+        traversals.extend(
+            group
+                .iter()
+                .zip(per_rect)
+                .map(|(mbr, stats)| RectTraversal {
+                    da_all: stats.nodes_accessed,
+                    da_leaf: stats.leaf_nodes_accessed,
+                    candidates: stats.candidates,
+                    nt: mbr.nt(),
+                }),
+        );
+    }
+    Ok(traversals)
 }
 
 #[cfg(test)]
@@ -348,11 +402,11 @@ mod tests {
         let (mut want, mut comparisons) = (Vec::new(), 0);
         let mut cache = CandidateCache::new(&idx);
         for mbr in TransformMbr::singletons(&family) {
+            // Each rectangle's own descent, the oracle of the masked one.
+            let bound = filter.bind(&mbr, mt_query_region(&mbr, &q.point, spec.mode));
             let mut candidates = Vec::new();
-            traverse(&idx, &mbr, &q.point, spec.mode, &filter, |seq| {
-                candidates.push(seq)
-            })
-            .unwrap();
+            idx.search(|r| bound.hit(r), |_, seq| candidates.push(seq as usize))
+                .unwrap();
             for seq in candidates {
                 verify_candidate(
                     &family,

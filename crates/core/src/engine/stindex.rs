@@ -6,7 +6,8 @@
 //!
 //! That is MT-index over the *singleton* partitioning (`k = |T|`,
 //! `NT(rᵢ) = 1`, the left end of Fig. 8's axis), so [`range_query`] runs
-//! the one driver in [`mtindex`]. The identity is exact: a singleton has
+//! the one driver in [`mtindex`] — which reports the `|T|` traversals the
+//! paper counts while reading each node once per 64 members. The identity is exact: a singleton has
 //! `mult_lo = mult_hi = a` and `add_lo = add_hi = b`, so Eq. 12 yields
 //! `b + min(a·lo, a·hi)` — `Transform::apply_rect`'s `min(a·lo + b,
 //! a·hi + b)`, because rounding is monotone

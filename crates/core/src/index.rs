@@ -342,6 +342,18 @@ impl SeqIndex {
         self.tree.search(pred, on_data)
     }
 
+    /// One descent for up to 64 predicates (see
+    /// [`RStarTree::search_masked`]).
+    #[allow(clippy::type_complexity)]
+    pub fn search_masked(
+        &self,
+        preds: usize,
+        pred: impl FnMut(&FRect, u64) -> u64,
+        on_data: impl FnMut(&FRect, u64, u64),
+    ) -> Result<(Vec<SearchStats>, SearchStats), PageError> {
+        self.tree.search_masked(preds, pred, on_data)
+    }
+
     /// Duplicate-free self join (see [`RStarTree::self_join`]).
     pub fn self_join(
         &self,
@@ -498,6 +510,81 @@ mod tests {
         // Pool was cleared: refetching costs again.
         let _ = idx.fetch(0).unwrap();
         assert_eq!(idx.counters().record_page_reads, 1);
+    }
+
+    /// The two node counters. `EngineMetrics::node_accesses` is Eq. 19's
+    /// sum of each rectangle's `DA_all`; the device's `node_reads` is what
+    /// the query's one descent read — every node some rectangle's own
+    /// descent reaches, once. So they are equal for one rectangle, and for
+    /// `k` the device count is the union's size, at most the sum.
+    #[test]
+    fn device_reads_each_distinct_node_once_per_query() {
+        use crate::engine::mtindex;
+        use crate::partition::{partition, PartitionStrategy};
+        use crate::query::{mt_query_region, Filter, FilterPolicy, RangeSpec};
+        use crate::transform::Family;
+        use rstartree::NodeId;
+        use std::collections::BTreeSet;
+
+        /// The nodes one rectangle's own descent reads (the oracle walk).
+        fn reached(
+            tree: &RStarTree<DIMS>,
+            id: NodeId,
+            level: u32,
+            hit: &dyn Fn(&FRect) -> bool,
+            out: &mut BTreeSet<NodeId>,
+        ) {
+            out.insert(id);
+            if level == 0 {
+                return;
+            }
+            let children: Vec<NodeId> = tree
+                .store()
+                .view(id, |n| {
+                    n.entries()
+                        .filter(|e| hit(&e.rect))
+                        .map(|e| e.child())
+                        .collect()
+                })
+                .unwrap();
+            for child in children {
+                reached(tree, child, level - 1, hit, out);
+            }
+        }
+
+        let c = Corpus::generate(CorpusKind::SyntheticWalks, 600, 64, 17);
+        let config = IndexConfig {
+            fanout: Some(8),
+            ..IndexConfig::default()
+        };
+        let idx = SeqIndex::build(&c, config).unwrap();
+        let family = Family::moving_averages(2..=13, 64);
+        let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Adaptive);
+        let filter = Filter::new(spec.epsilon(64), spec.policy);
+        for (qi, per_mbr) in [(3usize, 12usize), (3, 4), (3, 1), (250, 12), (250, 3)] {
+            let query = &c.series()[qi];
+            let mbrs = partition(&family, &PartitionStrategy::EqualWidth { per_mbr });
+            idx.reset_counters().unwrap();
+            let (result, _) =
+                mtindex::range_query_with_mbrs(&idx, query, &family, &spec, &mbrs, None).unwrap();
+            let reads = idx.counters().node_reads;
+            let logical = result.metrics.node_accesses;
+
+            let q = idx.prepare_query(query).unwrap();
+            let mut distinct = BTreeSet::new();
+            for mbr in &mbrs {
+                let bound = filter.bind(mbr, mt_query_region(mbr, &q.point, spec.mode));
+                let (root, level) = (idx.tree.root_id(), idx.tree.root_level());
+                reached(&idx.tree, root, level, &|r| bound.hit(r), &mut distinct);
+            }
+            let k = mbrs.len();
+            assert_eq!(reads, distinct.len() as u64, "query {qi}, k = {k}");
+            if k == 1 {
+                assert_eq!(reads, logical, "query {qi}");
+            } else {
+                assert!(reads < logical, "query {qi}, k = {k}: {reads} vs {logical}");
+            }
+        }
     }
 
     #[test]
@@ -1156,5 +1243,77 @@ mod open_robustness {
             );
             assert!(open_with_meta("fields", case, &meta).is_err(), "{meta:?}");
         }
+    }
+
+    /// Page ids in a saved index are outside input too: a branch entry's
+    /// child id, or the meta line's `tree_root`, that names no page of the
+    /// tree file makes a query on the reopened index a typed corrupt-page
+    /// error — never a panic that takes the serving process down.
+    #[test]
+    fn page_ids_past_the_tree_file_are_typed_errors() {
+        use crate::engine::mtindex;
+        use crate::query::{FilterPolicy, RangeSpec};
+        use crate::transform::Family;
+        use pagestore::PageId;
+        use tseries::CorpusKind;
+
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 120, 64, 91);
+        let config = IndexConfig {
+            fanout: Some(8),
+            ..IndexConfig::default()
+        };
+        let family = Family::moving_averages(2..=5, 64);
+        // Wide enough that the descent reads every node.
+        let spec = RangeSpec::euclidean(1e6).with_policy(FilterPolicy::Safe);
+        let query = &corpus.series()[3];
+        let dir = std::env::temp_dir().join(format!("simquery_page_ids_{}", std::process::id()));
+        let index = SeqIndex::build(&corpus, config).unwrap();
+        assert!(index.height() >= 2, "the root must be a branch");
+        index.save(&dir).unwrap();
+        drop(index);
+
+        let meta = std::fs::read_to_string(dir.join("meta.txt")).unwrap();
+        let field = |key: &str| {
+            let line = meta.lines().find(|l| l.starts_with(&format!("{key} ")));
+            line.unwrap().split_once(' ').unwrap().1.to_string()
+        };
+        let tree_file = dir.join(field("files").split(' ').next().unwrap());
+        let root: u32 = field("tree_root").parse().unwrap();
+        let intact = std::fs::read(&tree_file).unwrap();
+        let past = Disk::load_from(&tree_file).unwrap().stats().allocated as u32 + 3;
+
+        let query_error = |what: &str| {
+            let index = SeqIndex::open(&dir, 8).unwrap();
+            let err = mtindex::range_query(&index, query, &family, &spec).unwrap_err();
+            assert!(index.validate().is_err(), "{what}: validate");
+            (err, what.to_string())
+        };
+        // The root's first entry points past the file, or past the id space.
+        for (payload, pid) in [(u64::from(past), PageId(past)), (u64::MAX, PageId::INVALID)] {
+            let disk = Disk::load_from(&tree_file).unwrap();
+            let mut page = disk.read(PageId(root));
+            page.put_u64(8 + 2 * DIMS * 8, payload);
+            disk.write(PageId(root), &page);
+            disk.save_to(&tree_file).unwrap();
+            let (err, what) = query_error(&format!("child {payload}"));
+            assert_eq!(err, QueryError::Io(PageError::corrupt(pid)), "{what}");
+            std::fs::write(&tree_file, &intact).unwrap();
+        }
+        // The meta line's root points past the file.
+        std::fs::write(
+            dir.join("meta.txt"),
+            meta.replace(
+                &format!("tree_root {root}\n"),
+                &format!("tree_root {past}\n"),
+            ),
+        )
+        .unwrap();
+        let (err, what) = query_error("tree_root");
+        assert_eq!(
+            err,
+            QueryError::Io(PageError::corrupt(PageId(past))),
+            "{what}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

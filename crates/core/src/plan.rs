@@ -4,7 +4,9 @@
 //! answered but *how cheaply*: sequential scan, one traversal per
 //! transformation (ST), or one traversal per transformation *rectangle*
 //! (MT), with Eq. 18–20 pricing the choice and §4.3 deciding how many
-//! rectangles. Historically each consumer of this crate (server, shard
+//! rectangles. (Execution shares one descent among a plan's rectangles —
+//! see [`mtindex`] — but prices and reports each rectangle's own
+//! traversal, as Eq. 19 counts them.) Historically each consumer of this crate (server, shard
 //! gather, CLI) hard-coded that decision at its own call site. This module
 //! makes it first-class:
 //!

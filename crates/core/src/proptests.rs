@@ -372,6 +372,129 @@ fn engines_on_the_bound_filter_walk_the_spelled_out_walk() {
     }
 }
 
+/// Steps 3–4 are one masked descent per group of up to 64 rectangles,
+/// and restricted to one rectangle that descent is the rectangle's own:
+/// over random corpora — bulk-loaded, then grown by inserts and thinned by
+/// deletes — every partitioning (one rectangle, equal width, k-means,
+/// singletons, and an ST family of 70 members, two mask groups), every
+/// policy and both modes, each rectangle's candidates arrive in the order
+/// `index.search(|r| bound.hit(r), ..)` yields them, with its node, leaf
+/// and candidate counts, through `descend` and `mtindex::probe` alike.
+/// And the hull prefilter is sound: on every entry a descent meets, any
+/// member's `hit` implies the hull's `hit_windows`.
+#[test]
+fn one_descent_is_the_per_rectangle_descent() {
+    use crate::engine::mtindex::{self, descend, MASK_WIDTH};
+    use crate::index::{IndexConfig, SeqIndex};
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::{mt_query_region, QueryMode, RangeSpec};
+    use tseries::{Corpus, CorpusKind};
+
+    const N: usize = 64;
+    let mut rng = SeededRng::seed_from_u64(0x0DE5);
+    let (mut groups, mut rects, mut candidates, mut hull_checks) = (0, 0, 0, 0);
+    for case in 0..12 {
+        let size = rng.random_range(150..500usize);
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, size, N, rng.next_u64());
+        let fanout = [4, 8, 16, 78][rng.random_range(0..4usize)];
+        let config = IndexConfig {
+            fanout: Some(fanout),
+            ..IndexConfig::default()
+        };
+        let mut index = SeqIndex::build(&corpus.truncated(size / 2), config).unwrap();
+        if case % 2 == 1 {
+            for ts in &corpus.series()[size / 2..] {
+                index.insert_series(ts).unwrap();
+            }
+            for _ in 0..size / 10 {
+                index
+                    .delete_series(rng.random_range(0..index.len()))
+                    .unwrap();
+            }
+        }
+        let family = match case % 4 {
+            0 => Family::moving_averages(1..=35, N).with_inverted(),
+            1 => Family::moving_averages(3..=10, N).with_inverted(),
+            2 => Family::momenta(1..=6, N),
+            _ => Family::moving_averages(2..=4, N).compose(&Family::momenta(1..=3, N)),
+        };
+        let strategies = [
+            PartitionStrategy::Single,
+            PartitionStrategy::EqualWidth {
+                per_mbr: rng.random_range(2..5usize),
+            },
+            PartitionStrategy::KMeans {
+                k: rng.random_range(2..5usize),
+            },
+            PartitionStrategy::EqualWidth { per_mbr: 1 },
+        ];
+        let query = &corpus.series()[rng.random_range(0..size)];
+        let q = index.prepare_query(query).unwrap();
+        for policy in [
+            FilterPolicy::Paper,
+            FilterPolicy::Safe,
+            FilterPolicy::Adaptive,
+        ] {
+            let mode = [QueryMode::Symmetric, QueryMode::DataOnly][rng.random_range(0..2usize)];
+            let rho = [0.8, 0.9, 0.96][rng.random_range(0..3usize)];
+            let spec = RangeSpec::correlation(rho)
+                .with_policy(policy)
+                .with_mode(mode);
+            let filter = Filter::new(spec.epsilon(N), policy);
+            for strategy in &strategies {
+                let mbrs = partition(&family, strategy);
+                let mut got = vec![Vec::new(); mbrs.len()];
+                let traversals = descend(&index, &mbrs, &q.point, mode, &filter, |j, seq| {
+                    got[j].push(seq)
+                })
+                .unwrap();
+                let probed = mtindex::probe(&index, query, &family, &spec, &mbrs).unwrap();
+                assert_eq!(probed, traversals);
+                for (g, group) in mbrs.chunks(MASK_WIDTH).enumerate() {
+                    let hull = TransformMbr::hull(group);
+                    let hull = filter.bind(&hull, mt_query_region(&hull, &q.point, mode));
+                    let bounds: Vec<_> = group
+                        .iter()
+                        .map(|mbr| filter.bind(mbr, mt_query_region(mbr, &q.point, mode)))
+                        .collect();
+                    for (j, bound) in bounds.iter().enumerate() {
+                        let slot = g * MASK_WIDTH + j;
+                        let mut want = Vec::new();
+                        let stats = index
+                            .search(
+                                |r| {
+                                    if bounds.iter().any(|b| b.hit(r)) {
+                                        assert!(hull.hit_windows(r), "hull dismissed {r:?}");
+                                        hull_checks += 1;
+                                    }
+                                    bound.hit(r)
+                                },
+                                |_, seq| want.push(seq as usize),
+                            )
+                            .unwrap();
+                        let what = format!(
+                            "case {case} {} {strategy:?} {policy:?} {mode:?} rect {slot}",
+                            family.name(),
+                        );
+                        assert_eq!(got[slot], want, "{what}: candidates");
+                        let t = traversals[slot];
+                        let counts = (stats.nodes_accessed, stats.leaf_nodes_accessed);
+                        assert_eq!((t.da_all, t.da_leaf), counts, "{what}: accesses");
+                        assert_eq!(t.candidates, want.len() as u64, "{what}");
+                        candidates += want.len();
+                        rects += 1;
+                    }
+                    groups += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        groups > 100 && rects > 1000 && candidates > 10_000 && hull_checks > 10_000,
+        "{groups} groups, {rects} rectangles, {candidates} candidates, {hull_checks} hull checks"
+    );
+}
+
 /// Adaptive never dismisses a qualifying pair: any two points whose
 /// *true* complex distance over the two stored coefficients is within
 /// ε/√2 must hit.

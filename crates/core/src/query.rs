@@ -318,18 +318,17 @@ pub struct RectFilter<'a> {
 
 impl RectFilter<'_> {
     /// True when the data rectangle `x`, transformed by the bound
-    /// rectangle, may contain a point within ε of the bound region.
+    /// rectangle, may contain a point within ε of the bound region:
+    /// [`Self::hit_windows`], then the adaptive chord test.
+    #[inline]
     pub fn hit(&self, x: &FRect) -> bool {
-        let dim = |i: usize| self.mbr.apply_to_dim(i, x.lo[i], x.hi[i]);
-        for &(i, w_lo, w_hi) in &self.windows {
-            let (lo, hi) = dim(i);
-            if !window_hit(i, lo, hi, w_lo, w_hi) {
-                return false;
-            }
+        if !self.hit_windows(x) {
+            return false;
         }
         let Some(w) = self.chord_w else {
             return true;
         };
+        let dim = |i: usize| self.mbr.apply_to_dim(i, x.lo[i], x.hi[i]);
         let b = &self.region;
         MAG_DIMS.iter().zip(&ANGLE_DIMS).all(|(&md, &ad)| {
             let (angle_lo, angle_hi) = dim(ad);
@@ -338,6 +337,20 @@ impl RectFilter<'_> {
                 (dim(md).0, angle_lo, angle_hi),
                 (b.lo[md], b.lo[ad], b.hi[ad]),
             )
+        })
+    }
+
+    /// The window tests of [`Self::hit`] alone, first failing dimension
+    /// first. Every window end and Eq. 12's interval are monotone in the
+    /// rectangle's bounds under IEEE rounding, so a filter bound to a
+    /// rectangle containing others' ([`TransformMbr::hull`]) passes every
+    /// entry any of theirs [`Self::hit`]s — the prefilter of a masked
+    /// descent.
+    #[inline]
+    pub fn hit_windows(&self, x: &FRect) -> bool {
+        self.windows.iter().all(|&(i, w_lo, w_hi)| {
+            let (lo, hi) = self.mbr.apply_to_dim(i, x.lo[i], x.hi[i]);
+            window_hit(i, lo, hi, w_lo, w_hi)
         })
     }
 }

@@ -83,6 +83,27 @@ impl TransformMbr {
             .collect()
     }
 
+    /// The smallest rectangle containing every one of `mbrs`, with their
+    /// members in order — `Self::of` over those members, to the bit, for
+    /// rectangles `Self::of` built, and a true bound for any others.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mbrs` is empty.
+    pub fn hull(mbrs: &[Self]) -> Self {
+        let (first, rest) = mbrs.split_first().expect("a hull of no rectangles");
+        rest.iter().fold(first.clone(), |mut h, m| {
+            for i in 0..DIMS {
+                h.mult_lo[i] = h.mult_lo[i].min(m.mult_lo[i]);
+                h.mult_hi[i] = h.mult_hi[i].max(m.mult_hi[i]);
+                h.add_lo[i] = h.add_lo[i].min(m.add_lo[i]);
+                h.add_hi[i] = h.add_hi[i].max(m.add_hi[i]);
+            }
+            h.members.extend_from_slice(&m.members);
+            h
+        })
+    }
+
     /// `NT(r)` — the number of transformations inside this rectangle.
     pub fn nt(&self) -> usize {
         self.members.len()

@@ -39,8 +39,12 @@ pub struct DiskStats {
 ///
 /// `read`/`write` are fallible — a device is allowed to fail an access —
 /// while `alloc`/`free` are not (allocation is a metadata operation in this
-/// model, and the fault layer targets page I/O). Accessing a page that was
-/// never allocated is a caller bug on every device and still panics.
+/// model, and the fault layer targets page I/O). A page id that reaches
+/// `read` or `with_page` may come from a file — a tree's child id, a meta
+/// line's root — so one that was never allocated, or was freed, is
+/// [`PageError::corrupt`] there, on every device. `write` and `free` only
+/// see ids the program allocated, so an unallocated one there is a caller
+/// bug and panics.
 pub trait PageDevice: Send + Sync {
     /// Allocates a zeroed page.
     fn alloc(&self) -> PageId;
@@ -71,12 +75,11 @@ impl PageDevice for Disk {
     }
 
     fn read(&self, pid: PageId) -> Result<Page, PageError> {
-        Ok(Disk::read(self, pid))
+        self.lend(pid, Page::clone)
     }
 
     fn with_page(&self, pid: PageId, f: &mut dyn FnMut(&Page)) -> Result<(), PageError> {
-        Disk::with_page(self, pid, f);
-        Ok(())
+        self.lend(pid, f)
     }
 
     fn write(&self, pid: PageId, page: &Page) -> Result<(), PageError> {
@@ -164,15 +167,27 @@ impl Disk {
     /// read access — the hot path of index node scans. `f` runs under the
     /// shared lock: other readers proceed beside it, writers wait for it,
     /// and it must not call back into this device (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the page was never allocated or was freed; the
+    /// [`PageDevice`] methods report that as [`PageError::corrupt`].
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> R {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.lend(pid, f)
+            .unwrap_or_else(|_| panic!("read of unallocated {pid}"))
+    }
+
+    /// [`Self::with_page`] for an id that may come from a file: one never
+    /// allocated, or freed, is [`PageError::corrupt`] and counts no read.
+    fn lend<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, PageError> {
         let inner = self.inner.read();
         let page = inner
             .pages
             .get(pid.0 as usize)
             .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("read of unallocated {pid}"));
-        f(page)
+            .ok_or(PageError::corrupt(pid))?;
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        Ok(f(page))
     }
 
     /// Snapshot of the access counters.

@@ -404,13 +404,12 @@ impl PageDevice for FaultyDisk {
 
     fn read(&self, pid: PageId) -> Result<Page, PageError> {
         self.read_gate(pid)?;
-        Ok(self.inner.read(pid))
+        PageDevice::read(&*self.inner, pid)
     }
 
     fn with_page(&self, pid: PageId, f: &mut dyn FnMut(&Page)) -> Result<(), PageError> {
         self.read_gate(pid)?;
-        self.inner.with_page(pid, f);
-        Ok(())
+        PageDevice::with_page(&*self.inner, pid, f)
     }
 
     fn write(&self, pid: PageId, page: &Page) -> Result<(), PageError> {
@@ -509,6 +508,25 @@ mod tests {
         let c = fd.injected();
         assert_eq!((c.read_errors, c.torn_writes, c.corrupt_reads), (1, 1, 1));
         assert_eq!(fd.stats().reads, 2, "failed accesses never reach the disk");
+    }
+
+    /// A page id read from a file can name a page that was never
+    /// allocated, or was freed: a typed corrupt-page error from both
+    /// devices' fallible reads, never a panic, and the reader never runs.
+    #[test]
+    fn reads_of_unallocated_pages_are_corrupt() {
+        let (d, fd, pid) = device();
+        let freed = d.alloc();
+        d.free(freed);
+        for dev in [&*d as &dyn PageDevice, &fd] {
+            for bad in [freed, PageId(pid.0 + 40), PageId::INVALID] {
+                assert_eq!(dev.read(bad).unwrap_err(), PageError::corrupt(bad));
+                let mut ran = false;
+                let err = dev.with_page(bad, &mut |_| ran = true).unwrap_err();
+                assert_eq!((err, ran), (PageError::corrupt(bad), false));
+            }
+            assert_eq!(dev.read(pid).unwrap().get_u64(0), 99);
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! * **STR bulk loading** for building large indexes quickly;
 //! * **Query machinery** — predicate-driven descent ([`RStarTree::search`],
 //!   the hook the MT-index algorithm plugs its transformed-rectangle test
-//!   into), plain range queries, best-first nearest neighbour with
+//!   into, and [`RStarTree::search_masked`], its form for up to 64
+//!   predicates at once: each node read once for every predicate that
+//!   reaches it, counters attributed per predicate), plain range queries,
+//!   best-first nearest neighbour with
 //!   caller-supplied lower bounds (MINDIST-style, after Roussopoulos et
 //!   al.), and the synchronized-descent, duplicate-free self join;
 //! * **One node store** — [`PagedStore`] serialises every node onto one
@@ -81,7 +84,7 @@ pub use node::{Node, NodeId, NodeView};
 pub use params::Params;
 pub use rect::Rect;
 pub use store::{PagedStore, StoreStats};
-pub use tree::{LevelSummary, Neighbor, RStarTree, SearchStats};
+pub use tree::{mask_bits, LevelSummary, Neighbor, RStarTree, SearchStats};
 
 #[cfg(test)]
 mod proptests;

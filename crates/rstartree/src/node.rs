@@ -41,9 +41,12 @@ impl<const D: usize> Entry<D> {
         }
     }
 
-    /// The child id of a branch entry.
+    /// The child id of a branch entry. A payload past the id space — only
+    /// a damaged page holds one — is [`NodeId::INVALID`], which no device
+    /// allocates, so reading it is a corrupt-page error like any other
+    /// child id that names no node.
     pub fn child(&self) -> NodeId {
-        NodeId(u32::try_from(self.payload).expect("branch payload is a NodeId"))
+        u32::try_from(self.payload).map_or(NodeId::INVALID, NodeId)
     }
 }
 

@@ -40,8 +40,9 @@ pub struct StoreStats {
 /// Accessors return [`PageError`] when the device fails or a page does not
 /// hold a node (a faulty device, or an image from a file whose stored entry
 /// count exceeds the page capacity — reported as [`PageError::corrupt`],
-/// never clamped); passing an id that was never allocated or already freed
-/// is a caller bug and still panics.
+/// never clamped). A read of an id that names no page — a child id or a
+/// root id from a damaged file — is [`PageError::corrupt`] too; writing
+/// or freeing one is a caller bug and panics.
 pub struct PagedStore<const D: usize> {
     device: Arc<dyn PageDevice>,
 }

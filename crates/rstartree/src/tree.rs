@@ -25,15 +25,15 @@ pub struct SearchStats {
     pub candidates: u64,
 }
 
-impl SearchStats {
-    /// Merges counters from another traversal (ST-index sums per-
-    /// transformation traversals this way).
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.nodes_accessed += other.nodes_accessed;
-        self.leaf_nodes_accessed += other.leaf_nodes_accessed;
-        self.entries_tested += other.entries_tested;
-        self.candidates += other.candidates;
-    }
+/// The set bits of a [`RStarTree::search_masked`] mask, ascending.
+pub fn mask_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
 }
 
 /// Per-level structure summary produced by
@@ -529,20 +529,66 @@ impl<const D: usize> RStarTree<D> {
     /// visited, in slot order — so for a `pred` whose answer depends on the
     /// rectangle alone, the reported sequence and every counter are those
     /// of a test-and-descend-as-you-go walk.
+    ///
+    /// This is [`Self::search_masked`] with one predicate.
     pub fn search(
         &self,
         mut pred: impl FnMut(&Rect<D>) -> bool,
         mut on_data: impl FnMut(&Rect<D>, u64),
     ) -> Result<SearchStats, PageError> {
-        let mut stats = SearchStats::default();
+        let (_, total) =
+            self.search_masked(1, |r, _| u64::from(pred(r)), |r, data, _| on_data(r, data))?;
+        Ok(total)
+    }
+
+    /// One descent for up to 64 predicates at once — Algorithm 1's steps
+    /// 3–4 for every transformation rectangle of a plan, each node read
+    /// once for all the rectangles that reach it.
+    ///
+    /// Predicate `j` is bit `j` of a `u64` mask. `pred(rect, live)` is
+    /// called on every entry met, with `live` the mask of predicates whose
+    /// descent reached the entry's node, and returns the mask of those
+    /// that hit (bits outside `live` are ignored). A branch entry that
+    /// hits any is descended into once, with its hit mask as the child's
+    /// `live`; a leaf entry that hits any is reported once as
+    /// `on_data(rect, payload, mask)`.
+    ///
+    /// Restricted to predicate `j`, this is [`Self::search`] with
+    /// `|r| pred(r, 1 << j) != 0` for a `pred` whose bit `j` depends on the
+    /// rectangle alone: the same nodes in the same slot-order DFS, so the
+    /// same entries reported in the same order. The first value returned
+    /// holds those per-predicate counters (`nodes_accessed` and
+    /// `leaf_nodes_accessed` are the paper's `DA_all`, `DA_leaf` of that
+    /// predicate's own descent; a node is attributed to every predicate in
+    /// its `live` mask), the second what was physically read — every node
+    /// once, every reported entry once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `preds` is in `1..=64`.
+    #[allow(clippy::type_complexity)]
+    pub fn search_masked(
+        &self,
+        preds: usize,
+        mut pred: impl FnMut(&Rect<D>, u64) -> u64,
+        mut on_data: impl FnMut(&Rect<D>, u64, u64),
+    ) -> Result<(Vec<SearchStats>, SearchStats), PageError> {
+        assert!(
+            (1..=64).contains(&preds),
+            "a masked search takes 1 to 64 predicates, not {preds}"
+        );
+        let mut per = vec![SearchStats::default(); preds];
+        let mut total = SearchStats::default();
         self.search_rec(
             self.root,
             self.root_level,
+            u64::MAX >> (64 - preds),
             &mut pred,
             &mut on_data,
-            &mut stats,
+            &mut per,
+            &mut total,
         )?;
-        Ok(stats)
+        Ok((per, total))
     }
 
     /// Lends node `id` to `f` like [`PagedStore::view`], once its stored
@@ -563,29 +609,54 @@ impl<const D: usize> RStarTree<D> {
             .ok_or(PageError::corrupt(PageId(id.0)))
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn search_rec(
         &self,
         node_id: NodeId,
         level: u32,
-        pred: &mut impl FnMut(&Rect<D>) -> bool,
-        on_data: &mut impl FnMut(&Rect<D>, u64),
-        stats: &mut SearchStats,
+        live: u64,
+        pred: &mut impl FnMut(&Rect<D>, u64) -> u64,
+        on_data: &mut impl FnMut(&Rect<D>, u64, u64),
+        per: &mut [SearchStats],
+        total: &mut SearchStats,
     ) -> Result<(), PageError> {
-        stats.nodes_accessed += 1;
-        let mut hits: Vec<Entry<D>> = Vec::new();
-        self.view_at(node_id, level, |node| {
-            stats.entries_tested += node.len() as u64;
-            hits.extend(node.entries().filter(|e| pred(&e.rect)));
+        let mut hits: Vec<(Entry<D>, u64)> = Vec::new();
+        let len = self.view_at(node_id, level, |node| {
+            for e in node.entries() {
+                let mask = pred(&e.rect, live) & live;
+                if mask != 0 {
+                    hits.push((e, mask));
+                }
+            }
+            node.len() as u64
         })?;
+        let visit = |stats: &mut SearchStats| {
+            stats.nodes_accessed += 1;
+            stats.leaf_nodes_accessed += u64::from(level == 0);
+            stats.entries_tested += len;
+        };
+        visit(total);
+        for j in mask_bits(live) {
+            visit(&mut per[j]);
+        }
         if level == 0 {
-            stats.leaf_nodes_accessed += 1;
-            stats.candidates += hits.len() as u64;
-            for e in &hits {
-                on_data(&e.rect, e.payload);
+            total.candidates += hits.len() as u64;
+            if live.is_power_of_two() {
+                // Every hit carries the one live bit.
+                per[live.trailing_zeros() as usize].candidates += hits.len() as u64;
+            } else {
+                for (_, mask) in &hits {
+                    for j in mask_bits(*mask) {
+                        per[j].candidates += 1;
+                    }
+                }
+            }
+            for (e, mask) in &hits {
+                on_data(&e.rect, e.payload, *mask);
             }
         } else {
-            for e in &hits {
-                self.search_rec(e.child(), level - 1, pred, on_data, stats)?;
+            for (e, mask) in &hits {
+                self.search_rec(e.child(), level - 1, *mask, pred, on_data, per, total)?;
             }
         }
         Ok(())
