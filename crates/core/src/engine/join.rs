@@ -10,7 +10,7 @@
 //! loop over the family's singleton rectangles, one self-join per
 //! transformation (see [`crate::engine::stindex`]).
 
-use crate::engine::{check_family, CandidateCache};
+use crate::engine::{check_family, VerifyKernel};
 use crate::feature::SeqFeatures;
 use crate::index::SeqIndex;
 use crate::query::{Filter, RangeSpec};
@@ -103,7 +103,7 @@ pub fn mt_join_with_mbrs(
     let before = index.counters();
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
-    let mut cache = CandidateCache::new(index);
+    let mut kernel = VerifyKernel::for_self_join(index, family);
 
     for mbr in mbrs {
         let mut pairs = Vec::new();
@@ -115,18 +115,16 @@ pub fn mt_join_with_mbrs(
         metrics.leaf_accesses += stats.leaf_nodes_accessed;
         metrics.candidates += pairs.len() as u64;
         for (sa, sb) in pairs {
-            let fa = cache.get(sa)?;
-            let fb = cache.get(sb)?;
+            let row = kernel.pair(sa, sb)?;
             for &ti in &mbr.members {
-                let d = family.transforms()[ti].transformed_distance(&fa, &fb);
                 metrics.comparisons += 1;
-                if d < eps {
+                if let Some(dist) = kernel.distance_below(row, ti, eps) {
                     let (seq_a, seq_b) = (sa.min(sb), sa.max(sb));
                     matches.push(JoinMatch {
                         seq_a,
                         seq_b,
                         transform: ti,
-                        dist: d,
+                        dist,
                     });
                 }
             }
@@ -134,7 +132,7 @@ pub fn mt_join_with_mbrs(
     }
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = cache.touches;
+    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok(JoinResult { matches, metrics })
 }
@@ -175,7 +173,7 @@ pub fn mt_join_paired(
     let before = index.counters();
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
-    let mut cache = CandidateCache::new(index);
+    let mut kernel = VerifyKernel::for_paired_join(index, left, right);
 
     let mut pairs = Vec::new();
     // The index pair filter must admit a pair when EITHER orientation can
@@ -192,20 +190,16 @@ pub fn mt_join_paired(
     metrics.candidates = pairs.len() as u64;
 
     for (sa, sb) in pairs {
-        let fa = cache.get(sa)?;
-        let fb = cache.get(sb)?;
+        let (ra, rb) = (kernel.touch(sa)?, kernel.touch(sb)?);
         for ti in 0..left.len() {
-            let lt = &left.transforms()[ti];
-            let rt = &right.transforms()[ti];
-            for (seq_a, seq_b, x, y) in [(sa, sb, &fa, &fb), (sb, sa, &fb, &fa)] {
-                let d = pair_spectrum_distance(lt, rt, x, y);
+            for (seq_a, seq_b, x, y) in [(sa, sb, ra, rb), (sb, sa, rb, ra)] {
                 metrics.comparisons += 1;
-                if d < eps {
+                if let Some(dist) = kernel.paired_below(x, y, ti, eps) {
                     matches.push(JoinMatch {
                         seq_a,
                         seq_b,
                         transform: ti,
-                        dist: d,
+                        dist,
                     });
                 }
             }
@@ -213,7 +207,7 @@ pub fn mt_join_paired(
     }
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = cache.touches;
+    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok(JoinResult { matches, metrics })
 }
@@ -273,8 +267,13 @@ pub fn scan_join_paired(
     Ok(JoinResult { matches, metrics })
 }
 
-/// `D(L(x), R(y))` over full spectra.
-fn pair_spectrum_distance(lt: &Transform, rt: &Transform, x: &SeqFeatures, y: &SeqFeatures) -> f64 {
+/// `D(L(x), R(y))` over full spectra — the paired join's naive oracle.
+pub(crate) fn pair_spectrum_distance(
+    lt: &Transform,
+    rt: &Transform,
+    x: &SeqFeatures,
+    y: &SeqFeatures,
+) -> f64 {
     let tx = lt.apply_spectrum(&x.spectrum);
     let ty = rt.apply_spectrum(&y.spectrum);
     tx.iter()
@@ -341,9 +340,9 @@ mod tests {
         let scan = scan_join_paired(&idx, &left, &base, &spec).unwrap();
         assert_eq!(mt.sorted_triples(), scan.sorted_triples());
         // Every reported pair is genuinely anti-correlated after smoothing.
+        let features = |i| SeqFeatures::extract(&idx.fetch_series(i).unwrap()).unwrap();
         for m in mt.matches.iter().take(10) {
-            let a = idx.fetch(m.seq_a).unwrap();
-            let b = idx.fetch(m.seq_b).unwrap();
+            let (a, b) = (features(m.seq_a), features(m.seq_b));
             // Symmetric smoothing distance should be LARGE (they move
             // oppositely), while the paired (inverted) distance is small.
             let t = &base.transforms()[m.transform];

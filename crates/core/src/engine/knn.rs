@@ -55,9 +55,6 @@ pub fn knn_bounded(
     // The refine closure cannot return a Result; the first fetch failure is
     // parked here and re-raised after the traversal returns.
     let mut fetch_err: Option<pagestore::PageError> = None;
-    // Exact scores come from the kernel whenever it covers the query, else
-    // from full features per candidate; the two agree to rounding
-    // (`1e-12·max(1, d)`), not to the bit.
     let mut kernel = VerifyKernel::for_query(index, family, &q, QueryMode::Symmetric);
 
     // Optimal multi-step search: leaf entries carry the cheap feature-space
@@ -70,22 +67,12 @@ pub fn knn_bounded(
         |rect, _| mindist_bound(&mbr.apply_to_rect(rect), &qregion),
         |_, data| {
             let seq = data as usize;
-            let scored = match &mut kernel {
-                // The traversal refines a leaf entry once: no row to keep.
-                Some(kernel) => kernel.touch_once(seq).map(|row| {
-                    best_member(family.len(), |ti, best| {
+            // The traversal refines a leaf entry once: no row to keep.
+            match kernel.touch_once(seq) {
+                Ok(row) => {
+                    let best = best_member(family.len(), |ti, best| {
                         kernel.distance_below(row, ti, best)
-                    })
-                }),
-                None => index.fetch(seq).map(|x| {
-                    best_member(family.len(), |ti, best| {
-                        let d = family.transforms()[ti].transformed_distance(&x, &q);
-                        (d < best).then_some(d)
-                    })
-                }),
-            };
-            match scored {
-                Ok(best) => {
+                    });
                     comparisons += family.len() as u64;
                     best_of.insert(seq, best);
                     Some(best.1)
@@ -220,16 +207,14 @@ mod tests {
         }
     }
 
-    /// A family the kernel turns down (a reversal scales angles by −1)
-    /// scores candidates from full features; same contract.
+    /// A family with a reversal (angles scaled by −1) is scored on the
+    /// kernel like any other; same contract as `knn_matches_brute_force`.
     #[test]
-    fn knn_without_the_kernel_matches_brute_force() {
+    fn knn_with_a_reversal_matches_brute_force() {
         let (c, idx) = setup(120);
         let mut members = Family::moving_averages(5..=9, 128).transforms().to_vec();
         members.push(crate::transform::Transform::time_reverse(128));
         let family = Family::new("mv+reverse", members);
-        let q = idx.prepare_query(&c.series()[17]).unwrap();
-        assert!(VerifyKernel::for_query(&idx, &family, &q, QueryMode::Symmetric).is_none());
         let (got, metrics) = knn(&idx, &c.series()[17], &family, 5).unwrap();
         let want = brute_force(&idx, &c, &c.series()[17], &family, 5);
         assert_eq!(got.len(), 5);

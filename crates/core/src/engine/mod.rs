@@ -17,32 +17,16 @@
 //! share one masked descent, each node read once per 64 rectangles
 //! ([`mtindex`]).
 //!
-//! Step 5 (fetch → verify) has two implementations, chosen per query from
-//! what the query is — never by an option:
-//!
-//! * `VerifyKernel` — when the query is symmetric (`D(t(x), t(q))`), the
-//!   sequence length even, the query target conjugate-symmetric and every
-//!   family member linear in the paper's sense: conjugate-symmetric,
-//!   coefficient `f` times `a_f·e^{iφ_f}` (every convolution-derived
-//!   operator, scaling, inversion, band-pass and their compositions).
-//!   Then the phase cancels and a coefficient contributes
-//!   `a_f²·|X_f − Q_f|²`: one half-spectrum row `|X_f − Q_f|²` per
-//!   distinct candidate, one multiply-add per coefficient per member, an
-//!   exact early abandon on ε, no trigonometry and no `SeqFeatures` per
-//!   candidate. Range queries (ST, MT, partitioned MT) and [`knn`] run on
-//!   it.
-//! * `CandidateCache` + `verify_candidate` over full [`SeqFeatures`] —
-//!   for everything else: data-only queries, `time_reverse`,
-//!   `paper_shift`, prepared asymmetric targets, odd lengths,
-//!   `VerifyMode::Ordered`, and both joins (a pair needs both sides'
-//!   features and has no query side to hoist).
-//!
-//! The kernel's distance is the law-of-cosines distance of
-//! [`Transform::transformed_distance`] rounded differently: the two agree
-//! to `1e-12·max(1, d)`, and the pair sets, match order and every counter
-//! are the same. [`seqscan`]'s exhaustive path deliberately keeps calling
-//! `transformed_distance` per pair: it is the tolerance oracle, and an
-//! error in the kernel must not be able to hide in both.
+//! Step 5 (fetch → verify) has one implementation, `VerifyKernel`, for
+//! every index engine — range queries (ST, MT, partitioned, ordered),
+//! [`knn`]'s refine step and both joins — whatever the family, mode or
+//! length. Its distances equal the naive law-of-cosines ones of
+//! [`Transform::transformed_distance`] / [`Transform::distance_data_only`]
+//! to `1e-12·max(1, d)` wherever that formula does not itself cancel, with
+//! the same pair sets, match order and counters; [`seqscan`],
+//! [`join::scan_join`] and [`join::scan_join_paired`] keep the naive
+//! formulas on purpose, as the tolerance oracles an error in the kernel
+//! must not be able to hide in.
 //!
 //! All three return identical result sets (property-tested under
 //! [`FilterPolicy::Safe`](crate::query::FilterPolicy)); they differ only in
@@ -55,10 +39,9 @@ pub mod seqscan;
 pub mod stindex;
 
 use crate::feature::SeqFeatures;
-use crate::index::{decode_samples, SeqIndex};
-use crate::ordering::OrderedFamily;
+use crate::index::SeqIndex;
 use crate::query::QueryMode;
-use crate::report::{Match, QueryError};
+use crate::report::QueryError;
 use crate::transform::{Family, Transform};
 use pagestore::PageError;
 use std::collections::HashMap;
@@ -76,158 +59,204 @@ pub(crate) fn check_family(family: &Family, indexed_len: usize) -> Result<(), Qu
     Ok(())
 }
 
-/// How candidate verification walks the member transformations.
-#[derive(Clone, Copy)]
-pub(crate) enum VerifyMode<'a> {
-    /// Try every member (the general case — moving averages are provably
-    /// unordered, Lemmas 3–4).
-    Exhaustive,
-    /// Binary-search an ordered family (§4.4): `log|T|` comparisons find
-    /// the maximal qualifying member; everything below it qualifies.
-    Ordered(&'a OrderedFamily),
-}
-
-/// A per-query cache of fetched candidate features.
-///
-/// Within one query the same sequence may surface as a candidate many times
-/// (once per ST traversal / per transformation rectangle / per join pair);
-/// any real system's buffer manager serves the repeats from memory. The
-/// cache fetches each distinct candidate once and counts every *touch* —
-/// the logical access count the paper's figures report.
-pub(crate) struct CandidateCache<'a> {
-    index: &'a SeqIndex,
-    cache: HashMap<usize, std::rc::Rc<SeqFeatures>>,
-    /// Logical record touches (≥ distinct fetches).
-    pub touches: u64,
-}
-
-impl<'a> CandidateCache<'a> {
-    pub fn new(index: &'a SeqIndex) -> Self {
-        Self {
-            index,
-            cache: HashMap::new(),
-            touches: 0,
-        }
-    }
-
-    pub fn get(&mut self, seq: usize) -> Result<std::rc::Rc<SeqFeatures>, PageError> {
-        self.touches += 1;
-        if let Some(f) = self.cache.get(&seq) {
-            return Ok(std::rc::Rc::clone(f));
-        }
-        let f = std::rc::Rc::new(self.index.fetch(seq)?);
-        self.cache.insert(seq, std::rc::Rc::clone(&f));
-        Ok(f)
-    }
-}
-
-/// Coefficients summed between two early-abandon checks of
-/// [`VerifyKernel::distance_below`].
+/// Terms summed between two early-abandon checks of [`sum_below`].
 const ABANDON_STRIDE: usize = 8;
 
-/// Algorithm 1 step 5 for one symmetric query, in the paper's linear form.
+/// `sqrt` of the sum of `chunks`' terms when it is below `eps`, else
+/// `None`; the chunks hold the terms in order, [`ABANDON_STRIDE`] apiece.
 ///
-/// A member the kernel serves multiplies coefficient `f` by
-/// `a_f·e^{iφ_f}`, so in `D(t(x), t(q))` the phase cancels and the
-/// coefficient contributes `a_f²·|X_f − Q_f|²`: a member factor times a
-/// (candidate, query) factor. The kernel keeps, per member, one table
-/// `w_f·a_f²` with `w = 1, 2, …, 2, 1` over the half spectrum
-/// `f ∈ 0..=n/2` — coefficients `1..n/2` stand for their mirrors too
-/// (Eq. 6), and that is all a real sequence has — and, per distinct
-/// candidate, one arena row `P_f = |X_f − Q_f|²` filled at first touch.
-/// Each touch after that — another of ST's singleton rectangles, another
-/// member, another partition — is one multiply-add per coefficient and a
-/// square root.
+/// The sum is checked after every chunk: it stops once `acc ≥ ε²` and
+/// `√acc ≥ ε` — the second test keeps the decision exact whatever `ε²`
+/// rounded to, and the terms are ≥ 0, so the full sum is at least `acc`
+/// and would have been rejected too. A reported distance is always the
+/// full sum. Chunks of slice iterators, not a term per index, keep bounds
+/// checks out of the inner loop.
+#[inline]
+fn sum_below<C: IntoIterator<Item = f64>>(
+    eps: f64,
+    chunks: impl Iterator<Item = C>,
+) -> Option<f64> {
+    let eps2 = eps * eps;
+    let mut acc = 0.0;
+    for chunk in chunks {
+        for term in chunk {
+            acc += term;
+        }
+        if acc >= eps2 && acc.sqrt() >= eps {
+            return None;
+        }
+    }
+    let d = acc.sqrt();
+    (d < eps).then_some(d)
+}
+
+/// Member tables of the symmetric distance over `span` coefficients:
+/// member `t`'s `W_f` at `span·t`, so that `D(t(x), t(y))² = Σ_f
+/// W_f·|X_f − Y_f|²`. Over all `n` coefficients `W_f = a_f²`. Over the
+/// half spectrum `f ∈ 0..=n/2` coefficient `n − f` folds onto `f` (Eq. 6;
+/// `0` and `n/2` stand alone): `2·a_f²` for a conjugate-symmetric member,
+/// whose `a_{n−f}` is `a_f` only to rounding — folding through it would
+/// move distances in the last bit — and `a_f² + a_{n−f}²` for any other.
+fn weights(family: &Family, span: usize) -> Vec<f64> {
+    let n = family.transforms()[0].seq_len();
+    let mut w = Vec::with_capacity(span * family.len());
+    for t in family.transforms() {
+        w.extend((0..span).map(|f| {
+            let a = t.magnitude_multiplier(f);
+            if span == n || f == 0 || 2 * f == n {
+                a * a
+            } else if t.is_symmetric() {
+                2.0 * a * a
+            } else {
+                let mirror = t.magnitude_multiplier(n - f);
+                a * a + mirror * mirror
+            }
+        }));
+    }
+    w
+}
+
+/// A family's coefficient factors over all `n` coefficients: member `t`'s
+/// `m_f` at `n·t`, and whether it conjugates before scaling.
+struct Factors {
+    n: usize,
+    m: Vec<Complex64>,
+    conj: Vec<bool>,
+}
+
+impl Factors {
+    fn of(family: &Family) -> Self {
+        let (members, n) = (family.transforms(), family.transforms()[0].seq_len());
+        let m = members.iter().flat_map(|t| (0..n).map(|f| t.factor(f)));
+        let conj = members.iter().map(Transform::conjugates);
+        Self {
+            n,
+            m: m.collect(),
+            conj: conj.collect(),
+        }
+    }
+
+    /// `t(X)_f` for member `t`, with `x = X_f`.
+    fn apply(&self, t: usize, f: usize, x: Complex64) -> Complex64 {
+        self.m[self.n * t + f] * if self.conj[t] { x.conj() } else { x }
+    }
+}
+
+/// What a kernel verifies: how a member's squared distance is summed and
+/// what a row holds.
+enum Arm {
+    /// A symmetric query: `Σ_f W_f·P_f` over [`weights`] and the target
+    /// `Q`, a row a candidate's `P_f = |X_f − Q_f|²`.
+    Query(Vec<f64>, Vec<Complex64>),
+    /// A self-join: `Σ_f W_f·P_f` over [`weights`], a row a candidate's
+    /// `X_f`; [`VerifyKernel::pair`] writes the pair's `|X_f − Y_f|²` to
+    /// the second field.
+    SelfJoin(Vec<f64>, Vec<f64>),
+    /// A data-only query: `Σ_{f<n} |m_f·X̃_f − Q_f|²` over the family's
+    /// factors and the target, a row a candidate's `X_f`.
+    DataOnly(Factors, Vec<Complex64>),
+    /// The paired join: `Σ_{f<n} |l_f·X̃_f − r_f·Ỹ_f|²` over the left and
+    /// right families' factors, a row a candidate's `X_f`.
+    Paired(Factors, Factors),
+}
+
+/// Algorithm 1 step 5 for one query or one join: fetch each distinct
+/// candidate once, verify every member without trigonometry.
 ///
-/// Every term is ≥ 0, so the running sum never decreases and
-/// [`Self::distance_below`] stops as soon as it reaches ε: a pair it
-/// rejects is exactly one the full sum rejects, and a distance it reports
-/// is always the full sum. That sum rounds differently from the
-/// law-of-cosines tree of [`Transform::transformed_distance`]; the two
-/// agree to `1e-12·max(1, d)`
-/// (`proptests::kernel_distance_is_the_naive_distance`).
+/// Every transformation maps coefficient `f` to `m_f·X_f` or
+/// `m_f·conj(X_f)`, `m_f = a_f·e^{iφ_f}` (see [`Transform`]). In a
+/// symmetric distance the phase cancels: per member one table `W_f`
+/// ([`weights`]), per distinct candidate one row `P_f = |X_f − Q_f|²`
+/// filled at first touch, and each touch after that (another of ST's
+/// singleton rectangles, another member, another partition) is one
+/// multiply-add per coefficient. A self-join keeps each candidate's half
+/// spectrum and builds `|X_f − Y_f|²` once per pair. A data-only query
+/// and the paired join keep full spectra and take one complex product per
+/// coefficient and transformed side. Every sum stops exactly at ε
+/// ([`sum_below`]).
 ///
-/// A row is filled straight from the record heap: borrowed page bytes →
-/// samples and normal form in one reused buffer → a planned real FFT →
-/// `|X_f − Q_f|²`. No `SeqFeatures` is built for a candidate, and nothing
-/// outlives the query: a feature cache that did would answer without a
-/// heap page access and so change the paper's cost unit.
+/// Rows come straight from the record heap
+/// ([`SeqIndex::normal_form_into`]) through a planned real FFT; no
+/// `SeqFeatures` is built for a candidate, and nothing outlives the
+/// kernel — a feature cache that did would answer without a heap page
+/// access and so change the paper's cost unit.
 pub(crate) struct VerifyKernel<'a> {
     index: &'a SeqIndex,
-    /// Coefficients per table and per row: `n/2 + 1`.
-    half: usize,
-    /// Member `t`'s table at `half·t`: `w_f·a_f²`.
-    members: Vec<f64>,
-    /// `Q_f` over the half spectrum.
-    query: Vec<Complex64>,
-    /// Ordinal → row of `arena`.
+    arm: Arm,
+    /// Coefficients per table, row and target: `n/2 + 1` where Eq. 6 lets
+    /// the half spectrum stand for the whole, else `n`.
+    span: usize,
+    /// Ordinal → row.
     rows: HashMap<usize, usize>,
-    /// Row `i` at `half·i`: `|X_f − Q_f|²`.
+    /// [`Arm::Query`]: row `i` at `span·i`, `|X_f − Q_f|²`.
     arena: Vec<f64>,
+    /// Every other arm: row `i` at `span·i`, the candidate's `X_f`.
+    spectra: Vec<Complex64>,
     plan: RfftPlan,
     samples: Vec<f64>,
     spectrum: Vec<Complex64>,
-    /// Logical record touches (≥ distinct fetches), counted as
-    /// [`CandidateCache`] counts them.
+    /// Logical record touches (≥ distinct fetches) — the paper's record
+    /// access count.
     pub touches: u64,
 }
 
 impl<'a> VerifyKernel<'a> {
-    /// The kernel for `(family, q, mode)` over `index`, or `None` when the
-    /// identity above does not hold for this query: a data-only query, an
-    /// odd sequence length (the general FFT path vouches for no
-    /// symmetry), a prepared target that lost conjugate symmetry, or a
-    /// member that is asymmetric (`paper_shift`) or scales angles
-    /// (`time_reverse`). Those run [`CandidateCache`] +
-    /// [`verify_candidate`], the only correct path for them.
+    /// The kernel for `(family, q, mode)` over `index`: `D(t(x), t(q))`
+    /// for a symmetric query, `D(t(x), q)` for a data-only one.
     pub fn for_query(
         index: &'a SeqIndex,
         family: &Family,
         q: &SeqFeatures,
         mode: QueryMode,
-    ) -> Option<Self> {
+    ) -> Self {
         let n = index.seq_len();
         debug_assert_eq!(q.len(), n);
-        let applies = mode == QueryMode::Symmetric
-            && n.is_multiple_of(2)
-            && q.conj_symmetric
-            && family
-                .transforms()
-                .iter()
-                .all(Transform::half_spectrum_linear);
-        if !applies {
-            return None;
-        }
-        let half = n / 2 + 1;
-        let mut members = Vec::with_capacity(half * family.len());
-        for t in family.transforms() {
-            members.extend((0..half).map(|f| {
-                let a = t.magnitude_multiplier(f);
-                let w = if f == 0 || f == half - 1 { 1.0 } else { 2.0 };
-                w * a * a
-            }));
-        }
-        Some(Self {
-            index,
-            half,
-            members,
-            query: q.spectrum[..half].to_vec(),
-            rows: HashMap::new(),
-            arena: Vec::new(),
-            plan: RfftPlan::new(n),
-            samples: Vec::with_capacity(n),
-            spectrum: vec![Complex64::ZERO; half],
-            touches: 0,
-        })
+        let span = match mode {
+            QueryMode::Symmetric if q.conj_symmetric => n / 2 + 1,
+            _ => n,
+        };
+        let target = q.spectrum[..span].to_vec();
+        let arm = match mode {
+            QueryMode::Symmetric => Arm::Query(weights(family, span), target),
+            QueryMode::DataOnly => Arm::DataOnly(Factors::of(family), target),
+        };
+        Self::new(index, arm, span)
     }
 
-    /// The arena row of candidate `seq`, fetched (one counted record
-    /// access) and filled the first time the query meets it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the record decodes to a degenerate sequence, as
-    /// [`SeqIndex::fetch`] does.
+    /// The kernel of a self-join under `family`: `D(t(x), t(y))`, see
+    /// [`Self::pair`].
+    pub fn for_self_join(index: &'a SeqIndex, family: &Family) -> Self {
+        let span = index.seq_len() / 2 + 1;
+        let arm = Arm::SelfJoin(weights(family, span), vec![0.0; span]);
+        Self::new(index, arm, span)
+    }
+
+    /// The kernel of a paired join: `D(L_t(x), R_t(y))`, see
+    /// [`Self::paired_below`].
+    pub fn for_paired_join(index: &'a SeqIndex, left: &Family, right: &Family) -> Self {
+        let arm = Arm::Paired(Factors::of(left), Factors::of(right));
+        Self::new(index, arm, index.seq_len())
+    }
+
+    fn new(index: &'a SeqIndex, arm: Arm, span: usize) -> Self {
+        let n = index.seq_len();
+        Self {
+            index,
+            arm,
+            span,
+            rows: HashMap::new(),
+            arena: Vec::new(),
+            spectra: Vec::new(),
+            plan: RfftPlan::new(n),
+            samples: Vec::with_capacity(n),
+            spectrum: vec![Complex64::ZERO; span],
+            touches: 0,
+        }
+    }
+
+    /// The row of candidate `seq`, fetched (one counted record access)
+    /// and filled the first time the kernel meets it. A damaged record or
+    /// leaf payload is a typed corrupt error.
     pub fn touch(&mut self, seq: usize) -> Result<usize, PageError> {
         self.touches += 1;
         if let Some(&row) = self.rows.get(&seq) {
@@ -240,9 +269,9 @@ impl<'a> VerifyKernel<'a> {
     }
 
     /// [`Self::touch`] for a caller that meets every candidate once
-    /// (k-NN's refine step): the row goes into the arena's first slot, in
-    /// place of the candidate before, and nothing is remembered — the
-    /// arena stays one row long however many candidates are scored.
+    /// (k-NN's refine step): the row goes into the first slot, in place of
+    /// the candidate before, and nothing is remembered — one row however
+    /// many candidates are scored.
     pub fn touch_once(&mut self, seq: usize) -> Result<usize, PageError> {
         self.touches += 1;
         self.rows.clear();
@@ -250,153 +279,118 @@ impl<'a> VerifyKernel<'a> {
         Ok(0)
     }
 
-    /// Fetches candidate `seq` and writes `|X_f − Q_f|²` into arena row
-    /// `row`, which is an existing row or the next one.
+    /// Fetches candidate `seq` and writes its row `row`, an existing row
+    /// or the next one: `|X_f − Q_f|²` for a symmetric query, `X_f`
+    /// itself otherwise.
     fn fill(&mut self, seq: usize, row: usize) -> Result<(), PageError> {
-        let samples = &mut self.samples;
-        self.index.with_record(seq, |bytes| {
-            samples.clear();
-            samples.extend(decode_samples(bytes));
-        })?;
-        tseries::normalize_in_place(samples)
-            .unwrap_or_else(|| panic!("fetched degenerate sequence {seq}"));
-        self.plan.forward_half(samples, &mut self.spectrum);
-
-        let base = self.half * row;
-        if self.arena.len() == base {
-            self.arena.resize(base + self.half, 0.0);
+        self.index.normal_form_into(seq, &mut self.samples)?;
+        let (span, n) = (self.span, self.samples.len());
+        let base = span * row;
+        let target = match &self.arm {
+            Arm::Query(_, q) => Some(q),
+            _ => None,
+        };
+        let x = match target {
+            Some(_) => &mut self.spectrum[..],
+            None => row_of(&mut self.spectra, base, span, Complex64::ZERO),
+        };
+        // Coefficients past n/2 are the mirrors (Eq. 6).
+        self.plan.forward_half(&self.samples, &mut x[..n / 2 + 1]);
+        for f in n / 2 + 1..span {
+            x[f] = x[n - f].conj();
         }
-        let p = &mut self.arena[base..base + self.half];
-        for ((p, &x), &q) in p.iter_mut().zip(&self.spectrum).zip(&self.query) {
-            *p = (x - q).norm_sqr();
+        if let Some(q) = target {
+            let p = row_of(&mut self.arena, base, span, 0.0);
+            for ((p, &x), &q) in p.iter_mut().zip(&self.spectrum).zip(q) {
+                *p = (x - q).norm_sqr();
+            }
         }
         Ok(())
     }
 
-    /// `D(t(x), t(q))` for the candidate in `row` under family member
-    /// `member` when it is below `eps`, else `None`.
-    ///
-    /// The sum runs in coefficient order and is checked every
-    /// [`ABANDON_STRIDE`] coefficients: it stops once `acc ≥ ε²` and
-    /// `√acc ≥ ε` — the second test keeps the decision exact whatever `ε²`
-    /// rounded to, and the terms are ≥ 0, so the full sum is at least
-    /// `acc` and would have been rejected too.
+    /// The candidate in `row` under family member `member`: its distance
+    /// to the target when that is below `eps`, else `None`. A self-join's
+    /// one row is its current [`Self::pair`].
     pub fn distance_below(&self, row: usize, member: usize, eps: f64) -> Option<f64> {
-        let h = self.half;
-        let p = &self.arena[h * row..h * (row + 1)];
-        let w = &self.members[h * member..h * (member + 1)];
-        let eps2 = eps * eps;
-        let mut acc = 0.0;
-        for (p, w) in p.chunks(ABANDON_STRIDE).zip(w.chunks(ABANDON_STRIDE)) {
-            for (p, w) in p.iter().zip(w) {
-                acc += w * p;
-            }
-            if acc >= eps2 && acc.sqrt() >= eps {
-                return None;
-            }
-        }
-        let d = acc.sqrt();
-        (d < eps).then_some(d)
+        let (t, r) = (self.slot(member), self.slot(row));
+        let (w, p) = match &self.arm {
+            Arm::Query(w, _) => (&w[t], &self.arena[r]),
+            Arm::SelfJoin(w, pair) => (&w[t], &pair[..]),
+            Arm::DataOnly(m, q) => return complex_below(m, None, &self.spectra[r], q, member, eps),
+            Arm::Paired(..) => unreachable!("a paired join has no target; see `paired_below`"),
+        };
+        let chunks = p.chunks(ABANDON_STRIDE).zip(w.chunks(ABANDON_STRIDE));
+        sum_below(
+            eps,
+            chunks.map(|(p, w)| p.iter().zip(w).map(|(p, w)| w * p)),
+        )
     }
 
-    /// [`verify_candidate`]'s exhaustive arm over the kernel: every
-    /// member in `members` against candidate `seq`, in order, each
-    /// distance one comparison however early it is abandoned.
-    pub fn verify(
-        &mut self,
-        seq: usize,
-        members: &[usize],
-        eps: f64,
-        comparisons: &mut u64,
-        out: &mut Vec<Match>,
-    ) -> Result<(), PageError> {
-        let row = self.touch(seq)?;
-        for &ti in members {
-            *comparisons += 1;
-            if let Some(dist) = self.distance_below(row, ti, eps) {
-                out.push(Match {
-                    seq,
-                    transform: ti,
-                    dist,
-                });
-            }
+    /// [`Self::distance_below`] with nothing to abandon on: the distance
+    /// itself (∞ only where the sum is not finite).
+    pub fn distance(&self, row: usize, member: usize) -> f64 {
+        self.distance_below(row, member, f64::INFINITY)
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// A self-join's pair: candidates `a` and `b` touched (each a counted
+    /// record access) and `|X_f − Y_f|²` written to the row it returns,
+    /// which [`Self::distance_below`] then reads as `D(t(x), t(y))`.
+    pub fn pair(&mut self, a: usize, b: usize) -> Result<usize, PageError> {
+        let (ra, rb) = (self.touch(a)?, self.touch(b)?);
+        let (x, y) = (self.slot(ra), self.slot(rb));
+        let Arm::SelfJoin(_, pair) = &mut self.arm else {
+            unreachable!("only a self-join pairs two candidates")
+        };
+        for ((p, &x), &y) in pair.iter_mut().zip(&self.spectra[x]).zip(&self.spectra[y]) {
+            *p = (x - y).norm_sqr();
         }
-        Ok(())
+        Ok(0)
+    }
+
+    /// The paired join's `D(L_t(x), R_t(y))` for the candidates in rows
+    /// `x` and `y` under member `member` when it is below `eps`.
+    pub fn paired_below(&self, x: usize, y: usize, member: usize, eps: f64) -> Option<f64> {
+        let Arm::Paired(left, right) = &self.arm else {
+            unreachable!("only a paired join has a right family")
+        };
+        let (x, y) = (&self.spectra[self.slot(x)], &self.spectra[self.slot(y)]);
+        complex_below(left, Some(right), x, y, member, eps)
+    }
+
+    /// Where row or member table `i` lies in its arena.
+    fn slot(&self, i: usize) -> std::ops::Range<usize> {
+        self.span * i..self.span * (i + 1)
     }
 }
 
-/// The distance of one candidate/query pair under one transformation,
-/// respecting the query mode.
-pub(crate) fn pair_distance(
-    t: &Transform,
-    x: &SeqFeatures,
-    q: &SeqFeatures,
-    mode: QueryMode,
-) -> f64 {
-    match mode {
-        QueryMode::Symmetric => t.transformed_distance(x, q),
-        QueryMode::DataOnly => t.distance_data_only(x, q),
-    }
-}
-
-/// Algorithm 1 step 5: apply member transformations to a candidate and keep
-/// those within ε. `members` are indices into `family`; every distance
-/// computation increments `comparisons`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_candidate(
-    family: &Family,
-    members: &[usize],
-    mode: VerifyMode<'_>,
-    query_mode: QueryMode,
-    seq: usize,
-    x: &SeqFeatures,
-    q: &SeqFeatures,
+/// `sqrt(Σ_{f<n} |l_f·X̃_f − r_f·Ỹ_f|²)` under member `t` when below `eps`;
+/// `Ỹ = Y` untransformed when there is no right family.
+fn complex_below(
+    left: &Factors,
+    right: Option<&Factors>,
+    x: &[Complex64],
+    y: &[Complex64],
+    t: usize,
     eps: f64,
-    comparisons: &mut u64,
-    out: &mut Vec<Match>,
-) {
-    match mode {
-        VerifyMode::Exhaustive => {
-            for &ti in members {
-                let d = pair_distance(&family.transforms()[ti], x, q, query_mode);
-                *comparisons += 1;
-                if d < eps {
-                    out.push(Match {
-                        seq,
-                        transform: ti,
-                        dist: d,
-                    });
-                }
-            }
-        }
-        VerifyMode::Ordered(ordered) => {
-            // Orderings (Definition 1) are stated for symmetric
-            // application; binary search is only sound there.
-            assert_eq!(
-                query_mode,
-                QueryMode::Symmetric,
-                "ordered verification requires symmetric queries"
-            );
-            // The members of an MBR over an ordered family are contiguous
-            // ranks; binary-search the maximal qualifying rank, then emit
-            // every member at or below it (their distances are computed for
-            // the report but NOT counted — the decision needed only
-            // log|T| comparisons, matching §4.4's accounting).
-            let Some(max_rank) = ordered.max_qualifying_in(members, x, q, eps, comparisons) else {
-                return;
-            };
-            for &ti in members {
-                if ti <= max_rank {
-                    let d = family.transforms()[ti].transformed_distance(x, q);
-                    if d < eps {
-                        out.push(Match {
-                            seq,
-                            transform: ti,
-                            dist: d,
-                        });
-                    }
-                }
-            }
-        }
+) -> Option<f64> {
+    let term = |f: usize| {
+        let ty = right.map_or(y[f], |right| right.apply(t, f, y[f]));
+        (left.apply(t, f, x[f]) - ty).norm_sqr()
+    };
+    let n = x.len();
+    let chunks = (0..n).step_by(ABANDON_STRIDE);
+    sum_below(
+        eps,
+        chunks.map(|f| (f..n.min(f + ABANDON_STRIDE)).map(&term)),
+    )
+}
+
+/// Row `base / span` of an arena of rows `span` long, appended when it is
+/// the next one.
+fn row_of<T: Copy>(arena: &mut Vec<T>, base: usize, span: usize, zero: T) -> &mut [T] {
+    if arena.len() == base {
+        arena.resize(base + span, zero);
     }
+    &mut arena[base..base + span]
 }

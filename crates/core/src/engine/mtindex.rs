@@ -20,13 +20,13 @@
 //! the device reads each node once. Step 5 then runs rectangle by
 //! rectangle, as `k` separate descents would have run it.
 
-use crate::engine::{check_family, verify_candidate, CandidateCache, VerifyKernel, VerifyMode};
+use crate::engine::{check_family, VerifyKernel};
 use crate::feature::{FRect, FeatureVec};
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::partition::PartitionStrategy;
 use crate::query::{mt_query_region, Filter, QueryMode, RangeSpec};
-use crate::report::{EngineMetrics, QueryError, QueryResult};
+use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
 use rstartree::mask_bits;
@@ -126,20 +126,17 @@ pub fn range_query_features(
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
 
+    // Orderings (Definition 1) are stated for symmetric application;
+    // binary search is only sound there.
+    assert!(
+        ordered.is_none() || spec.mode == QueryMode::Symmetric,
+        "ordered verification requires symmetric queries"
+    );
+
     let before = index.counters();
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
-    // Step 5 runs on the kernel whenever it covers the query; ordered
-    // verification and the inputs `VerifyKernel::for_query` turns down
-    // keep full features per candidate.
-    let (mut kernel, mode) = match ordered {
-        None => (
-            VerifyKernel::for_query(index, family, q, spec.mode),
-            VerifyMode::Exhaustive,
-        ),
-        Some(of) => (None, VerifyMode::Ordered(of)),
-    };
-    let mut cache = CandidateCache::new(index);
+    let mut kernel = VerifyKernel::for_query(index, family, q, spec.mode);
 
     let mut candidates = vec![Vec::new(); mbrs.len()];
     let traversals = descend(index, mbrs, &q.point, spec.mode, &filter, |slot, seq| {
@@ -151,25 +148,33 @@ pub fn range_query_features(
         metrics.candidates += traversal.candidates;
 
         // Step 5, rectangle by rectangle: retrieve full records and verify
-        // every member.
+        // every member, each one comparison however early it is abandoned
+        // — or, over an ordered family, whose rectangle members are
+        // contiguous ranks, binary-search the maximal qualifying rank and
+        // verify the members at or below it uncounted: the decision took
+        // log|T| comparisons (§4.4's accounting).
         for seq in candidates {
-            let (comparisons, out) = (&mut metrics.comparisons, &mut matches);
-            match &mut kernel {
-                Some(kernel) => kernel.verify(seq, &mbr.members, eps, comparisons, out)?,
+            let row = kernel.touch(seq)?;
+            let members = match ordered {
                 None => {
-                    let x = cache.get(seq)?;
-                    verify_candidate(
-                        family,
-                        &mbr.members,
-                        mode,
-                        spec.mode,
+                    metrics.comparisons += mbr.members.len() as u64;
+                    mbr.members.len()
+                }
+                Some(ordered) => {
+                    let dist = |t: usize| kernel.distance(row, t);
+                    let comparisons = &mut metrics.comparisons;
+                    let max = ordered.max_qualifying_in(&mbr.members, dist, eps, comparisons);
+                    mbr.members
+                        .partition_point(|&t| max.is_some_and(|max| t <= max))
+                }
+            };
+            for &ti in &mbr.members[..members] {
+                if let Some(dist) = kernel.distance_below(row, ti, eps) {
+                    matches.push(Match {
                         seq,
-                        &x,
-                        q,
-                        eps,
-                        comparisons,
-                        out,
-                    );
+                        transform: ti,
+                        dist,
+                    });
                 }
             }
         }
@@ -177,7 +182,7 @@ pub fn range_query_features(
 
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = kernel.map_or(cache.touches, |k| k.touches);
+    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok((QueryResult { matches, metrics }, traversals))
 }
@@ -278,9 +283,9 @@ pub(crate) fn descend(
 mod tests {
     use super::*;
     use crate::engine::{seqscan, stindex};
+    use crate::feature::SeqFeatures;
     use crate::index::IndexConfig;
     use crate::query::FilterPolicy;
-    use crate::report::Match;
     use tseries::{Corpus, CorpusKind};
 
     fn setup(n: usize) -> (Corpus, SeqIndex) {
@@ -366,15 +371,23 @@ mod tests {
     }
 
     /// The kernel's matches are the naive path's pair for pair, in the
-    /// same order, at distances within `1e-12·max(1, d_naive)`.
-    fn assert_same_matches(got: &[Match], want: &[Match]) {
+    /// same order, at distances within `1e-12·max(1, d_naive)`. Data-only
+    /// distances are compared squared, within `1e-12·max(1, d²_naive)`:
+    /// there the law of cosines' rounding error is absolute in `d²`, and
+    /// where a member barely moves a sequence matched against itself the
+    /// naive `d ≈ 0` comes out as ~1e-8.
+    fn assert_same_matches(got: &[Match], want: &[Match], mode: QueryMode) {
         let pairs = |v: &[Match]| -> Vec<(usize, usize)> {
             v.iter().map(|m| (m.seq, m.transform)).collect()
         };
         assert_eq!(pairs(got), pairs(want));
         for (g, w) in got.iter().zip(want) {
+            let (gd, wd) = match mode {
+                QueryMode::Symmetric => (g.dist, w.dist),
+                QueryMode::DataOnly => (g.dist * g.dist, w.dist * w.dist),
+            };
             assert!(
-                (g.dist - w.dist).abs() <= 1e-12 * w.dist.max(1.0),
+                (gd - wd).abs() <= 1e-12 * wd.max(1.0),
                 "({}, {}): kernel {} vs naive {}",
                 w.seq,
                 w.transform,
@@ -384,23 +397,20 @@ mod tests {
         }
     }
 
-    /// The kernel replaces `CandidateCache` + `verify_candidate` on the
-    /// queries it covers and only the last bits of a distance may show:
-    /// the same matches in the same order, the same counters — run after
-    /// run.
+    /// Step 5 on the kernel reports what the naive distance over full
+    /// features would, and only the last bits of a distance may show: the
+    /// same matches in the same order, the same counters — run after run.
     #[test]
-    fn kernel_path_reports_what_verify_candidate_would_in_order() {
+    fn kernel_path_reports_what_the_naive_distance_would_in_order() {
         let (c, idx) = setup(200);
         let family = Family::moving_averages(5..=20, 128);
         let spec = RangeSpec::correlation(0.8).with_policy(FilterPolicy::Safe);
         let query = &c.series()[9];
         let q = idx.prepare_query(query).unwrap();
-        assert!(VerifyKernel::for_query(&idx, &family, &q, spec.mode).is_some());
 
         let eps = spec.epsilon(128);
         let filter = Filter::new(eps, spec.policy);
-        let (mut want, mut comparisons) = (Vec::new(), 0);
-        let mut cache = CandidateCache::new(&idx);
+        let (mut want, mut comparisons, mut touches) = (Vec::new(), 0, 0);
         for mbr in TransformMbr::singletons(&family) {
             // Each rectangle's own descent, the oracle of the masked one.
             let bound = filter.bind(&mbr, mt_query_region(&mbr, &q.point, spec.mode));
@@ -408,18 +418,19 @@ mod tests {
             idx.search(|r| bound.hit(r), |_, seq| candidates.push(seq as usize))
                 .unwrap();
             for seq in candidates {
-                verify_candidate(
-                    &family,
-                    &mbr.members,
-                    VerifyMode::Exhaustive,
-                    spec.mode,
-                    seq,
-                    &cache.get(seq).unwrap(),
-                    &q,
-                    eps,
-                    &mut comparisons,
-                    &mut want,
-                );
+                let x = SeqFeatures::extract(&idx.fetch_series(seq).unwrap()).unwrap();
+                touches += 1;
+                for &ti in &mbr.members {
+                    let dist = family.transforms()[ti].transformed_distance(&x, &q);
+                    comparisons += 1;
+                    if dist < eps {
+                        want.push(Match {
+                            seq,
+                            transform: ti,
+                            dist,
+                        });
+                    }
+                }
             }
         }
         assert!(
@@ -430,25 +441,30 @@ mod tests {
 
         let first = stindex::range_query(&idx, query, &family, &spec).unwrap();
         let second = stindex::range_query(&idx, query, &family, &spec).unwrap();
-        assert_same_matches(&first.matches, &want);
+        assert_same_matches(&first.matches, &want, spec.mode);
         assert_eq!(first.matches, second.matches);
         assert_eq!(first.metrics.comparisons, comparisons);
-        assert_eq!(first.metrics.record_fetches, cache.touches);
+        assert_eq!(first.metrics.record_fetches, touches);
         // And the one-rectangle MT plan finds the same pairs at the same
         // distances, member-major per candidate.
         let mt = range_query(&idx, query, &family, &spec).unwrap();
-        let by_pair = |v: &[Match]| {
-            let mut v = v.to_vec();
-            v.sort_unstable_by_key(|m| (m.seq, m.transform));
-            v
-        };
-        assert_same_matches(&by_pair(&mt.matches), &by_pair(&want));
+        assert_same_matches(&by_pair(&mt.matches), &by_pair(&want), spec.mode);
     }
 
-    /// Every input `VerifyKernel::for_query` turns down runs the
-    /// full-feature path, which must still be exact: ST ≡ MT ≡ scan.
+    fn by_pair(v: &[Match]) -> Vec<Match> {
+        let mut v = v.to_vec();
+        v.sort_unstable_by_key(|m| (m.seq, m.transform));
+        v
+    }
+
+    /// Every query shape step 5 serves beyond moving averages — data-only
+    /// shifts, a time reversal (angles scaled by −1), the paper's
+    /// approximate shift (not conjugate-symmetric), an odd length (the
+    /// general FFT path) and ordered verification — is exact: ST ≡ MT ≡
+    /// scan pair for pair, at the scan's distances to `1e-12·max(1, d)`
+    /// (data-only: squared, see [`assert_same_matches`]).
     #[test]
-    fn inputs_the_kernel_turns_down_still_equal_scan() {
+    fn reversal_shift_odd_data_only_and_ordered_queries_equal_scan() {
         use crate::query::QueryMode;
         use crate::transform::Transform;
         let safe = RangeSpec::correlation(0.92).with_policy(FilterPolicy::Safe);
@@ -457,6 +473,15 @@ mod tests {
                 "data-only shifts",
                 128,
                 Family::circular_shifts(0..=6, 128),
+                safe.with_mode(QueryMode::DataOnly),
+            ),
+            (
+                "data-only reversal",
+                128,
+                Family::new(
+                    "rev",
+                    vec![Transform::identity(128), Transform::time_reverse(128)],
+                ),
                 safe.with_mode(QueryMode::DataOnly),
             ),
             (
@@ -491,17 +516,18 @@ mod tests {
                 Family::moving_averages(3..=9, 127),
                 safe,
             ),
+            (
+                "odd length, data-only",
+                127,
+                Family::circular_shifts(0..=4, 127),
+                safe.with_mode(QueryMode::DataOnly),
+            ),
         ];
         for (what, len, family, spec) in cases {
             let c = Corpus::generate(CorpusKind::SyntheticWalks, 150, len, 31);
             let idx = SeqIndex::build(&c, IndexConfig::default()).unwrap();
             for qi in [4usize, 77] {
                 let query = &c.series()[qi];
-                let q = idx.prepare_query(query).unwrap();
-                assert!(
-                    VerifyKernel::for_query(&idx, &family, &q, spec.mode).is_none(),
-                    "{what}"
-                );
                 let scan = seqscan::range_query(&idx, query, &family, &spec).unwrap();
                 let st = stindex::range_query(&idx, query, &family, &spec).unwrap();
                 let mt = range_query(&idx, query, &family, &spec).unwrap();
@@ -509,26 +535,23 @@ mod tests {
                     !scan.matches.is_empty(),
                     "{what}: query {qi} matches itself"
                 );
-                assert_eq!(scan.sorted_pairs(), st.sorted_pairs(), "ST, {what}");
-                assert_eq!(scan.sorted_pairs(), mt.sorted_pairs(), "MT, {what}");
+                assert_same_matches(&by_pair(&st.matches), &scan.matches, spec.mode);
+                assert_same_matches(&by_pair(&mt.matches), &scan.matches, spec.mode);
             }
         }
 
-        // Ordered verification binary-searches full features even over a
-        // family the kernel would cover.
+        // Ordered verification binary-searches on the kernel too.
         let (c, idx) = setup(150);
         let factors: Vec<f64> = (1..=16).map(|k| 0.25 * k as f64).collect();
         let ordered = OrderedFamily::scalings(&factors, 128);
         let spec = RangeSpec::euclidean(9.0).with_policy(FilterPolicy::Safe);
         let query = &c.series()[8];
-        let q = idx.prepare_query(query).unwrap();
-        assert!(VerifyKernel::for_query(&idx, ordered.family(), &q, spec.mode).is_some());
         let scan = seqscan::range_query(&idx, query, ordered.family(), &spec).unwrap();
         let mt = range_query_ordered(&idx, query, &ordered, &spec).unwrap();
         let st = stindex::range_query_ordered(&idx, query, &ordered, &spec).unwrap();
         assert!(!scan.matches.is_empty());
-        assert_eq!(scan.sorted_pairs(), mt.sorted_pairs(), "ordered MT");
-        assert_eq!(scan.sorted_pairs(), st.sorted_pairs(), "ordered ST");
+        assert_same_matches(&by_pair(&mt.matches), &scan.matches, spec.mode);
+        assert_same_matches(&by_pair(&st.matches), &scan.matches, spec.mode);
     }
 
     #[test]

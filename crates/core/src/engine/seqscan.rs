@@ -1,14 +1,15 @@
 //! The sequential-scan baseline: read the whole relation, try every
 //! transformation on every sequence (`|S|·|T|` comparisons — §4's cost
-//! description).
+//! description) — with the naive law-of-cosines distances, as the oracle
+//! the index engines' verification kernel is checked against.
 
-use crate::engine::{check_family, verify_candidate, VerifyMode};
+use crate::engine::check_family;
 use crate::feature::SeqFeatures;
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
-use crate::query::RangeSpec;
+use crate::query::{QueryMode, RangeSpec};
 use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
-use crate::transform::Family;
+use crate::transform::{Family, Transform};
 use pagestore::PageError;
 use std::time::Instant;
 use tseries::TimeSeries;
@@ -20,7 +21,7 @@ pub fn range_query(
     family: &Family,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    run(index, query, family, spec, VerifyMode::Exhaustive, 1)
+    run(index, query, family, spec, None, 1)
 }
 
 /// Sequential scan over an *ordered* family (§4.4): `|S|·log|T|`
@@ -31,8 +32,7 @@ pub fn range_query_ordered(
     ordered: &OrderedFamily,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    let mode = VerifyMode::Ordered(ordered);
-    run(index, query, ordered.family(), spec, mode, 1)
+    run(index, query, ordered.family(), spec, Some(ordered), 1)
 }
 
 /// A multi-threaded sequential scan: the relation is partitioned into
@@ -48,7 +48,7 @@ pub fn range_query_parallel(
     threads: usize,
 ) -> Result<QueryResult, QueryError> {
     assert!(threads >= 1, "need at least one thread");
-    run(index, query, family, spec, VerifyMode::Exhaustive, threads)
+    run(index, query, family, spec, None, threads)
 }
 
 fn run(
@@ -56,16 +56,27 @@ fn run(
     query: &TimeSeries,
     family: &Family,
     spec: &RangeSpec,
-    mode: VerifyMode<'_>,
+    ordered: Option<&OrderedFamily>,
     threads: usize,
 ) -> Result<QueryResult, QueryError> {
     let start = Instant::now();
     check_family(family, index.seq_len())?;
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
-    let members: Vec<usize> = (0..family.len()).collect();
+    let naive = match spec.mode {
+        QueryMode::Symmetric => Transform::transformed_distance,
+        QueryMode::DataOnly => Transform::distance_data_only,
+    };
+    // Orderings (Definition 1) are stated for symmetric application;
+    // binary search is only sound there.
+    assert!(
+        ordered.is_none() || spec.mode == QueryMode::Symmetric,
+        "ordered verification requires symmetric queries"
+    );
 
-    // One disjoint ordinal range: extract each row, try every member.
+    // One disjoint ordinal range: extract each row, try every member — or
+    // (§4.4) the ranks at or below the maximal qualifying one, found in
+    // log|T| counted comparisons.
     let scan_chunk = |lo: usize, hi: usize| -> Result<(Vec<Match>, u64), PageError> {
         let mut matches = Vec::new();
         let mut comparisons = 0;
@@ -73,18 +84,22 @@ fn run(
             let Some(x) = SeqFeatures::extract(&ts) else {
                 return; // degenerate rows cannot match a normal-form query
             };
-            verify_candidate(
-                family,
-                &members,
-                mode,
-                spec.mode,
-                ordinal,
-                &x,
-                &q,
-                eps,
-                &mut comparisons,
-                &mut matches,
-            );
+            let dist = |t: usize| naive(&family.transforms()[t], &x, &q);
+            let members = match ordered {
+                None => {
+                    comparisons += family.len() as u64;
+                    family.len()
+                }
+                Some(ordered) => ordered
+                    .max_qualifying(dist, eps, &mut comparisons)
+                    .map_or(0, |max_rank| max_rank + 1),
+            };
+            let matching = (0..members).map(|ti| Match {
+                seq: ordinal,
+                transform: ti,
+                dist: dist(ti),
+            });
+            matches.extend(matching.filter(|m| m.dist < eps));
         })?;
         Ok((matches, comparisons))
     };

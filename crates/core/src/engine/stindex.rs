@@ -13,14 +13,13 @@
 //! a·hi + b)`, because rounding is monotone
 //! (`proptests::singleton_mbr_is_the_transform` pins it bit for bit).
 
-use crate::engine::{check_family, mtindex};
+use crate::engine::mtindex;
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
-use crate::query::{st_query_region, Filter, RangeSpec};
-use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
+use crate::query::RangeSpec;
+use crate::report::{QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
-use std::time::Instant;
 use tseries::TimeSeries;
 
 /// Query 1 by ST-index: one traversal per member transformation.
@@ -40,56 +39,23 @@ pub fn range_query(
 /// members form a per-sequence prefix, a **single** traversal with the
 /// minimal transformation retrieves a superset of every member's answers;
 /// each candidate is then binary-searched for its maximal qualifying rank.
+/// That is [`mtindex::range_query_with_mbrs`] over one rectangle with the
+/// minimal member's bounds — Eq. 12 over it is `t0` itself, bit for bit
+/// (see the module docs) — and every rank as its members.
 pub fn range_query_ordered(
     index: &SeqIndex,
     query: &TimeSeries,
     ordered: &OrderedFamily,
     spec: &RangeSpec,
 ) -> Result<QueryResult, QueryError> {
-    let start = Instant::now();
     let family = ordered.family();
-    check_family(family, index.seq_len())?;
-    let q = index.prepare_query(query)?;
-    let eps = spec.epsilon(index.seq_len());
-    let filter = Filter::new(eps, spec.policy);
-
-    let before = index.counters();
-    let mut metrics = EngineMetrics::default();
-    let mut matches = Vec::new();
-
-    // The minimal transformation as a singleton rectangle (Eq. 12 over it
-    // is `t0` itself, bit for bit — see the module docs).
-    let t0 = TransformMbr::of(family, vec![0]);
-    let region = st_query_region(&family.transforms()[0], &q.point, spec.mode);
-    let bound = filter.bind(&t0, region);
-    let mut candidates = Vec::new();
-    let stats = index.search(
-        |rect| bound.hit(rect),
-        |_, data| candidates.push(data as usize),
-    )?;
-    metrics.node_accesses = stats.nodes_accessed;
-    metrics.leaf_accesses = stats.leaf_nodes_accessed;
-    metrics.candidates = candidates.len() as u64;
-
-    for seq in candidates {
-        let x = index.fetch(seq)?;
-        if let Some(max_rank) = ordered.max_qualifying(&x, &q, eps, &mut metrics.comparisons) {
-            for ti in 0..=max_rank {
-                let d = family.transforms()[ti].transformed_distance(&x, &q);
-                matches.push(Match {
-                    seq,
-                    transform: ti,
-                    dist: d,
-                });
-            }
-        }
-    }
-
-    let after = index.counters();
-    metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = after.record_fetches - before.record_fetches;
-    metrics.wall = start.elapsed();
-    Ok(QueryResult { matches, metrics })
+    let t0 = TransformMbr {
+        members: (0..family.len()).collect(),
+        ..TransformMbr::of(family, vec![0])
+    };
+    let (result, _) =
+        mtindex::range_query_with_mbrs(index, query, family, spec, &[t0], Some(ordered))?;
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -38,13 +38,16 @@ pub struct AccessCounters {
     pub node_reads: u64,
     /// Record-heap page reads that missed the pool (physical accesses).
     pub record_page_reads: u64,
-    /// Logical record fetches (every [`SeqIndex::fetch`]/`fetch_series`),
+    /// Logical record fetches (every candidate fetch and `fetch_series`),
     /// regardless of buffering — the paper's Fig. 8–9 count accesses this
     /// way (its per-query numbers far exceed the distinct page count).
     pub record_fetches: u64,
 }
 
-/// An indexed corpus of equal-length sequences.
+/// An indexed corpus of equal-length sequences. Step 5 of every index
+/// engine reads a candidate's record where it lies in the buffer pool and
+/// keeps no features for it; `fetch_series` and `scan` are for the
+/// mutation paths and the sequential-scan oracle.
 pub struct SeqIndex {
     // Nodes serialised to pages of a (simulated) disk: node reads are disk
     // accesses, the paper's cold-per-query accounting.
@@ -276,40 +279,42 @@ impl SeqIndex {
         SeqFeatures::extract(ts).ok_or(QueryError::DegenerateQuery)
     }
 
-    /// Fetches a sequence's full record (a counted page access) and
-    /// recomputes its features — all of them, spectrum and polar form over
-    /// every coefficient, as joins, ordered verification and the queries
-    /// `engine::VerifyKernel` does not cover need them. A range or k-NN
-    /// query the kernel covers never comes here: it reads the record where
-    /// it lies in the pool and keeps one half-spectrum row of
-    /// `|X_f − Q_f|²` (520 B at length 128) per candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the record decodes to a degenerate sequence — only
-    /// indexed ordinals should be fetched.
-    pub fn fetch(&self, ordinal: usize) -> Result<SeqFeatures, PageError> {
-        let ts = self.fetch_series(ordinal)?;
-        Ok(SeqFeatures::extract(&ts)
-            .unwrap_or_else(|| panic!("fetched degenerate sequence {ordinal}")))
-    }
-
     /// Fetches a sequence's raw samples (a counted page access).
     pub fn fetch_series(&self, ordinal: usize) -> Result<TimeSeries, PageError> {
         self.with_record(ordinal, decode_record)
     }
 
-    /// Runs `f` over a sequence's record where it lies in the buffer pool
-    /// (see [`decode_samples`]) — a counted page access that copies
-    /// nothing. The page stays pinned while `f` runs.
-    pub(crate) fn with_record<R>(
+    /// Step 5's fetch of candidate `ordinal` (`engine::VerifyKernel`): its
+    /// record decoded where it lies in the pool into `samples`, in normal
+    /// form — a counted page access. The ordinal comes from a leaf and the
+    /// record from the heap file, so a payload past the relation, a slot
+    /// past its page's count and a record with no normal form are damage:
+    /// a typed corrupt-page error, never a panic.
+    pub(crate) fn normal_form_into(
         &self,
         ordinal: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, PageError> {
+        samples: &mut Vec<f64>,
+    ) -> Result<(), PageError> {
+        self.with_record(ordinal, |bytes| {
+            samples.clear();
+            samples.extend(decode_samples(bytes));
+        })?;
+        match tseries::normalize_in_place(samples) {
+            Some(_) => Ok(()),
+            None => Err(PageError::corrupt(self.rids[ordinal].page)),
+        }
+    }
+
+    /// Runs `f` over a sequence's record where it lies in the buffer pool
+    /// — a counted page access that copies nothing.
+    fn with_record<R>(&self, ordinal: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R, PageError> {
+        let rid = *self
+            .rids
+            .get(ordinal)
+            .ok_or(PageError::corrupt(pagestore::PageId::INVALID))?;
         self.fetches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.heap.with_record(self.rids[ordinal], f)
+        self.heap.with_record(rid, f)
     }
 
     /// Scans the whole relation (the sequential-scan baseline); one page
@@ -439,7 +444,7 @@ fn encode_record(ts: &TimeSeries, buf: &mut [u8]) {
 }
 
 /// The samples of a heap record, in order.
-pub(crate) fn decode_samples(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+fn decode_samples(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
@@ -504,11 +509,11 @@ mod tests {
         let stats = idx.search(|_| true, |_, _| {}).unwrap();
         let counters = idx.counters();
         assert_eq!(counters.node_reads, stats.nodes_accessed);
-        let _ = idx.fetch(0).unwrap();
+        let _ = idx.fetch_series(0).unwrap();
         assert!(idx.counters().record_page_reads >= 1);
         idx.reset_counters().unwrap();
         // Pool was cleared: refetching costs again.
-        let _ = idx.fetch(0).unwrap();
+        let _ = idx.fetch_series(0).unwrap();
         assert_eq!(idx.counters().record_page_reads, 1);
     }
 
@@ -1314,6 +1319,82 @@ mod open_robustness {
             QueryError::Io(PageError::corrupt(PageId(past))),
             "{what}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Leaf payloads and records come from files too. A candidate that
+    /// names no record, sits past its page's stored record count, or
+    /// decodes to a sequence with no normal form is a typed corrupt-page
+    /// error from a range query, a k-NN query and a join alike — never a
+    /// panic in step 5's fetch.
+    #[test]
+    fn damaged_candidates_are_typed_errors() {
+        use crate::engine::{join, knn, mtindex};
+        use crate::query::{FilterPolicy, RangeSpec};
+        use crate::transform::Family;
+        use pagestore::PageId;
+        use tseries::CorpusKind;
+
+        const LEN: usize = 64;
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 6, LEN, 93);
+        let family = Family::moving_averages(2..=5, LEN);
+        // Wide enough that every sequence is a candidate and every pair
+        // joins.
+        let spec = RangeSpec::euclidean(1e6).with_policy(FilterPolicy::Safe);
+        let query = &corpus.series()[0];
+        let dir = std::env::temp_dir().join(format!("simquery_damaged_{}", std::process::id()));
+        let index = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
+        assert_eq!(index.height(), 1, "the root is the one leaf");
+        index.save(&dir).unwrap();
+        drop(index);
+
+        let meta = std::fs::read_to_string(dir.join("meta.txt")).unwrap();
+        let field = |key: &str| {
+            let prefix = format!("{key} ");
+            meta.lines().find_map(|l| l.strip_prefix(&prefix)).unwrap()
+        };
+        let files: Vec<_> = field("files").split(' ').map(|f| dir.join(f)).collect();
+        let leaf = PageId(field("tree_root").parse().unwrap());
+        let records = PageId(field("heap_pages").parse().unwrap());
+        // Record `slot`'s first byte on its heap page.
+        let record = |slot: usize| 8 + slot * LEN * 8;
+
+        for damage in 0..3 {
+            let (what, file, pid, corrupt) = match damage {
+                0 => ("a leaf payload past the relation", 0, leaf, PageId::INVALID),
+                1 => ("a record count that leaves out slot 5", 1, records, records),
+                _ => ("a constant record", 1, records, records),
+            };
+            let intact = std::fs::read(&files[file]).unwrap();
+            let disk = Disk::load_from(&files[file]).unwrap();
+            let mut page = disk.read(pid);
+            match damage {
+                0 => page.put_u64(8 + 2 * DIMS * 8, 1000),
+                1 => page.put_u16(0, 5),
+                _ => {
+                    for i in 0..LEN {
+                        page.put_u64(record(3) + 8 * i, 1.0f64.to_bits());
+                    }
+                }
+            }
+            disk.write(pid, &page);
+            disk.save_to(&files[file]).unwrap();
+
+            let index = SeqIndex::open(&dir, 8).unwrap();
+            for (engine, result) in [
+                (
+                    "range",
+                    mtindex::range_query(&index, query, &family, &spec).map(drop),
+                ),
+                ("k-NN", knn::knn(&index, query, &family, 6).map(drop)),
+                ("join", join::mt_join(&index, &family, &spec).map(drop)),
+            ] {
+                let want = Err(QueryError::Io(PageError::corrupt(corrupt)));
+                assert_eq!(result, want, "{what}: {engine}");
+            }
+            drop(index);
+            std::fs::write(&files[file], &intact).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

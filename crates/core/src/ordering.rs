@@ -64,18 +64,18 @@ impl OrderedFamily {
     }
 
     /// Binary search over the whole family: the maximal rank whose
-    /// transformation keeps `D(t(x), t(q)) < ε`, or `None` when even the
-    /// first member fails. Increments `comparisons` once per distance
-    /// computed (`≤ ⌈log₂|T|⌉ + 1`).
+    /// transformation keeps `dist(rank) < ε`, or `None` when even the
+    /// first member fails. `dist(rank)` is one pair's `D(t(x), t(q))` under
+    /// member `rank`, however the caller computes it. Increments
+    /// `comparisons` once per distance computed (`≤ ⌈log₂|T|⌉ + 1`).
     pub fn max_qualifying(
         &self,
-        x: &SeqFeatures,
-        q: &SeqFeatures,
+        dist: impl FnMut(usize) -> f64,
         eps: f64,
         comparisons: &mut u64,
     ) -> Option<usize> {
         let ranks: Vec<usize> = (0..self.family.len()).collect();
-        self.max_qualifying_in(&ranks, x, q, eps, comparisons)
+        self.max_qualifying_in(&ranks, dist, eps, comparisons)
     }
 
     /// Binary search restricted to an ascending subset of ranks (an MBR's
@@ -83,25 +83,18 @@ impl OrderedFamily {
     pub fn max_qualifying_in(
         &self,
         ranks: &[usize],
-        x: &SeqFeatures,
-        q: &SeqFeatures,
+        mut dist: impl FnMut(usize) -> f64,
         eps: f64,
         comparisons: &mut u64,
     ) -> Option<usize> {
         debug_assert!(ranks.windows(2).all(|w| w[0] < w[1]), "ranks must ascend");
-        if ranks.is_empty() {
-            return None;
-        }
-        let dist = |rank: usize, comparisons: &mut u64| -> f64 {
-            *comparisons += 1;
-            self.family.transforms()[rank].transformed_distance(x, q)
-        };
         // Invariant: everything below `lo` qualifies, everything at or
         // above `hi` fails.
         let (mut lo, mut hi) = (0usize, ranks.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if dist(ranks[mid], comparisons) < eps {
+            *comparisons += 1;
+            if dist(ranks[mid]) < eps {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -160,10 +153,11 @@ mod tests {
         let fam = OrderedFamily::scalings(&factors, 64);
         let (x, q) = (feats(0.1), feats(0.4));
         let base = fam.family().transforms()[0].transformed_distance(&x, &q) / 0.25;
+        let dist = |t: usize| fam.family().transforms()[t].transformed_distance(&x, &q);
         for eps_mult in [0.1, 0.6, 1.7, 3.0, 9.0] {
             let eps = base * eps_mult;
             let mut cmp = 0;
-            let got = fam.max_qualifying(&x, &q, eps, &mut cmp);
+            let got = fam.max_qualifying(dist, eps, &mut cmp);
             let want = fam
                 .family()
                 .transforms()
@@ -183,16 +177,17 @@ mod tests {
         let fam = OrderedFamily::scalings(&factors, 64);
         let (x, q) = (feats(0.2), feats(0.9));
         let d1 = fam.family().transforms()[0].transformed_distance(&x, &q);
+        let dist = |t: usize| fam.family().transforms()[t].transformed_distance(&x, &q);
         // Subset {4..8}: factors 5..9 → distances 5·d1..9·d1.
         let ranks: Vec<usize> = (4..=8).collect();
         let mut cmp = 0;
-        let got = fam.max_qualifying_in(&ranks, &x, &q, 7.5 * d1, &mut cmp);
+        let got = fam.max_qualifying_in(&ranks, dist, 7.5 * d1, &mut cmp);
         assert_eq!(
             got,
             Some(6),
             "factor 7 qualifies (7·d1 < 7.5·d1), factor 8 fails"
         );
-        let none = fam.max_qualifying_in(&ranks, &x, &q, d1, &mut cmp);
+        let none = fam.max_qualifying_in(&ranks, dist, d1, &mut cmp);
         assert_eq!(none, None, "even factor 5 exceeds 1·d1");
     }
 

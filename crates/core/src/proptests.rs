@@ -579,32 +579,52 @@ fn apply_rect_point_consistency() {
     }
 }
 
-/// A random family of linear members over length `n` — moving averages,
-/// their inversions, momenta, circular shifts, scalings (negative ones
-/// too), EMAs or composed pairs.
-fn linear_family(rng: &mut SeededRng, n: usize) -> Family {
-    match rng.random_range(0..7u32) {
-        0 => Family::moving_averages(2..=rng.random_range(3..20usize), n),
-        1 => Family::moving_averages(3..=rng.random_range(4..9usize), n).with_inverted(),
-        2 => Family::momenta(1..=rng.random_range(1..6usize), n),
-        3 => Family::circular_shifts(0..=rng.random_range(1..7usize), n),
-        4 => Family::scalings(
-            &[
-                rng.random_range(-4f64..-0.1),
-                rng.random_range(0.1f64..4.0),
-                1.0,
-            ],
-            n,
-        ),
-        5 => Family::new(
-            "ema",
-            vec![
-                Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
-                Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
-            ],
-        ),
-        _ => Family::moving_averages(2..=4, n).compose(&Family::momenta(1..=2, n)),
-    }
+/// How many kinds of family [`family_of_kind`] builds.
+const FAMILY_KINDS: usize = 10;
+
+/// A random family over length `n` of one of [`FAMILY_KINDS`] kinds,
+/// between them every builder: moving averages and their inversions,
+/// momenta, circular and the paper's approximate shifts, scalings
+/// (negative ones too), EMAs, weighted averages, band-passes, time reversal
+/// and compositions — reversal and the approximate shift among them.
+fn family_of_kind(kind: usize, rng: &mut SeededRng, n: usize) -> Family {
+    let m = rng.random_range(2..9usize);
+    let (mv, rev) = (Transform::moving_average(m, n), Transform::time_reverse(n));
+    let pshift = Transform::paper_shift(m, n);
+    let members = match kind {
+        0 => return Family::moving_averages(2..=m + 10, n),
+        1 => return Family::moving_averages(3..=m + 2, n).with_inverted(),
+        2 => return Family::momenta(1..=m, n),
+        3 => return Family::circular_shifts(0..=m, n),
+        4 => vec![
+            -rng.random_range(0.1f64..4.0),
+            rng.random_range(0.1f64..4.0),
+        ]
+        .into_iter()
+        .map(|k| Transform::scaling(k, n))
+        .collect(),
+        5 => return Family::moving_averages(2..=4, n).compose(&Family::momenta(1..=2, n)),
+        6 => vec![
+            Transform::exponential_moving_average(rng.random_range(0.05f64..1.0), n),
+            Transform::weighted_moving_average(&[3.0, 2.0, 1.0], n),
+            Transform::band_pass(1, m, n),
+        ],
+        7 => vec![
+            rev.compose(&mv),
+            Transform::scaling(-1.5, n).compose(&rev),
+            rev,
+        ],
+        8 => vec![
+            mv.compose(&pshift),
+            pshift,
+            Transform::band_pass(2, 6, n).compose(&mv),
+        ],
+        _ => {
+            let mirror = Family::new("mirror", vec![Transform::identity(n), rev]);
+            return Family::circular_shifts(0..=3, n).compose(&mirror);
+        }
+    };
+    Family::new(format!("kind {kind}"), members)
 }
 
 /// An index over 12 random walks of length `n` and a prepared query.
@@ -622,131 +642,140 @@ fn walks_and_query(
     (index, q)
 }
 
-/// The verification kernel is the naive formula up to rounding: for
-/// random linear families over power-of-two and other even lengths —
-/// 100's mask FFTs are Bluestein's, whose exact spectral zeros come out
-/// as 1e-15 at an arbitrary angle — every `(candidate, member)` distance
-/// is [`Transform::transformed_distance`]'s within `1e-12·max(1, d)`. A
-/// family with a member the kernel cannot serve (a reversal) is turned
-/// down, never served approximately; every other family is served.
+/// The verification kernel is the naive formula up to rounding, for every
+/// kind of family at every length of 63, 64, 100 (whose mask FFTs are
+/// Bluestein's, with exact spectral zeros at an arbitrary angle), 127 and
+/// 128: each `(candidate, member)` distance of a range or k-NN row, in
+/// both modes, against the query and against a prepared target that lost
+/// conjugate symmetry, is [`Transform::transformed_distance`]'s or
+/// [`Transform::distance_data_only`]'s within `1e-12·max(1, d)`; each
+/// self-join pair distance is `transformed_distance`'s and each
+/// paired-join one `join::pair_spectrum_distance`'s.
 #[test]
 fn kernel_distance_is_the_naive_distance() {
+    use crate::engine::join::pair_spectrum_distance;
     use crate::engine::VerifyKernel;
+    use crate::feature::SeqFeatures;
     use crate::query::QueryMode;
 
-    const LENGTHS: [usize; 3] = [64, 100, 128];
+    const LENGTHS: [usize; 5] = [63, 64, 100, 127, 128];
     let mut rng = SeededRng::seed_from_u64(0x4E12);
-    let (mut served, mut turned_down, mut pairs) = ([0; 3], 0, 0);
-    for case in 0..2 * CASES {
-        let len = rng.random_range(0..LENGTHS.len());
-        let n = LENGTHS[len];
-        let mut family = linear_family(&mut rng, n);
-        // One case in four gets a member with an angle multiplier of −1.
-        let reversed = case % 4 == 3;
-        if reversed {
-            let mut members = family.transforms().to_vec();
-            members.push(Transform::time_reverse(n));
-            family = Family::new("with reversal", members);
-        }
+    let (mut pairs, mut drift) = (0, 0.0f64);
+    let mut check = |d: f64, naive: f64, what: &dyn Fn() -> String| {
+        let err = (d - naive).abs() / naive.max(1.0);
+        assert!(err <= 1e-12, "{}: kernel {d} vs naive {naive}", what());
+        drift = drift.max(err);
+        pairs += 1;
+    };
+    // Every (kind, length) pair, twice over.
+    for case in 0..2 * FAMILY_KINDS * LENGTHS.len() {
+        let (kind, n) = (
+            case % FAMILY_KINDS,
+            LENGTHS[case / FAMILY_KINDS % LENGTHS.len()],
+        );
+        let family = family_of_kind(kind, &mut rng, n);
         let (index, q) = walks_and_query(&mut rng, n);
-        let Some(mut kernel) = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
-        else {
-            assert!(reversed, "{} over length {n} turned down", family.name());
-            turned_down += 1;
-            continue;
-        };
-        assert!(!reversed, "a reversal served over length {n}");
-        served[len] += 1;
-        let check = |d: f64, naive: f64, what: &str| {
-            assert!(
-                (d - naive).abs() <= 1e-12 * naive.max(1.0),
-                "{what}: kernel {d} vs naive {naive}"
-            );
-        };
-        // Twice round, so that the second touch of a candidate reads the
-        // row the first one filled.
-        for seq in (0..index.len()).chain(0..index.len()) {
-            let x = index.fetch(seq).unwrap();
-            let row = kernel.touch(seq).unwrap();
-            for (ti, t) in family.transforms().iter().enumerate() {
-                check(
-                    kernel.distance_below(row, ti, f64::INFINITY).unwrap(),
-                    t.transformed_distance(&x, &q),
-                    &format!("{} on sequence {seq}, length {n}", t.label()),
-                );
-                pairs += 1;
+        let features: Vec<SeqFeatures> = (0..index.len())
+            .map(|i| SeqFeatures::extract(&index.fetch_series(i).unwrap()).unwrap())
+            .collect();
+        let shifted = Transform::paper_shift(2, n).apply_spectrum(&q.spectrum);
+        let lopsided = SeqFeatures::from_spectrum(shifted, q.mean, q.std);
+        assert!(!lopsided.conj_symmetric);
+
+        for target in [&q, &lopsided] {
+            for mode in [QueryMode::Symmetric, QueryMode::DataOnly] {
+                let mut kernel = VerifyKernel::for_query(&index, &family, target, mode);
+                // Twice round, so that the second touch of a candidate
+                // reads the row the first one filled; then k-NN's way in,
+                // one slot refilled per candidate.
+                for (i, seq) in (0..12).chain(0..12).chain([3, 0, 3]).enumerate() {
+                    let touch = if i < 24 {
+                        kernel.touch(seq)
+                    } else {
+                        kernel.touch_once(seq)
+                    };
+                    let row = touch.unwrap();
+                    for (ti, t) in family.transforms().iter().enumerate() {
+                        let naive = match mode {
+                            QueryMode::Symmetric => t.transformed_distance(&features[seq], target),
+                            QueryMode::DataOnly => t.distance_data_only(&features[seq], target),
+                        };
+                        check(kernel.distance(row, ti), naive, &|| {
+                            format!("{} {mode:?} on sequence {seq}, length {n}", t.label())
+                        });
+                    }
+                }
+                assert_eq!(kernel.touches, 27);
             }
         }
-        assert_eq!(kernel.touches, 2 * index.len() as u64);
-        // k-NN's way in: one slot, refilled per candidate.
-        for seq in [3usize, 0, 3] {
-            let x = index.fetch(seq).unwrap();
-            let row = kernel.touch_once(seq).unwrap();
-            for (ti, t) in family.transforms().iter().enumerate() {
-                check(
-                    kernel.distance_below(row, ti, f64::INFINITY).unwrap(),
-                    t.transformed_distance(&x, &q),
-                    &format!("{} on sequence {seq} alone, length {n}", t.label()),
-                );
+
+        // Both joins, over the pairs of the first eight sequences; the
+        // paired join's right side is each member inverted.
+        let right = family.compose(&Family::new("inv", vec![Transform::inversion(n)]));
+        let mut self_join = VerifyKernel::for_self_join(&index, &family);
+        let mut paired = VerifyKernel::for_paired_join(&index, &family, &right);
+        for a in 0..8 {
+            for b in a + 1..8 {
+                let row = self_join.pair(a, b).unwrap();
+                let (ra, rb) = (paired.touch(a).unwrap(), paired.touch(b).unwrap());
+                let (x, y) = (&features[a], &features[b]);
+                for ti in 0..family.len() {
+                    let (l, r) = (&family.transforms()[ti], &right.transforms()[ti]);
+                    let what = || format!("{} on ({a}, {b}), length {n}", l.label());
+                    check(
+                        self_join.distance(row, ti),
+                        l.transformed_distance(x, y),
+                        &what,
+                    );
+                    let got = paired.paired_below(ra, rb, ti, f64::INFINITY).unwrap();
+                    check(got, pair_spectrum_distance(l, r, x, y), &what);
+                }
             }
         }
     }
-    assert!(
-        served.iter().all(|&s| s >= 8) && turned_down == CASES / 2,
-        "kernel served {served:?} cases per length, turned {turned_down} down"
-    );
-    assert!(pairs > 5000, "{pairs} pairs compared");
+    assert!(pairs > 50_000, "{pairs} pairs compared");
+    println!("kernel vs naive: max relative drift {drift:e} over {pairs} pairs");
 }
 
-/// The early abandon is exact: with ε set to a member's full-sum distance
-/// and to the floats either side of it, `verify` accepts exactly the
-/// members whose full-sum distance is `< ε`, reports that sum, and counts
-/// every member as one comparison.
+/// The early abandon is exact, on the linear arm and the complex one:
+/// with ε set to a member's full-sum distance and to the floats either
+/// side of it, `distance_below` reports a member exactly when its full-sum
+/// distance is `< ε`, and reports that sum — symmetric and data-only
+/// queries alike.
 #[test]
 fn early_abandon_decides_as_the_full_sum() {
     use crate::engine::VerifyKernel;
     use crate::query::QueryMode;
 
     let mut rng = SeededRng::seed_from_u64(0xAB4D);
-    let (mut accepted, mut rejected) = (0, 0);
-    for _ in 0..CASES {
-        let n = [64, 100, 128][rng.random_range(0..3usize)];
-        let family = linear_family(&mut rng, n);
+    let (mut accepted, mut rejected) = ([0; 2], [0; 2]);
+    for case in 0..CASES {
+        let n = [64, 100, 127, 128][rng.random_range(0..4usize)];
+        let family = family_of_kind(rng.random_range(0..FAMILY_KINDS), &mut rng, n);
         let (index, q) = walks_and_query(&mut rng, n);
-        let mut kernel = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
-            .expect("a linear family is served");
-        let all: Vec<usize> = (0..family.len()).collect();
+        let (m, mode) = [(0, QueryMode::Symmetric), (1, QueryMode::DataOnly)][case % 2];
+        let mut kernel = VerifyKernel::for_query(&index, &family, &q, mode);
         for seq in 0..index.len() {
             let row = kernel.touch(seq).unwrap();
-            let full: Vec<f64> = all
-                .iter()
-                .map(|&ti| kernel.distance_below(row, ti, f64::INFINITY).unwrap())
-                .collect();
+            let full: Vec<f64> = (0..family.len()).map(|t| kernel.distance(row, t)).collect();
             let d = full[rng.random_range(0..full.len())];
             for eps in [d.next_down(), d, d.next_up(), 0.5 * d] {
-                let (mut comparisons, mut out) = (0, Vec::new());
-                kernel
-                    .verify(seq, &all, eps, &mut comparisons, &mut out)
-                    .unwrap();
-                assert_eq!(comparisons, all.len() as u64);
-                let want: Vec<(usize, u64)> = full
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d < eps)
-                    .map(|(ti, d)| (ti, d.to_bits()))
-                    .collect();
-                let got: Vec<(usize, u64)> = out
-                    .iter()
-                    .map(|m| (m.transform, m.dist.to_bits()))
-                    .collect();
-                assert_eq!(got, want, "{} on sequence {seq}, ε = {eps}", family.name());
-                accepted += got.len();
-                rejected += all.len() - got.len();
+                for (t, &full) in full.iter().enumerate() {
+                    let got = kernel.distance_below(row, t, eps).map(f64::to_bits);
+                    let want = (full < eps).then_some(full.to_bits());
+                    assert_eq!(got, want, "{} {mode:?}: {seq}, ε = {eps}", family.name());
+                    let tally = if want.is_some() {
+                        &mut accepted
+                    } else {
+                        &mut rejected
+                    };
+                    tally[m] += 1;
+                }
             }
         }
     }
     assert!(
-        accepted > 1000 && rejected > 1000,
-        "{accepted} accepted, {rejected} rejected"
+        accepted.iter().chain(&rejected).all(|&k| k > 500),
+        "{accepted:?} accepted, {rejected:?} rejected (symmetric, data-only)"
     );
 }

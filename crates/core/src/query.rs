@@ -22,7 +22,6 @@
 
 use crate::feature::{FRect, FeatureVec, ANGLE_DIMS, DIMS, MAG_DIMS};
 use crate::tmbr::TransformMbr;
-use crate::transform::Transform;
 use tseries::distance_threshold_for_correlation;
 
 /// Which side(s) of the comparison a transformation applies to.
@@ -451,15 +450,6 @@ pub fn mt_query_region(mbr: &TransformMbr, q: &FeatureVec, mode: QueryMode) -> F
     }
 }
 
-/// The ST-index query region for a single transformation: the (degenerate)
-/// rectangle at `t(q)` — or at `q` for data-only queries.
-pub fn st_query_region(t: &Transform, q: &FeatureVec, mode: QueryMode) -> FRect {
-    match mode {
-        QueryMode::Symmetric => rstartree::Rect::point(t.apply_point(q)),
-        QueryMode::DataOnly => rstartree::Rect::point(*q),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,14 +637,16 @@ mod tests {
         }
     }
 
+    /// ST-index's region is MT's over a one-member rectangle: the point
+    /// `t(q)` itself — or `q` for data-only queries.
     #[test]
     fn st_region_is_transformed_point() {
-        let t = crate::transform::Transform::moving_average(5, 32);
+        let family = crate::transform::Family::moving_averages(5..=5, 32);
+        let mbr = TransformMbr::of(&family, vec![0]);
         let q: FeatureVec = [1.0, 2.0, 0.5, -0.3, 0.2, 1.0];
-        let r = st_query_region(&t, &q, QueryMode::Symmetric);
-        let tp = t.apply_point(&q);
-        assert_eq!(r, Rect::point(tp));
-        let r = st_query_region(&t, &q, QueryMode::DataOnly);
+        let r = mt_query_region(&mbr, &q, QueryMode::Symmetric);
+        assert_eq!(r, Rect::point(family.transforms()[0].apply_point(&q)));
+        let r = mt_query_region(&mbr, &q, QueryMode::DataOnly);
         assert_eq!(r, Rect::point(q));
     }
 }

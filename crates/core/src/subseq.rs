@@ -17,15 +17,23 @@
 //! I/O accounting of [`crate::index::SeqIndex`] concerns the paper's own
 //! experiments, which are whole-sequence).
 
-use crate::engine::pair_distance;
 use crate::feature::{FRect, SeqFeatures};
-use crate::query::{mt_query_region, Filter, RangeSpec};
+use crate::query::{mt_query_region, Filter, QueryMode, RangeSpec};
 use crate::report::{EngineMetrics, QueryError};
 use crate::tmbr::TransformMbr;
-use crate::transform::Family;
+use crate::transform::{Family, Transform};
 use rstartree::{bulk_load_str, PagedStore, Params, RStarTree, Rect};
 use std::time::Instant;
 use tseries::TimeSeries;
+
+/// The distance of one window/pattern pair under one transformation,
+/// respecting the query mode.
+fn pair_distance(t: &Transform, x: &SeqFeatures, q: &SeqFeatures, mode: QueryMode) -> f64 {
+    match mode {
+        QueryMode::Symmetric => t.transformed_distance(x, q),
+        QueryMode::DataOnly => t.distance_data_only(x, q),
+    }
+}
 
 /// One qualifying subsequence.
 #[derive(Clone, Copy, Debug, PartialEq)]

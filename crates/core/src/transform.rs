@@ -21,6 +21,12 @@ use std::ops::RangeInclusive;
 use tsfft::{fft, Complex64};
 
 /// A linear transformation with index-level and spectrum-level actions.
+///
+/// Every constructor leaves the magnitude addends at 0 and sets all angle
+/// multipliers to 1 — or, for time reversal and what it composes into, all
+/// to −1. So coefficient `f` maps to `m_f·X_f`, or `m_f·conj(X_f)`, with
+/// `m_f = a_f·e^{iφ_f}`: the form step 5's verification kernel computes
+/// with.
 #[derive(Clone, Debug)]
 pub struct Transform {
     label: String,
@@ -35,14 +41,6 @@ pub struct Transform {
     /// Whether the action is conjugate-symmetric (coefficient `n−f`
     /// mirrors `f`), enabling the half-spectrum distance fast path.
     symmetric: bool,
-    /// Whether every angle multiplier is exactly 1 and every magnitude
-    /// addend exactly 0 — true of every convolution-derived operator,
-    /// scaling, inversion and band-pass and of their compositions, false
-    /// of time reversal. Then the action is the paper's linear one,
-    /// coefficient `f` times `a_f·e^{iφ_f}`, the phase cancels in
-    /// `D(t(x), t(q))` and each coefficient contributes
-    /// `a_f²·|X_f − Q_f|²` — the form `engine::VerifyKernel` computes.
-    linear: bool,
 }
 
 impl Transform {
@@ -55,7 +53,6 @@ impl Transform {
             spec_a: vec![0.0; 2 * n],
             spec_b: vec![0.0; 2 * n],
             symmetric: true,
-            linear: true,
         };
         for f in 0..n {
             t.spec_a[2 * f] = 1.0; // magnitude × 1
@@ -74,10 +71,16 @@ impl Transform {
     /// arbitrary angle when its FFT is Bluestein's — and a zero has no
     /// angle to mirror, so angles are compared only where the magnitude
     /// multiplier is above `1e-12·max_f a_f` or a magnitude addend is set.
-    /// Records [`Self::linear`] in the same pass.
     fn detect_symmetry(&mut self) {
         let n = self.seq_len();
-        self.linear = (0..n).all(|f| self.spec_a[2 * f + 1] == 1.0 && self.spec_b[2 * f] == 0.0);
+        // Every constructor ends here: one complex factor per coefficient.
+        let s = self.spec_a[1];
+        debug_assert!(
+            s.abs() == 1.0
+                && (0..n).all(|f| self.spec_a[2 * f + 1] == s && self.spec_b[2 * f] == 0.0),
+            "{}: not one complex factor per coefficient",
+            self.label
+        );
         let noise = 1e-12 * (0..n).map(|f| self.spec_a[2 * f].abs()).fold(0.0, f64::max);
         let zeroed = |f: usize| self.spec_a[2 * f].abs() <= noise && self.spec_b[2 * f] == 0.0;
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs() + b.abs());
@@ -318,17 +321,27 @@ impl Transform {
         self.spec_a.len() / 2
     }
 
-    /// True when the symmetric distance under this transformation is
-    /// `Σ_f w_f·a_f²·|X_f − Q_f|²` over the half spectrum (`w = 1, 2, …,
-    /// 2, 1`): the action is conjugate-symmetric, every angle multiplier
-    /// is exactly 1 and every magnitude addend exactly 0.
-    pub(crate) fn half_spectrum_linear(&self) -> bool {
-        self.symmetric && self.linear
+    /// Whether the action is conjugate-symmetric: coefficient `n−f`
+    /// mirrors `f` (Eq. 6), so a half spectrum stands for the whole.
+    pub(crate) fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// The multiplier `a_f` of coefficient `f`'s magnitude.
     pub(crate) fn magnitude_multiplier(&self, f: usize) -> f64 {
         self.spec_a[2 * f]
+    }
+
+    /// Coefficient `f`'s action as one complex factor `m_f = a_f·e^{iφ_f}`:
+    /// `t(X)_f = m_f·X_f`, or `m_f·conj(X_f)` when [`Self::conjugates`].
+    pub(crate) fn factor(&self, f: usize) -> Complex64 {
+        Complex64::from_polar(self.spec_a[2 * f], self.spec_b[2 * f + 1])
+    }
+
+    /// Whether the action conjugates each coefficient before scaling it —
+    /// angle multipliers of −1 (time reversal and its compositions).
+    pub(crate) fn conjugates(&self) -> bool {
+        self.spec_a[1] < 0.0
     }
 
     /// The multiplicative feature-space part `a`.
@@ -384,19 +397,15 @@ impl Transform {
     }
 
     /// Exact `D(t(x), t(q))` over the full transformed spectra — the
-    /// post-processing distance of Algorithm 1, step 5.
+    /// post-processing distance of Algorithm 1, step 5, as the scan
+    /// oracles compute it.
     ///
-    /// This is the hot loop of every engine. Per coefficient the squared
-    /// difference is evaluated in polar form (law of cosines, exact):
-    /// `|A−B|² = r_A² + r_B² − 2·r_A·r_B·cos(θ_A − θ_B)`. When the
-    /// transformation is conjugate-symmetric (every convolution-style
-    /// operator is), coefficient `n−f` contributes the same as `f`
-    /// (Eq. 6), so only half the spectrum is visited.
+    /// Per coefficient the squared difference is evaluated in polar form
+    /// (law of cosines, exact): `|A−B|² = r_A² + r_B² − 2·r_A·r_B·cos(θ_A
+    /// − θ_B)`. The index engines verify on `engine::VerifyKernel`, the
+    /// same distance in the paper's linear form.
     pub fn transformed_distance(&self, x: &SeqFeatures, q: &SeqFeatures) -> f64 {
-        debug_assert_eq!(x.len(), q.len());
-        let n = x.len();
-        debug_assert_eq!(n, self.seq_len());
-        let term = |f: usize| -> f64 {
+        self.spectral_distance(x, q, |f| {
             let (rx, tx) = x.polar[f];
             let (rq, tq) = q.polar[f];
             let a_r = self.spec_a[2 * f];
@@ -405,20 +414,7 @@ impl Transform {
             let (ra, rb) = (a_r * rx + b_r, a_r * rq + b_r);
             let dth = a_t * (tx - tq); // the shared b_t cancels in the difference
             ra * ra + rb * rb - 2.0 * ra * rb * dth.cos()
-        };
-        let acc = if self.symmetric && x.conj_symmetric && q.conj_symmetric {
-            let mut acc = term(0);
-            for f in 1..n.div_ceil(2) {
-                acc += 2.0 * term(f);
-            }
-            if n.is_multiple_of(2) {
-                acc += term(n / 2);
-            }
-            acc
-        } else {
-            (0..n).map(term).sum()
-        };
-        acc.max(0.0).sqrt()
+        })
     }
 
     /// `D(t(x), q)` — the transformation applied to the **data side only**.
@@ -432,16 +428,26 @@ impl Transform {
     /// Algorithm 1's step 2, which builds the search rectangle around `q`
     /// itself.
     pub fn distance_data_only(&self, x: &SeqFeatures, q: &SeqFeatures) -> f64 {
-        debug_assert_eq!(x.len(), q.len());
-        let n = x.len();
-        debug_assert_eq!(n, self.seq_len());
-        let term = |f: usize| -> f64 {
+        self.spectral_distance(x, q, |f| {
             let (rx, tx) = x.polar[f];
             let (rq, tq) = q.polar[f];
             let ra = self.spec_a[2 * f] * rx + self.spec_b[2 * f];
             let ta = self.spec_a[2 * f + 1] * tx + self.spec_b[2 * f + 1];
             ra * ra + rq * rq - 2.0 * ra * rq * (ta - tq).cos()
-        };
+        })
+    }
+
+    /// `sqrt(Σ_f term(f))` over the spectrum. When the transformation and
+    /// both sides are conjugate-symmetric, coefficient `n−f` contributes
+    /// the same as `f` (Eq. 6), so only half the spectrum is visited.
+    fn spectral_distance(
+        &self,
+        x: &SeqFeatures,
+        q: &SeqFeatures,
+        term: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let n = x.len();
+        debug_assert!(q.len() == n && self.seq_len() == n);
         let acc = if self.symmetric && x.conj_symmetric && q.conj_symmetric {
             let mut acc = term(0);
             for f in 1..n.div_ceil(2) {

@@ -151,21 +151,21 @@ impl DynHeapFile {
 
     /// Runs `f` over the record at `rid` where it lies in the pool — one
     /// page access, no copy. The page stays pinned while `f` runs.
+    ///
+    /// A slot at or past the page's stored record count — a page damaged
+    /// on disk, since `rid` came from this heap — is a corrupt-page error.
     pub fn with_record<R>(
         &self,
         rid: RecordId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, PageError> {
         self.pool.with_page(rid.page, |p| {
-            let count = p.get_u16(0);
-            assert!(
-                rid.slot < count,
-                "slot {} out of bounds (count {count})",
-                rid.slot
-            );
+            if rid.slot >= p.get_u16(0) {
+                return Err(PageError::corrupt(rid.page));
+            }
             let off = HEADER + rid.slot as usize * self.record_size;
-            f(p.get_bytes(off, self.record_size))
-        })
+            Ok(f(p.get_bytes(off, self.record_size)))
+        })?
     }
 
     /// The record id for the `ordinal`-th inserted record.

@@ -87,17 +87,21 @@ impl RfftPlan {
 
     /// Coefficients `0..=n/2` of the spectrum of `x` into `out` — all a
     /// real signal has (Eq. 6: `X[n−f] = conj(X[f])`), bit for bit the
-    /// first `n/2 + 1` entries of [`Self::forward`].
+    /// first `n/2 + 1` entries of [`Self::forward`], for every `n ≥ 1`. An
+    /// odd `n` (or `n = 1`) runs the general complex path, which has no
+    /// half to stop at, and keeps the first `n/2 + 1` coefficients.
     ///
     /// # Panics
     ///
-    /// Panics when `n` is odd or below 2 (the general complex path has no
-    /// half to stop at), or when `x` or `out` has the wrong length.
+    /// Panics when `x` or `out` has the wrong length.
     pub fn forward_half(&mut self, x: &[f64], out: &mut [Complex64]) {
         let (n, m) = (self.n, self.n / 2);
-        assert!(!self.untangle.is_empty(), "no half spectrum for length {n}");
         assert_eq!(x.len(), n, "signal length differs from the plan's");
         assert_eq!(out.len(), m + 1, "half spectrum holds n/2 + 1 bins");
+        if self.untangle.is_empty() {
+            out.copy_from_slice(&self.forward(x)[..=m]);
+            return;
+        }
 
         // Pack pairs into a complex signal z[k] = x[2k] + j·x[2k+1].
         self.z.clear();
@@ -231,23 +235,22 @@ mod tests {
                     want.iter().map(bits).collect::<Vec<_>>(),
                     "n={n} round={round}"
                 );
-                if n >= 2 && n.is_multiple_of(2) {
-                    let mut half = vec![Complex64::ZERO; n / 2 + 1];
-                    plan.forward_half(&x, &mut half);
-                    assert_eq!(
-                        half.iter().map(bits).collect::<Vec<_>>(),
-                        want[..=n / 2].iter().map(bits).collect::<Vec<_>>(),
-                        "half, n={n} round={round}"
-                    );
-                }
+                // Odd lengths too: the general path, cut at n/2 + 1.
+                let mut half = vec![Complex64::ZERO; n / 2 + 1];
+                plan.forward_half(&x, &mut half);
+                assert_eq!(
+                    half.iter().map(bits).collect::<Vec<_>>(),
+                    want[..=n / 2].iter().map(bits).collect::<Vec<_>>(),
+                    "half, n={n} round={round}"
+                );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "no half spectrum")]
-    fn half_spectrum_needs_an_even_length() {
-        RfftPlan::new(7).forward_half(&[0.0; 7], &mut [Complex64::ZERO; 4]);
+    #[should_panic(expected = "n/2 + 1 bins")]
+    fn half_spectrum_needs_n_over_2_plus_1_bins() {
+        RfftPlan::new(7).forward_half(&[0.0; 7], &mut [Complex64::ZERO; 7]);
     }
 
     #[test]

@@ -23,10 +23,12 @@
 #                           # and STATS over the wire, plus simserve's
 #                           # unit tests (the admission gate's among them)
 #   scripts/ci.sh engines   # tier-2: what pins "ST-index is MT-index over
-#                           # singleton rectangles" — the engine, planner
-#                           # and Eq. 12 unit tests, the figure counters
-#                           # against tests/golden/, recall, ordering,
-#                           # extensions and the sharded planner parity
+#                           # singleton rectangles" and "one step 5" — the
+#                           # engine, planner and Eq. 12 unit tests, the
+#                           # figure counters against tests/golden/,
+#                           # recall, ordering, extensions, the sharded
+#                           # planner parity, the FFT under the kernel and
+#                           # the engines under seeded faults
 #   scripts/ci.sh storage   # tier-2: what pins "one node store" — the page
 #                           # devices under it, the R*-tree's unit,
 #                           # property and doc tests on PagedStore, and
@@ -90,6 +92,8 @@ engines|-p simquery --test recall|Lemma 1 recall, ordered families, extensions
 engines|-p simquery --test ordering|
 engines|-p simquery --test extensions|
 engines|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards
+engines|-p tsfft|the planned real FFT every candidate row comes from (odd lengths too)
+engines|-p simquery --test chaos|every index engine, joins included, on the kernel under faults
 storage|-p pagestore|page devices, buffer pool and the fault gate
 storage|-p rstartree|the R*-tree on its one node store (unit, property, doc tests)
 storage|-p simquery --lib subseq|the subsequence index: pinned counters at trail lengths 1 and 8
