@@ -17,6 +17,7 @@ use crate::query::{Filter, RangeSpec};
 use crate::report::{EngineMetrics, JoinMatch, JoinResult, QueryError};
 use crate::tmbr::TransformMbr;
 use crate::transform::{Family, Transform};
+use pagestore::{PageError, PageId};
 use std::time::Instant;
 
 /// Query 2 by nested-loop scan: all `|S|·(|S|−1)/2` pairs × all
@@ -104,6 +105,7 @@ pub fn mt_join_with_mbrs(
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
     let mut kernel = VerifyKernel::for_self_join(index, family);
+    let mut row_of = vec![NO_ROW; index.len()];
 
     for mbr in mbrs {
         let mut pairs = Vec::new();
@@ -114,8 +116,11 @@ pub fn mt_join_with_mbrs(
         metrics.node_accesses += stats.nodes_accessed;
         metrics.leaf_accesses += stats.leaf_nodes_accessed;
         metrics.candidates += pairs.len() as u64;
+        // The paper's record accesses: both members of every pair.
+        metrics.record_fetches += 2 * pairs.len() as u64;
+        fill_members(&mut kernel, &mut row_of, &pairs)?;
         for (sa, sb) in pairs {
-            let row = kernel.pair(sa, sb)?;
+            let row = kernel.pair(row_of[sa], row_of[sb]);
             for &ti in &mbr.members {
                 metrics.comparisons += 1;
                 if let Some(dist) = kernel.distance_below(row, ti, eps) {
@@ -132,9 +137,34 @@ pub fn mt_join_with_mbrs(
     }
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok(JoinResult { matches, metrics })
+}
+
+/// No kernel row yet, in a join's ordinal → row table.
+const NO_ROW: usize = usize::MAX;
+
+/// Gives each member of `pairs` that has no row in `row_of` — a dense
+/// ordinal → row table, a join being whole-relation work — the next
+/// kernel row, and fills those rows in heap order
+/// ([`VerifyKernel::fill_rows`]). A member past the relation (a damaged
+/// leaf payload) is a typed corrupt error.
+fn fill_members(
+    kernel: &mut VerifyKernel,
+    row_of: &mut [usize],
+    pairs: &[(usize, usize)],
+) -> Result<(), PageError> {
+    let (first, mut fresh) = (kernel.rows(), Vec::new());
+    for seq in pairs.iter().flat_map(|&(a, b)| [a, b]) {
+        let row = row_of
+            .get_mut(seq)
+            .ok_or(PageError::corrupt(PageId::INVALID))?;
+        if *row == NO_ROW {
+            *row = first + fresh.len();
+            fresh.push(seq);
+        }
+    }
+    kernel.fill_rows(&fresh)
 }
 
 /// Paired-family join: predicate `D(L_i(x), R_i(y)) < ε` for matching
@@ -188,9 +218,12 @@ pub fn mt_join_paired(
     metrics.node_accesses = stats.nodes_accessed;
     metrics.leaf_accesses = stats.leaf_nodes_accessed;
     metrics.candidates = pairs.len() as u64;
+    metrics.record_fetches = 2 * pairs.len() as u64;
 
+    let mut row_of = vec![NO_ROW; index.len()];
+    fill_members(&mut kernel, &mut row_of, &pairs)?;
     for (sa, sb) in pairs {
-        let (ra, rb) = (kernel.touch(sa)?, kernel.touch(sb)?);
+        let (ra, rb) = (row_of[sa], row_of[sb]);
         for ti in 0..left.len() {
             for (seq_a, seq_b, x, y) in [(sa, sb, ra, rb), (sb, sa, rb, ra)] {
                 metrics.comparisons += 1;
@@ -207,7 +240,6 @@ pub fn mt_join_paired(
     }
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok(JoinResult { matches, metrics })
 }

@@ -20,7 +20,11 @@
 //! Step 5 (fetch → verify) has one implementation, `VerifyKernel`, for
 //! every index engine — range queries (ST, MT, partitioned, ordered),
 //! [`knn`]'s refine step and both joins — whatever the family, mode or
-//! length. Its distances equal the naive law-of-cosines ones of
+//! length. Range queries and joins fetch each distinct candidate once, in
+//! heap-page order, and then verify in the paper's order, reading the
+//! kernel's rows by index; k-NN's best-first refine order is the
+//! algorithm, so it fills one row per candidate as it goes. The kernel's
+//! distances equal the naive law-of-cosines ones of
 //! [`Transform::transformed_distance`] / [`Transform::distance_data_only`]
 //! to `1e-12·max(1, d)` wherever that formula does not itself cancel, with
 //! the same pair sets, match order and counters; [`seqscan`],
@@ -44,7 +48,6 @@ use crate::query::QueryMode;
 use crate::report::QueryError;
 use crate::transform::{Family, Transform};
 use pagestore::PageError;
-use std::collections::HashMap;
 use tsfft::{Complex64, RfftPlan};
 
 /// Validates that a family targets the indexed sequence length.
@@ -161,33 +164,35 @@ enum Arm {
 }
 
 /// Algorithm 1 step 5 for one query or one join: fetch each distinct
-/// candidate once, verify every member without trigonometry.
+/// candidate once, in heap order, and verify every member without
+/// trigonometry.
 ///
 /// Every transformation maps coefficient `f` to `m_f·X_f` or
 /// `m_f·conj(X_f)`, `m_f = a_f·e^{iφ_f}` (see [`Transform`]). In a
 /// symmetric distance the phase cancels: per member one table `W_f`
-/// ([`weights`]), per distinct candidate one row `P_f = |X_f − Q_f|²`
-/// filled at first touch, and each touch after that (another of ST's
-/// singleton rectangles, another member, another partition) is one
-/// multiply-add per coefficient. A self-join keeps each candidate's half
-/// spectrum and builds `|X_f − Y_f|²` once per pair. A data-only query
-/// and the paired join keep full spectra and take one complex product per
-/// coefficient and transformed side. Every sum stops exactly at ε
-/// ([`sum_below`]).
+/// ([`weights`]), per distinct candidate one row `P_f = |X_f − Q_f|²`,
+/// and each touch of it (another of ST's singleton rectangles, another
+/// member, another partition) is one multiply-add per coefficient. A
+/// self-join keeps each candidate's half spectrum and builds
+/// `|X_f − Y_f|²` once per pair. A data-only query and the paired join
+/// keep full spectra and take one complex product per coefficient and
+/// transformed side. Every sum stops exactly at ε ([`sum_below`]).
 ///
-/// Rows come straight from the record heap
-/// ([`SeqIndex::normal_form_into`]) through a planned real FFT; no
-/// `SeqFeatures` is built for a candidate, and nothing outlives the
-/// kernel — a feature cache that did would answer without a heap page
-/// access and so change the paper's cost unit.
+/// A caller numbers the rows as it discovers its candidates and hands the
+/// kernel the list ([`Self::fill_rows`]); the kernel fetches them in
+/// ordinal order, which is heap-page order, so each page a query needs is
+/// read once while it is in the pool, and the caller then reads rows by
+/// index in whatever order its algorithm verifies. Rows come straight
+/// from the record heap ([`SeqIndex::normal_form_into`]) through a
+/// planned real FFT; no `SeqFeatures` is built for a candidate, and
+/// nothing outlives the kernel — a feature cache that did would answer
+/// without a heap page access and so change the paper's cost unit.
 pub(crate) struct VerifyKernel<'a> {
     index: &'a SeqIndex,
     arm: Arm,
     /// Coefficients per table, row and target: `n/2 + 1` where Eq. 6 lets
     /// the half spectrum stand for the whole, else `n`.
     span: usize,
-    /// Ordinal → row.
-    rows: HashMap<usize, usize>,
     /// [`Arm::Query`]: row `i` at `span·i`, `|X_f − Q_f|²`.
     arena: Vec<f64>,
     /// Every other arm: row `i` at `span·i`, the candidate's `X_f`.
@@ -195,9 +200,6 @@ pub(crate) struct VerifyKernel<'a> {
     plan: RfftPlan,
     samples: Vec<f64>,
     spectrum: Vec<Complex64>,
-    /// Logical record touches (≥ distinct fetches) — the paper's record
-    /// access count.
-    pub touches: u64,
 }
 
 impl<'a> VerifyKernel<'a> {
@@ -244,68 +246,98 @@ impl<'a> VerifyKernel<'a> {
             index,
             arm,
             span,
-            rows: HashMap::new(),
             arena: Vec::new(),
             spectra: Vec::new(),
             plan: RfftPlan::new(n),
             samples: Vec::with_capacity(n),
             spectrum: vec![Complex64::ZERO; span],
-            touches: 0,
         }
     }
 
-    /// The row of candidate `seq`, fetched (one counted record access)
-    /// and filled the first time the kernel meets it. A damaged record or
-    /// leaf payload is a typed corrupt error.
-    pub fn touch(&mut self, seq: usize) -> Result<usize, PageError> {
-        self.touches += 1;
-        if let Some(&row) = self.rows.get(&seq) {
-            return Ok(row);
+    /// Rows the kernel holds.
+    pub fn rows(&self) -> usize {
+        match self.arm {
+            Arm::Query(..) => self.arena.len() / self.span,
+            _ => self.spectra.len() / self.span,
         }
-        let row = self.rows.len();
-        self.fill(seq, row)?;
-        self.rows.insert(seq, row);
-        Ok(row)
     }
 
-    /// [`Self::touch`] for a caller that meets every candidate once
-    /// (k-NN's refine step): the row goes into the first slot, in place of
-    /// the candidate before, and nothing is remembered — one row however
-    /// many candidates are scored.
+    /// Grows or shrinks the arena of the arm to `rows` rows.
+    fn resize(&mut self, rows: usize) {
+        match self.arm {
+            Arm::Query(..) => self.arena.resize(self.span * rows, 0.0),
+            _ => self.spectra.resize(self.span * rows, Complex64::ZERO),
+        }
+    }
+
+    /// Appends a row per entry of `seqs` — row `r + i` holds candidate
+    /// `seqs[i]`, `r` the rows held before — and fills them in ordinal
+    /// order, which is heap-page order: each record is one counted fetch,
+    /// and the records of one page are read one after another. A sequence
+    /// listed twice is fetched once and its row copied. A damaged record
+    /// or leaf payload is a typed corrupt error.
+    pub fn fill_rows(&mut self, seqs: &[usize]) -> Result<(), PageError> {
+        let first = self.rows();
+        self.resize(first + seqs.len());
+        let mut order: Vec<(usize, usize)> = seqs.iter().copied().zip(first..).collect();
+        order.sort_unstable();
+        let mut last = None;
+        for (seq, row) in order {
+            match last {
+                Some((filled, from)) if filled == seq => self.copy_row(from, row),
+                _ => {
+                    self.fill(seq, row)?;
+                    last = Some((seq, row));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The row of candidate `seq` for a caller that meets every candidate
+    /// once and must score it before it knows the next (k-NN's refine
+    /// step): the one row there is, refilled in place of the candidate
+    /// before.
     pub fn touch_once(&mut self, seq: usize) -> Result<usize, PageError> {
-        self.touches += 1;
-        self.rows.clear();
+        self.resize(1);
         self.fill(seq, 0)?;
         Ok(0)
     }
 
-    /// Fetches candidate `seq` and writes its row `row`, an existing row
-    /// or the next one: `|X_f − Q_f|²` for a symmetric query, `X_f`
-    /// itself otherwise.
+    /// Fetches candidate `seq` and writes row `row`: `|X_f − Q_f|²` for a
+    /// symmetric query, `X_f` itself otherwise.
     fn fill(&mut self, seq: usize, row: usize) -> Result<(), PageError> {
         self.index.normal_form_into(seq, &mut self.samples)?;
-        let (span, n) = (self.span, self.samples.len());
-        let base = span * row;
+        let (n, slot) = (self.samples.len(), self.slot(row));
         let target = match &self.arm {
             Arm::Query(_, q) => Some(q),
             _ => None,
         };
         let x = match target {
             Some(_) => &mut self.spectrum[..],
-            None => row_of(&mut self.spectra, base, span, Complex64::ZERO),
+            None => &mut self.spectra[slot.clone()],
         };
         // Coefficients past n/2 are the mirrors (Eq. 6).
         self.plan.forward_half(&self.samples, &mut x[..n / 2 + 1]);
-        for f in n / 2 + 1..span {
+        for f in n / 2 + 1..self.span {
             x[f] = x[n - f].conj();
         }
         if let Some(q) = target {
-            let p = row_of(&mut self.arena, base, span, 0.0);
+            let p = &mut self.arena[slot];
             for ((p, &x), &q) in p.iter_mut().zip(&self.spectrum).zip(q) {
                 *p = (x - q).norm_sqr();
             }
         }
         Ok(())
+    }
+
+    /// Row `to` becomes a copy of row `from`.
+    fn copy_row(&mut self, from: usize, to: usize) {
+        let (from, to) = (self.slot(from), self.span * to);
+        match self.arm {
+            Arm::Query(..) => self.arena.copy_within(from, to),
+            _ => self.spectra.copy_within(from, to),
+        }
     }
 
     /// The candidate in `row` under family member `member`: its distance
@@ -333,19 +365,18 @@ impl<'a> VerifyKernel<'a> {
             .unwrap_or(f64::INFINITY)
     }
 
-    /// A self-join's pair: candidates `a` and `b` touched (each a counted
-    /// record access) and `|X_f − Y_f|²` written to the row it returns,
-    /// which [`Self::distance_below`] then reads as `D(t(x), t(y))`.
-    pub fn pair(&mut self, a: usize, b: usize) -> Result<usize, PageError> {
-        let (ra, rb) = (self.touch(a)?, self.touch(b)?);
-        let (x, y) = (self.slot(ra), self.slot(rb));
+    /// A self-join's pair: the candidates in rows `x` and `y`, whose
+    /// `|X_f − Y_f|²` goes to the row this returns, which
+    /// [`Self::distance_below`] then reads as `D(t(x), t(y))`.
+    pub fn pair(&mut self, x: usize, y: usize) -> usize {
+        let (x, y) = (self.slot(x), self.slot(y));
         let Arm::SelfJoin(_, pair) = &mut self.arm else {
             unreachable!("only a self-join pairs two candidates")
         };
         for ((p, &x), &y) in pair.iter_mut().zip(&self.spectra[x]).zip(&self.spectra[y]) {
             *p = (x - y).norm_sqr();
         }
-        Ok(0)
+        0
     }
 
     /// The paired join's `D(L_t(x), R_t(y))` for the candidates in rows
@@ -384,13 +415,4 @@ fn complex_below(
         eps,
         chunks.map(|f| (f..n.min(f + ABANDON_STRIDE)).map(&term)),
     )
-}
-
-/// Row `base / span` of an arena of rows `span` long, appended when it is
-/// the next one.
-fn row_of<T: Copy>(arena: &mut Vec<T>, base: usize, span: usize, zero: T) -> &mut [T] {
-    if arena.len() == base {
-        arena.resize(base + span, zero);
-    }
-    &mut arena[base..base + span]
 }

@@ -17,8 +17,16 @@
 //! order and its own `DA_all(q, rᵢ)`, `DA_leaf(q, rᵢ)` — a node is
 //! attributed to every rectangle in its mask — so Eq. 19's per-rectangle
 //! sum, the trade-off Figures 8–9 explore, is reported unchanged while
-//! the device reads each node once. Step 5 then runs rectangle by
-//! rectangle, as `k` separate descents would have run it.
+//! the device reads each node once.
+//!
+//! Step 5 then fetches each distinct candidate once, in heap order — the
+//! descent numbers a candidate's kernel row where it meets the entry, and
+//! the kernel fills the rows in ordinal order — and verifies rectangle by
+//! rectangle, each in its own descent's order, reading rows by index. So
+//! matches, match order, distances and the paper's counters (`record
+//! fetches` included: one per candidate of each rectangle) are those of
+//! `k` descents, while the pool misses are one per heap page the
+//! candidates lie on.
 
 use crate::engine::{check_family, VerifyKernel};
 use crate::feature::{FRect, FeatureVec};
@@ -138,23 +146,40 @@ pub fn range_query_features(
     let mut matches = Vec::new();
     let mut kernel = VerifyKernel::for_query(index, family, q, spec.mode);
 
-    let mut candidates = vec![Vec::new(); mbrs.len()];
-    let traversals = descend(index, mbrs, &q.point, spec.mode, &filter, |slot, seq| {
-        candidates[slot].push(seq)
-    })?;
-    for ((mbr, traversal), candidates) in mbrs.iter().zip(&traversals).zip(candidates) {
+    // A group's descent meets each live leaf entry once, so the candidate
+    // gets its kernel row there, and every rectangle it hit lists that
+    // row; a candidate of several groups has a row in each, filled once.
+    let (mut seqs, mut rows) = (Vec::new(), vec![Vec::new(); mbrs.len()]);
+    let traversals = descend(
+        index,
+        mbrs,
+        &q.point,
+        spec.mode,
+        &filter,
+        |first, seq, mask| {
+            for j in mask_bits(mask) {
+                rows[first + j].push(seqs.len());
+            }
+            seqs.push(seq);
+        },
+    )?;
+    // Step 5: retrieve the full records in heap order...
+    kernel.fill_rows(&seqs)?;
+    for ((mbr, traversal), rows) in mbrs.iter().zip(&traversals).zip(rows) {
         metrics.node_accesses += traversal.da_all;
         metrics.leaf_accesses += traversal.da_leaf;
         metrics.candidates += traversal.candidates;
+        // The paper's record accesses: one per candidate of each rectangle.
+        metrics.record_fetches += rows.len() as u64;
 
-        // Step 5, rectangle by rectangle: retrieve full records and verify
-        // every member, each one comparison however early it is abandoned
-        // — or, over an ordered family, whose rectangle members are
-        // contiguous ranks, binary-search the maximal qualifying rank and
-        // verify the members at or below it uncounted: the decision took
-        // log|T| comparisons (§4.4's accounting).
-        for seq in candidates {
-            let row = kernel.touch(seq)?;
+        // ...then verify rectangle by rectangle, in each one's descent
+        // order, every member, each one comparison however early it is
+        // abandoned — or, over an ordered family, whose rectangle members
+        // are contiguous ranks, binary-search the maximal qualifying rank
+        // and verify the members at or below it uncounted: the decision
+        // took log|T| comparisons (§4.4's accounting).
+        for row in rows {
+            let seq = seqs[row];
             let members = match ordered {
                 None => {
                     metrics.comparisons += mbr.members.len() as u64;
@@ -182,7 +207,6 @@ pub fn range_query_features(
 
     let after = index.counters();
     metrics.record_page_accesses = after.record_page_reads - before.record_page_reads;
-    metrics.record_fetches = kernel.touches;
     metrics.wall = start.elapsed();
     Ok((QueryResult { matches, metrics }, traversals))
 }
@@ -202,7 +226,7 @@ pub fn probe(
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
-    descend(index, mbrs, &q.point, spec.mode, &filter, |_, _| {})
+    descend(index, mbrs, &q.point, spec.mode, &filter, |_, _, _| {})
 }
 
 /// Rectangles one descent serves: the bits of a `u64` mask.
@@ -215,9 +239,10 @@ pub(crate) const MASK_WIDTH: usize = 64;
 /// Eq. 12 — in the dimensions the filter looks at, see
 /// [`crate::query::RectFilter`] — against the rectangles whose own descent
 /// would have reached it, and hands each surviving leaf entry to
-/// `on_candidate(slot, seq)` once per rectangle it hit, ascending. So the
-/// candidates of slot `j` arrive in the order its own descent yields them,
-/// and its [`RectTraversal`] counts that descent's nodes.
+/// `on_entry(first, seq, mask)` once per group: bit `j` of `mask` set for
+/// each rectangle `first + j` it hit. So the entries with bit `j` set
+/// arrive in the order rectangle `first + j`'s own descent yields its
+/// candidates, and its [`RectTraversal`] counts that descent's nodes.
 ///
 /// An entry first meets the group's hull ([`TransformMbr::hull`]), window
 /// tests only: the hull's bounds contain every member's, so it never
@@ -231,7 +256,7 @@ pub(crate) fn descend(
     q: &FeatureVec,
     mode: QueryMode,
     filter: &Filter,
-    mut on_candidate: impl FnMut(usize, usize),
+    mut on_entry: impl FnMut(usize, usize, u64),
 ) -> Result<Vec<RectTraversal>, QueryError> {
     let mut traversals = Vec::with_capacity(mbrs.len());
     for (g, group) in mbrs.chunks(MASK_WIDTH).enumerate() {
@@ -239,11 +264,8 @@ pub(crate) fn descend(
             .iter()
             .map(|mbr| filter.bind(mbr, mt_query_region(mbr, q, mode)))
             .collect();
-        let mut on_data = |_: &FRect, data: u64, mask: u64| {
-            for j in mask_bits(mask) {
-                on_candidate(g * MASK_WIDTH + j, data as usize);
-            }
-        };
+        let mut on_data =
+            |_: &FRect, data: u64, mask: u64| on_entry(g * MASK_WIDTH, data as usize, mask);
         // One rectangle gets a walk of its own, with neither hull nor mask
         // loop, so a one-rectangle plan costs what a plain search does.
         let (per_rect, _) = match &bounds[..] {

@@ -19,7 +19,7 @@
 
 use rstartree::Rect;
 use tseries::TimeSeries;
-use tsfft::Complex64;
+use tsfft::{Complex64, RfftPlan};
 
 /// Number of feature dimensions.
 pub const DIMS: usize = 6;
@@ -114,16 +114,8 @@ impl SeqFeatures {
         mean: f64,
         std: f64,
     ) -> Self {
-        let mut point = [0.0; DIMS];
-        point[0] = mean;
-        point[1] = std;
-        for (k, (&md, &ad)) in MAG_DIMS.iter().zip(&ANGLE_DIMS).enumerate() {
-            let (r, theta) = polar[k + 1];
-            point[md] = r;
-            point[ad] = theta;
-        }
         Self {
-            point,
+            point: index_point(mean, std, |f| polar[f]),
             mean,
             std,
             spectrum,
@@ -153,6 +145,59 @@ impl SeqFeatures {
             .map(|(a, b)| (*a - *b).norm_sqr())
             .sum::<f64>()
             .sqrt()
+    }
+}
+
+/// The index point of a sequence with mean `mean`, deviation `std` and
+/// normal-form coefficients in polar form `polar(f)`.
+fn index_point(mean: f64, std: f64, polar: impl Fn(usize) -> (f64, f64)) -> FeatureVec {
+    let mut point = [0.0; DIMS];
+    point[0] = mean;
+    point[1] = std;
+    for (k, (&md, &ad)) in MAG_DIMS.iter().zip(&ANGLE_DIMS).enumerate() {
+        (point[md], point[ad]) = polar(k + 1);
+    }
+    point
+}
+
+/// The index point alone, for the build and mutation paths of
+/// [`crate::index::SeqIndex`]: [`SeqFeatures::extract`]'s `point`, bit for
+/// bit — the same normal form, the same first `n/2 + 1` coefficients
+/// ([`RfftPlan::forward_half`] is [`tsfft::rfft`]'s there, any length)
+/// and the same polar form of coefficients `1..=COEFFS` — with one plan
+/// for every sequence of the length and no polar form of the rest.
+/// `delete_series` finds a tree entry by this point, in an index built
+/// with it or one an older build wrote through `extract`.
+pub(crate) struct PointExtractor {
+    plan: RfftPlan,
+    samples: Vec<f64>,
+    half: Vec<Complex64>,
+}
+
+impl PointExtractor {
+    /// An extractor for sequences of length `n`.
+    pub fn new(n: usize) -> Self {
+        Self {
+            plan: RfftPlan::new(n),
+            samples: Vec::with_capacity(n),
+            half: vec![Complex64::ZERO; n / 2 + 1],
+        }
+    }
+
+    /// The index point of `ts`; `None` where [`SeqFeatures::extract`] is.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ts` is not of the extractor's length.
+    pub fn point(&mut self, ts: &TimeSeries) -> Option<FeatureVec> {
+        if ts.len() <= 2 * COEFFS {
+            return None;
+        }
+        self.samples.clear();
+        self.samples.extend_from_slice(ts.values());
+        let (mean, std) = tseries::normalize_in_place(&mut self.samples)?;
+        self.plan.forward_half(&self.samples, &mut self.half);
+        Some(index_point(mean, std, |f| self.half[f].to_polar()))
     }
 }
 
@@ -220,6 +265,28 @@ mod tests {
                 assert!(got.conj_symmetric && want.conj_symmetric, "len {len}");
             }
         }
+    }
+
+    /// The build and mutation paths' point is `extract`'s, bit for bit,
+    /// over one extractor per length — the tree entry `delete_series`
+    /// looks for is the one the build stored.
+    #[test]
+    fn point_extractor_is_extract_bit_for_bit() {
+        let mut rng = tseries::rng::SeededRng::seed_from_u64(0x9017);
+        for len in [64usize, 100, 127, 128] {
+            let mut points = PointExtractor::new(len);
+            for _ in 0..40 {
+                let ts = tseries::random_walk(&mut rng, len, 500.0);
+                let want = SeqFeatures::extract(&ts).unwrap().point;
+                let got = points.point(&ts).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "len {len}");
+            }
+            assert!(points.point(&TimeSeries::new(vec![7.0; len])).is_none());
+        }
+        assert!(PointExtractor::new(3)
+            .point(&TimeSeries::new(vec![1.0, 2.0, 3.0]))
+            .is_none());
     }
 
     #[test]

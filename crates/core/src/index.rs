@@ -6,7 +6,7 @@
 //! the full record lives in a paged relation, fetched during Algorithm 1's
 //! post-processing step. Both access streams are counted.
 
-use crate::feature::{FRect, SeqFeatures, DIMS};
+use crate::feature::{FRect, PointExtractor, SeqFeatures, DIMS};
 use crate::report::QueryError;
 use pagestore::{BufferPool, Disk, DynHeapFile, PageDevice, PageError};
 use rstartree::{bulk_load_str, Neighbor, PagedStore, Params, RStarTree, SearchStats};
@@ -37,10 +37,14 @@ pub struct AccessCounters {
     /// Tree node reads.
     pub node_reads: u64,
     /// Record-heap page reads that missed the pool (physical accesses).
+    /// Step 5 reads a query's candidates in heap order, so from a cold
+    /// pool a range query misses each page they lie on once.
     pub record_page_reads: u64,
-    /// Logical record fetches (every candidate fetch and `fetch_series`),
-    /// regardless of buffering — the paper's Fig. 8–9 count accesses this
-    /// way (its per-query numbers far exceed the distinct page count).
+    /// Records read (every step-5 fetch and `fetch_series`), regardless of
+    /// buffering. A range query or join reads each distinct candidate
+    /// once; the paper's count — a fetch per candidate of each rectangle,
+    /// or per member of each pair, as Fig. 8–9 report it — is
+    /// `EngineMetrics::record_fetches`.
     pub record_fetches: u64,
 }
 
@@ -69,6 +73,8 @@ pub struct SeqIndex {
     deleted_count: usize,
     leaf_capacity: usize,
     fetches: std::sync::atomic::AtomicU64,
+    // The feature points of inserted and deleted sequences.
+    points: PointExtractor,
     // Checkpoint epoch recorded in the snapshot this index was opened
     // from (1 for fresh builds); `Wal::open` reconciles its log against
     // this value. Advanced by `save_with_epoch` on disk, not in memory —
@@ -130,11 +136,12 @@ impl SeqIndex {
         let mut skipped = Vec::new();
         let mut items: Vec<(FRect, u64)> = Vec::with_capacity(corpus.len());
         let mut buf = vec![0u8; seq_len * 8];
+        let mut points = PointExtractor::new(seq_len);
         for (ordinal, ts) in corpus.series().iter().enumerate() {
             encode_record(ts, &mut buf);
             rids.push(heap.insert(&buf)?);
-            match SeqFeatures::extract(ts) {
-                Some(f) => items.push((rstartree::Rect::point(f.point), ordinal as u64)),
+            match points.point(ts) {
+                Some(point) => items.push((rstartree::Rect::point(point), ordinal as u64)),
                 None => skipped.push(ordinal),
             }
         }
@@ -163,6 +170,7 @@ impl SeqIndex {
             deleted_count: 0,
             leaf_capacity,
             fetches: std::sync::atomic::AtomicU64::new(0),
+            points,
             wal_epoch: 1,
             _dir_lock: None,
         }))
@@ -183,11 +191,10 @@ impl SeqIndex {
         encode_record(ts, &mut buf);
         self.rids.push(self.heap.insert(&buf)?);
         self.deleted.push(false);
-        match SeqFeatures::extract(ts) {
-            Some(f) => {
-                let rect = rstartree::Rect::point(f.point);
-                self.tree.insert(rect, ordinal as u64)?;
-            }
+        match self.points.point(ts) {
+            Some(point) => self
+                .tree
+                .insert(rstartree::Rect::point(point), ordinal as u64)?,
             None => self.skipped.push(ordinal),
         }
         self.len += 1;
@@ -205,8 +212,8 @@ impl SeqIndex {
         // Recompute the stored feature point to locate the tree entry.
         if !self.skipped.contains(&ordinal) {
             let ts = self.fetch_series(ordinal)?;
-            let f = SeqFeatures::extract(&ts).expect("indexed entries are non-degenerate");
-            let rect = rstartree::Rect::point(f.point);
+            let point = self.points.point(&ts);
+            let rect = rstartree::Rect::point(point.expect("indexed entries are non-degenerate"));
             let removed = self.tree.delete(&rect, ordinal as u64)?;
             debug_assert!(removed, "tree entry for live ordinal {ordinal} must exist");
         }
@@ -590,6 +597,107 @@ mod tests {
                 assert!(reads < logical, "query {qi}, k = {k}: {reads} vs {logical}");
             }
         }
+    }
+
+    /// Step 5 fetches each distinct candidate once, in heap order. From a
+    /// cold pool smaller than the heap, a query's record page reads are the
+    /// heap pages its candidates lie on, each once, and its device record
+    /// fetches are its distinct candidates — for one rectangle, a
+    /// partitioned plan, an ST plan of 70 members (two mask groups) and
+    /// both joins. Fetching in descent order instead reads a page again
+    /// each time the pool has evicted it.
+    #[test]
+    fn step_5_reads_each_candidate_page_once_per_query() {
+        use crate::engine::{join, mtindex};
+        use crate::partition::{partition, PartitionStrategy};
+        use crate::query::{mt_query_region, Filter, FilterPolicy, RangeSpec};
+        use crate::tmbr::TransformMbr;
+        use crate::transform::{Family, Transform};
+        use std::collections::BTreeSet;
+
+        let c = Corpus::generate(CorpusKind::SyntheticWalks, 400, 64, 19);
+        let config = IndexConfig {
+            fanout: Some(8),
+            heap_pool_pages: 4,
+        };
+        let idx = SeqIndex::build(&c, config).unwrap();
+        let heap_pages = idx.rids.iter().map(|r| r.page).collect::<BTreeSet<_>>();
+        assert!(heap_pages.len() > 5 * config.heap_pool_pages);
+        let spec = RangeSpec::correlation(0.8).with_policy(FilterPolicy::Safe);
+        let filter = Filter::new(spec.epsilon(64), spec.policy);
+
+        // Runs `query` cold; its candidates are `seqs`.
+        let check = |what: &str, seqs: BTreeSet<usize>, query: &dyn Fn() -> u64| {
+            idx.reset_counters().unwrap();
+            let record_fetches = query();
+            let counters = idx.counters();
+            let pages: BTreeSet<_> = seqs.iter().map(|&s| idx.rids[s].page).collect();
+            assert!(pages.len() > 2 * config.heap_pool_pages, "{what}");
+            assert_eq!(counters.record_page_reads, pages.len() as u64, "{what}");
+            assert_eq!(counters.record_fetches, seqs.len() as u64, "{what}");
+            assert!(
+                record_fetches >= seqs.len() as u64,
+                "{what}: the paper's count"
+            );
+        };
+
+        let query = &c.series()[7];
+        let q = idx.prepare_query(query).unwrap();
+        let family = Family::moving_averages(2..=36, 64).with_inverted();
+        assert_eq!(family.len(), 70);
+        for strategy in [
+            PartitionStrategy::Single,
+            PartitionStrategy::EqualWidth { per_mbr: 6 },
+            PartitionStrategy::EqualWidth { per_mbr: 1 },
+        ] {
+            let mbrs = partition(&family, &strategy);
+            let mut seqs = BTreeSet::new();
+            for mbr in &mbrs {
+                let bound = filter.bind(mbr, mt_query_region(mbr, &q.point, spec.mode));
+                idx.search(
+                    |r| bound.hit(r),
+                    |_, s| {
+                        seqs.insert(s as usize);
+                    },
+                )
+                .unwrap();
+            }
+            check(&format!("{} rectangles", mbrs.len()), seqs, &|| {
+                let run = mtindex::range_query_with_mbrs(&idx, query, &family, &spec, &mbrs, None);
+                run.unwrap().0.metrics.record_fetches
+            });
+        }
+
+        // The joins: a tighter threshold, or every pair is one.
+        let spec = RangeSpec::correlation(0.96).with_policy(FilterPolicy::Safe);
+        let filter = Filter::new(spec.epsilon(64), spec.policy);
+        let family = Family::moving_averages(2..=6, 64);
+        let inverted = family.compose(&Family::new("inv", vec![Transform::inversion(64)]));
+        let (mbr, inv) = (
+            TransformMbr::of_family(&family),
+            TransformMbr::of_family(&inverted),
+        );
+        let members = |hit: &dyn Fn(&FRect, &FRect) -> bool| {
+            let mut seqs = BTreeSet::new();
+            idx.self_join(hit, |_, a, _, b| seqs.extend([a as usize, b as usize]))
+                .unwrap();
+            seqs
+        };
+        let seqs = members(&|r1, r2| filter.hit(&mbr.apply_to_rect(r1), &mbr.apply_to_rect(r2)));
+        check("self-join", seqs, &|| {
+            join::mt_join(&idx, &family, &spec)
+                .unwrap()
+                .metrics
+                .record_fetches
+        });
+        let seqs = members(&|r1, r2| {
+            filter.hit(&inv.apply_to_rect(r1), &mbr.apply_to_rect(r2))
+                || filter.hit(&inv.apply_to_rect(r2), &mbr.apply_to_rect(r1))
+        });
+        check("paired join", seqs, &|| {
+            let run = join::mt_join_paired(&idx, &inverted, &family, &spec);
+            run.unwrap().metrics.record_fetches
+        });
     }
 
     #[test]
@@ -977,6 +1085,7 @@ impl SeqIndex {
             deleted,
             leaf_capacity: params.max_entries,
             fetches: std::sync::atomic::AtomicU64::new(0),
+            points: PointExtractor::new(seq_len),
             wal_epoch,
             _dir_lock: lock,
         })

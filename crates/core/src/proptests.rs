@@ -444,9 +444,18 @@ fn one_descent_is_the_per_rectangle_descent() {
             for strategy in &strategies {
                 let mbrs = partition(&family, strategy);
                 let mut got = vec![Vec::new(); mbrs.len()];
-                let traversals = descend(&index, &mbrs, &q.point, mode, &filter, |j, seq| {
-                    got[j].push(seq)
-                })
+                let traversals = descend(
+                    &index,
+                    &mbrs,
+                    &q.point,
+                    mode,
+                    &filter,
+                    |first, seq, mask| {
+                        for j in rstartree::mask_bits(mask) {
+                            got[first + j].push(seq);
+                        }
+                    },
+                )
                 .unwrap();
                 let probed = mtindex::probe(&index, query, &family, &spec, &mbrs).unwrap();
                 assert_eq!(probed, traversals);
@@ -685,16 +694,16 @@ fn kernel_distance_is_the_naive_distance() {
         for target in [&q, &lopsided] {
             for mode in [QueryMode::Symmetric, QueryMode::DataOnly] {
                 let mut kernel = VerifyKernel::for_query(&index, &family, target, mode);
-                // Twice round, so that the second touch of a candidate
-                // reads the row the first one filled; then k-NN's way in,
-                // one slot refilled per candidate.
-                for (i, seq) in (0..12).chain(0..12).chain([3, 0, 3]).enumerate() {
-                    let touch = if i < 24 {
-                        kernel.touch(seq)
-                    } else {
-                        kernel.touch_once(seq)
-                    };
-                    let row = touch.unwrap();
+                // Every candidate listed twice, so that half the rows are
+                // copies; then k-NN's way in, one row refilled per
+                // candidate.
+                let seqs: Vec<usize> = (0..12).rev().chain(0..12).collect();
+                kernel.fill_rows(&seqs).unwrap();
+                let rows = seqs.iter().copied().enumerate();
+                for (i, (row, seq)) in rows.chain([3, 0, 3].map(|s| (0, s))).enumerate() {
+                    if i >= seqs.len() {
+                        kernel.touch_once(seq).unwrap();
+                    }
                     for (ti, t) in family.transforms().iter().enumerate() {
                         let naive = match mode {
                             QueryMode::Symmetric => t.transformed_distance(&features[seq], target),
@@ -705,7 +714,6 @@ fn kernel_distance_is_the_naive_distance() {
                         });
                     }
                 }
-                assert_eq!(kernel.touches, 27);
             }
         }
 
@@ -714,10 +722,12 @@ fn kernel_distance_is_the_naive_distance() {
         let right = family.compose(&Family::new("inv", vec![Transform::inversion(n)]));
         let mut self_join = VerifyKernel::for_self_join(&index, &family);
         let mut paired = VerifyKernel::for_paired_join(&index, &family, &right);
+        self_join.fill_rows(&[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
+        paired.fill_rows(&[7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
         for a in 0..8 {
             for b in a + 1..8 {
-                let row = self_join.pair(a, b).unwrap();
-                let (ra, rb) = (paired.touch(a).unwrap(), paired.touch(b).unwrap());
+                let row = self_join.pair(a, b);
+                let (ra, rb) = (7 - a, 7 - b);
                 let (x, y) = (&features[a], &features[b]);
                 for ti in 0..family.len() {
                     let (l, r) = (&family.transforms()[ti], &right.transforms()[ti]);
@@ -755,8 +765,9 @@ fn early_abandon_decides_as_the_full_sum() {
         let (index, q) = walks_and_query(&mut rng, n);
         let (m, mode) = [(0, QueryMode::Symmetric), (1, QueryMode::DataOnly)][case % 2];
         let mut kernel = VerifyKernel::for_query(&index, &family, &q, mode);
-        for seq in 0..index.len() {
-            let row = kernel.touch(seq).unwrap();
+        let seqs: Vec<usize> = (0..index.len()).collect();
+        kernel.fill_rows(&seqs).unwrap();
+        for (row, seq) in seqs.into_iter().enumerate() {
             let full: Vec<f64> = (0..family.len()).map(|t| kernel.distance(row, t)).collect();
             let d = full[rng.random_range(0..full.len())];
             for eps in [d.next_down(), d, d.next_up(), 0.5 * d] {
@@ -777,5 +788,277 @@ fn early_abandon_decides_as_the_full_sum() {
     assert!(
         accepted.iter().chain(&rejected).all(|&k| k > 500),
         "{accepted:?} accepted, {rejected:?} rejected (symmetric, data-only)"
+    );
+}
+
+/// The paper's counters of a step-5 run, `(DA_all, DA_leaf, candidates,
+/// comparisons, record fetches)` summed over its rectangles.
+fn paper_counters(m: &crate::report::EngineMetrics) -> [u64; 5] {
+    let (node, leaf) = (m.node_accesses, m.leaf_accesses);
+    [node, leaf, m.candidates, m.comparisons, m.record_fetches]
+}
+
+/// Range step 5 the way the masked descent's executor replaced: each
+/// rectangle's own descent, and each candidate filled where that descent
+/// meets it, into the kernel's one row (`touch_once`) — nothing is found
+/// again, so a candidate of several rectangles is fetched once per
+/// rectangle.
+fn descent_order_range(
+    index: &crate::index::SeqIndex,
+    q: &crate::feature::SeqFeatures,
+    family: &Family,
+    spec: &crate::query::RangeSpec,
+    mbrs: &[TransformMbr],
+    ordered: Option<&crate::ordering::OrderedFamily>,
+) -> (Vec<crate::report::Match>, [u64; 5]) {
+    use crate::engine::VerifyKernel;
+    use crate::query::mt_query_region;
+    use crate::report::Match;
+
+    let eps = spec.epsilon(index.seq_len());
+    let filter = Filter::new(eps, spec.policy);
+    let mut kernel = VerifyKernel::for_query(index, family, q, spec.mode);
+    let (mut matches, mut counts) = (Vec::new(), [0u64; 5]);
+    for mbr in mbrs {
+        let bound = filter.bind(mbr, mt_query_region(mbr, &q.point, spec.mode));
+        let mut candidates = Vec::new();
+        let stats = index
+            .search(|r| bound.hit(r), |_, seq| candidates.push(seq as usize))
+            .unwrap();
+        counts[0] += stats.nodes_accessed;
+        counts[1] += stats.leaf_nodes_accessed;
+        counts[2] += stats.candidates;
+        for seq in candidates {
+            let row = kernel.touch_once(seq).unwrap();
+            counts[4] += 1;
+            let members = match ordered {
+                None => {
+                    counts[3] += mbr.members.len() as u64;
+                    mbr.members.len()
+                }
+                Some(ordered) => {
+                    let dist = |t: usize| kernel.distance(row, t);
+                    let max = ordered.max_qualifying_in(&mbr.members, dist, eps, &mut counts[3]);
+                    mbr.members
+                        .partition_point(|&t| max.is_some_and(|max| t <= max))
+                }
+            };
+            for &transform in &mbr.members[..members] {
+                if let Some(dist) = kernel.distance_below(row, transform, eps) {
+                    matches.push(Match {
+                        seq,
+                        transform,
+                        dist,
+                    });
+                }
+            }
+        }
+    }
+    (matches, counts)
+}
+
+/// Join step 5 one candidate at a time, in pair order: both members of
+/// each pair filled afresh, nothing found again — with a `right` family
+/// the paired join `D(L(x), R(y))` both ways, else a self-join of every
+/// rectangle in `mbrs` under `left`.
+fn pair_order_join(
+    index: &crate::index::SeqIndex,
+    left: &Family,
+    right: Option<&Family>,
+    spec: &crate::query::RangeSpec,
+    mbrs: &[TransformMbr],
+) -> (Vec<crate::report::JoinMatch>, [u64; 5]) {
+    use crate::engine::VerifyKernel;
+    use crate::report::JoinMatch;
+
+    let eps = spec.epsilon(index.seq_len());
+    let filter = Filter::new(eps, spec.policy);
+    let mut kernel = match right {
+        Some(right) => VerifyKernel::for_paired_join(index, left, right),
+        None => VerifyKernel::for_self_join(index, left),
+    };
+    let rmbr = right.map(TransformMbr::of_family);
+    let (mut matches, mut counts) = (Vec::new(), [0u64; 5]);
+    for mbr in mbrs {
+        let hit = |r1: &_, r2: &_| match &rmbr {
+            Some(rmbr) => {
+                filter.hit(&mbr.apply_to_rect(r1), &rmbr.apply_to_rect(r2))
+                    || filter.hit(&mbr.apply_to_rect(r2), &rmbr.apply_to_rect(r1))
+            }
+            None => filter.hit(&mbr.apply_to_rect(r1), &mbr.apply_to_rect(r2)),
+        };
+        let mut pairs = Vec::new();
+        let stats = index
+            .self_join(hit, |_, a, _, b| pairs.push((a as usize, b as usize)))
+            .unwrap();
+        counts[0] += stats.nodes_accessed;
+        counts[1] += stats.leaf_nodes_accessed;
+        counts[2] += pairs.len() as u64;
+        for (a, b) in pairs {
+            let (x, y) = (kernel.rows(), kernel.rows() + 1);
+            kernel.fill_rows(&[a]).unwrap();
+            kernel.fill_rows(&[b]).unwrap();
+            counts[4] += 2;
+            let mut report = |seq_a, seq_b, transform, dist: Option<f64>| {
+                counts[3] += 1;
+                matches.extend(dist.map(|dist| JoinMatch {
+                    seq_a,
+                    seq_b,
+                    transform,
+                    dist,
+                }));
+            };
+            if right.is_some() {
+                for t in 0..left.len() {
+                    report(a, b, t, kernel.paired_below(x, y, t, eps));
+                    report(b, a, t, kernel.paired_below(y, x, t, eps));
+                }
+            } else {
+                let row = kernel.pair(x, y);
+                for &t in &mbr.members {
+                    report(a.min(b), a.max(b), t, kernel.distance_below(row, t, eps));
+                }
+            }
+        }
+    }
+    (matches, counts)
+}
+
+/// Step 5 in heap order answers as step 5 in descent order: over seeded
+/// corpora — after inserts and deletes too, with pools of 2 to 64 pages —
+/// every partitioning (an ST plan of 70 members is two mask groups), both
+/// modes, ordered plans and both joins report the pairs, the match order,
+/// the distance bits and the paper's counters of an oracle that fills one
+/// candidate at a time where its descent or pair list meets it
+/// ([`descent_order_range`], [`pair_order_join`]).
+#[test]
+fn heap_order_step_5_answers_as_descent_order() {
+    use crate::engine::{join, mtindex};
+    use crate::index::{IndexConfig, SeqIndex};
+    use crate::ordering::OrderedFamily;
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::{QueryMode, RangeSpec};
+    use crate::report::{JoinMatch, Match};
+    use tseries::{Corpus, CorpusKind};
+
+    const N: usize = 64;
+    let bits = |v: &[Match]| -> Vec<_> {
+        v.iter()
+            .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+            .collect()
+    };
+    let join_bits = |v: &[JoinMatch]| -> Vec<_> {
+        v.iter()
+            .map(|m| (m.seq_a, m.seq_b, m.transform, m.dist.to_bits()))
+            .collect()
+    };
+    let mut rng = SeededRng::seed_from_u64(0x4EA9);
+    let (mut matched, mut joined, mut two_groups) = (0, 0, 0);
+    for case in 0..6 {
+        let size = rng.random_range(100..200usize);
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, size, N, rng.next_u64());
+        let config = IndexConfig {
+            fanout: Some([8, 16, 78][case % 3]),
+            heap_pool_pages: [2, 8, 64][rng.random_range(0..3usize)],
+        };
+        let mut index = SeqIndex::build(&corpus.truncated(size / 2), config).unwrap();
+        if case % 2 == 1 {
+            for ts in &corpus.series()[size / 2..] {
+                index.insert_series(ts).unwrap();
+            }
+            for _ in 0..size / 10 {
+                index
+                    .delete_series(rng.random_range(0..index.len()))
+                    .unwrap();
+            }
+        }
+        let query = &corpus.series()[rng.random_range(0..size)];
+        let q = index.prepare_query(query).unwrap();
+        let mut check = |what: &str, spec: &RangeSpec, family, mbrs: &[_], ordered| {
+            let (got, _) =
+                mtindex::range_query_features(&index, &q, family, spec, mbrs, ordered).unwrap();
+            let (want, counts) = descent_order_range(&index, &q, family, spec, mbrs, ordered);
+            let what = format!("case {case}: {what}, {} rectangles", mbrs.len());
+            assert_eq!(bits(&got.matches), bits(&want), "{what}");
+            assert_eq!(paper_counters(&got.metrics), counts, "{what}");
+            matched += want.len();
+        };
+
+        let family = match case % 3 {
+            0 => Family::moving_averages(2..=36, N).with_inverted(),
+            1 => Family::momenta(1..=6, N),
+            _ => Family::moving_averages(3..=12, N).with_inverted(),
+        };
+        for policy in [FilterPolicy::Safe, FilterPolicy::Adaptive] {
+            let mode = [QueryMode::Symmetric, QueryMode::DataOnly][rng.random_range(0..2usize)];
+            let rho = [0.8, 0.9, 0.96][rng.random_range(0..3usize)];
+            let spec = RangeSpec::correlation(rho)
+                .with_policy(policy)
+                .with_mode(mode);
+            for strategy in [
+                PartitionStrategy::Single,
+                PartitionStrategy::EqualWidth {
+                    per_mbr: rng.random_range(2..6usize),
+                },
+                PartitionStrategy::KMeans {
+                    k: rng.random_range(2..5usize),
+                },
+                PartitionStrategy::EqualWidth { per_mbr: 1 },
+            ] {
+                let mbrs = partition(&family, &strategy);
+                two_groups += usize::from(mbrs.len() > mtindex::MASK_WIDTH);
+                let what = format!("{} {strategy:?} {policy:?} {mode:?}", family.name());
+                check(&what, &spec, &family, &mbrs, None);
+            }
+        }
+
+        // Ordered plans: MT over one rectangle and over runs of ranks, and
+        // §4.4's single ST traversal with every rank as its members.
+        let factors: Vec<f64> = (1..=16).map(|k| 0.25 * k as f64).collect();
+        let ordered = OrderedFamily::scalings(&factors, N);
+        let family = ordered.family();
+        let spec =
+            RangeSpec::euclidean(rng.random_range(4.0..10.0)).with_policy(FilterPolicy::Safe);
+        let t0 = TransformMbr {
+            members: (0..family.len()).collect(),
+            ..TransformMbr::of(family, vec![0])
+        };
+        for mbrs in [
+            partition(family, &PartitionStrategy::Single),
+            partition(family, &PartitionStrategy::EqualWidth { per_mbr: 4 }),
+            vec![t0],
+        ] {
+            check("ordered", &spec, family, &mbrs, Some(&ordered));
+        }
+
+        // Both joins.
+        let spec = RangeSpec::correlation(0.95).with_policy(FilterPolicy::Safe);
+        let family = Family::moving_averages(2..=5, N);
+        let inverted = family.compose(&Family::new("inv", vec![Transform::inversion(N)]));
+        for mbrs in [
+            vec![TransformMbr::of_family(&family)],
+            TransformMbr::singletons(&family),
+        ] {
+            let got = join::mt_join_with_mbrs(&index, &family, &spec, &mbrs).unwrap();
+            let (want, counts) = pair_order_join(&index, &family, None, &spec, &mbrs);
+            let what = format!("case {case}: self-join, {} rectangles", mbrs.len());
+            assert_eq!(join_bits(&got.matches), join_bits(&want), "{what}");
+            assert_eq!(paper_counters(&got.metrics), counts, "{what}");
+            joined += want.len();
+        }
+        let got = join::mt_join_paired(&index, &inverted, &family, &spec).unwrap();
+        let mbrs = [TransformMbr::of_family(&inverted)];
+        let (want, counts) = pair_order_join(&index, &inverted, Some(&family), &spec, &mbrs);
+        assert_eq!(
+            join_bits(&got.matches),
+            join_bits(&want),
+            "case {case}: paired"
+        );
+        assert_eq!(paper_counters(&got.metrics), counts, "case {case}: paired");
+        joined += want.len();
+    }
+    assert!(
+        matched > 10_000 && joined > 300 && two_groups >= 2,
+        "{matched} matches, {joined} join matches, {two_groups} two-group plans"
     );
 }
