@@ -1,7 +1,7 @@
 //! Observability tax on the hot query path.
 //!
 //! Three modes over the same seeded corpus and query set, all running the
-//! full plan path (`plan::run_timed`) plus the per-query slow-log check —
+//! full plan path (`plan::run`) plus the per-query slow-log check —
 //! exactly what `simserved` does per request:
 //!
 //! * `obs-off` — tracer sampling disabled (`sample = 0`) and the
@@ -11,7 +11,7 @@
 //!   slow threshold high enough that it never fires (the check still
 //!   runs);
 //! * `obs-all` — worst case: every root sampled (`sample = 1`) into the
-//!   bounded ring, threshold 0 so the slow log fires on every query.
+//!   bounded ring, threshold 0 so the slow log counts every query.
 //!
 //! The acceptance bar: `obs-default` ≤ 2 % over `obs-off`. Writes
 //! `results/obs_overhead.json`.
@@ -19,7 +19,7 @@
 //! `cargo run -p bench --release --bin obs_overhead`
 
 use bench::table::{f2, Table};
-use simobs::{SlowEntry, SlowLog};
+use simobs::SlowLog;
 use simquery::index::{IndexConfig, SeqIndex};
 use simquery::plan::{self, EngineChoice, EnginePref, LogicalQuery};
 use simquery::query::RangeSpec;
@@ -62,7 +62,7 @@ fn run_mode(
     tracer.set_sample(mode.sample);
     let spans_before = tracer.recorded();
     let stats = StatsRegistry::new();
-    let slow = SlowLog::new(128);
+    let slow = SlowLog::new();
     slow.set_threshold_us(mode.threshold_us);
 
     let n = queries.len() * rounds;
@@ -73,23 +73,8 @@ fn run_mode(
             let lq = LogicalQuery::range(family.clone(), *spec)
                 .with_engine(EnginePref::Force(EngineChoice::Mt));
             let t0 = std::time::Instant::now();
-            let (chosen, out, timings) =
-                plan::run_timed(index, &stats, &lq, Some(q)).expect("plan run");
-            let total_us = t0.elapsed().as_micros() as u64;
-            let m = out.metrics();
-            slow.observe(total_us, || SlowEntry {
-                query: String::from("bench"),
-                plan: chosen.engine.as_str().to_string(),
-                est_pages: chosen.est_pages,
-                actual_pages: m.record_page_accesses,
-                est_comparisons: chosen.est_comparisons,
-                actual_comparisons: m.comparisons,
-                candidates: m.candidates,
-                matches: 0,
-                plan_us: timings.plan_us,
-                exec_us: timings.exec_us,
-                total_us: 0,
-            });
+            let (_, out) = plan::run(index, &stats, &lq, Some(q)).expect("plan run");
+            slow.observe(t0.elapsed().as_micros() as u64);
             total += match &out {
                 plan::PlanOutput::Range(r) => r.matches.len(),
                 _ => 0,

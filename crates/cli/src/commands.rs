@@ -421,8 +421,7 @@ fn execute_cold(
     store
         .reset_counters()
         .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let (plan, out, _, per_shard) = store.execute_timed(lq, q).map_err(|e| err(e.to_string()))?;
-    Ok((plan, out, per_shard))
+    store.execute(lq, q).map_err(|e| err(e.to_string()))
 }
 
 fn print_matches<'a>(names: &[String], family: &Family, matches: impl Iterator<Item = &'a Match>) {

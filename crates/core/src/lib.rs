@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::partition::PartitionStrategy;
     pub use crate::plan::{
         EngineChoice, EnginePref, LogicalQuery, LogicalVerb, PhysicalPlan, PlanCache, PlanOutput,
-        Planner, QueryEpoch, StageTimings,
+        Planner, QueryEpoch,
     };
     pub use crate::query::{FilterPolicy, QueryMode, RangeSpec, Threshold, ThresholdParseError};
     pub use crate::report::{EngineMetrics, Match, QueryResult};

@@ -29,7 +29,6 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use pagestore::sync::Mutex;
 use pagestore::PAGE_SIZE;
@@ -294,13 +293,11 @@ struct Estimate {
     mbrs: Vec<TransformMbr>,
 }
 
-/// The cost-based planner. Stateless apart from its model constants; all
-/// memory lives in the [`StatsRegistry`].
+/// The cost-based planner. Stateless: it prices with the paper's Fig. 8
+/// calibration ([`CostModel::default`]), and all memory lives in the
+/// [`StatsRegistry`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Planner {
-    /// Cost constants (Fig. 8 calibration by default).
-    pub model: CostModel,
-}
+pub struct Planner;
 
 /// Minimum recorded queries before measured statistics override the
 /// analytical estimate.
@@ -309,7 +306,7 @@ const STATS_MIN_QUERIES: u64 = 3;
 impl Planner {
     /// A planner with the paper's Fig. 8 cost calibration.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Lowers `lq` to a physical plan against `index`. The query sequence,
@@ -383,6 +380,7 @@ impl Planner {
         q: Option<&SeqFeatures>,
         engine: EngineChoice,
     ) -> Result<Estimate, QueryError> {
+        let model = CostModel::default();
         let n_live = (index.len() - index.deleted_count()) as f64;
         let nt = lq.family.len() as f64;
         let mbrs = if engine == EngineChoice::Mt {
@@ -394,7 +392,7 @@ impl Planner {
         if let Some(fs) = stats.family_stats(engine, &lq.family) {
             if fs.queries >= STATS_MIN_QUERIES {
                 let (nodes, pages, cmps) = (fs.avg_nodes(), fs.avg_pages(), fs.avg_comparisons());
-                let cost = self.model.cda * (nodes + pages) + self.model.ccmp * cmps;
+                let cost = model.cda * (nodes + pages) + model.ccmp * cmps;
                 return Ok(Estimate {
                     nodes,
                     pages,
@@ -416,7 +414,7 @@ impl Planner {
                 nodes: 0.0,
                 pages,
                 comparisons,
-                cost: self.model.cda * pages + self.model.ccmp * comparisons,
+                cost: model.cda * pages + model.ccmp * comparisons,
                 mbrs,
             });
         }
@@ -443,7 +441,7 @@ impl Planner {
             nodes,
             pages,
             comparisons,
-            cost: self.model.cda * nodes + self.model.ccmp * comparisons,
+            cost: model.cda * nodes + model.ccmp * comparisons,
             mbrs,
         })
     }
@@ -474,7 +472,7 @@ impl Planner {
             h.u64(index.height() as u64);
             h.finish()
         };
-        let model = self.model;
+        let model = CostModel::default();
         let ca_leaf = index.leaf_capacity() as f64;
         Ok(stats.partition_for(&lq.family, variant, || {
             let mut candidates = vec![PartitionStrategy::Single];
@@ -640,15 +638,6 @@ pub fn execute_plan(
     Ok(out)
 }
 
-/// Wall-clock split of one planned execution, for the slow-query log.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimings {
-    /// Time spent in [`Planner::plan`], µs.
-    pub plan_us: u64,
-    /// Time spent in [`execute_plan`], µs.
-    pub exec_us: u64,
-}
-
 /// Plans and executes in one call (the common single-index path).
 pub fn run(
     index: &SeqIndex,
@@ -656,42 +645,9 @@ pub fn run(
     lq: &LogicalQuery,
     query: Option<&TimeSeries>,
 ) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
-    let (plan, out, _) = run_timed(index, stats, lq, query)?;
-    Ok((plan, out))
-}
-
-/// [`run`], but also reporting the per-stage wall-clock split. The clock
-/// is read unconditionally — two `Instant::now` pairs per query, noise
-/// against the work of planning itself — so the slow-query log never
-/// depends on trace sampling.
-pub fn run_timed(
-    index: &SeqIndex,
-    stats: &StatsRegistry,
-    lq: &LogicalQuery,
-    query: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput, StageTimings), QueryError> {
-    let planner = Planner::new();
-    let t0 = Instant::now();
-    let plan = planner.plan(index, stats, lq, query)?;
-    let t1 = Instant::now();
+    let plan = Planner::new().plan(index, stats, lq, query)?;
     let out = execute_plan(index, stats, lq, &plan, query)?;
-    let timings = StageTimings {
-        plan_us: t1.duration_since(t0).as_micros().min(u64::MAX as u128) as u64,
-        exec_us: t1.elapsed().as_micros().min(u64::MAX as u128) as u64,
-    };
-    Ok((plan, out, timings))
-}
-
-/// The kNN fan-out fragment: a bounded per-shard search the distributed
-/// executor threads a running global bound through (τ-pruning).
-pub fn execute_knn_fragment(
-    index: &SeqIndex,
-    query: &TimeSeries,
-    family: &Family,
-    k: usize,
-    bound: f64,
-) -> Result<(Vec<Match>, EngineMetrics), QueryError> {
-    knn::knn_bounded(index, query, family, k, bound)
+    Ok((plan, out))
 }
 
 /// The cache epoch a result is valid for: the WAL checkpoint epoch plus a
@@ -715,8 +671,6 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries evicted by the LRU bound or staleness.
     pub evictions: u64,
-    /// Entries inserted.
-    pub inserts: u64,
     /// Current entry count.
     pub entries: u64,
 }
@@ -745,7 +699,6 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    inserts: AtomicU64,
 }
 
 impl PlanCache {
@@ -760,7 +713,6 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
         }
     }
 
@@ -821,15 +773,6 @@ impl PlanCache {
                 tick,
             },
         );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let n = inner.map.len() as u64;
-        inner.map.clear();
-        self.evictions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Observability counters.
@@ -838,7 +781,6 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
             entries: self.inner.lock().map.len() as u64,
         }
     }

@@ -554,18 +554,12 @@ impl SharedIndex {
     }
 
     /// Reads up to `max` frames with `lsn >= from_lsn` from the durable
-    /// prefix of this index's own WAL (see [`Wal::frames_since`]) — the
-    /// catch-up half of the replication feeder; frames are fsynced
-    /// before they are served, so a shipped frame always survives a
-    /// crash. `max == 0` means no cap.
-    pub fn wal_frames_since(&self, from_lsn: u64, max: usize) -> Result<Vec<WalOp>, DurableError> {
-        self.wal_frames_since_hinted(from_lsn, max, None)
-            .map(|(frames, _)| frames)
-    }
-
-    /// [`Self::wal_frames_since`] with a `(lsn, byte offset)` resume
-    /// cursor (see [`Wal::frames_since_hinted`]): a valid cursor makes
-    /// tailing O(frames served); a stale one degrades to a full scan.
+    /// prefix of this index's own WAL — the catch-up half of the
+    /// replication feeder; frames are fsynced before they are served, so
+    /// a shipped frame always survives a crash. `max == 0` means no cap.
+    /// `hint` is a `(lsn, byte offset)` resume cursor (see
+    /// [`simwal::Wal::frames_since_hinted`]): a valid cursor makes
+    /// tailing O(frames served); a stale one, or `None`, scans.
     pub fn wal_frames_since_hinted(
         &self,
         from_lsn: u64,
@@ -664,17 +658,6 @@ impl SharedIndex {
     ) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
         let guard = self.inner.read();
         plan::run(&guard, &self.stats, lq, query)
-    }
-
-    /// [`Self::execute`], but also reporting the plan/execute wall-clock
-    /// split — what the server's slow-query log records.
-    pub fn execute_timed(
-        &self,
-        lq: &LogicalQuery,
-        query: Option<&TimeSeries>,
-    ) -> Result<(PhysicalPlan, PlanOutput, plan::StageTimings), QueryError> {
-        let guard = self.inner.read();
-        plan::run_timed(&guard, &self.stats, lq, query)
     }
 
     /// Acquires a shared read guard: queries, scans, counter reads.

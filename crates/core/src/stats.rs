@@ -2,12 +2,13 @@
 //!
 //! The §4.2–§4.3 cost model (Eq. 18–20) needs two kinds of input the
 //! engines can measure but a cold optimiser cannot: how *selective* a
-//! transformation family actually is on this corpus (candidates and
-//! matches per query), and how many node/page accesses its traversals
-//! really cost. A [`StatsRegistry`] hangs off every shared index and
-//! accumulates both, per `(family, engine)` pair, as queries execute; the
-//! planner ([`crate::plan::Planner`]) consults it before falling back to
-//! the analytical estimate of [`crate::cost::analytic_disk_accesses`].
+//! transformation family actually is on this corpus (matches per
+//! `(sequence, transformation)` pair examined), and how many node/page
+//! accesses and comparisons its executions really cost. A
+//! [`StatsRegistry`] hangs off every shared index and accumulates both,
+//! per `(family, engine)` pair, as queries execute; the planner
+//! ([`crate::plan::Planner`]) consults it before falling back to the
+//! analytical estimate of [`crate::cost::analytic_disk_accesses`].
 //!
 //! The registry also memoises the structural inputs of the analytical
 //! model — the R*-tree [`rstartree::LevelSummary`] walk and the data-space
@@ -28,32 +29,23 @@ use crate::report::EngineMetrics;
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
 
-/// Number of log₂-spaced selectivity histogram buckets.
-pub const SELECTIVITY_BUCKETS: usize = 16;
-
-/// Accumulated per-`(family, engine)` execution statistics.
+/// Accumulated per-`(family, engine)` execution statistics: what the
+/// measured-stats override, the scatter's selectivity collapse and the
+/// drift report read.
 #[derive(Clone, Debug, Default)]
 pub struct FamilyStats {
     /// Queries recorded.
     pub queries: u64,
-    /// Candidate sequences summed over all recorded queries.
-    pub candidates: u64,
     /// Qualifying `(sequence, transformation)` pairs summed.
     pub matches: u64,
     /// Index node accesses summed.
     pub node_accesses: u64,
-    /// Leaf accesses summed.
-    pub leaf_accesses: u64,
     /// Record-page accesses summed.
     pub page_accesses: u64,
     /// Full-sequence distance computations summed.
     pub comparisons: u64,
     /// `|S|·|T|` pairs examined, summed — the selectivity denominator.
     pub pairs_examined: u64,
-    /// Histogram of per-query match selectivity: bucket `b` counts queries
-    /// with `matches / (|S|·|T|)` in `(2^-(b+1), 2^-b]`; the last bucket
-    /// absorbs everything smaller (including zero matches).
-    pub selectivity: [u64; SELECTIVITY_BUCKETS],
     /// Planner page estimates summed — the drift-gauge denominator.
     pub est_pages_sum: f64,
     /// Planner comparison estimates summed.
@@ -70,14 +62,11 @@ impl FamilyStats {
         est_comparisons: f64,
     ) {
         self.queries += 1;
-        self.candidates += metrics.candidates;
         self.matches += matches;
         self.node_accesses += metrics.node_accesses;
-        self.leaf_accesses += metrics.leaf_accesses;
         self.page_accesses += metrics.record_page_accesses;
         self.comparisons += metrics.comparisons;
         self.pairs_examined += pairs;
-        self.selectivity[bucket_of(matches, pairs)] += 1;
         self.est_pages_sum += est_pages.max(0.0);
         self.est_comparisons_sum += est_comparisons.max(0.0);
     }
@@ -105,18 +94,6 @@ impl FamilyStats {
         } else {
             Some(self.matches as f64 / self.pairs_examined as f64)
         }
-    }
-
-    /// Cost-model page drift: measured pages over estimated pages (ratio
-    /// of sums — 1.0 means the Eq. 18–20 estimate was exact on average).
-    /// `None` until an estimate has been recorded.
-    pub fn pages_drift(&self) -> Option<f64> {
-        (self.est_pages_sum > 0.0).then(|| self.page_accesses as f64 / self.est_pages_sum)
-    }
-
-    /// Cost-model comparison drift (see [`Self::pages_drift`]).
-    pub fn comparisons_drift(&self) -> Option<f64> {
-        (self.est_comparisons_sum > 0.0).then(|| self.comparisons as f64 / self.est_comparisons_sum)
     }
 }
 
@@ -152,17 +129,6 @@ impl DriftLine {
     }
 }
 
-/// The histogram bucket for one query's selectivity.
-fn bucket_of(matches: u64, pairs: u64) -> usize {
-    if pairs == 0 || matches == 0 {
-        return SELECTIVITY_BUCKETS - 1;
-    }
-    let s = matches as f64 / pairs as f64;
-    // s ∈ (2^-(b+1), 2^-b] → bucket b.
-    let b = (-s.log2()).ceil().max(1.0) - 1.0;
-    (b as usize).min(SELECTIVITY_BUCKETS - 1)
-}
-
 /// Memoised structural inputs of the analytical cost model.
 #[derive(Clone, Debug)]
 pub struct TreeShape {
@@ -189,8 +155,6 @@ pub struct StatsSnapshot {
     pub dispatch_st: u64,
     /// Executions dispatched to the sequential-scan engine.
     pub dispatch_scan: u64,
-    /// Queries whose metrics were recorded into family statistics.
-    pub recorded: u64,
 }
 
 /// Runtime statistics registry — one per shared index (and one per shard
@@ -201,7 +165,6 @@ pub struct StatsRegistry {
     dispatch_mt: AtomicU64,
     dispatch_st: AtomicU64,
     dispatch_scan: AtomicU64,
-    recorded: AtomicU64,
     families: Mutex<HashMap<(String, u8), FamilyStats>>,
     shape: Mutex<Option<(ShapeKey, TreeShape)>>,
     partitions: Mutex<PartitionMemo>,
@@ -262,7 +225,6 @@ impl StatsRegistry {
         metrics: &EngineMetrics,
         est: (f64, f64),
     ) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut map = self.families.lock();
         map.entry((family_key(family), engine_tag(engine)))
             .or_default()
@@ -305,7 +267,6 @@ impl StatsRegistry {
             dispatch_mt: self.dispatch_mt.load(Ordering::Relaxed),
             dispatch_st: self.dispatch_st.load(Ordering::Relaxed),
             dispatch_scan: self.dispatch_scan.load(Ordering::Relaxed),
-            recorded: self.recorded.load(Ordering::Relaxed),
         }
     }
 
@@ -333,8 +294,7 @@ impl StatsRegistry {
 
     /// Looks up (or computes and memoises) the §4.3 rectangle choice for a
     /// family. `variant` distinguishes specs that change the geometry
-    /// (policy/threshold); the memo is dropped when the tree shape key
-    /// changes enough to be re-probed via [`Self::invalidate_structures`].
+    /// (policy/threshold); the memo lives as long as the registry.
     pub fn partition_for(
         &self,
         family: &Family,
@@ -349,29 +309,11 @@ impl StatsRegistry {
         self.partitions.lock().insert(key, mbrs.clone());
         mbrs
     }
-
-    /// Drops the memoised tree shape and partitionings (call after bulk
-    /// mutations or checkpoint restores; per-query staleness is already
-    /// handled by the shape key).
-    pub fn invalidate_structures(&self) {
-        *self.shape.lock() = None;
-        self.partitions.lock().clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selectivity_buckets_are_log2() {
-        // s = 1/2 → bucket 0; s = 1/5 → bucket 2 (2^-3 < 1/5 ≤ 2^-2);
-        // zero matches → last bucket.
-        assert_eq!(bucket_of(1, 2), 0);
-        assert_eq!(bucket_of(1, 5), 2);
-        assert_eq!(bucket_of(0, 100), SELECTIVITY_BUCKETS - 1);
-        assert_eq!(bucket_of(1, u64::MAX), SELECTIVITY_BUCKETS - 1);
-    }
 
     #[test]
     fn registry_accumulates_per_family_and_engine() {
@@ -391,19 +333,17 @@ mod tests {
         assert!((s.mean_selectivity().unwrap() - 2.0 / 800.0).abs() < 1e-12);
         assert!(reg.family_stats(EngineChoice::Scan, &fam).is_none());
         // Drift: 0 measured pages over 16 estimated; 32 comparisons over 40.
-        assert!((s.pages_drift().unwrap() - 0.0).abs() < 1e-12);
-        assert!((s.comparisons_drift().unwrap() - 32.0 / 40.0).abs() < 1e-12);
         let drift = reg.drift_report();
         assert_eq!(drift.len(), 1);
         assert_eq!(drift[0].engine, "mt");
         assert_eq!(drift[0].queries, 2);
+        assert!((drift[0].pages_ratio().unwrap() - 0.0).abs() < 1e-12);
         assert!((drift[0].comparisons_ratio().unwrap() - 0.8).abs() < 1e-12);
         reg.note_dispatch(EngineChoice::Mt);
         reg.note_dispatch(EngineChoice::Scan);
         let snap = reg.snapshot();
         assert_eq!(snap.dispatch_mt, 1);
         assert_eq!(snap.dispatch_scan, 1);
-        assert_eq!(snap.recorded, 2);
     }
 
     #[test]
@@ -418,11 +358,5 @@ mod tests {
             });
         }
         assert_eq!(calls, 1);
-        reg.invalidate_structures();
-        reg.partition_for(&fam, 7, || {
-            calls += 1;
-            vec![TransformMbr::of_family(&fam)]
-        });
-        assert_eq!(calls, 2);
     }
 }

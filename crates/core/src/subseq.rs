@@ -1,5 +1,5 @@
 //! Subsequence matching under transformations — the Faloutsos–Ranganathan–
-//! Manolopoulos (SIGMOD '94) extension the paper cites as related work [7],
+//! Manolopoulos (SIGMOD '94) extension the paper cites as related work \[7\],
 //! carried over to the multiple-transformation framework.
 //!
 //! Long sequences are decomposed into sliding windows of a fixed length

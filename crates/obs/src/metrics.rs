@@ -52,27 +52,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins float gauge (stored as bits).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self(AtomicU64::new(0f64.to_bits()))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// A lock-free log₂-bucketed histogram of microsecond latencies.
 #[derive(Debug)]
 pub struct Histogram {
@@ -170,14 +149,13 @@ fn with_label(name: &str, key: &str, value: &str) -> String {
 #[derive(Default)]
 struct Instruments {
     counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 /// A registry of named instruments.
 ///
-/// `counter` / `gauge` / `histogram` are get-or-register: the first call
-/// for a name creates the instrument, later calls return the same handle,
+/// `counter` / `histogram` are get-or-register: the first call for a
+/// name creates the instrument, later calls return the same handle,
 /// so two subsystems naming the same metric share one atomic (this is what
 /// makes `METRICS`/`STATS` parity structural). Per-instance, not global —
 /// a test binary runs many servers and each owns its numbers.
@@ -202,16 +180,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Get-or-register the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
-    }
-
     /// Get-or-register the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -227,9 +195,6 @@ impl MetricsRegistry {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         for (name, c) in &inner.counters {
             out.raw(format!("{name} {}", c.get()));
-        }
-        for (name, g) in &inner.gauges {
-            out.raw(format!("{name} {}", fmt_f64(g.get())));
         }
         for (name, h) in &inner.histograms {
             for (q, label) in [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
@@ -347,9 +312,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3, "same underlying atomic");
-        let g = reg.gauge("drift");
-        g.set(0.5);
-        assert!((reg.gauge("drift").get() - 0.5).abs() < 1e-12);
     }
 
     #[test]

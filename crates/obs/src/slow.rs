@@ -1,117 +1,54 @@
-//! The slow-query log: a bounded ring of fully-described outliers.
+//! The slow-query log: a threshold and a count of the queries that met it.
 //!
-//! The threshold check is a single atomic load against the measured total
-//! latency; the (allocating) [`SlowEntry`] is built by a closure that only
-//! runs once the query has already proven slow, so the fast path pays
-//! nothing beyond the comparison. A query fires the log **iff**
-//! `total_us >= threshold_us` — the boundary is inclusive, and the
-//! exactness test in `crates/serve` pins it there.
+//! The check is a single atomic load against the measured total latency,
+//! so the fast path pays nothing beyond the comparison. A query fires the
+//! log **iff** `total_us >= threshold_us` — the boundary is inclusive, and
+//! the exactness test in `crates/serve` pins it there. What a slow query
+//! did is not kept here: per-query detail lives in the trace ring (the
+//! `plan.build` / `plan.execute` spans) and in `EXPLAIN`.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Default capacity of the slow-query ring.
-pub const SLOW_LOG_CAP: usize = 128;
-
-/// One slow query: what ran, what the planner promised, what it cost.
-#[derive(Clone, Debug, Default)]
-pub struct SlowEntry {
-    /// The wire line (or CLI rendering) of the query.
-    pub query: String,
-    /// The chosen plan, rendered (`engine=… chosen_by=… fanout=…`).
-    pub plan: String,
-    /// Planner's page estimate.
-    pub est_pages: f64,
-    /// Measured record/heap page accesses.
-    pub actual_pages: u64,
-    /// Planner's comparison estimate.
-    pub est_comparisons: f64,
-    /// Measured distance computations.
-    pub actual_comparisons: u64,
-    /// Candidates the filter step produced.
-    pub candidates: u64,
-    /// Final matches.
-    pub matches: u64,
-    /// Planning time, µs (0 when the plan came from the result cache or a
-    /// fan-out path that can't split stages).
-    pub plan_us: u64,
-    /// Execution time, µs.
-    pub exec_us: u64,
-    /// End-to-end time, µs — the value the threshold gates on.
-    pub total_us: u64,
-}
-
-/// A bounded ring of [`SlowEntry`] values over a configurable threshold.
+/// A firing threshold and the number of queries that met it.
 pub struct SlowLog {
     threshold_us: AtomicU64,
     fired: AtomicU64,
-    cap: usize,
-    ring: Mutex<VecDeque<SlowEntry>>,
+}
+
+impl Default for SlowLog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SlowLog {
-    /// A log holding at most `cap` entries, initially disabled
-    /// (threshold `u64::MAX`).
-    pub fn new(cap: usize) -> Self {
+    /// A disabled log (threshold `u64::MAX`).
+    pub fn new() -> Self {
         Self {
             threshold_us: AtomicU64::new(u64::MAX),
             fired: AtomicU64::new(0),
-            cap,
-            ring: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Sets the inclusive firing threshold (µs). 0 logs every query,
+    /// Sets the inclusive firing threshold (µs). 0 counts every query,
     /// `u64::MAX` disables the log.
     pub fn set_threshold_us(&self, us: u64) {
         self.threshold_us.store(us, Ordering::Relaxed);
     }
 
-    /// Current threshold (µs).
-    pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Gates `total_us` against the threshold; on a fire, builds the entry
-    /// via `make` and records it. Returns whether it fired.
-    pub fn observe<F: FnOnce() -> SlowEntry>(&self, total_us: u64, make: F) -> bool {
+    /// Gates `total_us` against the threshold and counts a fire. Returns
+    /// whether it fired.
+    pub fn observe(&self, total_us: u64) -> bool {
         if total_us < self.threshold_us.load(Ordering::Relaxed) {
             return false;
         }
-        let mut entry = make();
-        entry.total_us = total_us;
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() >= self.cap {
-            ring.pop_front();
-        }
-        ring.push_back(entry);
-        drop(ring);
         self.fired.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Total entries ever fired (not bounded by the ring).
+    /// Queries that met the threshold so far.
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
-    }
-
-    /// The most recent `n` entries, oldest first (copies; the ring keeps
-    /// its contents).
-    pub fn recent(&self, n: usize) -> Vec<SlowEntry> {
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Entries currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// True when no entry has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -119,51 +56,26 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn entry(q: &str) -> SlowEntry {
-        SlowEntry {
-            query: q.to_string(),
-            ..SlowEntry::default()
-        }
-    }
-
     #[test]
     fn fires_exactly_at_the_threshold() {
-        let log = SlowLog::new(8);
+        let log = SlowLog::new();
         log.set_threshold_us(1000);
-        assert!(!log.observe(999, || entry("under")), "below: no fire");
-        assert!(log.observe(1000, || entry("at")), "inclusive boundary");
-        assert!(log.observe(1001, || entry("over")));
+        assert!(!log.observe(999), "below: no fire");
+        assert!(log.observe(1000), "inclusive boundary");
+        assert!(log.observe(1001));
         assert_eq!(log.fired(), 2);
-        let recent = log.recent(10);
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].query, "at");
-        assert_eq!(recent[0].total_us, 1000);
     }
 
     #[test]
-    fn disabled_by_default_and_entry_is_lazy() {
-        let log = SlowLog::new(8);
-        let fired = log.observe(u64::MAX - 1, || panic!("entry built below threshold"));
-        assert!(!fired, "u64::MAX threshold never fires short of MAX");
-        log.set_threshold_us(0);
+    fn disabled_by_default() {
+        let log = SlowLog::new();
         assert!(
-            log.observe(0, || entry("any")),
-            "threshold 0 logs everything"
+            !log.observe(u64::MAX - 1),
+            "u64::MAX threshold never fires short of MAX"
         );
-    }
-
-    #[test]
-    fn ring_is_bounded_keeping_the_newest() {
-        let log = SlowLog::new(3);
+        assert_eq!(log.fired(), 0);
         log.set_threshold_us(0);
-        for i in 0..10 {
-            log.observe(i, || entry(&format!("q{i}")));
-        }
-        assert_eq!(log.fired(), 10);
-        assert_eq!(log.len(), 3);
-        let recent = log.recent(3);
-        assert_eq!(recent[0].query, "q7");
-        assert_eq!(recent[2].query, "q9");
-        assert_eq!(log.recent(1).len(), 1);
+        assert!(log.observe(0), "threshold 0 counts everything");
+        assert_eq!(log.fired(), 1);
     }
 }

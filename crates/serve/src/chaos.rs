@@ -195,11 +195,6 @@ impl ChaosProxy {
         self.partitioned.store(on, Ordering::SeqCst);
     }
 
-    /// Whether the partition switch is on.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned.load(Ordering::SeqCst)
-    }
-
     /// Injection and traffic counters.
     pub fn counters(&self) -> &ChaosCounters {
         &self.counters

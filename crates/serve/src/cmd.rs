@@ -67,8 +67,9 @@ backend. `--wal DIR/` makes INSERT/DELETE durable (write-ahead logged,
 replayed on restart; see SYNC and CHECKPOINT in the protocol).
 `--result-cache N` answers repeated queries from an epoch-keyed LRU
 cache (mutations invalidate; see the EXPLAIN verb and the STATS PLAN
-line in the protocol). `--slow-query-ms N`
-logs any query at or over N ms (inspect with `simseq metrics`), and
+line in the protocol). `--slow-query-ms N` counts every query at or
+over N ms in simseq_slow_queries_total (see METRICS; TRACE spans and
+EXPLAIN show what a query did), and
 `--trace-sample K` records every K-th query's span tree into a bounded
 ring served by the TRACE verb (0 disables; see METRICS and TRACE in
 the protocol). `--replicate-from HOST:PORT` runs a read-only

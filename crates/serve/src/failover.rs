@@ -121,11 +121,6 @@ impl FailoverClient {
         Arc::clone(&self.counters)
     }
 
-    /// The endpoint the next attempt will use.
-    pub fn current_endpoint(&self) -> &str {
-        &self.endpoints[self.current]
-    }
-
     fn advance(&mut self) {
         self.current = (self.current + 1) % self.endpoints.len();
     }

@@ -41,9 +41,6 @@ pub fn op_index(op: &str) -> usize {
     OPS.iter().position(|o| *o == op).unwrap_or(OPS.len() - 1)
 }
 
-/// Capacity of the per-server slow-query ring.
-const SLOW_RING: usize = 128;
-
 struct OpHandles {
     count: Arc<Counter>,
     errors: Arc<Counter>,
@@ -89,7 +86,7 @@ impl Registry {
             admission_wait,
             busy_rejected,
             connections,
-            slow: SlowLog::new(SLOW_RING),
+            slow: SlowLog::new(),
             baseline: Mutex::new(None),
         }
     }

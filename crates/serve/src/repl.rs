@@ -13,7 +13,8 @@
 //! * **frames** — when `E` equals the primary's current checkpoint epoch
 //!   and `L` does not run past its next LSN, the epoch's log covers the
 //!   follower's position exactly; the primary serves `lsn >= L` frames
-//!   from its live log ([`simquery::shared::SharedIndex::wal_frames_since`]).
+//!   from its live log
+//!   ([`simquery::shared::SharedIndex::wal_frames_since_hinted`]).
 //! * **snapshot** — otherwise (a checkpoint reset the log, the follower
 //!   is behind a restarted primary's recovered log, or the follower is
 //!   brand new, which it signals with the reserved `from=0`): the primary
@@ -23,7 +24,7 @@
 //!
 //! Nothing leaves the primary before it is durable: the catch-up reader
 //! fsyncs the log's written tail before serving it (see
-//! [`simwal::Wal::frames_since`]), and a snapshot cut syncs the log under
+//! [`simwal::Wal::frames_since_hinted`]), and a snapshot cut syncs the log under
 //! the same guard that pins `(epoch, next)`. A primary crash therefore
 //! only ever loses frames *no follower has seen* — with `--fsync
 //! never`/`EveryN` the lost unsynced tail was by construction never
@@ -219,7 +220,7 @@ impl ReplState {
 
     /// Wakes long-polling `REPL` handlers after an acknowledged
     /// mutation. The generation bump is ordered before the waiter check,
-    /// and [`Self::wait_append`] registers before re-reading the
+    /// and `wait_append` registers before re-reading the
     /// generation (both under `park`), so a wakeup can't be lost: either
     /// the waiter sees the new generation and never sleeps, or this call
     /// sees the waiter and notifies.

@@ -23,7 +23,7 @@ use crate::protocol::{
     EngineKind, ErrCode, Request, Response, WireMatch, WireMetrics, WirePair, WireTraceEvent,
 };
 use crate::repl::{serve_repl, FollowerStats, ReplPoll, ReplState};
-use simobs::{SlowEntry, SlowLog};
+use simobs::SlowLog;
 use simquery::prelude::*;
 use simquery::report::{JoinResult, QueryError};
 use simquery::shared::DurableError;
@@ -617,28 +617,17 @@ fn lower(
     }
 }
 
-/// Matches (or pairs) an output carries, for the slow-query log.
-fn output_matches(out: &PlanOutput) -> u64 {
-    match out {
-        PlanOutput::Range(r) => r.matches.len() as u64,
-        PlanOutput::Knn(matches, _) => matches.len() as u64,
-        PlanOutput::Join(r) => r.matches.len() as u64,
-    }
-}
-
 /// Executes a cacheable query verb: epoch-keyed cache lookup, then the
 /// plan layer on a miss. The epoch is read *before* execution so a
 /// racing mutation can only waste a cache entry, never leave a stale one
-/// valid for the current epoch. Cache misses are timed and offered to
-/// the slow-query log (`describe` renders the query text only when the
-/// log actually fires); the result then goes into the cache.
+/// valid for the current epoch. Cache misses are timed against the
+/// slow-query threshold; the result then goes into the cache.
 fn run_cached(
     backend: &Backend,
     cache: &PlanCache,
     slow: &SlowLog,
     lq: &LogicalQuery,
     q: Option<&TimeSeries>,
-    describe: impl FnOnce() -> String,
 ) -> Result<PlanOutput, Response> {
     let epoch = backend.query_epoch();
     let fp = lq.fingerprint(q);
@@ -646,34 +635,10 @@ fn run_cached(
         return Ok(out);
     }
     let start = Instant::now();
-    match backend.execute_timed(lq, q) {
-        Ok((plan, out, timings, _per_shard)) => {
-            let total_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let m = out.metrics();
-            slow.observe(total_us, || SlowEntry {
-                query: describe(),
-                plan: format!(
-                    "engine={} chosen_by={} fanout={} threads={}",
-                    plan.engine.as_str(),
-                    plan.chosen_by.as_str(),
-                    plan.fanout,
-                    plan.threads
-                ),
-                est_pages: plan.est_pages,
-                actual_pages: m.record_page_accesses,
-                est_comparisons: plan.est_comparisons,
-                actual_comparisons: m.comparisons,
-                candidates: m.candidates,
-                matches: output_matches(&out),
-                plan_us: timings.plan_us,
-                exec_us: timings.exec_us,
-                total_us: 0, // observe() stamps the measured total
-            });
-            cache.put(fp, epoch, plan, out.clone());
-            Ok(out)
-        }
-        Err(e) => Err(query_err(e)),
-    }
+    let (plan, out, _per_shard) = backend.execute(lq, q).map_err(query_err)?;
+    slow.observe(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    cache.put(fp, epoch, plan, out.clone());
+    Ok(out)
 }
 
 /// `QUERY` / `KNN` / `JOIN`: lowers the verb, runs it through the result
@@ -694,7 +659,7 @@ fn run_query_verb(
         Request::Join { limit, .. } => *limit,
         _ => 0,
     };
-    match run_cached(backend, cache, slow, &lq, q.as_ref(), || request.to_line()) {
+    match run_cached(backend, cache, slow, &lq, q.as_ref()) {
         Ok(PlanOutput::Range(r)) => matches_response(&r.matches, &r.metrics, limit),
         Ok(PlanOutput::Knn(matches, metrics)) => matches_response(&matches, &metrics, limit),
         Ok(PlanOutput::Join(r)) => pairs_response(&r, limit),
@@ -711,8 +676,8 @@ fn run_explain(backend: &Backend, inner: &Request) -> Response {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    match backend.execute_timed(&lq, q.as_ref()) {
-        Ok((plan, out, ..)) => {
+    match backend.execute(&lq, q.as_ref()) {
+        Ok((plan, out, _)) => {
             let m = out.metrics();
             let n = match &out {
                 PlanOutput::Range(r) => r.matches.len(),

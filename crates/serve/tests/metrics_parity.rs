@@ -1,7 +1,8 @@
 //! Metrics-exactness suite: the `METRICS` exposition must agree with the
 //! `STATS` report op-for-op (same atomics, same numbers), the slow-query
-//! log must fire on exactly the configured threshold semantics, and the
-//! trace ring must stay bounded and drainable under load.
+//! log must fire on exactly the configured threshold semantics on either
+//! backend layout, and the trace ring must stay bounded and drainable
+//! under load.
 //!
 //! The tracer is process-global (`simobs::trace::global()`), so every
 //! test here serialises on one mutex — otherwise a server started by one
@@ -10,7 +11,8 @@
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, QueryParams, Request, WireThreshold};
-use simserve::server::{serve, ServerConfig, ServerHandle};
+use simserve::server::{serve, Backend, ServerConfig, ServerHandle};
+use simshard::{ShardConfig, ShardedIndex};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises the tests in this binary (shared global tracer).
@@ -21,10 +23,11 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn start(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> (SharedIndex, ServerHandle) {
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 60, 64, 43);
-    let index = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
-    let shared = SharedIndex::new(index);
+fn corpus() -> Corpus {
+    Corpus::generate(CorpusKind::SyntheticWalks, 60, 64, 43)
+}
+
+fn config(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> ServerConfig {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -34,7 +37,13 @@ fn start(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> (SharedIndex, ServerHandl
         ..ServerConfig::default()
     };
     cfg_tweak(&mut cfg);
-    let handle = serve(shared.clone(), &cfg).unwrap();
+    cfg
+}
+
+fn start(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> (SharedIndex, ServerHandle) {
+    let index = SeqIndex::build(&corpus(), IndexConfig::default()).unwrap();
+    let shared = SharedIndex::new(index);
+    let handle = serve(shared.clone(), &config(cfg_tweak)).unwrap();
     (shared, handle)
 }
 
@@ -198,44 +207,55 @@ fn metrics_and_stats_agree_op_for_op() {
     handle.shutdown();
 }
 
+/// Sends two range misses, a hit and a kNN miss to `handle`, shuts it
+/// down, and returns its `simseq_slow_queries_total`.
+fn slow_after_three_misses_and_a_hit(handle: ServerHandle) -> u64 {
+    let mut client = Client::connect(handle.addr).unwrap();
+    client.query(query_params(0)).unwrap().unwrap(); // miss
+    client.query(query_params(0)).unwrap().unwrap(); // hit
+    client.query(query_params(1)).unwrap().unwrap(); // miss
+    client.knn(2, 3, (4, 10)).unwrap().unwrap(); // miss
+    let lines = client.metrics().unwrap().unwrap();
+    client.quit().unwrap();
+    handle.shutdown();
+    metric(&lines, "simseq_slow_queries_total")
+}
+
 #[test]
 fn slow_query_log_fires_on_threshold_and_skips_cache_hits() {
     let _guard = serial();
 
     // Threshold left at the default (off): nothing ever fires.
     let (_s, quiet) = start(|_| {});
-    let mut client = Client::connect(quiet.addr).unwrap();
-    client.query(query_params(0)).unwrap().unwrap();
-    let lines = client.metrics().unwrap().unwrap();
-    assert_eq!(metric(&lines, "simseq_slow_queries_total"), 0);
-    client.quit().unwrap();
-    quiet.shutdown();
+    assert_eq!(slow_after_three_misses_and_a_hit(quiet), 0);
 
     // Threshold 0 µs: `total_us >= threshold` holds for every timed
-    // query, so the log fires exactly once per cache miss — and never on
-    // a cache hit, which skips the execution path entirely.
+    // query, so the log fires exactly once per cache miss, kNN included —
+    // and never on a cache hit, which skips the execution path entirely.
     let (_s, noisy) = start(|cfg| cfg.slow_query_us = 0);
-    let mut client = Client::connect(noisy.addr).unwrap();
-    client.query(query_params(0)).unwrap().unwrap(); // miss → fires
-    client.query(query_params(0)).unwrap().unwrap(); // hit → silent
-    client.query(query_params(1)).unwrap().unwrap(); // miss → fires
-    client.knn(2, 3, (4, 10)).unwrap().unwrap(); // miss → fires
-    let lines = client.metrics().unwrap().unwrap();
-    assert_eq!(metric(&lines, "simseq_slow_queries_total"), 3);
+    assert_eq!(slow_after_three_misses_and_a_hit(noisy), 3);
+}
 
-    // The ring keeps the entries themselves, queryable in-process.
-    let entries = noisy.metrics.slow().recent(10);
-    assert_eq!(entries.len(), 3);
-    assert!(entries[0].query.starts_with("QUERY ord=0"), "{entries:?}");
-    assert!(entries[2].query.starts_with("KNN ord=2"), "{entries:?}");
-    // Stage splits nest inside the total (µs truncation is monotone).
-    for e in &entries {
-        assert!(e.plan.contains("engine="), "{e:?}");
-        assert!(e.total_us >= e.plan_us, "{e:?}");
-        assert!(e.total_us >= e.exec_us, "{e:?}");
-    }
-    client.quit().unwrap();
-    noisy.shutdown();
+/// The count comes from the server's request path, not from the layout:
+/// a shard group fires once per cache miss exactly like a single index.
+#[test]
+fn sharded_backend_counts_slow_misses_like_a_single_one() {
+    let _guard = serial();
+    let (_s, single) = start(|cfg| cfg.slow_query_us = 0);
+    let sharded = ShardedIndex::build(
+        &corpus(),
+        ShardConfig::new(3).unwrap(),
+        IndexConfig::default(),
+    )
+    .unwrap();
+    let sharded = serve(Backend::from(sharded), &config(|cfg| cfg.slow_query_us = 0)).unwrap();
+    assert_eq!(
+        (
+            slow_after_three_misses_and_a_hit(single),
+            slow_after_three_misses_and_a_hit(sharded)
+        ),
+        (3, 3)
+    );
 }
 
 #[test]

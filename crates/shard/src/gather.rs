@@ -24,19 +24,20 @@
 //! be globally irrelevant while shard B holds all true top-k. Instead the
 //! gather runs shards *sequentially*, threading the running global k-th
 //! distance `τ` into each next shard as the initial pruning bound of
-//! [`simquery::plan::execute_knn_fragment`]: a shard search abandons any
-//! subtree (and skips any candidate refinement) whose lower bound exceeds
-//! `τ`. The first shard runs unbounded (`τ = ∞`); each later shard can
-//! only shrink `τ`. Bound comparisons keep ties (`≤ τ` survives), so
+//! [`simquery::engine::knn::knn_bounded`] — the one engine the gather
+//! calls directly, since range fragments go through
+//! [`simquery::plan::execute_plan`]: a shard search abandons any subtree
+//! (and skips any candidate refinement) whose lower bound exceeds `τ`.
+//! The first shard runs unbounded (`τ = ∞`); each later shard can only
+//! shrink `τ`. Bound comparisons keep ties (`≤ τ` survives), so
 //! equal-distance candidates from later shards still surface and the
 //! deterministic (distance, global-ordinal) tie-break decides the final
 //! top-k. Any error from any shard aborts the query with a typed
 //! [`QueryError`] — a partial merge is never returned.
 
 use crate::index::ShardedIndex;
-use simquery::plan::{
-    self, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner, StageTimings,
-};
+use simquery::engine::knn;
+use simquery::plan::{self, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner};
 use simquery::report::{EngineMetrics, Match, QueryError, QueryResult};
 use std::time::Instant;
 use tseries::TimeSeries;
@@ -225,7 +226,7 @@ pub fn execute_knn(
     for (shard, handle) in shards.iter().enumerate() {
         let index = handle.read();
         sharded.stats().note_dispatch(plan.engine);
-        let (found, metrics) = plan::execute_knn_fragment(&index, query, &lq.family, k, tau)?;
+        let (found, metrics) = knn::knn_bounded(&index, query, &lq.family, k, tau)?;
         per_shard.push(metrics);
         // As in the range gather: snapshot translation drops sequences
         // inserted after this query linearized.
@@ -247,36 +248,27 @@ pub fn execute_knn(
 }
 
 /// Executes a logical range or kNN query over the shard group — the
-/// sharded counterpart of [`simquery::shared::SharedIndex::execute_timed`].
-/// The scatter can't separate planning from execution (each shard plans
-/// inside its lane), so the whole call counts as execution and `plan_us`
-/// stays 0. `JOIN` never reaches here: its pairs cross shards, so every
-/// caller rejects it before dispatch.
-#[allow(clippy::type_complexity)]
-pub fn execute_timed(
+/// sharded counterpart of [`simquery::shared::SharedIndex::execute`],
+/// plus each shard's own metrics. `JOIN` never reaches here: its pairs
+/// cross shards, so every caller rejects it before dispatch.
+pub fn execute(
     sharded: &ShardedIndex,
     lq: &LogicalQuery,
     query: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput, StageTimings, Vec<EngineMetrics>), QueryError> {
-    let start = Instant::now();
-    let (plan, out, per_shard) = match lq.verb {
+) -> Result<(PhysicalPlan, PlanOutput, Vec<EngineMetrics>), QueryError> {
+    match lq.verb {
         LogicalVerb::Range => {
             let query = query.expect("range queries carry a query sequence");
             let (plan, r, per_shard) = execute_range(sharded, lq, query)?;
-            (plan, PlanOutput::Range(r), per_shard)
+            Ok((plan, PlanOutput::Range(r), per_shard))
         }
         LogicalVerb::Knn { .. } => {
             let query = query.expect("kNN queries carry a query sequence");
             let (plan, matches, merged, per_shard) = execute_knn(sharded, lq, query)?;
-            (plan, PlanOutput::Knn(matches, merged), per_shard)
+            Ok((plan, PlanOutput::Knn(matches, merged), per_shard))
         }
         LogicalVerb::Join => unreachable!("JOIN is rejected on sharded backends"),
-    };
-    let timings = StageTimings {
-        plan_us: 0,
-        exec_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-    };
-    Ok((plan, out, timings, per_shard))
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! shards, each behind its own [`simquery::shared::SharedIndex`] lock, and
 //! executes every query class by scatter-gather:
 //!
-//! - **Partitioning** ([`cfg`], [`partition`]): a validated
+//! - **Partitioning** ([`cfg`](mod@cfg), [`partition`]): a validated
 //!   [`ShardConfig`] picks the shard count and a [`PartitionerKind`]
 //!   (hash-by-ordinal default, round-robin, range); the [`ShardMap`]
 //!   records the stable global-ordinal ↔ (shard, local-ordinal) mapping.

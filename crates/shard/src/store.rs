@@ -17,7 +17,7 @@ use crate::gather;
 use crate::index::{sum_counters, ShardedIndex};
 use pagestore::PageError;
 use simquery::index::{AccessCounters, SeqIndex};
-use simquery::plan::{LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch, StageTimings};
+use simquery::plan::{LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
 use simquery::query::FilterPolicy;
 use simquery::report::{EngineMetrics, QueryError};
 use simquery::shared::{DurableError, SharedIndex};
@@ -263,21 +263,20 @@ impl Store {
         self.single().is_some() || policy != FilterPolicy::Paper
     }
 
-    /// Plans and executes a logical query, reporting the plan/execute
-    /// wall-clock split and each shard's own metrics (empty on a single
-    /// index). `JOIN` needs [`Self::single`].
-    #[allow(clippy::type_complexity)]
-    pub fn execute_timed(
+    /// Plans and executes a logical query, returning the plan, the output
+    /// and each shard's own metrics (empty on a single index). `JOIN`
+    /// needs [`Self::single`].
+    pub fn execute(
         &self,
         lq: &LogicalQuery,
         query: Option<&TimeSeries>,
-    ) -> Result<(PhysicalPlan, PlanOutput, StageTimings, Vec<EngineMetrics>), QueryError> {
+    ) -> Result<(PhysicalPlan, PlanOutput, Vec<EngineMetrics>), QueryError> {
         match self {
             Self::Single(s) => {
-                let (plan, out, timings) = s.execute_timed(lq, query)?;
-                Ok((plan, out, timings, Vec::new()))
+                let (plan, out) = s.execute(lq, query)?;
+                Ok((plan, out, Vec::new()))
             }
-            Self::Sharded(s) => gather::execute_timed(s, lq, query),
+            Self::Sharded(s) => gather::execute(s, lq, query),
         }
     }
 

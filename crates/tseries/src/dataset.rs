@@ -51,11 +51,6 @@ impl Corpus {
         }
     }
 
-    /// The paper's stock corpus shape: 1068 stocks × 128 days.
-    pub fn paper_stock_corpus(seed: u64) -> Self {
-        Self::generate(CorpusKind::StockCloses, 1068, 128, seed)
-    }
-
     /// Wraps explicit data.
     ///
     /// # Panics

@@ -76,15 +76,9 @@ impl RealDft {
     /// Inverse transform back to a real sequence.
     ///
     /// The imaginary residue (numerical noise, or evidence the spectrum was
-    /// edited into something non-symmetric) is discarded; use
-    /// [`Self::inverse_complex`] to inspect it.
+    /// edited into something non-symmetric) is discarded.
     pub fn inverse(&self) -> Vec<f64> {
         ifft(&self.coeffs).into_iter().map(|c| c.re).collect()
-    }
-
-    /// Inverse transform keeping complex values.
-    pub fn inverse_complex(&self) -> Vec<Complex64> {
-        ifft(&self.coeffs)
     }
 
     /// Checks conjugate symmetry (Eq. 6) within `eps`. Always true for

@@ -135,9 +135,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
 
 /// An incremental decoder over any byte stream of concatenated frames —
 /// the streaming counterpart of [`decode_frames`], used by the
-/// replication catch-up reader ([`crate::Wal::frames_since`]) so a
-/// primary can serialise frames to a follower without slurping the whole
-/// log into memory at once.
+/// replication catch-up reader ([`crate::Wal::frames_since_hinted`]) so
+/// a primary can serialise frames to a follower without slurping the
+/// whole log into memory at once.
 ///
 /// Iteration yields every intact frame in order and then ends. A torn
 /// tail (short header, oversized length, CRC mismatch, undecodable

@@ -3,7 +3,7 @@
 //! A `LOCK` file created with `create_new` holds the owning pid. Two
 //! processes replaying and appending to the same WAL — or checkpointing
 //! the same index directory — would silently corrupt each other, so every
-//! opener ([`simquery`]'s `SeqIndex::open`, `simshard`'s
+//! opener (`simquery`'s `SeqIndex::open`, `simshard`'s
 //! `ShardedIndex::open`, and [`crate::Wal::open`]) takes the lock first
 //! and surfaces [`crate::WalError::Locked`] instead of proceeding.
 //! Read-only consumers use the `open_read_only` variants, which skip the

@@ -467,20 +467,16 @@ impl Wal {
     /// shipped prefix is always a prefix of what recovery replays. On a
     /// lazily-synced primary this amounts to group commit driven by
     /// follower polls.
-    pub fn frames_since(&self, from_lsn: u64, max: usize) -> Result<Vec<WalOp>, WalError> {
-        self.frames_since_hinted(from_lsn, max, None)
-            .map(|(frames, _)| frames)
-    }
-
-    /// [`Self::frames_since`] with a resume cursor: `hint` is a
-    /// `(lsn, byte offset)` pair from a previous call claiming the frame
-    /// carrying `lsn` starts at `offset`. A valid hint for `from_lsn`
-    /// makes the read O(frames served) instead of O(log) — the
-    /// steady-state cost of one follower tailing one primary. A hint
-    /// that is stale, out of bounds, or simply wrong (the bytes there
-    /// don't decode to `from_lsn`) silently degrades to the full scan;
-    /// it can never change which frames are returned. Returns the frames
-    /// plus the cursor to pass next time.
+    ///
+    /// `hint` is a resume cursor: a `(lsn, byte offset)` pair from a
+    /// previous call claiming the frame carrying `lsn` starts at
+    /// `offset`. A valid hint for `from_lsn` makes the read O(frames
+    /// served) instead of O(log) — the steady-state cost of one follower
+    /// tailing one primary. A hint that is stale, out of bounds, or
+    /// simply wrong (the bytes there don't decode to `from_lsn`) silently
+    /// degrades to the full scan, as `None` does; it can never change
+    /// which frames are returned. Returns the frames plus the cursor to
+    /// pass next time.
     pub fn frames_since_hinted(
         &self,
         from_lsn: u64,
@@ -640,6 +636,11 @@ mod tests {
         dir
     }
 
+    /// The frames of an unhinted catch-up read.
+    fn since(wal: &Wal, from: u64, max: usize) -> Vec<WalOp> {
+        wal.frames_since_hinted(from, max, None).unwrap().0
+    }
+
     fn ins(lsn: u64) -> WalOp {
         WalOp::Insert {
             lsn,
@@ -739,20 +740,17 @@ mod tests {
             wal.append(&ins(i)).unwrap();
         }
         // From the beginning, from mid-log, and from past the end.
-        let all = wal.frames_since(0, 0).unwrap();
-        assert_eq!(all, (1..=6).map(ins).collect::<Vec<_>>());
-        let tail = wal.frames_since(4, 0).unwrap();
-        assert_eq!(tail, (4..=6).map(ins).collect::<Vec<_>>());
-        assert!(wal.frames_since(7, 0).unwrap().is_empty());
+        assert_eq!(since(&wal, 0, 0), (1..=6).map(ins).collect::<Vec<_>>());
+        assert_eq!(since(&wal, 4, 0), (4..=6).map(ins).collect::<Vec<_>>());
+        assert!(since(&wal, 7, 0).is_empty());
         // max caps the batch.
-        let capped = wal.frames_since(2, 2).unwrap();
-        assert_eq!(capped, vec![ins(2), ins(3)]);
+        assert_eq!(since(&wal, 2, 2), vec![ins(2), ins(3)]);
         // A failed (rewound) append never reaches the stream.
         wal.arm_append_fault();
         assert!(wal.append(&ins(7)).is_err());
-        assert!(wal.frames_since(7, 0).unwrap().is_empty());
+        assert!(since(&wal, 7, 0).is_empty());
         wal.append(&ins(8)).unwrap();
-        assert_eq!(wal.frames_since(7, 0).unwrap(), vec![ins(8)]);
+        assert_eq!(since(&wal, 7, 0), vec![ins(8)]);
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -773,8 +771,7 @@ mod tests {
         // … until the catch-up reader serves them: shipping a frame
         // fsyncs it first, so a follower can never hold a frame a
         // primary crash would lose.
-        let frames = wal.frames_since(1, 0).unwrap();
-        assert_eq!(frames.len(), 3);
+        assert_eq!(since(&wal, 1, 0).len(), 3);
         assert_eq!(wal.stats().fsyncs, 1);
         let shipped = wal.durable_len();
         assert!(shipped > HEADER_LEN);
@@ -842,7 +839,7 @@ mod tests {
             let (frames, _) = wal.frames_since_hinted(bad.0, 0, Some(bad)).unwrap();
             assert_eq!(
                 frames,
-                wal.frames_since(bad.0, 0).unwrap(),
+                since(&wal, bad.0, 0),
                 "bad cursor {bad:?} must fall back to the scan"
             );
         }

@@ -34,6 +34,9 @@
 #                           # property and doc tests on PagedStore, and
 #                           # the subsequence index (the other tree) with
 #                           # its literal counters
+#   scripts/ci.sh docs      # tier-2: rustdoc of every workspace crate with
+#                           # warnings as errors, so an intra-doc link to
+#                           # a deleted, renamed or private item fails
 #   scripts/ci.sh e2e       # tier-2: builds the benchmark (e2ebench/, a
 #                           # workspace of its own that no PR may edit)
 #                           # against the workspace crates and runs its
@@ -172,6 +175,10 @@ obs)
     run_stage obs
     obs_overhead_gate
     ;;
+docs)
+    echo "== docs: cargo doc, warnings are errors =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    ;;
 all)
     echo "== cargo build --release =="
     cargo build --release --offline
@@ -191,7 +198,7 @@ all)
     cargo test --offline --manifest-path e2ebench/Cargo.toml --no-run
     ;;
 *)
-    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|storage|e2e|bench]" >&2
+    echo "usage: scripts/ci.sh [chaos|recovery|parity|replication|obs|failover|serve|engines|storage|docs|e2e|bench]" >&2
     echo "  (no argument: tier-1; bench compares against $(newest_baseline))" >&2
     exit 2
     ;;
