@@ -5,7 +5,14 @@
 //!
 //! Semantics: the distance of sequence `x` to the query is
 //! `min_{t ∈ T} D(t(x̂), t(q̂))`; the k sequences minimising it are
-//! returned, each with its best transformation.
+//! returned, each with its best transformation, ties by ordinal.
+//!
+//! A leaf entry is queued under the kernel's leaf bound (see
+//! [`crate::engine`]) — `√(min_t W_1·P̂_1 + W_2·P̂_2)`, each member's own
+//! partial distance over coefficients 1 and 2, shrunk by the margin — so
+//! the optimal multi-step search refines only the entries whose partial
+//! distance is below the k-th neighbour's. `candidates` counts those
+//! refinements.
 
 use crate::engine::{check_family, VerifyKernel};
 use crate::feature::{FRect, MAG_DIMS};
@@ -56,15 +63,19 @@ pub fn knn_bounded(
     // parked here and re-raised after the traversal returns.
     let mut fetch_err: Option<pagestore::PageError> = None;
     let mut kernel = VerifyKernel::for_query(index, family, &q, QueryMode::Symmetric);
+    let leaf = kernel
+        .leaf_bound()
+        .expect("a symmetric query has a leaf bound");
 
-    // Optimal multi-step search: leaf entries carry the cheap feature-space
-    // bound; the expensive fetch-and-verify runs only when an entry reaches
-    // the head of the queue.
+    // Optimal multi-step search: nodes carry the family rectangle's
+    // magnitude bound, leaf entries each member's own partial distance
+    // over coefficients 1 and 2; the expensive fetch-and-verify runs only
+    // when an entry reaches the head of the queue.
     let (neighbors, stats) = index.nearest_by_refine_bounded(
         k,
         init_bound,
         |rect| mindist_bound(&mbr.apply_to_rect(rect), &qregion),
-        |rect, _| mindist_bound(&mbr.apply_to_rect(rect), &qregion),
+        |rect, _| leaf.nearest(&leaf.terms(&rect.lo)),
         |_, data| {
             let seq = data as usize;
             // The traversal refines a leaf entry once: no row to keep.

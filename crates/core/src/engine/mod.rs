@@ -32,6 +32,14 @@
 //! formulas on purpose, as the tolerance oracles an error in the kernel
 //! must not be able to hide in.
 //!
+//! Between steps 4 and 5 of a symmetric query sits one more exact test,
+//! `LeafBound`: a leaf entry's point is its sequence's coefficients 1
+//! and 2, so the kernel's first two terms bound every member's distance
+//! from below. Under the sound policies a range query fetches no record
+//! and verifies no member that bound already puts at `ε` or beyond, and
+//! [`knn`] ranks its leaf entries by it. `Paper` keeps the paper's step 5,
+//! and the candidates of every policy stay Eq. 12's.
+//!
 //! All three return identical result sets (property-tested under
 //! [`FilterPolicy::Safe`](crate::query::FilterPolicy)); they differ only in
 //! cost, which is the paper's entire point.
@@ -42,7 +50,7 @@ pub mod mtindex;
 pub mod seqscan;
 pub mod stindex;
 
-use crate::feature::SeqFeatures;
+use crate::feature::{FeatureVec, SeqFeatures, ANGLE_DIMS, MAG_DIMS};
 use crate::index::SeqIndex;
 use crate::query::QueryMode;
 use crate::report::QueryError;
@@ -392,6 +400,79 @@ impl<'a> VerifyKernel<'a> {
     /// Where row or member table `i` lies in its arena.
     fn slot(&self, i: usize) -> std::ops::Range<usize> {
         self.span * i..self.span * (i + 1)
+    }
+
+    /// The exact per-member bound a leaf entry's point gives on this
+    /// kernel's distances — `None` but for a symmetric query, the one arm
+    /// whose terms are `W_f·|X_f − Q_f|²`.
+    pub fn leaf_bound(&self) -> Option<LeafBound> {
+        let Arm::Query(w, q) = &self.arm else {
+            return None;
+        };
+        Some(LeafBound {
+            weights: w.chunks(self.span).map(|w| [w[1], w[2]]).collect(),
+            target: [q[1].to_polar(), q[2].to_polar()],
+        })
+    }
+}
+
+/// Slack of every [`LeafBound`] decision, relative to the threshold
+/// (`ε²`, or a k-NN key `d`) and to the coefficient magnitudes. The leaf
+/// point is the polar form of the very coefficients a kernel row holds,
+/// so the bound and the kernel's terms differ by a few ulps of
+/// `(r_x + r_q)²` and the kernel's sum by a few ulps per term; `1e-9`
+/// leaves five orders of magnitude over both, and costs nothing
+/// measurable in pruning.
+pub(crate) const LEAF_BOUND_MARGIN: f64 = 1e-9;
+
+/// Lemma 1 on the leaf points (GEMINI's lower-bounding lemma): a leaf
+/// entry is a sequence's coefficients 1 and 2 in polar form, exact, and by
+/// Parseval the first two terms of the kernel's own sum, `Σ_{f∈{1,2}}
+/// W_f·|X_f − Q_f|²`, bound member `t`'s squared distance from below. Per
+/// entry [`Self::terms`] takes two sines, per member [`Self::admits`] /
+/// [`Self::nearest`] two multiply-adds. `W_f` are the kernel's tables,
+/// folded mirrors included, so the bound is the kernel's sum cut short.
+pub(crate) struct LeafBound {
+    /// `[W_1, W_2]` of every member.
+    weights: Vec<[f64; 2]>,
+    /// The target's coefficients 1 and 2 as `(r_q, θ_q)`.
+    target: [(f64, f64); 2],
+}
+
+impl LeafBound {
+    /// An entry's `P̂_f = (r_x − r_q)² + 4·r_x·r_q·sin²((θ_x − θ_q)/2)`,
+    /// `|X_f − Q_f|²` in polar form, less the margin's absolute part. A
+    /// term that is not a number (a damaged point) is 0: it bounds
+    /// nothing, so it drops nothing.
+    pub fn terms(&self, point: &FeatureVec) -> [f64; 2] {
+        std::array::from_fn(|k| {
+            let (rx, ax) = (point[MAG_DIMS[k]], point[ANGLE_DIMS[k]]);
+            let (rq, aq) = self.target[k];
+            let chord = ((ax - aq) * 0.5).sin();
+            let p = (rx - rq) * (rx - rq) + 4.0 * rx * rq * chord * chord;
+            (p - LEAF_BOUND_MARGIN * (rx + rq) * (rx + rq)).max(0.0)
+        })
+    }
+
+    /// Member `t`'s bound on its squared distance, `W_1·P̂_1 + W_2·P̂_2`.
+    fn squared(&self, t: usize, p: &[f64; 2]) -> f64 {
+        let w = &self.weights[t];
+        w[0] * p[0] + w[1] * p[1]
+    }
+
+    /// False only when member `t` is surely at `ε` or beyond for the
+    /// entry with terms `p`: its bound exceeds `ε²` by the margin.
+    pub fn admits(&self, t: usize, p: &[f64; 2], eps: f64) -> bool {
+        self.squared(t, p) <= eps * eps * (1.0 + LEAF_BOUND_MARGIN)
+    }
+
+    /// A lower bound on `min_t D(t(x), t(q))` for the entry with terms
+    /// `p`: `√(min_t W_1·P̂_1 + W_2·P̂_2)`, shrunk by the margin.
+    pub fn nearest(&self, p: &[f64; 2]) -> f64 {
+        let least = (0..self.weights.len())
+            .map(|t| self.squared(t, p))
+            .fold(f64::INFINITY, f64::min);
+        least.sqrt() * (1.0 - LEAF_BOUND_MARGIN)
     }
 }
 

@@ -27,13 +27,23 @@
 //! fetches` included: one per candidate of each rectangle) are those of
 //! `k` descents, while the pool misses are one per heap page the
 //! candidates lie on.
+//!
+//! Under the sound policies (`Safe`, `Adaptive`) a symmetric query puts
+//! one more exact test between steps 4 and 5, the kernel's leaf bound
+//! (see [`crate::engine`]): where the descent meets an entry, a rectangle
+//! keeps it only if one of its members may lie within `ε`, an entry no
+//! rectangle keeps gets no row and no fetch, and verification skips the
+//! members the bound rules out. Ordered plans take the entry's drop and
+//! binary-search the survivors as before. `candidates` stays Eq. 12's
+//! count; `comparisons`, `record fetches` and the pages read count what
+//! the gate lets through.
 
 use crate::engine::{check_family, VerifyKernel};
 use crate::feature::{FRect, FeatureVec};
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::partition::PartitionStrategy;
-use crate::query::{mt_query_region, Filter, QueryMode, RangeSpec};
+use crate::query::{mt_query_region, Filter, FilterPolicy, QueryMode, RangeSpec};
 use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
@@ -145,22 +155,38 @@ pub fn range_query_features(
     let mut metrics = EngineMetrics::default();
     let mut matches = Vec::new();
     let mut kernel = VerifyKernel::for_query(index, family, q, spec.mode);
+    // The leaf gate of the sound policies; `Paper` keeps the paper's
+    // step 5, whose comparisons Figures 5–8 count.
+    let gate = match spec.policy {
+        FilterPolicy::Paper => None,
+        FilterPolicy::Safe | FilterPolicy::Adaptive => kernel.leaf_bound(),
+    };
+    let admits = |t: usize, p: &[f64; 2]| gate.as_ref().is_none_or(|g| g.admits(t, p, eps));
 
-    // A group's descent meets each live leaf entry once, so the candidate
-    // gets its kernel row there, and every rectangle it hit lists that
-    // row; a candidate of several groups has a row in each, filled once.
-    let (mut seqs, mut rows) = (Vec::new(), vec![Vec::new(); mbrs.len()]);
+    // A group's descent meets each live leaf entry once. A rectangle keeps
+    // the entry when one of its members passes the gate; a kept candidate
+    // gets its kernel row there, with its two gate terms, and every
+    // rectangle that kept it lists that row. A candidate of several groups
+    // has a row in each, filled once.
+    let (mut seqs, mut terms, mut rows) = (Vec::new(), Vec::new(), vec![Vec::new(); mbrs.len()]);
     let traversals = descend(
         index,
         mbrs,
         &q.point,
         spec.mode,
         &filter,
-        |first, seq, mask| {
-            for j in mask_bits(mask) {
-                rows[first + j].push(seqs.len());
+        |first, seq, mask, point| {
+            let p = gate.as_ref().map_or([0.0; 2], |g| g.terms(point));
+            let kept = mask_bits(mask)
+                .filter(|&j| mbrs[first + j].members.iter().any(|&t| admits(t, &p)))
+                .fold(0, |kept, j| kept | 1 << j);
+            if kept != 0 {
+                for j in mask_bits(kept) {
+                    rows[first + j].push(seqs.len());
+                }
+                seqs.push(seq);
+                terms.push(p);
             }
-            seqs.push(seq);
         },
     )?;
     // Step 5: retrieve the full records in heap order...
@@ -169,22 +195,20 @@ pub fn range_query_features(
         metrics.node_accesses += traversal.da_all;
         metrics.leaf_accesses += traversal.da_leaf;
         metrics.candidates += traversal.candidates;
-        // The paper's record accesses: one per candidate of each rectangle.
+        // The paper's record accesses: one per candidate of each rectangle
+        // that the gate kept.
         metrics.record_fetches += rows.len() as u64;
 
         // ...then verify rectangle by rectangle, in each one's descent
-        // order, every member, each one comparison however early it is
-        // abandoned — or, over an ordered family, whose rectangle members
-        // are contiguous ranks, binary-search the maximal qualifying rank
-        // and verify the members at or below it uncounted: the decision
-        // took log|T| comparisons (§4.4's accounting).
+        // order, every member the gate admits, each one comparison however
+        // early it is abandoned — or, over an ordered family, whose
+        // rectangle members are contiguous ranks, binary-search the maximal
+        // qualifying rank and verify the members at or below it uncounted:
+        // the decision took log|T| comparisons (§4.4's accounting).
         for row in rows {
             let seq = seqs[row];
             let members = match ordered {
-                None => {
-                    metrics.comparisons += mbr.members.len() as u64;
-                    mbr.members.len()
-                }
+                None => mbr.members.len(),
                 Some(ordered) => {
                     let dist = |t: usize| kernel.distance(row, t);
                     let comparisons = &mut metrics.comparisons;
@@ -194,6 +218,12 @@ pub fn range_query_features(
                 }
             };
             for &ti in &mbr.members[..members] {
+                if ordered.is_none() {
+                    if !admits(ti, &terms[row]) {
+                        continue;
+                    }
+                    metrics.comparisons += 1;
+                }
                 if let Some(dist) = kernel.distance_below(row, ti, eps) {
                     matches.push(Match {
                         seq,
@@ -226,7 +256,7 @@ pub fn probe(
     let q = index.prepare_query(query)?;
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
-    descend(index, mbrs, &q.point, spec.mode, &filter, |_, _, _| {})
+    descend(index, mbrs, &q.point, spec.mode, &filter, |_, _, _, _| {})
 }
 
 /// Rectangles one descent serves: the bits of a `u64` mask.
@@ -239,8 +269,9 @@ pub(crate) const MASK_WIDTH: usize = 64;
 /// Eq. 12 — in the dimensions the filter looks at, see
 /// [`crate::query::RectFilter`] — against the rectangles whose own descent
 /// would have reached it, and hands each surviving leaf entry to
-/// `on_entry(first, seq, mask)` once per group: bit `j` of `mask` set for
-/// each rectangle `first + j` it hit. So the entries with bit `j` set
+/// `on_entry(first, seq, mask, point)` once per group: bit `j` of `mask`
+/// set for each rectangle `first + j` it hit, `point` the entry's feature
+/// point. So the entries with bit `j` set
 /// arrive in the order rectangle `first + j`'s own descent yields its
 /// candidates, and its [`RectTraversal`] counts that descent's nodes.
 ///
@@ -256,7 +287,7 @@ pub(crate) fn descend(
     q: &FeatureVec,
     mode: QueryMode,
     filter: &Filter,
-    mut on_entry: impl FnMut(usize, usize, u64),
+    mut on_entry: impl FnMut(usize, usize, u64, &FeatureVec),
 ) -> Result<Vec<RectTraversal>, QueryError> {
     let mut traversals = Vec::with_capacity(mbrs.len());
     for (g, group) in mbrs.chunks(MASK_WIDTH).enumerate() {
@@ -264,8 +295,9 @@ pub(crate) fn descend(
             .iter()
             .map(|mbr| filter.bind(mbr, mt_query_region(mbr, q, mode)))
             .collect();
-        let mut on_data =
-            |_: &FRect, data: u64, mask: u64| on_entry(g * MASK_WIDTH, data as usize, mask);
+        let mut on_data = |rect: &FRect, data: u64, mask: u64| {
+            on_entry(g * MASK_WIDTH, data as usize, mask, &rect.lo)
+        };
         // One rectangle gets a walk of its own, with neither hull nor mask
         // loop, so a one-rectangle plan costs what a plain search does.
         let (per_rect, _) = match &bounds[..] {
@@ -422,6 +454,8 @@ mod tests {
     /// Step 5 on the kernel reports what the naive distance over full
     /// features would, and only the last bits of a distance may show: the
     /// same matches in the same order, the same counters — run after run.
+    /// Under `Safe` the counters are the leaf gate's survivors, and every
+    /// naive match survives it; under `Paper` there is no gate.
     #[test]
     fn kernel_path_reports_what_the_naive_distance_would_in_order() {
         let (c, idx) = setup(200);
@@ -432,18 +466,39 @@ mod tests {
 
         let eps = spec.epsilon(128);
         let filter = Filter::new(eps, spec.policy);
+        let gate = VerifyKernel::for_query(&idx, &family, &q, spec.mode)
+            .leaf_bound()
+            .unwrap();
         let (mut want, mut comparisons, mut touches) = (Vec::new(), 0, 0);
+        let mut candidates_total = 0;
         for mbr in TransformMbr::singletons(&family) {
             // Each rectangle's own descent, the oracle of the masked one.
             let bound = filter.bind(&mbr, mt_query_region(&mbr, &q.point, spec.mode));
             let mut candidates = Vec::new();
-            idx.search(|r| bound.hit(r), |_, seq| candidates.push(seq as usize))
-                .unwrap();
-            for seq in candidates {
+            idx.search(
+                |r| bound.hit(r),
+                |r, seq| candidates.push((seq as usize, gate.terms(&r.lo))),
+            )
+            .unwrap();
+            candidates_total += candidates.len() as u64;
+            for (seq, p) in candidates {
                 let x = SeqFeatures::extract(&idx.fetch_series(seq).unwrap()).unwrap();
-                touches += 1;
+                let admitted: Vec<usize> = mbr
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&t| gate.admits(t, &p, eps))
+                    .collect();
+                touches += u64::from(!admitted.is_empty());
                 for &ti in &mbr.members {
                     let dist = family.transforms()[ti].transformed_distance(&x, &q);
+                    assert!(
+                        dist >= eps || admitted.contains(&ti),
+                        "the gate dropped ({seq}, {ti}) at {dist} < {eps}"
+                    );
+                    if !admitted.contains(&ti) {
+                        continue;
+                    }
                     comparisons += 1;
                     if dist < eps {
                         want.push(Match {
@@ -467,10 +522,25 @@ mod tests {
         assert_eq!(first.matches, second.matches);
         assert_eq!(first.metrics.comparisons, comparisons);
         assert_eq!(first.metrics.record_fetches, touches);
+        // Eq. 12's count stands; the gate only thins what follows it.
+        assert_eq!(first.metrics.candidates, candidates_total);
+        assert!(comparisons < candidates_total, "{comparisons} comparisons");
         // And the one-rectangle MT plan finds the same pairs at the same
         // distances, member-major per candidate.
         let mt = range_query(&idx, query, &family, &spec).unwrap();
         assert_same_matches(&by_pair(&mt.matches), &by_pair(&want), spec.mode);
+
+        // `Paper` has no gate: every candidate of every rectangle is one
+        // record fetch and `NT = 1` comparison, as Figures 5–8 count.
+        let paper = spec.with_policy(FilterPolicy::Paper);
+        let m = stindex::range_query(&idx, query, &family, &paper)
+            .unwrap()
+            .metrics;
+        assert!(m.candidates > comparisons);
+        assert_eq!(
+            (m.comparisons, m.record_fetches),
+            (m.candidates, m.candidates)
+        );
     }
 
     fn by_pair(v: &[Match]) -> Vec<Match> {
@@ -576,12 +646,14 @@ mod tests {
         assert_same_matches(&by_pair(&st.matches), &scan.matches, spec.mode);
     }
 
+    /// §4.4 alone, so under `Paper`: the sound policies' leaf gate thins
+    /// the general plan's comparisons too.
     #[test]
     fn ordered_verification_saves_comparisons() {
         let (c, idx) = setup(150);
         let factors: Vec<f64> = (1..=32).map(|k| 0.2 + 0.1 * k as f64).collect();
         let ordered = OrderedFamily::scalings(&factors, 128);
-        let spec = RangeSpec::euclidean(10.0).with_policy(FilterPolicy::Safe);
+        let spec = RangeSpec::euclidean(10.0).with_policy(FilterPolicy::Paper);
         let q = &c.series()[8];
         let general = range_query(&idx, q, ordered.family(), &spec).unwrap();
         let fast = range_query_ordered(&idx, q, &ordered, &spec).unwrap();

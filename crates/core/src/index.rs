@@ -602,7 +602,8 @@ mod tests {
     /// Step 5 fetches each distinct candidate once, in heap order. From a
     /// cold pool smaller than the heap, a query's record page reads are the
     /// heap pages its candidates lie on, each once, and its device record
-    /// fetches are its distinct candidates — for one rectangle, a
+    /// fetches are its distinct candidates (for a range query, the ones
+    /// the leaf gate keeps) — for one rectangle, a
     /// partitioned plan, an ST plan of 70 members (two mask groups) and
     /// both joins. Fetching in descent order instead reads a page again
     /// each time the pool has evicted it.
@@ -645,6 +646,11 @@ mod tests {
         let q = idx.prepare_query(query).unwrap();
         let family = Family::moving_averages(2..=36, 64).with_inverted();
         assert_eq!(family.len(), 70);
+        // A range query's candidates are the ones the leaf gate keeps.
+        let eps = spec.epsilon(64);
+        let gate = crate::engine::VerifyKernel::for_query(&idx, &family, &q, spec.mode)
+            .leaf_bound()
+            .unwrap();
         for strategy in [
             PartitionStrategy::Single,
             PartitionStrategy::EqualWidth { per_mbr: 6 },
@@ -656,8 +662,11 @@ mod tests {
                 let bound = filter.bind(mbr, mt_query_region(mbr, &q.point, spec.mode));
                 idx.search(
                     |r| bound.hit(r),
-                    |_, s| {
-                        seqs.insert(s as usize);
+                    |r, s| {
+                        let p = gate.terms(&r.lo);
+                        if mbr.members.iter().any(|&t| gate.admits(t, &p, eps)) {
+                            seqs.insert(s as usize);
+                        }
                     },
                 )
                 .unwrap();

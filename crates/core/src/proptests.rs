@@ -450,7 +450,7 @@ fn one_descent_is_the_per_rectangle_descent() {
                     &q.point,
                     mode,
                     &filter,
-                    |first, seq, mask| {
+                    |first, seq, mask, _| {
                         for j in rstartree::mask_bits(mask) {
                             got[first + j].push(seq);
                         }
@@ -802,7 +802,9 @@ fn paper_counters(m: &crate::report::EngineMetrics) -> [u64; 5] {
 /// rectangle's own descent, and each candidate filled where that descent
 /// meets it, into the kernel's one row (`touch_once`) — nothing is found
 /// again, so a candidate of several rectangles is fetched once per
-/// rectangle.
+/// rectangle. With `gated`, the sound policies' leaf gate decides per
+/// candidate and member, from the entry's point, what is fetched and
+/// compared; without, every Eq. 12 candidate is filled and verified.
 fn descent_order_range(
     index: &crate::index::SeqIndex,
     q: &crate::feature::SeqFeatures,
@@ -810,6 +812,7 @@ fn descent_order_range(
     spec: &crate::query::RangeSpec,
     mbrs: &[TransformMbr],
     ordered: Option<&crate::ordering::OrderedFamily>,
+    gated: bool,
 ) -> (Vec<crate::report::Match>, [u64; 5]) {
     use crate::engine::VerifyKernel;
     use crate::query::mt_query_region;
@@ -818,24 +821,35 @@ fn descent_order_range(
     let eps = spec.epsilon(index.seq_len());
     let filter = Filter::new(eps, spec.policy);
     let mut kernel = VerifyKernel::for_query(index, family, q, spec.mode);
+    let gate = match spec.policy {
+        FilterPolicy::Safe | FilterPolicy::Adaptive if gated => kernel.leaf_bound(),
+        _ => None,
+    };
+    let admits = |t: usize, point: &FeatureVec| {
+        gate.as_ref()
+            .is_none_or(|g| g.admits(t, &g.terms(point), eps))
+    };
     let (mut matches, mut counts) = (Vec::new(), [0u64; 5]);
     for mbr in mbrs {
         let bound = filter.bind(mbr, mt_query_region(mbr, &q.point, spec.mode));
         let mut candidates = Vec::new();
         let stats = index
-            .search(|r| bound.hit(r), |_, seq| candidates.push(seq as usize))
+            .search(
+                |r| bound.hit(r),
+                |r, seq| candidates.push((seq as usize, r.lo)),
+            )
             .unwrap();
         counts[0] += stats.nodes_accessed;
         counts[1] += stats.leaf_nodes_accessed;
         counts[2] += stats.candidates;
-        for seq in candidates {
+        for (seq, point) in candidates {
+            if !mbr.members.iter().any(|&t| admits(t, &point)) {
+                continue;
+            }
             let row = kernel.touch_once(seq).unwrap();
             counts[4] += 1;
             let members = match ordered {
-                None => {
-                    counts[3] += mbr.members.len() as u64;
-                    mbr.members.len()
-                }
+                None => mbr.members.len(),
                 Some(ordered) => {
                     let dist = |t: usize| kernel.distance(row, t);
                     let max = ordered.max_qualifying_in(&mbr.members, dist, eps, &mut counts[3]);
@@ -844,6 +858,12 @@ fn descent_order_range(
                 }
             };
             for &transform in &mbr.members[..members] {
+                if ordered.is_none() {
+                    if !admits(transform, &point) {
+                        continue;
+                    }
+                    counts[3] += 1;
+                }
                 if let Some(dist) = kernel.distance_below(row, transform, eps) {
                     matches.push(Match {
                         seq,
@@ -977,7 +997,7 @@ fn heap_order_step_5_answers_as_descent_order() {
         let mut check = |what: &str, spec: &RangeSpec, family, mbrs: &[_], ordered| {
             let (got, _) =
                 mtindex::range_query_features(&index, &q, family, spec, mbrs, ordered).unwrap();
-            let (want, counts) = descent_order_range(&index, &q, family, spec, mbrs, ordered);
+            let (want, counts) = descent_order_range(&index, &q, family, spec, mbrs, ordered, true);
             let what = format!("case {case}: {what}, {} rectangles", mbrs.len());
             assert_eq!(bits(&got.matches), bits(&want), "{what}");
             assert_eq!(paper_counters(&got.metrics), counts, "{what}");
@@ -1060,5 +1080,262 @@ fn heap_order_step_5_answers_as_descent_order() {
     assert!(
         matched > 10_000 && joined > 300 && two_groups >= 2,
         "{matched} matches, {joined} join matches, {two_groups} two-group plans"
+    );
+}
+
+/// A sequence of length `n` whose normal form has only coefficients 1 and
+/// 2 (and their mirrors): between two of them the leaf bound is the whole
+/// distance up to rounding, which is where its margin has to hold.
+fn two_tone(rng: &mut SeededRng, n: usize) -> tseries::TimeSeries {
+    let (a, b) = (rng.random_range(0.5f64..4.0), rng.random_range(0.0f64..3.0));
+    let (p1, p2) = (rng.random_range(-PI..PI), rng.random_range(-PI..PI));
+    let level = rng.random_range(-50f64..50.0);
+    (0..n)
+        .map(|t| {
+            let w = 2.0 * PI * t as f64 / n as f64;
+            level + a * (w + p1).sin() + b * (2.0 * w + p2).sin()
+        })
+        .collect()
+}
+
+/// An index of 40 to 80 sequences of length `n` — random walks and
+/// two-tone sequences, ordinals 0–3 a walk, its copy, a two-tone sequence
+/// and its copy — bulk-loaded from the first half, the rest inserted, then
+/// about a tenth of ordinals 4 and up deleted; with the corpus and the
+/// live ordinals.
+fn gate_index(
+    rng: &mut SeededRng,
+    n: usize,
+) -> (crate::index::SeqIndex, Vec<tseries::TimeSeries>, Vec<usize>) {
+    use crate::index::{IndexConfig, SeqIndex};
+    use tseries::{random_walk, Corpus};
+    let size = rng.random_range(40..80usize);
+    let (walk, tone) = (random_walk(rng, n, 500.0), two_tone(rng, n));
+    let mut series = vec![walk.clone(), walk, tone.clone(), tone];
+    while series.len() < size {
+        series.push(if rng.random_bool(0.3) {
+            two_tone(rng, n)
+        } else {
+            random_walk(rng, n, 500.0)
+        });
+    }
+    let names: Vec<String> = (0..size).map(|i| format!("s{i}")).collect();
+    let config = IndexConfig {
+        fanout: Some([4, 8, 16][rng.random_range(0..3usize)]),
+        ..IndexConfig::default()
+    };
+    let half = size / 2;
+    let bulk = Corpus::from_parts(names[..half].to_vec(), series[..half].to_vec());
+    let mut index = SeqIndex::build(&bulk, config).unwrap();
+    for ts in &series[half..] {
+        index.insert_series(ts).unwrap();
+    }
+    for _ in 0..size / 10 {
+        index.delete_series(rng.random_range(4..size)).unwrap();
+    }
+    let deleted = index.deleted_ordinals();
+    let live = (0..size)
+        .filter(|i| !deleted.contains(i) && !index.skipped().contains(i))
+        .collect();
+    (index, series, live)
+}
+
+/// The families the leaf-bound suites draw from ([`family_of_kind`]):
+/// moving averages, EMAs (with a weighted average and a band-pass), a
+/// reversal, the paper's approximate shift, and compositions — of
+/// momenta, and of shifts with a mirror.
+const GATE_KINDS: [usize; 6] = [0, 6, 7, 8, 5, 9];
+
+/// Matches as `(sequence, member, distance bits)`.
+fn match_bits(v: &[crate::report::Match]) -> Vec<(usize, usize, u64)> {
+    v.iter()
+        .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+        .collect()
+}
+
+/// The leaf gate between steps 4 and 5 never changes an answer: over
+/// corpora after inserts and deletes at lengths 64, 100, 127 and 128,
+/// every family of [`GATE_KINDS`], both sound policies, every plan shape
+/// — ST, one rectangle, equal width, k-means, an ST plan of 70 members
+/// (two mask groups) and ordered MT / ST plans — and a prepared target
+/// that is not conjugate-symmetric (`span = n`), with ε set to a kernel
+/// distance and to the floats either side of it, the gated engine reports
+/// the matches, match order and distance bits of an oracle that fills and
+/// verifies every Eq. 12 candidate, and the same candidates.
+#[test]
+fn leaf_gate_answers_as_the_ungated_oracle() {
+    use crate::engine::{mtindex, VerifyKernel};
+    use crate::feature::SeqFeatures;
+    use crate::ordering::OrderedFamily;
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::{QueryMode, RangeSpec};
+
+    let mut rng = SeededRng::seed_from_u64(0x6A7E);
+    let (mut matched, mut compared, mut ungated, mut plans) = (0, 0, 0, 0);
+    for case in 0..12 {
+        let n = [64, 100, 127, 128][case % 4];
+        let (index, series, live) = gate_index(&mut rng, n);
+        let family = family_of_kind(GATE_KINDS[case % GATE_KINDS.len()], &mut rng, n);
+        // A walk, a two-tone sequence (each with a copy), or a stranger.
+        let query = match case % 3 {
+            0 => series[0].clone(),
+            1 => series[2].clone(),
+            _ => two_tone(&mut rng, n),
+        };
+        let q = index.prepare_query(&query).unwrap();
+        let shifted = Transform::paper_shift(2, n).apply_spectrum(&q.spectrum);
+        let lopsided = SeqFeatures::from_spectrum(shifted, q.mean, q.std);
+        assert!(!lopsided.conj_symmetric);
+        let ordered = OrderedFamily::scalings(&[0.5, 1.0, 1.5, 2.5, 4.0], n);
+        let wide = Family::moving_averages(2..=36, n).with_inverted();
+
+        let mut pick = SeededRng::seed_from_u64(rng.next_u64());
+        let mut check = |what: &str, target: &SeqFeatures, family: &Family, mbrs: &[_], ord| {
+            // ε at the distance of a live sequence under one member, one
+            // of the nearest third under it.
+            let mut kernel = VerifyKernel::for_query(&index, family, target, QueryMode::Symmetric);
+            kernel.fill_rows(&live).unwrap();
+            let t = pick.random_range(0..family.len());
+            let mut near: Vec<f64> = (0..live.len()).map(|row| kernel.distance(row, t)).collect();
+            near.sort_by(f64::total_cmp);
+            let d = near[pick.random_range(0..live.len() / 3)];
+            for eps in [d.next_down(), d, d.next_up()] {
+                if eps < 0.0 {
+                    continue;
+                }
+                for policy in [FilterPolicy::Safe, FilterPolicy::Adaptive] {
+                    let spec = RangeSpec::euclidean(eps).with_policy(policy);
+                    let (got, _) =
+                        mtindex::range_query_features(&index, target, family, &spec, mbrs, ord)
+                            .unwrap();
+                    let (want, counts) =
+                        descent_order_range(&index, target, family, &spec, mbrs, ord, false);
+                    let what = format!("case {case}, n = {n}: {what} {policy:?} at ε = {eps}");
+                    assert_eq!(match_bits(&got.matches), match_bits(&want), "{what}");
+                    assert_eq!(got.metrics.candidates, counts[2], "{what}");
+                    matched += want.len();
+                    compared += got.metrics.comparisons;
+                    ungated += counts[3];
+                    plans += 1;
+                }
+            }
+        };
+
+        for (name, target) in [("query", &q), ("asymmetric target", &lopsided)] {
+            for strategy in [
+                PartitionStrategy::EqualWidth { per_mbr: 1 },
+                PartitionStrategy::Single,
+                PartitionStrategy::EqualWidth {
+                    per_mbr: rng.random_range(2..4usize),
+                },
+                PartitionStrategy::KMeans {
+                    k: rng.random_range(2..4usize),
+                },
+            ] {
+                let mbrs = partition(&family, &strategy);
+                check(
+                    &format!("{name} {strategy:?}"),
+                    target,
+                    &family,
+                    &mbrs,
+                    None,
+                );
+            }
+        }
+        if case % 4 == 0 {
+            let mbrs = TransformMbr::singletons(&wide);
+            check("70-member ST", &q, &wide, &mbrs, None);
+        }
+        let t0 = TransformMbr {
+            members: (0..ordered.family().len()).collect(),
+            ..TransformMbr::of(ordered.family(), vec![0])
+        };
+        for mbrs in [
+            partition(ordered.family(), &PartitionStrategy::Single),
+            partition(
+                ordered.family(),
+                &PartitionStrategy::EqualWidth { per_mbr: 2 },
+            ),
+            vec![t0],
+        ] {
+            let what = format!("ordered, {} rectangles", mbrs.len());
+            check(&what, &q, ordered.family(), &mbrs, Some(&ordered));
+        }
+    }
+    assert!(
+        plans > 500 && matched > 20_000 && 4 * compared < 3 * ungated,
+        "{plans} plans, {matched} matches, {compared} of {ungated} comparisons"
+    );
+}
+
+/// k-NN on the leaf bound is the kernel's brute-force ranking: over the
+/// corpora of [`leaf_gate_answers_as_the_ungated_oracle`] — after inserts
+/// and deletes, with a walk and a two-tone sequence each held twice, so
+/// that a query on either finds two neighbours at distance 0 — and every
+/// family of [`GATE_KINDS`] (a reversal among them), for `k` from 1 past
+/// the live count, the neighbours `(sequence, member, distance bits)` are
+/// the first `k` of every live sequence's best member under the kernel,
+/// ordered by `(distance, sequence)`.
+#[test]
+fn knn_on_the_leaf_bound_is_the_brute_force_ranking() {
+    use crate::engine::{knn, VerifyKernel};
+    use crate::query::QueryMode;
+
+    let mut rng = SeededRng::seed_from_u64(0x6A7F);
+    let (mut queries, mut refined, mut ties) = (0, 0, 0);
+    for case in 0..12 {
+        let n = [64, 100, 127, 128][case % 4];
+        let (index, series, live) = gate_index(&mut rng, n);
+        let family = family_of_kind(GATE_KINDS[case % GATE_KINDS.len()], &mut rng, n);
+        for query in [series[0].clone(), series[2].clone(), two_tone(&mut rng, n)] {
+            let q = index.prepare_query(&query).unwrap();
+            let mut kernel = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric);
+            kernel.fill_rows(&live).unwrap();
+            let mut ranking: Vec<(usize, usize, f64)> = live
+                .iter()
+                .enumerate()
+                .map(|(row, &seq)| {
+                    let (mut best_t, mut best_d) = (0, f64::INFINITY);
+                    for t in 0..family.len() {
+                        let d = kernel.distance(row, t);
+                        if d < best_d {
+                            (best_t, best_d) = (t, d);
+                        }
+                    }
+                    (seq, best_t, best_d)
+                })
+                .collect();
+            ranking.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+            ties += ranking.windows(2).filter(|w| w[0].2 == w[1].2).count();
+            let mut ks = vec![1, 2, 3, 7, live.len() / 2, live.len() - 1, live.len()];
+            ks.push(live.len() + 2);
+            for k in ks {
+                let (got, metrics) = knn::knn(&index, &query, &family, k).unwrap();
+                let got: Vec<_> = got
+                    .iter()
+                    .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+                    .collect();
+                let want: Vec<_> = ranking
+                    .iter()
+                    .take(k)
+                    .map(|&(seq, t, d)| (seq, t, d.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}, n = {n}, {}: k = {k}",
+                    family.name()
+                );
+                if k <= 3 {
+                    refined += metrics.candidates;
+                    queries += 1;
+                }
+            }
+        }
+    }
+    assert!(ties >= 12, "{ties} tied neighbours");
+    assert!(
+        refined < 8 * queries,
+        "{refined} refinements over {queries} queries with k ≤ 3"
     );
 }

@@ -735,8 +735,9 @@ fn ref_search<const D: usize>(
 }
 
 /// A best-first queue item of the reference k-NN walks: smallest key
-/// first; at equal keys exact results (rank 0) before candidates (1)
-/// before nodes (2, `payload` = node id) — the documented tie rule.
+/// first; at equal keys `nearest_by`'s scored entries (rank 0) before
+/// candidates (1) before nodes (2, `payload` = node id) before refined
+/// results (3), those by payload — the documented tie rules.
 struct RefItem<const D: usize> {
     key: f64,
     rank: u8,
@@ -758,10 +759,12 @@ impl<const D: usize> PartialOrd for RefItem<D> {
 impl<const D: usize> Ord for RefItem<D> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: `BinaryHeap` pops the greatest.
+        let refined = |item: &Self| (item.rank == 3).then_some(item.payload);
         other
             .key
             .total_cmp(&self.key)
             .then(other.rank.cmp(&self.rank))
+            .then(refined(other).cmp(&refined(self)))
     }
 }
 
@@ -794,7 +797,7 @@ fn ref_nearest<const D: usize>(
             payload,
         } = item;
         match rank {
-            0 => {
+            0 | 3 => {
                 out.push((key.to_bits(), bits(&rect, payload)));
                 if out.len() == k {
                     break;
@@ -806,7 +809,7 @@ fn ref_nearest<const D: usize>(
                 if let Some(exact) = refine(&rect, payload) {
                     heap.push(RefItem {
                         key: exact,
-                        rank: 0,
+                        rank: 3,
                         rect,
                         payload,
                     });

@@ -861,10 +861,13 @@ impl<const D: usize> RStarTree<D> {
     /// enqueued with a *cheap* lower bound and only `refine`d to their exact
     /// (expensive) distance when they surface at the top of the priority
     /// queue. Guarantees the exact k results while refining as few entries
-    /// as the bounds allow — `stats.candidates` counts refinements.
+    /// as the bounds allow — `stats.candidates` counts refinements. Equal
+    /// exact distances are reported in payload order: the k results are
+    /// the first k by `(distance, payload)`.
     ///
-    /// Requirements: `node_bound` lower-bounds `leaf_bound` for everything
-    /// under the rectangle, and `leaf_bound(r, d) ≤ refine(r, d)`.
+    /// Requirements: `node_bound` lower-bounds `refine` for everything
+    /// under the rectangle, and `leaf_bound(r, d) ≤ refine(r, d)`. A leaf
+    /// bound below its node's is allowed: it only surfaces sooner.
     pub fn nearest_by_refine(
         &self,
         k: usize,
@@ -1201,13 +1204,15 @@ impl<const D: usize> PartialOrd for RefineItem<D> {
 }
 impl<const D: usize> Ord for RefineItem<D> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ties: exact results surface before candidates, candidates before
-        // nodes — avoids needless refinement/expansion at equal keys.
+        // Ties: candidates, then nodes, then exact results, those by
+        // payload — so an exact result surfaces only once everything that
+        // could tie with it has been refined, and equal distances come out
+        // in payload order, whatever order the tree holds them in.
         self.key.total_cmp(&other.key).then_with(|| {
             let rank = |k: &RefineKind<D>| match k {
-                RefineKind::Exact(..) => 0u8,
-                RefineKind::Candidate(..) => 1,
-                RefineKind::Node(..) => 2,
+                RefineKind::Candidate(..) => (0u8, 0),
+                RefineKind::Node(..) => (1, 0),
+                RefineKind::Exact(_, data) => (2, *data),
             };
             rank(&self.kind).cmp(&rank(&other.kind))
         })
