@@ -35,8 +35,9 @@
 //! Between steps 4 and 5 of a symmetric query sits one more exact test,
 //! `LeafBound`: a leaf entry's point is its sequence's coefficients 1
 //! and 2, so the kernel's first two terms bound every member's distance
-//! from below. Under the sound policies a range query fetches no record
-//! and verifies no member that bound already puts at `ε` or beyond, and
+//! from below. Under the sound policies a range query turns each entry's
+//! two terms into the bitset of members the bound admits, fetches no
+//! record and verifies no member outside it, and
 //! [`knn`] ranks its leaf entries by it. `Paper` keeps the paper's step 5,
 //! and the candidates of every policy stay Eq. 12's.
 //!
@@ -54,6 +55,7 @@ use crate::feature::{FeatureVec, SeqFeatures, ANGLE_DIMS, MAG_DIMS};
 use crate::index::SeqIndex;
 use crate::query::QueryMode;
 use crate::report::QueryError;
+use crate::tmbr::TransformMbr;
 use crate::transform::{Family, Transform};
 use pagestore::PageError;
 use tsfft::{Complex64, RfftPlan};
@@ -429,9 +431,10 @@ pub(crate) const LEAF_BOUND_MARGIN: f64 = 1e-9;
 /// entry is a sequence's coefficients 1 and 2 in polar form, exact, and by
 /// Parseval the first two terms of the kernel's own sum, `Σ_{f∈{1,2}}
 /// W_f·|X_f − Q_f|²`, bound member `t`'s squared distance from below. Per
-/// entry [`Self::terms`] takes two sines, per member [`Self::admits`] /
-/// [`Self::nearest`] two multiply-adds. `W_f` are the kernel's tables,
-/// folded mirrors included, so the bound is the kernel's sum cut short.
+/// entry [`Self::terms`] takes two sines, and per member
+/// [`Self::admitted`] / [`Self::nearest`] two multiply-adds. `W_f` are the
+/// kernel's tables, folded mirrors included, so the bound is the kernel's
+/// sum cut short.
 pub(crate) struct LeafBound {
     /// `[W_1, W_2]` of every member.
     weights: Vec<[f64; 2]>,
@@ -455,24 +458,103 @@ impl LeafBound {
     }
 
     /// Member `t`'s bound on its squared distance, `W_1·P̂_1 + W_2·P̂_2`.
-    fn squared(&self, t: usize, p: &[f64; 2]) -> f64 {
-        let w = &self.weights[t];
+    fn squared(w: &[f64; 2], p: &[f64; 2]) -> f64 {
         w[0] * p[0] + w[1] * p[1]
     }
 
-    /// False only when member `t` is surely at `ε` or beyond for the
-    /// entry with terms `p`: its bound exceeds `ε²` by the margin.
+    /// The squared bound a range query at `ε` admits up to: `ε²` and the
+    /// margin, computed once per query.
+    pub fn limit(eps: f64) -> f64 {
+        eps * eps * (1.0 + LEAF_BOUND_MARGIN)
+    }
+
+    /// Words of a member bitset over this bound's family.
+    pub fn words(&self) -> usize {
+        self.weights.len().div_ceil(64)
+    }
+
+    /// The members not surely at `ε` or beyond for the entry with terms
+    /// `p`, as a bitset into `out` ([`Self::words`] long): bit `t % 64` of
+    /// word `t / 64` when member `t`'s bound is at most `limit`
+    /// ([`Self::limit`]). One pass over `[W_1, W_2]`.
+    pub fn admitted(&self, p: &[f64; 2], limit: f64, out: &mut [u64]) {
+        for (word, w) in out.iter_mut().zip(self.weights.chunks(64)) {
+            *word = w.iter().enumerate().fold(0, |bits, (b, w)| {
+                bits | u64::from(Self::squared(w, p) <= limit) << b
+            });
+        }
+    }
+
+    /// Member `t`'s bit of [`Self::admitted`] at `limit(eps)`, alone —
+    /// the oracle the suites hold the bitset to.
+    #[cfg(test)]
     pub fn admits(&self, t: usize, p: &[f64; 2], eps: f64) -> bool {
-        self.squared(t, p) <= eps * eps * (1.0 + LEAF_BOUND_MARGIN)
+        Self::squared(&self.weights[t], p) <= eps * eps * (1.0 + LEAF_BOUND_MARGIN)
     }
 
     /// A lower bound on `min_t D(t(x), t(q))` for the entry with terms
     /// `p`: `√(min_t W_1·P̂_1 + W_2·P̂_2)`, shrunk by the margin.
     pub fn nearest(&self, p: &[f64; 2]) -> f64 {
-        let least = (0..self.weights.len())
-            .map(|t| self.squared(t, p))
+        let least = self
+            .weights
+            .iter()
+            .map(|w| Self::squared(w, p))
             .fold(f64::INFINITY, f64::min);
         least.sqrt() * (1.0 - LEAF_BOUND_MARGIN)
+    }
+}
+
+/// The members of one mask group's rectangles (at most 64, bit `j` for
+/// the `j`-th), for the leaf gate: rectangle `j` keeps an entry when its
+/// members meet the entry's [`LeafBound::admitted`] bitset.
+pub(crate) enum GroupMembers {
+    /// Rectangle `j` is member `64·w + j` alone — an ST plan, whose
+    /// singletons are the family in order: the rectangles kept are
+    /// `mask & admitted[w]`.
+    Singletons(usize),
+    /// Rectangle `j`'s members as a bitset of `words` words from
+    /// `words·j`.
+    Sets { words: usize, bits: Vec<u64> },
+}
+
+impl GroupMembers {
+    /// The members of `group`, the mask group starting at rectangle
+    /// `first` of its plan.
+    pub fn of(group: &[TransformMbr], first: usize) -> Self {
+        let aligned = first.is_multiple_of(64)
+            && group
+                .iter()
+                .enumerate()
+                .all(|(j, mbr)| mbr.members == [first + j]);
+        if aligned {
+            return Self::Singletons(first / 64);
+        }
+        let members = || {
+            group
+                .iter()
+                .enumerate()
+                .flat_map(|(j, mbr)| mbr.members.iter().map(move |&t| (j, t)))
+        };
+        let words = members().map(|(_, t)| t / 64 + 1).max().unwrap_or(0);
+        let mut bits = vec![0; words * group.len()];
+        for (j, t) in members() {
+            bits[words * j + t / 64] |= 1 << (t % 64);
+        }
+        Self::Sets { words, bits }
+    }
+
+    /// The rectangles of `mask` with a member in `admitted`.
+    #[inline]
+    pub fn kept(&self, mask: u64, admitted: &[u64]) -> u64 {
+        match self {
+            Self::Singletons(w) => mask & admitted[*w],
+            Self::Sets { words, bits } => rstartree::mask_bits(mask)
+                .filter(|&j| {
+                    let set = &bits[words * j..words * (j + 1)];
+                    set.iter().zip(admitted).any(|(s, a)| s & a != 0)
+                })
+                .fold(0, |kept, j| kept | 1 << j),
+        }
     }
 }
 

@@ -17,7 +17,13 @@
 //! order and its own `DA_all(q, rᵢ)`, `DA_leaf(q, rᵢ)` — a node is
 //! attributed to every rectangle in its mask — so Eq. 19's per-rectangle
 //! sum, the trade-off Figures 8–9 explore, is reported unchanged while
-//! the device reads each node once.
+//! the device reads each node once. The test of an entry against a
+//! group is one call of the filter bound to all its rectangles
+//! ([`RectFilter::hits`]): a pass per constrained dimension over a table
+//! with a row per rectangle, each row's Eq. 12 specialised for point
+//! entries and single multipliers, returning the mask of rectangles hit —
+//! the same bits, rectangle by rectangle, as `Filter::hit` on Eq. 12's
+//! rectangle.
 //!
 //! Step 5 then fetches each distinct candidate once, in heap order — the
 //! descent numbers a candidate's kernel row where it meets the entry, and
@@ -30,20 +36,22 @@
 //!
 //! Under the sound policies (`Safe`, `Adaptive`) a symmetric query puts
 //! one more exact test between steps 4 and 5, the kernel's leaf bound
-//! (see [`crate::engine`]): where the descent meets an entry, a rectangle
-//! keeps it only if one of its members may lie within `ε`, an entry no
-//! rectangle keeps gets no row and no fetch, and verification skips the
-//! members the bound rules out. Ordered plans take the entry's drop and
-//! binary-search the survivors as before. `candidates` stays Eq. 12's
-//! count; `comparisons`, `record fetches` and the pages read count what
-//! the gate lets through.
+//! (see [`crate::engine`]): where the descent meets an entry, the bound
+//! turns the entry's two terms into the bitset of members that may lie
+//! within `ε` (one pass over the members, against a threshold computed
+//! once per query), a rectangle keeps the entry only if its members meet
+//! that bitset, an entry no rectangle keeps gets no row and no fetch, and
+//! verification skips the members the bitset rules out. Ordered plans
+//! take the entry's drop and binary-search the survivors as before.
+//! `candidates` stays Eq. 12's count; `comparisons`, `record fetches` and
+//! the pages read count what the gate lets through.
 
-use crate::engine::{check_family, VerifyKernel};
+use crate::engine::{check_family, GroupMembers, LeafBound, VerifyKernel};
 use crate::feature::{FRect, FeatureVec};
 use crate::index::SeqIndex;
 use crate::ordering::OrderedFamily;
 use crate::partition::PartitionStrategy;
-use crate::query::{mt_query_region, Filter, FilterPolicy, QueryMode, RangeSpec};
+use crate::query::{mt_query_region, Filter, FilterPolicy, QueryMode, RangeSpec, RectFilter};
 use crate::report::{EngineMetrics, Match, QueryError, QueryResult};
 use crate::tmbr::TransformMbr;
 use crate::transform::Family;
@@ -161,14 +169,21 @@ pub fn range_query_features(
         FilterPolicy::Paper => None,
         FilterPolicy::Safe | FilterPolicy::Adaptive => kernel.leaf_bound(),
     };
-    let admits = |t: usize, p: &[f64; 2]| gate.as_ref().is_none_or(|g| g.admits(t, p, eps));
+    let (limit, words) = (
+        LeafBound::limit(eps),
+        gate.as_ref().map_or(0, LeafBound::words),
+    );
+    let groups: Vec<_> = (mbrs.chunks(MASK_WIDTH).enumerate())
+        .map(|(g, group)| GroupMembers::of(group, g * MASK_WIDTH))
+        .collect();
 
     // A group's descent meets each live leaf entry once. A rectangle keeps
     // the entry when one of its members passes the gate; a kept candidate
-    // gets its kernel row there, with its two gate terms, and every
-    // rectangle that kept it lists that row. A candidate of several groups
-    // has a row in each, filled once.
-    let (mut seqs, mut terms, mut rows) = (Vec::new(), Vec::new(), vec![Vec::new(); mbrs.len()]);
+    // gets its kernel row there, with the bitset of the members the gate
+    // admits, and every rectangle that kept it lists that row. A
+    // candidate of several groups has a row in each, filled once.
+    let (mut seqs, mut admitted, mut rows) = (Vec::new(), Vec::new(), vec![Vec::new(); mbrs.len()]);
+    let mut entry = vec![0; words];
     let traversals = descend(
         index,
         mbrs,
@@ -176,19 +191,24 @@ pub fn range_query_features(
         spec.mode,
         &filter,
         |first, seq, mask, point| {
-            let p = gate.as_ref().map_or([0.0; 2], |g| g.terms(point));
-            let kept = mask_bits(mask)
-                .filter(|&j| mbrs[first + j].members.iter().any(|&t| admits(t, &p)))
-                .fold(0, |kept, j| kept | 1 << j);
+            let kept = match &gate {
+                None => mask,
+                Some(gate) => {
+                    gate.admitted(&gate.terms(point), limit, &mut entry);
+                    groups[first / MASK_WIDTH].kept(mask, &entry)
+                }
+            };
             if kept != 0 {
                 for j in mask_bits(kept) {
                     rows[first + j].push(seqs.len());
                 }
                 seqs.push(seq);
-                terms.push(p);
+                admitted.extend_from_slice(&entry);
             }
         },
     )?;
+    let admits =
+        |row: usize, t: usize| words == 0 || admitted[row * words + t / 64] >> (t % 64) & 1 != 0;
     // Step 5: retrieve the full records in heap order...
     kernel.fill_rows(&seqs)?;
     for ((mbr, traversal), rows) in mbrs.iter().zip(&traversals).zip(rows) {
@@ -219,7 +239,7 @@ pub fn range_query_features(
             };
             for &ti in &mbr.members[..members] {
                 if ordered.is_none() {
-                    if !admits(ti, &terms[row]) {
+                    if !admits(row, ti) {
                         continue;
                     }
                     metrics.comparisons += 1;
@@ -260,27 +280,26 @@ pub fn probe(
 }
 
 /// Rectangles one descent serves: the bits of a `u64` mask.
-pub(crate) const MASK_WIDTH: usize = 64;
+pub(crate) const MASK_WIDTH: usize = RectFilter::MAX_RECTS;
 
 /// Algorithm 1 steps 1–4 for every rectangle of a plan, in one descent per
-/// group of up to [`MASK_WIDTH`]: each rectangle's query region and the
-/// filter bound to it once, then one masked walk of the tree
-/// ([`SeqIndex::search_masked`]) that tests every index rectangle through
-/// Eq. 12 — in the dimensions the filter looks at, see
-/// [`crate::query::RectFilter`] — against the rectangles whose own descent
-/// would have reached it, and hands each surviving leaf entry to
+/// group of up to [`MASK_WIDTH`]: the filter bound once to the group's
+/// rectangles and their query regions ([`Filter::bind_all`]), then one
+/// masked walk of the tree ([`SeqIndex::search_masked`]) that tests every
+/// index rectangle through Eq. 12 — in the dimensions the filter looks at,
+/// see [`RectFilter`] — against the rectangles whose own descent would
+/// have reached it, and hands each surviving leaf entry to
 /// `on_entry(first, seq, mask, point)` once per group: bit `j` of `mask`
 /// set for each rectangle `first + j` it hit, `point` the entry's feature
-/// point. So the entries with bit `j` set
-/// arrive in the order rectangle `first + j`'s own descent yields its
-/// candidates, and its [`RectTraversal`] counts that descent's nodes.
+/// point. So the entries with bit `j` set arrive in the order rectangle
+/// `first + j`'s own descent yields its candidates, and its
+/// [`RectTraversal`] counts that descent's nodes.
 ///
-/// An entry first meets the group's hull ([`TransformMbr::hull`]), window
-/// tests only: the hull's bounds contain every member's, so it never
-/// rejects what any of them accepts ([`RectFilter::hit_windows`]), and
-/// most entries fail it once instead of once per rectangle.
-///
-/// [`RectFilter::hit_windows`]: crate::query::RectFilter::hit_windows
+/// In a group of several rectangles an entry first meets the group's hull
+/// ([`TransformMbr::hull`]), window tests only: the hull's bounds contain
+/// every member's, so it never rejects what any of them accepts
+/// ([`RectFilter::hit_windows`]), and most entries fail it once instead of
+/// once per rectangle.
 pub(crate) fn descend(
     index: &SeqIndex,
     mbrs: &[TransformMbr],
@@ -289,35 +308,22 @@ pub(crate) fn descend(
     filter: &Filter,
     mut on_entry: impl FnMut(usize, usize, u64, &FeatureVec),
 ) -> Result<Vec<RectTraversal>, QueryError> {
+    let bind = |rects: &[TransformMbr]| {
+        filter.bind_all(rects.iter().map(|mbr| (mbr, mt_query_region(mbr, q, mode))))
+    };
     let mut traversals = Vec::with_capacity(mbrs.len());
     for (g, group) in mbrs.chunks(MASK_WIDTH).enumerate() {
-        let bounds: Vec<_> = group
-            .iter()
-            .map(|mbr| filter.bind(mbr, mt_query_region(mbr, q, mode)))
-            .collect();
-        let mut on_data = |rect: &FRect, data: u64, mask: u64| {
+        let bound = bind(group);
+        let hull =
+            (group.len() > 1).then(|| bind(std::slice::from_ref(&TransformMbr::hull(group))));
+        let pred = |rect: &FRect, live: u64| match &hull {
+            Some(hull) if !hull.hit_windows(rect) => 0,
+            _ => bound.hits(rect, live),
+        };
+        let on_data = |rect: &FRect, data: u64, mask: u64| {
             on_entry(g * MASK_WIDTH, data as usize, mask, &rect.lo)
         };
-        // One rectangle gets a walk of its own, with neither hull nor mask
-        // loop, so a one-rectangle plan costs what a plain search does.
-        let (per_rect, _) = match &bounds[..] {
-            [bound] => {
-                index.search_masked(1, |rect, _| u64::from(bound.hit(rect)), &mut on_data)?
-            }
-            _ => {
-                let hull = TransformMbr::hull(group);
-                let hull = filter.bind(&hull, mt_query_region(&hull, q, mode));
-                let pred = |rect: &FRect, live: u64| {
-                    if !hull.hit_windows(rect) {
-                        return 0;
-                    }
-                    mask_bits(live)
-                        .filter(|&j| bounds[j].hit(rect))
-                        .fold(0, |mask, j| mask | 1 << j)
-                };
-                index.search_masked(group.len(), pred, &mut on_data)?
-            }
-        };
+        let (per_rect, _) = index.search_masked(group.len(), pred, on_data)?;
         traversals.extend(
             group
                 .iter()

@@ -251,6 +251,128 @@ fn bound_filter_is_hit_after_apply_to_rect() {
     assert!(adaptive.iter().all(|&n| n > 50), "adaptive exits {exits:?}");
 }
 
+/// Signed zeros, infinities and NaN: what a damaged tree page can put in
+/// an entry's coordinates.
+const ODD: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// A data rectangle near `q` — a point or a proper rectangle, beside `q`
+/// in magnitude and beside it or far from it in angle — whose coordinates
+/// are now and then an [`ODD`] value, at either end or both.
+fn entry_near(rng: &mut SeededRng, q: &FeatureVec) -> Rect<DIMS> {
+    let mut lo = *q;
+    for i in 0..DIMS {
+        let reach = if i % 2 == 1 && rng.random_bool(0.5) {
+            2.5
+        } else {
+            0.3
+        };
+        lo[i] += rng.random_range(-reach..reach);
+    }
+    let mut hi = lo;
+    if rng.random_bool(0.5) {
+        hi.iter_mut()
+            .for_each(|h| *h += rng.random_range(0f64..1.0));
+    }
+    for i in 0..DIMS {
+        if rng.random_bool(0.06) {
+            let v = ODD[rng.random_range(0..ODD.len())];
+            match rng.random_range(0..3u32) {
+                0 => (lo[i], hi[i]) = (v, v),
+                1 => lo[i] = v,
+                _ => hi[i] = v,
+            }
+        }
+    }
+    Rect { lo, hi }
+}
+
+/// The bound filter over a group of rectangles is the unbound oracle per
+/// rectangle, bit for bit: for every kind of family — singletons,
+/// multi-member moving-average groups, time reversal (angle multipliers
+/// −1), the paper's approximate shift — in every partitioning, with the
+/// group's hull as one more rectangle, every policy and mode, and entries
+/// that are points or proper rectangles with signed zeros, infinities and
+/// NaN among their coordinates, bit `j` of `hits(x, live)` is
+/// `Filter::hit(&mbrs[j].apply_to_rect(x), &region_j)` for each `j` of
+/// `live`, and the hull's `hit_windows(x)` is `within` on its Eq. 12
+/// rectangle.
+#[test]
+fn bound_filter_masks_are_the_oracle_bit_for_bit() {
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::{expansion, mt_query_region, within, QueryMode};
+    let mut rng = SeededRng::seed_from_u64(0xB17B);
+    let (mut entries, mut odd, mut hits, mut misses) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let n = [64, 127, 128][case % 3];
+        let family = family_of_kind(case % 10, &mut rng, n);
+        let strategy = match rng.random_range(0..4u32) {
+            0 => PartitionStrategy::EqualWidth { per_mbr: 1 },
+            1 => PartitionStrategy::EqualWidth {
+                per_mbr: rng.random_range(2..5usize),
+            },
+            2 => PartitionStrategy::KMeans {
+                k: rng.random_range(2..5usize),
+            },
+            _ => PartitionStrategy::Single,
+        };
+        let mut mbrs = partition(&family, &strategy);
+        mbrs.truncate(63);
+        mbrs.push(TransformMbr::hull(&mbrs));
+        let all = u64::MAX >> (64 - mbrs.len());
+        let q = fvec(&mut rng);
+        let eps = [0.3, 2.0, 8.0, 40.0][rng.random_range(0..4usize)];
+        let xs: Vec<_> = (0..24).map(|_| entry_near(&mut rng, &q)).collect();
+        for mode in [QueryMode::Symmetric, QueryMode::DataOnly] {
+            let regions: Vec<_> = mbrs.iter().map(|m| mt_query_region(m, &q, mode)).collect();
+            for policy in [
+                FilterPolicy::Paper,
+                FilterPolicy::Safe,
+                FilterPolicy::Adaptive,
+            ] {
+                let filter = Filter::new(eps, policy);
+                let bound = filter.bind_all(mbrs.iter().zip(regions.iter().copied()));
+                let hull = mbrs.last().unwrap();
+                let (hull_region, hull_bound) = (
+                    regions[mbrs.len() - 1],
+                    filter.bind(hull, regions[mbrs.len() - 1]),
+                );
+                for x in &xs {
+                    let want = (0..mbrs.len())
+                        .filter(|&j| filter.hit(&mbrs[j].apply_to_rect(x), &regions[j]))
+                        .fold(0, |mask, j| mask | 1 << j);
+                    let live = [all, rng.next_u64() & all][rng.random_range(0..2usize)];
+                    let what = format!(
+                        "case {case} {} {strategy:?} {mode:?} {policy:?} eps {eps}: {x:?}",
+                        family.name()
+                    );
+                    assert_eq!(bound.hits(x, live), want & live, "{what}");
+                    assert_eq!(
+                        hull_bound.hit_windows(x),
+                        within(
+                            &hull.apply_to_rect(x),
+                            &hull_region,
+                            &expansion(eps, policy)
+                        ),
+                        "{what}: hull"
+                    );
+                    entries += 1;
+                    odd += usize::from(
+                        x.lo.iter()
+                            .chain(&x.hi)
+                            .any(|v| !v.is_finite() || *v == 0.0),
+                    );
+                    hits += want.count_ones();
+                    misses += (all & !want).count_ones();
+                }
+            }
+        }
+    }
+    assert!(
+        odd * 5 > entries && hits > 2000 && misses > 2000,
+        "{odd} of {entries} odd, {hits} hits, {misses} misses"
+    );
+}
+
 /// The engines that took the bound form report what the spelled-out
 /// filter would: `mtindex` (per rectangle of a partitioning) and
 /// `stindex::range_query_ordered` see the candidates of a hand-run
@@ -1265,6 +1387,97 @@ fn leaf_gate_answers_as_the_ungated_oracle() {
     assert!(
         plans > 500 && matched > 20_000 && 4 * compared < 3 * ungated,
         "{plans} plans, {matched} matches, {compared} of {ungated} comparisons"
+    );
+}
+
+/// The leaf gate's masks are its per-member test: for the entry terms of
+/// points near the query (coordinates now and then signed zeros,
+/// infinities or NaN) and thresholds on either side of the nearest
+/// member's bound, bit `t` of `LeafBound::admitted` at `LeafBound::limit(ε)`
+/// is `admits(t, terms, ε)`, and each mask group's kept rectangles are
+/// those with a member that `admits` — for a 70-member family (an ST plan
+/// of two mask groups, each `mask & admitted`) and for families of every
+/// kind in partitioned plans.
+#[test]
+fn leaf_gate_masks_are_per_member_admits() {
+    use crate::engine::mtindex::MASK_WIDTH;
+    use crate::engine::{GroupMembers, LeafBound, VerifyKernel};
+    use crate::partition::{partition, PartitionStrategy};
+    use crate::query::QueryMode;
+
+    let mut rng = SeededRng::seed_from_u64(0x6A75);
+    let (mut admitted_bits, mut refused_bits, mut kept, mut dropped) = (0, 0, 0, 0);
+    for case in 0..8 {
+        let n = [64, 128, 100, 127][case % 4];
+        let (index, q) = walks_and_query(&mut rng, n);
+        let family = if case % 2 == 0 {
+            Family::moving_averages(2..=36, n).with_inverted()
+        } else {
+            family_of_kind(GATE_KINDS[case % GATE_KINDS.len()], &mut rng, n)
+        };
+        let gate = VerifyKernel::for_query(&index, &family, &q, QueryMode::Symmetric)
+            .leaf_bound()
+            .unwrap();
+        let plans: Vec<Vec<TransformMbr>> = [
+            PartitionStrategy::EqualWidth { per_mbr: 1 },
+            PartitionStrategy::Single,
+            PartitionStrategy::EqualWidth {
+                per_mbr: rng.random_range(2..7usize),
+            },
+            PartitionStrategy::KMeans {
+                k: rng.random_range(2..6usize),
+            },
+        ]
+        .iter()
+        .map(|strategy| partition(&family, strategy))
+        .collect();
+        let groups: Vec<Vec<_>> = plans
+            .iter()
+            .map(|mbrs| {
+                (mbrs.chunks(MASK_WIDTH).enumerate())
+                    .map(|(g, group)| (group, GroupMembers::of(group, g * MASK_WIDTH)))
+                    .collect()
+            })
+            .collect();
+        // ST's singletons are the family in order: one word per group.
+        assert!(groups[0]
+            .iter()
+            .all(|(_, members)| matches!(members, GroupMembers::Singletons(_))));
+        assert_eq!(groups[0].len(), family.len().div_ceil(MASK_WIDTH));
+
+        let mut admitted = vec![0; gate.words()];
+        for _ in 0..CASES {
+            let terms = gate.terms(&entry_near(&mut rng, &q.point).lo);
+            let nearest = gate.nearest(&terms);
+            let eps = nearest * [0.5, 1.0, 1.0 + 1e-12, 1.3, 3.0][rng.random_range(0..5usize)];
+            gate.admitted(&terms, LeafBound::limit(eps), &mut admitted);
+            for t in 0..64 * admitted.len() {
+                let bit = admitted[t / 64] >> (t % 64) & 1 != 0;
+                let want = t < family.len() && gate.admits(t, &terms, eps);
+                assert_eq!(bit, want, "case {case} member {t} eps {eps}: {terms:?}");
+                admitted_bits += usize::from(want);
+                refused_bits += usize::from(t < family.len() && !want);
+            }
+            for (group, members) in groups.iter().flatten() {
+                let all = u64::MAX >> (64 - group.len());
+                let mask = [all, rng.next_u64() & all][rng.random_range(0..2usize)];
+                let want = rstartree::mask_bits(mask)
+                    .filter(|&j| {
+                        group[j]
+                            .members
+                            .iter()
+                            .any(|&t| gate.admits(t, &terms, eps))
+                    })
+                    .fold(0, |m, j| m | 1 << j);
+                assert_eq!(members.kept(mask, &admitted), want, "case {case} eps {eps}");
+                kept += want.count_ones();
+                dropped += (mask & !want).count_ones();
+            }
+        }
+    }
+    assert!(
+        admitted_bits > 1000 && refused_bits > 1000 && kept > 500 && dropped > 500,
+        "{admitted_bits} admitted, {refused_bits} refused, {kept} kept, {dropped} dropped"
     );
 }
 

@@ -110,10 +110,13 @@ impl TransformMbr {
     }
 
     /// Eq. 12 in dimension `i` alone: the interval `[x_lo, x_hi]` under
-    /// every `(a, b)` of the rectangle's `i`-th side. The one place the
-    /// equation is spelled — [`Self::apply_to_rect`] is this in every
-    /// dimension, and the bound filter ([`crate::query::RectFilter`])
-    /// calls it only in the dimensions its tests look at.
+    /// every `(a, b)` of the rectangle's `i`-th side. [`Self::apply_to_rect`]
+    /// is this in every dimension. The bound filter
+    /// ([`crate::query::RectFilter`]) evaluates it only in the dimensions
+    /// its tests look at, and drops the products that repeat another — the
+    /// second and fourth for a point (`x_lo`, `x_hi` one `f64`), the third
+    /// and fourth for one multiplier (`mult_lo`, `mult_hi` one `f64`) —
+    /// which leaves both folds, and so the interval, unchanged to the bit.
     pub fn apply_to_dim(&self, i: usize, x_lo: f64, x_hi: f64) -> (f64, f64) {
         let products = [
             self.mult_lo[i] * x_lo,

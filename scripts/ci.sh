@@ -28,7 +28,8 @@
 #                           # figure counters against tests/golden/,
 #                           # recall, ordering, extensions, the sharded
 #                           # planner parity, the FFT under the kernel and
-#                           # the engines under seeded faults
+#                           # the engines under seeded faults, then the
+#                           # `descent` split binary in its REPRO_FAST shape
 #   scripts/ci.sh storage   # tier-2: what pins "one node store" — the page
 #                           # devices under it, the R*-tree's unit,
 #                           # property and doc tests on PagedStore, and
@@ -132,6 +133,19 @@ run_stage() {
     done <<<"$SUITES"
 }
 
+# The steps 1–4 vs whole-op split of e2ebench's two index workloads
+# (crates/bench/src/bin/descent.rs) on its 200 × 64 shape: it checks that
+# the probe is the execution's descent, and running it here keeps it
+# building.
+descent_smoke() {
+    echo "== engines: the descent split, REPRO_FAST shape =="
+    if ! REPRO_FAST=1 cargo run --offline --release -q -p bench --bin descent; then
+        echo
+        echo "engines: the descent split FAILED — see output above"
+        return 1
+    fi
+}
+
 obs_overhead_gate() {
     echo "== obs: overhead gate (default sampling <= 2% vs off) =="
     if ! REPRO_FAST=1 cargo run --offline --release -p bench --bin obs_overhead; then
@@ -194,8 +208,12 @@ bench_against_baseline() {
 }
 
 case "$stage" in
-chaos | recovery | parity | replication | failover | serve | engines | storage | e2e)
+chaos | recovery | parity | replication | failover | serve | storage | e2e)
     run_stage "$stage"
+    ;;
+engines)
+    run_stage engines
+    descent_smoke
     ;;
 bench)
     bench_against_baseline
