@@ -89,6 +89,7 @@ fn run_one(snapshot: &PathBuf, followers: usize, inserts: usize, seed: u64) -> R
                 state_dir: None,
                 reconnect_seed: 0,
             },
+            64,
         )
         .expect("bootstrap follower");
         let stats = follower.stats();

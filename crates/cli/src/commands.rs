@@ -2,9 +2,11 @@
 
 use crate::args::{err, CliError};
 use simquery::prelude::*;
+use simquery::shared::SharedIndex;
 use simserve::opts::Opts;
-use simshard::{ShardConfig, ShardedIndex, Store};
+use simshard::{gather, ShardConfig, ShardedIndex};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Help text.
 pub const USAGE: &str = "\
@@ -136,7 +138,8 @@ pub fn info(args: &Opts) -> CliResult {
         }
     }
     if let Some(loads) = get("shard_loads") {
-        for (i, (load, height)) in loads.split(',').zip(store.tree_heights()).enumerate() {
+        let heights = store.shards().iter().map(|s| s.read().height());
+        for (i, (load, height)) in loads.split(',').zip(heights).enumerate() {
             println!("shard {i}:     {load} seqs, tree height {height}");
         }
     }
@@ -164,9 +167,11 @@ pub fn query(args: &Opts) -> CliResult {
         "limit",
     ])?;
     let (store, names) = open_store(args)?;
-    let family = family_from(args, store.read().seq_len())?;
+    let family = family_from(args, store.seq_len())?;
     let spec = spec_from(args)?;
-    if !store.supports_policy(spec.policy) {
+    // `paper` is a heuristic filter whose false dismissals depend on the
+    // tree shape, so across shards the answer would vary with their count.
+    if spec.policy == FilterPolicy::Paper && SharedIndex::try_from(Arc::clone(&store)).is_err() {
         return Err(err(
             "--policy paper is tree-layout-dependent and may differ across \
              shard counts; use adaptive|safe",
@@ -204,12 +209,12 @@ pub fn join(args: &Opts) -> CliResult {
         "index", "ma", "shift", "inverted", "rho", "eps", "engine", "policy", "mode", "limit",
     ])?;
     let (store, names) = open_store(args)?;
-    if store.single().is_none() {
+    if SharedIndex::try_from(Arc::clone(&store)).is_err() {
         return Err(err(
             "join is not supported on a sharded index (pairs cross shards)",
         ));
     }
-    let family = family_from(args, store.read().seq_len())?;
+    let family = family_from(args, store.seq_len())?;
     let lq =
         LogicalQuery::join(family.clone(), spec_from(args)?).with_engine(engine_pref_from(args)?);
     let (chosen, out, _) = execute_cold(&store, &lq, None)?;
@@ -252,7 +257,7 @@ pub fn nn(args: &Opts) -> CliResult {
         "inverted",
     ])?;
     let (store, names) = open_store(args)?;
-    let family = family_from(args, store.read().seq_len())?;
+    let family = family_from(args, store.seq_len())?;
     let k: usize = args.req_parse("k")?;
     let q = query_series(args, &store)?;
     let lq = LogicalQuery::knn(family.clone(), k);
@@ -321,8 +326,9 @@ pub fn recover(args: &Opts) -> CliResult {
     let wal = PathBuf::from(args.req("wal")?);
     let pool_pages: usize = args.parse_or("pool-pages", 256)?;
     let oops = |e: &dyn std::fmt::Display| err(format!("recovering {}: {e}", dir.display()));
-    let (store, rec) = Store::open_durable(&dir, &wal, pool_pages, simwal::FsyncPolicy::Always)
-        .map_err(|e| oops(&e))?;
+    let (store, rec) =
+        ShardedIndex::open_durable(&dir, &wal, pool_pages, simwal::FsyncPolicy::Always)
+            .map_err(|e| oops(&e))?;
     println!("wal epoch:   {}", rec.epoch);
     println!("replayed:    {} frames", rec.frames);
     println!(
@@ -333,7 +339,7 @@ pub fn recover(args: &Opts) -> CliResult {
     let epoch = store.checkpoint().map_err(|e| oops(&e))?;
     println!(
         "checkpointed {} sequences at epoch {}",
-        store.read().len(),
+        store.len(),
         epoch.expect("durable index checkpoints")
     );
     Ok(())
@@ -401,9 +407,10 @@ fn connect_client(args: &Opts, addr: &str) -> Result<simserve::client::Client, C
 
 // `info`/`query`/`join`/`nn` are read-only, so skip the directory LOCK
 // and coexist with a live simserved on the same files.
-fn open_store(args: &Opts) -> Result<(Store, Vec<String>), CliError> {
+fn open_store(args: &Opts) -> Result<(Arc<ShardedIndex>, Vec<String>), CliError> {
     let dir = PathBuf::from(args.req("index")?);
-    let store = Store::open_read_only(&dir, 256)
+    let store = ShardedIndex::open_read_only(&dir, 256)
+        .map(Arc::new)
         .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
     let names = std::fs::read_to_string(dir.join("names.txt"))
         .map(|s| s.lines().map(String::from).collect())
@@ -414,14 +421,14 @@ fn open_store(args: &Opts) -> Result<(Store, Vec<String>), CliError> {
 /// Executes with cold counters (the paper's per-query accounting),
 /// returning the plan, the output and each shard's own metrics.
 fn execute_cold(
-    store: &Store,
+    store: &ShardedIndex,
     lq: &LogicalQuery,
     q: Option<&TimeSeries>,
 ) -> Result<(PhysicalPlan, PlanOutput, Vec<EngineMetrics>), CliError> {
     store
         .reset_counters()
         .map_err(|e| err(format!("resetting counters: {e}")))?;
-    store.execute(lq, q).map_err(|e| err(e.to_string()))
+    gather::execute(store, lq, q).map_err(|e| err(e.to_string()))
 }
 
 fn print_matches<'a>(names: &[String], family: &Family, matches: impl Iterator<Item = &'a Match>) {
@@ -448,21 +455,20 @@ fn display_name(names: &[String], ordinal: usize) -> String {
         .unwrap_or_else(|| format!("#{ordinal}"))
 }
 
-fn query_series(args: &Opts, store: &Store) -> Result<TimeSeries, CliError> {
+fn query_series(args: &Opts, store: &ShardedIndex) -> Result<TimeSeries, CliError> {
     if let Some(raw) = args.get("query-index") {
         let ordinal: usize = raw
             .parse()
             .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
-        let reader = store.read();
-        if ordinal >= reader.len() {
-            return Err(err(format!(
-                "--query-index {ordinal} out of range (0..{})",
-                reader.len()
-            )));
-        }
-        return reader
+        return store
             .fetch_series(ordinal)
-            .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")));
+            .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")))?
+            .ok_or_else(|| {
+                err(format!(
+                    "--query-index {ordinal} out of range (0..{})",
+                    store.len()
+                ))
+            });
     }
     csv_query_series(args)
 }

@@ -48,6 +48,16 @@ pub struct AccessCounters {
     pub record_fetches: u64,
 }
 
+impl std::iter::Sum for AccessCounters {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |acc, c| Self {
+            node_reads: acc.node_reads + c.node_reads,
+            record_page_reads: acc.record_page_reads + c.record_page_reads,
+            record_fetches: acc.record_fetches + c.record_fetches,
+        })
+    }
+}
+
 /// An indexed corpus of equal-length sequences. Step 5 of every index
 /// engine reads a candidate's record where it lies in the buffer pool and
 /// keeps no features for it; `fetch_series` and `scan` are for the
@@ -251,6 +261,12 @@ impl SeqIndex {
     /// Length of every sequence.
     pub fn seq_len(&self) -> usize {
         self.seq_len
+    }
+
+    /// Frames of the record heap's buffer pool (see
+    /// [`IndexConfig::heap_pool_pages`]).
+    pub fn heap_pool_pages(&self) -> usize {
+        self.heap_pool.capacity()
     }
 
     /// Ordinals of sequences that could not be indexed (degenerate).

@@ -1,20 +1,19 @@
-//! [`Journal`]: the one durable write path of a store.
+//! [`Journal`]: the one durable write path of an index.
 //!
-//! A store — a single [`crate::shared::SharedIndex`] or a shard group —
+//! An index group ([`crate::shard::ShardedIndex`], of one shard or many)
 //! keeps one ordered log. The journal owns that log together with the
 //! three things every durable mutation needs beside it: the LSN
 //! allocator, the poison flag, and the directory checkpoints are saved
-//! to. The layouts differ only in what a frame *means*: each hands
-//! [`Journal::open`] its idempotent `apply(op)` and calls
-//! [`Journal::log`] under its own mutation guard, after the mutation has
-//! applied, so log order is apply order.
+//! to. The group hands [`Journal::open`] its idempotent `apply(op)` and
+//! calls [`Journal::log`] under its own mutation guard, after the
+//! mutation has applied, so log order is apply order.
 
 use crate::shared::DurableError;
 use simwal::{FsyncPolicy, ReplayReport, Wal, WalOp, WalStats};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// A store's write-ahead log plus its LSN allocator, poison flag and
+/// An index's write-ahead log plus its LSN allocator, poison flag and
 /// snapshot directory.
 #[derive(Debug)]
 pub struct Journal {

@@ -57,6 +57,7 @@ pub mod partition;
 pub mod plan;
 pub mod query;
 pub mod report;
+pub mod shard;
 pub mod shared;
 pub mod stats;
 pub mod subseq;

@@ -1,23 +1,29 @@
-//! A thread-safe handle to a [`SeqIndex`] for concurrent serving.
+//! [`SharedIndex`]: the view of an index group
+//! ([`crate::shard::ShardedIndex`]) that proves it holds exactly one shard
+//! — one [`SeqIndex`] behind one lock, what Algorithm 1 runs on and what
+//! replication ships.
 //!
 //! The read path of every query engine takes `&SeqIndex` and is already
 //! interior-mutable where it must be (access counters are atomics, the
 //! buffer pool and node stores lock internally), so any number of queries
 //! may run concurrently under a shared read guard. Structural mutation —
 //! [`SeqIndex::insert_series`] / [`SeqIndex::delete_series`] — takes
-//! `&mut SeqIndex` and therefore the exclusive write guard.
+//! `&mut SeqIndex` and therefore the exclusive write guard. The lock
+//! recovers from poisoning (see [`pagestore::sync`]), so a panicking query
+//! thread cannot wedge a server.
 //!
-//! [`SharedIndex`] packages that discipline: a cheap cloneable
-//! `Arc<RwLock<SeqIndex>>` whose lock recovers from poisoning (see
-//! [`pagestore::sync`]), so a panicking query thread cannot wedge a
-//! server.
+//! Everything durable — the journal, checkpoints, the epoch and mutation
+//! counters, the fence, the replica position — belongs to the group, which
+//! a `SharedIndex` derefs to. The view adds only the guards of its one
+//! shard, the 2-tuple [`SharedIndex::execute`], and the replication
+//! operations, which a snapshot transfer can only serve for one shard.
 //!
 //! # Write-guard starvation discipline
 //!
 //! The write guard is exclusive for the *entire* mutation: while one
 //! `insert_series` runs (feature extraction, heap append, R*-tree insert
 //! with possible forced reinserts and splits), every reader of the same
-//! handle blocks. That is inherent to the single-lock design, so two rules
+//! shard blocks. That is inherent to the single-lock design, so two rules
 //! keep the stall bounded:
 //!
 //! 1. **Never hold the write guard across anything but the mutation
@@ -26,30 +32,26 @@
 //!    it before serialising the response. Holding it across I/O to a
 //!    client would convert one slow connection into a server-wide stall.
 //! 2. **Shard to bound the blast radius.** A mutation can only starve
-//!    readers of *its own* lock. The `simshard` crate partitions a corpus
-//!    across N independent `SharedIndex` handles precisely so that an
-//!    insert write-locks one shard while the other N−1 keep serving reads
-//!    concurrently — a property its `reads_proceed_during_insert`
-//!    regression test asserts by querying shard B while shard A's write
-//!    guard is deliberately held.
+//!    readers of *its own* shard. A group of N shards puts each behind its
+//!    own lock precisely so that an insert write-locks one shard while the
+//!    other N−1 keep serving reads concurrently — a property `simshard`'s
+//!    `reads_proceed_during_insert` regression test asserts by querying
+//!    shard B while shard A's write guard is deliberately held.
 
-use crate::index::{DeviceWrap, SeqIndex};
-use crate::journal::Journal;
-use crate::plan::{self, LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
+use crate::index::SeqIndex;
+use crate::plan::{LogicalQuery, PhysicalPlan, PlanOutput};
 use crate::report::QueryError;
-use crate::stats::StatsRegistry;
-use pagestore::sync::RwLock;
-use simwal::{FsyncPolicy, ReplayReport, WalError, WalOp, WalStats};
+use crate::shard::ShardedIndex;
+use simwal::{FsyncPolicy, ReplayReport, WalError, WalOp};
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use tseries::TimeSeries;
 
 // The whole point of SharedIndex is crossing threads; fail the build, not
-// a runtime, if an index component ever stops being thread-safe.
+// a runtime, if it ever stops being thread-safe.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SeqIndex>();
     assert_send_sync::<SharedIndex>();
 };
 
@@ -152,527 +154,138 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
-/// The one idempotent frame apply of a single index — recovery replay
-/// and [`SharedIndex::apply_replicated`] both run it. An insert lands only
-/// when its ordinal extends the current prefix: a frame the snapshot (or
-/// an earlier frame) already absorbed is skipped, a frame *beyond* the
-/// prefix is a typed [`DurableError::Gap`]. A delete of a missing or
-/// already-tombstoned ordinal is a no-op. Returns whether state changed.
-fn apply(index: &mut SeqIndex, op: &WalOp) -> Result<bool, DurableError> {
-    let len = index.len();
-    match *op {
-        WalOp::Insert {
-            lsn,
-            global,
-            ref values,
-            ..
-        } => {
-            if global as usize > len {
-                return Err(DurableError::Gap { lsn, global, len });
-            }
-            let extends = global as usize == len;
-            if extends {
-                index.insert_series(&TimeSeries::new(values.clone()))?;
-            }
-            Ok(extends)
-        }
-        WalOp::Delete { global, .. } => {
-            Ok((global as usize) < len && index.delete_series(global as usize)?)
-        }
+/// A cloneable, thread-safe handle to a group of exactly one shard.
+#[derive(Clone, Debug)]
+pub struct SharedIndex(pub(crate) Arc<ShardedIndex>);
+
+impl Deref for SharedIndex {
+    type Target = ShardedIndex;
+
+    fn deref(&self) -> &ShardedIndex {
+        &self.0
     }
 }
 
-/// A cloneable, thread-safe handle to one [`SeqIndex`].
-#[derive(Clone)]
-pub struct SharedIndex {
-    inner: Arc<RwLock<SeqIndex>>,
-    durable: Option<Arc<Journal>>,
-    stats: Arc<StatsRegistry>,
-    /// Mutations acknowledged through the typed paths since this handle
-    /// (group) was created — the fine-grained half of [`QueryEpoch`].
-    /// Replicated frames bump it too, so a follower's [`QueryEpoch`]
-    /// (and therefore every plan-cache key) moves with every applied
-    /// frame, not just local mutations.
-    mutations: Arc<AtomicU64>,
-    /// Highest primary LSN applied through [`Self::apply_replicated`].
-    /// Zero until the first frame lands (primary LSNs start at 1).
-    applied_lsn: Arc<AtomicU64>,
-    /// The primary's checkpoint epoch as of the last snapshot install /
-    /// handshake — the coarse half of a *follower's* [`QueryEpoch`] when
-    /// the handle has no WAL of its own.
-    repl_epoch: Arc<AtomicU64>,
-    /// Fencing token for handles without a WAL (`0` = unfenced); durable
-    /// handles persist theirs in the WAL manifest instead. See
-    /// [`Self::fence_at`].
-    mem_fence: Arc<AtomicU64>,
-}
+impl TryFrom<Arc<ShardedIndex>> for SharedIndex {
+    type Error = Arc<ShardedIndex>;
 
-impl std::fmt::Debug for SharedIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedIndex").finish_non_exhaustive()
+    /// Proves that `group` holds exactly one shard; a larger group is
+    /// handed back unchanged.
+    fn try_from(group: Arc<ShardedIndex>) -> Result<Self, Self::Error> {
+        if group.shard_count() == 1 {
+            Ok(Self(group))
+        } else {
+            Err(group)
+        }
     }
 }
 
 impl SharedIndex {
-    /// Wraps an index for shared use.
+    /// Wraps an index for shared use: a group of one that persists as a
+    /// plain index directory.
     pub fn new(index: SeqIndex) -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(index)),
-            durable: None,
-            stats: Arc::new(StatsRegistry::new()),
-            mutations: Arc::new(AtomicU64::new(0)),
-            applied_lsn: Arc::new(AtomicU64::new(0)),
-            repl_epoch: Arc::new(AtomicU64::new(0)),
-            mem_fence: Arc::new(AtomicU64::new(0)),
-        }
+        Self(Arc::new(ShardedIndex::of_one(index)))
     }
 
-    /// Opens a persisted index directory (see [`SeqIndex::open`]) for
+    /// The one-shard view of a freshly opened group; a directory of more
+    /// shards is refused.
+    fn one(group: ShardedIndex) -> std::io::Result<Self> {
+        Self::try_from(Arc::new(group)).map_err(|group| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "the directory holds {} shards, not one index",
+                    group.shard_count()
+                ),
+            )
+        })
+    }
+
+    /// Opens a persisted index directory (see [`ShardedIndex::open`]) for
     /// shared use.
-    pub fn open(dir: &std::path::Path, heap_pool_pages: usize) -> std::io::Result<Self> {
-        Ok(Self::new(SeqIndex::open(dir, heap_pool_pages)?))
+    pub fn open(dir: &Path, heap_pool_pages: usize) -> std::io::Result<Self> {
+        Self::one(ShardedIndex::open(dir, heap_pool_pages)?)
     }
 
-    /// Opens a persisted index directory without taking its `LOCK` (see
-    /// [`SeqIndex::open_read_only`]), so a verification oracle can read
-    /// the same directory a live server is serving.
-    pub fn open_read_only(dir: &std::path::Path, heap_pool_pages: usize) -> std::io::Result<Self> {
-        Ok(Self::new(SeqIndex::open_read_only(dir, heap_pool_pages)?))
-    }
-
-    /// Opens a persisted index *with a write-ahead log*: loads the
-    /// snapshot in `index_dir`, opens (or creates) the WAL in `wal_dir`
-    /// reconciled against the snapshot's epoch, and replays the log tail
-    /// on top of the snapshot. After this returns, every mutation made
-    /// through [`Self::insert_series`]/[`Self::delete_series`] is logged
-    /// before it is acknowledged, and the recovered state is always an
-    /// exact prefix of the acknowledged mutation schedule.
+    /// Opens a persisted index *with a write-ahead log* (see
+    /// [`ShardedIndex::open_durable`]): loads the snapshot in
+    /// `index_dir`, opens (or creates) the WAL in `wal_dir` reconciled
+    /// against the snapshot's epoch, and replays the log tail on top of
+    /// the snapshot.
     pub fn open_durable(
         index_dir: &Path,
         wal_dir: &Path,
         heap_pool_pages: usize,
         policy: FsyncPolicy,
     ) -> Result<(Self, ReplayReport), DurableError> {
-        Self::open_durable_impl(index_dir, wal_dir, heap_pool_pages, policy, None)
+        let (group, report) =
+            ShardedIndex::open_durable(index_dir, wal_dir, heap_pool_pages, policy)?;
+        Ok((Self::one(group)?, report))
     }
 
-    /// [`Self::open_durable`] with caller-wrapped page devices (see
-    /// [`SeqIndex::open_with`]), so WAL replay itself runs against an
-    /// armed [`pagestore::FaultyDisk`]. Replay faults surface as typed
-    /// [`DurableError::Query`] — never a panic, never a partial ack —
-    /// and leave the log as it was for the next (unfaulted) open.
-    pub fn open_durable_with(
-        index_dir: &Path,
-        wal_dir: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-        wrap: DeviceWrap,
-    ) -> Result<(Self, ReplayReport), DurableError> {
-        Self::open_durable_impl(index_dir, wal_dir, heap_pool_pages, policy, Some(wrap))
+    /// Acquires the shard's shared read guard: queries, scans, counter
+    /// reads. Any number of readers proceed concurrently.
+    pub fn read(&self) -> RwLockReadGuard<'_, SeqIndex> {
+        self.0.shards()[0].read()
     }
 
-    fn open_durable_impl(
-        index_dir: &Path,
-        wal_dir: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-        wrap: Option<DeviceWrap>,
-    ) -> Result<(Self, ReplayReport), DurableError> {
-        let mut index = match wrap {
-            None => SeqIndex::open(index_dir, heap_pool_pages)?,
-            Some(wrap) => SeqIndex::open_with(index_dir, heap_pool_pages, wrap)?,
-        };
-        let epoch = index.wal_epoch();
-        let (journal, report) = Journal::open(index_dir, wal_dir, policy, epoch, |op| {
-            apply(&mut index, op).map(|_changed| ())
-        })?;
-        // On a durable follower the local log stores the primary's
-        // LSNs, so the replayed maximum is the applied position.
-        let applied = journal.next_lsn() - 1;
-        let mut shared = Self::new(index);
-        shared.durable = Some(Arc::new(journal));
-        shared.applied_lsn.store(applied, Ordering::Release);
-        Ok((shared, report))
-    }
-
-    /// Whether this handle logs mutations to a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// WAL counter snapshot, when durable.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durable.as_ref().map(|j| j.stats())
-    }
-
-    /// Current checkpoint epoch, when durable.
-    pub fn wal_epoch(&self) -> Option<u64> {
-        self.durable.as_ref().map(|j| j.epoch())
-    }
-
-    /// The epoch of this node on the replication timeline: its own WAL
-    /// checkpoint epoch when durable, otherwise the primary epoch
-    /// learned over replication. Fencing comparisons happen in this
-    /// timeline.
-    pub fn timeline_epoch(&self) -> u64 {
-        self.wal_epoch().unwrap_or_else(|| self.replica_epoch())
-    }
-
-    /// The fencing token: the minimum epoch this node may accept writes
-    /// at (`0` = unfenced). Persisted in the WAL manifest when durable.
-    pub fn fence(&self) -> u64 {
-        match &self.durable {
-            Some(j) => j.fence(),
-            None => self.mem_fence.load(Ordering::Acquire),
-        }
-    }
-
-    /// Whether the fencing token forbids writes at the current epoch — a
-    /// peer was promoted onto a newer timeline and this node has not yet
-    /// re-synced onto it. Queries still serve; mutations, checkpoints,
-    /// and promotion-independent epoch bumps are refused (see
-    /// [`DurableError::Fenced`]).
-    pub fn is_fenced(&self) -> bool {
-        self.fence() > self.timeline_epoch()
-    }
-
-    /// Raises the fencing token to at least `epoch` — the demotion half
-    /// of failover. Called when a higher-epoch peer reveals itself (a
-    /// `REPL` poll from a follower that already applied frames of a
-    /// newer timeline). Durable before it returns on a durable handle,
-    /// so a fenced ex-primary that crashes restarts fenced. Never
-    /// lowers an existing fence; [`Self::install_replica_snapshot`]
-    /// clears it once the node has re-synced.
-    pub fn fence_at(&self, epoch: u64) -> Result<(), DurableError> {
-        match &self.durable {
-            Some(j) => {
-                if epoch > j.fence() {
-                    j.set_fence(epoch)?;
-                }
-            }
-            None => {
-                self.mem_fence.fetch_max(epoch, Ordering::AcqRel);
-            }
-        }
-        Ok(())
-    }
-
-    /// Promotes this node to primary on a new timeline: under the write
-    /// guard, picks an epoch strictly past everything the node has seen
-    /// (its own checkpoint sequence, the old primary's epoch, and any
-    /// fence), checkpoints the current state under it, installs it in
-    /// the WAL, and persists the fencing token at the same epoch — so
-    /// the switch survives a crash and the node begins accepting writes
-    /// from exactly its acked prefix ([`Self::apply_replicated`] keeps
-    /// the LSN allocator strictly ahead of every shipped frame). Returns
-    /// the new timeline epoch.
-    pub fn promote(&self) -> Result<u64, DurableError> {
-        let guard = self.inner.write();
-        let floor = self.replica_epoch().max(self.fence());
-        let new_epoch = match &self.durable {
-            Some(j) => {
-                let epoch = j.checkpoint(floor, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
-                j.set_fence(epoch)?;
-                epoch
-            }
-            None => {
-                self.mem_fence.store(floor + 1, Ordering::Release);
-                floor + 1
-            }
-        };
-        self.repl_epoch.store(new_epoch, Ordering::Release);
-        // Bump under the guard: cached results keyed on the follower-era
-        // epoch must not survive the timeline switch.
-        self.mutations.fetch_add(1, Ordering::Release);
-        drop(guard);
-        Ok(new_epoch)
-    }
-
-    /// Inserts a sequence through the logged-mutation path: the mutation
-    /// is applied under the write guard, then (still under the guard, so
-    /// log order is apply order) appended to the WAL — the op only
-    /// reaches the caller as acknowledged once it is in the log. Without
-    /// a WAL this is plain `write().insert_series`.
-    pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, DurableError> {
-        let mut guard = self.inner.write();
-        self.check_writable()?;
-        let ordinal = guard.insert_series(ts)?;
-        if let Some(j) = &self.durable {
-            j.log(|lsn| WalOp::Insert {
-                lsn,
-                global: ordinal as u64,
-                shard: 0,
-                values: ts.values().to_vec(),
-            })?;
-        }
-        // Bump while still under the write guard so no reader can observe
-        // the new state under the old epoch.
-        self.mutations.fetch_add(1, Ordering::Release);
-        Ok(ordinal)
-    }
-
-    /// Tombstones a sequence through the logged-mutation path (see
-    /// [`Self::insert_series`]); no-op deletes are not logged.
-    pub fn delete_series(&self, ordinal: usize) -> Result<bool, DurableError> {
-        let mut guard = self.inner.write();
-        self.check_writable()?;
-        let deleted = guard.delete_series(ordinal)?;
-        if deleted {
-            if let Some(j) = &self.durable {
-                j.log(|lsn| WalOp::Delete {
-                    lsn,
-                    global: ordinal as u64,
-                    shard: 0,
-                })?;
-            }
-            self.mutations.fetch_add(1, Ordering::Release);
-        }
-        Ok(deleted)
-    }
-
-    /// Applies one WAL frame shipped from a replication primary, under
-    /// the write guard and through the very `apply` recovery replays
-    /// with. Returns whether the frame changed state. Re-applying any
-    /// shipped prefix is therefore always safe — no gaps, no duplicates.
+    /// Acquires the shard's exclusive write guard.
     ///
-    /// On a durable handle every state-changing frame is also appended
-    /// to the *local* WAL carrying the primary's LSN, so a restarted
-    /// follower recovers its applied position (`max` replayed LSN) along
-    /// with its state; an append failure poisons the handle exactly like
-    /// a local mutation would. The mutation counter bumps under the
-    /// guard on every state change, so no cached plan result can outlive
-    /// an applied frame (see [`Self::query_epoch`]).
-    pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
-        let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        let changed = apply(&mut guard, op)?;
-        if changed {
-            if let Some(j) = &self.durable {
-                j.log_shipped(op)?;
-            }
-            self.mutations.fetch_add(1, Ordering::Release);
-        }
-        // Still under the guard: a reader that observes this applied
-        // position is guaranteed to see the state that includes it.
-        self.applied_lsn.fetch_max(op.lsn(), Ordering::Release);
-        drop(guard);
-        Ok(changed)
+    /// Mutating *directly* through this guard bypasses the group's map and
+    /// WAL; mutate via [`ShardedIndex::insert_series`] /
+    /// [`ShardedIndex::delete_series`] instead.
+    pub fn write(&self) -> RwLockWriteGuard<'_, SeqIndex> {
+        self.0.shards()[0].write()
     }
 
-    /// Replaces the whole index with a snapshot transferred from a
-    /// replication primary (the epoch-mismatch fallback of the `REPL`
-    /// handshake). `primary_epoch` is the primary's checkpoint epoch the
-    /// snapshot corresponds to and `next_lsn` the first LSN the stream
-    /// will resume from; the replica's applied position becomes
-    /// `next_lsn - 1`. On a durable handle the snapshot is checkpointed
-    /// into the local index directory under the *local* next epoch (the
-    /// local epoch sequence is independent of the primary's), so a
-    /// restart recovers it without re-transferring.
+    /// Plans and executes a logical query under the shard's read guard —
+    /// `plan::run` on the one index, with the group's statistics.
+    pub fn execute(
+        &self,
+        lq: &LogicalQuery,
+        query: Option<&TimeSeries>,
+    ) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
+        self.0.shards()[0].execute(lq, query)
+    }
+
+    /// Applies one WAL frame shipped from a replication primary (see
+    /// [`ShardedIndex`]'s replication docs): idempotent, gap-safe, logged
+    /// locally under the primary's LSN when durable. Returns whether the
+    /// frame changed state.
+    pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
+        self.0.apply_replicated(op)
+    }
+
+    /// Replaces the index with a snapshot transferred from a replication
+    /// primary at `primary_epoch`, resuming the stream at `next_lsn`; a
+    /// durable index checkpoints it locally and clears any fence.
     pub fn install_replica_snapshot(
         &self,
         index: SeqIndex,
         primary_epoch: u64,
         next_lsn: u64,
     ) -> Result<(), DurableError> {
-        let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        // Refuse a snapshot from a timeline older than the one this node
-        // already follows: a poll that was in flight when the node was
-        // promoted must not roll the new timeline back (and clear its
-        // fence) by installing the deposed primary's state.
-        let current = self.repl_epoch.load(Ordering::Acquire);
-        if primary_epoch < current {
-            return Err(DurableError::Fenced {
-                fence: current,
-                epoch: primary_epoch,
-            });
-        }
-        *guard = index;
-        if let Some(j) = &self.durable {
-            j.checkpoint(0, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
-            j.set_next_lsn(next_lsn);
-            // The node now holds the new timeline's state byte-for-byte;
-            // a demotion fence (if any) has served its purpose. Clearing
-            // it last means a crash anywhere above restarts fenced —
-            // never writable with half-installed state.
-            j.set_fence(0)?;
-        }
-        self.mem_fence.store(0, Ordering::Release);
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
-        self.applied_lsn
-            .store(next_lsn.saturating_sub(1), Ordering::Release);
-        // Bump under the guard: the whole state changed, so every cached
-        // result keyed on the old epoch must become unreachable.
-        self.mutations.fetch_add(1, Ordering::Release);
-        drop(guard);
-        Ok(())
+        self.0
+            .install_replica_snapshot(index, primary_epoch, next_lsn)
+    }
+
+    /// Promotes this node to primary on a new timeline strictly past every
+    /// epoch it has seen; returns that epoch.
+    pub fn promote(&self) -> Result<u64, DurableError> {
+        self.0.promote()
     }
 
     /// Records the primary's checkpoint epoch learned at handshake time
     /// (the frame-streaming path, where no snapshot transfer happens).
     pub fn note_replica_epoch(&self, primary_epoch: u64) {
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
+        self.0.note_replica_epoch(primary_epoch);
     }
 
-    /// Restores a follower's replication position after a restart:
-    /// adopts `primary_epoch` and raises the applied position to at
-    /// least `applied` (never lowers it). A durable follower's local
-    /// log replays only frames appended since its last snapshot
-    /// install, so the install-time floor is re-asserted from the
-    /// persisted replica state.
+    /// Restores a follower's replication position after a restart: adopts
+    /// `primary_epoch` and raises the applied position to at least
+    /// `applied`.
     pub fn note_replica_position(&self, primary_epoch: u64, applied: u64) {
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
-        self.applied_lsn.fetch_max(applied, Ordering::AcqRel);
-    }
-
-    /// Highest primary LSN applied through [`Self::apply_replicated`]
-    /// (0 before any frame lands). On a restarted durable follower this
-    /// is recovered from the local log's replayed maximum.
-    pub fn applied_lsn(&self) -> u64 {
-        self.applied_lsn.load(Ordering::Acquire)
-    }
-
-    /// The primary checkpoint epoch this replica last synchronised with
-    /// (0 until a snapshot install or `note_replica_*` call records one).
-    pub fn replica_epoch(&self) -> u64 {
-        self.repl_epoch.load(Ordering::Acquire)
-    }
-
-    /// The next LSN this index would allocate, when durable — the
-    /// exclusive upper bound of the log's coverage, which the `REPL`
-    /// handshake checks a follower's resume position against.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.durable.as_ref().map(|j| j.next_lsn())
-    }
-
-    /// Bytes of this index's WAL covered by the last fsync — the prefix
-    /// a crash is guaranteed to keep, and the bound the replication
-    /// feeder serves under. Crash-point tests truncate the log file to
-    /// this length to simulate losing the page-cache tail.
-    pub fn wal_durable_bytes(&self) -> Option<u64> {
-        self.durable.as_ref().map(|j| j.durable_len())
-    }
-
-    /// Reads up to `max` frames with `lsn >= from_lsn` from the durable
-    /// prefix of this index's own WAL — the catch-up half of the
-    /// replication feeder; frames are fsynced before they are served, so
-    /// a shipped frame always survives a crash. `max == 0` means no cap.
-    /// `hint` is a `(lsn, byte offset)` resume cursor (see
-    /// [`simwal::Wal::frames_since_hinted`]): a valid cursor makes
-    /// tailing O(frames served); a stale one, or `None`, scans.
-    pub fn wal_frames_since_hinted(
-        &self,
-        from_lsn: u64,
-        max: usize,
-        hint: Option<(u64, u64)>,
-    ) -> Result<(Vec<WalOp>, (u64, u64)), DurableError> {
-        match &self.durable {
-            Some(j) => j.frames_since_hinted(from_lsn, max, hint),
-            None => Err(DurableError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "index has no write-ahead log to stream from",
-            ))),
-        }
-    }
-
-    /// Whether an earlier WAL append failure poisoned this handle (see
-    /// [`DurableError::Poisoned`]). Queries still serve; mutations and
-    /// checkpoints are rejected until the index is reopened.
-    pub fn is_poisoned(&self) -> bool {
-        self.durable.as_ref().is_some_and(|j| j.is_poisoned())
-    }
-
-    fn check_poisoned(&self) -> Result<(), DurableError> {
-        self.durable.as_ref().map_or(Ok(()), |j| j.check())
-    }
-
-    /// The gate of every mutation and checkpoint: neither poisoned nor
-    /// fenced.
-    fn check_writable(&self) -> Result<(), DurableError> {
-        self.check_poisoned()?;
-        let fence = self.fence();
-        let epoch = self.timeline_epoch();
-        if fence > epoch {
-            return Err(DurableError::Fenced { fence, epoch });
-        }
-        Ok(())
-    }
-
-    /// Forces every appended frame to stable storage (the `SYNC` op).
-    /// `Ok(false)` when the handle has no WAL.
-    pub fn sync_wal(&self) -> Result<bool, DurableError> {
-        match &self.durable {
-            Some(j) => j.sync().map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    /// Checkpoints a durable index: under the exclusive write guard,
-    /// syncs the log, writes an atomic snapshot stamped with the next
-    /// epoch, then installs that epoch in the WAL (manifest bump + log
-    /// reset). Returns the new epoch, or `None` for a non-durable
-    /// handle. A crash at any point leaves a recoverable state — see the
-    /// crash matrix in DESIGN.md §5.
-    pub fn checkpoint(&self) -> Result<Option<u64>, DurableError> {
-        let Some(j) = &self.durable else {
-            return Ok(None);
-        };
-        let guard = self.inner.write();
-        // A fenced node must not checkpoint: each checkpoint bumps the
-        // epoch, and enough of them would walk it up to the fence and
-        // silently unfence a node that never re-synced.
-        self.check_writable()?;
-        let epoch = j.checkpoint(0, |dir, epoch| guard.save_with_epoch(dir, epoch))?;
-        Ok(Some(epoch))
-    }
-
-    /// The runtime-statistics registry the planner reads and the plan
-    /// executor writes. Shared across clones of this handle.
-    pub fn stats(&self) -> &Arc<StatsRegistry> {
-        &self.stats
-    }
-
-    /// The cache epoch of the current state: WAL checkpoint epoch plus
-    /// the typed-path mutation counter. Results cached under an equal
-    /// epoch are exact for the current state; any acknowledged mutation
-    /// makes older epochs unequal. On a non-durable *follower* the
-    /// coarse half is the primary's epoch learned over replication, and
-    /// [`Self::apply_replicated`] bumps the counter — so a cached result
-    /// can never outlive an applied frame, local or shipped.
-    pub fn query_epoch(&self) -> QueryEpoch {
-        QueryEpoch {
-            epoch: self
-                .wal_epoch()
-                .unwrap_or_else(|| self.repl_epoch.load(Ordering::Acquire)),
-            mutations: self.mutations.load(Ordering::Acquire),
-        }
-    }
-
-    /// Plans and executes a logical query against this index — the one
-    /// query entry point every consumer (server, CLI, shard executor)
-    /// routes through. Takes the shared read guard for the duration.
-    pub fn execute(
-        &self,
-        lq: &LogicalQuery,
-        query: Option<&TimeSeries>,
-    ) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
-        let guard = self.inner.read();
-        plan::run(&guard, &self.stats, lq, query)
-    }
-
-    /// Acquires a shared read guard: queries, scans, counter reads.
-    /// Any number of readers proceed concurrently.
-    pub fn read(&self) -> RwLockReadGuard<'_, SeqIndex> {
-        self.inner.read()
-    }
-
-    /// Acquires the exclusive write guard: inserts and deletes.
-    ///
-    /// Mutating *directly* through this guard bypasses the WAL; durable
-    /// handles must mutate via [`Self::insert_series`] /
-    /// [`Self::delete_series`] instead.
-    pub fn write(&self) -> RwLockWriteGuard<'_, SeqIndex> {
-        self.inner.write()
+        self.0.note_replica_position(primary_epoch, applied);
     }
 }
 
@@ -738,7 +351,7 @@ mod tests {
         )
         .unwrap();
         shared.insert_series(&extra.series()[0]).unwrap();
-        shared.durable.as_ref().unwrap().arm_append_fault();
+        shared.arm_wal_append_fault();
         let err = shared.insert_series(&extra.series()[1]).unwrap_err();
         assert!(matches!(err, DurableError::Wal(_)), "{err}");
         assert!(shared.is_poisoned());

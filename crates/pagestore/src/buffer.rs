@@ -123,6 +123,11 @@ impl BufferPool {
         }
     }
 
+    /// Number of frames the pool holds.
+    pub fn capacity(&self) -> usize {
+        self.pages.len()
+    }
+
     /// The device underneath.
     pub fn device(&self) -> &Arc<dyn PageDevice> {
         &self.device

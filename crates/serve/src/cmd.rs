@@ -5,7 +5,7 @@
 //! # `serve`
 //!
 //! The index directory is opened as whatever layout it holds
-//! ([`simshard::Store`]): a directory written by `simseq shard build` is
+//! ([`ShardedIndex::open`]): a directory written by `simseq shard build` is
 //! served sharded as-is, and passing `--shards`/`--partitioner` against
 //! one is an error unless the values match its manifest. With `--shards
 //! N > 1` a single-index directory is repartitioned across N shards at
@@ -164,18 +164,18 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     if wal_dir.is_none() && opts.get("fsync").is_some() {
         return Err("--fsync requires --wal".into());
     }
-    let open = |dir: &Path| -> Result<Backend, String> {
+    let open = |dir: &Path| -> Result<ShardedIndex, String> {
         let fail = |e: &dyn std::fmt::Display| format!("opening index {}: {e}", dir.display());
         let Some(wal) = &wal_dir else {
-            return Backend::open(dir, pool_pages).map_err(|e| fail(&e));
+            return ShardedIndex::open(dir, pool_pages).map_err(|e| fail(&e));
         };
-        let (store, rec) =
-            Backend::open_durable(dir, wal, pool_pages, policy).map_err(|e| fail(&e))?;
+        let (group, rec) =
+            ShardedIndex::open_durable(dir, wal, pool_pages, policy).map_err(|e| fail(&e))?;
         eprintln!(
             "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
             rec.epoch, rec.frames, rec.stale_frames, rec.truncated_bytes
         );
-        Ok(store)
+        Ok(group)
     };
     let dir = opts.get("index").map(PathBuf::from);
 
@@ -209,11 +209,11 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
                          (a durable follower opens both directories)"
                         .into());
                 }
-                repl::bootstrap(primary, fopts)
+                repl::bootstrap(primary, fopts, pool_pages)
                     .map_err(|e| format!("bootstrapping from {primary}: {e}"))?
             }
             Some(dir) => {
-                let Some(shared) = open(dir)?.single().cloned() else {
+                let Ok(shared) = SharedIndex::try_from(Arc::new(open(dir)?)) else {
                     return Err(format!(
                         "{} is a sharded directory; replication requires a single index",
                         dir.display()
@@ -250,11 +250,11 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     }
 
     let dir = dir.ok_or("missing required --index")?;
-    let store = open(&dir)?;
-    let store = match (store.sharding(), store.single()) {
+    let group = open(&dir)?;
+    let backend: Backend = match group.sharding() {
         // A `simseq shard build` directory is already partitioned; explicit
         // flags must agree with its manifest, not be silently ignored.
-        (Some(on_disk), _) => {
+        Some(on_disk) => {
             if opts.get("shards").is_some() && shard_cfg.shards != on_disk.shards {
                 return Err(format!(
                     "--shards {} conflicts with {}, which was built with {} shards; \
@@ -273,9 +273,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
                     on_disk.partitioner
                 ));
             }
-            store
+            Arc::new(group)
         }
-        (None, Some(shared)) if shard_cfg.shards > 1 => {
+        None if shard_cfg.shards > 1 => {
             if wal_dir.is_some() {
                 return Err(
                     "--wal cannot be combined with --shards repartitioning; build a sharded \
@@ -287,27 +287,25 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
                 heap_pool_pages: pool_pages,
                 ..Default::default()
             };
-            ShardedIndex::from_index(&shared.read(), shard_cfg, index_cfg)
-                .map_err(|e| format!("sharding {}: {e}", dir.display()))?
-                .into()
+            let sharded = ShardedIndex::from_index(&group.shards()[0].read(), shard_cfg, index_cfg)
+                .map_err(|e| format!("sharding {}: {e}", dir.display()))?;
+            Arc::new(sharded)
         }
-        _ => store,
+        None => Arc::new(group),
     };
-    let layout = store.sharding().map_or(" (".to_string(), |s| {
+    let layout = backend.sharding().map_or(" (".to_string(), |s| {
         format!(" across {} shards ({}, ", s.shards, s.partitioner)
     });
-    {
-        let reader = store.read();
-        eprintln!(
-            "serving {} sequences of length {}{layout}{} workers, queue {})",
-            reader.len(),
-            reader.seq_len(),
-            cfg.workers,
-            cfg.queue_depth
-        );
-    }
+    eprintln!(
+        "serving {} sequences of length {}{layout}{} workers, queue {})",
+        backend.len(),
+        backend.seq_len(),
+        cfg.workers,
+        cfg.queue_depth
+    );
 
-    let handle = serve_with(store, &cfg, None).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
+    let handle =
+        serve_with(backend, &cfg, None).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
     println!("listening on {}", handle.addr);
     handle.join();
     Ok(())
@@ -340,12 +338,14 @@ pub fn load(argv: &[String]) -> Result<(), String> {
         None => None,
         Some(dir) => {
             let pool: usize = opts.parse_or("pool-pages", 256)?;
-            Some(
-                // Read-only: the oracle may be the very directory the
-                // server under test is serving (and holding the LOCK on).
-                SharedIndex::open_read_only(Path::new(dir), pool)
-                    .map_err(|e| format!("opening verify index {dir}: {e}"))?,
-            )
+            // Read-only: the oracle may be the very directory the server
+            // under test is serving (and holding the LOCK on).
+            let group = ShardedIndex::open_read_only(Path::new(dir), pool)
+                .map_err(|e| format!("opening verify index {dir}: {e}"))?;
+            let oracle = SharedIndex::try_from(Arc::new(group)).map_err(|_| {
+                format!("verify index {dir} is sharded; verify against a single index")
+            })?;
+            Some(oracle)
         }
     };
     let cfg = LoadConfig {

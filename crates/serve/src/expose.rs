@@ -22,7 +22,8 @@ use simquery::prelude::*;
 pub(crate) struct BackendSample {
     /// Index access totals since server start.
     pub counters: AccessCounters,
-    /// Per-shard breakdown (empty on a single index); sums to `counters`.
+    /// Per-shard breakdown (empty on a plain index directory); sums to
+    /// `counters`.
     pub shards: Vec<ShardStatLine>,
     /// WAL activity, absent without `--wal`.
     pub wal: Option<WalStatLine>,
@@ -35,23 +36,31 @@ pub(crate) struct BackendSample {
 /// Samples the backend, the result cache and the replication state — the
 /// one reading both `STATS` and `METRICS` render.
 pub(crate) fn sample(backend: &Backend, cache: &PlanCache, repl: &ReplState) -> BackendSample {
-    let (counters, per_shard) = backend.counters();
-    let shards = per_shard
-        .into_iter()
-        .enumerate()
-        .map(|(id, (seqs, c))| ShardStatLine {
-            id,
-            seqs: seqs as u64,
-            node_reads: c.node_reads,
-            record_page_reads: c.record_page_reads,
-            record_fetches: c.record_fetches,
-        })
-        .collect();
-    let wal = backend.wal_stats().map(|(s, epoch)| WalStatLine {
+    // One reading of the shards, so the total always equals the sum of
+    // the shard lines; a plain index directory reports no breakdown.
+    let per_shard = backend.per_shard_counters();
+    let counters = per_shard.iter().copied().sum();
+    let shards = match backend.sharding() {
+        Some(_) => backend
+            .shard_loads()
+            .into_iter()
+            .zip(per_shard)
+            .enumerate()
+            .map(|(id, (seqs, c))| ShardStatLine {
+                id,
+                seqs: seqs as u64,
+                node_reads: c.node_reads,
+                record_page_reads: c.record_page_reads,
+                record_fetches: c.record_fetches,
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    let wal = backend.wal_stats().map(|s| WalStatLine {
         appends: s.appends,
         fsyncs: s.fsyncs,
         replayed: s.replayed,
-        epoch,
+        epoch: backend.wal_epoch().unwrap_or(0),
     });
     let snap = backend.stats().snapshot();
     let cc = cache.counters();
@@ -155,14 +164,12 @@ pub(crate) fn render(
         if repl.is_follower() { 0.0 } else { 1.0 },
     );
     exp.counter("simseq_promotions_total", &[], repl.promotions());
-    if let Some(shared) = backend.single() {
-        exp.gauge("simseq_fence_epoch", &[], shared.fence() as f64);
-        exp.gauge(
-            "simseq_fenced",
-            &[],
-            if shared.is_fenced() { 1.0 } else { 0.0 },
-        );
-    }
+    exp.gauge("simseq_fence_epoch", &[], backend.fence() as f64);
+    exp.gauge(
+        "simseq_fenced",
+        &[],
+        if backend.is_fenced() { 1.0 } else { 0.0 },
+    );
 
     // Replication position (primary fleet view or follower position).
     if let Some(r) = &s.repl {

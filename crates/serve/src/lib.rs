@@ -31,10 +31,11 @@
 //!   connections replaying seeded workloads, with optional result-parity
 //!   verification against a directly-opened copy of the index.
 //!
-//! The index is shared across connection threads through
-//! [`simquery::shared::SharedIndex`]: queries run under a read guard (the
-//! engines' access counters are atomics, so concurrent queries stay
-//! consistent), `INSERT`/`DELETE` take the write guard.
+//! The index is shared across connection threads as one
+//! [`simquery::shard::ShardedIndex`] — a group of one shard or many:
+//! queries run under read guards (the engines' access counters are
+//! atomics, so concurrent queries stay consistent), `INSERT`/`DELETE`
+//! take the owning shard's write guard.
 
 pub mod admission;
 pub mod chaos;

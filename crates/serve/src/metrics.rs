@@ -144,8 +144,8 @@ impl Registry {
     /// Builds the `STATS` payload; with `reset`, zeroes op counters and
     /// histograms afterwards. `now` is the backend's aggregate access
     /// counters (totals since server start; the delta baseline is kept
-    /// here), and `shards` is the per-shard breakdown — empty for a
-    /// single-index backend. `plan` carries the planner and result-cache
+    /// here), and `shards` is the per-shard breakdown — empty for a plain
+    /// index directory. `plan` carries the planner and result-cache
     /// counters (always present on current servers), and `repl` the
     /// replication view when the server is a primary with followers or a
     /// follower itself.

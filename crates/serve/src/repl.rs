@@ -14,7 +14,7 @@
 //!   and `L` does not run past its next LSN, the epoch's log covers the
 //!   follower's position exactly; the primary serves `lsn >= L` frames
 //!   from its live log
-//!   ([`simquery::shared::SharedIndex::wal_frames_since_hinted`]).
+//!   ([`simquery::shard::ShardedIndex::wal_frames_since_hinted`]).
 //! * **snapshot** — otherwise (a checkpoint reset the log, the follower
 //!   is behind a restarted primary's recovered log, or the follower is
 //!   brand new, which it signals with the reserved `from=0`): the primary
@@ -44,7 +44,7 @@ use crate::client::Client;
 use crate::protocol::{ErrCode, ReplStatLine, Request, Response, SnapEntry};
 use crate::server::Backend;
 use simquery::prelude::*;
-use simquery::shared::DurableError;
+use simquery::shared::{DurableError, SharedIndex};
 use simwal::encode_frame;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -307,7 +307,7 @@ impl ReplState {
             .unwrap_or_else(|e| e.into_inner())
             .clone();
         if let Some(f) = follower {
-            let applied = backend.single().map_or(0, |s| s.applied_lsn());
+            let applied = backend.applied_lsn();
             let end = f.end.load(Ordering::Relaxed);
             return Some(ReplStatLine {
                 role: "follower".into(),
@@ -328,9 +328,10 @@ impl ReplState {
             peers.values().map(|p| p.acked).min().unwrap_or(0),
         );
         drop(peers);
-        let (next, epoch) = backend.single().map_or((1, 0), |s| {
-            (s.wal_next_lsn().unwrap_or(1), s.wal_epoch().unwrap_or(0))
-        });
+        let (next, epoch) = (
+            backend.wal_next_lsn().unwrap_or(1),
+            backend.wal_epoch().unwrap_or(0),
+        );
         Some(ReplStatLine {
             role: "primary".into(),
             followers,
@@ -370,7 +371,7 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
         max,
         wait_ms,
     } = poll;
-    let Some(shared) = backend.single() else {
+    let Ok(shared) = SharedIndex::try_from(Arc::clone(backend)) else {
         return Response::Err {
             code: ErrCode::Query,
             msg: "replication requires a single-index primary (shards ship separately)".into(),
@@ -437,7 +438,7 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
                 let seq_len = guard.seq_len();
                 let dead: HashSet<usize> = guard.deleted_ordinals().into_iter().collect();
                 drop(guard);
-                let resp = snapshot_response(shared, wal_epoch, next, len, seq_len, &dead);
+                let resp = snapshot_response(&shared, wal_epoch, next, len, seq_len, &dead);
                 // A checkpoint may have landed while the copy ran with
                 // the guard released; its epoch bump invalidates the
                 // pinned cut, so rebuild at the new one.
@@ -800,7 +801,8 @@ impl Follower {
             return Ok(0);
         }
         let n = entries.len();
-        let index = build_snapshot_index(&entries)?;
+        // The replica keeps the record pool of the index it replaces.
+        let index = build_snapshot_index(&entries, self.shared.read().heap_pool_pages())?;
         self.shared
             .install_replica_snapshot(index, epoch, next)
             .map_err(|e| io::Error::other(format!("snapshot install: {e}")))?;
@@ -854,24 +856,30 @@ impl Follower {
 }
 
 /// The primary epoch this replica's state corresponds to: its
-/// [`SharedIndex::query_epoch`] coarse half on an in-memory follower is
-/// exactly the replicated epoch; a durable follower tracks it in its
-/// persisted replica state, re-asserted via `note_replica_position`.
+/// [`simquery::shard::ShardedIndex::query_epoch`] coarse half on an
+/// in-memory follower is exactly the replicated epoch; a durable follower
+/// tracks it in its persisted replica state, re-asserted via
+/// `note_replica_position`.
 fn replica_epoch(shared: &SharedIndex) -> u64 {
     shared.replica_epoch()
 }
 
-/// Rebuilds a [`SeqIndex`] from a snapshot transfer: inserts every
-/// ordinal in order, then re-applies the tombstones, so ordinal
-/// assignment (including skipped/degenerate sequences) is byte-exact.
-fn build_snapshot_index(entries: &[SnapEntry]) -> io::Result<SeqIndex> {
+/// Rebuilds a [`SeqIndex`] from a snapshot transfer, with a record pool of
+/// `heap_pool_pages` frames: inserts every ordinal in order, then
+/// re-applies the tombstones, so ordinal assignment (including
+/// skipped/degenerate sequences) is byte-exact.
+fn build_snapshot_index(entries: &[SnapEntry], heap_pool_pages: usize) -> io::Result<SeqIndex> {
     let names = (0..entries.len()).map(|i| format!("s{i}")).collect();
     let series = entries
         .iter()
         .map(|e| TimeSeries::new(e.values.clone()))
         .collect();
     let corpus = tseries::Corpus::from_parts(names, series);
-    let mut index = SeqIndex::build(&corpus, IndexConfig::default())
+    let config = IndexConfig {
+        heap_pool_pages,
+        ..IndexConfig::default()
+    };
+    let mut index = SeqIndex::build(&corpus, config)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unbuildable snapshot"))?;
     for e in entries {
         if !e.live {
@@ -885,11 +893,15 @@ fn build_snapshot_index(entries: &[SnapEntry]) -> io::Result<SeqIndex> {
 
 /// Bootstraps an in-memory follower that starts with no index at all:
 /// fetches the primary's snapshot synchronously, builds the replica
-/// index, and returns the ready [`SharedIndex`] (serve it with
-/// [`crate::server::serve_with`]) plus the connected [`Follower`].
-/// Fails on an empty primary — give such a follower an `--index` to
-/// start from instead.
-pub fn bootstrap(primary: &str, opts: FollowerOpts) -> io::Result<(SharedIndex, Follower)> {
+/// index with a record pool of `heap_pool_pages` frames, and returns the
+/// ready [`SharedIndex`] (serve it with [`crate::server::serve_with`])
+/// plus the connected [`Follower`]. Fails on an empty primary — give such
+/// a follower an `--index` to start from instead.
+pub fn bootstrap(
+    primary: &str,
+    opts: FollowerOpts,
+    heap_pool_pages: usize,
+) -> io::Result<(SharedIndex, Follower)> {
     let mut client = Client::connect(primary)?;
     let resp = client.call(&Request::Repl {
         epoch: 0,
@@ -916,7 +928,7 @@ pub fn bootstrap(primary: &str, opts: FollowerOpts) -> io::Result<(SharedIndex, 
             "cannot bootstrap from an empty primary; start the follower with --index",
         ));
     }
-    let index = build_snapshot_index(&entries)?;
+    let index = build_snapshot_index(&entries, heap_pool_pages)?;
     let shared = SharedIndex::new(index);
     shared.note_replica_position(epoch, next.saturating_sub(1));
     let stats = Arc::new(FollowerStats::default());

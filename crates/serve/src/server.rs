@@ -14,8 +14,8 @@
 //!   arrival order, and the rest are refused with `ERR code=BUSY`
 //!   *before* any index work happens.
 //!
-//! Queries take the index's read lock (concurrent), `INSERT`/`DELETE`
-//! take the write lock (exclusive).
+//! Queries take their shards' read locks (concurrent), `INSERT`/`DELETE`
+//! the owning shard's write lock (exclusive).
 
 use crate::admission::{Gate, Refused};
 use crate::metrics::{op_index, Registry};
@@ -26,7 +26,9 @@ use crate::repl::{serve_repl, FollowerStats, ReplPoll, ReplState};
 use simobs::SlowLog;
 use simquery::prelude::*;
 use simquery::report::{JoinResult, QueryError};
-use simquery::shared::DurableError;
+use simquery::shard::ShardedIndex;
+use simquery::shared::{DurableError, SharedIndex};
+use simshard::gather;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,9 +76,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The index a server executes against: a bare [`SharedIndex`], a
-/// `ShardedIndex` or an `Arc` of one all convert into it.
-pub use simshard::Store as Backend;
+/// The index a server executes against: an index group of one shard or
+/// many. A [`SharedIndex`], a [`ShardedIndex`] or an `Arc` of one all
+/// convert into it.
+pub type Backend = Arc<ShardedIndex>;
 
 /// A running server; dropping it does NOT stop the threads — call
 /// [`ServerHandle::shutdown`] (tests) or [`ServerHandle::join`] (daemon).
@@ -119,9 +122,9 @@ impl ServerHandle {
 }
 
 /// Starts serving `backend` per `cfg` (a bare [`SharedIndex`] converts
-/// into a single-index backend). Returns once the listener is bound.
-/// The server answers `REPL` polls whenever the backend is a durable
-/// single index — any such server can feed followers.
+/// into a group of one). Returns once the listener is bound. The server
+/// answers `REPL` polls whenever the backend is a durable index of one
+/// shard — any such server can feed followers.
 pub fn serve(backend: impl Into<Backend>, cfg: &ServerConfig) -> io::Result<ServerHandle> {
     serve_with(backend, cfg, None)
 }
@@ -383,22 +386,18 @@ fn execute(
         },
         Request::Info => {
             let mut info = backend.describe();
-            // Role and applied position are replication state, which only
-            // a single index has.
-            if let Some(shared) = backend.single() {
-                let role = if repl.is_follower() {
-                    "follower"
-                } else {
-                    "primary"
-                };
-                let after_durable = info
-                    .iter()
-                    .position(|(k, _)| k == "durable")
-                    .map_or(info.len(), |i| i + 1);
-                info.insert(after_durable, ("role".into(), role.into()));
-                if repl.is_follower() {
-                    info.push(("applied_lsn".into(), shared.applied_lsn().to_string()));
-                }
+            let role = if repl.is_follower() {
+                "follower"
+            } else {
+                "primary"
+            };
+            let after_durable = info
+                .iter()
+                .position(|(k, _)| k == "durable")
+                .map_or(info.len(), |i| i + 1);
+            info.insert(after_durable, ("role".into(), role.into()));
+            if repl.is_follower() {
+                info.push(("applied_lsn".into(), backend.applied_lsn().to_string()));
             }
             Response::Info(info)
         }
@@ -430,7 +429,7 @@ fn execute(
             Response::Trace { events }
         }
         Request::Promote => {
-            let Some(shared) = backend.single() else {
+            let Ok(shared) = SharedIndex::try_from(Arc::clone(backend)) else {
                 return err(
                     ErrCode::Query,
                     "PROMOTE requires a single-index server (shards replicate separately)",
@@ -564,21 +563,28 @@ fn prepare(
     ord: usize,
     ma: (usize, usize),
 ) -> Result<(Family, TimeSeries), Response> {
-    let reader = backend.read();
-    if ord >= reader.len() {
-        return Err(err(
+    let out_of_range = || {
+        err(
             ErrCode::Range,
-            format!("ordinal {ord} out of range (0..{})", reader.len()),
-        ));
+            format!("ordinal {ord} out of range (0..{})", backend.len()),
+        )
+    };
+    if ord >= backend.len() {
+        return Err(out_of_range());
     }
-    let family = family_for(ma, reader.seq_len())?;
-    let q = reader.fetch_series(ord).map_err(query_err)?;
+    let family = family_for(ma, backend.seq_len())?;
+    // Re-checked under the shard's read guard: a replica snapshot install
+    // may have shrunk the index since the check above.
+    let q = backend
+        .fetch_series(ord)
+        .map_err(query_err)?
+        .ok_or_else(out_of_range)?;
     Ok((family, q))
 }
 
 /// Lowers a query verb to its logical query and query sequence — shared
 /// by execution and `EXPLAIN`. `JOIN` gets its typed rejection on a
-/// sharded backend here.
+/// group of more than one shard here.
 fn lower(
     backend: &Backend,
     request: &Request,
@@ -600,14 +606,14 @@ fn lower(
             engine,
             ..
         } => {
-            let Some(shared) = backend.single() else {
+            if SharedIndex::try_from(Arc::clone(backend)).is_err() {
                 return Err(err(
                     ErrCode::Query,
                     "JOIN is not supported on a sharded backend (pairs cross shards); \
                      serve the index unsharded to join",
                 ));
-            };
-            let family = family_for(ma, shared.read().seq_len())?;
+            }
+            let family = family_for(ma, backend.seq_len())?;
             let lq =
                 LogicalQuery::join(family, threshold.to_spec()).with_engine(engine_pref(engine));
             Ok((lq, None))
@@ -635,7 +641,7 @@ fn run_cached(
         return Ok(out);
     }
     let start = Instant::now();
-    let (plan, out, _per_shard) = backend.execute(lq, q).map_err(query_err)?;
+    let (plan, out, _per_shard) = gather::execute(backend, lq, q).map_err(query_err)?;
     slow.observe(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
     cache.put(fp, epoch, plan, out.clone());
     Ok(out)
@@ -676,7 +682,7 @@ fn run_explain(backend: &Backend, inner: &Request) -> Response {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    match backend.execute(&lq, q.as_ref()) {
+    match gather::execute(backend, &lq, q.as_ref()) {
         Ok((plan, out, _)) => {
             let m = out.metrics();
             let n = match &out {

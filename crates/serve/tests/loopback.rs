@@ -6,10 +6,12 @@ mod common;
 
 use common::{corpus, test_config};
 use simquery::engine::mtindex;
+use simquery::index::AccessCounters;
+use simquery::plan;
 use simquery::prelude::*;
 use simserve::client::Client;
-use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
-use simserve::server::{serve, ServerConfig, ServerHandle};
+use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireMetrics, WireThreshold};
+use simserve::server::{engine_pref, serve, ServerConfig, ServerHandle};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
@@ -416,6 +418,119 @@ fn explain_reports_the_chosen_plan() {
     assert_eq!(find(&knn, "chosen_by"), "only-option");
     assert_eq!(find(&knn, "matches"), "3");
 
+    client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// A server over a group of one answers what `plan::run` answers on the
+/// same index, digit for digit: each `QUERY`/`KNN` its match list and
+/// metrics, each `EXPLAIN` its plan and counts, and `STATS COUNTERS` the
+/// index's own access counters — the server's fetch of the query sequence
+/// included.
+#[test]
+fn group_of_one_serves_what_plan_run_answers() {
+    let c = corpus(80, 7);
+    let build = || SeqIndex::build(&c, IndexConfig::default()).unwrap();
+    let reference = build();
+    let stats = StatsRegistry::new();
+    let handle = serve(SharedIndex::new(build()), &test_config()).unwrap();
+    let mut client = Client::connect(handle.addr).unwrap();
+    let family = Family::moving_averages(4..=12, reference.seq_len());
+    let totals = |c: AccessCounters| (c.node_reads, c.record_page_reads, c.record_fetches);
+    let engines = [
+        ("auto", EngineKind::Auto),
+        ("mt", EngineKind::Mt),
+        ("st", EngineKind::St),
+        ("scan", EngineKind::Scan),
+    ];
+    for ord in [0usize, 13, 79] {
+        let mut verbs = vec![(
+            format!("KNN ord={ord} k=5 ma=4..12"),
+            LogicalQuery::knn(family.clone(), 5),
+        )];
+        for (name, kind) in engines {
+            for (key, threshold) in [
+                ("rho=0.95", WireThreshold::Rho(0.95)),
+                ("eps=2.5", WireThreshold::Eps(2.5)),
+            ] {
+                verbs.push((
+                    format!("QUERY ord={ord} ma=4..12 {key} engine={name} limit=0"),
+                    LogicalQuery::range(family.clone(), threshold.to_spec())
+                        .with_engine(engine_pref(kind)),
+                ));
+            }
+        }
+        for (line, lq) in &verbs {
+            for explain in [false, true] {
+                // What the server does per request: fetch the query
+                // sequence, then plan and execute.
+                let q = reference.fetch_series(ord).unwrap();
+                let (plan, out) = plan::run(&reference, &stats, lq, Some(&q)).unwrap();
+                let (matches, metrics) = match &out {
+                    PlanOutput::Range(r) => (&r.matches, r.metrics),
+                    PlanOutput::Knn(matches, metrics) => (matches, *metrics),
+                    PlanOutput::Join(_) => unreachable!("no join here"),
+                };
+                if explain {
+                    let Response::Plan(pairs) =
+                        client.call_raw(&format!("EXPLAIN {line}")).unwrap()
+                    else {
+                        panic!("EXPLAIN {line} failed");
+                    };
+                    for (key, want) in [
+                        ("engine", plan.engine.as_str().to_string()),
+                        ("chosen_by", plan.chosen_by.as_str().to_string()),
+                        ("partitions", plan.partitions().to_string()),
+                        ("fanout", plan.fanout.to_string()),
+                        ("threads", plan.threads.to_string()),
+                        ("est_nodes", format!("{:.1}", plan.est_nodes)),
+                        ("est_pages", format!("{:.1}", plan.est_pages)),
+                        ("est_cmps", format!("{:.1}", plan.est_comparisons)),
+                        ("est_cost", format!("{:.1}", plan.est_cost)),
+                        ("nodes", metrics.node_accesses.to_string()),
+                        ("pages", metrics.record_page_accesses.to_string()),
+                        ("cmps", metrics.comparisons.to_string()),
+                        ("matches", matches.len().to_string()),
+                    ] {
+                        let got = pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                        assert_eq!(got, Some(&want), "EXPLAIN {line}: {key}");
+                    }
+                } else {
+                    let Response::Matches {
+                        n,
+                        matches: got,
+                        metrics: wire,
+                    } = client.call_raw(line).unwrap()
+                    else {
+                        panic!("{line} failed");
+                    };
+                    assert_eq!(n, matches.len(), "{line}: count");
+                    let bits = |seq, t, d: f64| (seq, t, d.to_bits());
+                    let got: Vec<_> = got
+                        .iter()
+                        .map(|m| bits(m.seq, m.transform, m.dist))
+                        .collect();
+                    let want: Vec<_> = matches
+                        .iter()
+                        .map(|m| bits(m.seq, m.transform, m.dist))
+                        .collect();
+                    assert_eq!(got, want, "{line}: matches");
+                    let want = WireMetrics {
+                        wall_us: wire.wall_us,
+                        ..WireMetrics::from(&metrics)
+                    };
+                    assert_eq!(wire, want, "{line}: metrics");
+                }
+                let report = client.stats(false).unwrap().unwrap();
+                assert_eq!(
+                    report.counters_total,
+                    totals(reference.counters()),
+                    "{line}: STATS COUNTERS"
+                );
+                assert!(report.shards.is_empty(), "a plain index has no SHARD lines");
+            }
+        }
+    }
     client.quit().unwrap();
     handle.shutdown();
 }

@@ -16,6 +16,7 @@ use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThresho
 use simserve::repl::{self, Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
 use simwal::FsyncPolicy;
+use std::sync::atomic::Ordering;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 
@@ -89,6 +90,7 @@ fn follower_converges_and_serves_identical_reads() {
             wait_ms: 0,
             ..Default::default()
         },
+        POOL,
     )
     .unwrap();
     let hf = serve_with(shared_f, &test_config(0), Some(follower.stats())).unwrap();
@@ -290,6 +292,7 @@ fn plan_cache_on_follower_never_serves_stale_reads() {
             wait_ms: 0,
             ..Default::default()
         },
+        POOL,
     )
     .unwrap();
     // Result cache ON — the whole point of this regression test.
@@ -325,6 +328,54 @@ fn plan_cache_on_follower_never_serves_stale_reads() {
     fc.quit().unwrap();
     pc.quit().unwrap();
     hf.shutdown();
+    hp.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A replica keeps the record pool it was configured with: `bootstrap`
+/// builds it with the pool size it is given, and a snapshot install on an
+/// `--index` follower (every epoch-mismatch re-sync) keeps the pool of the
+/// index it replaces instead of falling back to the default.
+#[test]
+fn snapshot_installs_keep_the_followers_pool_size() {
+    const BOOT_POOL: usize = 37;
+    const INDEX_POOL: usize = 29;
+    let root = fresh_dir("pool");
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x9001);
+    let build = |dir: &str| {
+        SeqIndex::build(&corpus, IndexConfig::default())
+            .unwrap()
+            .save(&root.join(dir))
+            .unwrap()
+    };
+    build("idx");
+    build("fidx");
+    let (shared_p, _) = SharedIndex::open_durable(
+        &root.join("idx"),
+        &root.join("wal"),
+        POOL,
+        FsyncPolicy::Always,
+    )
+    .unwrap();
+    let hp = serve(shared_p, &test_config(0)).unwrap();
+    let opts = || FollowerOpts {
+        wait_ms: 0,
+        ..Default::default()
+    };
+
+    let (booted, _) = repl::bootstrap(&hp.addr.to_string(), opts(), BOOT_POOL).unwrap();
+    assert_eq!(booted.read().heap_pool_pages(), BOOT_POOL);
+
+    // A fresh `--index` follower holds no replica position, so its first
+    // poll installs the primary's snapshot over the local index.
+    let local = SharedIndex::open(&root.join("fidx"), INDEX_POOL).unwrap();
+    let mut follower = Follower::connect(&hp.addr.to_string(), local.clone(), opts()).unwrap();
+    drain(&mut follower);
+    let installs = follower.stats().snapshots.load(Ordering::Relaxed);
+    assert_eq!(installs, 1, "the first poll re-synced from a snapshot");
+    assert_eq!(local.read().heap_pool_pages(), INDEX_POOL);
+
+    drop(follower);
     hp.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

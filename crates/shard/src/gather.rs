@@ -247,15 +247,22 @@ pub fn execute_knn(
     Ok((plan, top, total, per_shard))
 }
 
-/// Executes a logical range or kNN query over the shard group — the
-/// sharded counterpart of [`simquery::shared::SharedIndex::execute`],
-/// plus each shard's own metrics. `JOIN` never reaches here: its pairs
-/// cross shards, so every caller rejects it before dispatch.
+/// Executes a logical query over the group, returning the plan, the
+/// output and each shard's own metrics. A group of one plans and executes
+/// under its one read guard through [`plan::run`] — no map snapshot, no
+/// ordinal translation, no shard breakdown — exactly as
+/// [`simquery::shared::SharedIndex::execute`] does. A larger group
+/// scatters range and kNN queries; `JOIN` never reaches it (its pairs
+/// cross shards, so every caller refuses it first).
 pub fn execute(
     sharded: &ShardedIndex,
     lq: &LogicalQuery,
     query: Option<&TimeSeries>,
 ) -> Result<(PhysicalPlan, PlanOutput, Vec<EngineMetrics>), QueryError> {
+    if let [shard] = sharded.shards() {
+        let (plan, out) = shard.execute(lq, query)?;
+        return Ok((plan, out, Vec::new()));
+    }
     match lq.verb {
         LogicalVerb::Range => {
             let query = query.expect("range queries carry a query sequence");
@@ -267,7 +274,7 @@ pub fn execute(
             let (plan, matches, merged, per_shard) = execute_knn(sharded, lq, query)?;
             Ok((plan, PlanOutput::Knn(matches, merged), per_shard))
         }
-        LogicalVerb::Join => unreachable!("JOIN is rejected on sharded backends"),
+        LogicalVerb::Join => unreachable!("JOIN is refused on a group of more than one shard"),
     }
 }
 

@@ -10,7 +10,7 @@ use simquery::transform::Family;
 use simshard::{gather, ShardConfig, ShardedIndex};
 use tseries::{Corpus, TimeSeries};
 
-pub fn single(c: &Corpus) -> SeqIndex {
+pub fn flat(c: &Corpus) -> SeqIndex {
     SeqIndex::build(c, IndexConfig::default()).unwrap()
 }
 

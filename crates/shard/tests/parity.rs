@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{knn, range_query, sharded, single, specs};
+use common::{flat, knn, range_query, sharded, specs};
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice};
 use simquery::engine::{knn as knn_engine, mtindex, seqscan, stindex};
 use simquery::index::{IndexConfig, SeqIndex};
@@ -48,7 +48,7 @@ fn single_range(
 #[test]
 fn range_queries_identical_across_shard_counts() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let family = Family::moving_averages(2..=7, LEN);
     for shards in SHARD_COUNTS {
         let s = sharded(&c, shards);
@@ -80,7 +80,7 @@ fn canon(matches: &[simquery::report::Match]) -> Vec<(usize, usize)> {
 #[test]
 fn knn_identical_across_shard_counts() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let family = Family::moving_averages(2..=7, LEN);
     for shards in SHARD_COUNTS {
         let s = sharded(&c, shards);
@@ -113,7 +113,7 @@ fn knn_identical_across_shard_counts() {
 fn parity_survives_mutations() {
     let c = corpus();
     let extra = Corpus::generate(CorpusKind::SyntheticWalks, 10, LEN, 777);
-    let mut reference = single(&c);
+    let mut reference = flat(&c);
     let family = Family::moving_averages(2..=6, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
     for shards in [2usize, 4] {
@@ -142,7 +142,7 @@ fn parity_survives_mutations() {
             assert_eq!(canon(&got), canon(&want));
         }
         // Undo the reference mutations for the next shard count.
-        reference = single(&c);
+        reference = flat(&c);
     }
 }
 
@@ -179,7 +179,7 @@ fn sharded_with_fault(
 #[test]
 fn faulted_shard_yields_typed_error_or_exact_result() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let family = Family::moving_averages(2..=6, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
     let (s, tree, heap) = sharded_with_fault(&c, 4);

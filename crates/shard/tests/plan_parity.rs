@@ -14,14 +14,17 @@
 
 mod common;
 
-use common::{sharded, single, specs};
+use common::{flat, sharded, specs};
 use simquery::index::SeqIndex;
 use simquery::plan::{self, EngineChoice, EnginePref, LogicalQuery, PlanCache, PlanOutput};
 use simquery::query::{FilterPolicy, RangeSpec};
+use simquery::report::EngineMetrics;
 use simquery::shared::SharedIndex;
 use simquery::stats::StatsRegistry;
 use simquery::transform::Family;
 use simshard::{gather, ShardedIndex};
+use std::sync::Arc;
+use std::time::Duration;
 use tseries::{Corpus, CorpusKind, TimeSeries};
 
 const N: usize = 120;
@@ -57,7 +60,7 @@ fn run_single(
 #[test]
 fn auto_plan_matches_every_forced_engine_on_every_backend() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let stats = StatsRegistry::new();
     let family = Family::moving_averages(2..=7, LEN);
     let shardeds: Vec<ShardedIndex> = SHARD_COUNTS.iter().map(|&s| sharded(&c, s)).collect();
@@ -99,7 +102,7 @@ fn canon(matches: &[simquery::report::Match]) -> Vec<(usize, usize)> {
 #[test]
 fn planned_knn_identical_across_backends() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let stats = StatsRegistry::new();
     let family = Family::moving_averages(2..=7, LEN);
     for qi in [0usize, 44, 88] {
@@ -128,7 +131,7 @@ fn planned_knn_identical_across_backends() {
 #[test]
 fn planned_join_matches_every_forced_engine() {
     let c = corpus();
-    let reference = single(&c);
+    let reference = flat(&c);
     let stats = StatsRegistry::new();
     let family = Family::moving_averages(2..=5, LEN);
     let spec = RangeSpec::correlation(0.95).with_policy(FilterPolicy::Adaptive);
@@ -151,13 +154,78 @@ fn planned_join_matches_every_forced_engine() {
     );
 }
 
+/// A match list with every distance bit, and the metrics bar the wall
+/// clock — what "digit for digit" compares.
+fn digits(out: &PlanOutput) -> String {
+    let (matches, metrics) = match out {
+        PlanOutput::Range(r) => (&r.matches, &r.metrics),
+        PlanOutput::Knn(matches, metrics) => (matches, metrics),
+        PlanOutput::Join(_) => unreachable!("no join in this grid"),
+    };
+    let matches: Vec<_> = matches
+        .iter()
+        .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+        .collect();
+    let metrics = EngineMetrics {
+        wall: Duration::ZERO,
+        ..*metrics
+    };
+    format!("{matches:?} {metrics:?}")
+}
+
+/// A group of one plans and executes inline under its one read guard:
+/// `gather::execute` returns the plan, the match list and the access
+/// counters `plan::run` returns on the same `SeqIndex`, digit for digit —
+/// range queries under `safe` and `adaptive` with every engine
+/// preference, and kNN — and no shard breakdown.
+#[test]
+fn group_of_one_is_plan_run_digit_for_digit() {
+    let c = corpus();
+    let reference = flat(&c);
+    let stats = StatsRegistry::new();
+    let group: Arc<ShardedIndex> = SharedIndex::new(flat(&c)).into();
+    let family = Family::moving_averages(2..=8, LEN);
+    let mut grid: Vec<LogicalQuery> = specs()
+        .into_iter()
+        .flat_map(|spec| {
+            PREFS.map(|pref| LogicalQuery::range(family.clone(), spec).with_engine(pref))
+        })
+        .collect();
+    grid.push(LogicalQuery::knn(family.clone(), 5));
+    for ord in [0usize, 17, 63, 119] {
+        let q = &c.series()[ord];
+        for lq in &grid {
+            reference.reset_counters().unwrap();
+            group.reset_counters().unwrap();
+            let (want_plan, want) = plan::run(&reference, &stats, lq, Some(q)).unwrap();
+            let (got_plan, got, per_shard) = gather::execute(&group, lq, Some(q)).unwrap();
+            let ctx = format!("ord {ord}, {:?} {:?}", lq.verb, lq.engine);
+            assert_eq!(
+                format!("{got_plan:?}"),
+                format!("{want_plan:?}"),
+                "{ctx}: plan"
+            );
+            assert_eq!(digits(&got), digits(&want), "{ctx}: matches and metrics");
+            assert_eq!(
+                group.counters(),
+                reference.counters(),
+                "{ctx}: access counters"
+            );
+            assert!(
+                per_shard.is_empty(),
+                "{ctx}: a group of one has no breakdown"
+            );
+        }
+    }
+}
+
 /// The result cache: a hit returns exactly the fresh answer; an insert
 /// or delete moves the epoch so the old entry can never satisfy a
 /// lookup again (no stale reads, ever).
 #[test]
 fn cache_hits_are_exact_and_mutations_invalidate() {
     let c = corpus();
-    let shared = SharedIndex::new(single(&c));
+    let shared = SharedIndex::new(flat(&c));
     let cache = PlanCache::new(8);
     let family = Family::moving_averages(2..=6, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);

@@ -11,9 +11,8 @@
 //!
 //! The crate is deliberately index-agnostic: it knows how to make frames
 //! durable and how to hand them back after a crash, nothing else. The
-//! replay semantics (each layout's idempotent frame apply) live with the
-//! index layers in `simquery::shared` and `simshard::index`, both driven
-//! by `simquery::journal`.
+//! replay semantics (the index group's one idempotent frame apply) live
+//! with the index in `simquery::shard`, driven by `simquery::journal`.
 //!
 //! On-disk layout of a WAL directory:
 //!

@@ -3,8 +3,8 @@
 //! A `LOCK` file created with `create_new` holds the owning pid. Two
 //! processes replaying and appending to the same WAL — or checkpointing
 //! the same index directory — would silently corrupt each other, so every
-//! opener (`simquery`'s `SeqIndex::open`, `simshard`'s
-//! `ShardedIndex::open`, and [`crate::Wal::open`]) takes the lock first
+//! opener (`simquery`'s `SeqIndex::open` and `ShardedIndex::open`, and
+//! [`crate::Wal::open`]) takes the lock first
 //! and surfaces [`crate::WalError::Locked`] instead of proceeding.
 //! Read-only consumers use the `open_read_only` variants, which skip the
 //! lock: rename-based atomic saves keep a concurrent reader consistent.

@@ -76,16 +76,20 @@ stage="${1:-all}"
 SUITES='
 chaos|-p simquery --test chaos|seeded fault schedules (core engines)
 chaos|-p simserve --test chaos_loopback|faulted simserved loopback
-recovery|-p simshard --test recovery|crash-point WAL suite (every byte offset)
+recovery|-p simshard --test recovery|crash-point WAL suite (every byte offset; a plain directory stays plain)
+recovery|-p simquery --lib shared|the index group journal: poison, replayed follower position, fence across restart
+recovery|-p simshard --lib index|the index group map: poisoned appends stay mapped, saves quiesce inserts
 recovery|-p simserve --test recovery_loopback|durable simserved restart loopback
-parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards
+parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards; a group of one is plan::run
 parity|-p simshard --test parity|sharded-vs-single engine suite
-parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire
+parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire; a served group of one is plan::run
 replication|-p simserve --test replication_loopback|loopback convergence + read-only follower
 replication|-p simserve --test replication_crash|crash at every frame boundary, both roles
 replication|-p simserve --test replication_chaos|faulted follower devices during apply
 obs|-p simobs|metrics/stats parity, slow-query log, trace ring
 obs|-p simserve --test metrics_parity|
+failover|-p simquery --lib shared|promote and fence on the index group (one shard)
+failover|-p simquery --lib shard::|a fenced checkpoint refused and named in INFO
 failover|-p simserve --test failover_promotion|promotion at every frame boundary + fencing
 failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3)
 failover|-p simserve --test shutdown_drain|graceful-shutdown drain

@@ -1,17 +1,18 @@
 //! Seeded crash-point recovery suite: cut the write-ahead log at **every
 //! byte offset**, recover, and assert the index is an **exact prefix** of
 //! the acknowledged mutation schedule — never a wrong answer, never a
-//! panic. Covers the single-index backend and 1/2/4/8-shard backends
-//! (one log per store either way), half-finished checkpoints, the group
-//! fsync window, logs of earlier builds, fault plans armed while replay
-//! itself runs, and the advisory directory locks.
+//! panic. Covers a plain index directory and 1/2/4/8-shard directories
+//! (one index type and one log either way), half-finished checkpoints,
+//! the group fsync window, logs of earlier builds, a plain directory
+//! staying plain through the group, fault plans armed while replay itself
+//! runs, and the advisory directory locks.
 
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice, PlanParams};
 use simquery::index::{DeviceWrap, IndexConfig, SeqIndex};
 use simquery::prelude::*;
 use simquery::report::QueryError;
 use simquery::shared::{DurableError, SharedIndex};
-use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex, Store};
+use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex};
 use simwal::{decode_frames, FsyncPolicy, Wal, WalError, WalOp};
 use simwal::{HEADER_LEN, LOG_FILE, MANIFEST_FILE};
 use std::collections::{BTreeMap, HashSet};
@@ -132,7 +133,8 @@ fn assert_sharded_state(ix: &ShardedIndex, want: &[(Vec<f64>, bool)], ctx: &str)
         if *alive {
             let got = ix
                 .fetch_series(g)
-                .unwrap_or_else(|e| panic!("{ctx}: fetch {g}: {e}"));
+                .unwrap_or_else(|e| panic!("{ctx}: fetch {g}: {e}"))
+                .unwrap_or_else(|| panic!("{ctx}: {g} is not mapped"));
             assert_eq!(got.values(), &values[..], "{ctx}: values of {g}");
         }
     }
@@ -176,10 +178,10 @@ fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     files
 }
 
-fn assert_state(store: &Store, want: &[(Vec<f64>, bool)], ctx: &str) {
-    match store {
-        Store::Single(shared) => assert_single_state(&shared.read(), want, ctx),
-        Store::Sharded(ix) => assert_sharded_state(ix, want, ctx),
+fn assert_state(ix: ShardedIndex, want: &[(Vec<f64>, bool)], ctx: &str) {
+    match SharedIndex::try_from(Arc::new(ix)) {
+        Ok(shared) => assert_single_state(&shared.read(), want, ctx),
+        Err(ix) => assert_sharded_state(&ix, want, ctx),
     }
 }
 
@@ -198,13 +200,10 @@ fn recovers_exact_prefix_at_every_cut(
     save(&idx);
     {
         let (store, rep) =
-            Store::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
+            ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
         assert_eq!(rep.frames, 0);
-        assert_eq!(store.wal_stats().map(|(_, epoch)| epoch), Some(1));
-        match &store {
-            Store::Single(shared) => apply_single(shared, ops),
-            Store::Sharded(ix) => apply_sharded(ix, ops),
-        }
+        assert_eq!(store.wal_epoch(), Some(1));
+        apply_sharded(&store, ops);
         assert!(store.sync_wal().unwrap());
     }
     let on_disk: Vec<PathBuf> = tree(&wal).into_keys().collect();
@@ -234,7 +233,7 @@ fn recovers_exact_prefix_at_every_cut(
             decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
         };
         let ctx = format!("{name}: cut {cut}");
-        let (store, rep) = Store::open_durable(
+        let (store, rep) = ShardedIndex::open_durable(
             &case.join("idx"),
             &case.join("wal"),
             POOL,
@@ -242,8 +241,7 @@ fn recovers_exact_prefix_at_every_cut(
         )
         .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
         assert_eq!(rep.frames, expect, "{ctx}: replayed frame count");
-        assert_state(&store, &shadow_after(corpus, &ops[..expect]), &ctx);
-        drop(store);
+        assert_state(store, &shadow_after(corpus, &ops[..expect]), &ctx);
         std::fs::remove_dir_all(&case).unwrap();
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -419,7 +417,7 @@ fn per_shard_log_layout_is_refused_untouched() {
     let before = (tree(&idx), tree(&wal));
     let refusals = [
         ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).err(),
-        Store::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).err(),
+        SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).err(),
     ];
     for err in refusals {
         match err.expect("the old layout must be refused") {
@@ -470,6 +468,86 @@ fn single_index_replays_logs_with_a_nonzero_third_slot() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A plain index directory opens as a group of one and stays what it
+/// was: inserted into, deleted from, checkpointed and reopened through the
+/// one index type, it never gains a `sharding.txt` or a `shard-0/`, and a
+/// bare [`SeqIndex::open`] still reads it. A log of the frames single-index
+/// builds wrote (`shard = 0`, `global` = the ordinal) replays through the
+/// group's apply to the same state.
+#[test]
+fn plain_directory_stays_plain_through_the_group() {
+    let root = fresh_dir("stays_plain");
+    let idx = root.join("idx");
+    let wal = root.join("wal");
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 6, SEQ_LEN, 0x91A1);
+    SeqIndex::build(&corpus, IndexConfig::default())
+        .unwrap()
+        .save(&idx)
+        .unwrap();
+    let ops = schedule(0x91A2, 6, 8);
+    let want = shadow_after(&corpus, &ops);
+    let assert_plain = |ctx: &str| {
+        assert!(idx.join("meta.txt").is_file(), "{ctx}: meta.txt");
+        assert!(!idx.join("sharding.txt").exists(), "{ctx}: sharding.txt");
+        assert!(!idx.join("shard-0").exists(), "{ctx}: shard-0/");
+    };
+    {
+        let (ix, _) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+        assert_eq!((ix.shard_count(), ix.sharding()), (1, None));
+        apply_sharded(&ix, &ops);
+        assert_plain("before the checkpoint");
+        assert_eq!(ix.checkpoint().unwrap(), Some(2));
+        assert_plain("after the checkpoint");
+    }
+    let (ix, rep) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+    assert_eq!(
+        (rep.epoch, rep.frames),
+        (2, 0),
+        "the checkpoint folded the log"
+    );
+    assert_sharded_state(&ix, &want, "reopened group");
+    drop(ix);
+    assert_plain("after the reopen");
+    assert_single_state(&SeqIndex::open(&idx, POOL).unwrap(), &want, "bare open");
+
+    // The same schedule as a log of single-index frames, over the
+    // original snapshot.
+    let (idx, wal) = (root.join("idx2"), root.join("wal2"));
+    SeqIndex::build(&corpus, IndexConfig::default())
+        .unwrap()
+        .save(&idx)
+        .unwrap();
+    {
+        let (log, _, _) = Wal::open(&wal, FsyncPolicy::Always, 1).unwrap();
+        let mut next = corpus.len() as u64;
+        for (i, op) in ops.iter().enumerate() {
+            let lsn = i as u64 + 1;
+            let frame = match op {
+                Op::Insert(values) => {
+                    next += 1;
+                    WalOp::Insert {
+                        lsn,
+                        global: next - 1,
+                        shard: 0,
+                        values: values.clone(),
+                    }
+                }
+                Op::Delete(g) => WalOp::Delete {
+                    lsn,
+                    global: *g as u64,
+                    shard: 0,
+                },
+            };
+            log.append(&frame).unwrap();
+        }
+    }
+    let (ix, rep) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+    assert_eq!(rep.frames, ops.len());
+    assert_sharded_state(&ix, &want, "single-index frames");
+    drop(ix);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Seeded fault plans armed on the page devices **while replay runs**:
 /// every open either recovers (state exact wherever the device is
 /// un-torn) or fails with a typed error — never a panic, never a wrong
@@ -515,13 +593,19 @@ fn faulted_replay_is_typed_error_or_exact_result() {
             (tree as Arc<dyn PageDevice>, heap as Arc<dyn PageDevice>)
         });
 
-        match SharedIndex::open_durable_with(
+        let mut wrap = Some(wrap);
+        let opened = ShardedIndex::open_durable_with(
             &case.join("idx"),
             &case.join("wal"),
             POOL,
             FsyncPolicy::Never,
-            wrap,
-        ) {
+            |_| wrap.take(),
+        )
+        .map(|(ix, rep)| {
+            let shared = SharedIndex::try_from(Arc::new(ix)).expect("a plain directory");
+            (shared, rep)
+        });
+        match opened {
             Ok((shared, rep)) => {
                 assert_eq!(rep.frames, ops.len(), "seed {seed}: full replay");
                 let (tree, heap) = handles.lock().unwrap().take().expect("wrap hook ran");
