@@ -14,7 +14,7 @@ simseq — similarity-based queries for time series (Rafiei, ICDE '99)
 
 USAGE:
   simseq gen   --kind walks|stocks --count N --len N --out FILE.csv [--seed S]
-  simseq build --data FILE.csv --out DIR/
+  simseq build --data FILE.csv --out DIR/ [--shards N]
   simseq info  --index DIR/
   simseq query --index DIR/ (--query-index I | --query-csv FILE --row I)
                [--ma LO..HI] [--shift LO..HI] [--inverted yes]
@@ -30,15 +30,17 @@ USAGE:
   simseq promote --addr HOST:PORT [--timeout-ms MS]
   simseq metrics --addr HOST:PORT [--trace N] [--timeout-ms MS]
   simseq recover --index DIR/ --wal DIR/ [--pool-pages N]
-  simseq shard build --data FILE.csv --out DIR/ --shards N
-               [--partitioner hash|round-robin|range]
-  simseq shard info|query|nn …   (aliases of info|query|nn)
+
+`build --shards N` with N > 1 partitions the corpus across N
+independent indexes, placing sequence g on shard splitmix64(g) mod N
+(serve the directory with `simserved --index DIR/` to get per-shard
+STATS); without it, or with N = 1, it writes a single index.
 
 `info`, `query`, `nn` and `recover` take either directory layout: a
-single index (`build`) or a shard group (`shard build`), whose queries
-scatter-gather across the shards and return exactly the single-index
-answer (`--policy paper` is refused there: its false dismissals depend
-on the tree layout). `join` needs a single index.
+single index or a shard group, whose queries scatter-gather across the
+shards and return exactly the single-index answer (`--policy paper` is
+refused there: its false dismissals depend on the tree layout). `join`
+needs a single index.
 
 Thresholds: --rho is a cross-correlation in [-1, 1], converted through
 Eq. 9; --eps is a Euclidean distance over transformed normal forms.
@@ -60,9 +62,6 @@ tracer.
 `recover` replays a write-ahead log (written by `simserved --wal`) on
 top of the index snapshot, reports what it salvaged, and checkpoints so
 the directory opens clean afterwards.
-
-`shard build` partitions the corpus across N independent indexes (serve
-the directory with `simserved --index DIR/` to get per-shard STATS).
 ";
 
 type CliResult = Result<(), CliError>;
@@ -90,26 +89,37 @@ pub fn gen(args: &Opts) -> CliResult {
     Ok(())
 }
 
-/// `simseq build` — index a CSV corpus and persist it.
+/// `simseq build` — index a CSV corpus and persist it: a single index,
+/// or with `--shards N > 1` a shard group.
 pub fn build(args: &Opts) -> CliResult {
-    args.reject_unknown(&["data", "out"])?;
+    args.reject_unknown(&["data", "out", "shards"])?;
     let data = PathBuf::from(args.req("data")?);
     let out = PathBuf::from(args.req("out")?);
+    // The same parse that backs `simserved --shards`.
+    let cfg = ShardConfig::parse(args.get("shards").unwrap_or("1")).map_err(err)?;
     let corpus =
         Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;
-    let index =
-        SeqIndex::build(&corpus, IndexConfig::default()).ok_or_else(|| err("corpus is empty"))?;
-    index
-        .save(&out)
-        .map_err(|e| err(format!("saving index: {e}")))?;
+    let layout = if cfg.shards == 1 {
+        let index = SeqIndex::build(&corpus, IndexConfig::default())
+            .ok_or_else(|| err("corpus is empty"))?;
+        index
+            .save(&out)
+            .map_err(|e| err(format!("saving index: {e}")))?;
+        format!("{} skipped as degenerate", index.skipped().len())
+    } else {
+        ShardedIndex::build(&corpus, cfg, IndexConfig::default())
+            .map_err(|e| err(e.to_string()))?
+            .save(&out)
+            .map_err(|e| err(format!("saving sharded index: {e}")))?;
+        format!("across {} shards", cfg.shards)
+    };
     // Names are needed later for reporting; keep them next to the index.
     std::fs::write(out.join("names.txt"), corpus.names().join("\n"))
         .map_err(|e| err(format!("saving names: {e}")))?;
     println!(
-        "indexed {} sequences of length {} ({} skipped as degenerate) into {}",
-        index.len(),
-        index.seq_len(),
-        index.skipped().len(),
+        "indexed {} sequences of length {} ({layout}) into {}",
+        corpus.len(),
+        corpus.series_len(),
         out.display()
     );
     Ok(())
@@ -130,7 +140,6 @@ pub fn info(args: &Opts) -> CliResult {
         ("leaf_capacity", "leaf fanout: "),
         ("skipped", "skipped:     "),
         ("shards", "shards:      "),
-        ("partitioner", "partitioner: "),
         ("deleted", "deleted:     "),
     ] {
         if let Some(value) = get(key) {
@@ -341,48 +350,6 @@ pub fn recover(args: &Opts) -> CliResult {
         "checkpointed {} sequences at epoch {}",
         store.len(),
         epoch.expect("durable index checkpoints")
-    );
-    Ok(())
-}
-
-/// `simseq shard …` — `build` partitions a corpus; `info`/`query`/`nn`
-/// are aliases of the top-level commands, which take either layout.
-pub fn shard(argv: &[String]) -> CliResult {
-    let (sub, args) = crate::args::parse(argv)?;
-    match sub {
-        "build" => shard_build(&args),
-        "info" => info(&args),
-        "query" => query(&args),
-        "nn" => nn(&args),
-        other => Err(err(format!(
-            "unknown shard subcommand `{other}`; try `simseq help`"
-        ))),
-    }
-}
-
-/// `simseq shard build` — partition a CSV corpus across N shards.
-fn shard_build(args: &Opts) -> CliResult {
-    args.reject_unknown(&["data", "out", "shards", "partitioner"])?;
-    let data = PathBuf::from(args.req("data")?);
-    let out = PathBuf::from(args.req("out")?);
-    // The same shardcfg parse that backs `simserved --shards`.
-    let cfg = ShardConfig::parse(args.req("shards")?, args.get("partitioner")).map_err(err)?;
-    let corpus =
-        Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;
-    let sharded = ShardedIndex::build(&corpus, cfg, IndexConfig::default())
-        .map_err(|e| err(e.to_string()))?;
-    sharded
-        .save(&out)
-        .map_err(|e| err(format!("saving sharded index: {e}")))?;
-    std::fs::write(out.join("names.txt"), corpus.names().join("\n"))
-        .map_err(|e| err(format!("saving names: {e}")))?;
-    println!(
-        "indexed {} sequences of length {} across {} shards ({}) into {}",
-        sharded.len(),
-        sharded.seq_len(),
-        sharded.shard_count(),
-        sharded.partitioner_kind(),
-        out.display()
     );
     Ok(())
 }

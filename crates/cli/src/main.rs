@@ -12,8 +12,8 @@
 //! simseq promote --addr 127.0.0.1:7879
 //! simseq metrics --addr 127.0.0.1:7878
 //! simseq recover --index idx/ --wal wal/
-//! simseq shard build --data data.csv --out sidx/ --shards 4
-//! simseq shard query --index sidx/ --query-index 42 --ma 5..34 --rho 0.96
+//! simseq build --data data.csv --out sidx/ --shards 4
+//! simseq query --index sidx/ --query-index 42 --ma 5..34 --rho 0.96
 //! ```
 
 mod args;
@@ -26,8 +26,6 @@ fn main() {
         return;
     }
     let result = match argv[0].as_str() {
-        // `shard` prefixes a nested subcommand: `simseq shard build --…`.
-        "shard" => commands::shard(&argv[1..]),
         // The same entry points `simserved` and `simload` run.
         "serve" => simserve::cmd::serve(&argv[1..]).map_err(args::err),
         "load" => simserve::cmd::load(&argv[1..]).map_err(args::err),
@@ -40,18 +38,23 @@ fn main() {
 }
 
 fn dispatch(argv: &[String]) -> Result<(), args::CliError> {
-    args::parse(argv).and_then(|(sub, args)| match sub {
-        "gen" => commands::gen(&args),
-        "build" => commands::build(&args),
-        "info" => commands::info(&args),
-        "query" => commands::query(&args),
-        "join" => commands::join(&args),
-        "nn" => commands::nn(&args),
-        "promote" => commands::promote(&args),
-        "metrics" => commands::metrics(&args),
-        "recover" => commands::recover(&args),
-        other => Err(args::err(format!(
-            "unknown subcommand `{other}`; try `simseq help`"
-        ))),
-    })
+    // The subcommand is checked before its flags, so a removed one is
+    // named as unknown whatever follows it.
+    let command: fn(&simserve::opts::Opts) -> Result<(), args::CliError> = match argv[0].as_str() {
+        "gen" => commands::gen,
+        "build" => commands::build,
+        "info" => commands::info,
+        "query" => commands::query,
+        "join" => commands::join,
+        "nn" => commands::nn,
+        "promote" => commands::promote,
+        "metrics" => commands::metrics,
+        "recover" => commands::recover,
+        other => {
+            return Err(args::err(format!(
+                "unknown subcommand `{other}`; try `simseq help`"
+            )))
+        }
+    };
+    args::parse(argv).and_then(|(_, args)| command(&args))
 }

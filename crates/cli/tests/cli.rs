@@ -188,21 +188,37 @@ fn helpful_errors() {
     assert!(stdout.contains("USAGE"));
 }
 
-/// `query`/`nn`/`info` take either directory layout: on a shard group
-/// they print what the `shard …` aliases print, and the result lines are
-/// the single-index build's, byte for byte.
+/// `build --shards N` writes a shard group (a plain directory at N = 1),
+/// `query`/`nn`/`info` take either layout, and on a shard group the
+/// result lines are the single-index build's, byte for byte. There is no
+/// `shard` subcommand.
 #[test]
 fn query_commands_accept_either_layout() {
     let dir = workdir("layouts");
     let (data, one) = gen_and_build(&dir, "90", "11");
     let many = dir.join("many");
-    run_ok(
-        simseq()
-            .args(["shard", "build", "--shards", "3", "--data"])
-            .arg(&data)
-            .arg("--out")
-            .arg(&many),
-    );
+    let build = |shards: &str, out: &PathBuf| {
+        run_ok(
+            simseq()
+                .args(["build", "--shards", shards, "--data"])
+                .arg(&data)
+                .arg("--out")
+                .arg(out),
+        )
+    };
+    build("3", &many);
+    assert!(many.join("sharding.txt").is_file());
+    let plain = dir.join("plain");
+    build("1", &plain);
+    assert!(plain.join("meta.txt").is_file() && !plain.join("sharding.txt").exists());
+    for argv in [&["shard", "build"][..], &["shard", "info"][..]] {
+        let out = simseq().args(argv).output().unwrap();
+        assert!(!out.status.success(), "{argv:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown subcommand `shard`"),
+            "{argv:?}"
+        );
+    }
 
     let query = [
         "--query-index",
@@ -216,23 +232,24 @@ fn query_commands_accept_either_layout() {
     ];
     let nn = ["--query-index", "7", "--k", "6", "--ma", "2..9"];
     for (verb, flags) in [("query", &query[..]), ("nn", &nn[..])] {
-        let run = |prefix: &[&str], index: &PathBuf| {
+        let run = |index: &PathBuf| {
             let mut cmd = simseq();
-            cmd.args(prefix).arg(verb).args(flags).arg("--index");
+            cmd.arg(verb).args(flags).arg("--index");
             run_ok(cmd.arg(index))
         };
-        let (single, _) = run(&[], &one);
-        let (sharded, stderr) = run(&[], &many);
-        let (alias, _) = run(&["shard"], &many);
+        let (single, _) = run(&one);
+        let (sharded, stderr) = run(&many);
         assert!(single.lines().count() > 3, "{verb}: a broad enough query");
         assert_eq!(sharded, single, "{verb}: sharded vs single stdout");
-        assert_eq!(alias, sharded, "{verb}: `shard {verb}` is an alias");
+        assert_eq!(
+            run(&plain).0,
+            single,
+            "{verb}: `--shards 1` is a plain build"
+        );
         assert!(stderr.contains("  shard 2: "), "{verb}: per-shard metrics");
     }
 
     let (info, _) = run_ok(simseq().args(["info", "--index"]).arg(&many));
-    let (alias, _) = run_ok(simseq().args(["shard", "info", "--index"]).arg(&many));
-    assert_eq!(info, alias);
     assert!(info.contains("shards:      3"), "{info}");
     assert!(info.contains("shard 2:     "), "{info}");
 
@@ -343,7 +360,7 @@ fn serve_takes_the_simserved_flags() {
     // A shard group recovers through the same report and keeps the same
     // one-log directory.
     let (many, many_wal) = (dir.join("many"), dir.join("many-wal"));
-    let shard_build = ["shard", "build", "--shards", "3", "--data"];
+    let shard_build = ["build", "--shards", "3", "--data"];
     run_ok(
         simseq()
             .args(shard_build)

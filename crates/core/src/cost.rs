@@ -33,13 +33,8 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Eq. 18 — single rectangle.
-    pub fn cost_single(&self, da_all: u64, da_leaf: u64, nt: usize, ca_leaf: usize) -> f64 {
-        self.cda * da_all as f64 + da_leaf as f64 * ca_leaf as f64 * nt as f64 * self.ccmp
-    }
-
-    /// Eq. 20 — the general `k`-rectangle form, evaluated from measured
-    /// per-rectangle traversal counters.
+    /// Eq. 20 — the general `k`-rectangle form (Eq. 18 at `k = 1`),
+    /// evaluated from measured per-rectangle traversal counters.
     pub fn cost(&self, traversals: &[RectTraversal], ca_leaf: usize) -> f64 {
         let da_term: f64 = traversals.iter().map(|t| t.da_all as f64).sum();
         let cmp_term: f64 = traversals
@@ -47,19 +42,6 @@ impl CostModel {
             .map(|t| t.da_leaf as f64 * t.nt as f64)
             .sum();
         self.cda * da_term + ca_leaf as f64 * self.ccmp * cmp_term
-    }
-
-    /// Eq. 20 with the *actual* candidate counts substituted for the
-    /// `DA_leaf·CA_leaf` estimate — a tighter variant the experiments also
-    /// report ("a good estimate of the number of candidate data items is
-    /// DA_leaf(q,r)·CA_leaf").
-    pub fn cost_with_candidates(&self, traversals: &[RectTraversal]) -> f64 {
-        let da_term: f64 = traversals.iter().map(|t| t.da_all as f64).sum();
-        let cmp_term: f64 = traversals
-            .iter()
-            .map(|t| t.candidates as f64 * t.nt as f64)
-            .sum();
-        self.cda * da_term + self.ccmp * cmp_term
     }
 }
 
@@ -80,7 +62,7 @@ mod tests {
     fn single_rectangle_matches_eq18() {
         let m = CostModel::default();
         // C = 1·100 + 50·78·16·0.4
-        let c = m.cost_single(100, 50, 16, 78);
+        let c = m.cost(&[tr(100, 50, 0, 16)], 78);
         assert!((c - (100.0 + 50.0 * 78.0 * 16.0 * 0.4)).abs() < 1e-9);
     }
 
@@ -91,16 +73,6 @@ mod tests {
         let c = m.cost(&ts, 10);
         let want = 1.0 * (60.0 + 40.0) + 10.0 * 0.4 * (20.0 * 8.0 + 10.0 * 8.0);
         assert!((c - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn candidates_variant_uses_actual_counts() {
-        let m = CostModel {
-            cda: 2.0,
-            ccmp: 1.0,
-        };
-        let ts = [tr(10, 4, 30, 5)];
-        assert!((m.cost_with_candidates(&ts) - (20.0 + 150.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -237,9 +237,9 @@ impl SeqIndex {
         self.deleted_count
     }
 
-    /// The tombstoned ordinals themselves, ascending. Lets a repartitioner
-    /// ([`crate::shared`] consumers, `simshard`) replay deletions when
-    /// rebuilding a corpus from the heap.
+    /// The tombstoned ordinals themselves, ascending. Lets
+    /// [`crate::shard::ShardedIndex::from_index`] replay deletions when it
+    /// rebuilds a corpus from the heap across shards.
     pub fn deleted_ordinals(&self) -> Vec<usize> {
         self.deleted
             .iter()

@@ -56,8 +56,9 @@ impl Journal {
         Ok((journal, report))
     }
 
-    /// Refuses with [`DurableError::Poisoned`] once an append has failed.
-    /// Mutations call this under their guard, before touching state.
+    /// Refuses with [`DurableError::Poisoned`] once an append has failed,
+    /// or the log poisoned itself (see [`Self::is_poisoned`]). Mutations
+    /// call this under their guard, before touching state.
     pub fn check(&self) -> Result<(), DurableError> {
         if self.is_poisoned() {
             return Err(DurableError::Poisoned);
@@ -114,10 +115,13 @@ impl Journal {
         Ok(new_epoch)
     }
 
-    /// Whether an append failure poisoned the journal (see
-    /// [`Self::check`]).
+    /// Whether an append failure poisoned the journal, or the log itself
+    /// is poisoned ([`Wal::is_poisoned`]: a failed fsync, a failed reset)
+    /// — either way no mutation may apply, since its append would be
+    /// refused after readers saw it. [`Self::sync`] does not ask: on a
+    /// log that is still sound it makes acked frames durable.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poisoned.load(Ordering::Acquire) || self.wal.is_poisoned()
     }
 
     /// The next LSN [`Self::log`] would allocate — the exclusive upper
@@ -178,5 +182,10 @@ impl Journal {
     /// the suites that exercise the poison path.
     pub fn arm_append_fault(&self) {
         self.wal.arm_append_fault();
+    }
+
+    /// Arms a one-shot fsync fault (see [`Wal::arm_sync_fault`]).
+    pub fn arm_sync_fault(&self) {
+        self.wal.arm_sync_fault();
     }
 }

@@ -35,13 +35,6 @@ impl OrderedFamily {
         }
     }
 
-    /// Asserts (without proof) that `family` is ordered ascending. Use
-    /// [`Self::check_on`] to spot-check the claim on sample data; a wrong
-    /// assertion silently loses matches.
-    pub fn assume_ordered(family: Family) -> Self {
-        Self { family }
-    }
-
     /// The underlying family.
     pub fn family(&self) -> &Family {
         &self.family
@@ -139,7 +132,9 @@ mod tests {
         // counterexample uses specific 4-point sequences; here a descending
         // arrangement (mv distances *decrease* with window for smooth
         // pairs) is caught by check_on against the ascending claim.
-        let fam = OrderedFamily::assume_ordered(Family::moving_averages(1..=20, 64));
+        let fam = OrderedFamily {
+            family: Family::moving_averages(1..=20, 64),
+        };
         let samples = vec![(feats(0.0), feats(0.7))];
         assert!(
             fam.check_on(&samples).is_some(),

@@ -644,12 +644,24 @@ fn chord_hit(w: f64, a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
     !too_far
 }
 
+/// Largest angle magnitude the circular tests shift exactly: below it
+/// the `i64` shift count and `k·2π` are exact, beyond it (only a damaged
+/// page holds such an angle) an interval bounds nothing.
+const ANGLE_LIMIT: f64 = 4_294_967_296.0; // 2³²
+
+/// Whether every end lies within [`ANGLE_LIMIT`]; false on NaN or ±∞ —
+/// Eq. 12 over a NaN coordinate is `(∞, −∞)`.
+fn angles_in_range(ends: [f64; 4]) -> bool {
+    ends.iter().all(|x| x.abs() < ANGLE_LIMIT)
+}
+
 /// Minimal angular distance between two intervals on the 2π circle
-/// (0 when they overlap), clamped to `[0, π]`.
+/// (0 when they overlap), clamped to `[0, π]`. 0 for an end of
+/// magnitude 2³² or more, or a non-finite one: such an interval bounds
+/// nothing.
 pub fn circular_gap(alo: f64, ahi: f64, blo: f64, bhi: f64) -> f64 {
     const TAU: f64 = 2.0 * std::f64::consts::PI;
-    // Eq. 12 over a NaN coordinate is `(∞, −∞)`: bounds nothing.
-    if !(alo.is_finite() && ahi.is_finite() && blo.is_finite() && bhi.is_finite()) {
+    if !angles_in_range([alo, ahi, blo, bhi]) {
         return 0.0;
     }
     debug_assert!(alo <= ahi && blo <= bhi);
@@ -696,14 +708,14 @@ fn window_hit(dim: usize, a_lo: f64, a_hi: f64, w_lo: f64, w_hi: f64) -> bool {
     }
 }
 
-/// Interval overlap on the circle of circumference 2π.
+/// Interval overlap on the circle of circumference 2π; true for an end of
+/// magnitude 2³² or more, or a non-finite one, which excludes nothing.
 // Out of line: per entry only `Paper`'s angle windows call it, and
 // inlined it keeps the window passes that can reach it from inlining.
 #[inline(never)]
 pub fn circular_overlap(alo: f64, ahi: f64, blo: f64, bhi: f64) -> bool {
     const TAU: f64 = 2.0 * std::f64::consts::PI;
-    // Eq. 12 over a NaN coordinate is `(∞, −∞)`: excludes nothing.
-    if !(alo.is_finite() && ahi.is_finite() && blo.is_finite() && bhi.is_finite()) {
+    if !angles_in_range([alo, ahi, blo, bhi]) {
         return true;
     }
     debug_assert!(alo <= ahi && blo <= bhi);
@@ -1090,6 +1102,37 @@ mod tests {
                         .map(|m| (m, mt_query_region(m, &q, QueryMode::Symmetric))),
                 );
                 assert_eq!(bound.hits(&x, 0b11), 0b11, "{policy:?} dim {ad}");
+            }
+        }
+    }
+
+    /// A finite angle too large to shift exactly (only a damaged page can
+    /// hold one) bounds nothing, as a NaN one does: gap 0 and overlap
+    /// true — no shift-count overflow, and no wrapped-empty shift range
+    /// whose gap of π would prune the entry.
+    #[test]
+    fn huge_finite_angles_bound_nothing() {
+        for x in [6e19, -6e19, ANGLE_LIMIT, 1e300] {
+            assert_eq!(circular_gap(x, x, 0.0, 0.5), 0.0, "{x}");
+            assert_eq!(circular_gap(0.0, 0.5, x, x), 0.0, "{x}");
+            assert!(circular_overlap(x, x, 0.0, 0.5), "{x}");
+            assert!(circular_overlap(0.0, 0.5, x, x), "{x}");
+        }
+        // Below the limit the shift is exact and the answer is real.
+        let x = 1e6 * 2.0 * std::f64::consts::PI;
+        assert!((circular_gap(x, x + 0.5, 1.0, 1.5) - 0.5).abs() < 1e-6);
+        assert!(!circular_overlap(x, x + 0.5, 1.0, 1.5));
+        let family = crate::transform::Family::moving_averages(3..=9, 64);
+        let q: FeatureVec = [1.0, 2.0, 4.0, 0.7, 2.5, -1.2];
+        let mbr = TransformMbr::of_family(&family);
+        let region = mt_query_region(&mbr, &q, QueryMode::Symmetric);
+        for ad in ANGLE_DIMS {
+            let mut p = q;
+            p[ad] = 6e19;
+            for policy in [FilterPolicy::Paper, FilterPolicy::Adaptive] {
+                let filter = Filter::new(1.0, policy);
+                let x = Rect::point(p);
+                assert!(filter.bind(&mbr, region).hit(&x), "{policy:?} dim {ad}");
             }
         }
     }

@@ -49,10 +49,10 @@ use crate::plan::{self, LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
 use crate::report::QueryError;
 use crate::shared::{DurableError, SharedIndex};
 use crate::stats::StatsRegistry;
-use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
+use cfg::{ShardConfig, MAX_SHARDS};
 use pagestore::sync::{Mutex, RwLock};
 use pagestore::{PageDevice, PageError};
-use partition::{Partitioner, ShardMap};
+use partition::{shard_of, ShardMap};
 use simwal::{DirLock, FsyncPolicy, ReplayReport, WalError, WalOp, WalStats};
 use std::fmt;
 use std::ops::Deref;
@@ -75,11 +75,11 @@ const _: fn() = || {
 pub enum ShardError {
     /// The corpus is empty or has zero-length sequences.
     EmptyCorpus,
-    /// The partitioner assigned no sequences to this shard — with fewer
-    /// sequences than shards (or a pathological hash on a tiny corpus) the
+    /// The hash assigned no sequences to this shard — with fewer
+    /// sequences than shards (or an unlucky hash on a tiny corpus) the
     /// split is meaningless; lower the shard count.
     EmptyShard(usize),
-    /// Invalid configuration (shard count out of bounds, bad partitioner).
+    /// Invalid configuration (shard count out of bounds).
     Config(String),
     /// A page device failed during construction.
     Page(PageError),
@@ -166,8 +166,6 @@ pub struct ShardedIndex {
     shards: Vec<Shard>,
     map: RwLock<ShardMap>,
     insert_gate: Mutex<()>,
-    partitioner: Partitioner,
-    kind: PartitionerKind,
     // A group of one that persists as a plain index directory
     // (`meta.txt`), not as `sharding.txt` + `shard-0/`.
     plain: bool,
@@ -203,7 +201,6 @@ impl fmt::Debug for ShardedIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedIndex")
             .field("shards", &self.shards.len())
-            .field("partitioner", &self.kind)
             .field("len", &self.len())
             .finish_non_exhaustive()
     }
@@ -212,7 +209,6 @@ impl fmt::Debug for ShardedIndex {
 /// What a directory holds, opened but not yet assembled into a group.
 struct Snapshot {
     plain: bool,
-    kind: PartitionerKind,
     seq_len: usize,
     epoch: u64,
     map: ShardMap,
@@ -256,8 +252,7 @@ impl ShardedIndex {
         if corpus.is_empty() || corpus.series_len() == 0 {
             return Err(ShardError::EmptyCorpus);
         }
-        let partitioner = Partitioner::new(cfg.partitioner, cfg.shards);
-        let assignment = partitioner.assign_bulk(corpus.len());
+        let assignment: Vec<usize> = (0..corpus.len()).map(|g| shard_of(g, cfg.shards)).collect();
         let map = ShardMap::from_assignment(cfg.shards, &assignment);
 
         let mut indexes = Vec::with_capacity(cfg.shards);
@@ -277,7 +272,6 @@ impl ShardedIndex {
         Ok(Self::assemble(
             Snapshot {
                 plain: false,
-                kind: cfg.partitioner,
                 seq_len: corpus.series_len(),
                 epoch: 1,
                 map,
@@ -299,11 +293,9 @@ impl ShardedIndex {
         // so the replayed maximum is the applied position.
         let applied = journal.as_ref().map_or(0, |j| j.next_lsn() - 1);
         Self {
-            partitioner: Partitioner::new(s.kind, s.indexes.len()),
             shards: s.indexes.into_iter().map(Shard::new).collect(),
             map: RwLock::new(s.map),
             insert_gate: Mutex::new(()),
-            kind: s.kind,
             plain: s.plain,
             seq_len: AtomicUsize::new(s.seq_len),
             snapshot_epoch: s.epoch,
@@ -349,18 +341,12 @@ impl ShardedIndex {
         &self.shards
     }
 
-    /// The shard count and partitioner a `sharding.txt` directory records;
-    /// `None` for a group of one that persists as a plain index directory.
+    /// The shard count a `sharding.txt` directory records; `None` for a
+    /// group of one that persists as a plain index directory.
     pub fn sharding(&self) -> Option<ShardConfig> {
         (!self.plain).then_some(ShardConfig {
             shards: self.shards.len(),
-            partitioner: self.kind,
         })
-    }
-
-    /// The partitioner in effect.
-    pub fn partitioner_kind(&self) -> PartitionerKind {
-        self.kind
     }
 
     /// Length of every sequence.
@@ -415,19 +401,8 @@ impl ShardedIndex {
     pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, DurableError> {
         let _gate = self.insert_gate.lock();
         self.check_writable()?;
-        let (global, shard) = {
-            let map = self.map.read();
-            let g = map.len();
-            let mut loads = map.loads();
-            // Least-loaded placement (the Range policy) counts *live*
-            // sequences: a shard full of tombstones has capacity, not load.
-            if self.kind == PartitionerKind::Range {
-                for (s, load) in loads.iter_mut().enumerate() {
-                    *load = load.saturating_sub(self.shards[s].read().deleted_count());
-                }
-            }
-            (g, self.partitioner.assign_insert(g, &loads))
-        };
+        let global = self.map.read().len();
+        let shard = shard_of(global, self.shards.len());
         let mut guard = self.shards[shard].write();
         guard.insert_series(ts)?;
         let logged = self.journal.as_ref().map_or(Ok(()), |j| {
@@ -515,7 +490,7 @@ impl ShardedIndex {
     /// Persists the group under `dir` in its own layout. A group of one
     /// from a plain directory writes that plain snapshot (see
     /// [`SeqIndex::save`]). A shard group writes `shard-N/` subdirectories
-    /// plus a `sharding.txt` manifest recording the partitioner, the
+    /// plus a `sharding.txt` manifest recording the shard count, the
     /// global assignment order, and the checkpoint epoch. The manifest —
     /// the only pointer to the shard snapshots — is replaced atomically
     /// (temp file + `rename`), and each shard's save is itself
@@ -554,7 +529,6 @@ impl ShardedIndex {
         use std::fmt::Write as _;
         let _ = writeln!(meta, "simshard v1");
         let _ = writeln!(meta, "shards {}", self.shards.len());
-        let _ = writeln!(meta, "partitioner {}", self.kind);
         let _ = writeln!(meta, "seq_len {}", guards[0].seq_len());
         let _ = writeln!(meta, "epoch {epoch}");
         let _ = writeln!(
@@ -1000,7 +974,6 @@ impl ShardedIndex {
         let sharding = self.sharding();
         if let Some(cfg) = sharding {
             info.push(pair("shards", cfg.shards.to_string()));
-            info.push(pair("partitioner", cfg.partitioner.to_string()));
         }
         info.push(pair("deleted", self.deleted_count().to_string()));
         if sharding.is_some() {
@@ -1022,10 +995,10 @@ impl ShardedIndex {
 
 /// The one idempotent frame apply: recovery replays the log through it,
 /// and a follower applies shipped frames through it. The frame names its
-/// shard (placement is not re-derivable: Range reads live loads, and a
-/// half-finished checkpoint leaves shard snapshots ahead of the
-/// manifest); a group of one reads no shard slot, since single-index
-/// builds once stored the ordinal there. An insert lands when it extends
+/// shard, and that slot is authoritative: a log written before placement
+/// was always [`shard_of`] holds range- and round-robin-placed inserts; a
+/// group of one reads no shard slot, since single-index builds once
+/// stored the ordinal there. An insert lands when it extends
 /// its shard; one the snapshots already hold only re-extends the map; one
 /// beyond the prefix, or on a shard or slot these snapshots lack, is a
 /// typed [`DurableError::Gap`]. A delete of a missing or tombstoned
@@ -1082,7 +1055,6 @@ impl Snapshot {
     fn plain(index: SeqIndex) -> Self {
         Self {
             plain: true,
-            kind: PartitionerKind::default(),
             seq_len: index.seq_len(),
             epoch: index.wal_epoch(),
             map: ShardMap::from_assignment(1, &vec![0; index.len()]),
@@ -1161,7 +1133,6 @@ fn read_shard_manifest(dir: &Path) -> std::io::Result<Snapshot> {
     let mut assignment: Vec<usize> = Vec::new();
     let mut m = Snapshot {
         plain: false,
-        kind: PartitionerKind::Hash,
         seq_len: 0,
         // Pre-durability manifests carry no epoch line; they are at the
         // initial epoch. (A `next_lsn` line, which earlier builds wrote,
@@ -1179,9 +1150,10 @@ fn read_shard_manifest(dir: &Path) -> std::io::Result<Snapshot> {
                     .parse()
                     .map_err(|e| bad(format!("bad shards: {e}")))?;
             }
-            Some(("partitioner", v)) => {
-                m.kind = v.trim().parse().map_err(bad)?;
-            }
+            // Directories written before placement was always the hash
+            // name a partitioner; their `assignment` still places every
+            // ordinal they hold, so the key is read and ignored.
+            Some(("partitioner", _)) => {}
             Some(("seq_len", v)) => {
                 m.seq_len = v
                     .trim()
@@ -1265,7 +1237,6 @@ mod tests {
                 "sequences",
                 "seq_len",
                 "shards",
-                "partitioner",
                 "deleted",
                 "shard_loads",
                 "durable",
@@ -1278,6 +1249,45 @@ mod tests {
             assert_eq!(group.checkpoint().unwrap(), None);
             assert!(group.wal_stats().is_none());
         }
+    }
+
+    /// A failed fsync poisons the log itself: the group must refuse the
+    /// next mutation before it applies, not apply it and then fail its
+    /// append (readers would already see it).
+    #[test]
+    fn failed_sync_refuses_mutations_before_they_apply() {
+        let root =
+            std::env::temp_dir().join(format!("simquery-shard-fsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let c = corpus();
+        SeqIndex::build(&c, IndexConfig::default())
+            .unwrap()
+            .save(&root.join("idx"))
+            .unwrap();
+        let (group, _) = ShardedIndex::open_durable(
+            &root.join("idx"),
+            &root.join("wal"),
+            16,
+            FsyncPolicy::EveryN(4),
+        )
+        .unwrap();
+        let ts = &c.series()[0];
+        group.insert_series(ts).unwrap();
+        group.journal.as_ref().unwrap().arm_sync_fault();
+        assert!(matches!(group.sync_wal(), Err(DurableError::Wal(_))));
+        assert!(group.is_poisoned());
+        let len = group.len();
+        assert!(matches!(
+            group.insert_series(ts),
+            Err(DurableError::Poisoned)
+        ));
+        assert!(matches!(
+            group.delete_series(0),
+            Err(DurableError::Poisoned)
+        ));
+        assert_eq!((group.len(), group.deleted_count()), (len, 0));
+        drop(group);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A fenced node must not checkpoint its way past the fence, the

@@ -1,19 +1,10 @@
 //! Global-ordinal → (shard, local-ordinal) assignment.
 //!
-//! The [`Partitioner`] decides *which shard* a global ordinal lands on; the
+//! [`shard_of`] decides *which shard* a new global ordinal lands on; the
 //! [`ShardMap`] is the durable record of every decision ever made, and the
 //! only thing queries consult. Once an ordinal is mapped it never moves:
 //! the map is append-only, so a translation read concurrently with an
 //! insert can never observe a relocation.
-
-use super::cfg::PartitionerKind;
-
-/// Stateless assignment policy over global ordinals.
-#[derive(Clone, Copy, Debug)]
-pub struct Partitioner {
-    kind: PartitionerKind,
-    shards: usize,
-}
 
 /// `splitmix64` — the 64-bit finalizer used as the ordinal hash. In-tree
 /// (the workspace carries no external crates) and stable across runs, so a
@@ -25,56 +16,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-impl Partitioner {
-    /// A partitioner for `shards` shards (must be ≥ 1).
-    pub fn new(kind: PartitionerKind, shards: usize) -> Self {
-        assert!(shards >= 1, "partitioner needs at least one shard");
-        Self { kind, shards }
-    }
-
-    /// Shard assignment for every ordinal of an initial corpus of `total`
-    /// sequences. `Range` produces contiguous chunks here (the layout the
-    /// name promises); the other kinds are pointwise.
-    pub fn assign_bulk(&self, total: usize) -> Vec<usize> {
-        match self.kind {
-            PartitionerKind::Range => {
-                let chunk = total.div_ceil(self.shards).max(1);
-                (0..total)
-                    .map(|g| (g / chunk).min(self.shards - 1))
-                    .collect()
-            }
-            _ => (0..total).map(|g| self.assign_pointwise(g)).collect(),
-        }
-    }
-
-    /// Shard for one live-inserted ordinal, given current per-shard loads.
-    /// `Range` cannot extend its build-time chunks without relocation, so
-    /// live inserts go to the least-loaded shard (ties to the lowest id).
-    /// Callers should pass *live* counts (mapped minus tombstoned, as
-    /// [`super::ShardedIndex::insert_series`] does) — a shard full
-    /// of deleted sequences has capacity, not load.
-    pub fn assign_insert(&self, global: usize, loads: &[usize]) -> usize {
-        match self.kind {
-            PartitionerKind::Range => {
-                let mut best = 0;
-                for (s, &l) in loads.iter().enumerate() {
-                    if l < loads[best] {
-                        best = s;
-                    }
-                }
-                best
-            }
-            _ => self.assign_pointwise(global),
-        }
-    }
-
-    fn assign_pointwise(&self, global: usize) -> usize {
-        match self.kind {
-            PartitionerKind::Hash => (splitmix64(global as u64) % self.shards as u64) as usize,
-            PartitionerKind::RoundRobin => global % self.shards,
-            PartitionerKind::Range => unreachable!("range assigns in bulk or by load"),
-        }
-    }
+/// The shard of global ordinal `global` in a group of `shards` shards:
+/// `splitmix64(global) % shards`, which spreads any insertion pattern
+/// uniformly. Placement never changes an answer — every range and kNN
+/// query visits every shard — only balance.
+pub fn shard_of(global: usize, shards: usize) -> usize {
+    (splitmix64(global as u64) % shards as u64) as usize
 }
 
 /// The stable global-ordinal ↔ (shard, local-ordinal) mapping.
@@ -142,24 +89,13 @@ impl ShardMap {
             .map(|&(s, l)| (s as usize, l as usize))
     }
 
-    /// Global ordinal of `(shard, local)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pair was never mapped — shards only report locals
-    /// they were handed, so an unmapped pair is a bookkeeping bug.
-    pub fn global_of(&self, shard: usize, local: usize) -> usize {
-        self.to_global[shard][local]
-    }
-
     /// Local → global table of one shard.
     pub fn globals_of(&self, shard: usize) -> &[usize] {
         &self.to_global[shard]
     }
 
     /// Sequences currently mapped to each shard, tombstoned included —
-    /// the map never forgets an assignment. Subtract per-shard deleted
-    /// counts to get live loads.
+    /// the map never forgets an assignment.
     pub fn loads(&self) -> Vec<usize> {
         self.to_global.iter().map(Vec::len).collect()
     }

@@ -112,16 +112,6 @@ impl Page {
         self.put_u64(off, v.to_bits());
     }
 
-    /// Reads a [`PageId`] at `off`.
-    pub fn get_page_id(&self, off: usize) -> PageId {
-        PageId(self.get_u32(off))
-    }
-
-    /// Writes a [`PageId`] at `off`.
-    pub fn put_page_id(&mut self, off: usize, v: PageId) {
-        self.put_u32(off, v.0);
-    }
-
     /// Copies a byte slice into the page at `off`.
     pub fn put_bytes(&mut self, off: usize, src: &[u8]) {
         self.data[off..off + src.len()].copy_from_slice(src);
@@ -151,12 +141,10 @@ mod tests {
         p.put_u32(2, 0xDEAD_BEEF);
         p.put_u64(6, u64::MAX - 7);
         p.put_f64(14, -123.456e78);
-        p.put_page_id(22, PageId(99));
         assert_eq!(p.get_u16(0), 0xBEEF);
         assert_eq!(p.get_u32(2), 0xDEAD_BEEF);
         assert_eq!(p.get_u64(6), u64::MAX - 7);
         assert_eq!(p.get_f64(14), -123.456e78);
-        assert_eq!(p.get_page_id(22), PageId(99));
     }
 
     #[test]

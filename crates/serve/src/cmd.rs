@@ -5,9 +5,9 @@
 //! # `serve`
 //!
 //! The index directory is opened as whatever layout it holds
-//! ([`ShardedIndex::open`]): a directory written by `simseq shard build` is
-//! served sharded as-is, and passing `--shards`/`--partitioner` against
-//! one is an error unless the values match its manifest. With `--shards
+//! ([`ShardedIndex::open`]): a directory written by `simseq build --shards
+//! N` is served sharded as-is, and passing `--shards` against one is an
+//! error unless it matches the manifest. With `--shards
 //! N > 1` a single-index directory is repartitioned across N shards at
 //! startup: an insert write-locks one shard while the others keep serving
 //! reads, queries scatter-gather, and `STATS` gains a per-shard breakdown.
@@ -51,7 +51,7 @@ simserved — serve a persisted similarity index over TCP
 USAGE:
   simserved --index DIR/ [--addr HOST:PORT] [--workers N]
             [--queue N] [--max-conns N] [--pool-pages N]
-            [--shards N] [--partitioner hash|round-robin|range]
+            [--shards N]
             [--wal DIR/] [--fsync always|never|N]
             [--result-cache N] [--slow-query-ms N] [--trace-sample K]
   simserved --replicate-from HOST:PORT [--index DIR/] [--wal DIR/]
@@ -59,7 +59,7 @@ USAGE:
 
 The protocol is documented in crates/serve/PROTOCOL.md. Build an index
 with `simseq gen` + `simseq build` first (or a sharded one with
-`simseq shard build`). At most `--workers N` requests execute at once
+`simseq build --shards N`). At most `--workers N` requests execute at once
 and `--queue N` more wait their turn in arrival order; the next is
 answered ERR code=BUSY. `--shards N` repartitions a single-index
 directory across N shards at startup; JOIN requires an unsharded
@@ -122,7 +122,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         "max-conns",
         "pool-pages",
         "shards",
-        "partitioner",
         "wal",
         "fsync",
         "result-cache",
@@ -152,8 +151,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         trace_sample: opts.parse_or("trace-sample", defaults.trace_sample)?,
     };
 
-    // One shardcfg parse covers both flags (shared with `simseq shard`).
-    let shard_cfg = ShardConfig::parse(opts.get("shards").unwrap_or("1"), opts.get("partitioner"))?;
+    // The one `--shards` parse (shared with `simseq build`).
+    let shard_cfg = ShardConfig::parse(opts.get("shards").unwrap_or("1"))?;
 
     let wal_dir = opts.get("wal").map(PathBuf::from);
     let policy = match opts.get("fsync") {
@@ -180,10 +179,10 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let dir = opts.get("index").map(PathBuf::from);
 
     if let Some(primary) = opts.get("replicate-from") {
-        if opts.get("shards").is_some() || opts.get("partitioner").is_some() {
+        if opts.get("shards").is_some() {
             return Err(
-                "--replicate-from serves a single-index follower; --shards/--partitioner \
-                 do not apply (shards ship separately)"
+                "--replicate-from serves a single-index follower; --shards does not apply \
+                 (shards ship separately)"
                     .into(),
             );
         }
@@ -252,25 +251,17 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let dir = dir.ok_or("missing required --index")?;
     let group = open(&dir)?;
     let backend: Backend = match group.sharding() {
-        // A `simseq shard build` directory is already partitioned; explicit
-        // flags must agree with its manifest, not be silently ignored.
+        // A `simseq build --shards N` directory is already partitioned; an
+        // explicit flag must agree with its manifest, not be silently ignored.
         Some(on_disk) => {
             if opts.get("shards").is_some() && shard_cfg.shards != on_disk.shards {
                 return Err(format!(
                     "--shards {} conflicts with {}, which was built with {} shards; \
-                     drop the flag or rebuild with `simseq shard build`",
+                     drop the flag or rebuild with `simseq build --shards {}`",
                     shard_cfg.shards,
                     dir.display(),
-                    on_disk.shards
-                ));
-            }
-            if opts.get("partitioner").is_some() && shard_cfg.partitioner != on_disk.partitioner {
-                return Err(format!(
-                    "--partitioner {} conflicts with {}, which was built with '{}'; \
-                     drop the flag or rebuild with `simseq shard build`",
-                    shard_cfg.partitioner,
-                    dir.display(),
-                    on_disk.partitioner
+                    on_disk.shards,
+                    shard_cfg.shards
                 ));
             }
             Arc::new(group)
@@ -279,7 +270,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             if wal_dir.is_some() {
                 return Err(
                     "--wal cannot be combined with --shards repartitioning; build a sharded \
-                     directory first (`simseq shard build`) and serve that with --wal"
+                     directory first (`simseq build --shards N`) and serve that with --wal"
                         .into(),
                 );
             }
@@ -294,7 +285,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         None => Arc::new(group),
     };
     let layout = backend.sharding().map_or(" (".to_string(), |s| {
-        format!(" across {} shards ({}, ", s.shards, s.partitioner)
+        format!(" across {} shards (", s.shards)
     });
     eprintln!(
         "serving {} sequences of length {}{layout}{} workers, queue {})",

@@ -123,11 +123,6 @@ impl Registry {
         self.busy_rejected.get()
     }
 
-    /// Recorded count for one op index (the parity test's ground truth).
-    pub fn op_count(&self, op: usize) -> u64 {
-        self.ops[op].count.get()
-    }
-
     /// The server's slow-query log.
     pub fn slow(&self) -> &SlowLog {
         &self.slow
@@ -267,7 +262,6 @@ mod tests {
             record_fetches: 0,
         };
         reg.report(zero, Vec::new(), None, None, None, true);
-        assert_eq!(reg.op_count(op_index("insert")), 0);
         let report = reg.report(zero, Vec::new(), None, None, None, false);
         assert!(report.ops.is_empty());
         assert_eq!(report.connections, 1);

@@ -126,7 +126,6 @@ fn stats_carry_per_shard_breakdown() {
             .unwrap_or_else(|| panic!("INFO missing key {k}"))
     };
     assert_eq!(get("shards"), "3");
-    assert_eq!(get("partitioner"), "hash");
     assert_eq!(get("sequences"), "80");
 
     client.quit().unwrap();

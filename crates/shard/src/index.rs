@@ -6,7 +6,7 @@ pub use simquery::shard::{Shard, ShardError, ShardedIndex};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{PartitionerKind, ShardConfig};
+    use crate::cfg::ShardConfig;
     use simquery::index::{IndexConfig, SeqIndex};
     use simquery::shared::DurableError;
     use simwal::FsyncPolicy;
@@ -33,7 +33,7 @@ mod tests {
         assert_eq!(s.shard_loads().iter().sum::<usize>(), 100);
         for g in 0..100 {
             let (shard, local) = s.locate(g).unwrap();
-            assert_eq!(s.map_snapshot().global_of(shard, local), g);
+            assert_eq!(s.map_snapshot().globals_of(shard)[local], g);
         }
     }
 
@@ -58,33 +58,6 @@ mod tests {
         assert!(!s.delete_series(g).unwrap(), "double delete reports false");
         assert_eq!(s.deleted_count(), 1);
         assert!(!s.delete_series(10_000).unwrap());
-    }
-
-    #[test]
-    fn range_inserts_refill_tombstoned_shards() {
-        let s = ShardedIndex::build(
-            &corpus(40),
-            ShardConfig {
-                shards: 4,
-                partitioner: PartitionerKind::Range,
-            },
-            IndexConfig::default(),
-        )
-        .unwrap();
-        // Range chunks put globals 30..40 on shard 3; tombstone them all.
-        for g in 30..40 {
-            assert_eq!(s.locate(g).unwrap().0, 3);
-            assert!(s.delete_series(g).unwrap());
-        }
-        // Mapped loads are still equal, but shard 3 has no live sequences,
-        // so the least-*live*-loaded placement picks it.
-        let extra = corpus(41);
-        let g = s.insert_series(&extra.series()[40]).unwrap();
-        assert_eq!(
-            s.locate(g).unwrap().0,
-            3,
-            "insert should refill the tombstoned shard"
-        );
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod gather;
 pub mod index;
 pub mod partition;
 
-pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
+pub use cfg::{ShardConfig, MAX_SHARDS};
 pub use index::{ShardError, ShardedIndex};
-pub use partition::{Partitioner, ShardMap};
+pub use partition::{shard_of, ShardMap};

@@ -10,19 +10,16 @@ use simquery::index::IndexConfig;
 use simquery::plan::EngineChoice;
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::transform::Family;
-use simshard::{PartitionerKind, ShardConfig, ShardedIndex};
+use simshard::{shard_of, ShardConfig, ShardedIndex};
 use std::sync::mpsc;
 use std::time::Duration;
 use tseries::{Corpus, CorpusKind};
 
 const LEN: usize = 64;
 
-fn sharded(n: usize, shards: usize, partitioner: PartitionerKind) -> (Corpus, ShardedIndex) {
+fn sharded(n: usize, shards: usize) -> (Corpus, ShardedIndex) {
     let c = Corpus::generate(CorpusKind::SyntheticWalks, n, LEN, 99);
-    let cfg = ShardConfig {
-        shards,
-        partitioner,
-    };
+    let cfg = ShardConfig::new(shards).unwrap();
     let s = ShardedIndex::build(&c, cfg, IndexConfig::default()).unwrap();
     (c, s)
 }
@@ -31,7 +28,8 @@ fn sharded(n: usize, shards: usize, partitioner: PartitionerKind) -> (Corpus, Sh
 /// situation during a shard-local insert.
 #[test]
 fn reads_proceed_during_insert() {
-    let (c, s) = sharded(60, 2, PartitionerKind::RoundRobin);
+    let (c, s) = sharded(60, 2);
+    assert_eq!(s.locate(1).unwrap().0, 1, "the read below is shard 1's");
     let family = Family::moving_averages(2..=5, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
 
@@ -55,36 +53,37 @@ fn reads_proceed_during_insert() {
     drop(guard);
 }
 
-/// An insert routed to shard 0 completes while shard 1 is write-locked:
-/// mutations touch only their own shard's lock.
+/// An insert completes while the shard it is not placed on is
+/// write-locked: mutations touch only their own shard's lock.
 #[test]
 fn insert_does_not_need_other_shards() {
-    let (_, s) = sharded(60, 2, PartitionerKind::RoundRobin);
+    let (_, s) = sharded(60, 2);
     let extra = Corpus::generate(CorpusKind::SyntheticWalks, 1, LEN, 123);
+    let target = shard_of(60, 2);
+    let local = s.shard_loads()[target];
 
-    let guard = s.shards()[1].write();
+    let guard = s.shards()[1 - target].write();
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
         let (s, extra) = (&s, &extra);
         scope.spawn(move || {
-            // Global ordinal 60 → 60 % 2 = shard 0 under round-robin.
             let g = s.insert_series(&extra.series()[0]).unwrap();
             tx.send(g).unwrap();
         });
         let g = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("insert into shard 0 blocked behind shard 1's write guard");
+            .expect("insert blocked behind the other shard's write guard");
         assert_eq!(g, 60);
     });
     drop(guard);
-    assert_eq!(s.locate(60), Some((0, 30)));
+    assert_eq!(s.locate(60), Some((target, local)));
 }
 
 /// Many concurrent readers and writers on different shards make progress
 /// and leave the map and shards consistent.
 #[test]
 fn mixed_traffic_stays_consistent() {
-    let (c, s) = sharded(80, 4, PartitionerKind::Hash);
+    let (c, s) = sharded(80, 4);
     let extra = Corpus::generate(CorpusKind::SyntheticWalks, 12, LEN, 321);
     let family = Family::moving_averages(2..=5, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);

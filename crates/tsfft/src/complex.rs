@@ -86,20 +86,6 @@ impl Complex64 {
         }
     }
 
-    /// Multiplicative inverse; `None` when `self` is zero.
-    #[inline]
-    pub fn recip(self) -> Option<Self> {
-        let d = self.norm_sqr();
-        if d == 0.0 {
-            None
-        } else {
-            Some(Self {
-                re: self.re / d,
-                im: -self.im / d,
-            })
-        }
-    }
-
     /// Multiplies by a real scalar.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -268,9 +254,8 @@ mod tests {
         let back = q * b;
         assert!((back - a).abs() < EPS);
 
-        let r = b.recip().unwrap();
+        let r = Complex64::ONE / b;
         assert!((r * b - Complex64::ONE).abs() < EPS);
-        assert!(Complex64::ZERO.recip().is_none());
     }
 
     #[test]

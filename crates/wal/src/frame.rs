@@ -133,17 +133,18 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
     }
 }
 
-/// An incremental decoder over any byte stream of concatenated frames —
-/// the streaming counterpart of [`decode_frames`], used by the
-/// replication catch-up reader ([`crate::Wal::frames_since_hinted`]) so
-/// a primary can serialise frames to a follower without slurping the
-/// whole log into memory at once.
+/// The one frame decoder: an incremental decoder over any byte stream of
+/// concatenated frames. Replay runs it over the log read into memory
+/// ([`decode_frames`]); the replication catch-up reader
+/// ([`crate::Wal::frames_since_hinted`]) runs it over the file, so a
+/// primary can serialise frames to a follower without slurping the whole
+/// log into memory at once.
 ///
 /// Iteration yields every intact frame in order and then ends. A torn
 /// tail (short header, oversized length, CRC mismatch, undecodable
-/// payload) ends the stream exactly like [`decode_frames`] truncating
-/// there; an I/O error from the underlying reader surfaces as one
-/// `Err` item and also ends the stream.
+/// payload) ends the stream, where replay truncates; an I/O error from
+/// the underlying reader surfaces as one `Err` item and also ends the
+/// stream.
 pub struct FrameIter<R> {
     reader: R,
     buf: Vec<u8>,
@@ -251,31 +252,12 @@ impl<R: std::io::Read> Iterator for FrameIter<R> {
 /// the byte offset where the intact prefix ends. Anything after that
 /// offset — a short header, a length overrunning the buffer, a CRC
 /// mismatch, an undecodable payload — is the torn tail a crash mid-append
-/// leaves behind; the caller truncates the file there.
+/// leaves behind; the caller truncates the file there. This is
+/// [`FrameIter`] run over the slice, whose reads never fail.
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalOp>, usize) {
-    let mut ops = Vec::new();
-    let mut at = 0usize;
-    while buf.len() - at >= 8 {
-        let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            break;
-        }
-        let (start, end) = (at + 8, at + 8 + len as usize);
-        if end > buf.len() {
-            break;
-        }
-        let payload = &buf[start..end];
-        if crc32(payload) != crc {
-            break;
-        }
-        match decode_payload(payload) {
-            Some(op) => ops.push(op),
-            None => break,
-        }
-        at = end;
-    }
-    (ops, at)
+    let mut frames = FrameIter::new(buf);
+    let ops = frames.by_ref().map_while(Result::ok).collect();
+    (ops, frames.consumed() as usize)
 }
 
 #[cfg(test)]
@@ -348,19 +330,6 @@ mod tests {
         let (back, consumed) = decode_frames(&buf);
         assert_eq!(back.as_slice(), &ops[..1]);
         assert_eq!(consumed, first);
-    }
-
-    #[test]
-    fn frame_iter_matches_decode_frames() {
-        let ops = sample_ops();
-        let mut buf = Vec::new();
-        for op in &ops {
-            buf.extend_from_slice(&encode_frame(op));
-        }
-        let got: Vec<WalOp> = FrameIter::new(std::io::Cursor::new(&buf))
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(got, ops);
     }
 
     #[test]

@@ -128,8 +128,9 @@ pub struct Wal {
     fsyncs: AtomicU64,
     replayed: u64,
     truncated: u64,
-    // One-shot injected append fault (see `arm_append_fault`).
+    // One-shot injected faults (see `arm_append_fault`, `arm_sync_fault`).
     fail_next_append: AtomicBool,
+    fail_next_sync: AtomicBool,
     _lock: DirLock,
 }
 
@@ -311,6 +312,7 @@ impl Wal {
             replayed: report.frames as u64,
             truncated: report.truncated_bytes,
             fail_next_append: AtomicBool::new(false),
+            fail_next_sync: AtomicBool::new(false),
             _lock: lock,
         };
         Ok((wal, ops, report))
@@ -357,7 +359,7 @@ impl Wal {
         };
         if due {
             let _fsync_span = simobs::trace::span("wal.fsync");
-            if let Err(e) = inner.file.sync_data() {
+            if let Err(e) = self.fsync(&inner.file) {
                 // After a failed fsync the kernel may have dropped the
                 // dirty tail; nothing past durable_len can be trusted.
                 inner.poisoned = true;
@@ -382,7 +384,7 @@ impl Wal {
                 dir: self.dir.clone(),
             });
         }
-        if let Err(e) = inner.file.sync_data() {
+        if let Err(e) = self.fsync(&inner.file) {
             inner.poisoned = true;
             return Err(e.into());
         }
@@ -409,6 +411,22 @@ impl Wal {
     /// crash-consistency suites to exercise the rewind/poison path.
     pub fn arm_append_fault(&self) {
         self.fail_next_append.store(true, Ordering::Relaxed);
+    }
+
+    /// Arms a one-shot fsync fault: the next fsync of the log's tail — a
+    /// [`Self::sync`], a policy-due sync inside [`Self::append`], or the
+    /// catch-up reader's — fails with an injected `Io` error, which
+    /// poisons the log as a real fsync failure does.
+    pub fn arm_sync_fault(&self) {
+        self.fail_next_sync.store(true, Ordering::Relaxed);
+    }
+
+    /// `sync_data` of the log file, unless an armed fsync fault fires.
+    fn fsync(&self, file: &File) -> std::io::Result<()> {
+        if self.fail_next_sync.swap(false, Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected wal fsync fault"));
+        }
+        file.sync_data()
     }
 
     /// Completes a checkpoint: records `new_epoch` in the manifest, then
@@ -515,7 +533,7 @@ impl Wal {
                     dir: self.dir.clone(),
                 });
             }
-            if let Err(e) = inner.file.sync_data() {
+            if let Err(e) = self.fsync(&inner.file) {
                 inner.poisoned = true;
                 return Err(e.into());
             }
@@ -729,6 +747,35 @@ mod tests {
         assert_eq!(replay, vec![ins(0), ins(2)]);
         assert_eq!(report.truncated_bytes, 0);
         drop(_wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_fsync_poisons_until_reopen() {
+        let dir = tmp("fsync_fault");
+        {
+            let (wal, _, _) = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
+            wal.append(&ins(1)).unwrap();
+            wal.sync().unwrap();
+            wal.append(&ins(2)).unwrap();
+            wal.arm_sync_fault();
+            assert!(matches!(wal.sync(), Err(WalError::Io(_))));
+            // After a failed fsync the page cache may have dropped the
+            // tail: appends, syncs and the catch-up reader all refuse.
+            assert!(wal.is_poisoned());
+            for refused in [
+                wal.append(&ins(3)),
+                wal.sync(),
+                wal.frames_since_hinted(1, 0, None).map(|_| ()),
+            ] {
+                assert!(matches!(refused, Err(WalError::Poisoned { .. })));
+            }
+        }
+        // Nothing failed on disk here, so both written frames replay.
+        let (wal, replay, _) = Wal::open(&dir, FsyncPolicy::Never, 1).unwrap();
+        assert_eq!(replay, vec![ins(1), ins(2)]);
+        assert!(!wal.is_poisoned());
+        drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }
 

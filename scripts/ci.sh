@@ -77,7 +77,9 @@ SUITES='
 chaos|-p simquery --test chaos|seeded fault schedules (core engines)
 chaos|-p simserve --test chaos_loopback|faulted simserved loopback
 recovery|-p simshard --test recovery|crash-point WAL suite (every byte offset; a plain directory stays plain)
-recovery|-p simquery --lib shared|the index group journal: poison, replayed follower position, fence across restart
+recovery|-p simwal|the log itself: torn tail, rewind, fsync-fault poison, hinted reads, fence persistence
+recovery|-p simquery --lib shared|the one-shard view: append poison, replicated apply and follower position, fence across restart
+recovery|-p simquery --lib shard::tests|the group write gate: a failed fsync refuses the next mutation before it applies
 recovery|-p simshard --lib index|the index group map: poisoned appends stay mapped, saves quiesce inserts
 recovery|-p simserve --test recovery_loopback|durable simserved restart loopback
 parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards; a group of one is plan::run

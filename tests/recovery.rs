@@ -3,16 +3,16 @@
 //! the acknowledged mutation schedule — never a wrong answer, never a
 //! panic. Covers a plain index directory and 1/2/4/8-shard directories
 //! (one index type and one log either way), half-finished checkpoints,
-//! the group fsync window, logs of earlier builds, a plain directory
-//! staying plain through the group, fault plans armed while replay itself
-//! runs, and the advisory directory locks.
+//! the group fsync window, logs and shard placements of earlier builds,
+//! a plain directory staying plain through the group, fault plans armed
+//! while replay itself runs, and the advisory directory locks.
 
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice, PlanParams};
 use simquery::index::{DeviceWrap, IndexConfig, SeqIndex};
 use simquery::prelude::*;
 use simquery::report::QueryError;
 use simquery::shared::{DurableError, SharedIndex};
-use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex};
+use simshard::{gather, shard_of, ShardConfig, ShardedIndex};
 use simwal::{decode_frames, FsyncPolicy, Wal, WalError, WalOp};
 use simwal::{HEADER_LEN, LOG_FILE, MANIFEST_FILE};
 use std::collections::{BTreeMap, HashSet};
@@ -49,15 +49,33 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Round-robin keeps every shard non-empty on small corpora and spreads
-/// the schedule's frames across all the shards.
-fn rr_config(shards: usize) -> ShardConfig {
-    ShardConfig {
-        shards,
-        partitioner: PartitionerKind::RoundRobin,
+fn config(shards: usize) -> ShardConfig {
+    ShardConfig::new(shards).unwrap()
+}
+
+/// Writes `corpus` as a shard directory in the layout of the builds that
+/// let a user pick the placement: shard `assignment[g]` holds ordinal `g`,
+/// and `sharding.txt` names the `policy` that placed them.
+fn write_placed_group(dir: &Path, corpus: &Corpus, assignment: &[usize], policy: &str) {
+    let shards = assignment.iter().max().unwrap() + 1;
+    for s in 0..shards {
+        let (names, series) = (0..corpus.len())
+            .filter(|&g| assignment[g] == s)
+            .map(|g| (corpus.names()[g].clone(), corpus.series()[g].clone()))
+            .unzip();
+        SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default())
+            .unwrap()
+            .save(&dir.join(format!("shard-{s}")))
+            .unwrap();
     }
-    .validated()
-    .unwrap()
+    let assignment: Vec<String> = assignment.iter().map(usize::to_string).collect();
+    let manifest = format!(
+        "simshard v1\nshards {shards}\npartitioner {policy}\nseq_len {}\nepoch 1\n\
+         assignment {}\n",
+        corpus.series_len(),
+        assignment.join(",")
+    );
+    std::fs::write(dir.join("sharding.txt"), manifest).unwrap();
 }
 
 /// One acknowledged mutation of the scripted schedule.
@@ -261,18 +279,18 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
 
 /// The same cut for 1/2/4/8 shards: the group's frames interleave in one
 /// log, so a lost tail can never sit *below* a surviving frame of a
-/// sibling shard.
+/// sibling shard. (The hash fills 8 shards from 13 ordinals on.)
 #[test]
 fn sharded_recovers_exact_prefix_at_every_cut() {
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0x5EED);
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 13, SEQ_LEN, 0x5EED);
     for shards in [1usize, 2, 4, 8] {
         let save = |dir: &Path| {
-            ShardedIndex::build(&corpus, rr_config(shards), IndexConfig::default())
+            ShardedIndex::build(&corpus, config(shards), IndexConfig::default())
                 .expect("buildable corpus")
                 .save(dir)
                 .unwrap()
         };
-        let ops = schedule(0xAB0 + shards as u64, 12, 8);
+        let ops = schedule(0xAB0 + shards as u64, 13, 8);
         recovers_exact_prefix_at_every_cut(&format!("shard{shards}_cut"), &corpus, &save, &ops);
     }
 }
@@ -286,7 +304,7 @@ fn sharded_fsync_window_bounds_the_group() {
     let idx = root.join("idx");
     let wal = root.join("wal");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0xF5);
-    ShardedIndex::build(&corpus, rr_config(4), IndexConfig::default())
+    ShardedIndex::build(&corpus, config(4), IndexConfig::default())
         .unwrap()
         .save(&idx)
         .unwrap();
@@ -314,10 +332,11 @@ fn sharded_fsync_window_bounds_the_group() {
 /// already hold, re-extend the global map — and land on exactly the
 /// pre-crash state.
 ///
-/// The Range case is the one that needs the frame's `shard` slot: its
-/// schedule tombstones all of shard 3, so the inserts that follow refill
-/// it (least *live* load) — a placement replay could not re-derive from
-/// snapshots that already hold those inserts and a manifest that does not.
+/// The second case starts from a directory whose placement the hash
+/// does not give (contiguous chunks, as range placement wrote them) and
+/// tombstones all of its shard 3 before inserting: replay trusts the
+/// manifest's assignment and each frame's `shard` slot, never a
+/// re-derived placement.
 #[test]
 fn sharded_half_checkpoint_replays_idempotently() {
     let mut rng = SeededRng::seed_from_u64(0x4A6E);
@@ -325,32 +344,28 @@ fn sharded_half_checkpoint_replays_idempotently() {
     refill.extend(
         (0..5).map(|_| Op::Insert(random_walk(&mut rng, SEQ_LEN, 100.0).values().to_vec())),
     );
-    let range = ShardConfig {
-        shards: 4,
-        partitioner: PartitionerKind::Range,
-    };
-    for (name, cfg, initial, ops) in [
-        ("half_ckpt", rr_config(4), 10, schedule(0x51AB, 10, 12)),
-        ("half_ckpt_range", range, 12, refill),
+    let chunks: Vec<usize> = (0..12).map(|g| g / 3).collect();
+    for (name, placed, initial, ops) in [
+        ("half_ckpt", None, 10, schedule(0x51AB, 10, 12)),
+        ("half_ckpt_range", Some(&chunks), 12, refill),
     ] {
         let root = fresh_dir(name);
         let idx = root.join("idx");
         let wal = root.join("wal");
         let corpus = Corpus::generate(CorpusKind::SyntheticWalks, initial, SEQ_LEN, 0xCAFE);
-        ShardedIndex::build(&corpus, cfg, IndexConfig::default())
-            .unwrap()
-            .save(&idx)
-            .unwrap();
+        match placed {
+            Some(assignment) => write_placed_group(&idx, &corpus, assignment, "range"),
+            None => ShardedIndex::build(&corpus, config(4), IndexConfig::default())
+                .unwrap()
+                .save(&idx)
+                .unwrap(),
+        }
         {
             let (ix, _) =
                 ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
             apply_sharded(&ix, &ops);
-            if cfg.partitioner == PartitionerKind::Range {
-                assert_eq!(
-                    ix.locate(12).unwrap().0,
-                    3,
-                    "Range refills the emptied shard"
-                );
+            for g in initial..ix.len() {
+                assert_eq!(ix.locate(g).unwrap().0, shard_of(g, 4), "{name}: {g}");
             }
         }
         // Pre-checkpoint image: epoch-1 manifest + full log.
@@ -390,6 +405,100 @@ fn sharded_half_checkpoint_replays_idempotently() {
     }
 }
 
+/// Every match of a range query as `(sequence, transform, distance bits)`,
+/// sorted — exact equality, distances included.
+fn exact_range(ix: &ShardedIndex, lq: &LogicalQuery, q: &TimeSeries) -> Vec<(usize, usize, u64)> {
+    let (_, r, _) = gather::execute_range(ix, lq, q).unwrap();
+    let mut v: Vec<_> = r
+        .matches
+        .iter()
+        .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// kNN answers in rank order, `(sequence, transform, distance bits)`.
+fn exact_knn(ix: &ShardedIndex, lq: &LogicalQuery, q: &TimeSeries) -> Vec<(usize, usize, u64)> {
+    let (_, m, _, _) = gather::execute_knn(ix, lq, q).unwrap();
+    m.iter()
+        .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+        .collect()
+}
+
+/// Directories written while placement was a user's choice open
+/// unchanged: the manifest's `assignment` places every ordinal they hold
+/// (the policy key is read and ignored), range and kNN queries answer
+/// exactly as the flat index does before and after an insert, the insert
+/// lands on `shard_of`, and a save keeps the old placement.
+#[test]
+fn placed_groups_of_earlier_builds_answer_exactly() {
+    let n = 40;
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, n, SEQ_LEN, 0x91AC);
+    let family = Family::moving_averages(2..=6, SEQ_LEN);
+    let mut rng = SeededRng::seed_from_u64(0x91AD);
+    let extra = random_walk(&mut rng, SEQ_LEN, 100.0);
+    let chunks: Vec<usize> = (0..n).map(|g| g / 10).collect();
+    let stripes: Vec<usize> = (0..n).map(|g| g % 3).collect();
+    for (policy, assignment) in [("range", &chunks), ("round-robin", &stripes)] {
+        let root = fresh_dir(&format!("placed_{policy}"));
+        write_placed_group(&root.join("idx"), &corpus, assignment, policy);
+        let group = ShardedIndex::open(&root.join("idx"), POOL).unwrap();
+        let shards = group.shard_count();
+        let flat = SharedIndex::new(SeqIndex::build(&corpus, IndexConfig::default()).unwrap());
+        let same_answers = |group: &ShardedIndex, ctx: &str| {
+            for qi in [3usize, 17, 31] {
+                let q = &corpus.series()[qi];
+                for spec in [
+                    RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe),
+                    RangeSpec::correlation(0.9).with_policy(FilterPolicy::Adaptive),
+                    RangeSpec::euclidean(4.0).with_policy(FilterPolicy::Adaptive),
+                ] {
+                    for engine in [EngineChoice::Mt, EngineChoice::St, EngineChoice::Scan] {
+                        let lq = LogicalQuery::range(family.clone(), spec)
+                            .with_engine(EnginePref::Force(engine));
+                        let want = exact_range(&flat, &lq, q);
+                        assert!(!want.is_empty(), "{ctx}: query {qi} finds itself");
+                        assert_eq!(exact_range(group, &lq, q), want, "{ctx}: {engine:?} {qi}");
+                    }
+                }
+                let lq = LogicalQuery::knn(family.clone(), 6);
+                assert_eq!(
+                    exact_knn(group, &lq, q),
+                    exact_knn(&flat, &lq, q),
+                    "{ctx}: kNN"
+                );
+            }
+        };
+        for (g, &s) in assignment.iter().enumerate() {
+            assert_eq!(group.locate(g).unwrap().0, s, "{policy}: {g}");
+        }
+        same_answers(&group, policy);
+
+        assert_eq!(group.insert_series(&extra).unwrap(), n);
+        assert_eq!(flat.insert_series(&extra).unwrap(), n);
+        assert_eq!(group.locate(n).unwrap().0, shard_of(n, shards), "{policy}");
+        same_answers(&group, &format!("{policy} + insert"));
+
+        group.save(&root.join("saved")).unwrap();
+        let manifest = std::fs::read_to_string(root.join("saved/sharding.txt")).unwrap();
+        let keys: Vec<&str> = manifest
+            .lines()
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert_eq!(
+            keys,
+            ["simshard", "shards", "seq_len", "epoch", "assignment"]
+        );
+        let saved = ShardedIndex::open(&root.join("saved"), POOL).unwrap();
+        for g in 0..=n {
+            assert_eq!(saved.locate(g), group.locate(g), "{policy}: {g} after save");
+        }
+        drop((group, saved));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// Earlier builds kept one log per shard under `wal_root/shard-N/`. Such
 /// a directory is refused with a typed error naming it, and nothing in
 /// either directory is created, changed or removed — above all no fresh
@@ -400,7 +509,7 @@ fn per_shard_log_layout_is_refused_untouched() {
     let idx = root.join("idx");
     let wal = root.join("wal");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 8, SEQ_LEN, 0x01D);
-    ShardedIndex::build(&corpus, rr_config(2), IndexConfig::default())
+    ShardedIndex::build(&corpus, config(2), IndexConfig::default())
         .unwrap()
         .save(&idx)
         .unwrap();
@@ -664,7 +773,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
     let idx = root.join("idx");
     let wal = root.join("wal");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0x0DDB);
-    ShardedIndex::build(&corpus, rr_config(4), IndexConfig::default())
+    ShardedIndex::build(&corpus, config(4), IndexConfig::default())
         .unwrap()
         .save(&idx)
         .unwrap();
@@ -755,7 +864,7 @@ fn sharded_reopen_under_faults_is_typed_or_exact() {
     let root = fresh_dir("sharded_faulted_open");
     let idx = root.join("idx");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 24, SEQ_LEN, 0xFEED);
-    ShardedIndex::build(&corpus, rr_config(4), IndexConfig::default())
+    ShardedIndex::build(&corpus, config(4), IndexConfig::default())
         .unwrap()
         .save(&idx)
         .unwrap();
@@ -842,7 +951,7 @@ fn live_directories_are_locked() {
     drop(SeqIndex::open(&single, POOL).expect("reopen after release"));
 
     let sharded = root.join("sharded");
-    ShardedIndex::build(&corpus, rr_config(2), IndexConfig::default())
+    ShardedIndex::build(&corpus, config(2), IndexConfig::default())
         .unwrap()
         .save(&sharded)
         .unwrap();
