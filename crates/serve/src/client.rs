@@ -43,10 +43,15 @@ impl ClientConfig {
     }
 }
 
+/// Capacity of the reply buffer a [`Client`] keeps between calls, bytes.
+const REPLY_KEEP: usize = 1 << 16;
+
 /// One connection to a `simserved` instance.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Every response is read into this one buffer.
+    reply: String,
 }
 
 impl Client {
@@ -88,6 +93,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
+            reply: String::new(),
         })
     }
 
@@ -95,7 +101,7 @@ impl Client {
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
         writeln!(self.writer, "{}", request.to_line())?;
         self.writer.flush()?;
-        Response::read_from(&mut self.reader)
+        self.read_reply()
     }
 
     /// Sends a raw line verbatim (testing malformed input) and reads the
@@ -103,7 +109,16 @@ impl Client {
     pub fn call_raw(&mut self, line: &str) -> io::Result<Response> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
-        Response::read_from(&mut self.reader)
+        self.read_reply()
+    }
+
+    fn read_reply(&mut self) -> io::Result<Response> {
+        let response = Response::read_with(&mut self.reader, &mut self.reply);
+        // A snapshot transfer can be megabytes; do not hold on to it.
+        if self.reply.capacity() > REPLY_KEEP {
+            self.reply = String::new();
+        }
+        response
     }
 
     /// `QUERY` — returns `(total, matches)` or the error frame.

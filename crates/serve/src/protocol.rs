@@ -76,6 +76,19 @@ impl WireThreshold {
     }
 }
 
+/// The longest `{}` rendering of a finite `f64`, the shortest round-trip
+/// form `INSERT data=` carries: `-0.` and 324 decimals (a negative number
+/// below `1e-307` with 17 significant digits, or a subnormal).
+const F64_TEXT_MAX: usize = 327;
+
+/// The longest request line a server of `seq_len`-sample sequences reads,
+/// in bytes with its line end: room for an `INSERT` of `seq_len` values
+/// each of the longest rendering, plus 4 KiB for the verb, the keys and
+/// every other request. A longer line answers `ERR code=BADREQ`.
+pub fn max_request_line(seq_len: usize) -> usize {
+    4096 + seq_len * (F64_TEXT_MAX + 1)
+}
+
 /// Parameters of a `QUERY` request.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryParams {
@@ -854,21 +867,31 @@ impl Response {
 
     /// Reads one full response (through its `END` line) from `r`.
     pub fn read_from(r: &mut impl BufRead) -> io::Result<Self> {
-        let status = read_line(r)?;
-        let mut body = Vec::new();
-        loop {
-            let line = read_line(r)?;
-            if line == "END" {
-                break;
-            }
-            body.push(line);
-        }
-        Self::assemble(&status, &body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        Self::read_with(r, &mut String::new())
     }
 
-    fn assemble(status: &str, body: &[String]) -> Result<Self, ProtoError> {
-        let mut tokens = status.split_whitespace();
+    /// [`Response::read_from`] into `buf`, a caller's buffer reused from
+    /// one response to the next: the whole response is read into it, and
+    /// its lines are parsed as borrowed slices.
+    pub(crate) fn read_with(r: &mut impl BufRead, buf: &mut String) -> io::Result<Self> {
+        buf.clear();
+        let status_end = read_line(r, buf)?;
+        let body_start = buf.len();
+        loop {
+            let start = buf.len();
+            let len = read_line(r, buf)?;
+            if trim_eol(&buf[start..start + len]) == "END" {
+                let body = &buf[body_start..start];
+                return Self::assemble(trim_eol(&buf[..status_end]), body)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+            }
+        }
+    }
+
+    fn assemble(status: &str, body: &str) -> Result<Self, ProtoError> {
+        // Reply lines split on ASCII whitespace (the server writes single
+        // spaces); requests keep `split_whitespace`.
+        let mut tokens = status.split_ascii_whitespace();
         match tokens.next() {
             Some("ERR") => {
                 // msg= is the final token and may contain spaces.
@@ -892,14 +915,14 @@ impl Response {
                     // Sniffed before n=: the exposition body is free-form
                     // text and must never reach the keyed-line parsers.
                     let announced: usize = kv.req_parse("lines")?;
-                    if body.len() != announced {
+                    let carried = lines(body).count();
+                    if carried != announced {
                         return Err(ProtoError::bad(format!(
-                            "metrics announced lines={announced} but carried {}",
-                            body.len()
+                            "metrics announced lines={announced} but carried {carried}"
                         )));
                     }
                     Ok(Self::Metrics {
-                        lines: body.to_vec(),
+                        lines: lines(body).map(str::to_string).collect(),
                     })
                 } else if kv.get("trace").is_some() {
                     Self::assemble_trace(&kv, body)
@@ -924,14 +947,12 @@ impl Response {
                     Ok(Self::Checkpointed {
                         epoch: e.parse().map_err(|_| ProtoError::bad("bad epoch="))?,
                     })
-                } else if body
-                    .iter()
-                    .any(|l| l.starts_with("STAT ") || l.starts_with("COUNTERS "))
+                } else if lines(body).any(|l| l.starts_with("STAT ") || l.starts_with("COUNTERS "))
                 {
                     Self::assemble_stats(body)
-                } else if body.iter().any(|l| l.starts_with("INFO ")) {
+                } else if lines(body).any(|l| l.starts_with("INFO ")) {
                     Ok(Self::Info(assemble_kv_body(body, "INFO ")?))
-                } else if body.iter().any(|l| l.starts_with("PLAN ")) {
+                } else if lines(body).any(|l| l.starts_with("PLAN ")) {
                     Ok(Self::Plan(assemble_kv_body(body, "PLAN ")?))
                 } else {
                     Ok(Self::Ok)
@@ -941,12 +962,12 @@ impl Response {
         }
     }
 
-    fn assemble_result(n: usize, body: &[String]) -> Result<Self, ProtoError> {
+    fn assemble_result(n: usize, body: &str) -> Result<Self, ProtoError> {
         let mut matches = Vec::new();
         let mut pairs = Vec::new();
         let mut metrics = WireMetrics::default();
-        for line in body {
-            let mut tokens = line.split_whitespace();
+        for line in lines(body) {
+            let mut tokens = line.split_ascii_whitespace();
             match tokens.next() {
                 Some("MATCH") => {
                     let kv = KvTokens::collect(tokens)?;
@@ -991,12 +1012,12 @@ impl Response {
         }
     }
 
-    fn assemble_repl(kind: &str, kv: &KvTokens, body: &[String]) -> Result<Self, ProtoError> {
+    fn assemble_repl(kind: &str, kv: &KvTokens, body: &str) -> Result<Self, ProtoError> {
         match kind {
             "frames" => {
                 let mut frames = Vec::new();
-                for line in body {
-                    let mut tokens = line.split_whitespace();
+                for line in lines(body) {
+                    let mut tokens = line.split_ascii_whitespace();
                     if tokens.next() != Some("FRAME") {
                         return Err(ProtoError::bad(format!("unexpected repl line `{line}`")));
                     }
@@ -1026,8 +1047,8 @@ impl Response {
             "snapshot" => {
                 let count: usize = kv.req_parse("count")?;
                 let mut entries = Vec::new();
-                for line in body {
-                    let mut tokens = line.split_whitespace();
+                for line in lines(body) {
+                    let mut tokens = line.split_ascii_whitespace();
                     if tokens.next() != Some("SNAP") {
                         return Err(ProtoError::bad(format!("unexpected repl line `{line}`")));
                     }
@@ -1055,11 +1076,11 @@ impl Response {
         }
     }
 
-    fn assemble_trace(kv: &KvTokens, body: &[String]) -> Result<Self, ProtoError> {
+    fn assemble_trace(kv: &KvTokens, body: &str) -> Result<Self, ProtoError> {
         let announced: usize = kv.req_parse("trace")?;
         let mut events = Vec::new();
-        for line in body {
-            let mut tokens = line.split_whitespace();
+        for line in lines(body) {
+            let mut tokens = line.split_ascii_whitespace();
             if tokens.next() != Some("TRACE") {
                 return Err(ProtoError::bad(format!("unexpected trace line `{line}`")));
             }
@@ -1082,10 +1103,10 @@ impl Response {
         Ok(Self::Trace { events })
     }
 
-    fn assemble_stats(body: &[String]) -> Result<Self, ProtoError> {
+    fn assemble_stats(body: &str) -> Result<Self, ProtoError> {
         let mut report = StatsReport::default();
-        for line in body {
-            let mut tokens = line.split_whitespace();
+        for line in lines(body) {
+            let mut tokens = line.split_ascii_whitespace();
             match tokens.next() {
                 Some("STAT") => {
                     let kv = KvTokens::collect(tokens)?;
@@ -1171,10 +1192,10 @@ impl Response {
 }
 
 /// Parses a homogeneous `<PREFIX> k=v` body (INFO/PLAN payloads).
-fn assemble_kv_body(body: &[String], prefix: &str) -> Result<Vec<(String, String)>, ProtoError> {
+fn assemble_kv_body(body: &str, prefix: &str) -> Result<Vec<(String, String)>, ProtoError> {
     let tag = prefix.trim_end();
     let mut pairs = Vec::new();
-    for line in body {
+    for line in lines(body) {
         let rest = line
             .strip_prefix(prefix)
             .ok_or_else(|| ProtoError::bad(format!("mixed {tag} body")))?;
@@ -1224,19 +1245,24 @@ fn write_metrics(w: &mut impl Write, m: &WireMetrics) -> io::Result<()> {
     )
 }
 
-fn read_line(r: &mut impl BufRead) -> io::Result<String> {
-    let mut line = String::new();
-    let n = r.read_line(&mut line)?;
-    if n == 0 {
-        return Err(io::Error::new(
+/// Appends one line (with its end of line) to `buf`; returns its length.
+fn read_line(r: &mut impl BufRead, buf: &mut String) -> io::Result<usize> {
+    match r.read_line(buf)? {
+        0 => Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-response",
-        ));
+        )),
+        n => Ok(n),
     }
-    while line.ends_with(['\n', '\r']) {
-        line.pop();
-    }
-    Ok(line)
+}
+
+fn trim_eol(line: &str) -> &str {
+    line.trim_end_matches(['\n', '\r'])
+}
+
+/// The lines of a response body, each without its end of line.
+fn lines(body: &str) -> impl Iterator<Item = &str> {
+    body.split_terminator('\n').map(trim_eol)
 }
 
 /// A protocol-level failure (bad verb, missing key, malformed value).
@@ -1257,24 +1283,56 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Collected `key=value` tokens of one line, each with a mark set once
-/// a getter has read it.
-struct KvTokens<'a>(Vec<(&'a str, &'a str, Cell<bool>)>);
+/// Tokens a line holds without [`KvTokens`] allocating: more than any
+/// verb or reply line carries.
+const KV_INLINE: usize = 8;
+
+/// Collected `key=value` tokens of one line, borrowed from it, each with a
+/// mark set once a getter has read it. Up to [`KV_INLINE`] live on the
+/// stack, so a reply line decodes without an allocation; a longer line
+/// moves them all to the heap.
+struct KvTokens<'a> {
+    inline: [Kv<'a>; KV_INLINE],
+    len: usize,
+    spilled: Vec<Kv<'a>>,
+}
+
+type Kv<'a> = (&'a str, &'a str, Cell<bool>);
 
 impl<'a> KvTokens<'a> {
     fn collect(tokens: impl Iterator<Item = &'a str>) -> Result<Self, ProtoError> {
-        let mut kv = Vec::new();
+        let mut kv = Self {
+            inline: Default::default(),
+            len: 0,
+            spilled: Vec::new(),
+        };
         for t in tokens {
             let (k, v) = t
                 .split_once('=')
                 .ok_or_else(|| ProtoError::bad(format!("token `{t}` is not key=value")))?;
-            kv.push((k, v, Cell::new(false)));
+            if kv.len < KV_INLINE {
+                kv.inline[kv.len] = (k, v, Cell::new(false));
+            } else {
+                if kv.len == KV_INLINE {
+                    kv.spilled.extend_from_slice(&kv.inline);
+                }
+                kv.spilled.push((k, v, Cell::new(false)));
+            }
+            kv.len += 1;
         }
-        Ok(Self(kv))
+        Ok(kv)
+    }
+
+    fn entries(&self) -> &[Kv<'a>] {
+        if self.len > KV_INLINE {
+            &self.spilled
+        } else {
+            &self.inline[..self.len]
+        }
     }
 
     fn get(&self, key: &str) -> Option<&'a str> {
-        let (_, v, read) = self.0.iter().find(|(k, ..)| *k == key)?;
+        let (_, v, read) = self.entries().iter().find(|(k, ..)| *k == key)?;
         read.set(true);
         Some(v)
     }
@@ -1282,8 +1340,9 @@ impl<'a> KvTokens<'a> {
     /// Requests only (responses stay lenient, so new keys reach old
     /// clients): fails on a key given twice or one `verb` never read.
     fn reject_unread(&self, verb: &str) -> Result<(), ProtoError> {
-        for (i, (k, _, read)) in self.0.iter().enumerate() {
-            if self.0[..i].iter().any(|(earlier, ..)| earlier == k) {
+        let entries = self.entries();
+        for (i, (k, _, read)) in entries.iter().enumerate() {
+            if entries[..i].iter().any(|(earlier, ..)| earlier == k) {
                 return Err(ProtoError::bad(format!("{k}= given twice")));
             }
             if !read.get() {
@@ -1758,6 +1817,67 @@ mod tests {
                 code,
                 msg: msg.into(),
             });
+        }
+    }
+
+    #[test]
+    fn reply_keys_are_order_free_and_unknown_ones_ignored() {
+        // More keys than a line holds on the stack, in another order, with
+        // keys this build does not know and a CRLF line end.
+        let input = b"OK n=2 shard=0\r\n\
+            MATCH dist=0.5 x1=a x2=b x3=c x4=d x5=e t=3 x6=f seq=1\n\
+            MATCH t=0 seq=9 dist=1.25\n\
+            METRICS wall_us=7 cands=5 cmps=4 fetches=3 nodes=2 later=1\n\
+            END\n";
+        let got = Response::read_from(&mut &input[..]).unwrap();
+        let want = Response::Matches {
+            n: 2,
+            matches: vec![
+                WireMatch {
+                    seq: 1,
+                    transform: 3,
+                    dist: 0.5,
+                },
+                WireMatch {
+                    seq: 9,
+                    transform: 0,
+                    dist: 1.25,
+                },
+            ],
+            metrics: WireMetrics {
+                nodes: 2,
+                fetches: 3,
+                cmps: 4,
+                cands: 5,
+                wall_us: 7,
+            },
+        };
+        assert_eq!(got, want);
+        // Requests stay strict past the stack-held tokens too.
+        let many = "QUERY ord=1 ma=1..8 rho=0.9 engine=mt limit=1 a=1 b=2 c=3 d=4";
+        let e = Request::parse(many).unwrap_err();
+        assert_eq!(e.to_string(), "QUERY takes no a=");
+        let twice = "QUERY ord=1 ma=1..8 rho=0.9 engine=mt limit=1 ord=2 b=2 c=3 d=4";
+        let e = Request::parse(twice).unwrap_err();
+        assert_eq!(e.to_string(), "ord= given twice");
+        let e = Request::parse("QUERY ord=1 ma=1..8 rho=0.9 engine=mt limit=1 x y").unwrap_err();
+        assert_eq!(e.to_string(), "token `x` is not key=value");
+    }
+
+    #[test]
+    fn the_longest_insert_fits_the_line_bound() {
+        // The longest renderings: below 1e-307 with 17 digits, subnormal.
+        for v in [-f64::MIN_POSITIVE, -5e-324, -4.3087481344686126e-308] {
+            assert_eq!(v.to_string().len(), F64_TEXT_MAX, "{v:e}");
+        }
+        assert!(f64::MIN.to_string().len() < F64_TEXT_MAX);
+        for seq_len in [1, 64, 128, 1024] {
+            let line = Request::Insert {
+                values: vec![-f64::MIN_POSITIVE; seq_len],
+            }
+            .to_line();
+            assert!(line.len() + "\r\n".len() <= max_request_line(seq_len));
+            assert!(max_request_line(seq_len) - line.len() <= 4096 + 2);
         }
     }
 

@@ -20,7 +20,8 @@
 use crate::admission::{Gate, Refused};
 use crate::metrics::{op_index, Registry};
 use crate::protocol::{
-    EngineKind, ErrCode, Request, Response, WireMatch, WireMetrics, WirePair, WireTraceEvent,
+    max_request_line, EngineKind, ErrCode, Request, Response, WireMatch, WireMetrics, WirePair,
+    WireThreshold, WireTraceEvent,
 };
 use crate::repl::{serve_repl, FollowerStats, ReplPoll, ReplState};
 use simobs::SlowLog;
@@ -29,7 +30,7 @@ use simquery::report::{JoinResult, QueryError};
 use simquery::shard::ShardedIndex;
 use simquery::shared::{DurableError, SharedIndex};
 use simshard::gather;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -226,17 +227,20 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut line = Vec::new();
+    let mut memo = Lowered::default();
     loop {
-        line.clear();
-        // Bytes, not `read_line`: an undecodable line is the client's
-        // error to be told about, not an I/O error ending the connection.
-        if reader.read_until(b'\n', &mut line)? == 0 {
-            return Ok(()); // client hung up
-        }
-        let request = match std::str::from_utf8(&line) {
-            Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => Request::parse(text).map_err(|e| e.to_string()),
-            Err(_) => Err("request line is not valid UTF-8".into()),
+        // Read per line: a follower's snapshot install may change it.
+        let max_line = max_request_line(backend.seq_len());
+        let request = match read_request_line(&mut reader, &mut line, max_line)? {
+            Line::Eof => return Ok(()), // client hung up
+            Line::Oversize => Err(format!("request line exceeds {max_line} bytes")),
+            // Bytes, not `read_line`: an undecodable line is the client's
+            // error to be told about, not an I/O error ending the connection.
+            Line::Read => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Request::parse(text).map_err(|e| e.to_string()),
+                Err(_) => Err("request line is not valid UTF-8".into()),
+            },
         };
         let response = match request {
             Err(msg) => err(ErrCode::BadRequest, msg),
@@ -280,7 +284,7 @@ fn handle_connection(
                         // the connection and (through the permit's drop) the
                         // slot survive.
                         let response = catch_unwind(AssertUnwindSafe(|| {
-                            execute(backend, metrics, cache, repl, request)
+                            execute(backend, metrics, cache, repl, &mut memo, request)
                         }))
                         .unwrap_or_else(|_| err(ErrCode::Server, "the request panicked"));
                         let is_err = matches!(response, Response::Err { .. });
@@ -300,6 +304,49 @@ fn handle_connection(
         };
         response.write_to(&mut writer)?;
         writer.flush()?;
+    }
+}
+
+/// How [`read_request_line`] ended.
+enum Line {
+    /// The client hung up before sending a byte.
+    Eof,
+    /// A line (ending in `\n`, or cut by the client hanging up) is in the
+    /// buffer.
+    Read,
+    /// The line outgrew its bound and was discarded through its `\n`.
+    Oversize,
+}
+
+/// Reads one request line into `line`, at most `max` bytes with its `\n`.
+/// A longer line is consumed through its `\n` without being buffered, so a
+/// client that never ends its line cannot grow the connection's memory.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<Line> {
+    line.clear();
+    let n = reader.by_ref().take(max as u64).read_until(b'\n', line)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if n < max || line.ends_with(b"\n") {
+        return Ok(Line::Read);
+    }
+    loop {
+        let buf = reader.fill_buf()?;
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(Line::Oversize);
+            }
+            None if buf.is_empty() => return Ok(Line::Oversize),
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
+        }
     }
 }
 
@@ -328,14 +375,15 @@ impl Request {
 
 /// Executes one request against the backend. `Stats` reads the metrics
 /// registry; everything else touches only the index (or its shards).
-/// Query verbs build a [`LogicalQuery`], consult the result cache, and
-/// route through the plan layer — the server never calls an engine
-/// directly.
+/// Query verbs lower to a [`LogicalQuery`] through the connection's
+/// `memo`, consult the result cache, and route through the plan layer —
+/// the server never calls an engine directly.
 fn execute(
     backend: &Backend,
     metrics: &Registry,
     cache: &PlanCache,
     repl: &ReplState,
+    memo: &mut Lowered,
     request: Request,
 ) -> Response {
     if repl.is_follower()
@@ -351,9 +399,9 @@ fn execute(
     }
     match request {
         Request::Query(_) | Request::Knn { .. } | Request::Join { .. } => {
-            run_query_verb(backend, cache, metrics.slow(), &request)
+            run_query_verb(backend, cache, metrics.slow(), memo, &request)
         }
-        Request::Explain { inner } => run_explain(backend, &inner),
+        Request::Explain { inner } => run_explain(backend, memo, &inner),
         Request::Insert { values } => {
             // The WAL-aware mutation paths: logged-then-acked when the
             // backend is durable, plain apply otherwise.
@@ -499,16 +547,6 @@ fn not_durable() -> Response {
     )
 }
 
-fn family_for(ma: (usize, usize), seq_len: usize) -> Result<Family, Response> {
-    if ma.1 > seq_len {
-        return Err(err(
-            ErrCode::Query,
-            format!("ma window {} exceeds sequence length {seq_len}", ma.1),
-        ));
-    }
-    Ok(Family::moving_averages(ma.0..=ma.1, seq_len))
-}
-
 /// Wire engine choice → planner preference.
 pub fn engine_pref(kind: EngineKind) -> EnginePref {
     match kind {
@@ -556,71 +594,144 @@ fn pairs_response(r: &JoinResult, limit: usize) -> Response {
     }
 }
 
-/// Validates the ordinal and family, then fetches the query sequence —
-/// the shared front half of every ord-addressed query verb.
-fn prepare(
+/// A query verb without its ordinal and `limit`: everything its
+/// [`LogicalQuery`] is built from besides the served sequence length.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Range((usize, usize), WireThreshold, EngineKind),
+    Knn((usize, usize), usize),
+    Join((usize, usize), WireThreshold, EngineKind),
+}
+
+impl Shape {
+    /// The shape and query ordinal of a query verb.
+    fn of(request: &Request) -> Option<(Self, Option<usize>)> {
+        match *request {
+            Request::Query(p) => Some((Self::Range(p.ma, p.threshold, p.engine), Some(p.ord))),
+            Request::Knn { ord, k, ma } => Some((Self::Knn(ma, k), Some(ord))),
+            Request::Join {
+                ma,
+                threshold,
+                engine,
+                ..
+            } => Some((Self::Join(ma, threshold, engine), None)),
+            _ => None,
+        }
+    }
+
+    fn ma(self) -> (usize, usize) {
+        match self {
+            Self::Range(ma, ..) | Self::Knn(ma, _) | Self::Join(ma, ..) => ma,
+        }
+    }
+
+    /// Builds the family — one FFT per member — and the query over it.
+    fn lower(self, seq_len: usize) -> LogicalQuery {
+        let (lo, hi) = self.ma();
+        let family = Family::moving_averages(lo..=hi, seq_len);
+        match self {
+            Self::Range(_, t, engine) => {
+                LogicalQuery::range(family, t.to_spec()).with_engine(engine_pref(engine))
+            }
+            Self::Knn(_, k) => LogicalQuery::knn(family, k),
+            Self::Join(_, t, engine) => {
+                LogicalQuery::join(family, t.to_spec()).with_engine(engine_pref(engine))
+            }
+        }
+    }
+}
+
+/// Thresholds compare by bits, so a memo hit lowers to the very query,
+/// fingerprint included, that a fresh lowering would.
+impl PartialEq for Shape {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |t: &WireThreshold| match *t {
+            WireThreshold::Rho(r) => (0, r.to_bits()),
+            WireThreshold::Eps(e) => (1, e.to_bits()),
+        };
+        match (self, other) {
+            (Self::Range(m, t, e), Self::Range(m2, t2, e2))
+            | (Self::Join(m, t, e), Self::Join(m2, t2, e2)) => {
+                m == m2 && bits(t) == bits(t2) && e == e2
+            }
+            (Self::Knn(m, k), Self::Knn(m2, k2)) => m == m2 && k == k2,
+            _ => false,
+        }
+    }
+}
+
+/// A connection's last lowered query, keyed by its [`Shape`] and the
+/// served sequence length. A client that repeats one shape — the paper's
+/// fixed family, with only the query sequence changing — builds the
+/// family once per connection instead of once per request.
+#[derive(Default)]
+struct Lowered(Option<(Shape, usize, LogicalQuery)>);
+
+impl Lowered {
+    fn get(&mut self, shape: Shape, seq_len: usize) -> &LogicalQuery {
+        let hit = self
+            .0
+            .take()
+            .filter(|(s, n, _)| *s == shape && *n == seq_len);
+        let (.., lq) = self
+            .0
+            .insert(hit.unwrap_or_else(|| (shape, seq_len, shape.lower(seq_len))));
+        lq
+    }
+}
+
+/// Lowers a query verb to its logical query (through the connection's
+/// memo) and query sequence — shared by execution and `EXPLAIN`. Every
+/// check runs per request, before the memo is consulted: `JOIN` on a
+/// group of more than one shard, the ordinal, the window against the
+/// sequence length, and the ordinal again under the shard's read guard.
+fn lower<'m>(
     backend: &Backend,
-    ord: usize,
-    ma: (usize, usize),
-) -> Result<(Family, TimeSeries), Response> {
-    let out_of_range = || {
+    memo: &'m mut Lowered,
+    request: &Request,
+) -> Result<(&'m LogicalQuery, Option<TimeSeries>), Response> {
+    // Request::parse only wraps query verbs in EXPLAIN.
+    let Some((shape, ord)) = Shape::of(request) else {
+        return Err(err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN"));
+    };
+    if matches!(shape, Shape::Join(..)) && SharedIndex::try_from(Arc::clone(backend)).is_err() {
+        return Err(err(
+            ErrCode::Query,
+            "JOIN is not supported on a sharded backend (pairs cross shards); \
+             serve the index unsharded to join",
+        ));
+    }
+    let out_of_range = |ord: usize| {
         err(
             ErrCode::Range,
             format!("ordinal {ord} out of range (0..{})", backend.len()),
         )
     };
-    if ord >= backend.len() {
-        return Err(out_of_range());
+    if let Some(ord) = ord.filter(|&ord| ord >= backend.len()) {
+        return Err(out_of_range(ord));
     }
-    let family = family_for(ma, backend.seq_len())?;
+    let seq_len = backend.seq_len();
+    if shape.ma().1 > seq_len {
+        return Err(err(
+            ErrCode::Query,
+            format!(
+                "ma window {} exceeds sequence length {seq_len}",
+                shape.ma().1
+            ),
+        ));
+    }
     // Re-checked under the shard's read guard: a replica snapshot install
     // may have shrunk the index since the check above.
-    let q = backend
-        .fetch_series(ord)
-        .map_err(query_err)?
-        .ok_or_else(out_of_range)?;
-    Ok((family, q))
-}
-
-/// Lowers a query verb to its logical query and query sequence — shared
-/// by execution and `EXPLAIN`. `JOIN` gets its typed rejection on a
-/// group of more than one shard here.
-fn lower(
-    backend: &Backend,
-    request: &Request,
-) -> Result<(LogicalQuery, Option<TimeSeries>), Response> {
-    match *request {
-        Request::Query(p) => {
-            let (family, q) = prepare(backend, p.ord, p.ma)?;
-            let lq = LogicalQuery::range(family, p.threshold.to_spec())
-                .with_engine(engine_pref(p.engine));
-            Ok((lq, Some(q)))
-        }
-        Request::Knn { ord, k, ma } => {
-            let (family, q) = prepare(backend, ord, ma)?;
-            Ok((LogicalQuery::knn(family, k), Some(q)))
-        }
-        Request::Join {
-            ma,
-            threshold,
-            engine,
-            ..
-        } => {
-            if SharedIndex::try_from(Arc::clone(backend)).is_err() {
-                return Err(err(
-                    ErrCode::Query,
-                    "JOIN is not supported on a sharded backend (pairs cross shards); \
-                     serve the index unsharded to join",
-                ));
-            }
-            let family = family_for(ma, backend.seq_len())?;
-            let lq =
-                LogicalQuery::join(family, threshold.to_spec()).with_engine(engine_pref(engine));
-            Ok((lq, None))
-        }
-        // Request::parse only wraps query verbs in EXPLAIN.
-        _ => Err(err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN")),
-    }
+    let q = match ord {
+        Some(ord) => Some(
+            backend
+                .fetch_series(ord)
+                .map_err(query_err)?
+                .ok_or_else(|| out_of_range(ord))?,
+        ),
+        None => None,
+    };
+    Ok((memo.get(shape, seq_len), q))
 }
 
 /// Executes a cacheable query verb: epoch-keyed cache lookup, then the
@@ -654,9 +765,10 @@ fn run_query_verb(
     backend: &Backend,
     cache: &PlanCache,
     slow: &SlowLog,
+    memo: &mut Lowered,
     request: &Request,
 ) -> Response {
-    let (lq, q) = match lower(backend, request) {
+    let (lq, q) = match lower(backend, memo, request) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
@@ -665,7 +777,7 @@ fn run_query_verb(
         Request::Join { limit, .. } => *limit,
         _ => 0,
     };
-    match run_cached(backend, cache, slow, &lq, q.as_ref()) {
+    match run_cached(backend, cache, slow, lq, q.as_ref()) {
         Ok(PlanOutput::Range(r)) => matches_response(&r.matches, &r.metrics, limit),
         Ok(PlanOutput::Knn(matches, metrics)) => matches_response(&matches, &metrics, limit),
         Ok(PlanOutput::Join(r)) => pairs_response(&r, limit),
@@ -677,12 +789,12 @@ fn run_query_verb(
 /// cache (an EXPLAIN that answered from cache would have no actual cost
 /// to report), and renders the chosen plan with estimated-vs-actual
 /// counters.
-fn run_explain(backend: &Backend, inner: &Request) -> Response {
-    let (lq, q) = match lower(backend, inner) {
+fn run_explain(backend: &Backend, memo: &mut Lowered, inner: &Request) -> Response {
+    let (lq, q) = match lower(backend, memo, inner) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    match gather::execute(backend, &lq, q.as_ref()) {
+    match gather::execute(backend, lq, q.as_ref()) {
         Ok((plan, out, _)) => {
             let m = out.metrics();
             let n = match &out {

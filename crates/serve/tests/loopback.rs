@@ -10,7 +10,10 @@ use simquery::index::AccessCounters;
 use simquery::plan;
 use simquery::prelude::*;
 use simserve::client::Client;
-use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireMetrics, WireThreshold};
+use simserve::protocol::{
+    max_request_line, EngineKind, ErrCode, QueryParams, Request, Response, WireMetrics,
+    WireThreshold,
+};
 use simserve::server::{engine_pref, serve, ServerConfig, ServerHandle};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -664,5 +667,325 @@ fn large_replies_do_not_stall_on_nagle() {
         "20 cached large replies took {elapsed:?}"
     );
     client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// A reply's answer with every distance as its bits: what two replies
+/// must share to be the same answer.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Matches(usize, Vec<(usize, usize, u64)>),
+    Pairs(usize, Vec<(usize, usize, usize, u64)>),
+    Plan(Vec<(String, String)>),
+    Err(ErrCode, String),
+}
+
+fn answer(response: Response) -> Answer {
+    match response {
+        Response::Matches { n, matches, .. } => Answer::Matches(
+            n,
+            matches
+                .iter()
+                .map(|m| (m.seq, m.transform, m.dist.to_bits()))
+                .collect(),
+        ),
+        Response::Pairs { n, pairs, .. } => Answer::Pairs(
+            n,
+            pairs
+                .iter()
+                .map(|p| (p.a, p.b, p.transform, p.dist.to_bits()))
+                .collect(),
+        ),
+        // Everything but the clock.
+        Response::Plan(pairs) => {
+            Answer::Plan(pairs.into_iter().filter(|(k, _)| k != "wall_us").collect())
+        }
+        Response::Err { code, msg } => Answer::Err(code, msg),
+        other => panic!("not a query reply: {other:?}"),
+    }
+}
+
+/// What `plan::run` answers for `request` over a freshly built family, in
+/// the shape [`answer`] gives a reply.
+fn plan_run_answer(index: &SeqIndex, stats: &StatsRegistry, request: &Request) -> Answer {
+    let (inner, explain) = match request {
+        Request::Explain { inner } => (&**inner, true),
+        other => (other, false),
+    };
+    let family = |(lo, hi): (usize, usize)| Family::moving_averages(lo..=hi, index.seq_len());
+    let (lq, ord) = match *inner {
+        Request::Query(p) => (
+            LogicalQuery::range(family(p.ma), p.threshold.to_spec())
+                .with_engine(engine_pref(p.engine)),
+            Some(p.ord),
+        ),
+        Request::Knn { ord, k, ma } => (LogicalQuery::knn(family(ma), k), Some(ord)),
+        Request::Join {
+            ma,
+            threshold,
+            engine,
+            ..
+        } => (
+            LogicalQuery::join(family(ma), threshold.to_spec()).with_engine(engine_pref(engine)),
+            None,
+        ),
+        ref other => panic!("not a query verb: {other:?}"),
+    };
+    let q = ord.map(|ord| index.fetch_series(ord).unwrap());
+    let (plan, out) = plan::run(index, stats, &lq, q.as_ref()).unwrap();
+    let m = out.metrics();
+    let n = match &out {
+        PlanOutput::Range(r) => r.matches.len(),
+        PlanOutput::Knn(matches, _) => matches.len(),
+        PlanOutput::Join(r) => r.matches.len(),
+    };
+    if explain {
+        return Answer::Plan(vec![
+            ("verb".into(), inner.op_name().into()),
+            ("engine".into(), plan.engine.as_str().into()),
+            ("chosen_by".into(), plan.chosen_by.as_str().into()),
+            ("partitions".into(), plan.partitions().to_string()),
+            ("fanout".into(), plan.fanout.to_string()),
+            ("threads".into(), plan.threads.to_string()),
+            ("est_nodes".into(), format!("{:.1}", plan.est_nodes)),
+            ("est_pages".into(), format!("{:.1}", plan.est_pages)),
+            ("est_cmps".into(), format!("{:.1}", plan.est_comparisons)),
+            ("est_cost".into(), format!("{:.1}", plan.est_cost)),
+            ("nodes".into(), m.node_accesses.to_string()),
+            ("pages".into(), m.record_page_accesses.to_string()),
+            ("cmps".into(), m.comparisons.to_string()),
+            ("matches".into(), n.to_string()),
+        ]);
+    }
+    let bits = |m: &Match| (m.seq, m.transform, m.dist.to_bits());
+    match out {
+        PlanOutput::Range(r) => Answer::Matches(n, r.matches.iter().map(bits).collect()),
+        PlanOutput::Knn(matches, _) => Answer::Matches(n, matches.iter().map(bits).collect()),
+        PlanOutput::Join(r) => Answer::Pairs(
+            n,
+            r.matches
+                .iter()
+                .map(|p| (p.seq_a, p.seq_b, p.transform, p.dist.to_bits()))
+                .collect(),
+        ),
+    }
+}
+
+/// One connection lowers each query shape once and reuses it while the
+/// shape repeats. Cycling through shapes that differ in one field each —
+/// the window, ρ by one ulp, ρ against ε, ε, the engine, `k`, the verb —
+/// with error frames in between, every reply must be the one a fresh
+/// connection gets and the one `plan::run` gives over a freshly built
+/// family. The reference index executes in lockstep with the server (no
+/// result cache), so the planner's statistics agree on both sides.
+#[test]
+fn lowering_memo_never_answers_for_another_shape() {
+    let c = corpus(60, 19);
+    let build = || SeqIndex::build(&c, IndexConfig::default()).unwrap();
+    let reference = build();
+    let stats = StatsRegistry::new();
+    let handle = serve(SharedIndex::new(build()), &test_config()).unwrap();
+    let mut memo = Client::connect(handle.addr).unwrap();
+
+    let query = |ord, ma, threshold, engine| {
+        Request::Query(QueryParams {
+            ord,
+            ma,
+            threshold,
+            engine,
+            limit: 0,
+        })
+    };
+    // Loose thresholds, so that neighbouring shapes answer differently
+    // (a query sequence alone matches itself under every member).
+    let rho = WireThreshold::Rho(0.8);
+    let rho_ulp = WireThreshold::Rho(f64::from_bits(0.8f64.to_bits() + 1));
+    let eps = WireThreshold::Eps(6.0);
+    let explain = |inner: Request| Request::Explain {
+        inner: Box::new(inner),
+    };
+    // Loose enough that the join has pairs: an empty one decodes as an
+    // empty match list.
+    let join = |engine| Request::Join {
+        ma: (2, 9),
+        threshold: WireThreshold::Rho(0.8),
+        engine,
+        limit: 0,
+    };
+    let cycle = [
+        query(3, (1, 8), rho, EngineKind::Mt),
+        query(5, (1, 8), rho, EngineKind::Mt),
+        query(5, (2, 9), rho, EngineKind::Mt),
+        query(5, (2, 9), rho_ulp, EngineKind::Mt),
+        query(5, (2, 9), eps, EngineKind::Mt),
+        query(5, (2, 9), WireThreshold::Eps(7.0), EngineKind::Mt),
+        query(7, (2, 9), eps, EngineKind::St),
+        query(7, (2, 9), eps, EngineKind::Scan),
+        query(7, (2, 9), eps, EngineKind::Auto),
+        // The window outgrows the sequences: ERR QUERY, then the shape
+        // before it again.
+        query(7, (2, 1000), eps, EngineKind::Auto),
+        query(8, (2, 9), eps, EngineKind::Auto),
+        Request::Knn {
+            ord: 2,
+            k: 3,
+            ma: (2, 9),
+        },
+        Request::Knn {
+            ord: 2,
+            k: 5,
+            ma: (2, 9),
+        },
+        // An ordinal out of range: ERR RANGE, then a kNN of its shape.
+        Request::Knn {
+            ord: 999,
+            k: 5,
+            ma: (2, 9),
+        },
+        Request::Knn {
+            ord: 4,
+            k: 5,
+            ma: (2, 9),
+        },
+        // A range query and a join of one window, threshold and engine.
+        query(6, (2, 9), rho, EngineKind::Mt),
+        join(EngineKind::Mt),
+        join(EngineKind::St),
+        // EXPLAIN names the engine, so these three tell the engines apart
+        // even where their answers agree.
+        explain(query(1, (1, 8), rho, EngineKind::Mt)),
+        explain(query(1, (1, 8), rho, EngineKind::St)),
+        explain(query(1, (1, 8), rho, EngineKind::Scan)),
+        explain(Request::Knn {
+            ord: 1,
+            k: 3,
+            ma: (1, 8),
+        }),
+        explain(join(EngineKind::Mt)),
+    ];
+    // Twice round, so the first request meets a memo the last one left.
+    for request in cycle.iter().chain(&cycle) {
+        let line = request.to_line();
+        let got = answer(memo.call(request).unwrap());
+        let mut fresh = Client::connect(handle.addr).unwrap();
+        let fresh_got = answer(fresh.call(request).unwrap());
+        fresh.quit().unwrap();
+        if let Answer::Err(code, _) = &got {
+            let want = if line.contains("ord=999") {
+                ErrCode::Range
+            } else {
+                ErrCode::Query
+            };
+            assert_eq!(*code, want, "{line}: {got:?}");
+            assert!(line.contains("ord=999") || line.contains("ma=2..1000"));
+            assert_eq!(got, fresh_got, "{line}: error frames differ");
+            continue;
+        }
+        // One reference execution per server execution, in the same order.
+        let want = plan_run_answer(&reference, &stats, request);
+        let fresh_want = plan_run_answer(&reference, &stats, request);
+        assert_eq!(got, want, "{line}: memo connection vs plan::run");
+        assert_eq!(
+            fresh_got, fresh_want,
+            "{line}: fresh connection vs plan::run"
+        );
+        if !matches!(request, Request::Explain { .. }) {
+            assert_eq!(got, fresh_got, "{line}: memo vs fresh connection");
+        }
+    }
+    memo.quit().unwrap();
+    handle.shutdown();
+}
+
+/// The request line is bounded from the served sequence length, with room
+/// for the longest legal `INSERT`. A longer line answers `ERR BADREQ` and
+/// is discarded through its `\n` — the connection then serves the next
+/// request exactly — and the longest legal `INSERT`, even padded to the
+/// bound, is still accepted.
+#[test]
+fn oversize_request_line_is_refused_and_the_connection_survives() {
+    let (shared, handle) = start(20, 23);
+    let seq_len = shared.read().seq_len();
+    let max = max_request_line(seq_len);
+    let mut raw = TcpStream::connect(handle.addr).unwrap();
+    let mut replies = BufReader::new(raw.try_clone().unwrap());
+    let mut send = |bytes: &[u8]| raw.write_all(bytes).unwrap();
+    let is_badreq = |r: &Response| {
+        matches!(
+            r,
+            Response::Err {
+                code: ErrCode::BadRequest,
+                ..
+            }
+        )
+    };
+
+    // 1 MiB with no line end yet, then one byte over the bound.
+    let mut huge = vec![b'x'; 1 << 20];
+    huge.push(b'\n');
+    send(&huge);
+    let over = format!("{}\n", " ".repeat(max));
+    assert_eq!(over.len(), max + 1);
+    send(over.as_bytes());
+    for _ in 0..2 {
+        let r = Response::read_from(&mut replies).unwrap();
+        assert!(is_badreq(&r), "{r:?}");
+        let Response::Err { msg, .. } = r else {
+            unreachable!()
+        };
+        assert!(msg.contains(&max.to_string()), "{msg}");
+    }
+
+    // The same connection answers a QUERY exactly.
+    let request = Request::Query(QueryParams {
+        ord: 4,
+        ma: (2, 9),
+        threshold: WireThreshold::Rho(0.9),
+        engine: EngineKind::Mt,
+        limit: 0,
+    });
+    send(format!("{}\n", request.to_line()).as_bytes());
+    let got = answer(Response::read_from(&mut replies).unwrap());
+    let mut fresh = Client::connect(handle.addr).unwrap();
+    assert_eq!(got, answer(fresh.call(&request).unwrap()));
+    let index = shared.read();
+    let family = Family::moving_averages(2..=9, seq_len);
+    let q = index.fetch_series(4).unwrap();
+    let want = mtindex::range_query(&index, &q, &family, &WireThreshold::Rho(0.9).to_spec())
+        .unwrap()
+        .sorted_pairs();
+    drop(index);
+    let Answer::Matches(n, matches) = got else {
+        panic!("QUERY after an oversize line: {got:?}")
+    };
+    let mut pairs: Vec<_> = matches.iter().map(|&(seq, t, _)| (seq, t)).collect();
+    pairs.sort_unstable();
+    assert_eq!((n, pairs), (want.len(), want));
+
+    // The longest legal INSERT: every value renders at the longest a
+    // finite f64 does (a degenerate series, which the index takes).
+    let values: Vec<f64> = (0..seq_len)
+        .map(|i| [-f64::MIN_POSITIVE, -5e-324][i % 2])
+        .collect();
+    let line = Request::Insert {
+        values: values.clone(),
+    }
+    .to_line();
+    assert!(values.iter().all(|v| v.to_string().len() == 327));
+    assert!(line.len() < max);
+    send(format!("{line}\n").as_bytes());
+    let r = Response::read_from(&mut replies).unwrap();
+    assert_eq!(r, Response::Inserted { ord: 20 });
+    // Padded to exactly the bound, line end included, it still fits.
+    let padded = format!("{line}{}\n", " ".repeat(max - line.len() - 1));
+    assert_eq!(padded.len(), max);
+    send(padded.as_bytes());
+    let r = Response::read_from(&mut replies).unwrap();
+    assert_eq!(r, Response::Inserted { ord: 21 });
+    let stored = shared.read().fetch_series(21).unwrap();
+    assert_eq!(stored.values(), &values[..]);
+
+    send(b"QUIT\n");
+    assert_eq!(Response::read_from(&mut replies).unwrap(), Response::Ok);
     handle.shutdown();
 }

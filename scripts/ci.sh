@@ -84,7 +84,7 @@ recovery|-p simshard --lib index|the index group map: poisoned appends stay mapp
 recovery|-p simserve --test recovery_loopback|durable simserved restart loopback
 parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards; a group of one is plan::run
 parity|-p simshard --test parity|sharded-vs-single engine suite
-parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire; a served group of one is plan::run
+parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire; a served group of one is plan::run; the per-connection lowering memo answers each shape as a fresh connection and plan::run do
 replication|-p simserve --test replication_loopback|loopback convergence + read-only follower
 replication|-p simserve --test replication_crash|crash at every frame boundary, both roles
 replication|-p simserve --test replication_chaos|faulted follower devices during apply
@@ -96,7 +96,7 @@ failover|-p simserve --test failover_promotion|promotion at every frame boundary
 failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3)
 failover|-p simserve --test shutdown_drain|graceful-shutdown drain
 serve|-p simserve --lib|admission gate, protocol and metrics unit tests
-serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 0
+serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 0, the lowering memo across shapes, an oversize line refused with the connection kept
 serve|-p simserve --test serve_load|8-connection parity, BUSY counted not fatal
 serve|-p simserve --test sharded_loopback|the same wire over a shard group
 serve|-p simserve --test shutdown_drain|drain answers admitted requests, times the gate
