@@ -15,7 +15,7 @@
 
 use bench::table::{f2, Table};
 use simquery::index::{IndexConfig, SeqIndex};
-use simquery::shared::SharedIndex;
+use simquery::shard::ShardedIndex;
 use simserve::client::Client;
 use simserve::repl::{self, FollowerOpts};
 use simserve::server::{serve, ServerConfig};
@@ -72,9 +72,9 @@ fn run_one(snapshot: &PathBuf, followers: usize, inserts: usize, seed: u64) -> R
     let idx = scratch(&format!("idx_f{followers}"));
     let wal = scratch(&format!("wal_f{followers}"));
     copy_dir(snapshot, &idx);
-    let (shared, _) =
-        SharedIndex::open_durable(&idx, &wal, 64, FsyncPolicy::Never).expect("open durable");
-    let handle = serve(shared, &server_config()).expect("serve primary");
+    let (group, _) =
+        ShardedIndex::open_durable(&idx, &wal, 64, FsyncPolicy::Never).expect("open durable");
+    let handle = serve(group, &server_config()).expect("serve primary");
     let addr = handle.addr.to_string();
 
     let stop = Arc::new(AtomicBool::new(false));

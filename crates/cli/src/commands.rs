@@ -2,7 +2,6 @@
 
 use crate::args::{err, CliError};
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
 use simserve::opts::Opts;
 use simshard::{gather, ShardConfig, ShardedIndex};
 use std::path::{Path, PathBuf};
@@ -180,7 +179,7 @@ pub fn query(args: &Opts) -> CliResult {
     let spec = spec_from(args)?;
     // `paper` is a heuristic filter whose false dismissals depend on the
     // tree shape, so across shards the answer would vary with their count.
-    if spec.policy == FilterPolicy::Paper && SharedIndex::try_from(Arc::clone(&store)).is_err() {
+    if spec.policy == FilterPolicy::Paper && store.shard_count() > 1 {
         return Err(err(
             "--policy paper is tree-layout-dependent and may differ across \
              shard counts; use adaptive|safe",
@@ -218,7 +217,7 @@ pub fn join(args: &Opts) -> CliResult {
         "index", "ma", "shift", "inverted", "rho", "eps", "engine", "policy", "mode", "limit",
     ])?;
     let (store, names) = open_store(args)?;
-    if SharedIndex::try_from(Arc::clone(&store)).is_err() {
+    if store.shard_count() > 1 {
         return Err(err(
             "join is not supported on a sharded index (pairs cross shards)",
         ));

@@ -14,11 +14,9 @@
 //! - checkpoint, sync, and the epoch and mutation counters behind
 //!   [`QueryEpoch`];
 //! - the fence and the replica position (the applied LSN and the
-//!   primary's epoch).
-//!
-//! [`SharedIndex`] is the view of a group that proves it has exactly one
-//! shard. The replication operations — a snapshot does not carry a shard
-//! assignment — exist only there.
+//!   primary's epoch), and the replication operations: the snapshot cut a
+//!   primary ships, the frame apply and snapshot install a follower runs,
+//!   and promotion.
 //!
 //! # Locking
 //!
@@ -224,7 +222,9 @@ impl ShardedIndex {
         cfg: ShardConfig,
         index_cfg: IndexConfig,
     ) -> Result<Self, ShardError> {
-        Self::build_with(corpus, cfg, |_, sub| Ok(SeqIndex::build(sub, index_cfg)))
+        Self::build_with(corpus, cfg, None, |_, sub| {
+            Ok(SeqIndex::build(sub, index_cfg))
+        })
     }
 
     /// [`Self::build`] with caller-supplied page devices per shard — e.g.
@@ -237,26 +237,31 @@ impl ShardedIndex {
         index_cfg: IndexConfig,
         mut devices: impl FnMut(usize) -> (Arc<dyn PageDevice>, Arc<dyn PageDevice>),
     ) -> Result<Self, ShardError> {
-        Self::build_with(corpus, cfg, |shard, sub| {
+        Self::build_with(corpus, cfg, None, |shard, sub| {
             let (tree, heap) = devices(shard);
             SeqIndex::build_on(sub, index_cfg, tree, heap)
         })
     }
 
+    /// Builds one index per shard from the ordinals placed on it:
+    /// `assignment[g]` is the shard of global ordinal `g`, and `None`
+    /// places every ordinal by [`shard_of`].
     fn build_with(
         corpus: &Corpus,
         cfg: ShardConfig,
+        assignment: Option<&[usize]>,
         mut build: impl FnMut(usize, &Corpus) -> Result<Option<SeqIndex>, PageError>,
     ) -> Result<Self, ShardError> {
-        let cfg = cfg.validated().map_err(ShardError::Config)?;
+        let shards = cfg.validated().map_err(ShardError::Config)?.shards;
         if corpus.is_empty() || corpus.series_len() == 0 {
             return Err(ShardError::EmptyCorpus);
         }
-        let assignment: Vec<usize> = (0..corpus.len()).map(|g| shard_of(g, cfg.shards)).collect();
-        let map = ShardMap::from_assignment(cfg.shards, &assignment);
-
-        let mut indexes = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
+        let map = match assignment {
+            Some(placed) => ShardMap::from_assignment(shards, placed),
+            None => ShardMap::from_assignment(shards, &hashed(corpus.len(), shards)),
+        };
+        let mut indexes = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let globals = map.globals_of(shard);
             if globals.is_empty() {
                 return Err(ShardError::EmptyShard(shard));
@@ -280,6 +285,39 @@ impl ShardedIndex {
             },
             None,
         ))
+    }
+
+    /// Builds a group from stored rows — `(values, live)` per global
+    /// ordinal, in order — with ordinal `g` on shard `assignment[g]`, then
+    /// tombstones the dead rows: what a repartition ([`Self::from_index`])
+    /// and a replica of a snapshot transfer both are. A group of one
+    /// persists as a plain index directory. A placement on a shard the
+    /// group lacks, or a shard left without rows, is a typed error; rows
+    /// of differing lengths or placements panic ([`Corpus::from_parts`]).
+    pub fn from_rows(
+        rows: Vec<(TimeSeries, bool)>,
+        assignment: &[usize],
+        cfg: ShardConfig,
+        index_cfg: IndexConfig,
+    ) -> Result<Self, ShardError> {
+        let cfg = cfg.validated().map_err(ShardError::Config)?;
+        assert_eq!(rows.len(), assignment.len(), "one placement per row");
+        if let Some(s) = assignment.iter().find(|&&s| s >= cfg.shards) {
+            let msg = format!("a row is placed on shard {s} of {}", cfg.shards);
+            return Err(ShardError::Config(msg));
+        }
+        let (series, live): (Vec<TimeSeries>, Vec<bool>) = rows.into_iter().unzip();
+        let names = (0..series.len()).map(|g| format!("s{g}")).collect();
+        let corpus = Corpus::from_parts(names, series);
+        let mut group = Self::build_with(&corpus, cfg, Some(assignment), |_, sub| {
+            Ok(SeqIndex::build(sub, index_cfg))
+        })?;
+        group.plain = cfg.shards == 1;
+        for g in (0..live.len()).filter(|&g| !live[g]) {
+            let (shard, local) = group.locate(g).expect("every row was placed");
+            group.shards[shard].write().delete_series(local)?;
+        }
+        Ok(group)
     }
 
     /// A group of one over `index` that persists as a plain index
@@ -308,27 +346,21 @@ impl ShardedIndex {
         }
     }
 
-    /// Repartitions an existing single index: fetches every record from
-    /// its heap (tombstoned ordinals included — the heap is append-only),
-    /// rebuilds N shards, and replays the tombstones. Global ordinals are
+    /// Repartitions an existing single index by [`shard_of`]: copies every
+    /// record from its heap (tombstoned ordinals included — the heap is
+    /// append-only) into [`Self::from_rows`]. Global ordinals are
     /// preserved, so results match the source index exactly.
     pub fn from_index(
         index: &SeqIndex,
         cfg: ShardConfig,
         index_cfg: IndexConfig,
     ) -> Result<Self, ShardError> {
-        let mut names = Vec::with_capacity(index.len());
-        let mut series = Vec::with_capacity(index.len());
-        for g in 0..index.len() {
-            names.push(format!("s{g}"));
-            series.push(index.fetch_series(g)?);
-        }
-        let sharded = Self::build(&Corpus::from_parts(names, series), cfg, index_cfg)?;
-        for g in index.deleted_ordinals() {
-            let (shard, local) = sharded.locate(g).expect("every source ordinal was mapped");
-            sharded.shards[shard].write().delete_series(local)?;
-        }
-        Ok(sharded)
+        let cfg = cfg.validated().map_err(ShardError::Config)?;
+        let dead = index.deleted_ordinals();
+        let rows = (0..index.len())
+            .map(|g| Ok((index.fetch_series(g)?, dead.binary_search(&g).is_err())))
+            .collect::<Result<_, PageError>>()?;
+        Self::from_rows(rows, &hashed(index.len(), cfg.shards), cfg, index_cfg)
     }
 
     /// Number of shards.
@@ -618,7 +650,10 @@ impl ShardedIndex {
         }
         let mut s = Snapshot::load(dir, heap_pool_pages, wrap, true)?;
         let (journal, report) = Journal::open(dir, wal_root, policy, s.epoch, |op| {
-            apply(&mut s.indexes, &mut s.map, op).map(|_changed| ())
+            if let Some(i) = owner(&s.map, op)? {
+                apply(&mut s.indexes[i], i, &mut s.map, op)?;
+            }
+            Ok(())
         })?;
         Ok((s.opened(Some(journal))?, report))
     }
@@ -685,13 +720,8 @@ impl ShardedIndex {
         max: usize,
         hint: Option<(u64, u64)>,
     ) -> Result<(Vec<WalOp>, (u64, u64)), DurableError> {
-        match &self.journal {
-            Some(j) => j.frames_since_hinted(from_lsn, max, hint),
-            None => Err(DurableError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "index has no write-ahead log to stream from",
-            ))),
-        }
+        let j = self.journal.as_ref().ok_or_else(no_wal)?;
+        j.frames_since_hinted(from_lsn, max, hint)
     }
 
     /// Forces the log to stable storage (the `SYNC` op). `Ok(false)`
@@ -758,7 +788,7 @@ impl ShardedIndex {
     /// `REPL` poll from a follower that already applied frames of a
     /// newer timeline). Durable before it returns on a durable index, so
     /// a fenced ex-primary that crashes restarts fenced. Never lowers an
-    /// existing fence; [`SharedIndex::install_replica_snapshot`] clears it
+    /// existing fence; [`Self::install_replica_snapshot`] clears it
     /// once the node has re-synced.
     pub fn fence_at(&self, epoch: u64) -> Result<(), DurableError> {
         match &self.journal {
@@ -775,7 +805,7 @@ impl ShardedIndex {
     }
 
     /// Highest primary LSN applied through
-    /// [`SharedIndex::apply_replicated`] (0 before any frame lands). On a
+    /// [`Self::apply_replicated`] (0 before any frame lands). On a
     /// restarted durable follower this is recovered from the local log's
     /// replayed maximum.
     pub fn applied_lsn(&self) -> u64 {
@@ -821,7 +851,7 @@ impl ShardedIndex {
     /// switch survives a crash and the node begins accepting writes from
     /// exactly its acked prefix (applying a shipped frame keeps the LSN
     /// allocator strictly ahead of it). Returns the new timeline epoch.
-    pub(crate) fn promote(&self) -> Result<u64, DurableError> {
+    pub fn promote(&self) -> Result<u64, DurableError> {
         let _gate = self.insert_gate.lock();
         let guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         let floor = self.replica_epoch().max(self.fence());
@@ -845,10 +875,11 @@ impl ShardedIndex {
         Ok(new_epoch)
     }
 
-    /// Applies one WAL frame shipped from a replication primary to a group
-    /// of one, under its write guard and through the very `apply` recovery
-    /// replays with. Returns whether the frame changed state; re-applying
-    /// any shipped prefix is therefore safe — no gaps, no duplicates.
+    /// Applies one WAL frame shipped from a replication primary, under the
+    /// insert gate and its owning shard's write guard only, through the
+    /// very `apply` recovery replays with. Returns whether the frame
+    /// changed state; re-applying any shipped prefix is therefore safe —
+    /// no gaps, no duplicates.
     ///
     /// On a durable group every state-changing frame is also appended to
     /// the *local* WAL carrying the primary's LSN, so a restarted follower
@@ -856,43 +887,52 @@ impl ShardedIndex {
     /// state; an append failure poisons the group exactly like a local
     /// mutation would. The mutation counter bumps on every state change,
     /// so no cached plan result can outlive an applied frame.
-    pub(crate) fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
-        debug_assert_eq!(self.shards.len(), 1, "replication is per group of one");
+    pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
         let _gate = self.insert_gate.lock();
-        let mut guard = self.shards[0].write();
         self.check_poisoned()?;
-        let changed = apply(std::slice::from_mut(&mut *guard), &mut self.map.write(), op)?;
-        if changed {
-            if let Some(j) = &self.journal {
-                j.log_shipped(op)?;
+        let mut changed = false;
+        // The gate holds the map still between this read and the apply.
+        let owner = owner(&self.map.read(), op)?;
+        if let Some(s) = owner {
+            let mut guard = self.shards[s].write();
+            changed = apply(&mut guard, s, &mut self.map.write(), op)?;
+            if changed {
+                if let Some(j) = &self.journal {
+                    j.log_shipped(op)?;
+                }
+                self.mutations.fetch_add(1, Ordering::Release);
             }
-            self.mutations.fetch_add(1, Ordering::Release);
         }
-        // Still under the guard: a reader that observes this applied
+        // Still under the gate: a reader that observes this applied
         // position is guaranteed to see the state that includes it.
         self.applied_lsn.fetch_max(op.lsn(), Ordering::Release);
-        drop(guard);
         Ok(changed)
     }
 
-    /// Replaces a group of one's index with a snapshot transferred from a
-    /// replication primary (the epoch-mismatch fallback of the `REPL`
-    /// handshake). `primary_epoch` is the primary's checkpoint epoch the
-    /// snapshot corresponds to and `next_lsn` the first LSN the stream
-    /// will resume from; the replica's applied position becomes
-    /// `next_lsn - 1`. On a durable group the snapshot is checkpointed
-    /// into the local directory, in its layout, under the *local* next
-    /// epoch (the local epoch sequence is independent of the primary's),
-    /// so a restart recovers it without re-transferring.
-    pub(crate) fn install_replica_snapshot(
+    /// Swaps in every shard of `replica`, a group built from a snapshot
+    /// a replication primary transferred at its checkpoint epoch
+    /// `primary_epoch` (the epoch-mismatch fallback of the `REPL`
+    /// handshake); the stream resumes at `next_lsn`, so the applied
+    /// position becomes `next_lsn - 1`. All N shards swap under the gate
+    /// and every shard's write guard. A durable group then checkpoints
+    /// the snapshot into its directory, in its own layout, under the
+    /// *local* next epoch, so a restart recovers it without a transfer.
+    /// A replica of another shard count installs nothing
+    /// ([`DurableError::ShardCount`]).
+    pub fn install_replica_snapshot(
         &self,
-        index: SeqIndex,
+        replica: ShardedIndex,
         primary_epoch: u64,
         next_lsn: u64,
     ) -> Result<(), DurableError> {
-        debug_assert_eq!(self.shards.len(), 1, "replication is per group of one");
+        if replica.shard_count() != self.shard_count() {
+            return Err(DurableError::ShardCount {
+                local: self.shard_count(),
+                primary: replica.shard_count(),
+            });
+        }
         let _gate = self.insert_gate.lock();
-        let mut guard = self.shards[0].write();
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         self.check_poisoned()?;
         // Refuse a snapshot from a timeline older than the one this node
         // already follows: a poll that was in flight when the node was
@@ -905,13 +945,13 @@ impl ShardedIndex {
                 epoch: primary_epoch,
             });
         }
-        *self.map.write() = ShardMap::from_assignment(1, &vec![0; index.len()]);
-        self.seq_len.store(index.seq_len(), Ordering::Release);
-        *guard = index;
+        for (guard, shard) in guards.iter_mut().zip(&replica.shards) {
+            std::mem::swap(&mut **guard, &mut *shard.write());
+        }
+        std::mem::swap(&mut *self.map.write(), &mut *replica.map.write());
+        self.seq_len.store(replica.seq_len(), Ordering::Release);
         if let Some(j) = &self.journal {
-            j.checkpoint(0, |dir, epoch| {
-                self.save_quiesced(dir, std::slice::from_ref(&guard), epoch)
-            })?;
+            j.checkpoint(0, |dir, epoch| self.save_quiesced(dir, &guards, epoch))?;
             j.set_next_lsn(next_lsn);
             // The node now holds the new timeline's state byte-for-byte;
             // a demotion fence (if any) has served its purpose. Clearing
@@ -923,16 +963,15 @@ impl ShardedIndex {
         self.repl_epoch.store(primary_epoch, Ordering::Release);
         self.applied_lsn
             .store(next_lsn.saturating_sub(1), Ordering::Release);
-        // Bump under the guard: the whole state changed, so every cached
+        // Bump under the guards: the whole state changed, so every cached
         // result keyed on the old epoch must become unreachable.
         self.mutations.fetch_add(1, Ordering::Release);
-        drop(guard);
         Ok(())
     }
 
     /// Records the primary's checkpoint epoch learned at handshake time
     /// (the frame-streaming path, where no snapshot transfer happens).
-    pub(crate) fn note_replica_epoch(&self, primary_epoch: u64) {
+    pub fn note_replica_epoch(&self, primary_epoch: u64) {
         self.repl_epoch.store(primary_epoch, Ordering::Release);
     }
 
@@ -941,9 +980,43 @@ impl ShardedIndex {
     /// `applied` (never lowers it). A durable follower's local log replays
     /// only frames appended since its last snapshot install, so the
     /// install-time floor is re-asserted from the persisted replica state.
-    pub(crate) fn note_replica_position(&self, primary_epoch: u64, applied: u64) {
+    pub fn note_replica_position(&self, primary_epoch: u64, applied: u64) {
         self.repl_epoch.store(primary_epoch, Ordering::Release);
         self.applied_lsn.fetch_max(applied, Ordering::AcqRel);
+    }
+
+    /// Pins the cut a snapshot transfer ships under the insert gate, which
+    /// a durable group logs every mutation under: syncs the log, then
+    /// reads the epoch, next LSN, placement and tombstones. Rows below the
+    /// cut never change (inserts append, deletes only tombstone and keep
+    /// the heap record), so the caller copies them with
+    /// [`Self::fetch_series`] after the gate is released; a checkpoint,
+    /// the one thing that invalidates them, moves the epoch.
+    pub fn replica_cut(&self) -> Result<ReplicaCut, DurableError> {
+        let j = self.journal.as_ref().ok_or_else(no_wal)?;
+        let _gate = self.insert_gate.lock();
+        j.sync()?;
+        let dead = self.deleted_ordinals();
+        let assignment = self.map.read().assignment();
+        Ok(ReplicaCut {
+            epoch: j.epoch(),
+            next_lsn: j.next_lsn(),
+            assignment,
+            dead,
+        })
+    }
+
+    /// Tombstoned global ordinals across all shards, ascending.
+    pub fn deleted_ordinals(&self) -> Vec<usize> {
+        let mut dead = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let local = shard.read().deleted_ordinals();
+            let map = self.map.read();
+            let globals = map.globals_of(s);
+            dead.extend(local.iter().filter_map(|&l| globals.get(l).copied()));
+        }
+        dead.sort_unstable();
+        dead
     }
 
     /// The group's `INFO` pairs, in wire order: sizes; the tree's shape on
@@ -993,48 +1066,87 @@ impl ShardedIndex {
     }
 }
 
-/// The one idempotent frame apply: recovery replays the log through it,
-/// and a follower applies shipped frames through it. The frame names its
-/// shard, and that slot is authoritative: a log written before placement
-/// was always [`shard_of`] holds range- and round-robin-placed inserts; a
-/// group of one reads no shard slot, since single-index builds once
-/// stored the ordinal there. An insert lands when it extends
-/// its shard; one the snapshots already hold only re-extends the map; one
-/// beyond the prefix, or on a shard or slot these snapshots lack, is a
-/// typed [`DurableError::Gap`]. A delete of a missing or tombstoned
+/// [`shard_of`] of ordinals `0..len`.
+fn hashed(len: usize, shards: usize) -> Vec<usize> {
+    (0..len).map(|g| shard_of(g, shards)).collect()
+}
+
+fn no_wal() -> DurableError {
+    let kind = std::io::ErrorKind::Unsupported;
+    std::io::Error::new(kind, "index has no write-ahead log to replicate").into()
+}
+
+/// The cut a primary's snapshot transfer ships
+/// ([`ShardedIndex::replica_cut`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReplicaCut {
+    /// Checkpoint epoch of the cut.
+    pub epoch: u64,
+    /// First LSN after the cut, where the follower resumes streaming.
+    pub next_lsn: u64,
+    /// Shard of every global ordinal below the cut.
+    pub assignment: Vec<usize>,
+    /// Tombstoned global ordinals below the cut, ascending.
+    pub dead: Vec<usize>,
+}
+
+/// The shard a frame lands on. An insert's shard slot is authoritative
+/// (logs from before placement was always [`shard_of`] hold range- and
+/// round-robin-placed inserts), except in a group of one, which reads no
+/// slot: single-index builds once stored the ordinal there. A delete
+/// lands where its ordinal is mapped, if anywhere. An insert naming a
+/// shard the group lacks is a typed [`DurableError::Gap`].
+fn owner(map: &ShardMap, op: &WalOp) -> Result<Option<usize>, DurableError> {
+    match *op {
+        WalOp::Insert { .. } if map.shards() == 1 => Ok(Some(0)),
+        WalOp::Insert { shard, .. } if (shard as usize) < map.shards() => Ok(Some(shard as usize)),
+        WalOp::Insert { lsn, global, .. } => Err(DurableError::Gap {
+            lsn,
+            global,
+            len: map.len(),
+        }),
+        WalOp::Delete { global, .. } => Ok(map.locate(global as usize).map(|(s, _)| s)),
+    }
+}
+
+/// The one idempotent frame apply, on the frame's [`owner`] shard `s`
+/// (`index`), for recovery replay and shipped frames alike. An insert
+/// lands when it extends its shard; one the snapshots already hold only
+/// re-extends the map; one beyond the prefix, or on a slot the snapshots
+/// lack, is a typed [`DurableError::Gap`]. A delete of a tombstoned
 /// ordinal is a no-op. Returns whether state changed.
-fn apply(indexes: &mut [SeqIndex], map: &mut ShardMap, op: &WalOp) -> Result<bool, DurableError> {
+fn apply(
+    index: &mut SeqIndex,
+    s: usize,
+    map: &mut ShardMap,
+    op: &WalOp,
+) -> Result<bool, DurableError> {
     match *op {
         WalOp::Insert {
             lsn,
             global,
-            shard,
             ref values,
+            ..
         } => {
             let g = global as usize;
-            let s = if indexes.len() == 1 {
-                0
-            } else {
-                shard as usize
-            };
             // Where the frame landed: the next slot of its shard when it
             // extends the map; its mapped slot when the snapshots are
             // ahead of the manifest and replay revisits it.
             let slot = match map.locate(g) {
                 Some((mapped, local)) if mapped == s => Some(local),
-                None if g == map.len() && s < indexes.len() => Some(map.globals_of(s).len()),
+                None if g == map.len() => Some(map.globals_of(s).len()),
                 _ => None,
             };
-            let Some(local) = slot.filter(|&l| l <= indexes[s].len()) else {
+            let Some(local) = slot.filter(|&l| l <= index.len()) else {
                 return Err(DurableError::Gap {
                     lsn,
                     global,
                     len: map.len(),
                 });
             };
-            let inserted = local == indexes[s].len();
+            let inserted = local == index.len();
             if inserted {
-                indexes[s].insert_series(&TimeSeries::new(values.clone()))?;
+                index.insert_series(&TimeSeries::new(values.clone()))?;
             }
             let extends = g == map.len();
             if extends {
@@ -1043,7 +1155,7 @@ fn apply(indexes: &mut [SeqIndex], map: &mut ShardMap, op: &WalOp) -> Result<boo
             Ok(inserted || extends)
         }
         WalOp::Delete { global, .. } => match map.locate(global as usize) {
-            Some((s, local)) => Ok(indexes[s].delete_series(local)?),
+            Some((_, local)) => Ok(index.delete_series(local)?),
             None => Ok(false),
         },
     }

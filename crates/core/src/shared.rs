@@ -1,7 +1,6 @@
 //! [`SharedIndex`]: the view of an index group
 //! ([`crate::shard::ShardedIndex`]) that proves it holds exactly one shard
-//! — one [`SeqIndex`] behind one lock, what Algorithm 1 runs on and what
-//! replication ships.
+//! — one [`SeqIndex`] behind one lock, what Algorithm 1 runs on.
 //!
 //! The read path of every query engine takes `&SeqIndex` and is already
 //! interior-mutable where it must be (access counters are atomics, the
@@ -13,10 +12,9 @@
 //! thread cannot wedge a server.
 //!
 //! Everything durable — the journal, checkpoints, the epoch and mutation
-//! counters, the fence, the replica position — belongs to the group, which
-//! a `SharedIndex` derefs to. The view adds only the guards of its one
-//! shard, the 2-tuple [`SharedIndex::execute`], and the replication
-//! operations, which a snapshot transfer can only serve for one shard.
+//! counters, the fence, the replica position, replication — belongs to the
+//! group, which a `SharedIndex` derefs to. The view adds only the guards
+//! of its one shard and the 2-tuple [`SharedIndex::execute`].
 //!
 //! # Write-guard starvation discipline
 //!
@@ -42,10 +40,10 @@ use crate::index::SeqIndex;
 use crate::plan::{LogicalQuery, PhysicalPlan, PlanOutput};
 use crate::report::QueryError;
 use crate::shard::ShardedIndex;
-use simwal::{FsyncPolicy, ReplayReport, WalError, WalOp};
+use simwal::{FsyncPolicy, ReplayReport, WalError};
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLockReadGuard};
 use tseries::TimeSeries;
 
 // The whole point of SharedIndex is crossing threads; fail the build, not
@@ -96,6 +94,14 @@ pub enum DurableError {
         /// The epoch the node is actually at.
         epoch: u64,
     },
+    /// A replication primary's snapshot has another shard count than the
+    /// follower's group; nothing was installed.
+    ShardCount {
+        /// Shards of the follower's group.
+        local: usize,
+        /// Shards of the primary's snapshot.
+        primary: usize,
+    },
 }
 
 impl std::fmt::Display for DurableError {
@@ -121,6 +127,11 @@ impl std::fmt::Display for DurableError {
                  a peer was promoted onto a newer timeline; re-sync from the \
                  new primary before accepting writes"
             ),
+            Self::ShardCount { local, primary } => write!(
+                f,
+                "the primary holds {primary} shards but this follower holds {local}: \
+                 a follower takes its shard count from the primary"
+            ),
         }
     }
 }
@@ -131,7 +142,7 @@ impl std::error::Error for DurableError {
             Self::Query(e) => Some(e),
             Self::Wal(e) => Some(e),
             Self::Io(e) => Some(e),
-            Self::Poisoned | Self::Gap { .. } | Self::Fenced { .. } => None,
+            _ => None,
         }
     }
 }
@@ -166,20 +177,6 @@ impl Deref for SharedIndex {
     }
 }
 
-impl TryFrom<Arc<ShardedIndex>> for SharedIndex {
-    type Error = Arc<ShardedIndex>;
-
-    /// Proves that `group` holds exactly one shard; a larger group is
-    /// handed back unchanged.
-    fn try_from(group: Arc<ShardedIndex>) -> Result<Self, Self::Error> {
-        if group.shard_count() == 1 {
-            Ok(Self(group))
-        } else {
-            Err(group)
-        }
-    }
-}
-
 impl SharedIndex {
     /// Wraps an index for shared use: a group of one that persists as a
     /// plain index directory.
@@ -190,15 +187,13 @@ impl SharedIndex {
     /// The one-shard view of a freshly opened group; a directory of more
     /// shards is refused.
     fn one(group: ShardedIndex) -> std::io::Result<Self> {
-        Self::try_from(Arc::new(group)).map_err(|group| {
-            std::io::Error::new(
+        match group.shard_count() {
+            1 => Ok(Self(Arc::new(group))),
+            n => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!(
-                    "the directory holds {} shards, not one index",
-                    group.shard_count()
-                ),
-            )
-        })
+                format!("the directory holds {n} shards, not one index"),
+            )),
+        }
     }
 
     /// Opens a persisted index directory (see [`ShardedIndex::open`]) for
@@ -229,15 +224,6 @@ impl SharedIndex {
         self.0.shards()[0].read()
     }
 
-    /// Acquires the shard's exclusive write guard.
-    ///
-    /// Mutating *directly* through this guard bypasses the group's map and
-    /// WAL; mutate via [`ShardedIndex::insert_series`] /
-    /// [`ShardedIndex::delete_series`] instead.
-    pub fn write(&self) -> RwLockWriteGuard<'_, SeqIndex> {
-        self.0.shards()[0].write()
-    }
-
     /// Plans and executes a logical query under the shard's read guard —
     /// `plan::run` on the one index, with the group's statistics.
     pub fn execute(
@@ -246,46 +232,6 @@ impl SharedIndex {
         query: Option<&TimeSeries>,
     ) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
         self.0.shards()[0].execute(lq, query)
-    }
-
-    /// Applies one WAL frame shipped from a replication primary (see
-    /// [`ShardedIndex`]'s replication docs): idempotent, gap-safe, logged
-    /// locally under the primary's LSN when durable. Returns whether the
-    /// frame changed state.
-    pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
-        self.0.apply_replicated(op)
-    }
-
-    /// Replaces the index with a snapshot transferred from a replication
-    /// primary at `primary_epoch`, resuming the stream at `next_lsn`; a
-    /// durable index checkpoints it locally and clears any fence.
-    pub fn install_replica_snapshot(
-        &self,
-        index: SeqIndex,
-        primary_epoch: u64,
-        next_lsn: u64,
-    ) -> Result<(), DurableError> {
-        self.0
-            .install_replica_snapshot(index, primary_epoch, next_lsn)
-    }
-
-    /// Promotes this node to primary on a new timeline strictly past every
-    /// epoch it has seen; returns that epoch.
-    pub fn promote(&self) -> Result<u64, DurableError> {
-        self.0.promote()
-    }
-
-    /// Records the primary's checkpoint epoch learned at handshake time
-    /// (the frame-streaming path, where no snapshot transfer happens).
-    pub fn note_replica_epoch(&self, primary_epoch: u64) {
-        self.0.note_replica_epoch(primary_epoch);
-    }
-
-    /// Restores a follower's replication position after a restart: adopts
-    /// `primary_epoch` and raises the applied position to at least
-    /// `applied`.
-    pub fn note_replica_position(&self, primary_epoch: u64, applied: u64) {
-        self.0.note_replica_position(primary_epoch, applied);
     }
 }
 
@@ -296,6 +242,7 @@ mod tests {
     use crate::index::IndexConfig;
     use crate::query::RangeSpec;
     use crate::transform::Family;
+    use simwal::WalOp;
     use tseries::{Corpus, CorpusKind};
 
     fn shared(n: usize) -> (Corpus, SharedIndex) {
@@ -403,7 +350,7 @@ mod tests {
             let w = &shared;
             s.spawn(move || {
                 for ts in extra.series() {
-                    w.write().insert_series(ts).unwrap();
+                    w.shards()[0].write().insert_series(ts).unwrap();
                 }
             });
             for t in 0..4 {
@@ -558,10 +505,15 @@ mod tests {
         // Re-syncing onto the new timeline clears the fence.
         let c2 = Corpus::generate(CorpusKind::SyntheticWalks, 6, 64, 43);
         let snap = SeqIndex::build(&c2, IndexConfig::default()).unwrap();
-        shared.install_replica_snapshot(snap, 5, 11).unwrap();
+        shared
+            .install_replica_snapshot(ShardedIndex::of_one(snap), 5, 11)
+            .unwrap();
         assert!(!shared.is_fenced());
         assert_eq!(shared.fence(), 0);
-        shared.write().insert_series(&extra.series()[1]).unwrap();
+        shared.shards()[0]
+            .write()
+            .insert_series(&extra.series()[1])
+            .unwrap();
     }
 
     #[test]
@@ -670,7 +622,9 @@ mod tests {
         let c2 = Corpus::generate(CorpusKind::SyntheticWalks, 6, 64, 9);
         let snap = SeqIndex::build(&c2, IndexConfig::default()).unwrap();
         let before = follower.query_epoch();
-        follower.install_replica_snapshot(snap, 4, 31).unwrap();
+        follower
+            .install_replica_snapshot(ShardedIndex::of_one(snap), 4, 31)
+            .unwrap();
         assert_eq!(follower.read().len(), 6);
         assert_eq!(follower.applied_lsn(), 30);
         let after = follower.query_epoch();

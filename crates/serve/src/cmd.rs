@@ -26,18 +26,18 @@
 //! With `--replicate-from HOST:PORT` the server runs as a **follower**:
 //! it streams WAL frames from the primary over the `REPL` verb, applies
 //! them through the crash-recovery replay path, and serves read-only
-//! queries (writes get `ERR code=READONLY`). Without `--index` the
-//! follower bootstraps its whole state from a snapshot transfer; with
-//! `--index` (optionally plus `--wal` for a durable follower that
-//! resumes from its persisted replica position) it starts from local
-//! state and catches up.
+//! queries (writes get `ERR code=READONLY`). A follower takes its shard
+//! count from the primary: without `--index` it bootstraps its whole
+//! state, placement included, from a snapshot transfer; with `--index`
+//! (optionally plus `--wal` for a durable follower that resumes from its
+//! persisted replica position) it starts from local state of the
+//! primary's shard count and catches up.
 
 use crate::load::{run, LoadConfig};
 use crate::opts::Opts;
 use crate::protocol::EngineKind;
 use crate::repl::{self, Follower, FollowerOpts};
 use crate::server::{serve_with, Backend, ServerConfig};
-use simquery::shared::SharedIndex;
 use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
 use std::path::{Path, PathBuf};
@@ -73,9 +73,10 @@ EXPLAIN show what a query did), and
 `--trace-sample K` records every K-th query's span tree into a bounded
 ring served by the TRACE verb (0 disables; see METRICS and TRACE in
 the protocol). `--replicate-from HOST:PORT` runs a read-only
-follower of a durable primary: without --index it bootstraps from a
-snapshot transfer, with --index (+ --wal for durability) it resumes
-from local state; writes are refused with ERR code=READONLY.
+follower of a durable primary of any shard count: without --index it
+bootstraps from a snapshot transfer, with --index (+ --wal for
+durability) it resumes from local state of the primary's shard count;
+writes are refused with ERR code=READONLY.
 ";
 
 /// Help text of `simload`.
@@ -90,10 +91,11 @@ USAGE:
 
 Each connection replays a seeded stream of QUERY requests and reports a
 per-connection latency/throughput table. --verify-index opens the same
-index directly and checks every response for result parity against a
-single-threaded engine call. --timeout-ms bounds connect/read/write on
-every socket (0 = no timeouts); --failover lists extra endpoints the
-client rotates to on ERR READONLY or connection failure.
+index directory (either layout) directly and checks every response for
+result parity against an in-process engine call. --timeout-ms bounds
+connect/read/write on every socket (0 = no timeouts); --failover lists
+extra endpoints the client rotates to on ERR READONLY or connection
+failure.
 ";
 
 /// Parses an `--engine` value (`mt` when absent, matching the wire
@@ -181,8 +183,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     if let Some(primary) = opts.get("replicate-from") {
         if opts.get("shards").is_some() {
             return Err(
-                "--replicate-from serves a single-index follower; --shards does not apply \
-                 (shards ship separately)"
+                "--shards does not apply to --replicate-from: a follower takes its \
+                 shard count from the primary"
                     .into(),
             );
         }
@@ -200,7 +202,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             reconnect_seed,
             ..FollowerOpts::default()
         };
-        let (shared, follower): (SharedIndex, Follower) = match &dir {
+        let (backend, follower): (Backend, Follower) = match &dir {
             // A fresh follower bootstraps from a snapshot transfer.
             None => {
                 if wal_dir.is_some() {
@@ -212,33 +214,25 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("bootstrapping from {primary}: {e}"))?
             }
             Some(dir) => {
-                let Ok(shared) = SharedIndex::try_from(Arc::new(open(dir)?)) else {
-                    return Err(format!(
-                        "{} is a sharded directory; replication requires a single index",
-                        dir.display()
-                    ));
-                };
-                let follower = Follower::connect(primary, shared.clone(), fopts)
+                let backend = Arc::new(open(dir)?);
+                let follower = Follower::connect(primary, Arc::clone(&backend), fopts)
                     .map_err(|e| format!("connecting to primary {primary}: {e}"))?;
-                (shared, follower)
+                (backend, follower)
             }
         };
-        {
-            let index = shared.read();
-            eprintln!(
-                "follower of {primary}: {} sequences of length {}, applied lsn {} \
-                 ({} workers, queue {})",
-                index.len(),
-                index.seq_len(),
-                shared.applied_lsn(),
-                cfg.workers,
-                cfg.queue_depth
-            );
-        }
+        eprintln!(
+            "follower of {primary}: {} sequences of length {}, applied lsn {} \
+             ({} workers, queue {})",
+            backend.len(),
+            backend.seq_len(),
+            backend.applied_lsn(),
+            cfg.workers,
+            cfg.queue_depth
+        );
         let stats = follower.stats();
         let stop = Arc::new(AtomicBool::new(false));
         let loop_handle = follower.spawn(Arc::clone(&stop));
-        let handle = serve_with(shared, &cfg, Some(stats))
+        let handle = serve_with(backend, &cfg, Some(stats))
             .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
         // Registered so a PROMOTE request can halt the poll loop before
         // flipping this server to primary.
@@ -333,10 +327,7 @@ pub fn load(argv: &[String]) -> Result<(), String> {
             // under test is serving (and holding the LOCK on).
             let group = ShardedIndex::open_read_only(Path::new(dir), pool)
                 .map_err(|e| format!("opening verify index {dir}: {e}"))?;
-            let oracle = SharedIndex::try_from(Arc::new(group)).map_err(|_| {
-                format!("verify index {dir} is sharded; verify against a single index")
-            })?;
-            Some(oracle)
+            Some(Arc::new(group))
         }
     };
     let cfg = LoadConfig {

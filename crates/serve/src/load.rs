@@ -11,11 +11,11 @@
 use crate::client::ClientConfig;
 use crate::failover::{FailoverClient, FailoverConfig};
 use crate::protocol::{EngineKind, QueryParams, Request, Response, WireThreshold};
-use crate::server::engine_pref;
+use crate::server::{engine_pref, Backend};
 use simobs::Histogram;
 use simquery::prelude::*;
+use simshard::{gather, ShardedIndex};
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tseries::rng::SeededRng;
 
@@ -36,9 +36,9 @@ pub struct LoadConfig {
     pub rho: f64,
     /// Engine the server should use.
     pub engine: EngineKind,
-    /// When set, verify result parity against this index (opened
-    /// directly, queried single-threaded with the same engine).
-    pub verify: Option<SharedIndex>,
+    /// When set, verify result parity against this index group (opened
+    /// directly, queried in process with the same engine).
+    pub verify: Option<Backend>,
     /// Extra endpoints to fail over to (tried after `addr` when a
     /// request hits `ERR READONLY` or a transport failure).
     pub failover_to: Vec<String>,
@@ -224,7 +224,7 @@ impl LoadReport {
             ));
         } else if verified > 0 {
             out.push_str(&format!(
-                "parity: 100% ({verified} responses matched the local single-threaded engine)\n"
+                "parity: 100% ({verified} responses matched the local engine)\n"
             ));
         }
         out
@@ -233,15 +233,12 @@ impl LoadReport {
 
 /// Runs the load; blocks until every connection finishes.
 pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
-    let verify = cfg.verify.clone().map(Arc::new);
+    let verify = cfg.verify.as_deref();
     let start = Instant::now();
     let mut conns = Vec::with_capacity(cfg.conns);
     std::thread::scope(|s| -> io::Result<()> {
         let handles: Vec<_> = (0..cfg.conns)
-            .map(|i| {
-                let verify = verify.clone();
-                s.spawn(move || run_conn(cfg, i, verify))
-            })
+            .map(|i| s.spawn(move || run_conn(cfg, i, verify)))
             .collect();
         for h in handles {
             conns.push(h.join().expect("load connection panicked")?);
@@ -257,7 +254,7 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
 fn run_conn(
     cfg: &LoadConfig,
     conn_id: usize,
-    verify: Option<Arc<SharedIndex>>,
+    verify: Option<&ShardedIndex>,
 ) -> io::Result<ConnReport> {
     let mut endpoints = Vec::with_capacity(1 + cfg.failover_to.len());
     endpoints.push(cfg.addr.clone());
@@ -290,7 +287,7 @@ fn run_conn(
     // verify copy when present, otherwise ask the server (retrying while
     // admission control sheds the warm-up INFO under a saturated queue).
     let n = match &verify {
-        Some(v) => v.read().len(),
+        Some(v) => v.len(),
         None => corpus_size(&mut client)?,
     };
     if n == 0 {
@@ -370,20 +367,19 @@ fn corpus_size(client: &mut FailoverClient) -> io::Result<usize> {
     ))
 }
 
-/// The expected result set, computed locally through the plan layer.
-fn local_pairs(shared: &SharedIndex, ord: usize, cfg: &LoadConfig) -> Vec<(usize, usize)> {
-    let (family, q) = {
-        let index = shared.read();
-        let family = Family::moving_averages(cfg.ma.0..=cfg.ma.1, index.seq_len());
-        let q = index
-            .fetch_series(ord)
-            .expect("load generator runs on a healthy in-memory index");
-        (family, q)
-    };
+/// The expected result set, computed locally through the plan layer (and
+/// the scatter-gather on a group of more than one shard).
+fn local_pairs(group: &ShardedIndex, ord: usize, cfg: &LoadConfig) -> Vec<(usize, usize)> {
+    let family = Family::moving_averages(cfg.ma.0..=cfg.ma.1, group.seq_len());
+    let q = group
+        .fetch_series(ord)
+        .ok()
+        .flatten()
+        .expect("load generator runs on a healthy in-memory index");
     let spec = WireThreshold::Rho(cfg.rho).to_spec();
     let lq = LogicalQuery::range(family, spec).with_engine(engine_pref(cfg.engine));
-    match shared.execute(&lq, Some(&q)) {
-        Ok((_, PlanOutput::Range(r))) => r.sorted_pairs(),
+    match gather::execute(group, &lq, Some(&q)) {
+        Ok((_, PlanOutput::Range(r), _)) => r.sorted_pairs(),
         _ => Vec::new(),
     }
 }

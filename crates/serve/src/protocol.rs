@@ -587,12 +587,14 @@ pub struct WireTraceEvent {
     pub dur_us: u64,
 }
 
-/// One `SNAP` line of a snapshot-transfer response: a stored sequence
-/// and whether it is live or tombstoned.
+/// One `SNAP` line of a snapshot-transfer response: a stored sequence,
+/// the shard it lives on, and whether it is live or tombstoned.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapEntry {
     /// Global ordinal.
     pub ord: u64,
+    /// Shard of the ordinal on the primary (`0` when the line omits it).
+    pub shard: usize,
     /// Whether the sequence is live (not tombstoned).
     pub live: bool,
     /// The raw values.
@@ -677,6 +679,8 @@ pub enum Response {
         next: u64,
         /// Sequence length of the served corpus.
         seq_len: usize,
+        /// Shards of the primary's group (`1` when the header omits it).
+        shards: usize,
         /// One entry per ordinal, in ordinal order — tombstoned
         /// ordinals ship too (`live=no`) so the follower reproduces the
         /// exact ordinal assignment.
@@ -842,18 +846,21 @@ impl Response {
                 epoch,
                 next,
                 seq_len,
+                shards,
                 entries,
             } => {
                 writeln!(
                     w,
-                    "OK repl=snapshot epoch={epoch} next={next} seq_len={seq_len} count={}",
+                    "OK repl=snapshot epoch={epoch} next={next} seq_len={seq_len} \
+                     shards={shards} count={}",
                     entries.len()
                 )?;
                 for e in entries {
                     writeln!(
                         w,
-                        "SNAP ord={} live={} data={}",
+                        "SNAP ord={} shard={} live={} data={}",
                         e.ord,
+                        e.shard,
                         if e.live { "yes" } else { "no" },
                         join_floats(&e.values)
                     )?;
@@ -1055,6 +1062,7 @@ impl Response {
                     let skv = KvTokens::collect(tokens)?;
                     entries.push(SnapEntry {
                         ord: skv.req_parse("ord")?,
+                        shard: skv.parse_or("shard", 0)?,
                         live: skv.req("live")? == "yes",
                         values: parse_floats_or_empty(skv.req("data")?)?,
                     });
@@ -1069,6 +1077,7 @@ impl Response {
                     epoch: kv.req_parse("epoch")?,
                     next: kv.req_parse("next")?,
                     seq_len: kv.req_parse("seq_len")?,
+                    shards: kv.parse_or("shards", 1)?,
                     entries,
                 })
             }
@@ -1696,14 +1705,17 @@ mod tests {
             epoch: 3,
             next: 42,
             seq_len: 4,
+            shards: 2,
             entries: vec![
                 SnapEntry {
                     ord: 0,
+                    shard: 1,
                     live: true,
                     values: vec![0.5, 1.0, 1.5, 2.0],
                 },
                 SnapEntry {
                     ord: 1,
+                    shard: 0,
                     live: false,
                     values: vec![-1.0, 0.0, 1.0, 2.0],
                 },
@@ -1785,8 +1797,10 @@ mod tests {
             epoch: 1,
             next: 3,
             seq_len: 8,
+            shards: 1,
             entries: vec![SnapEntry {
                 ord: 0,
+                shard: 0,
                 live: true,
                 values: vec![],
             }],
@@ -1794,6 +1808,27 @@ mod tests {
         // The client-facing strict rule is untouched: an empty INSERT
         // is still refused at the door.
         assert!(Request::parse("INSERT data=").is_err());
+    }
+
+    /// A snapshot header without `shards=` reads as one shard and a `SNAP`
+    /// line without `shard=` as shard 0, like a `FRAME` line.
+    #[test]
+    fn snapshot_placement_keys_default_to_one_shard() {
+        let input = b"OK repl=snapshot epoch=2 next=5 seq_len=2 count=1\n\
+            SNAP ord=0 live=yes data=1,2\nEND\n";
+        let want = Response::ReplSnapshot {
+            epoch: 2,
+            next: 5,
+            seq_len: 2,
+            shards: 1,
+            entries: vec![SnapEntry {
+                ord: 0,
+                shard: 0,
+                live: true,
+                values: vec![1.0, 2.0],
+            }],
+        };
+        assert_eq!(Response::read_from(&mut &input[..]).unwrap(), want);
     }
 
     #[test]

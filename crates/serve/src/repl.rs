@@ -7,8 +7,7 @@
 //! checkpoint — never a rearrangement, never a partial frame. The
 //! protocol is pull-based: the follower sends `REPL epoch=E from=L
 //! ack=A` and the primary answers with one of two payloads, decided by a
-//! single handshake rule evaluated under the index read guard (so no
-//! mutation or checkpoint can interleave):
+//! single handshake rule on its `(epoch, next LSN)`:
 //!
 //! * **frames** — when `E` equals the primary's current checkpoint epoch
 //!   and `L` does not run past its next LSN, the epoch's log covers the
@@ -18,14 +17,20 @@
 //! * **snapshot** — otherwise (a checkpoint reset the log, the follower
 //!   is behind a restarted primary's recovered log, or the follower is
 //!   brand new, which it signals with the reserved `from=0`): the primary
-//!   transfers its full state per ordinal, tombstones included, so the
-//!   follower reproduces the exact ordinal assignment, then resumes
-//!   streaming at the returned `next` LSN.
+//!   transfers its full state per ordinal, each ordinal's shard and
+//!   tombstone included, so the follower reproduces the exact ordinal
+//!   assignment and placement, then resumes streaming at the returned
+//!   `next` LSN.
+//!
+//! Any shard count replicates: a follower's group has the primary's (an
+//! `--index` follower of another count is refused with
+//! [`DurableError::ShardCount`]), and frames and snapshots name shards.
 //!
 //! Nothing leaves the primary before it is durable: the catch-up reader
 //! fsyncs the log's written tail before serving it (see
-//! [`simwal::Wal::frames_since_hinted`]), and a snapshot cut syncs the log under
-//! the same guard that pins `(epoch, next)`. A primary crash therefore
+//! [`simwal::Wal::frames_since_hinted`]), and a snapshot cut syncs the log
+//! under the insert gate that pins it
+//! ([`simquery::shard::ShardedIndex::replica_cut`]). A primary crash therefore
 //! only ever loses frames *no follower has seen* — with `--fsync
 //! never`/`EveryN` the lost unsynced tail was by construction never
 //! shipped, so the restarted primary may reuse those LSNs for new writes
@@ -33,7 +38,7 @@
 //! identical timeline, never a divergent one.
 //!
 //! Frames apply on the follower through
-//! [`simquery::shared::SharedIndex::apply_replicated`] — the same
+//! [`simquery::shard::ShardedIndex::apply_replicated`] — the same
 //! idempotent semantics as crash-recovery replay, so re-shipping any
 //! prefix after a crash on either side converges without gaps or
 //! duplicates. Acked LSNs ride on every poll; the primary keeps a
@@ -44,9 +49,11 @@ use crate::client::Client;
 use crate::protocol::{ErrCode, ReplStatLine, Request, Response, SnapEntry};
 use crate::server::Backend;
 use simquery::prelude::*;
-use simquery::shared::{DurableError, SharedIndex};
+use simquery::shard::{ReplicaCut, ShardedIndex};
+use simquery::shared::DurableError;
+use simshard::ShardConfig;
 use simwal::encode_frame;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -371,13 +378,7 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
         max,
         wait_ms,
     } = poll;
-    let Ok(shared) = SharedIndex::try_from(Arc::clone(backend)) else {
-        return Response::Err {
-            code: ErrCode::Query,
-            msg: "replication requires a single-index primary (shards ship separately)".into(),
-        };
-    };
-    if !shared.is_durable() {
+    if !backend.is_durable() {
         return Response::Err {
             code: ErrCode::Query,
             msg: "replication requires a durable primary (start simserved with --wal DIR)".into(),
@@ -386,77 +387,61 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
     repl.record_ack(peer, ack, 0);
     let max = if max == 0 { DEFAULT_BATCH } else { max };
     let deadline = Instant::now() + Duration::from_millis(wait_ms);
+    let io_err = |msg: String| Response::Err {
+        code: ErrCode::Io,
+        msg,
+    };
     loop {
-        // The read guard pins one consistent (epoch, next) cut; the
-        // snapshot path captures the cut's shape under it (length +
-        // tombstone set) and syncs the WAL so nothing non-durable can
-        // leave the primary, then copies with the guard released.
-        let (wal_epoch, next) = {
-            let guard = shared.read();
-            let wal_epoch = shared.wal_epoch().unwrap_or(0);
-            let next = shared.wal_next_lsn().unwrap_or(1);
-            // A poll from a NEWER epoch means a peer was promoted onto a
-            // timeline this server has never seen: this server is a
-            // deposed primary. Serving the generic mismatch path below
-            // would hand the caller a STALE snapshot and roll the new
-            // timeline back — instead, fence ourselves at the caller's
-            // epoch (persisted in the manifest, so a crash cannot
-            // unfence us) and answer read-only. This in-band handshake
-            // is how an ex-primary learns of its own demotion.
-            if epoch > wal_epoch {
-                drop(guard);
-                if let Err(e) = shared.fence_at(epoch) {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("failed to persist fence at epoch {epoch}: {e}"),
-                    };
-                }
-                repl.note_fenced(epoch);
-                return Response::Err {
-                    code: ErrCode::ReadOnly,
-                    msg: format!(
-                        "fenced: peer {peer} is on newer epoch {epoch} (local {wal_epoch}); \
-                         this ex-primary is read-only until it re-syncs from the new primary"
-                    ),
-                };
+        // Epoch first: a checkpoint between the two reads moves the
+        // epoch, which every path below re-checks (or re-reads in the
+        // cut) before it answers.
+        let wal_epoch = backend.wal_epoch().unwrap_or(0);
+        let next = backend.wal_next_lsn().unwrap_or(1);
+        // A poll from a NEWER epoch means a peer was promoted onto a
+        // timeline this server has never seen: this server is a deposed
+        // primary. Serving the generic mismatch path below would hand the
+        // caller a STALE snapshot and roll the new timeline back —
+        // instead, fence ourselves at the caller's epoch (persisted in the
+        // manifest, so a crash cannot unfence us) and answer read-only.
+        // This in-band handshake is how an ex-primary learns of its own
+        // demotion.
+        if epoch > wal_epoch {
+            if let Err(e) = backend.fence_at(epoch) {
+                return io_err(format!("failed to persist fence at epoch {epoch}: {e}"));
             }
-            // `from == 0` is the reserved bootstrap position: the
-            // follower has no state at all, so no epoch's log can
-            // cover it.
-            if epoch != wal_epoch || from == 0 || from > next {
-                // Still under the guard (no mutation can interleave):
-                // make every LSN below `next` durable, so a primary
-                // crash after the transfer cannot lose state the
-                // follower now holds.
-                if let Err(e) = shared.sync_wal() {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("snapshot cut sync failed: {e}"),
-                    };
-                }
-                let len = guard.len();
-                let seq_len = guard.seq_len();
-                let dead: HashSet<usize> = guard.deleted_ordinals().into_iter().collect();
-                drop(guard);
-                let resp = snapshot_response(&shared, wal_epoch, next, len, seq_len, &dead);
-                // A checkpoint may have landed while the copy ran with
-                // the guard released; its epoch bump invalidates the
-                // pinned cut, so rebuild at the new one.
-                if shared.wal_epoch().unwrap_or(0) != wal_epoch {
+            repl.note_fenced(epoch);
+            return Response::Err {
+                code: ErrCode::ReadOnly,
+                msg: format!(
+                    "fenced: peer {peer} is on newer epoch {epoch} (local {wal_epoch}); \
+                     this ex-primary is read-only until it re-syncs from the new primary"
+                ),
+            };
+        }
+        // `from == 0` is the reserved bootstrap position: the follower
+        // has no state at all, so no epoch's log can cover it.
+        if epoch != wal_epoch || from == 0 || from > next {
+            // The cut is pinned (and the log synced up to it) under the
+            // gate; the rows are copied with it released.
+            let resp = match backend.replica_cut() {
+                Ok(cut) => snapshot_response(backend, &cut),
+                Err(e) => return io_err(format!("snapshot cut failed: {e}")),
+            };
+            // A checkpoint may have landed while the copy ran; its epoch
+            // bump invalidates the pinned cut, so rebuild at the new one.
+            if let Response::ReplSnapshot { epoch: cut, .. } = resp {
+                if backend.wal_epoch() != Some(cut) {
                     continue;
                 }
-                if matches!(resp, Response::ReplSnapshot { .. }) {
-                    repl.mark_resync(peer);
-                }
-                return resp;
+                repl.mark_resync(peer);
             }
-            (wal_epoch, next)
-        };
+            return resp;
+        }
         // Capture the append generation BEFORE scanning: a mutation that
         // lands mid-scan changes the generation, so the wait below
         // returns immediately instead of sleeping past it.
         let gen = repl.append_gen();
-        // The file scan runs with the guard RELEASED so catch-up reads
+        // The file scan runs with the gate RELEASED so catch-up reads
         // never stall primary writes: the log bounds the read by its own
         // durable-prefix snapshot (a concurrent append can't tear a
         // frame), and the one mutation that can invalidate the bytes — a
@@ -464,18 +449,13 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
         // epoch afterwards and retrying (the next pass snapshots). The
         // peer cursor resumes the scan where the last served frame ended.
         let hint = repl.peer_cursor(peer, wal_epoch, from);
-        let frames = shared.wal_frames_since_hinted(from, max, hint);
-        if shared.wal_epoch().unwrap_or(0) != wal_epoch {
+        let frames = backend.wal_frames_since_hinted(from, max, hint);
+        if backend.wal_epoch() != Some(wal_epoch) {
             continue;
         }
         let (frames, cursor) = match frames {
             Ok(got) => got,
-            Err(e) => {
-                return Response::Err {
-                    code: ErrCode::Io,
-                    msg: e.to_string(),
-                }
-            }
+            Err(e) => return io_err(e.to_string()),
         };
         if !frames.is_empty() || Instant::now() >= deadline {
             let bytes: u64 = frames.iter().map(|op| encode_frame(op).len() as u64).sum();
@@ -491,53 +471,35 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
     }
 }
 
-/// Ordinals copied per read-guard acquisition in [`snapshot_response`],
-/// so writers and checkpoints interleave with a large transfer instead
-/// of stalling for its whole duration.
-const SNAPSHOT_COPY_BATCH: usize = 256;
-
-/// Copies the cut pinned by the caller — `len` ordinals, `dead`
-/// tombstones, `seq_len` — re-acquiring the read guard per batch. Safe
-/// without holding the guard across batches because ordinals below a
-/// cut are immutable: inserts only append, deletes only tombstone, and
-/// the heap record behind `fetch_series` survives tombstoning. The one
-/// operation that can invalidate them — a checkpoint swapping the index
-/// — bumps the WAL epoch, which the caller re-checks after this returns.
-fn snapshot_response(
-    shared: &SharedIndex,
-    epoch: u64,
-    next: u64,
-    len: usize,
-    seq_len: usize,
-    dead: &HashSet<usize>,
-) -> Response {
-    let mut entries = Vec::with_capacity(len);
-    for batch_start in (0..len).step_by(SNAPSHOT_COPY_BATCH) {
-        let guard = shared.read();
-        for ord in batch_start..(batch_start + SNAPSHOT_COPY_BATCH).min(len) {
-            // fetch_series reads the heap record, which tombstoning
-            // keeps: dead ordinals ship too (live=no) so the follower
-            // reproduces the exact ordinal assignment.
-            let ts = match guard.fetch_series(ord) {
-                Ok(ts) => ts,
-                Err(e) => {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("snapshot transfer failed at ordinal {ord}: {e}"),
-                    }
-                }
-            };
-            entries.push(SnapEntry {
-                ord: ord as u64,
-                live: !dead.contains(&ord),
-                values: ts.values().to_vec(),
-            });
-        }
+/// Copies the rows of a pinned cut, each under its shard's read guard
+/// alone ([`ShardedIndex::fetch_series`]), so writers and checkpoints
+/// interleave with a large transfer. Tombstoned rows ship too (`live=no`),
+/// so the follower reproduces the exact ordinal assignment.
+fn snapshot_response(backend: &ShardedIndex, cut: &ReplicaCut) -> Response {
+    let mut entries = Vec::with_capacity(cut.assignment.len());
+    for (ord, &shard) in cut.assignment.iter().enumerate() {
+        let ts = match backend.fetch_series(ord) {
+            Ok(Some(ts)) => ts,
+            failed => {
+                let why = failed.err().map_or("not held".into(), |e| e.to_string());
+                return Response::Err {
+                    code: ErrCode::Io,
+                    msg: format!("snapshot transfer failed at ordinal {ord}: {why}"),
+                };
+            }
+        };
+        entries.push(SnapEntry {
+            ord: ord as u64,
+            shard,
+            live: cut.dead.binary_search(&ord).is_err(),
+            values: ts.values().to_vec(),
+        });
     }
     Response::ReplSnapshot {
-        epoch,
-        next,
-        seq_len,
+        epoch: cut.epoch,
+        next: cut.next_lsn,
+        seq_len: backend.seq_len(),
+        shards: backend.shard_count(),
         entries,
     }
 }
@@ -599,10 +561,10 @@ impl Default for FollowerOpts {
 }
 
 /// The follower side of replication: polls a primary for WAL frames and
-/// applies them to the local [`SharedIndex`] — the same handle the local
+/// applies them to the local group — the same [`Backend`] the local
 /// server serves read-only queries from.
 pub struct Follower {
-    shared: SharedIndex,
+    backend: Backend,
     /// `None` between a connection failure and the next reconnect; the
     /// dead connection is dropped eagerly so a restarting primary's
     /// lingering handler thread sees EOF and releases its locks.
@@ -617,17 +579,22 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// Connects to `primary` and prepares to replicate into `shared`.
-    /// A durable follower (one opened with `open_durable` on its own
-    /// directories) resumes from its persisted replica position instead
-    /// of re-transferring the snapshot.
-    pub fn connect(primary: &str, shared: SharedIndex, opts: FollowerOpts) -> io::Result<Self> {
+    /// Connects to `primary` and prepares to replicate into `backend`,
+    /// whose shard count must be the primary's. A durable follower (one
+    /// opened with `open_durable` on its own directories) resumes from its
+    /// persisted replica position instead of re-transferring the snapshot.
+    pub fn connect(
+        primary: &str,
+        backend: impl Into<Backend>,
+        opts: FollowerOpts,
+    ) -> io::Result<Self> {
+        let backend = backend.into();
         let client = Client::connect(primary)?;
         let stats = Arc::new(FollowerStats::default());
         let mut synced = false;
         if let Some(dir) = &opts.state_dir {
             if let Some((epoch, floor)) = read_replica_state(dir) {
-                shared.note_replica_position(epoch, floor);
+                backend.note_replica_position(epoch, floor);
                 synced = true;
             }
         }
@@ -641,14 +608,16 @@ impl Follower {
         // REPLICA state file (written on every snapshot install), and
         // without one it re-bootstraps with `from=0`.
         if synced
-            || (!shared.is_durable() && (shared.applied_lsn() > 0 || shared.replica_epoch() > 0))
+            || (!backend.is_durable() && (backend.applied_lsn() > 0 || backend.replica_epoch() > 0))
         {
             synced = true;
-            stats.epoch.store(replica_epoch(&shared), Ordering::Relaxed);
-            stats.acked.store(shared.applied_lsn(), Ordering::Relaxed);
+            stats
+                .epoch
+                .store(backend.replica_epoch(), Ordering::Relaxed);
+            stats.acked.store(backend.applied_lsn(), Ordering::Relaxed);
         }
         Ok(Self {
-            shared,
+            backend,
             client: Some(client),
             primary: primary.to_string(),
             opts,
@@ -679,7 +648,7 @@ impl Follower {
 
     /// Highest primary LSN applied locally.
     pub fn applied(&self) -> u64 {
-        self.shared.applied_lsn()
+        self.backend.applied_lsn()
     }
 
     /// Frames the primary holds beyond this follower's applied position.
@@ -696,7 +665,7 @@ impl Follower {
     /// the primary's acked tip. Crash-point tests step this directly.
     pub fn poll_once(&mut self) -> io::Result<usize> {
         let _span = simobs::trace::span("repl.apply");
-        let epoch = replica_epoch(&self.shared);
+        let epoch = self.backend.replica_epoch();
         let from = if self.synced { self.applied() + 1 } else { 0 };
         let req = Request::Repl {
             epoch,
@@ -716,7 +685,7 @@ impl Follower {
                 // may already be on a newer timeline than the primary
                 // that answered. Applying the stale batch would graft
                 // old-timeline writes onto the promoted state — drop it.
-                if epoch < replica_epoch(&self.shared) {
+                if epoch < self.backend.replica_epoch() {
                     return Ok(0);
                 }
                 let n = frames.len();
@@ -724,7 +693,7 @@ impl Follower {
                     self.stats
                         .bytes
                         .fetch_add(encode_frame(op).len() as u64, Ordering::Relaxed);
-                    match self.shared.apply_replicated(op) {
+                    match self.backend.apply_replicated(op) {
                         Ok(_) => {}
                         Err(DurableError::Gap { .. }) => {
                             // The log cannot cover our position after
@@ -746,7 +715,7 @@ impl Follower {
                         }
                     }
                 }
-                self.shared.note_replica_epoch(epoch);
+                self.backend.note_replica_epoch(epoch);
                 self.stats.epoch.store(epoch, Ordering::Relaxed);
                 self.stats.end.store(end, Ordering::Relaxed);
                 self.stats.acked.store(self.applied(), Ordering::Relaxed);
@@ -756,16 +725,29 @@ impl Follower {
                 epoch,
                 next,
                 seq_len,
+                shards,
                 entries,
             } => {
                 // Same race as above, but worse: installing a stale
                 // snapshot would roll a freshly promoted node back to
                 // the deposed primary's state (and clear its fence).
-                if epoch < replica_epoch(&self.shared) {
+                if epoch < self.backend.replica_epoch() {
                     return Ok(0);
                 }
-                let n = entries.len();
-                self.install_snapshot(epoch, next, seq_len, entries)?;
+                let (n, local) = (entries.len(), self.backend.shard_count());
+                if shards != local {
+                    let primary = shards;
+                    return Err(invalid(DurableError::ShardCount { local, primary }));
+                }
+                // The replica keeps the record pool of the index it replaces.
+                let pool = self.backend.shards()[0].read().heap_pool_pages();
+                let replica = build_replica(seq_len, shards, entries, pool)?;
+                self.backend
+                    .install_replica_snapshot(replica, epoch, next)
+                    .map_err(|e| io::Error::other(format!("snapshot install: {e}")))?;
+                if let Some(dir) = &self.opts.state_dir {
+                    write_replica_state(dir, epoch, next.saturating_sub(1))?;
+                }
                 self.synced = true;
                 self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
                 self.stats.epoch.store(epoch, Ordering::Relaxed);
@@ -781,35 +763,6 @@ impl Follower {
                 format!("unexpected REPL response: {other:?}"),
             )),
         }
-    }
-
-    fn install_snapshot(
-        &mut self,
-        epoch: u64,
-        next: u64,
-        _seq_len: usize,
-        entries: Vec<SnapEntry>,
-    ) -> io::Result<usize> {
-        if entries.is_empty() {
-            // An empty primary: nothing to build, just adopt the
-            // position (a fresh follower is empty too).
-            self.shared
-                .note_replica_position(epoch, next.saturating_sub(1));
-            if let Some(dir) = &self.opts.state_dir {
-                write_replica_state(dir, epoch, next.saturating_sub(1))?;
-            }
-            return Ok(0);
-        }
-        let n = entries.len();
-        // The replica keeps the record pool of the index it replaces.
-        let index = build_snapshot_index(&entries, self.shared.read().heap_pool_pages())?;
-        self.shared
-            .install_replica_snapshot(index, epoch, next)
-            .map_err(|e| io::Error::other(format!("snapshot install: {e}")))?;
-        if let Some(dir) = &self.opts.state_dir {
-            write_replica_state(dir, epoch, next.saturating_sub(1))?;
-        }
-        Ok(n)
     }
 
     /// Runs the poll/apply loop until `stop` is set, reconnecting with
@@ -855,53 +808,53 @@ impl Follower {
     }
 }
 
-/// The primary epoch this replica's state corresponds to: its
-/// [`simquery::shard::ShardedIndex::query_epoch`] coarse half on an
-/// in-memory follower is exactly the replicated epoch; a durable follower
-/// tracks it in its persisted replica state, re-asserted via
-/// `note_replica_position`.
-fn replica_epoch(shared: &SharedIndex) -> u64 {
-    shared.replica_epoch()
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Rebuilds a [`SeqIndex`] from a snapshot transfer, with a record pool of
-/// `heap_pool_pages` frames: inserts every ordinal in order, then
-/// re-applies the tombstones, so ordinal assignment (including
-/// skipped/degenerate sequences) is byte-exact.
-fn build_snapshot_index(entries: &[SnapEntry], heap_pool_pages: usize) -> io::Result<SeqIndex> {
-    let names = (0..entries.len()).map(|i| format!("s{i}")).collect();
-    let series = entries
-        .iter()
-        .map(|e| TimeSeries::new(e.values.clone()))
+/// Builds the group a snapshot transfer describes, with a record pool of
+/// `heap_pool_pages` frames per shard, after checking it: ordinals
+/// `0..count` in order, every row `seq_len` values long, every shard
+/// below `shards`, at least one row. Anything else is an
+/// [`io::ErrorKind::InvalidData`] error and nothing is built.
+fn build_replica(
+    seq_len: usize,
+    shards: usize,
+    entries: Vec<SnapEntry>,
+    heap_pool_pages: usize,
+) -> io::Result<ShardedIndex> {
+    let bad = |(g, e): &(usize, &SnapEntry)| e.ord != *g as u64 || e.values.len() != seq_len;
+    if let Some((g, e)) = entries.iter().enumerate().find(bad) {
+        return Err(invalid(format!(
+            "snapshot row {g} carries ord={} and {} values; rows must run ord=0..count \
+             in order, each seq_len={seq_len} values long",
+            e.ord,
+            e.values.len()
+        )));
+    }
+    let assignment: Vec<usize> = entries.iter().map(|e| e.shard).collect();
+    let rows = entries
+        .into_iter()
+        .map(|e| (TimeSeries::new(e.values), e.live))
         .collect();
-    let corpus = tseries::Corpus::from_parts(names, series);
-    let config = IndexConfig {
+    let index_cfg = IndexConfig {
         heap_pool_pages,
         ..IndexConfig::default()
     };
-    let mut index = SeqIndex::build(&corpus, config)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unbuildable snapshot"))?;
-    for e in entries {
-        if !e.live {
-            index
-                .delete_series(e.ord as usize)
-                .map_err(|err| io::Error::other(format!("snapshot tombstone: {err}")))?;
-        }
-    }
-    Ok(index)
+    ShardedIndex::from_rows(rows, &assignment, ShardConfig { shards }, index_cfg)
+        .map_err(|e| invalid(format!("unbuildable snapshot: {e}")))
 }
 
 /// Bootstraps an in-memory follower that starts with no index at all:
-/// fetches the primary's snapshot synchronously, builds the replica
-/// index with a record pool of `heap_pool_pages` frames, and returns the
-/// ready [`SharedIndex`] (serve it with [`crate::server::serve_with`])
-/// plus the connected [`Follower`]. Fails on an empty primary — give such
-/// a follower an `--index` to start from instead.
+/// fetches the primary's snapshot synchronously, builds the replica group
+/// — the primary's shard count and placement — with a record pool of
+/// `heap_pool_pages` frames per shard, and returns it (serve it with
+/// [`crate::server::serve_with`]) plus the connected [`Follower`].
 pub fn bootstrap(
     primary: &str,
     opts: FollowerOpts,
     heap_pool_pages: usize,
-) -> io::Result<(SharedIndex, Follower)> {
+) -> io::Result<(Backend, Follower)> {
     let mut client = Client::connect(primary)?;
     let resp = client.call(&Request::Repl {
         epoch: 0,
@@ -913,43 +866,38 @@ pub fn bootstrap(
     let Response::ReplSnapshot {
         epoch,
         next,
+        seq_len,
+        shards,
         entries,
-        ..
     } = resp
     else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected a snapshot transfer, got {resp:?}"),
-        ));
+        return Err(invalid(format!(
+            "expected a snapshot transfer, got {resp:?}"
+        )));
     };
-    if entries.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "cannot bootstrap from an empty primary; start the follower with --index",
-        ));
-    }
-    let index = build_snapshot_index(&entries, heap_pool_pages)?;
-    let shared = SharedIndex::new(index);
-    shared.note_replica_position(epoch, next.saturating_sub(1));
+    let backend = Arc::new(build_replica(seq_len, shards, entries, heap_pool_pages)?);
+    backend.note_replica_position(epoch, next.saturating_sub(1));
     let stats = Arc::new(FollowerStats::default());
     stats.epoch.store(epoch, Ordering::Relaxed);
     stats.end.store(next, Ordering::Relaxed);
-    stats.acked.store(shared.applied_lsn(), Ordering::Relaxed);
+    stats.acked.store(backend.applied_lsn(), Ordering::Relaxed);
     stats.snapshots.store(1, Ordering::Relaxed);
     let follower = Follower {
-        shared: shared.clone(),
+        backend: Arc::clone(&backend),
         client: Some(client),
         primary: primary.to_string(),
         opts,
         stats,
         synced: true,
     };
-    Ok((shared, follower))
+    Ok((backend, follower))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
 
     fn acked(repl: &ReplState, peer: &str) -> u64 {
         repl.peers.lock().unwrap_or_else(|e| e.into_inner())[peer].acked
@@ -972,5 +920,115 @@ mod tests {
         // The overwrite is one-shot: monotonic again afterwards.
         repl.record_ack("f", 2, 0);
         assert_eq!(acked(&repl, "f"), 4);
+    }
+
+    /// A stub primary on a free loopback port that answers the first
+    /// request of each of its first `conns` connections with `reply`, a
+    /// whole response, one connection after another.
+    fn stub_primary(reply: &str, conns: usize) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let reply = reply.to_string();
+        let served = std::thread::spawn(move || {
+            for _ in 0..conns {
+                let (conn, _) = listener.accept().unwrap();
+                let mut request = String::new();
+                BufReader::new(conn.try_clone().unwrap())
+                    .read_line(&mut request)
+                    .unwrap();
+                (&conn).write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        (addr, served)
+    }
+
+    /// A snapshot transfer `reply` must be refused as `InvalidData` both by
+    /// `bootstrap` and by an existing follower's install, whose state must
+    /// not move.
+    fn assert_refused(reply: &str, shards: usize) {
+        let (addr, served) = stub_primary(reply, 2);
+        let err = bootstrap(&addr, FollowerOpts::default(), 16).err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bootstrap: {err}");
+
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, 16, 0x57B);
+        let cfg = ShardConfig::new(shards).unwrap();
+        let group = Arc::new(ShardedIndex::build(&corpus, cfg, IndexConfig::default()).unwrap());
+        let state = |g: &ShardedIndex| {
+            let rows: Vec<_> = (0..g.len())
+                .map(|o| g.fetch_series(o).unwrap().unwrap())
+                .collect();
+            (
+                rows,
+                g.deleted_ordinals(),
+                g.applied_lsn(),
+                g.replica_epoch(),
+                g.query_epoch(),
+            )
+        };
+        let before = state(&group);
+        let mut follower =
+            Follower::connect(&addr, Arc::clone(&group), FollowerOpts::default()).unwrap();
+        let err = follower.poll_once().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "install: {err}");
+        assert_eq!(state(&group), before, "a refused snapshot installs nothing");
+        served.join().unwrap();
+    }
+
+    #[test]
+    fn snapshot_rows_of_mixed_length_are_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=1 next=1 seq_len=4 count=2\n\
+             SNAP ord=0 live=yes data=1,2,3,4\n\
+             SNAP ord=1 live=yes data=1,2,3\nEND\n",
+            1,
+        );
+    }
+
+    #[test]
+    fn snapshot_rows_with_empty_data_are_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=1 next=1 seq_len=4 count=2\n\
+             SNAP ord=0 live=yes data=1,2,3,4\n\
+             SNAP ord=1 live=yes data=\nEND\n",
+            1,
+        );
+    }
+
+    #[test]
+    fn snapshot_ordinals_out_of_order_are_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=1 next=1 seq_len=4 count=2\n\
+             SNAP ord=5 live=yes data=1,2,3,4\n\
+             SNAP ord=0 live=no data=4,3,2,1\nEND\n",
+            1,
+        );
+    }
+
+    #[test]
+    fn snapshot_rows_shorter_than_seq_len_are_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=1 next=1 seq_len=9 count=2\n\
+             SNAP ord=0 live=yes data=1,2,3,4\n\
+             SNAP ord=1 live=yes data=4,3,2,1\nEND\n",
+            1,
+        );
+    }
+
+    #[test]
+    fn empty_snapshot_is_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=3 next=9 seq_len=4 count=0\nEND\n",
+            1,
+        );
+    }
+
+    #[test]
+    fn snapshot_rows_on_a_missing_shard_are_refused() {
+        assert_refused(
+            "OK repl=snapshot epoch=1 next=1 seq_len=4 shards=2 count=2\n\
+             SNAP ord=0 shard=0 live=yes data=1,2,3,4\n\
+             SNAP ord=1 shard=2 live=yes data=4,3,2,1\nEND\n",
+            2,
+        );
     }
 }

@@ -28,7 +28,7 @@ use simobs::SlowLog;
 use simquery::prelude::*;
 use simquery::report::{JoinResult, QueryError};
 use simquery::shard::ShardedIndex;
-use simquery::shared::{DurableError, SharedIndex};
+use simquery::shared::DurableError;
 use simshard::gather;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -78,8 +78,8 @@ impl Default for ServerConfig {
 }
 
 /// The index a server executes against: an index group of one shard or
-/// many. A [`SharedIndex`], a [`ShardedIndex`] or an `Arc` of one all
-/// convert into it.
+/// many. A [`ShardedIndex`], an `Arc` of one, or the one-shard view
+/// `simquery::shared` offers all convert into it.
 pub type Backend = Arc<ShardedIndex>;
 
 /// A running server; dropping it does NOT stop the threads — call
@@ -122,10 +122,9 @@ impl ServerHandle {
     }
 }
 
-/// Starts serving `backend` per `cfg` (a bare [`SharedIndex`] converts
-/// into a group of one). Returns once the listener is bound. The server
-/// answers `REPL` polls whenever the backend is a durable index of one
-/// shard — any such server can feed followers.
+/// Starts serving `backend` per `cfg`. Returns once the listener is
+/// bound. The server answers `REPL` polls whenever the backend is durable,
+/// whatever its shard count — any such server can feed followers.
 pub fn serve(backend: impl Into<Backend>, cfg: &ServerConfig) -> io::Result<ServerHandle> {
     serve_with(backend, cfg, None)
 }
@@ -477,12 +476,6 @@ fn execute(
             Response::Trace { events }
         }
         Request::Promote => {
-            let Ok(shared) = SharedIndex::try_from(Arc::clone(backend)) else {
-                return err(
-                    ErrCode::Query,
-                    "PROMOTE requires a single-index server (shards replicate separately)",
-                );
-            };
             if !repl.is_follower() {
                 return err(
                     ErrCode::Query,
@@ -493,7 +486,7 @@ fn execute(
             // BEFORE touching the index, so no frame or snapshot from the
             // old timeline can land on (or roll back) the promoted state.
             repl.halt_follower_loop();
-            match shared.promote() {
+            match backend.promote() {
                 Ok(epoch) => {
                     repl.promote_to_primary();
                     Response::Promoted { epoch }
@@ -524,15 +517,17 @@ fn query_err(e: QueryError) -> Response {
 }
 
 /// Durable-mutation errors: engine rejections keep their `QUERY`/`IO`
-/// split; WAL and snapshot failures are `IO`; a replication gap is a
-/// protocol-level inconsistency, so `SERVER`.
+/// split; WAL and snapshot failures are `IO`; a replication gap or a
+/// shard-count mismatch is a replication-level inconsistency, so `SERVER`.
 fn durable_err(e: DurableError) -> Response {
     match e {
         DurableError::Query(q) => query_err(q),
         e @ (DurableError::Wal(_) | DurableError::Io(_) | DurableError::Poisoned) => {
             err(ErrCode::Io, e.to_string())
         }
-        gap @ DurableError::Gap { .. } => err(ErrCode::Server, gap.to_string()),
+        e @ (DurableError::Gap { .. } | DurableError::ShardCount { .. }) => {
+            err(ErrCode::Server, e.to_string())
+        }
         // A fenced node is read-only by definition: the same signal a
         // follower sends, so FailoverClient chases both identically.
         fenced @ DurableError::Fenced { .. } => err(ErrCode::ReadOnly, fenced.to_string()),
@@ -694,7 +689,7 @@ fn lower<'m>(
     let Some((shape, ord)) = Shape::of(request) else {
         return Err(err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN"));
     };
-    if matches!(shape, Shape::Join(..)) && SharedIndex::try_from(Arc::clone(backend)).is_err() {
+    if matches!(shape, Shape::Join(..)) && backend.shard_count() > 1 {
         return Err(err(
             ErrCode::Query,
             "JOIN is not supported on a sharded backend (pairs cross shards); \

@@ -2,18 +2,53 @@
 //! and uses a subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
+use simquery::index::{IndexConfig, SeqIndex};
 use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, QueryParams, WireThreshold};
 use simserve::repl::Follower;
-use simserve::server::ServerConfig;
-use std::path::PathBuf;
+use simserve::server::{Backend, ServerConfig};
+use simshard::{ShardConfig, ShardedIndex};
+use std::path::{Path, PathBuf};
 use tseries::{Corpus, CorpusKind};
 
 /// Sequence length of the replication/recovery suites' corpora.
 pub const SEQ_LEN: usize = 32;
 /// Their record buffer-pool size, in pages.
 pub const POOL: usize = 32;
+/// The shard counts the replication, recovery and failover suites run
+/// every scenario on: a plain index directory, and a group of four.
+pub const SHARDS: [usize; 2] = [1, 4];
+
+/// Saves `corpus` under `dir` as `shards` shards: a plain index directory
+/// for one, a hash-placed shard directory otherwise.
+pub fn save_corpus(corpus: &Corpus, shards: usize, dir: &Path) {
+    if shards == 1 {
+        SeqIndex::build(corpus, IndexConfig::default())
+            .unwrap()
+            .save(dir)
+            .unwrap();
+    } else {
+        let cfg = ShardConfig::new(shards).unwrap();
+        ShardedIndex::build(corpus, cfg, IndexConfig::default())
+            .unwrap()
+            .save(dir)
+            .unwrap();
+    }
+}
+
+/// An in-memory group of `shards` shards over `corpus`: the one-shard
+/// view of a plain index for one.
+pub fn in_memory(corpus: &Corpus, shards: usize) -> Backend {
+    if shards == 1 {
+        SharedIndex::new(SeqIndex::build(corpus, IndexConfig::default()).unwrap()).into()
+    } else {
+        let cfg = ShardConfig::new(shards).unwrap();
+        ShardedIndex::build(corpus, cfg, IndexConfig::default())
+            .unwrap()
+            .into()
+    }
+}
 
 /// A small server on a free loopback port, result cache off.
 pub fn test_config() -> ServerConfig {
@@ -53,21 +88,26 @@ pub fn retry_locked<T, E: std::fmt::Display>(mut open: impl FnMut() -> Result<T,
     panic!("open kept failing after 5s: {}", last.unwrap());
 }
 
-/// Byte-level state equality: same ordinal space, same tombstone set,
-/// same values per ordinal. Stronger than answer parity — a duplicated
-/// or skipped frame cannot hide.
-pub fn assert_state_identical(a: &SharedIndex, b: &SharedIndex, ctx: &str) {
-    let (ga, gb) = (a.read(), b.read());
-    assert_eq!(ga.len(), gb.len(), "{ctx}: ordinal space diverged");
-    assert_eq!(ga.seq_len(), gb.seq_len(), "{ctx}");
-    let (mut da, mut db) = (ga.deleted_ordinals(), gb.deleted_ordinals());
-    da.sort_unstable();
-    db.sort_unstable();
-    assert_eq!(da, db, "{ctx}: tombstone sets diverged");
-    for ord in 0..ga.len() {
+/// Byte-level state equality: same ordinal space, same placement, same
+/// tombstone set, same values per ordinal. Stronger than answer parity —
+/// a duplicated or skipped frame cannot hide.
+pub fn assert_state_identical(a: &ShardedIndex, b: &ShardedIndex, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: ordinal space diverged");
+    assert_eq!(a.seq_len(), b.seq_len(), "{ctx}");
+    assert_eq!(
+        a.map_snapshot().assignment(),
+        b.map_snapshot().assignment(),
+        "{ctx}: placement diverged"
+    );
+    assert_eq!(
+        a.deleted_ordinals(),
+        b.deleted_ordinals(),
+        "{ctx}: tombstone sets diverged"
+    );
+    for ord in 0..a.len() {
         assert_eq!(
-            ga.fetch_series(ord).unwrap().values(),
-            gb.fetch_series(ord).unwrap().values(),
+            a.fetch_series(ord).unwrap().unwrap().values(),
+            b.fetch_series(ord).unwrap().unwrap().values(),
             "{ctx}: values diverged at ordinal {ord}"
         );
     }

@@ -2,13 +2,14 @@
 //! kill it without a checkpoint, restart on the same directories, and the
 //! wire-visible state comes back exactly. Also exercises `SYNC` and
 //! `CHECKPOINT` as protocol verbs, the WAL keys in `INFO`/`STATS`, and
-//! the error on a server that runs without durability.
+//! the error on a server that runs without durability. Every scenario
+//! runs on a plain index and on a group of four shards
+//! ([`common::SHARDS`]).
 
 mod common;
 
-use common::{fresh_dir, retry_locked, test_config, POOL, SEQ_LEN};
+use common::{fresh_dir, retry_locked, save_corpus, test_config, POOL, SEQ_LEN, SHARDS};
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, Response};
 use simserve::server::{serve, Backend};
@@ -32,14 +33,17 @@ fn fingerprint(client: &mut Client, ord: usize) -> Vec<(usize, usize)> {
 
 #[test]
 fn single_backend_crash_recovery_over_the_wire() {
-    let root = fresh_dir("single");
+    for shards in SHARDS {
+        crash_recovery_over_the_wire(shards);
+    }
+}
+
+fn crash_recovery_over_the_wire(shards: usize) {
+    let root = fresh_dir(&format!("single{shards}"));
     let idx = root.join("idx");
     let wal = root.join("wal");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 20, SEQ_LEN, 0xD1E);
-    SeqIndex::build(&corpus, IndexConfig::default())
-        .unwrap()
-        .save(&idx)
-        .unwrap();
+    save_corpus(&corpus, shards, &idx);
 
     let mut rng = SeededRng::seed_from_u64(0xACED);
     let inserts: Vec<TimeSeries> = (0..3)
@@ -50,7 +54,7 @@ fn single_backend_crash_recovery_over_the_wire() {
     // "crash" (shut down without a checkpoint).
     {
         let (shared, rep) =
-            SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)).unwrap();
+            ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)).unwrap();
         assert_eq!(rep.frames, 0);
         let h = serve(shared, &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
@@ -92,7 +96,7 @@ fn single_backend_crash_recovery_over_the_wire() {
     // the wire-visible state matches the control exactly.
     {
         let (shared, rep) =
-            retry_locked(|| SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)));
+            retry_locked(|| ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)));
         assert_eq!(rep.frames, 4, "all acknowledged mutations replay");
         let h = serve(shared, &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
@@ -120,7 +124,7 @@ fn single_backend_crash_recovery_over_the_wire() {
     // Generation 3: after the checkpoint, nothing replays.
     {
         let (shared, rep) =
-            retry_locked(|| SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
+            retry_locked(|| ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
         assert_eq!(rep.frames, 0, "the checkpoint absorbed the log");
         assert_eq!(rep.epoch, 2);
         let h = serve(shared, &test_config()).unwrap();
@@ -138,13 +142,19 @@ fn single_backend_crash_recovery_over_the_wire() {
 
 #[test]
 fn sharded_backend_crash_recovery_over_the_wire() {
-    let root = fresh_dir("sharded");
+    for shards in SHARDS {
+        shard_group_crash_recovery(shards);
+    }
+}
+
+fn shard_group_crash_recovery(shards: usize) {
+    let root = fresh_dir(&format!("sharded{shards}"));
     let idx = root.join("idx");
     let wal = root.join("wal");
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 32, SEQ_LEN, 0x5EA);
     ShardedIndex::build(
         &corpus,
-        ShardConfig::new(4).unwrap(),
+        ShardConfig::new(shards).unwrap(),
         IndexConfig::default(),
     )
     .unwrap()
@@ -201,9 +211,14 @@ fn sharded_backend_crash_recovery_over_the_wire() {
 
 #[test]
 fn sync_and_checkpoint_error_without_durability() {
+    for shards in SHARDS {
+        not_durable_refuses_sync_and_checkpoint(shards);
+    }
+}
+
+fn not_durable_refuses_sync_and_checkpoint(shards: usize) {
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0x404);
-    let shared = SharedIndex::new(SeqIndex::build(&corpus, IndexConfig::default()).unwrap());
-    let h = serve(shared, &test_config()).unwrap();
+    let h = serve(common::in_memory(&corpus, shards), &test_config()).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
 
     let info = c.info().unwrap().unwrap();

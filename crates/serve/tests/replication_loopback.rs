@@ -5,18 +5,26 @@
 //! `ERR READONLY` on writes, the `REPL` stats line on both roles, and
 //! the plan-cache regression: a cached result on a lagging follower
 //! must not outlive an applied frame.
+//!
+//! Every scenario runs on a plain index and on a group of four shards
+//! ([`common::SHARDS`]); a follower takes its shard count and placement
+//! from the primary — also a range-placed directory's — and one seeded
+//! from a directory of another shard count is refused.
 
 mod common;
 
-use common::{drain, fresh_dir, query_key, POOL, SEQ_LEN};
+use common::{drain, fresh_dir, query_key, save_corpus, POOL, SEQ_LEN, SHARDS};
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
+use simquery::shared::DurableError;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::repl::{self, Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
+use std::path::Path;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 
@@ -37,7 +45,12 @@ fn knn_key(client: &mut Client, ord: usize, k: usize) -> Vec<(usize, usize, Stri
         .collect()
 }
 
-fn join_key(client: &mut Client, engine: EngineKind) -> (usize, Vec<(usize, usize)>) {
+/// A `JOIN`'s pairs, or the code it is refused with: a group of more
+/// than one shard refuses `JOIN` on every role alike.
+fn join_key(
+    client: &mut Client,
+    engine: EngineKind,
+) -> Result<(usize, Vec<(usize, usize)>), ErrCode> {
     let req = simserve::protocol::Request::Join {
         ma: (3, 10),
         threshold: WireThreshold::Rho(0.95),
@@ -48,10 +61,25 @@ fn join_key(client: &mut Client, engine: EngineKind) -> (usize, Vec<(usize, usiz
         Response::Pairs { n, pairs, .. } => {
             let mut key: Vec<_> = pairs.iter().map(|p| (p.a, p.b)).collect();
             key.sort_unstable();
-            (n, key)
+            Ok((n, key))
         }
+        Response::Err { code, .. } => Err(code),
         other => panic!("JOIN failed: {other:?}"),
     }
+}
+
+/// A durable primary over `corpus` saved as `shards` shards under
+/// `root/idx`, its log in `root/wal`.
+fn durable_primary(root: &Path, corpus: &Corpus, shards: usize) -> ShardedIndex {
+    save_corpus(corpus, shards, &root.join("idx"));
+    ShardedIndex::open_durable(
+        &root.join("idx"),
+        &root.join("wal"),
+        POOL,
+        FsyncPolicy::Always,
+    )
+    .unwrap()
+    .0
 }
 
 /// The acceptance scenario: bootstrap a follower from a snapshot, ship
@@ -60,19 +88,15 @@ fn join_key(client: &mut Client, engine: EngineKind) -> (usize, Vec<(usize, usiz
 /// error.
 #[test]
 fn follower_converges_and_serves_identical_reads() {
-    let root = fresh_dir("parity");
+    for shards in SHARDS {
+        follower_converges(shards);
+    }
+}
+
+fn follower_converges(shards: usize) {
+    let root = fresh_dir(&format!("parity{shards}"));
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 20, SEQ_LEN, 0x9E9);
-    SeqIndex::build(&corpus, IndexConfig::default())
-        .unwrap()
-        .save(&root.join("idx"))
-        .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
-        &root.join("idx"),
-        &root.join("wal"),
-        POOL,
-        FsyncPolicy::Always,
-    )
-    .unwrap();
+    let shared_p = durable_primary(&root, &corpus, shards);
     let hp = serve(shared_p, &test_config(0)).unwrap();
     let mut pc = Client::connect(hp.addr).unwrap();
 
@@ -212,20 +236,16 @@ fn query_params_for(ord: usize) -> QueryParams {
 /// the snapshot, and converges like a bootstrapped one.
 #[test]
 fn follower_with_seed_index_catches_up_via_snapshot() {
-    let root = fresh_dir("seed");
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x5EE);
-    let seed = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
-    seed.save(&root.join("idx")).unwrap();
-    seed.save(&root.join("fidx")).unwrap();
-    drop(seed);
+    for shards in SHARDS {
+        seed_index_catches_up(shards);
+    }
+}
 
-    let (shared_p, _) = SharedIndex::open_durable(
-        &root.join("idx"),
-        &root.join("wal"),
-        POOL,
-        FsyncPolicy::Always,
-    )
-    .unwrap();
+fn seed_index_catches_up(shards: usize) {
+    let root = fresh_dir(&format!("seed{shards}"));
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x5EE);
+    save_corpus(&corpus, shards, &root.join("fidx"));
+    let shared_p = durable_primary(&root, &corpus, shards);
     let hp = serve(shared_p, &test_config(0)).unwrap();
     let mut pc = Client::connect(hp.addr).unwrap();
     let mut rng = SeededRng::seed_from_u64(0x5EED);
@@ -235,7 +255,7 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
             .unwrap();
     }
 
-    let shared_f = SharedIndex::open(&root.join("fidx"), POOL).unwrap();
+    let shared_f = Arc::new(ShardedIndex::open(&root.join("fidx"), POOL).unwrap());
     let mut follower = Follower::connect(
         &hp.addr.to_string(),
         shared_f.clone(),
@@ -255,7 +275,7 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
         1,
         "a fresh seed re-handshakes through exactly one snapshot"
     );
-    assert_eq!(shared_f.read().len(), 19);
+    assert_eq!(shared_f.len(), 19);
 
     pc.quit().unwrap();
     hp.shutdown();
@@ -270,19 +290,15 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
 /// wrong-under-the-current-state.
 #[test]
 fn plan_cache_on_follower_never_serves_stale_reads() {
-    let root = fresh_dir("cache");
+    for shards in SHARDS {
+        plan_cache_on_follower(shards);
+    }
+}
+
+fn plan_cache_on_follower(shards: usize) {
+    let root = fresh_dir(&format!("cache{shards}"));
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0xCAC);
-    SeqIndex::build(&corpus, IndexConfig::default())
-        .unwrap()
-        .save(&root.join("idx"))
-        .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
-        &root.join("idx"),
-        &root.join("wal"),
-        POOL,
-        FsyncPolicy::Always,
-    )
-    .unwrap();
+    let shared_p = durable_primary(&root, &corpus, shards);
     let hp = serve(shared_p, &test_config(0)).unwrap();
     let mut pc = Client::connect(hp.addr).unwrap();
 
@@ -338,25 +354,18 @@ fn plan_cache_on_follower_never_serves_stale_reads() {
 /// index it replaces instead of falling back to the default.
 #[test]
 fn snapshot_installs_keep_the_followers_pool_size() {
+    for shards in SHARDS {
+        installs_keep_pool_size(shards);
+    }
+}
+
+fn installs_keep_pool_size(shards: usize) {
     const BOOT_POOL: usize = 37;
     const INDEX_POOL: usize = 29;
-    let root = fresh_dir("pool");
+    let root = fresh_dir(&format!("pool{shards}"));
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x9001);
-    let build = |dir: &str| {
-        SeqIndex::build(&corpus, IndexConfig::default())
-            .unwrap()
-            .save(&root.join(dir))
-            .unwrap()
-    };
-    build("idx");
-    build("fidx");
-    let (shared_p, _) = SharedIndex::open_durable(
-        &root.join("idx"),
-        &root.join("wal"),
-        POOL,
-        FsyncPolicy::Always,
-    )
-    .unwrap();
+    save_corpus(&corpus, shards, &root.join("fidx"));
+    let shared_p = durable_primary(&root, &corpus, shards);
     let hp = serve(shared_p, &test_config(0)).unwrap();
     let opts = || FollowerOpts {
         wait_ms: 0,
@@ -364,18 +373,192 @@ fn snapshot_installs_keep_the_followers_pool_size() {
     };
 
     let (booted, _) = repl::bootstrap(&hp.addr.to_string(), opts(), BOOT_POOL).unwrap();
-    assert_eq!(booted.read().heap_pool_pages(), BOOT_POOL);
+    assert_eq!(booted.shards()[0].read().heap_pool_pages(), BOOT_POOL);
 
     // A fresh `--index` follower holds no replica position, so its first
     // poll installs the primary's snapshot over the local index.
-    let local = SharedIndex::open(&root.join("fidx"), INDEX_POOL).unwrap();
-    let mut follower = Follower::connect(&hp.addr.to_string(), local.clone(), opts()).unwrap();
+    let local = Arc::new(ShardedIndex::open(&root.join("fidx"), INDEX_POOL).unwrap());
+    let mut follower = Follower::connect(&hp.addr.to_string(), Arc::clone(&local), opts()).unwrap();
     drain(&mut follower);
     let installs = follower.stats().snapshots.load(Ordering::Relaxed);
     assert_eq!(installs, 1, "the first poll re-synced from a snapshot");
-    assert_eq!(local.read().heap_pool_pages(), INDEX_POOL);
+    assert_eq!(local.shards()[0].read().heap_pool_pages(), INDEX_POOL);
 
     drop(follower);
     hp.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Writes `corpus` as a shard directory placed by `assignment` under a
+/// named `partitioner` — what builds wrote before placement was always
+/// the ordinal's hash; its `assignment` stays authoritative.
+fn write_placed_group(dir: &Path, corpus: &Corpus, assignment: &[usize], policy: &str) {
+    let shards = assignment.iter().max().unwrap() + 1;
+    for s in 0..shards {
+        let (names, series) = (0..corpus.len())
+            .filter(|&g| assignment[g] == s)
+            .map(|g| (corpus.names()[g].clone(), corpus.series()[g].clone()))
+            .unzip();
+        SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default())
+            .unwrap()
+            .save(&dir.join(format!("shard-{s}")))
+            .unwrap();
+    }
+    let assignment: Vec<String> = assignment.iter().map(usize::to_string).collect();
+    let manifest = format!(
+        "simshard v1\nshards {shards}\npartitioner {policy}\nseq_len {}\nepoch 1\n\
+         assignment {}\n",
+        corpus.series_len(),
+        assignment.join(",")
+    );
+    std::fs::write(dir.join("sharding.txt"), manifest).unwrap();
+}
+
+/// A primary opened from a range-placed directory ships its placement: a
+/// durable follower seeded with the hash placement takes the primary's
+/// assignment at the snapshot install, checkpoints it into its own
+/// directory, and later frames — inserts on hash-placed ordinals, deletes
+/// on range-placed ones — apply without a `Gap` re-sync.
+#[test]
+fn range_placed_primary_replicates_its_placement() {
+    let root = fresh_dir("range");
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x4A9E);
+    let assignment: Vec<usize> = (0..16).map(|g| g / 4).collect();
+    write_placed_group(&root.join("idx"), &corpus, &assignment, "range");
+    save_corpus(&corpus, 4, &root.join("fidx"));
+    let (primary, _) = ShardedIndex::open_durable(
+        &root.join("idx"),
+        &root.join("wal"),
+        POOL,
+        FsyncPolicy::Always,
+    )
+    .unwrap();
+    let primary = Arc::new(primary);
+    let hp = serve(Arc::clone(&primary), &test_config(0)).unwrap();
+    let mut pc = Client::connect(hp.addr).unwrap();
+
+    let open_follower = || {
+        common::retry_locked(|| {
+            ShardedIndex::open_durable(
+                &root.join("fidx"),
+                &root.join("fwal"),
+                POOL,
+                FsyncPolicy::Always,
+            )
+        })
+        .0
+    };
+    let local = Arc::new(open_follower());
+    assert_ne!(local.map_snapshot().assignment(), assignment);
+    let mut follower = Follower::connect(
+        &hp.addr.to_string(),
+        Arc::clone(&local),
+        FollowerOpts {
+            wait_ms: 0,
+            state_dir: Some(root.join("fwal")),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    drain(&mut follower);
+    assert_eq!(local.map_snapshot().assignment(), assignment);
+
+    let mut rng = SeededRng::seed_from_u64(0x4A9F);
+    for _ in 0..6 {
+        pc.insert(random_walk(&mut rng, SEQ_LEN, 50.0).values().to_vec())
+            .unwrap()
+            .unwrap();
+    }
+    assert!(pc.delete(2).unwrap().unwrap());
+    assert!(pc.delete(13).unwrap().unwrap());
+    assert!(pc.delete(17).unwrap().unwrap());
+    drain(&mut follower);
+    assert_eq!(follower.applied(), 9);
+    assert_eq!(
+        follower.stats().snapshots.load(Ordering::Relaxed),
+        1,
+        "every later frame applied without a Gap re-sync"
+    );
+    assert_eq!(
+        local.map_snapshot().assignment(),
+        primary.map_snapshot().assignment()
+    );
+    common::assert_state_identical(&primary, &local, "range-placed primary");
+
+    // The install checkpointed the primary's placement into the
+    // follower's own shard directory, and the log replays the frames.
+    drop(follower);
+    drop(local);
+    let reopened = open_follower();
+    common::assert_state_identical(&primary, &reopened, "reopened follower");
+    drop(reopened);
+    pc.quit().unwrap();
+    hp.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A durable follower whose own directory holds another shard count than
+/// the primary is refused with one typed error naming both counts, and
+/// nothing is installed.
+#[test]
+fn follower_of_another_shard_count_is_refused() {
+    for (primary_shards, local_shards) in [(4, 1), (1, 4)] {
+        let root = fresh_dir(&format!("mismatch{primary_shards}"));
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x3157);
+        let hp = serve(
+            durable_primary(&root, &corpus, primary_shards),
+            &test_config(0),
+        )
+        .unwrap();
+        save_corpus(&corpus, local_shards, &root.join("fidx"));
+        let (local, _) = ShardedIndex::open_durable(
+            &root.join("fidx"),
+            &root.join("fwal"),
+            POOL,
+            FsyncPolicy::Always,
+        )
+        .unwrap();
+        let local = Arc::new(local);
+        let state = |g: &ShardedIndex| {
+            (
+                g.len(),
+                g.wal_epoch(),
+                g.applied_lsn(),
+                g.replica_epoch(),
+                g.query_epoch(),
+            )
+        };
+        let before = state(&local);
+        let mut follower = Follower::connect(
+            &hp.addr.to_string(),
+            Arc::clone(&local),
+            FollowerOpts {
+                wait_ms: 0,
+                state_dir: Some(root.join("fwal")),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let err = follower.poll_once().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            matches!(
+                err.get_ref().and_then(|e| e.downcast_ref::<DurableError>()),
+                Some(DurableError::ShardCount { local: l, primary: p })
+                    if (*l, *p) == (local_shards, primary_shards)
+            ),
+            "{err}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("primary holds {primary_shards} shards"))
+                && msg.contains(&format!("follower holds {local_shards}")),
+            "{msg}"
+        );
+        assert_eq!(state(&local), before, "nothing was installed");
+        assert!(!root.join("fwal").join("REPLICA").exists());
+        drop(follower);
+        hp.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

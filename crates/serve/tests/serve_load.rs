@@ -34,7 +34,7 @@ fn eight_connections_full_parity_and_live_stats() {
         engine: EngineKind::Mt,
         // Same handle the server holds: every response is checked against
         // a single-threaded engine run over identical data.
-        verify: Some(shared.clone()),
+        verify: Some(shared.clone().into()),
         failover_to: Vec::new(),
         timeout_ms: None,
     };
@@ -143,6 +143,44 @@ fn simload_binary_accepts_engine_auto() {
         String::from_utf8_lossy(&out.stderr)
     );
     handle.shutdown();
+}
+
+/// `simload --verify-index` takes a shard directory: against a server of
+/// the same three-shard directory, every response matches the oracle's
+/// scatter-gather execution.
+#[test]
+fn simload_verifies_against_a_shard_directory() {
+    let dir = std::env::temp_dir().join(format!("simserve_load_shards_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 60, 64, 43);
+    let cfg = simshard::ShardConfig::new(3).unwrap();
+    simshard::ShardedIndex::build(&corpus, cfg, IndexConfig::default())
+        .unwrap()
+        .save(&dir)
+        .unwrap();
+    let served = simshard::ShardedIndex::open(&dir, 64).unwrap();
+    assert_eq!(served.shard_count(), 3);
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    };
+    let handle = serve(served, &cfg).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simload"))
+        .args(["--conns", "3", "--ops", "10", "--rho", "0.9", "--addr"])
+        .arg(handle.addr.to_string())
+        .arg("--verify-index")
+        .arg(&dir)
+        .output()
+        .expect("spawn simload");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "simload failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("parity: 100% (30 responses"), "{stdout}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A mistyped or repeated flag must not start a server: `--wal-dir` for

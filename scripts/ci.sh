@@ -10,14 +10,17 @@
 #   scripts/ci.sh parity    # tier-2: planner-parity grid (plan layer vs
 #                           # forced engines, every backend + result cache)
 #   scripts/ci.sh replication # tier-2: WAL-shipping follower suites
-#                           # (loopback parity, crash points, faulted apply)
+#                           # (loopback parity on shards {1, 4}, a
+#                           # range-placed primary, crash points, faulted
+#                           # apply, snapshot transfers checked)
 #   scripts/ci.sh obs       # tier-2: METRICS/STATS exactness suite plus
 #                           # the obs_overhead gate (default sampling
 #                           # must cost <= 2% on the hot query path)
 #   scripts/ci.sh failover  # tier-2: epoch-fenced promotion at every
 #                           # frame boundary, FailoverClient through the
 #                           # seeded ChaosProxy (fixed seed matrix
-#                           # 0xC0FFEE1..3), graceful-shutdown drain
+#                           # 0xC0FFEE1..3, PROMOTE on shards {1, 4}),
+#                           # graceful-shutdown drain
 #   scripts/ci.sh serve     # tier-2: the suites that pin admission
 #                           # (workers/queue/BUSY), the shutdown drain
 #                           # and STATS over the wire, plus simserve's
@@ -81,11 +84,12 @@ recovery|-p simwal|the log itself: torn tail, rewind, fsync-fault poison, hinted
 recovery|-p simquery --lib shared|the one-shard view: append poison, replicated apply and follower position, fence across restart
 recovery|-p simquery --lib shard::tests|the group write gate: a failed fsync refuses the next mutation before it applies
 recovery|-p simshard --lib index|the index group map: poisoned appends stay mapped, saves quiesce inserts
-recovery|-p simserve --test recovery_loopback|durable simserved restart loopback
+recovery|-p simserve --test recovery_loopback|durable simserved restart loopback, shards {1, 4}
 parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards; a group of one is plan::run
 parity|-p simshard --test parity|sharded-vs-single engine suite
 parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire; a served group of one is plan::run; the per-connection lowering memo answers each shape as a fresh connection and plan::run do
-replication|-p simserve --test replication_loopback|loopback convergence + read-only follower
+replication|-p simserve --test replication_loopback|loopback convergence + read-only follower on shards {1, 4}; a range-layout primary replicates its placement and later frames apply without a Gap; a follower of another shard count is refused
+replication|-p simserve --lib repl::|snapshot transfers checked before anything is built (stub primary)
 replication|-p simserve --test replication_crash|crash at every frame boundary, both roles
 replication|-p simserve --test replication_chaos|faulted follower devices during apply
 obs|-p simobs|metrics/stats parity, slow-query log, trace ring
@@ -93,7 +97,7 @@ obs|-p simserve --test metrics_parity|
 failover|-p simquery --lib shared|promote and fence on the index group (one shard)
 failover|-p simquery --lib shard::|a fenced checkpoint refused and named in INFO
 failover|-p simserve --test failover_promotion|promotion at every frame boundary + fencing
-failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3)
+failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3), PROMOTE on shards {1, 4}
 failover|-p simserve --test shutdown_drain|graceful-shutdown drain
 serve|-p simserve --lib|admission gate, protocol and metrics unit tests
 serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 0, the lowering memo across shapes, an oversize line refused with the connection kept

@@ -197,9 +197,9 @@ fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 }
 
 fn assert_state(ix: ShardedIndex, want: &[(Vec<f64>, bool)], ctx: &str) {
-    match SharedIndex::try_from(Arc::new(ix)) {
-        Ok(shared) => assert_single_state(&shared.read(), want, ctx),
-        Err(ix) => assert_sharded_state(&ix, want, ctx),
+    match ix.shards() {
+        [one] => assert_single_state(&one.read(), want, ctx),
+        _ => assert_sharded_state(&ix, want, ctx),
     }
 }
 
@@ -711,11 +711,12 @@ fn faulted_replay_is_typed_error_or_exact_result() {
             |_| wrap.take(),
         )
         .map(|(ix, rep)| {
-            let shared = SharedIndex::try_from(Arc::new(ix)).expect("a plain directory");
-            (shared, rep)
+            assert_eq!(ix.shard_count(), 1, "a plain directory");
+            (ix, rep)
         });
         match opened {
-            Ok((shared, rep)) => {
+            Ok((ix, rep)) => {
+                let shared = &ix.shards()[0];
                 assert_eq!(rep.frames, ops.len(), "seed {seed}: full replay");
                 let (tree, heap) = handles.lock().unwrap().take().expect("wrap hook ran");
                 tree.disarm();
@@ -751,7 +752,8 @@ fn faulted_replay_is_typed_error_or_exact_result() {
                 | DurableError::Io(_)
                 | DurableError::Poisoned
                 | DurableError::Fenced { .. }
-                | DurableError::Gap { .. },
+                | DurableError::Gap { .. }
+                | DurableError::ShardCount { .. },
             ) => errs += 1,
         }
         std::fs::remove_dir_all(&case).unwrap();
