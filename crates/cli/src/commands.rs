@@ -94,7 +94,6 @@ pub fn build(args: &Opts) -> CliResult {
     args.reject_unknown(&["data", "out", "shards"])?;
     let data = PathBuf::from(args.req("data")?);
     let out = PathBuf::from(args.req("out")?);
-    // The same parse that backs `simserved --shards`.
     let cfg = ShardConfig::parse(args.get("shards").unwrap_or("1")).map_err(err)?;
     let corpus =
         Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;

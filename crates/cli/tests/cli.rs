@@ -183,6 +183,20 @@ fn helpful_errors() {
     let out = simseq().args(["query", "--bogus", "1"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
+    // The server serves a directory with the shards it was built with:
+    // `--shards` is not one of its flags.
+    let out = simseq()
+        .args([
+            "serve",
+            "--index",
+            "/nonexistent-simseq-dir",
+            "--shards",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --shards"));
 
     let (stdout, _) = run_ok(simseq().arg("help"));
     assert!(stdout.contains("USAGE"));

@@ -237,9 +237,7 @@ impl SeqIndex {
         self.deleted_count
     }
 
-    /// The tombstoned ordinals themselves, ascending. Lets
-    /// [`crate::shard::ShardedIndex::from_index`] replay deletions when it
-    /// rebuilds a corpus from the heap across shards.
+    /// The tombstoned ordinals themselves, ascending.
     pub fn deleted_ordinals(&self) -> Vec<usize> {
         self.deleted
             .iter()
@@ -798,24 +796,17 @@ pub fn wal_to_io(e: simwal::WalError) -> std::io::Error {
     }
 }
 
-/// The `gen` counter and snapshot file names recorded in `dir/meta.txt`,
-/// for picking the next generation's names and cleaning up the previous
-/// one. `(0, [])` when the directory holds no snapshot yet; legacy images
-/// without a `files` line used the fixed names.
-fn meta_pointer(dir: &std::path::Path) -> (u64, Vec<String>) {
-    let Ok(meta) = std::fs::read_to_string(dir.join("meta.txt")) else {
-        return (0, Vec::new());
-    };
-    let mut gen = 0u64;
-    let mut files = vec!["tree.pg".to_string(), "records.pg".to_string()];
-    for line in meta.lines() {
-        if let Some(v) = line.strip_prefix("gen ") {
-            gen = v.trim().parse().unwrap_or(0);
-        } else if let Some(v) = line.strip_prefix("files ") {
-            files = v.split_whitespace().map(str::to_string).collect();
-        }
-    }
-    (gen, files)
+/// An index directory's commit file: `meta.txt`, the only pointer to the
+/// generation of page images it names.
+const META: simwal::Manifest = simwal::Manifest::new("meta.txt", "simseq-index v1");
+
+/// The snapshot file names of images without a `files` line.
+const LEGACY_FILES: [&str; 2] = ["tree.pg", "records.pg"];
+
+/// The page-image file names `meta` names.
+fn snapshot_files(meta: &simwal::Manifest) -> std::io::Result<Vec<String>> {
+    let files = meta.opt_list("files", ' ')?;
+    Ok(files.unwrap_or_else(|| LEGACY_FILES.map(String::from).to_vec()))
 }
 
 impl SeqIndex {
@@ -850,61 +841,43 @@ impl SeqIndex {
         };
         std::fs::create_dir_all(dir)?;
         self.heap_pool.flush_all().map_err(std::io::Error::other)?;
-        let (old_gen, old_files) = meta_pointer(dir);
+        // The generation the directory holds, whose files this save
+        // replaces; none yet in a new directory.
+        let (old_gen, old_files) = match META.read(dir) {
+            Ok(meta) => (meta.opt("gen")?.unwrap_or(0), snapshot_files(&meta)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (0, Vec::new()),
+            Err(e) => return Err(e),
+        };
         let gen = old_gen + 1;
         let tree_file = format!("tree-{gen}.pg");
         let records_file = format!("records-{gen}.pg");
         tree_disk.save_to(&dir.join(&tree_file))?;
         heap_disk.save_to(&dir.join(&records_file))?;
 
-        let mut meta = String::new();
-        use std::fmt::Write as _;
         let params = self.tree.params();
-        let _ = writeln!(meta, "simseq-index v1");
-        let _ = writeln!(meta, "gen {gen}");
-        let _ = writeln!(meta, "files {tree_file} {records_file}");
-        let _ = writeln!(meta, "wal_epoch {wal_epoch}");
-        let _ = writeln!(meta, "seq_len {}", self.seq_len);
-        let _ = writeln!(meta, "len {}", self.len);
-        let _ = writeln!(meta, "tree_root {}", self.tree.root_id().0);
-        let _ = writeln!(meta, "tree_root_level {}", self.tree.root_level());
-        let _ = writeln!(meta, "tree_len {}", self.tree.len());
-        let _ = writeln!(
-            meta,
-            "params {} {} {}",
-            params.max_entries, params.min_entries, params.reinsert_count
-        );
-        let _ = writeln!(
-            meta,
-            "skipped {}",
-            self.skipped
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let _ = writeln!(
-            meta,
-            "deleted {}",
-            self.deleted
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(i, _)| i.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let _ = writeln!(
-            meta,
-            "heap_pages {}",
-            self.heap
-                .page_ids()
-                .iter()
-                .map(|p| p.0.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        simwal::atomic_write(&dir.join("meta.txt"), meta.as_bytes())?;
+        let deleted = (0..self.len).filter(|&i| self.deleted[i]);
+        let heap_pages = self.heap.page_ids();
+        META.with("gen", gen)
+            .with_list("files", [&tree_file, &records_file], ' ')
+            .with("wal_epoch", wal_epoch)
+            .with("seq_len", self.seq_len)
+            .with("len", self.len)
+            .with("tree_root", self.tree.root_id().0)
+            .with("tree_root_level", self.tree.root_level())
+            .with("tree_len", self.tree.len())
+            .with_list(
+                "params",
+                [
+                    params.max_entries,
+                    params.min_entries,
+                    params.reinsert_count,
+                ],
+                ' ',
+            )
+            .with_list("skipped", &self.skipped, ',')
+            .with_list("deleted", deleted, ',')
+            .with_list("heap_pages", heap_pages.iter().map(|p| p.0), ',')
+            .write(dir)?;
         // The old generation is no longer referenced; reclaim it.
         for old in old_files {
             if old != tree_file && old != records_file {
@@ -960,107 +933,46 @@ impl SeqIndex {
         } else {
             None
         };
-        let meta = std::fs::read_to_string(dir.join("meta.txt"))?;
-        let mut fields = std::collections::HashMap::new();
-        let mut lines = meta.lines();
-        if lines.next() != Some("simseq-index v1") {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "not a simseq index directory",
-            ));
+        let meta = META.read(dir)?;
+        let seq_len: usize = meta.get("seq_len")?;
+        let len: usize = meta.get("len")?;
+        let tree_root: u32 = meta.get("tree_root")?;
+        let tree_root_level: u32 = meta.get("tree_root_level")?;
+        let tree_len: usize = meta.get("tree_len")?;
+        let params = match meta.list("params", ' ')?[..] {
+            [max_entries, min_entries, reinsert_count] => Params {
+                max_entries,
+                min_entries,
+                reinsert_count,
+            },
+            _ => return Err(meta.invalid("params", "does not hold three numbers")),
+        };
+        params.check().map_err(|e| meta.invalid("params", e))?;
+        let capacity = rstartree::Node::<DIMS>::page_capacity();
+        if params.max_entries > capacity {
+            let why = format!("exceed the {capacity} entries a node page holds");
+            return Err(meta.invalid("params", why));
         }
-        for line in lines {
-            if let Some((key, value)) = line.split_once(' ') {
-                fields.insert(key.to_string(), value.to_string());
-            } else {
-                fields.insert(line.to_string(), String::new());
-            }
-        }
-        let get = |k: &str| -> std::io::Result<&str> {
-            fields.get(k).map(String::as_str).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("missing {k}"))
-            })
-        };
-        let parse_usize = |k: &str| -> std::io::Result<usize> {
-            get(k)?.trim().parse().map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad {k}: {e}"))
-            })
-        };
-        let parse_list = |k: &str| -> std::io::Result<Vec<u32>> {
-            let raw = get(k)?.trim();
-            if raw.is_empty() {
-                return Ok(Vec::new());
-            }
-            raw.split(',')
-                .map(|s| {
-                    s.parse().map_err(|e| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("bad {k} entry: {e}"),
-                        )
-                    })
-                })
-                .collect()
-        };
-
-        let seq_len = parse_usize("seq_len")?;
-        let len = parse_usize("len")?;
-        let tree_root = parse_usize("tree_root")? as u32;
-        let tree_root_level = parse_usize("tree_root_level")? as u32;
-        let tree_len = parse_usize("tree_len")?;
-        let params_raw: Vec<usize> = get("params")?
-            .split_whitespace()
-            .map(|s| s.parse().unwrap_or(0))
-            .collect();
-        if params_raw.len() != 3 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad params line",
-            ));
-        }
-        let params = Params {
-            max_entries: params_raw[0],
-            min_entries: params_raw[1],
-            reinsert_count: params_raw[2],
-        };
-        let skipped: Vec<usize> = parse_list("skipped")?
-            .into_iter()
-            .map(|v| v as usize)
-            .collect();
-        let mut deleted = vec![false; len];
+        let record_size = seq_len
+            .checked_mul(8)
+            .ok_or_else(|| meta.invalid("seq_len", "overflows a record size"))?;
+        let skipped: Vec<usize> = meta.list("skipped", ',')?;
         // Older images may lack the deleted line; treat absence as empty.
-        if fields.contains_key("deleted") {
-            for idx in parse_list("deleted")? {
-                if (idx as usize) < len {
-                    deleted[idx as usize] = true;
-                }
+        let dead: Vec<usize> = meta.opt_list("deleted", ',')?.unwrap_or_default();
+        for (key, ordinals) in [("skipped", &skipped), ("deleted", &dead)] {
+            if let Some(i) = ordinals.iter().find(|&&i| i >= len) {
+                return Err(meta.invalid(key, format_args!("names ordinal {i}, past len {len}")));
             }
         }
-        let heap_pages: Vec<pagestore::PageId> = parse_list("heap_pages")?
+        let heap_pages: Vec<pagestore::PageId> = meta
+            .list("heap_pages", ',')?
             .into_iter()
             .map(pagestore::PageId)
             .collect();
-        // Generation-stamped snapshot names; legacy images used the
-        // fixed pair.
-        let file_names: Vec<&str> = fields
-            .get("files")
-            .map(|v| v.split_whitespace().collect())
-            .unwrap_or_else(|| vec!["tree.pg", "records.pg"]);
-        let [tree_file, records_file] = file_names[..] else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad files line",
-            ));
+        let [tree_file, records_file] = &snapshot_files(&meta)?[..] else {
+            return Err(meta.invalid("files", "does not name two files"));
         };
-        let wal_epoch = match fields.get("wal_epoch") {
-            Some(v) => v.trim().parse().map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad wal_epoch: {e}"),
-                )
-            })?,
-            None => 1,
-        };
+        let wal_epoch = meta.opt("wal_epoch")?.unwrap_or(1);
 
         let tree_disk = Arc::new(Disk::load_from(&dir.join(tree_file))?);
         let heap_disk = Arc::new(Disk::load_from(&dir.join(records_file))?);
@@ -1086,7 +998,17 @@ impl SeqIndex {
                 )
             }
         };
-        let heap = DynHeapFile::reopen(Arc::clone(&heap_pool), seq_len * 8, len, heap_pages);
+        let heap = DynHeapFile::reopen(Arc::clone(&heap_pool), record_size, len, heap_pages)
+            .map_err(|e| {
+                meta.invalid(
+                    "seq_len",
+                    format_args!("and `len` do not fit `heap_pages`: {e}"),
+                )
+            })?;
+        let mut deleted = vec![false; len];
+        for i in dead {
+            deleted[i] = true;
+        }
         let rids = (0..len).map(|i| heap.rid_of(i)).collect();
         let tree = RStarTree::open(
             tree_store,
@@ -1267,6 +1189,10 @@ mod persistence_tests {
     use crate::transform::Family;
     use tseries::CorpusKind;
 
+    fn corpus_of(n: usize) -> Corpus {
+        Corpus::generate(CorpusKind::SyntheticWalks, n, 64, 5)
+    }
+
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
             .join("simquery_index_persistence")
@@ -1306,6 +1232,87 @@ mod persistence_tests {
         let dir = tmpdir("garbage");
         std::fs::write(dir.join("meta.txt"), "something else").unwrap();
         assert!(SeqIndex::open(&dir, 8).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `meta.txt` keeps its bytes: the version line, then every field in
+    /// this order, lists joined by commas (`params` and `files` by
+    /// spaces) and an empty list written as `key `.
+    #[test]
+    fn meta_bytes_are_pinned() {
+        let mut series = Corpus::generate(CorpusKind::SyntheticWalks, 5, 64, 2)
+            .series()
+            .to_vec();
+        series.insert(2, tseries::TimeSeries::new(vec![1.0; 64]));
+        let names = (0..6).map(|i| format!("s{i}")).collect();
+        let mut index =
+            SeqIndex::build(&Corpus::from_parts(names, series), IndexConfig::default()).unwrap();
+        let dir = tmpdir("meta_bytes");
+        let meta = || std::fs::read_to_string(dir.join("meta.txt")).unwrap();
+        let fresh = SeqIndex::build(&corpus_of(3), IndexConfig::default()).unwrap();
+        fresh.save(&dir).unwrap();
+        assert_eq!(
+            meta(),
+            "simseq-index v1\ngen 1\nfiles tree-1.pg records-1.pg\nwal_epoch 1\n\
+             seq_len 64\nlen 3\ntree_root 0\ntree_root_level 0\ntree_len 3\n\
+             params 78 31 23\nskipped \ndeleted \nheap_pages 0\n"
+        );
+        index.delete_series(4).unwrap();
+        index.delete_series(1).unwrap();
+        index.save_with_epoch(&dir, 7).unwrap();
+        assert_eq!(
+            meta(),
+            "simseq-index v1\ngen 2\nfiles tree-2.pg records-2.pg\nwal_epoch 7\n\
+             seq_len 64\nlen 6\ntree_root 0\ntree_root_level 0\ntree_len 3\n\
+             params 78 31 23\nskipped 2\ndeleted 1,4\nheap_pages 0\n"
+        );
+        assert!(
+            !dir.join("tree-1.pg").exists(),
+            "the old generation is reclaimed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Images written before generation-numbered files, tombstones and
+    /// the WAL have no `gen`, `files`, `deleted` or `wal_epoch` line: they
+    /// open with the fixed file names, nothing deleted, at epoch 1, and
+    /// the next save moves them to generation 1.
+    #[test]
+    fn legacy_meta_without_gen_files_deleted_or_wal_epoch_opens() {
+        let dir = tmpdir("legacy_meta");
+        let c = corpus_of(12);
+        SeqIndex::build(&c, IndexConfig::default())
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        std::fs::rename(dir.join("tree-1.pg"), dir.join("tree.pg")).unwrap();
+        std::fs::rename(dir.join("records-1.pg"), dir.join("records.pg")).unwrap();
+        let legacy: String = std::fs::read_to_string(dir.join("meta.txt"))
+            .unwrap()
+            .lines()
+            .filter(|l| {
+                !["gen ", "files ", "deleted ", "wal_epoch "]
+                    .iter()
+                    .any(|k| l.starts_with(k))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(
+            !legacy.contains("gen") && !legacy.contains("wal_epoch"),
+            "{legacy}"
+        );
+        std::fs::write(dir.join("meta.txt"), legacy).unwrap();
+        let reopened = SeqIndex::open(&dir, 8).unwrap();
+        assert_eq!((reopened.len(), reopened.wal_epoch()), (12, 1));
+        assert_eq!(reopened.deleted_count(), 0);
+        assert_eq!(
+            reopened.fetch_series(5).unwrap().values(),
+            c.series()[5].values()
+        );
+        reopened.save(&dir).unwrap();
+        drop(reopened);
+        assert!(!dir.join("tree.pg").exists() && dir.join("tree-1.pg").exists());
+        assert_eq!(SeqIndex::open(&dir, 8).unwrap().len(), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1382,6 +1389,60 @@ mod open_robustness {
             );
             assert!(open_with_meta("fields", case, &meta).is_err(), "{meta:?}");
         }
+    }
+
+    /// One damaged `meta.txt` field beside intact page images is an
+    /// `InvalidData` error at open that names the field — never a panic
+    /// in the open, and never an open whose first INSERTs overfill a
+    /// node page.
+    #[test]
+    fn damaged_meta_fields_are_invalid_data() {
+        use tseries::CorpusKind;
+
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 300, 64, 0x3E7A);
+        let dir = std::env::temp_dir().join(format!("simquery_meta_damage_{}", std::process::id()));
+        SeqIndex::build(&corpus, IndexConfig::default())
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let meta = std::fs::read_to_string(dir.join("meta.txt")).unwrap();
+        let cases = [
+            ("params", "78 0 23"),
+            ("params", "78 x 23"),
+            ("params", "200 80 60"),
+            ("seq_len", "0"),
+            ("seq_len", "5000"),
+            ("len", "100000"),
+            ("heap_pages", ""),
+            ("deleted", "7,300"),
+            ("skipped", "300"),
+        ];
+        for (key, value) in cases {
+            let damaged: String = meta
+                .lines()
+                .map(|l| match l.split_once(' ') {
+                    Some((k, _)) if k == key => format!("{key} {value}\n"),
+                    _ => format!("{l}\n"),
+                })
+                .collect();
+            assert_ne!(damaged, meta, "{key}");
+            std::fs::write(dir.join("meta.txt"), damaged).unwrap();
+            let err = SeqIndex::open(&dir, 8).err().unwrap_or_else(|| {
+                panic!("{key} {value}: opened");
+            });
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{key} {value}: {err}"
+            );
+            assert!(
+                err.to_string().contains(&format!("`{key}`")),
+                "{key} {value}: {err}"
+            );
+        }
+        std::fs::write(dir.join("meta.txt"), &meta).unwrap();
+        assert_eq!(SeqIndex::open(&dir, 8).unwrap().len(), 300);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Page ids in a saved index are outside input too: a branch entry's

@@ -1,5 +1,5 @@
 //! Shard configuration: one place that parses and validates the shard
-//! count, shared by `simserved --shards`, `simseq build --shards`, and the
+//! count, shared by `simseq build --shards`, a `sharding.txt` read and the
 //! benches — so the accepted spellings and limits cannot drift between
 //! entry points.
 

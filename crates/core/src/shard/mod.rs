@@ -47,7 +47,7 @@ use crate::plan::{self, LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
 use crate::report::QueryError;
 use crate::shared::{DurableError, SharedIndex};
 use crate::stats::StatsRegistry;
-use cfg::{ShardConfig, MAX_SHARDS};
+use cfg::ShardConfig;
 use pagestore::sync::{Mutex, RwLock};
 use pagestore::{PageDevice, PageError};
 use partition::{shard_of, ShardMap};
@@ -204,6 +204,9 @@ impl fmt::Debug for ShardedIndex {
     }
 }
 
+/// A shard group's commit file, beside its `shard-N/` snapshots.
+const SHARDING: simwal::Manifest = simwal::Manifest::new("sharding.txt", "simshard v1");
+
 /// What a directory holds, opened but not yet assembled into a group.
 struct Snapshot {
     plain: bool,
@@ -289,11 +292,11 @@ impl ShardedIndex {
 
     /// Builds a group from stored rows — `(values, live)` per global
     /// ordinal, in order — with ordinal `g` on shard `assignment[g]`, then
-    /// tombstones the dead rows: what a repartition ([`Self::from_index`])
-    /// and a replica of a snapshot transfer both are. A group of one
-    /// persists as a plain index directory. A placement on a shard the
-    /// group lacks, or a shard left without rows, is a typed error; rows
-    /// of differing lengths or placements panic ([`Corpus::from_parts`]).
+    /// tombstones the dead rows: what a replica of a snapshot transfer is.
+    /// A group of one persists as a plain index directory. A placement on
+    /// a shard the group lacks, or a shard left without rows, is a typed
+    /// error; rows of differing lengths or placements panic
+    /// ([`Corpus::from_parts`]).
     pub fn from_rows(
         rows: Vec<(TimeSeries, bool)>,
         assignment: &[usize],
@@ -344,23 +347,6 @@ impl ShardedIndex {
             repl_epoch: AtomicU64::new(0),
             mem_fence: AtomicU64::new(0),
         }
-    }
-
-    /// Repartitions an existing single index by [`shard_of`]: copies every
-    /// record from its heap (tombstoned ordinals included — the heap is
-    /// append-only) into [`Self::from_rows`]. Global ordinals are
-    /// preserved, so results match the source index exactly.
-    pub fn from_index(
-        index: &SeqIndex,
-        cfg: ShardConfig,
-        index_cfg: IndexConfig,
-    ) -> Result<Self, ShardError> {
-        let cfg = cfg.validated().map_err(ShardError::Config)?;
-        let dead = index.deleted_ordinals();
-        let rows = (0..index.len())
-            .map(|g| Ok((index.fetch_series(g)?, dead.binary_search(&g).is_err())))
-            .collect::<Result<_, PageError>>()?;
-        Self::from_rows(rows, &hashed(index.len(), cfg.shards), cfg, index_cfg)
     }
 
     /// Number of shards.
@@ -556,23 +542,12 @@ impl ShardedIndex {
         for (i, g) in guards.iter().enumerate() {
             g.save_with_epoch(&dir.join(format!("shard-{i}")), epoch)?;
         }
-        let map = self.map.read();
-        let mut meta = String::new();
-        use std::fmt::Write as _;
-        let _ = writeln!(meta, "simshard v1");
-        let _ = writeln!(meta, "shards {}", self.shards.len());
-        let _ = writeln!(meta, "seq_len {}", guards[0].seq_len());
-        let _ = writeln!(meta, "epoch {epoch}");
-        let _ = writeln!(
-            meta,
-            "assignment {}",
-            map.assignment()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        simwal::atomic_write(&dir.join("sharding.txt"), meta.as_bytes())
+        SHARDING
+            .with("shards", self.shards.len())
+            .with("seq_len", guards[0].seq_len())
+            .with("epoch", epoch)
+            .with_list("assignment", self.map.read().assignment(), ',')
+            .write(dir)
     }
 
     /// Reopens a directory of either layout: `sharding.txt` opens the
@@ -1197,12 +1172,33 @@ impl Snapshot {
         } else {
             None
         };
-        let mut s = read_shard_manifest(dir)?;
-        s.lock = lock;
-        for i in 0..s.map.shards() {
-            s.indexes.push(open(&dir.join(format!("shard-{i}")), i)?);
+        // Directories written before placement was always the hash name a
+        // `partitioner`, and earlier builds wrote `next_lsn`: both keys go
+        // unread, as the `assignment` places every ordinal held.
+        let meta = SHARDING.read(dir)?;
+        let shards = ShardConfig::new(meta.get("shards")?)
+            .map_err(|e| meta.invalid("shards", e))?
+            .shards;
+        let assignment: Vec<usize> = meta.list("assignment", ',')?;
+        if let Some(s) = assignment.iter().find(|&&s| s >= shards) {
+            let why = format_args!("names shard {s} of {shards}");
+            return Err(meta.invalid("assignment", why));
         }
-        Ok(s)
+        let seq_len = meta.get("seq_len")?;
+        // Pre-durability manifests carry no epoch line; they are at the
+        // initial epoch.
+        let epoch = meta.opt("epoch")?.unwrap_or(1);
+        let indexes = (0..shards)
+            .map(|i| open(&dir.join(format!("shard-{i}")), i))
+            .collect::<std::io::Result<_>>()?;
+        Ok(Self {
+            plain: false,
+            seq_len,
+            epoch,
+            map: ShardMap::from_assignment(shards, &assignment),
+            indexes,
+            lock,
+        })
     }
 
     /// The last step of every open: the shard snapshots (after replay, on
@@ -1231,72 +1227,6 @@ impl Snapshot {
         }
         Ok(ShardedIndex::assemble(self, journal))
     }
-}
-
-/// Parses `sharding.txt` into a snapshot with no shard opened yet.
-fn read_shard_manifest(dir: &Path) -> std::io::Result<Snapshot> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let meta = std::fs::read_to_string(dir.join("sharding.txt"))?;
-    let mut lines = meta.lines();
-    if lines.next() != Some("simshard v1") {
-        return Err(bad("not a simshard directory".into()));
-    }
-    let mut shards = 0;
-    let mut assignment: Vec<usize> = Vec::new();
-    let mut m = Snapshot {
-        plain: false,
-        seq_len: 0,
-        // Pre-durability manifests carry no epoch line; they are at the
-        // initial epoch. (A `next_lsn` line, which earlier builds wrote,
-        // is skipped like any unknown key.)
-        epoch: 1,
-        map: ShardMap::default(),
-        indexes: Vec::new(),
-        lock: None,
-    };
-    for line in lines {
-        match line.split_once(' ') {
-            Some(("shards", v)) => {
-                shards = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| bad(format!("bad shards: {e}")))?;
-            }
-            // Directories written before placement was always the hash
-            // name a partitioner; their `assignment` still places every
-            // ordinal they hold, so the key is read and ignored.
-            Some(("partitioner", _)) => {}
-            Some(("seq_len", v)) => {
-                m.seq_len = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| bad(format!("bad seq_len: {e}")))?;
-            }
-            Some(("epoch", v)) => {
-                m.epoch = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| bad(format!("bad epoch: {e}")))?;
-            }
-            Some(("assignment", v)) if !v.trim().is_empty() => {
-                assignment = v
-                    .trim()
-                    .split(',')
-                    .map(|s| s.parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| bad(format!("bad assignment entry: {e}")))?;
-            }
-            _ => {}
-        }
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(bad(format!("shard count {shards} out of range")));
-    }
-    if assignment.iter().any(|&s| s >= shards) {
-        return Err(bad("assignment references a missing shard".into()));
-    }
-    m.map = ShardMap::from_assignment(shards, &assignment);
-    Ok(m)
 }
 
 impl From<SharedIndex> for Arc<ShardedIndex> {
@@ -1361,6 +1291,40 @@ mod tests {
             assert_eq!(group.checkpoint().unwrap(), None);
             assert!(group.wal_stats().is_none());
         }
+    }
+
+    /// `sharding.txt` keeps its bytes, and the variants earlier builds
+    /// wrote still open: a `partitioner` or `next_lsn` line goes unread,
+    /// and a manifest without `epoch` is at epoch 1.
+    #[test]
+    fn sharding_bytes_are_pinned_and_legacy_manifests_open() {
+        let root =
+            std::env::temp_dir().join(format!("simquery-shard-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let c = Corpus::generate(CorpusKind::SyntheticWalks, 8, 64, 0x5702E);
+        let group =
+            ShardedIndex::build(&c, ShardConfig::new(4).unwrap(), IndexConfig::default()).unwrap();
+        group.save(&root).unwrap();
+        let manifest = root.join("sharding.txt");
+        assert_eq!(
+            std::fs::read_to_string(&manifest).unwrap(),
+            "simshard v1\nshards 4\nseq_len 64\nepoch 1\nassignment 3,1,2,1,2,2,0,3\n"
+        );
+        for legacy in [
+            "simshard v1\nshards 4\nseq_len 64\nnext_lsn 9\nassignment 3,1,2,1,2,2,0,3\n",
+            "simshard v1\nshards 4\npartitioner hash\nseq_len 64\nepoch 1\nnext_lsn 1\n\
+             assignment 3,1,2,1,2,2,0,3\n",
+        ] {
+            std::fs::write(&manifest, legacy).unwrap();
+            let opened = ShardedIndex::open(&root, 16).unwrap();
+            assert_eq!(opened.snapshot_epoch, 1, "{legacy}");
+            assert_eq!(opened.shard_count(), 4, "{legacy}");
+            assert_eq!(
+                opened.map_snapshot().assignment(),
+                group.map_snapshot().assignment()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A failed fsync poisons the log itself: the group must refuse the

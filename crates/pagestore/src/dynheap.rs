@@ -38,53 +38,38 @@ impl DynHeapFile {
     ///
     /// Panics when a record cannot fit on one page.
     pub fn create(pool: Arc<BufferPool>, record_size: usize) -> Self {
-        assert!(record_size > 0, "zero-size records are not addressable");
-        assert!(
-            record_size <= PAGE_SIZE - HEADER,
-            "record of {record_size} bytes exceeds page payload {}",
-            PAGE_SIZE - HEADER
-        );
-        let per_page = (PAGE_SIZE - HEADER) / record_size;
-        Self {
-            pool,
-            record_size,
-            per_page,
-            state: Mutex::new(DynHeapState {
-                pages: Vec::new(),
-                len: 0,
-            }),
-        }
+        Self::reopen(pool, record_size, 0, Vec::new()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Re-attaches a heap whose pages already live on the pool's device —
     /// the persistence path. `pages` must be the page list of the saved
-    /// heap, in order, and `len` its record count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `len` needs more pages than provided.
+    /// heap, in order, and `len` its record count. These come from a file,
+    /// so a record that cannot fit on one page, or a `len` that needs more
+    /// pages than provided, is an error naming the mismatch.
     pub fn reopen(
         pool: Arc<BufferPool>,
         record_size: usize,
         len: usize,
         pages: Vec<PageId>,
-    ) -> Self {
-        assert!(
-            record_size > 0 && record_size <= PAGE_SIZE - HEADER,
-            "bad record size"
-        );
-        let per_page = (PAGE_SIZE - HEADER) / record_size;
-        assert!(
-            len.div_ceil(per_page) <= pages.len(),
-            "{len} records do not fit in {} pages",
-            pages.len()
-        );
-        Self {
+    ) -> Result<Self, String> {
+        let payload = PAGE_SIZE - HEADER;
+        if record_size == 0 {
+            return Err("zero-size records are not addressable".into());
+        } else if record_size > payload {
+            return Err(format!(
+                "record of {record_size} bytes exceeds page payload {payload}"
+            ));
+        }
+        let per_page = payload / record_size;
+        if len.div_ceil(per_page) > pages.len() {
+            return Err(format!("{len} records do not fit in {} pages", pages.len()));
+        }
+        Ok(Self {
             pool,
             record_size,
             per_page,
             state: Mutex::new(DynHeapState { pages, len }),
-        }
+        })
     }
 
     /// The page list, in order (needed to reopen a persisted heap).

@@ -37,20 +37,26 @@ impl Params {
         }
     }
 
-    /// Validates internal consistency; called by the tree constructor.
+    /// Checks `M ≥ 4`, `1 ≤ m ≤ M/2` and `1 ≤ p < M`, for parameters read
+    /// from outside the program.
+    pub fn check(&self) -> Result<(), String> {
+        let (max, min, reinsert) = (self.max_entries, self.min_entries, self.reinsert_count);
+        if max < 4 {
+            Err(format!("max_entries must be ≥ 4, got {max}"))
+        } else if min < 1 || min > max / 2 {
+            Err(format!(
+                "min_entries must be in [1, M/2], got m={min} M={max}"
+            ))
+        } else if reinsert < 1 || reinsert >= max {
+            Err(format!("reinsert_count must be in [1, M), got {reinsert}"))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Asserts [`Self::check`]; called by the tree constructor.
     pub fn validate(&self) {
-        assert!(self.max_entries >= 4, "max_entries must be ≥ 4");
-        assert!(
-            self.min_entries >= 1 && self.min_entries <= self.max_entries / 2,
-            "min_entries must be in [1, M/2], got m={} M={}",
-            self.min_entries,
-            self.max_entries
-        );
-        assert!(
-            self.reinsert_count >= 1 && self.reinsert_count < self.max_entries,
-            "reinsert_count must be in [1, M), got {}",
-            self.reinsert_count
-        );
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -6,11 +6,10 @@
 //!
 //! The index directory is opened as whatever layout it holds
 //! ([`ShardedIndex::open`]): a directory written by `simseq build --shards
-//! N` is served sharded as-is, and passing `--shards` against one is an
-//! error unless it matches the manifest. With `--shards
-//! N > 1` a single-index directory is repartitioned across N shards at
-//! startup: an insert write-locks one shard while the others keep serving
-//! reads, queries scatter-gather, and `STATS` gains a per-shard breakdown.
+//! N` is served with its N shards — an insert write-locks one shard while
+//! the others keep serving reads, queries scatter-gather, and `STATS`
+//! gains a per-shard breakdown. There is no serve-time repartitioning:
+//! `simseq build --shards N` is the one way to get a shard group.
 //!
 //! With `--wal DIR/` every `INSERT`/`DELETE` is appended to a write-ahead
 //! log before it is acknowledged; on startup the log tail is replayed on
@@ -31,14 +30,15 @@
 //! state, placement included, from a snapshot transfer; with `--index`
 //! (optionally plus `--wal` for a durable follower that resumes from its
 //! persisted replica position) it starts from local state of the
-//! primary's shard count and catches up.
+//! primary's shard count and catches up; a directory of another count
+//! fails start-up with [`simquery::shared::DurableError::ShardCount`].
 
 use crate::load::{run, LoadConfig};
 use crate::opts::Opts;
 use crate::protocol::EngineKind;
 use crate::repl::{self, Follower, FollowerOpts};
 use crate::server::{serve_with, Backend, ServerConfig};
-use simshard::{ShardConfig, ShardedIndex};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -51,7 +51,6 @@ simserved — serve a persisted similarity index over TCP
 USAGE:
   simserved --index DIR/ [--addr HOST:PORT] [--workers N]
             [--queue N] [--max-conns N] [--pool-pages N]
-            [--shards N]
             [--wal DIR/] [--fsync always|never|N]
             [--result-cache N] [--slow-query-ms N] [--trace-sample K]
   simserved --replicate-from HOST:PORT [--index DIR/] [--wal DIR/]
@@ -59,12 +58,12 @@ USAGE:
 
 The protocol is documented in crates/serve/PROTOCOL.md. Build an index
 with `simseq gen` + `simseq build` first (or a sharded one with
-`simseq build --shards N`). At most `--workers N` requests execute at once
-and `--queue N` more wait their turn in arrival order; the next is
-answered ERR code=BUSY. `--shards N` repartitions a single-index
-directory across N shards at startup; JOIN requires an unsharded
-backend. `--wal DIR/` makes INSERT/DELETE durable (write-ahead logged,
-replayed on restart; see SYNC and CHECKPOINT in the protocol).
+`simseq build --shards N`, which is served with its N shards). At most
+`--workers N` requests execute at once and `--queue N` more wait their
+turn in arrival order; the next is answered ERR code=BUSY. JOIN
+requires an unsharded backend. `--wal DIR/` makes INSERT/DELETE
+durable (write-ahead logged, replayed on restart; see SYNC and
+CHECKPOINT in the protocol).
 `--result-cache N` answers repeated queries from an epoch-keyed LRU
 cache (mutations invalidate; see the EXPLAIN verb and the STATS PLAN
 line in the protocol). `--slow-query-ms N` counts every query at or
@@ -123,7 +122,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         "queue",
         "max-conns",
         "pool-pages",
-        "shards",
         "wal",
         "fsync",
         "result-cache",
@@ -153,9 +151,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         trace_sample: opts.parse_or("trace-sample", defaults.trace_sample)?,
     };
 
-    // The one `--shards` parse (shared with `simseq build`).
-    let shard_cfg = ShardConfig::parse(opts.get("shards").unwrap_or("1"))?;
-
     let wal_dir = opts.get("wal").map(PathBuf::from);
     let policy = match opts.get("fsync") {
         None => FsyncPolicy::Always,
@@ -181,13 +176,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let dir = opts.get("index").map(PathBuf::from);
 
     if let Some(primary) = opts.get("replicate-from") {
-        if opts.get("shards").is_some() {
-            return Err(
-                "--shards does not apply to --replicate-from: a follower takes its \
-                 shard count from the primary"
-                    .into(),
-            );
-        }
         // Per-node jitter seed: distinct listen addresses give distinct
         // reconnect schedules, so a follower fleet doesn't thundering-herd
         // a recovering primary.
@@ -215,8 +203,13 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             }
             Some(dir) => {
                 let backend = Arc::new(open(dir)?);
-                let follower = Follower::connect(primary, Arc::clone(&backend), fopts)
+                let mut follower = Follower::connect(primary, Arc::clone(&backend), fopts)
                     .map_err(|e| format!("connecting to primary {primary}: {e}"))?;
+                // A directory of another shard count can never catch up:
+                // refuse it now rather than serve its stale state.
+                follower
+                    .first_poll()
+                    .map_err(|e| format!("following {primary}: {e}"))?;
                 (backend, follower)
             }
         };
@@ -243,41 +236,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     }
 
     let dir = dir.ok_or("missing required --index")?;
-    let group = open(&dir)?;
-    let backend: Backend = match group.sharding() {
-        // A `simseq build --shards N` directory is already partitioned; an
-        // explicit flag must agree with its manifest, not be silently ignored.
-        Some(on_disk) => {
-            if opts.get("shards").is_some() && shard_cfg.shards != on_disk.shards {
-                return Err(format!(
-                    "--shards {} conflicts with {}, which was built with {} shards; \
-                     drop the flag or rebuild with `simseq build --shards {}`",
-                    shard_cfg.shards,
-                    dir.display(),
-                    on_disk.shards,
-                    shard_cfg.shards
-                ));
-            }
-            Arc::new(group)
-        }
-        None if shard_cfg.shards > 1 => {
-            if wal_dir.is_some() {
-                return Err(
-                    "--wal cannot be combined with --shards repartitioning; build a sharded \
-                     directory first (`simseq build --shards N`) and serve that with --wal"
-                        .into(),
-                );
-            }
-            let index_cfg = simquery::index::IndexConfig {
-                heap_pool_pages: pool_pages,
-                ..Default::default()
-            };
-            let sharded = ShardedIndex::from_index(&group.shards()[0].read(), shard_cfg, index_cfg)
-                .map_err(|e| format!("sharding {}: {e}", dir.display()))?;
-            Arc::new(sharded)
-        }
-        None => Arc::new(group),
-    };
+    let backend: Backend = Arc::new(open(&dir)?);
     let layout = backend.sharding().map_or(" (".to_string(), |s| {
         format!(" across {} shards (", s.shards)
     });

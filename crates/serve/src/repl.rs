@@ -116,9 +116,6 @@ pub struct ReplState {
     /// Promotions served by this process (0 or 1 in practice; the
     /// counter shape matches the metrics surface).
     promotions: AtomicU64,
-    /// Epoch of the peer timeline that fenced this server (0 = never
-    /// fenced) — observability for the demotion half of failover.
-    fenced_epoch: AtomicU64,
     /// Append generation counter; bumped after every acknowledged
     /// mutation so long-polling `REPL` handlers wake without spinning.
     appended: AtomicU64,
@@ -140,7 +137,6 @@ impl ReplState {
             follower_role: AtomicBool::new(false),
             follower_stop: Mutex::new(None),
             promotions: AtomicU64::new(0),
-            fenced_epoch: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             waiters: AtomicU64::new(0),
             park: Mutex::new(()),
@@ -213,16 +209,6 @@ impl ReplState {
     /// Promotions served by this process.
     pub fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
-    }
-
-    /// Records that a higher-epoch peer fenced this server.
-    pub fn note_fenced(&self, epoch: u64) {
-        self.fenced_epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// Epoch of the peer timeline that fenced this server (0 = never).
-    pub fn fenced_epoch(&self) -> u64 {
-        self.fenced_epoch.load(Ordering::Acquire)
     }
 
     /// Wakes long-polling `REPL` handlers after an acknowledged
@@ -409,7 +395,6 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
             if let Err(e) = backend.fence_at(epoch) {
                 return io_err(format!("failed to persist fence at epoch {epoch}: {e}"));
             }
-            repl.note_fenced(epoch);
             return Response::Err {
                 code: ErrCode::ReadOnly,
                 msg: format!(
@@ -505,27 +490,10 @@ fn snapshot_response(backend: &ShardedIndex, cut: &ReplicaCut) -> Response {
 }
 
 /// Persisted follower position: which primary epoch the local state
-/// corresponds to and the applied-LSN floor of the last snapshot
-/// install (frames applied after it are recovered from the local WAL).
-const REPLICA_FILE: &str = "REPLICA";
-
-fn write_replica_state(dir: &std::path::Path, epoch: u64, floor: u64) -> io::Result<()> {
-    simwal::atomic_write(
-        &dir.join(REPLICA_FILE),
-        format!("simrepl v1\nepoch {epoch}\nfloor {floor}\n").as_bytes(),
-    )
-}
-
-fn read_replica_state(dir: &std::path::Path) -> Option<(u64, u64)> {
-    let text = std::fs::read_to_string(dir.join(REPLICA_FILE)).ok()?;
-    let mut lines = text.lines();
-    if lines.next() != Some("simrepl v1") {
-        return None;
-    }
-    let epoch = lines.next()?.strip_prefix("epoch ")?.parse().ok()?;
-    let floor = lines.next()?.strip_prefix("floor ")?.parse().ok()?;
-    Some((epoch, floor))
-}
+/// corresponds to (`epoch`) and the applied-LSN floor of the last snapshot
+/// install (`floor`; frames applied after it are recovered from the local
+/// WAL).
+const REPLICA: simwal::Manifest = simwal::Manifest::new("REPLICA", "simrepl v1");
 
 /// Tuning knobs of a follower loop.
 #[derive(Clone, Debug)]
@@ -592,11 +560,12 @@ impl Follower {
         let client = Client::connect(primary)?;
         let stats = Arc::new(FollowerStats::default());
         let mut synced = false;
-        if let Some(dir) = &opts.state_dir {
-            if let Some((epoch, floor)) = read_replica_state(dir) {
-                backend.note_replica_position(epoch, floor);
-                synced = true;
-            }
+        // A missing or damaged state file reads as no replica position:
+        // the follower re-bootstraps.
+        let state = opts.state_dir.as_deref().and_then(|d| REPLICA.read(d).ok());
+        if let Some((Ok(epoch), Ok(floor))) = state.map(|s| (s.get("epoch"), s.get("floor"))) {
+            backend.note_replica_position(epoch, floor);
+            synced = true;
         }
         // An in-memory handle with a nonzero applied position or replica
         // epoch can only have gotten it from replication (a prior
@@ -746,7 +715,11 @@ impl Follower {
                     .install_replica_snapshot(replica, epoch, next)
                     .map_err(|e| io::Error::other(format!("snapshot install: {e}")))?;
                 if let Some(dir) = &self.opts.state_dir {
-                    write_replica_state(dir, epoch, next.saturating_sub(1))?;
+                    let floor = next.saturating_sub(1);
+                    REPLICA
+                        .with("epoch", epoch)
+                        .with("floor", floor)
+                        .write(dir)?;
                 }
                 self.synced = true;
                 self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -765,12 +738,33 @@ impl Follower {
         }
     }
 
+    /// The first poll, made at start-up with no long-poll wait. A primary
+    /// of another shard count is returned as the
+    /// [`DurableError::ShardCount`] error, which no retry heals; any other
+    /// failure is left to [`Self::run`], which retries it.
+    pub fn first_poll(&mut self) -> io::Result<()> {
+        let wait_ms = std::mem::replace(&mut self.opts.wait_ms, 0);
+        let polled = self.poll_once();
+        self.opts.wait_ms = wait_ms;
+        match polled
+            .as_ref()
+            .err()
+            .and_then(|e| e.get_ref()?.downcast_ref())
+        {
+            Some(DurableError::ShardCount { .. }) => polled.map(drop),
+            _ => Ok(()),
+        }
+    }
+
     /// Runs the poll/apply loop until `stop` is set, reconnecting with
     /// a bounded backoff when the primary goes away (it re-handshakes on
-    /// the primary's new epoch after a restart).
+    /// the primary's new epoch after a restart). A failed poll is written
+    /// to stderr when it differs from the last failure written, so a
+    /// repeating one is said once.
     pub fn run(mut self, stop: Arc<AtomicBool>) {
         let mut rng = SeededRng::seed_from_u64(self.opts.reconnect_seed ^ 0x666f_6c6c_6f77_6572);
         let mut backoff = Duration::from_millis(50);
+        let mut last_said = String::new();
         while !stop.load(Ordering::SeqCst) {
             match self.poll_once() {
                 Ok(_) => {
@@ -779,7 +773,12 @@ impl Follower {
                         std::thread::sleep(Duration::from_millis(self.opts.pace_ms));
                     }
                 }
-                Err(_) => {
+                Err(e) => {
+                    let said = format!("follower of {}: {e}", self.primary);
+                    if said != last_said {
+                        eprintln!("{said}");
+                        last_said = said;
+                    }
                     // Sever the dead connection before backing off, so a
                     // restarting primary is not kept waiting on it.
                     self.client = None;
@@ -791,9 +790,7 @@ impl Follower {
                     let jittered = rng.random_range(half..=half * 2);
                     std::thread::sleep(Duration::from_millis(jittered));
                     backoff = (backoff * 2).min(Duration::from_secs(2));
-                    if let Ok(client) = Client::connect(&self.primary) {
-                        self.client = Some(client);
-                    }
+                    let _ = self.reconnect(None);
                 }
             }
         }
@@ -972,6 +969,69 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "install: {err}");
         assert_eq!(state(&group), before, "a refused snapshot installs nothing");
         served.join().unwrap();
+    }
+
+    /// A durable follower's `REPLICA` keeps its bytes, and a damaged one
+    /// reads as no replica position, so the follower re-bootstraps.
+    #[test]
+    fn replica_bytes_are_pinned_and_a_damaged_file_rebootstraps() {
+        let root =
+            std::env::temp_dir().join(format!("simserve-replica-state-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (idx, wal) = (root.join("idx"), root.join("wal"));
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, 16, 0x57B);
+        ShardedIndex::build(
+            &corpus,
+            ShardConfig::new(1).unwrap(),
+            IndexConfig::default(),
+        )
+        .unwrap()
+        .save(&idx)
+        .unwrap();
+        let (group, _) =
+            ShardedIndex::open_durable(&idx, &wal, 16, simwal::FsyncPolicy::Always).unwrap();
+        let group = Arc::new(group);
+        let opts = || FollowerOpts {
+            state_dir: Some(wal.clone()),
+            ..FollowerOpts::default()
+        };
+        let (addr, served) = stub_primary(
+            "OK repl=snapshot epoch=3 next=9 seq_len=4 count=2\n\
+             SNAP ord=0 live=yes data=1,2,3,4\n\
+             SNAP ord=1 live=no data=4,3,2,1\nEND\n",
+            1,
+        );
+        let mut follower = Follower::connect(&addr, Arc::clone(&group), opts()).unwrap();
+        assert!(!follower.synced);
+        assert_eq!(follower.poll_once().unwrap(), 2);
+        served.join().unwrap();
+        drop(follower);
+        let state = wal.join("REPLICA");
+        assert_eq!(
+            std::fs::read_to_string(&state).unwrap(),
+            "simrepl v1\nepoch 3\nfloor 8\n"
+        );
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let synced = || {
+            Follower::connect(&addr, Arc::clone(&group), opts())
+                .unwrap()
+                .synced
+        };
+        assert!(synced(), "an intact state file resumes");
+        for damaged in [
+            "simrepl v1\nepoch 3\n",
+            "simrepl v1\nepoch x\nfloor 8\n",
+            "simrepl v1\nepoch 3\nfloor 8\nfloor 8\n",
+            "simrepl v2\nepoch 3\nfloor 8\n",
+            "",
+        ] {
+            std::fs::write(&state, damaged).unwrap();
+            assert!(!synced(), "{damaged:?}");
+        }
+        drop(group);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -562,3 +562,44 @@ fn follower_of_another_shard_count_is_refused() {
         let _ = std::fs::remove_dir_all(&root);
     }
 }
+
+/// `simserved --replicate-from` over an `--index` of another shard count
+/// fails start-up with the refusal naming both counts, instead of
+/// serving the directory's stale state while the poll loop retries.
+#[test]
+fn serve_refuses_a_follower_index_of_another_shard_count() {
+    for (primary_shards, local_shards) in [(4, 1), (1, 4)] {
+        let root = fresh_dir(&format!("serve_mismatch{primary_shards}"));
+        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 16, SEQ_LEN, 0x3158);
+        let hp = serve(
+            durable_primary(&root, &corpus, primary_shards),
+            &test_config(0),
+        )
+        .unwrap();
+        save_corpus(&corpus, local_shards, &root.join("fidx"));
+        let argv: Vec<String> = [
+            "--replicate-from",
+            &hp.addr.to_string(),
+            "--index",
+            root.join("fidx").to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+        ]
+        .map(String::from)
+        .to_vec();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let started = std::thread::spawn(move || tx.send(simserve::cmd::serve(&argv)).unwrap());
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("start-up must fail, not serve")
+            .unwrap_err();
+        started.join().unwrap();
+        assert!(
+            err.contains(&format!("primary holds {primary_shards} shards"))
+                && err.contains(&format!("follower holds {local_shards}")),
+            "{err}"
+        );
+        hp.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}

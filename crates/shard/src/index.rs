@@ -7,7 +7,7 @@ pub use simquery::shard::{Shard, ShardError, ShardedIndex};
 mod tests {
     use super::*;
     use crate::cfg::ShardConfig;
-    use simquery::index::{IndexConfig, SeqIndex};
+    use simquery::index::IndexConfig;
     use simquery::shared::DurableError;
     use simwal::FsyncPolicy;
     use tseries::{Corpus, CorpusKind};
@@ -199,13 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn from_index_replays_tombstones() {
+    fn from_rows_replays_tombstones() {
         let c = corpus(30);
-        let mut single = SeqIndex::build(&c, IndexConfig::default()).unwrap();
-        single.delete_series(4).unwrap();
-        single.delete_series(17).unwrap();
-        let s = ShardedIndex::from_index(
-            &single,
+        let rows = c
+            .series()
+            .iter()
+            .enumerate()
+            .map(|(g, ts)| (ts.clone(), g != 4 && g != 17))
+            .collect();
+        let assignment: Vec<usize> = (0..30).map(|g| crate::shard_of(g, 3)).collect();
+        let s = ShardedIndex::from_rows(
+            rows,
+            &assignment,
             ShardConfig::new(3).unwrap(),
             IndexConfig::default(),
         )

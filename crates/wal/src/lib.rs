@@ -17,10 +17,12 @@
 //! On-disk layout of a WAL directory:
 //!
 //! ```text
-//! <dir>/MANIFEST   "simwal v1\nepoch N\n"      (temp + rename, fsynced)
+//! <dir>/MANIFEST   checkpoint epoch [+ fencing token], a [`Manifest`]
 //! <dir>/wal.log    [magic "SIMWALOG"][epoch u64 LE] then frames
 //! <dir>/LOCK       advisory lock, pid of the owning process
 //! ```
+//!
+//! [`Manifest`] is the one codec of every commit file in the workspace.
 //!
 //! Frame format (little-endian): `[len u32][crc32 u32][payload]`, where
 //! the CRC covers the payload only and `len` is the payload length. A
@@ -41,10 +43,12 @@ pub mod crc32;
 pub mod frame;
 pub mod lock;
 mod log;
+mod manifest;
 
 pub use frame::{decode_frames, encode_frame, FrameIter, WalOp};
 pub use lock::DirLock;
 pub use log::{FsyncPolicy, ReplayReport, Wal, WalStats, HEADER_LEN, LOG_FILE, MANIFEST_FILE};
+pub use manifest::Manifest;
 
 use std::fmt;
 use std::io;
@@ -121,23 +125,6 @@ impl From<io::Error> for WalError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
     }
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory. The unit of
-/// durability every manifest and metadata pointer in the workspace relies
-/// on — after a crash the file holds either the old bytes or the new,
-/// never a mix.
-pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_dir(path.parent().unwrap_or_else(|| std::path::Path::new(".")))
 }
 
 /// Fsyncs a directory so a rename performed inside it survives a crash.

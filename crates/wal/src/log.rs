@@ -4,8 +4,8 @@
 
 use crate::frame::{decode_frames, encode_frame, WalOp};
 use crate::lock::DirLock;
-use crate::{atomic_write, sync_dir, WalError};
-use std::fs::{self, File, OpenOptions};
+use crate::{sync_dir, Manifest, WalError};
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -150,45 +150,19 @@ fn header_bytes(epoch: u64) -> [u8; HEADER_LEN as usize] {
     h
 }
 
-fn write_manifest(dir: &Path, epoch: u64, fence: u64) -> Result<(), WalError> {
-    let mut text = format!("simwal v1\nepoch {epoch}\n");
-    if fence > 0 {
-        // The fencing token: the minimum epoch this node may accept
-        // writes at. Omitted when unset, so pre-failover manifests and
-        // unfenced nodes keep the two-line format older readers expect.
-        text.push_str(&format!("fence {fence}\n"));
-    }
-    atomic_write(&dir.join(MANIFEST_FILE), text.as_bytes())?;
-    Ok(())
-}
+const MANIFEST: Manifest = Manifest::new(MANIFEST_FILE, "simwal v1");
 
-fn read_manifest(dir: &Path) -> Result<Option<(u64, u64)>, WalError> {
-    let text = match fs::read_to_string(dir.join(MANIFEST_FILE)) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some("simwal v1") {
-        return Err(WalError::Corrupt(
-            "manifest header is not `simwal v1`".into(),
-        ));
+/// The manifest of a log at `epoch`. The fencing token — the minimum
+/// epoch this node may accept writes at — is omitted when unset, so
+/// pre-failover manifests and unfenced nodes keep the two-line format
+/// older readers expect.
+fn manifest(epoch: u64, fence: u64) -> Manifest {
+    let m = MANIFEST.with("epoch", epoch);
+    if fence > 0 {
+        m.with("fence", fence)
+    } else {
+        m
     }
-    let epoch = match lines.next().and_then(|l| l.strip_prefix("epoch ")) {
-        Some(n) => n
-            .trim()
-            .parse()
-            .map_err(|_| WalError::Corrupt("manifest epoch is not a number".into()))?,
-        None => return Err(WalError::Corrupt("manifest has no epoch line".into())),
-    };
-    let fence = match lines.next().and_then(|l| l.strip_prefix("fence ")) {
-        Some(n) => n
-            .trim()
-            .parse()
-            .map_err(|_| WalError::Corrupt("manifest fence is not a number".into()))?,
-        None => 0,
-    };
-    Ok(Some((epoch, fence)))
 }
 
 impl Wal {
@@ -211,9 +185,22 @@ impl Wal {
         snapshot_epoch: u64,
     ) -> Result<(Self, Vec<WalOp>, ReplayReport), WalError> {
         let lock = DirLock::acquire(dir)?;
-        let manifest = read_manifest(dir)?;
-        let fence = manifest.map_or(0, |(_, f)| f);
-        let epoch = match manifest {
+        // A damaged manifest is `Corrupt`; `on_disk` is its
+        // `(epoch, fence)`, `None` before the first open.
+        let corrupt = |e: std::io::Error| match e.kind() {
+            std::io::ErrorKind::InvalidData => WalError::Corrupt(e.to_string()),
+            _ => WalError::Io(e),
+        };
+        let on_disk = match MANIFEST.read(dir) {
+            Ok(m) => Some((
+                m.get("epoch").map_err(corrupt)?,
+                m.opt("fence").map_err(corrupt)?.unwrap_or(0),
+            )),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(corrupt(e)),
+        };
+        let fence = on_disk.map_or(0, |(_, f)| f);
+        let epoch = match on_disk {
             Some((m, _)) if m > snapshot_epoch => {
                 return Err(WalError::EpochMismatch {
                     wal: m,
@@ -225,7 +212,7 @@ impl Wal {
                 // Missing or behind: (re)install the snapshot's epoch
                 // (keeping any fencing token — a crash can never unfence
                 // a demoted node).
-                write_manifest(dir, snapshot_epoch, fence)?;
+                manifest(snapshot_epoch, fence).write(dir)?;
                 snapshot_epoch
             }
         };
@@ -448,11 +435,11 @@ impl Wal {
                 dir: self.dir.clone(),
             });
         }
-        // A manifest failure leaves the log file untouched (atomic_write
+        // A manifest failure leaves the log file untouched (its write
         // either installs the new manifest or leaves the old), so the old
         // epoch simply stays in force. A failure during the reset leaves
         // the file in an unknown half-reset state: poison.
-        write_manifest(&self.dir, new_epoch, inner.fence)?;
+        manifest(new_epoch, inner.fence).write(&self.dir)?;
         let reset = (|| {
             inner.file.set_len(0)?;
             inner.file.seek(SeekFrom::Start(0))?;
@@ -618,7 +605,7 @@ impl Wal {
         if inner.fence == fence {
             return Ok(());
         }
-        write_manifest(&self.dir, inner.epoch, fence)?;
+        manifest(inner.epoch, fence).write(&self.dir)?;
         inner.fence = fence;
         Ok(())
     }
@@ -647,6 +634,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("simwal-log-{name}-{}", std::process::id()));
@@ -1046,6 +1034,30 @@ mod tests {
         assert_eq!(wal.fence(), 0);
         assert_eq!(replay.len(), 1);
         drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A damaged `MANIFEST` is `Corrupt`, naming what is wrong.
+    #[test]
+    fn damaged_manifest_is_corrupt() {
+        let dir = tmp("damaged");
+        drop(Wal::open(&dir, FsyncPolicy::Always, 1).unwrap());
+        for (text, names) in [
+            ("simwal v2\nepoch 1\n", "`simwal v1`"),
+            ("simwal v1\n", "`epoch` is missing"),
+            (
+                "simwal v1\nepoch one\n",
+                "`epoch` has the unparsable value `one`",
+            ),
+            ("simwal v1\nepoch 1\nfence x\n", "`fence`"),
+            ("simwal v1\nepoch 1\nepoch 1\n", "`epoch` is repeated"),
+        ] {
+            fs::write(dir.join(MANIFEST_FILE), text).unwrap();
+            match Wal::open(&dir, FsyncPolicy::Always, 1).err() {
+                Some(WalError::Corrupt(msg)) => assert!(msg.contains(names), "{msg}"),
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -80,7 +80,7 @@ SUITES='
 chaos|-p simquery --test chaos|seeded fault schedules (core engines)
 chaos|-p simserve --test chaos_loopback|faulted simserved loopback
 recovery|-p simshard --test recovery|crash-point WAL suite (every byte offset; a plain directory stays plain)
-recovery|-p simwal|the log itself: torn tail, rewind, fsync-fault poison, hinted reads, fence persistence
+recovery|-p simwal|the log itself: torn tail, rewind, fsync-fault poison, hinted reads, fence persistence; the commit-file codec (simwal::Manifest): version line, repeated / missing / unparsable keys named, unknown keys ignored, a damaged MANIFEST is Corrupt
 recovery|-p simquery --lib shared|the one-shard view: append poison, replicated apply and follower position, fence across restart
 recovery|-p simquery --lib shard::tests|the group write gate: a failed fsync refuses the next mutation before it applies
 recovery|-p simshard --lib index|the index group map: poisoned appends stay mapped, saves quiesce inserts
@@ -88,8 +88,8 @@ recovery|-p simserve --test recovery_loopback|durable simserved restart loopback
 parity|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8 shards; a group of one is plan::run
 parity|-p simshard --test parity|sharded-vs-single engine suite
 parity|-p simserve --test loopback|EXPLAIN + epoch-keyed result cache over the wire; a served group of one is plan::run; the per-connection lowering memo answers each shape as a fresh connection and plan::run do
-replication|-p simserve --test replication_loopback|loopback convergence + read-only follower on shards {1, 4}; a range-layout primary replicates its placement and later frames apply without a Gap; a follower of another shard count is refused
-replication|-p simserve --lib repl::|snapshot transfers checked before anything is built (stub primary)
+replication|-p simserve --test replication_loopback|loopback convergence + read-only follower on shards {1, 4}; a range-layout primary replicates its placement and later frames apply without a Gap; a follower of another shard count is refused, and fails simserved start-up
+replication|-p simserve --lib repl::|snapshot transfers checked before anything is built (stub primary); REPLICA bytes pinned, a damaged one re-bootstraps
 replication|-p simserve --test replication_crash|crash at every frame boundary, both roles
 replication|-p simserve --test replication_chaos|faulted follower devices during apply
 obs|-p simobs|metrics/stats parity, slow-query log, trace ring
@@ -104,7 +104,7 @@ serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 
 serve|-p simserve --test serve_load|8-connection parity, BUSY counted not fatal
 serve|-p simserve --test sharded_loopback|the same wire over a shard group
 serve|-p simserve --test shutdown_drain|drain answers admitted requests, times the gate
-engines|-p simquery --lib|engines, planner pricing and the Eq. 12 singleton guard
+engines|-p simquery --lib|engines, planner pricing and the Eq. 12 singleton guard; damaged meta.txt fields (params, seq_len, len, heap_pages, deleted / skipped past len) are InvalidData at open, and meta.txt / sharding.txt bytes are pinned
 engines|-p simquery --test figures_smoke|figure counters against tests/golden/ (Fig. 8 x = 1 is ST)
 engines|-p simquery --test recall|Lemma 1 recall, ordered families, extensions
 engines|-p simquery --test ordering|
