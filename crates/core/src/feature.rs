@@ -29,6 +29,12 @@ pub const COEFFS: usize = 2;
 pub const MAG_DIMS: [usize; COEFFS] = [2, 4];
 /// Feature-space dimensions holding phase angles.
 pub const ANGLE_DIMS: [usize; COEFFS] = [3, 5];
+/// The dimensions the index's R*-tree is shaped on, in STR's tiling order
+/// ([`rstartree::Params::axes`]). Query 1 compares normal forms and never
+/// bounds μ or σ, so they are left out; the magnitudes go first because
+/// kNN's leaf bound reads only them. Every MBR still covers all six
+/// dimensions, so a predicate on μ or σ stays exact.
+pub const TREE_AXES: [usize; 2 * COEFFS] = [MAG_DIMS[0], MAG_DIMS[1], ANGLE_DIMS[0], ANGLE_DIMS[1]];
 
 /// A point in the feature space.
 pub type FeatureVec = [f64; DIMS];

@@ -6,7 +6,7 @@
 //! the full record lives in a paged relation, fetched during Algorithm 1's
 //! post-processing step. Both access streams are counted.
 
-use crate::feature::{FRect, PointExtractor, SeqFeatures, DIMS};
+use crate::feature::{FRect, PointExtractor, SeqFeatures, DIMS, TREE_AXES};
 use crate::report::QueryError;
 use pagestore::{BufferPool, Disk, DynHeapFile, PageDevice, PageError};
 use rstartree::{bulk_load_str, Neighbor, PagedStore, Params, RStarTree, SearchStats};
@@ -158,8 +158,9 @@ impl SeqIndex {
 
         let params = match config.fanout {
             Some(f) => Params::with_max(f),
-            None => Params::for_dimension::<DIMS>(),
-        };
+            None => Params::for_dimension(),
+        }
+        .with_axes(&TREE_AXES);
         let leaf_capacity = params.max_entries;
 
         // Bulk-load with STR: fast and well-packed; later mutations go
@@ -940,10 +941,13 @@ impl SeqIndex {
         let tree_root_level: u32 = meta.get("tree_root_level")?;
         let tree_len: usize = meta.get("tree_len")?;
         let params = match meta.list("params", ' ')?[..] {
+            // The axis list is not stored: an image written before it
+            // existed keeps its tiling until it is rebuilt.
             [max_entries, min_entries, reinsert_count] => Params {
                 max_entries,
                 min_entries,
                 reinsert_count,
+                axes: TREE_AXES.to_vec(),
             },
             _ => return Err(meta.invalid("params", "does not hold three numbers")),
         };
@@ -1010,6 +1014,7 @@ impl SeqIndex {
             deleted[i] = true;
         }
         let rids = (0..len).map(|i| heap.rid_of(i)).collect();
+        let leaf_capacity = params.max_entries;
         let tree = RStarTree::open(
             tree_store,
             rstartree::NodeId(tree_root),
@@ -1030,7 +1035,7 @@ impl SeqIndex {
             skipped,
             deleted_count: deleted.iter().filter(|d| **d).count(),
             deleted,
-            leaf_capacity: params.max_entries,
+            leaf_capacity,
             fetches: std::sync::atomic::AtomicU64::new(0),
             points: PointExtractor::new(seq_len),
             wal_epoch,

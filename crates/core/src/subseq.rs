@@ -378,7 +378,7 @@ mod tests {
         let spec = RangeSpec::correlation(0.9);
         let pattern: TimeSeries = seqs[4].values()[100..132].to_vec().into();
         for (trail_len, expected) in [
-            (1, (3228, 95, 90, 1403, 5612, 287)),
+            (1, (3228, 89, 84, 1403, 5612, 287)),
             (8, (408, 14, 13, 267, 8448, 287)),
         ] {
             let index = SubseqIndex::build(seqs.clone(), 32, trail_len).unwrap();

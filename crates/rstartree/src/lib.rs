@@ -15,7 +15,13 @@
 //!   reinserted instead of splitting;
 //! * **Deletion** with tree condensation (underfull nodes dissolved and
 //!   their entries reinserted at their original level);
-//! * **STR bulk loading** for building large indexes quickly;
+//! * **STR bulk loading** for building large indexes quickly, each slab a
+//!   run of whole nodes so no node straddles two sorted slabs;
+//! * **One axis set** — [`Params::axes`] lists the axes the tree is shaped
+//!   on: STR tiles on them in order, and the split, ChooseSubtree and
+//!   forced reinsertion measure margin, area, overlap and centre distance
+//!   over them alone (default: every axis). MBRs still cover all `D`
+//!   axes, so queries on any axis stay exact;
 //! * **Query machinery** — predicate-driven descent ([`RStarTree::search`],
 //!   the hook the MT-index algorithm plugs its transformed-rectangle test
 //!   into, and [`RStarTree::search_masked`], its form for up to 64

@@ -390,7 +390,7 @@ fn paged_tree_survives_disk_image_roundtrip() {
         tree.insert(*r, *d).unwrap();
     }
     let (root, level, len) = (tree.root_id(), tree.root_level(), tree.len());
-    let params = *tree.params();
+    let params = tree.params().clone();
 
     let path = std::env::temp_dir().join("rstartree_image_test.pg");
     disk.save_to(&path).unwrap();
@@ -595,6 +595,7 @@ fn forced_reinsert_preserves_invariants_and_recall() {
             max_entries: 8,
             min_entries: 3,
             reinsert_count: 3,
+            axes: vec![0, 1],
         };
         let mut tree: Tree2 = RStarTree::with_params(PagedStore::in_memory(), params);
         let mut items = Vec::new();
@@ -1173,4 +1174,110 @@ fn node_level_other_than_its_parent_implies_is_a_typed_error() {
     // Put back, the tree is whole again.
     assert_eq!(tree.search(|_| true, |_, _| {}).unwrap().candidates, 200);
     tree.validate().unwrap();
+}
+
+/// What a linear scan of `live` answers for every query the tree offers —
+/// range (sorted payloads), the 4 nearest (distances) and a self join
+/// (sorted pairs) — beside what the tree answers.
+fn axis_subset_matches_scan(tree: &RStarTree<3>, live: &[(Rect<3>, u64)], rng: &mut MiniRng) {
+    let len = live.len();
+    assert_eq!(tree.len(), len);
+    // Rectangles constraining every axis, and ones bounding only axis 0,
+    // which no tree below is shaped on.
+    let unbounded = |r: Rect<3>| Rect::new([r.lo[0], -1e9, -1e9], [r.hi[0], 1e9, 1e9]);
+    for q in [
+        random_rect::<3>(rng, 800.0),
+        unbounded(random_rect::<3>(rng, 150.0)),
+    ] {
+        let (hits, _) = tree.range(&q).unwrap();
+        let mut got: Vec<u64> = hits.iter().map(|(_, d)| *d).collect();
+        let mut expect: Vec<u64> = (live.iter())
+            .filter(|(r, _)| r.intersects(&q))
+            .map(|(_, d)| *d)
+            .collect();
+        got.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(got, expect, "range {q:?}");
+    }
+
+    let p: [f64; 3] = std::array::from_fn(|_| rng.range_f64(-1000.0, 1000.0));
+    let (near, _) = tree
+        .nearest_by(4, |r| r.min_dist_sq(&p), |r, _| Some(r.min_dist_sq(&p)))
+        .unwrap();
+    let mut brute: Vec<f64> = live.iter().map(|(r, _)| r.min_dist_sq(&p)).collect();
+    brute.sort_by(f64::total_cmp);
+    let got: Vec<f64> = near.iter().map(|n| n.dist).collect();
+    assert_eq!(got, brute[..4.min(len)], "nearest to {p:?}");
+
+    // Pairs close on axis 0 alone — a predicate on an axis left out.
+    let close = |a: &Rect<3>, b: &Rect<3>| a.lo[0] - 40.0 <= b.hi[0] && b.lo[0] - 40.0 <= a.hi[0];
+    let mut pairs = Vec::new();
+    tree.self_join(close, |_, a, _, b| pairs.push((a.min(b), a.max(b))))
+        .unwrap();
+    let mut expect = Vec::new();
+    for (i, (ri, di)) in live.iter().enumerate() {
+        for (rj, dj) in &live[i + 1..] {
+            if close(ri, rj) {
+                expect.push((*di.min(dj), *di.max(dj)));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    expect.sort_unstable();
+    assert_eq!(pairs, expect, "self join");
+}
+
+/// Trees shaped on a strict subset of their axes stay valid and exact
+/// through bulk loading, inserts with forced reinserts and splits, and
+/// deletes with condensation.
+#[test]
+fn axis_subset_trees_stay_valid_and_exact() {
+    for (case, axes) in [&[1usize][..], &[2, 1], &[1, 2]].into_iter().enumerate() {
+        let mut rng = MiniRng::new(0xA1E5 + case as u64);
+        let params = Params {
+            max_entries: 8,
+            min_entries: 3,
+            reinsert_count: 3,
+            axes: axes.to_vec(),
+        };
+        let mut live: Vec<(Rect<3>, u64)> = (0..300)
+            .map(|i| (random_rect::<3>(&mut rng, 30.0), i))
+            .collect();
+        let mut tree = bulk_load_str(PagedStore::in_memory(), params, live.clone());
+        tree.validate().unwrap();
+        axis_subset_matches_scan(&tree, &live, &mut rng);
+
+        for i in 300..700 {
+            let rect = random_rect::<3>(&mut rng, 30.0);
+            tree.insert(rect, i).unwrap();
+            live.push((rect, i));
+        }
+        tree.validate().unwrap();
+        axis_subset_matches_scan(&tree, &live, &mut rng);
+
+        while live.len() > 40 {
+            let (rect, data) = live.swap_remove(rng.below(live.len() as u64) as usize);
+            assert!(
+                tree.delete(&rect, data).unwrap(),
+                "axes {axes:?}: lost {data}"
+            );
+        }
+        tree.validate().unwrap();
+        axis_subset_matches_scan(&tree, &live, &mut rng);
+    }
+}
+
+/// An axis list that is empty, names an axis past `D` or names one twice
+/// is an error from `check`, and a tree refuses it by name.
+#[test]
+#[should_panic(expected = "axes must not repeat")]
+fn axis_subset_lists_are_checked() {
+    for bad in [&[][..], &[0, 3], &[1, 1]] {
+        assert!(
+            Params::<3>::with_max(8).with_axes(bad).check().is_err(),
+            "{bad:?}"
+        );
+    }
+    let params = Params::<3>::with_max(8).with_axes(&[2, 0, 2]);
+    RStarTree::with_params(PagedStore::in_memory(), params);
 }

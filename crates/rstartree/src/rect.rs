@@ -67,25 +67,27 @@ impl<const D: usize> Rect<D> {
         rects.into_iter().fold(Self::empty(), |acc, r| acc.union(r))
     }
 
-    /// Hyper-volume (product of extents); 0 for empty.
-    pub fn area(&self) -> f64 {
+    /// Hyper-volume of the projection on `axes` (product of those
+    /// extents); 0 for empty.
+    pub fn area(&self, axes: &[usize]) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
+        axes.iter().map(|&i| self.hi[i] - self.lo[i]).product()
     }
 
-    /// Margin — the sum of edge lengths (the R*-tree split criterion).
-    pub fn margin(&self) -> f64 {
+    /// Margin — the sum of edge lengths on `axes` (the R*-tree split
+    /// criterion).
+    pub fn margin(&self, axes: &[usize]) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).sum()
+        axes.iter().map(|&i| self.hi[i] - self.lo[i]).sum()
     }
 
-    /// How much `self.area()` would grow to accommodate `other`.
-    pub fn enlargement(&self, other: &Self) -> f64 {
-        self.union(other).area() - self.area()
+    /// How much `self.area(axes)` would grow to accommodate `other`.
+    pub fn enlargement(&self, other: &Self, axes: &[usize]) -> f64 {
+        self.union(other).area(axes) - self.area(axes)
     }
 
     /// True when the rectangles share any point (closed intervals).
@@ -93,10 +95,11 @@ impl<const D: usize> Rect<D> {
         (0..D).all(|i| self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i])
     }
 
-    /// Volume of the intersection (0 when disjoint).
-    pub fn intersection_area(&self, other: &Self) -> f64 {
+    /// Volume of the intersection's projection on `axes` (0 when the
+    /// projections are disjoint).
+    pub fn intersection_area(&self, other: &Self, axes: &[usize]) -> f64 {
         let mut area = 1.0;
-        for i in 0..D {
+        for &i in axes {
             let lo = self.lo[i].max(other.lo[i]);
             let hi = self.hi[i].min(other.hi[i]);
             if lo >= hi {
@@ -126,11 +129,11 @@ impl<const D: usize> Rect<D> {
         c
     }
 
-    /// Squared Euclidean distance between centres.
-    pub fn center_dist_sq(&self, other: &Self) -> f64 {
+    /// Squared Euclidean distance between centres, over `axes`.
+    pub fn center_dist_sq(&self, other: &Self, axes: &[usize]) -> f64 {
         let a = self.center();
         let b = other.center();
-        (0..D).map(|i| (a[i] - b[i]) * (a[i] - b[i])).sum()
+        axes.iter().map(|&i| (a[i] - b[i]) * (a[i] - b[i])).sum()
     }
 
     /// MINDIST — squared distance from `p` to the nearest point of the
@@ -183,6 +186,7 @@ mod tests {
     use super::*;
 
     type R2 = Rect<2>;
+    const XY: &[usize] = &[0, 1];
 
     #[test]
     fn union_and_area() {
@@ -190,9 +194,9 @@ mod tests {
         let b = R2::new([1.0, -1.0], [3.0, 0.5]);
         let u = a.union(&b);
         assert_eq!(u, R2::new([0.0, -1.0], [3.0, 1.0]));
-        assert_eq!(a.area(), 2.0);
-        assert_eq!(u.area(), 6.0);
-        assert_eq!(a.margin(), 3.0);
+        assert_eq!(a.area(XY), 2.0);
+        assert_eq!(u.area(XY), 6.0);
+        assert_eq!(a.margin(XY), 3.0);
     }
 
     #[test]
@@ -201,8 +205,8 @@ mod tests {
         let a = R2::new([1.0, 1.0], [2.0, 2.0]);
         assert!(e.is_empty());
         assert_eq!(e.union(&a), a);
-        assert_eq!(e.area(), 0.0);
-        assert_eq!(e.margin(), 0.0);
+        assert_eq!(e.area(XY), 0.0);
+        assert_eq!(e.margin(XY), 0.0);
         assert!(!e.intersects(&a));
     }
 
@@ -226,13 +230,13 @@ mod tests {
         let b = R2::new([1.0, 1.0], [3.0, 3.0]);
         let c = R2::new([2.5, 2.5], [4.0, 4.0]);
         assert!(a.intersects(&b));
-        assert!((a.intersection_area(&b) - 1.0).abs() < 1e-12);
+        assert!((a.intersection_area(&b, XY) - 1.0).abs() < 1e-12);
         assert!(!a.intersects(&c));
-        assert_eq!(a.intersection_area(&c), 0.0);
+        assert_eq!(a.intersection_area(&c, XY), 0.0);
         // Touching edges intersect but have zero area.
         let d = R2::new([2.0, 0.0], [3.0, 1.0]);
         assert!(a.intersects(&d));
-        assert_eq!(a.intersection_area(&d), 0.0);
+        assert_eq!(a.intersection_area(&d, XY), 0.0);
     }
 
     #[test]
@@ -246,12 +250,24 @@ mod tests {
     }
 
     #[test]
+    fn cost_functions_read_only_their_axes() {
+        let a = R2::new([0.0, 0.0], [2.0, 3.0]);
+        let b = R2::new([1.0, 10.0], [5.0, 11.0]);
+        assert_eq!(a.area(&[1]), 3.0);
+        assert_eq!(a.margin(&[0]), 2.0);
+        assert_eq!(a.enlargement(&b, &[0]), 3.0);
+        // Disjoint on y, overlapping on x: the x projection overlaps.
+        assert_eq!(a.intersection_area(&b, XY), 0.0);
+        assert_eq!(a.intersection_area(&b, &[0]), 1.0);
+    }
+
+    #[test]
     fn enlargement_measures_growth() {
         let a = R2::new([0.0, 0.0], [1.0, 1.0]);
         let inside = R2::point([0.5, 0.5]);
         let outside = R2::point([2.0, 0.5]);
-        assert_eq!(a.enlargement(&inside), 0.0);
-        assert!((a.enlargement(&outside) - 1.0).abs() < 1e-12);
+        assert_eq!(a.enlargement(&inside, XY), 0.0);
+        assert!((a.enlargement(&outside, XY) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -290,6 +306,7 @@ mod tests {
         let a = R2::new([0.0, 2.0], [4.0, 4.0]);
         assert_eq!(a.center(), [2.0, 3.0]);
         let b = R2::point([5.0, 7.0]);
-        assert_eq!(a.center_dist_sq(&b), 9.0 + 16.0);
+        assert_eq!(a.center_dist_sq(&b, XY), 9.0 + 16.0);
+        assert_eq!(a.center_dist_sq(&b, &[1]), 16.0);
     }
 }

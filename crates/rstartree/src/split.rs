@@ -2,7 +2,9 @@
 //!
 //! Axis choice minimises the *margin sum* over all candidate distributions;
 //! distribution choice on the winning axis minimises *overlap*, breaking
-//! ties by total area.
+//! ties by total area. Candidate axes, margins, overlaps and areas are
+//! those of [`Params::axes`]: an axis the tree is not shaped on is never
+//! split on and never measured.
 
 use crate::node::Entry;
 use crate::params::Params;
@@ -12,22 +14,22 @@ use crate::rect::Rect;
 /// at least `params.min_entries` entries.
 pub fn rstar_split<const D: usize>(
     mut entries: Vec<Entry<D>>,
-    params: &Params,
+    params: &Params<D>,
 ) -> (Vec<Entry<D>>, Vec<Entry<D>>) {
-    let m = params.min_entries;
+    let (m, axes) = (params.min_entries, &params.axes[..]);
     let total = entries.len();
     assert!(total >= 2 * m, "cannot split {total} entries with min {m}");
 
     // ChooseSplitAxis: for each axis, the margin sum over both sort orders
     // and every legal distribution.
-    let mut best_axis = 0;
+    let mut best_axis = axes[0];
     let mut best_margin = f64::INFINITY;
-    for axis in 0..D {
+    for &axis in axes {
         let mut margin_sum = 0.0;
         for sort_by_hi in [false, true] {
             sort_entries(&mut entries, axis, sort_by_hi);
             for (r1, r2) in distributions(&entries, m) {
-                margin_sum += r1.margin() + r2.margin();
+                margin_sum += r1.margin(axes) + r2.margin(axes);
             }
         }
         if margin_sum < best_margin {
@@ -41,8 +43,8 @@ pub fn rstar_split<const D: usize>(
     for sort_by_hi in [false, true] {
         sort_entries(&mut entries, best_axis, sort_by_hi);
         for (k, (r1, r2)) in distributions(&entries, m).enumerate() {
-            let overlap = r1.intersection_area(&r2);
-            let area = r1.area() + r2.area();
+            let overlap = r1.intersection_area(&r2, axes);
+            let area = r1.area(axes) + r2.area(axes);
             let candidate = (sort_by_hi, m + k, overlap, area);
             best = Some(match best {
                 None => candidate,
@@ -115,7 +117,11 @@ mod tests {
             Rect::union_all(a.iter().map(|e| &e.rect)),
             Rect::union_all(b.iter().map(|e| &e.rect)),
         );
-        assert_eq!(ra.intersection_area(&rb), 0.0, "clusters must not overlap");
+        assert_eq!(
+            ra.intersection_area(&rb, &[0, 1]),
+            0.0,
+            "clusters must not overlap"
+        );
         let ids_a: Vec<u64> = a.iter().map(|e| e.payload).collect();
         assert!(
             ids_a.iter().all(|i| *i < 100) || ids_a.iter().all(|i| *i >= 100),
@@ -154,8 +160,30 @@ mod tests {
             max_entries: 10,
             min_entries: 4,
             reinsert_count: 3,
+            axes: vec![0, 1],
         };
         rstar_split(entries, &params);
+    }
+
+    #[test]
+    fn split_never_cuts_an_axis_left_out() {
+        // Clusters apart on x only, spread along y: every axis splits x,
+        // but with y alone the split must sort on y.
+        let mut entries = Vec::new();
+        for i in 0..5u64 {
+            entries.push(leaf([0.0, i as f64 * 10.0], i));
+            entries.push(leaf([100.0, i as f64 * 10.0 + 5.0], 100 + i));
+        }
+        let y_only = Params::with_max(9).with_axes(&[1]);
+        let (a, b) = rstar_split(entries.clone(), &y_only);
+        let top = |g: &[Entry<2>]| g.iter().map(|e| e.rect.lo[1]).fold(f64::MIN, f64::max);
+        let bottom = |g: &[Entry<2>]| g.iter().map(|e| e.rect.lo[1]).fold(f64::MAX, f64::min);
+        assert!(top(&a) < bottom(&b), "the y-only split must cut y");
+        let (a, _) = rstar_split(entries, &Params::with_max(9));
+        assert!(
+            a.iter().all(|e| e.rect.lo[0] == a[0].rect.lo[0]),
+            "x splits"
+        );
     }
 
     #[test]

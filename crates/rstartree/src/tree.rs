@@ -65,7 +65,7 @@ pub struct RStarTree<const D: usize> {
     root: NodeId,
     root_level: u32,
     len: usize,
-    params: Params,
+    params: Params<D>,
     poisoned: bool,
 }
 
@@ -79,11 +79,11 @@ enum Outcome<const D: usize> {
 impl<const D: usize> RStarTree<D> {
     /// Creates an empty tree with page-derived parameters.
     pub fn new(store: PagedStore<D>) -> Self {
-        Self::with_params(store, Params::for_dimension::<D>())
+        Self::with_params(store, Params::for_dimension())
     }
 
     /// Creates an empty tree with explicit parameters.
-    pub fn with_params(store: PagedStore<D>, params: Params) -> Self {
+    pub fn with_params(store: PagedStore<D>, params: Params<D>) -> Self {
         params.validate();
         assert!(
             params.max_entries <= Node::<D>::page_capacity(),
@@ -111,7 +111,7 @@ impl<const D: usize> RStarTree<D> {
         root: NodeId,
         root_level: u32,
         len: usize,
-        params: Params,
+        params: Params<D>,
     ) -> Self {
         Self {
             store,
@@ -133,7 +133,7 @@ impl<const D: usize> RStarTree<D> {
         root: NodeId,
         root_level: u32,
         len: usize,
-        params: Params,
+        params: Params<D>,
     ) -> Self {
         params.validate();
         Self::from_parts(store, root, root_level, len, params)
@@ -170,7 +170,7 @@ impl<const D: usize> RStarTree<D> {
     }
 
     /// The tree parameters.
-    pub fn params(&self) -> &Params {
+    pub fn params(&self) -> &Params<D> {
         &self.params
     }
 
@@ -250,7 +250,7 @@ impl<const D: usize> RStarTree<D> {
             return self.resolve_overflow(node_id, node, may_reinsert, pending);
         }
 
-        let child_idx = Self::choose_subtree(&node, &entry.rect);
+        let child_idx = Self::choose_subtree(&node, &entry.rect, &self.params.axes);
         let child_id = node.entries[child_idx].child();
         match self.insert_rec(child_id, entry, target_level, may_reinsert, pending)? {
             Outcome::Fit(child_mbr) => {
@@ -268,8 +268,9 @@ impl<const D: usize> RStarTree<D> {
     }
 
     /// R*-tree ChooseSubtree: minimum overlap enlargement when children are
-    /// leaves, minimum area enlargement otherwise (ties: smaller area).
-    fn choose_subtree(node: &Node<D>, rect: &Rect<D>) -> usize {
+    /// leaves, minimum area enlargement otherwise (ties: smaller area), all
+    /// measured on the tree's `axes`.
+    fn choose_subtree(node: &Node<D>, rect: &Rect<D>, axes: &[usize]) -> usize {
         debug_assert!(!node.entries.is_empty(), "choose_subtree on empty node");
         if node.level == 1 {
             // Children are leaves: minimise overlap enlargement.
@@ -283,11 +284,15 @@ impl<const D: usize> RStarTree<D> {
                     .enumerate()
                     .filter(|(j, _)| *j != i)
                     .map(|(_, other)| {
-                        enlarged.intersection_area(&other.rect)
-                            - e.rect.intersection_area(&other.rect)
+                        enlarged.intersection_area(&other.rect, axes)
+                            - e.rect.intersection_area(&other.rect, axes)
                     })
                     .sum();
-                let key = (overlap_delta, e.rect.enlargement(rect), e.rect.area());
+                let key = (
+                    overlap_delta,
+                    e.rect.enlargement(rect, axes),
+                    e.rect.area(axes),
+                );
                 if key < best_key {
                     best_key = key;
                     best = i;
@@ -298,7 +303,7 @@ impl<const D: usize> RStarTree<D> {
             let mut best = 0;
             let mut best_key = (f64::INFINITY, f64::INFINITY);
             for (i, e) in node.entries.iter().enumerate() {
-                let key = (e.rect.enlargement(rect), e.rect.area());
+                let key = (e.rect.enlargement(rect, axes), e.rect.area(axes));
                 if key < best_key {
                     best_key = key;
                     best = i;
@@ -327,11 +332,13 @@ impl<const D: usize> RStarTree<D> {
         if node_id != self.root && may_reinsert[level] {
             may_reinsert[level] = false;
             // Forced reinsert: drop the `p` entries whose centres are
-            // farthest from the node centre and re-insert them later.
-            let center = node.mbr().center();
+            // farthest from the node centre (on the tree's axes) and
+            // re-insert them later.
+            let center = Rect::point(node.mbr().center());
+            let axes = &self.params.axes;
             node.entries.sort_by(|a, b| {
-                let da = Rect::point(center).center_dist_sq(&a.rect);
-                let db = Rect::point(center).center_dist_sq(&b.rect);
+                let da = center.center_dist_sq(&a.rect, axes);
+                let db = center.center_dist_sq(&b.rect, axes);
                 da.total_cmp(&db)
             });
             let keep = node.entries.len() - self.params.reinsert_count;

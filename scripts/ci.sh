@@ -35,7 +35,9 @@
 #                           # `descent` split binary in its REPRO_FAST shape
 #   scripts/ci.sh storage   # tier-2: what pins "one node store" — the page
 #                           # devices under it, the R*-tree's unit,
-#                           # property and doc tests on PagedStore, and
+#                           # property and doc tests on PagedStore (with
+#                           # node-aligned STR slabs and axis-subset
+#                           # trees), and
 #                           # the subsequence index (the other tree) with
 #                           # its literal counters
 #   scripts/ci.sh docs      # tier-2: rustdoc of every workspace crate with
@@ -113,7 +115,7 @@ engines|-p simshard --test plan_parity|planner-chosen vs forced engines, 1/2/4/8
 engines|-p tsfft|the planned real FFT every candidate row comes from (odd lengths too)
 engines|-p simquery --test chaos|every index engine, joins included, on the kernel under faults
 storage|-p pagestore|page devices, buffer pool and the fault gate
-storage|-p rstartree|the R*-tree on its one node store (unit, property, doc tests)
+storage|-p rstartree|the R*-tree on its one node store (unit, property, doc tests), STR slabs on node boundaries (bulk::tests::slabs_end_on_node_boundaries) and trees shaped on an axis subset (proptests::axis_subset_*)
 storage|-p simquery --lib subseq|the subsequence index: pinned counters at trail lengths 1 and 8
 storage|-p simquery --test extensions|
 e2e|--manifest-path e2ebench/Cargo.toml|the benchmark builds against the workspace crates and its smoke passes
