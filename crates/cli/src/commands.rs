@@ -33,7 +33,7 @@ USAGE:
 `build --shards N` with N > 1 partitions the corpus across N
 independent indexes, placing sequence g on shard splitmix64(g) mod N
 (serve the directory with `simserved --index DIR/` to get per-shard
-STATS); without it, or with N = 1, it writes a single index.
+METRICS series); without it, or with N = 1, it writes a single index.
 
 `info`, `query`, `nn` and `recover` take either directory layout: a
 single index or a shard group, whose queries scatter-gather across the
@@ -54,7 +54,7 @@ starts accepting writes from its acked prefix. The old primary demotes
 itself to read-only the moment it sees the higher epoch.
 
 `metrics` fetches a running server's METRICS exposition (one
-`name{labels} value` line per metric — the same numbers STATS reports)
+`name{labels} value` line per metric — the server's one counter report)
 and, with --trace N, drains up to N recorded spans from its sampling
 tracer.
 

@@ -144,7 +144,7 @@ type ShapeKey = (usize, usize, u32);
 /// A memoised §4.3 multi-rectangle choice.
 type PartitionMemo = HashMap<(String, u64), Vec<TransformMbr>>;
 
-/// Aggregate counters every shared index exposes through STATS.
+/// Aggregate counters every shared index exposes through `METRICS`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Physical plans constructed by the planner.

@@ -12,9 +12,9 @@
 //!    log is one comparison and, when it fires, one increment.
 //! 2. **Bounded memory.** The trace ring is a fixed-capacity ring; an idle
 //!    reader cannot make a busy writer accumulate.
-//! 3. **One source of truth.** The same atomic a `STATS` report reads is
-//!    the one the Prometheus-style exposition renders, so the two views
-//!    agree exactly by construction rather than by reconciliation. Gauges
+//! 3. **One source of truth.** The exposition renders the instruments'
+//!    own atomics, which only count up, so a counter never runs backwards
+//!    and two readings difference to the activity between them. Gauges
 //!    are not kept at all: [`Exposition::gauge`] renders each one from its
 //!    source at exposition time.
 //!

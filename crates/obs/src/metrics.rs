@@ -3,9 +3,8 @@
 //! Latencies are recorded in microseconds into log₂ buckets (bucket `i`
 //! holds `[2^i, 2^{i+1})` µs), so a histogram is 64 atomic counters —
 //! cheap enough to update on every request from every worker without a
-//! lock, and precise enough for the p50/p95/p99 the `STATS` request
-//! reports (percentiles are bucket upper bounds, i.e. ≤ 2× the true
-//! value).
+//! lock, and precise enough for the p50/p95/p99 the exposition reports
+//! (percentiles are bucket upper bounds, i.e. ≤ 2× the true value).
 //!
 //! A [`MetricsRegistry`] maps fully-labelled metric names (e.g.
 //! `simseq_op_total{op="query"}`) to shared instrument handles. Callers
@@ -44,11 +43,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero (STATS `reset=1` semantics).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -108,15 +102,6 @@ impl Histogram {
     pub fn max_us(&self) -> u64 {
         self.max_us.load(Ordering::Relaxed)
     }
-
-    /// Zeroes every bucket (STATS `reset=1` semantics).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.max_us.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Formats `name{k1="v1",k2="v2"}`; just `name` when `labels` is empty.
@@ -156,9 +141,8 @@ struct Instruments {
 ///
 /// `counter` / `histogram` are get-or-register: the first call for a
 /// name creates the instrument, later calls return the same handle,
-/// so two subsystems naming the same metric share one atomic (this is what
-/// makes `METRICS`/`STATS` parity structural). Per-instance, not global —
-/// a test binary runs many servers and each owns its numbers.
+/// so two subsystems naming the same metric share one atomic. Per-instance,
+/// not global — a test binary runs many servers and each owns its numbers.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Instruments>,

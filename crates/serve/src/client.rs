@@ -1,7 +1,8 @@
 //! A typed blocking client for the `simserved` protocol.
 
+use crate::expose::{self, StatsReport};
 use crate::protocol::{
-    QueryParams, Request, Response, StatsReport, WireMatch, WirePair, WireTraceEvent,
+    ErrCode, QueryParams, Request, Response, WireMatch, WirePair, WireTraceEvent, STATS_REMOVED,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -213,12 +214,22 @@ impl Client {
         }
     }
 
-    /// `STATS`.
+    /// Op counts, admission rejections and planner counters, decoded from
+    /// one `METRICS` reading ([`expose::decode`]). `reset` is answered
+    /// with the `ERR code=BADREQ` a server gives `STATS`, without a round
+    /// trip: nothing resets the server's counters.
     pub fn stats(&mut self, reset: bool) -> io::Result<Result<StatsReport, Response>> {
-        match self.call(&Request::Stats { reset })? {
-            Response::Stats(s) => Ok(Ok(*s)),
-            other => Ok(Err(other)),
+        if reset {
+            return Ok(Err(Response::Err {
+                code: ErrCode::BadRequest,
+                msg: STATS_REMOVED.into(),
+            }));
         }
+        Ok(match self.metrics()? {
+            Ok(lines) => Ok(expose::decode(&lines)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?),
+            Err(other) => Err(other),
+        })
     }
 
     /// `METRICS` — the raw text exposition, one metric per line.

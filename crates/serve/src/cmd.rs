@@ -7,7 +7,7 @@
 //! The index directory is opened as whatever layout it holds
 //! ([`ShardedIndex::open`]): a directory written by `simseq build --shards
 //! N` is served with its N shards — an insert write-locks one shard while
-//! the others keep serving reads, queries scatter-gather, and `STATS`
+//! the others keep serving reads, queries scatter-gather, and `METRICS`
 //! gains a per-shard breakdown. There is no serve-time repartitioning:
 //! `simseq build --shards N` is the one way to get a shard group.
 //!
@@ -65,8 +65,8 @@ requires an unsharded backend. `--wal DIR/` makes INSERT/DELETE
 durable (write-ahead logged, replayed on restart; see SYNC and
 CHECKPOINT in the protocol).
 `--result-cache N` answers repeated queries from an epoch-keyed LRU
-cache (mutations invalidate; see the EXPLAIN verb and the STATS PLAN
-line in the protocol). `--slow-query-ms N` counts every query at or
+cache (mutations invalidate; see the EXPLAIN verb and the
+simseq_result_cache_* series of METRICS in the protocol). `--slow-query-ms N` counts every query at or
 over N ms in simseq_slow_queries_total (see METRICS; TRACE spans and
 EXPLAIN show what a query did), and
 `--trace-sample K` records every K-th query's span tree into a bounded

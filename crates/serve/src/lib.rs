@@ -13,8 +13,10 @@
 //!   order, and the rest are rejected with `ERR code=BUSY` instead of
 //!   piling up (explicit admission control);
 //! * [`metrics`] — per-operation counters and log₂-bucketed latency
-//!   histograms (p50/p95/p99), plus index access-counter deltas, reported
-//!   by the `STATS` request;
+//!   histograms (p50/p95/p99);
+//! * [`expose`] — the `METRICS` exposition, the server's one counter
+//!   report (those instruments plus index, WAL, planner, cache and
+//!   replication counters), and its decoder for [`client::Client::stats`];
 //! * [`client`] — a typed blocking client with connect/read/write
 //!   timeouts;
 //! * [`failover`] — a multi-endpoint client that chases `ERR READONLY`

@@ -157,15 +157,8 @@ pub enum Request {
     Checkpoint,
     /// Describes the served index.
     Info,
-    /// Server metrics; `reset` zeroes the op counters/histograms after
-    /// reporting.
-    Stats {
-        /// Reset after reporting.
-        reset: bool,
-    },
-    /// Text-exposition dump of every registered instrument — the same
-    /// atomics `STATS` reads, rendered one `name{labels} value` line per
-    /// series for scrapers.
+    /// The server's one counter report: every registered instrument and
+    /// backend counter, one `name{labels} value` line per series.
     Metrics,
     /// Drains up to `n` of the most recent completed trace spans from
     /// the server's bounded trace ring.
@@ -207,6 +200,9 @@ pub enum Request {
     /// Ends the connection.
     Quit,
 }
+
+/// The `ERR code=BADREQ` message a `STATS` line is answered with.
+pub(crate) const STATS_REMOVED: &str = "STATS is gone: METRICS reports every counter";
 
 impl Request {
     /// Serializes to one protocol line (no trailing newline).
@@ -253,13 +249,6 @@ impl Request {
             Self::Sync => "SYNC".into(),
             Self::Checkpoint => "CHECKPOINT".into(),
             Self::Info => "INFO".into(),
-            Self::Stats { reset } => {
-                if *reset {
-                    "STATS reset=yes".into()
-                } else {
-                    "STATS".into()
-                }
-            }
             Self::Metrics => "METRICS".into(),
             Self::Trace { n } => format!("TRACE n={n}"),
             Self::Explain { inner } => format!("EXPLAIN {}", inner.to_line()),
@@ -320,11 +309,7 @@ impl Request {
             "SYNC" => Ok(Self::Sync),
             "CHECKPOINT" => Ok(Self::Checkpoint),
             "INFO" => Ok(Self::Info),
-            "STATS" => match kv.get("reset") {
-                None | Some("no") => Ok(Self::Stats { reset: false }),
-                Some("yes") => Ok(Self::Stats { reset: true }),
-                Some(_) => Err(ProtoError::bad("reset= must be yes or no")),
-            },
+            "STATS" => Err(ProtoError::bad(STATS_REMOVED)),
             "METRICS" => Ok(Self::Metrics),
             "TRACE" => Ok(Self::Trace {
                 n: kv.parse_or("n", 100)?,
@@ -455,121 +440,6 @@ impl From<&EngineMetrics> for WireMetrics {
     }
 }
 
-/// Per-operation line of a `STATS` response.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OpStatLine {
-    /// Operation name (`query`, `knn`, …).
-    pub op: String,
-    /// Completed requests.
-    pub count: u64,
-    /// Requests that returned `ERR`.
-    pub errors: u64,
-    /// Latency percentiles in microseconds (upper bucket bounds).
-    pub p50_us: u64,
-    /// 95th percentile.
-    pub p95_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// Maximum observed.
-    pub max_us: u64,
-}
-
-/// Per-shard line of a `STATS` response (sharded backends only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStatLine {
-    /// Shard id, `0..shards`.
-    pub id: usize,
-    /// Sequences currently mapped to the shard.
-    pub seqs: u64,
-    /// Tree node reads on this shard since server start.
-    pub node_reads: u64,
-    /// Record-heap page reads (pool misses) on this shard.
-    pub record_page_reads: u64,
-    /// Logical record fetches on this shard.
-    pub record_fetches: u64,
-}
-
-/// Write-ahead-log counters of a `STATS` response (durable servers only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalStatLine {
-    /// Frames appended since server start.
-    pub appends: u64,
-    /// `fsync` calls issued by the log(s).
-    pub fsyncs: u64,
-    /// Frames replayed when the server opened the index.
-    pub replayed: u64,
-    /// Current checkpoint epoch.
-    pub epoch: u64,
-}
-
-/// Planner and result-cache counters of a `STATS` response.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStatLine {
-    /// Physical plans built since server start.
-    pub built: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses (including cache-disabled lookups).
-    pub cache_misses: u64,
-    /// Result-cache LRU evictions.
-    pub cache_evictions: u64,
-    /// Entries currently resident in the result cache.
-    pub cache_entries: u64,
-    /// Executions dispatched to the MT-index engine.
-    pub mt: u64,
-    /// Executions dispatched to the ST-index engine.
-    pub st: u64,
-    /// Executions dispatched to the sequential scan.
-    pub scan: u64,
-}
-
-/// Replication counters of a `STATS` response. On a primary, the
-/// follower-fleet view; on a follower, its own applied position.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplStatLine {
-    /// `primary` or `follower`.
-    pub role: String,
-    /// Followers that have polled since server start (primary only).
-    pub followers: u64,
-    /// Minimum acked LSN across the follower fleet (primary), or the
-    /// LSN this follower has acked upstream (follower).
-    pub acked_lsn: u64,
-    /// Highest LSN applied locally (follower; 0 on a primary).
-    pub applied_lsn: u64,
-    /// Next-LSN-minus-acked lag in frames (both roles).
-    pub lag: u64,
-    /// Frame bytes shipped to followers (primary) or received (follower).
-    pub bytes: u64,
-    /// Checkpoint epoch the replication stream is on.
-    pub epoch: u64,
-}
-
-/// The full `STATS` payload.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsReport {
-    /// One line per operation with non-zero traffic.
-    pub ops: Vec<OpStatLine>,
-    /// Requests rejected by admission control since start.
-    pub busy_rejected: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Index access counters, total since server start:
-    /// `(node_reads, record_page_reads, record_fetches)`.
-    pub counters_total: (u64, u64, u64),
-    /// Same counters, delta since the previous `STATS` call.
-    pub counters_delta: (u64, u64, u64),
-    /// Per-shard breakdown; empty unless the index is a shard directory.
-    pub shards: Vec<ShardStatLine>,
-    /// WAL counters; `None` when the server runs without durability.
-    pub wal: Option<WalStatLine>,
-    /// Planner/result-cache counters; `None` only for reports produced
-    /// by servers predating the plan layer.
-    pub plan: Option<PlanStatLine>,
-    /// Replication counters; `None` when the server neither serves
-    /// followers nor follows a primary.
-    pub repl: Option<ReplStatLine>,
-}
-
 /// One completed span of a `TRACE` response.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireTraceEvent {
@@ -637,8 +507,6 @@ pub enum Response {
     /// `EXPLAIN` payload: ordered key/value pairs describing the chosen
     /// physical plan (engine, partitions, estimated vs actual cost).
     Plan(Vec<(String, String)>),
-    /// `STATS` payload (boxed: the report dwarfs every other variant).
-    Stats(Box<StatsReport>),
     /// `METRICS` payload: raw text-exposition lines, one per series.
     Metrics {
         /// The exposition, already formatted (`name{labels} value`).
@@ -736,70 +604,6 @@ impl Response {
                 for (k, v) in pairs {
                     writeln!(w, "PLAN {k}={v}")?;
                 }
-            }
-            Self::Stats(s) => {
-                writeln!(w, "OK")?;
-                for o in &s.ops {
-                    writeln!(
-                        w,
-                        "STAT op={} count={} err={} p50_us={} p95_us={} p99_us={} max_us={}",
-                        o.op, o.count, o.errors, o.p50_us, o.p95_us, o.p99_us, o.max_us
-                    )?;
-                }
-                writeln!(
-                    w,
-                    "COUNTERS node_reads={} record_page_reads={} record_fetches={} \
-                     d_node_reads={} d_record_page_reads={} d_record_fetches={}",
-                    s.counters_total.0,
-                    s.counters_total.1,
-                    s.counters_total.2,
-                    s.counters_delta.0,
-                    s.counters_delta.1,
-                    s.counters_delta.2
-                )?;
-                for sh in &s.shards {
-                    writeln!(
-                        w,
-                        "SHARD id={} seqs={} node_reads={} record_page_reads={} \
-                         record_fetches={}",
-                        sh.id, sh.seqs, sh.node_reads, sh.record_page_reads, sh.record_fetches
-                    )?;
-                }
-                if let Some(wal) = &s.wal {
-                    writeln!(
-                        w,
-                        "WAL appends={} fsyncs={} replayed={} epoch={}",
-                        wal.appends, wal.fsyncs, wal.replayed, wal.epoch
-                    )?;
-                }
-                if let Some(p) = &s.plan {
-                    writeln!(
-                        w,
-                        "PLAN built={} cache_hits={} cache_misses={} cache_evictions={} \
-                         cache_entries={} mt={} st={} scan={}",
-                        p.built,
-                        p.cache_hits,
-                        p.cache_misses,
-                        p.cache_evictions,
-                        p.cache_entries,
-                        p.mt,
-                        p.st,
-                        p.scan
-                    )?;
-                }
-                if let Some(r) = &s.repl {
-                    writeln!(
-                        w,
-                        "REPL role={} followers={} acked_lsn={} applied_lsn={} lag={} \
-                         bytes={} epoch={}",
-                        r.role, r.followers, r.acked_lsn, r.applied_lsn, r.lag, r.bytes, r.epoch
-                    )?;
-                }
-                writeln!(
-                    w,
-                    "SERVER busy_rejected={} connections={}",
-                    s.busy_rejected, s.connections
-                )?;
             }
             Self::Metrics { lines } => {
                 // `metrics=prom` tags the status line so the reader never
@@ -954,9 +758,6 @@ impl Response {
                     Ok(Self::Checkpointed {
                         epoch: e.parse().map_err(|_| ProtoError::bad("bad epoch="))?,
                     })
-                } else if lines(body).any(|l| l.starts_with("STAT ") || l.starts_with("COUNTERS "))
-                {
-                    Self::assemble_stats(body)
                 } else if lines(body).any(|l| l.starts_with("INFO ")) {
                     Ok(Self::Info(assemble_kv_body(body, "INFO ")?))
                 } else if lines(body).any(|l| l.starts_with("PLAN ")) {
@@ -1111,93 +912,6 @@ impl Response {
         }
         Ok(Self::Trace { events })
     }
-
-    fn assemble_stats(body: &str) -> Result<Self, ProtoError> {
-        let mut report = StatsReport::default();
-        for line in lines(body) {
-            let mut tokens = line.split_ascii_whitespace();
-            match tokens.next() {
-                Some("STAT") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.ops.push(OpStatLine {
-                        op: kv.req("op")?.to_string(),
-                        count: kv.req_parse("count")?,
-                        errors: kv.req_parse("err")?,
-                        p50_us: kv.req_parse("p50_us")?,
-                        p95_us: kv.req_parse("p95_us")?,
-                        p99_us: kv.req_parse("p99_us")?,
-                        max_us: kv.req_parse("max_us")?,
-                    });
-                }
-                Some("COUNTERS") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.counters_total = (
-                        kv.req_parse("node_reads")?,
-                        kv.req_parse("record_page_reads")?,
-                        kv.req_parse("record_fetches")?,
-                    );
-                    report.counters_delta = (
-                        kv.req_parse("d_node_reads")?,
-                        kv.req_parse("d_record_page_reads")?,
-                        kv.req_parse("d_record_fetches")?,
-                    );
-                }
-                Some("SHARD") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.shards.push(ShardStatLine {
-                        id: kv.req_parse("id")?,
-                        seqs: kv.req_parse("seqs")?,
-                        node_reads: kv.req_parse("node_reads")?,
-                        record_page_reads: kv.req_parse("record_page_reads")?,
-                        record_fetches: kv.req_parse("record_fetches")?,
-                    });
-                }
-                Some("WAL") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.wal = Some(WalStatLine {
-                        appends: kv.req_parse("appends")?,
-                        fsyncs: kv.req_parse("fsyncs")?,
-                        replayed: kv.req_parse("replayed")?,
-                        epoch: kv.req_parse("epoch")?,
-                    });
-                }
-                Some("PLAN") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.plan = Some(PlanStatLine {
-                        built: kv.req_parse("built")?,
-                        cache_hits: kv.req_parse("cache_hits")?,
-                        cache_misses: kv.req_parse("cache_misses")?,
-                        cache_evictions: kv.req_parse("cache_evictions")?,
-                        cache_entries: kv.req_parse("cache_entries")?,
-                        mt: kv.req_parse("mt")?,
-                        st: kv.req_parse("st")?,
-                        scan: kv.req_parse("scan")?,
-                    });
-                }
-                Some("REPL") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.repl = Some(ReplStatLine {
-                        role: kv.req("role")?.to_string(),
-                        followers: kv.req_parse("followers")?,
-                        acked_lsn: kv.req_parse("acked_lsn")?,
-                        applied_lsn: kv.req_parse("applied_lsn")?,
-                        lag: kv.req_parse("lag")?,
-                        bytes: kv.req_parse("bytes")?,
-                        epoch: kv.req_parse("epoch")?,
-                    });
-                }
-                Some("SERVER") => {
-                    let kv = KvTokens::collect(tokens)?;
-                    report.busy_rejected = kv.req_parse("busy_rejected")?;
-                    report.connections = kv.req_parse("connections")?;
-                }
-                other => {
-                    return Err(ProtoError::bad(format!("unexpected stats line {other:?}")));
-                }
-            }
-        }
-        Ok(Self::Stats(Box::new(report)))
-    }
 }
 
 /// Parses a homogeneous `<PREFIX> k=v` body (INFO/PLAN payloads).
@@ -1279,7 +993,7 @@ fn lines(body: &str) -> impl Iterator<Item = &str> {
 pub struct ProtoError(String);
 
 impl ProtoError {
-    fn bad(msg: impl Into<String>) -> Self {
+    pub(crate) fn bad(msg: impl Into<String>) -> Self {
         Self(msg.into())
     }
 }
@@ -1469,8 +1183,6 @@ mod tests {
         round_trip_request(Request::Sync);
         round_trip_request(Request::Checkpoint);
         round_trip_request(Request::Info);
-        round_trip_request(Request::Stats { reset: true });
-        round_trip_request(Request::Stats { reset: false });
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Trace { n: 25 });
         round_trip_request(Request::Quit);
@@ -1549,7 +1261,7 @@ mod tests {
             "QUERY ord=1 ord=2",           // a key given twice
             "KNN ord=1 k=3 engine=mt",     // read by QUERY, not by KNN
             "INFO verbose=yes",            // verbs without keys take none
-            "STATS reset=true",            // reset= is yes|no
+            "STATS reset=yes",             // gone: METRICS never resets
             "KNN ord=1",                   // missing k
             "INSERT",                      // missing data
             "INSERT data=1,x,3",           // bad float in data
@@ -1568,7 +1280,8 @@ mod tests {
         }
         let stray = Request::parse("QUERY ord=1 rh0=0.99").unwrap_err();
         assert!(stray.to_string().contains("rh0="), "names the key: {stray}");
-        assert!(Request::parse("STATS reset=no").is_ok());
+        let stats = Request::parse("STATS").unwrap_err();
+        assert!(stats.to_string().contains("METRICS"), "points on: {stats}");
     }
 
     fn round_trip_response(resp: Response) {
@@ -1619,62 +1332,6 @@ mod tests {
             ("sequences".into(), "100".into()),
             ("seq_len".into(), "128".into()),
         ]));
-        round_trip_response(Response::Stats(Box::new(StatsReport {
-            ops: vec![OpStatLine {
-                op: "query".into(),
-                count: 50,
-                errors: 1,
-                p50_us: 128,
-                p95_us: 512,
-                p99_us: 1024,
-                max_us: 4096,
-            }],
-            busy_rejected: 3,
-            connections: 8,
-            counters_total: (100, 200, 300),
-            counters_delta: (10, 20, 30),
-            shards: vec![
-                ShardStatLine {
-                    id: 0,
-                    seqs: 60,
-                    node_reads: 70,
-                    record_page_reads: 80,
-                    record_fetches: 90,
-                },
-                ShardStatLine {
-                    id: 1,
-                    seqs: 40,
-                    node_reads: 30,
-                    record_page_reads: 120,
-                    record_fetches: 210,
-                },
-            ],
-            wal: Some(WalStatLine {
-                appends: 12,
-                fsyncs: 4,
-                replayed: 7,
-                epoch: 3,
-            }),
-            plan: Some(PlanStatLine {
-                built: 42,
-                cache_hits: 9,
-                cache_misses: 33,
-                cache_evictions: 2,
-                cache_entries: 7,
-                mt: 25,
-                st: 10,
-                scan: 7,
-            }),
-            repl: Some(ReplStatLine {
-                role: "primary".into(),
-                followers: 2,
-                acked_lsn: 17,
-                applied_lsn: 0,
-                lag: 3,
-                bytes: 4096,
-                epoch: 3,
-            }),
-        })));
         round_trip_response(Response::Checkpointed { epoch: 5 });
         // Promoted carries an epoch too; the promoted= marker keeps it
         // from collapsing into Checkpointed on the way back.

@@ -42,12 +42,13 @@
 //! idempotent semantics as crash-recovery replay, so re-shipping any
 //! prefix after a crash on either side converges without gaps or
 //! duplicates. Acked LSNs ride on every poll; the primary keeps a
-//! per-peer ack table for the `STATS` `REPL` line and drops a peer's
-//! entry when its connection closes.
+//! per-peer ack table for the `simseq_repl_*` series of `METRICS` and
+//! drops a peer's entry when its connection closes.
 
 use crate::client::Client;
-use crate::protocol::{ErrCode, ReplStatLine, Request, Response, SnapEntry};
+use crate::protocol::{ErrCode, Request, Response, SnapEntry};
 use crate::server::Backend;
+use simobs::Exposition;
 use simquery::prelude::*;
 use simquery::shard::{ReplicaCut, ShardedIndex};
 use simquery::shared::DurableError;
@@ -64,7 +65,8 @@ use tseries::rng::SeededRng;
 /// Default frames per `REPL` response when the request says `max=0`.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// Counters a follower loop publishes for its server's `STATS` line.
+/// Counters a follower loop publishes for its server's `simseq_repl_*`
+/// series.
 #[derive(Debug, Default)]
 pub struct FollowerStats {
     /// LSN last acked upstream.
@@ -188,7 +190,7 @@ impl ReplState {
     }
 
     /// Flips a follower server to primary: clears the follower role, so
-    /// the write gate opens and `STATS`/`METRICS` report the primary
+    /// the write gate opens and `METRICS` reports the primary
     /// view. Returns `false` (and changes nothing) when the server
     /// already is a primary. The caller halts the poll loop and promotes
     /// the underlying index *before* calling this — the role flips only
@@ -291,49 +293,57 @@ impl ReplState {
         peers.remove(peer);
     }
 
-    /// The `STATS` `REPL` line for this server, or `None` when it
-    /// neither follows a primary nor has followers attached.
-    pub fn stat_line(&self, backend: &Backend) -> Option<ReplStatLine> {
+    /// Renders the replication position into `exp`, labelled with the
+    /// role: a follower's own position, or a primary's view of its
+    /// followers (the minimum acked LSN, so the worst follower). Nothing
+    /// when the server neither follows a primary nor has followers.
+    pub(crate) fn render_into(&self, backend: &Backend, exp: &mut Exposition) {
         let follower = self
             .follower
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        if let Some(f) = follower {
-            let applied = backend.applied_lsn();
-            let end = f.end.load(Ordering::Relaxed);
-            return Some(ReplStatLine {
-                role: "follower".into(),
-                followers: 0,
-                acked_lsn: f.acked.load(Ordering::Relaxed),
-                applied_lsn: applied,
-                lag: end.saturating_sub(1).saturating_sub(applied),
-                bytes: f.bytes.load(Ordering::Relaxed),
-                epoch: f.epoch.load(Ordering::Relaxed),
-            });
-        }
-        let peers = self.peers.lock().unwrap_or_else(|e| e.into_inner());
-        if peers.is_empty() {
-            return None;
-        }
-        let (followers, min_acked) = (
-            peers.len() as u64,
-            peers.values().map(|p| p.acked).min().unwrap_or(0),
-        );
-        drop(peers);
-        let (next, epoch) = (
-            backend.wal_next_lsn().unwrap_or(1),
-            backend.wal_epoch().unwrap_or(0),
-        );
-        Some(ReplStatLine {
-            role: "primary".into(),
-            followers,
-            acked_lsn: min_acked,
-            applied_lsn: 0,
-            lag: next.saturating_sub(1).saturating_sub(min_acked),
-            bytes: self.bytes_shipped.load(Ordering::Relaxed),
-            epoch,
-        })
+        let (role, followers, acked, applied, lag, bytes, epoch) = match follower {
+            Some(f) => {
+                let applied = backend.applied_lsn();
+                let end = f.end.load(Ordering::Relaxed);
+                (
+                    "follower",
+                    0,
+                    f.acked.load(Ordering::Relaxed),
+                    applied,
+                    end.saturating_sub(1).saturating_sub(applied),
+                    f.bytes.load(Ordering::Relaxed),
+                    f.epoch.load(Ordering::Relaxed),
+                )
+            }
+            None => {
+                let peers = self.peers.lock().unwrap_or_else(|e| e.into_inner());
+                if peers.is_empty() {
+                    return;
+                }
+                let followers = peers.len();
+                let min_acked = peers.values().map(|p| p.acked).min().unwrap_or(0);
+                drop(peers);
+                let next = backend.wal_next_lsn().unwrap_or(1);
+                (
+                    "primary",
+                    followers,
+                    min_acked,
+                    0,
+                    next.saturating_sub(1).saturating_sub(min_acked),
+                    self.bytes_shipped.load(Ordering::Relaxed),
+                    backend.wal_epoch().unwrap_or(0),
+                )
+            }
+        };
+        let labels = [("role", role)];
+        exp.gauge("simseq_repl_followers", &labels, followers as f64);
+        exp.gauge("simseq_repl_acked_lsn", &labels, acked as f64);
+        exp.gauge("simseq_repl_applied_lsn", &labels, applied as f64);
+        exp.gauge("simseq_repl_lag", &labels, lag as f64);
+        exp.counter("simseq_repl_bytes_total", &labels, bytes);
+        exp.gauge("simseq_repl_epoch", &labels, epoch as f64);
     }
 }
 

@@ -361,7 +361,6 @@ impl Request {
             Self::Sync => "sync",
             Self::Checkpoint => "checkpoint",
             Self::Info => "info",
-            Self::Stats { .. } => "stats",
             Self::Metrics => "metrics",
             Self::Trace { .. } => "trace",
             Self::Explain { .. } => "explain",
@@ -372,7 +371,7 @@ impl Request {
     }
 }
 
-/// Executes one request against the backend. `Stats` reads the metrics
+/// Executes one request against the backend. `Metrics` reads the metrics
 /// registry; everything else touches only the index (or its shards).
 /// Query verbs lower to a [`LogicalQuery`] through the connection's
 /// `memo`, consult the result cache, and route through the plan layer —
@@ -447,17 +446,6 @@ fn execute(
                 info.push(("applied_lsn".into(), backend.applied_lsn().to_string()));
             }
             Response::Info(info)
-        }
-        Request::Stats { reset } => {
-            let s = crate::expose::sample(backend, cache, repl);
-            Response::Stats(Box::new(metrics.report(
-                s.counters,
-                s.shards,
-                s.wal,
-                Some(s.plan),
-                s.repl,
-                reset,
-            )))
         }
         Request::Metrics => crate::expose::render(backend, metrics, cache, repl),
         Request::Trace { n } => {

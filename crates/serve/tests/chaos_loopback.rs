@@ -1,15 +1,16 @@
 //! Fault injection over a live loopback connection: a `simserved` instance
 //! serving an index built on fault-injecting devices. Device errors must
 //! surface as `ERR IO` frames — the connection stays open, later
-//! fault-free requests succeed — and the per-op STATS counters must
+//! fault-free requests succeed — and the per-op `METRICS` counters must
 //! account for every request and every error exactly.
 
 mod common;
 
-use common::test_config;
+use common::{metric, test_config};
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice};
 use simquery::prelude::*;
 use simserve::client::Client;
+use simserve::metrics::OPS;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::server::{serve, ServerHandle};
 use std::sync::Arc;
@@ -125,13 +126,15 @@ fn faulted_requests_return_err_io_then_recover_on_same_connection() {
     fs.handle.shutdown();
 }
 
-/// STATS accounting is exact: every request of a scripted workload lands in
-/// its op's `count`, every `ERR` (including the `ERR IO` path) in its
-/// `errors`, with nothing double-counted and nothing dropped.
+/// Op accounting is exact: between two `METRICS` readings, every request
+/// of a scripted workload lands in its op's `simseq_op_total`, every `ERR`
+/// (including the `ERR IO` path) in its `simseq_op_errors_total`, with
+/// nothing double-counted and nothing dropped.
 #[test]
 fn stats_deltas_are_exact_for_scripted_workload_including_io_errors() {
     let fs = FaultedServer::start(30, 37);
     let mut client = Client::connect(fs.handle.addr).unwrap();
+    let before = client.metrics().unwrap().unwrap();
 
     // 5 clean queries, 2 faulted (ERR IO), 2 clean again: query 9/2.
     for ord in 0..5 {
@@ -164,34 +167,41 @@ fn stats_deltas_are_exact_for_scripted_workload_including_io_errors() {
     assert!(client.delete(ord).unwrap().unwrap());
     client.info().unwrap().unwrap(); // info #2
 
-    let stats = client.stats(false).unwrap().unwrap();
-    let line = |op: &str| {
-        stats
-            .ops
-            .iter()
-            .find(|o| o.op == op)
-            .unwrap_or_else(|| panic!("missing {op} line in {stats:?}"))
+    let after = client.metrics().unwrap().unwrap();
+    let delta = |from: &[String], to: &[String], op: &str| {
+        let series = |name: &str| format!("{name}{{op=\"{op}\"}}");
+        let d = |name| metric(to, &series(name)) - metric(from, &series(name));
+        (d("simseq_op_total"), d("simseq_op_errors_total"))
     };
-    // 9 scripted + 1 extra query used to source the insert values.
-    assert_eq!((line("query").count, line("query").errors), (10, 2));
-    assert_eq!((line("knn").count, line("knn").errors), (1, 0));
-    assert_eq!((line("join").count, line("join").errors), (1, 0));
-    assert_eq!((line("insert").count, line("insert").errors), (1, 0));
-    assert_eq!((line("delete").count, line("delete").errors), (1, 0));
-    assert_eq!((line("info").count, line("info").errors), (2, 0));
-    // The in-flight STATS itself is recorded only after its report is
-    // built, so it must not appear yet.
-    assert!(!stats.ops.iter().any(|o| o.op == "stats"), "{stats:?}");
-    assert_eq!(stats.busy_rejected, 0);
-    assert!(stats.counters_total.0 > 0, "tree reads recorded");
-    assert!(stats.counters_delta.0 > 0, "delta since server start");
+    // 9 scripted + 1 extra query used to source the insert values; an op
+    // is recorded once its response is built, so the second reading sees
+    // the first and not itself.
+    let want = [
+        ("query", (10, 2)),
+        ("knn", (1, 0)),
+        ("join", (1, 0)),
+        ("insert", (1, 0)),
+        ("delete", (1, 0)),
+        ("info", (2, 0)),
+        ("metrics", (1, 0)),
+    ];
+    for op in OPS {
+        let expected = want.iter().find(|(o, _)| *o == op).map_or((0, 0), |w| w.1);
+        assert_eq!(delta(&before, &after, op), expected, "{op}");
+    }
+    assert_eq!(metric(&after, "simseq_busy_rejected_total"), 0);
+    let nodes = "simseq_index_node_reads_total";
+    assert!(
+        metric(&after, nodes) > metric(&before, nodes),
+        "tree reads recorded"
+    );
 
-    // A second STATS now sees the first one, all other counts unchanged.
-    let stats2 = client.stats(false).unwrap().unwrap();
-    let sline = stats2.ops.iter().find(|o| o.op == "stats").unwrap();
-    assert_eq!((sline.count, sline.errors), (1, 0));
-    let qline = stats2.ops.iter().find(|o| o.op == "query").unwrap();
-    assert_eq!((qline.count, qline.errors), (10, 2));
+    // A third reading sees the second, all other counts unchanged.
+    let third = client.metrics().unwrap().unwrap();
+    for op in OPS {
+        let expected = if op == "metrics" { (1, 0) } else { (0, 0) };
+        assert_eq!(delta(&after, &third, op), expected, "{op}");
+    }
 
     client.quit().unwrap();
     fs.handle.shutdown();

@@ -123,6 +123,17 @@ pub fn drain(follower: &mut Follower) {
     panic!("follower failed to drain within 1000 polls");
 }
 
+/// Value of the `METRICS` line whose full series name (labels included)
+/// is `name`; panics with context when absent or not an integer.
+pub fn metric(lines: &[String], name: &str) -> u64 {
+    lines
+        .iter()
+        .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
+        .unwrap_or_else(|| panic!("exposition missing {name}: {lines:#?}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("{name} not an integer: {e}"))
+}
+
 /// `n` seeded random walks of length 64.
 pub fn corpus(n: usize, seed: u64) -> Corpus {
     Corpus::generate(CorpusKind::SyntheticWalks, n, 64, seed)

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{corpus, test_config};
+use common::{corpus, metric, test_config};
 use simquery::engine::mtindex;
 use simquery::index::AccessCounters;
 use simquery::plan;
@@ -209,7 +209,7 @@ fn error_frames_for_bad_input() {
         // Keys the verb does not read would silently change the request.
         "QUERY ord=1 rh0=0.99",
         "QUERY ord=1 ord=2",
-        "STATS reset=true",
+        "INFO verbose=yes",
     ] {
         let response = client.call_raw(bad).unwrap();
         assert!(
@@ -304,6 +304,11 @@ fn connection_cap_rejects_with_busy() {
 fn stats_report_counts_and_latencies() {
     let (_shared, handle) = start(60, 29);
     let mut client = Client::connect(handle.addr).unwrap();
+    let nodes = |client: &mut Client| {
+        let lines = client.metrics().unwrap().unwrap();
+        metric(&lines, "simseq_index_node_reads_total")
+    };
+    let before = nodes(&mut client);
     for ord in 0..10 {
         client
             .query(QueryParams {
@@ -318,7 +323,7 @@ fn stats_report_counts_and_latencies() {
     }
     client.info().unwrap().unwrap();
 
-    let stats = client.stats(true).unwrap().unwrap();
+    let stats = client.stats(false).unwrap().unwrap();
     let query_line = stats
         .ops
         .iter()
@@ -330,17 +335,9 @@ fn stats_report_counts_and_latencies() {
     assert!(query_line.p50_us <= query_line.p95_us);
     assert!(query_line.p95_us <= query_line.p99_us);
     assert!(stats.ops.iter().any(|o| o.op == "info"));
-    // Ten MT queries touched the tree: counters moved since server start.
-    assert!(stats.counters_total.0 > 0, "node reads recorded");
-    assert!(stats.counters_delta.0 > 0, "delta vs baseline");
-
-    // reset=true zeroed the op stats; only the STATS calls themselves and
-    // later ops accumulate from here.
-    let stats2 = client.stats(false).unwrap().unwrap();
-    assert!(
-        !stats2.ops.iter().any(|o| o.op == "query"),
-        "query stats were reset: {stats2:?}"
-    );
+    // Ten MT queries touched the tree: the node reads between two
+    // readings moved.
+    assert!(nodes(&mut client) > before, "node reads recorded");
     client.quit().unwrap();
     handle.shutdown();
 }
@@ -427,9 +424,9 @@ fn explain_reports_the_chosen_plan() {
 
 /// A server over a group of one answers what `plan::run` answers on the
 /// same index, digit for digit: each `QUERY`/`KNN` its match list and
-/// metrics, each `EXPLAIN` its plan and counts, and `STATS COUNTERS` the
-/// index's own access counters — the server's fetch of the query sequence
-/// included.
+/// metrics, each `EXPLAIN` its plan and counts, and the `METRICS` index
+/// counters the index's own access counters — the server's fetch of the
+/// query sequence included.
 #[test]
 fn group_of_one_serves_what_plan_run_answers() {
     let c = corpus(80, 7);
@@ -439,7 +436,7 @@ fn group_of_one_serves_what_plan_run_answers() {
     let handle = serve(SharedIndex::new(build()), &test_config()).unwrap();
     let mut client = Client::connect(handle.addr).unwrap();
     let family = Family::moving_averages(4..=12, reference.seq_len());
-    let totals = |c: AccessCounters| (c.node_reads, c.record_page_reads, c.record_fetches);
+    let totals = |c: AccessCounters| [c.node_reads, c.record_page_reads, c.record_fetches];
     let engines = [
         ("auto", EngineKind::Auto),
         ("mt", EngineKind::Mt),
@@ -524,13 +521,18 @@ fn group_of_one_serves_what_plan_run_answers() {
                     };
                     assert_eq!(wire, want, "{line}: metrics");
                 }
-                let report = client.stats(false).unwrap().unwrap();
-                assert_eq!(
-                    report.counters_total,
-                    totals(reference.counters()),
-                    "{line}: STATS COUNTERS"
+                let lines = client.metrics().unwrap().unwrap();
+                let served = [
+                    "simseq_index_node_reads_total",
+                    "simseq_index_record_page_reads_total",
+                    "simseq_index_record_fetches_total",
+                ]
+                .map(|series| metric(&lines, series));
+                assert_eq!(served, totals(reference.counters()), "{line}: METRICS");
+                assert!(
+                    !lines.iter().any(|l| l.contains("shard=")),
+                    "a plain index has no per-shard series"
                 );
-                assert!(report.shards.is_empty(), "a plain index has no SHARD lines");
             }
         }
     }

@@ -1,16 +1,20 @@
-//! Metrics-exactness suite: the `METRICS` exposition must agree with the
-//! `STATS` report op-for-op (same atomics, same numbers), the slow-query
-//! log must fire on exactly the configured threshold semantics on either
-//! backend layout, and the trace ring must stay bounded and drainable
-//! under load.
+//! Metrics-exactness suite: the `METRICS` exposition must count every op,
+//! error and index access exactly, [`Client::stats`] must decode the same
+//! numbers from it, its `_total` series must never run backwards (the
+//! `STATS` verb that could reset them is refused), the slow-query log must
+//! fire on exactly the configured threshold semantics on either backend
+//! layout, and the trace ring must stay bounded and drainable under load.
 //!
 //! The tracer is process-global (`simobs::trace::global()`), so every
 //! test here serialises on one mutex — otherwise a server started by one
 //! test would retune the sampling rate under another.
 
+mod common;
+
+use common::metric;
 use simquery::prelude::*;
 use simserve::client::Client;
-use simserve::protocol::{EngineKind, QueryParams, Request, WireThreshold};
+use simserve::protocol::{EngineKind, ErrCode, QueryParams, Request, Response, WireThreshold};
 use simserve::server::{serve, Backend, ServerConfig, ServerHandle};
 use simshard::{ShardConfig, ShardedIndex};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -57,21 +61,10 @@ fn query_params(ord: usize) -> QueryParams {
     }
 }
 
-/// Value of the exposition line whose full name (labels included) is
-/// `name`; panics with context when absent.
-fn metric(lines: &[String], name: &str) -> u64 {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
-        .unwrap_or_else(|| panic!("exposition missing {name}: {lines:#?}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{name} not an integer: {e}"))
-}
-
 #[test]
 fn metrics_and_stats_agree_op_for_op() {
     let _guard = serial();
-    let (_shared, handle) = start(|_| {});
+    let (shared, handle) = start(|_| {});
     let mut client = Client::connect(handle.addr).unwrap();
 
     // A workload touching several ops, a cache hit, one error, and every
@@ -93,9 +86,9 @@ fn metrics_and_stats_agree_op_for_op() {
     client.info().unwrap().unwrap();
     client.query(query_params(9999)).unwrap().unwrap_err(); // RANGE error
 
-    // STATS first, METRICS immediately after: an op is recorded once its
-    // response is built, so the exposition additionally sees the STATS
-    // call itself but not the in-flight METRICS call.
+    // Two readings back to back: an op is recorded once its response is
+    // built, so the second additionally sees the first (which the decoded
+    // report leaves out, as it had no traffic yet) but not itself.
     let stats = client.stats(false).unwrap().unwrap();
     let lines = client.metrics().unwrap().unwrap();
 
@@ -130,36 +123,33 @@ fn metrics_and_stats_agree_op_for_op() {
     let query = stats.ops.iter().find(|o| o.op == "query").unwrap();
     assert_eq!(query.count, 13, "11 misses + 1 hit + 1 error");
     assert_eq!(query.errors, 1);
-    assert_eq!(metric(&lines, "simseq_op_total{op=\"stats\"}"), 1);
+    assert!(!stats.ops.iter().any(|o| o.op == "metrics"), "{stats:?}");
     assert_eq!(
         metric(&lines, "simseq_op_total{op=\"metrics\"}"),
-        0,
+        1,
         "the in-flight METRICS op is not yet recorded"
     );
 
-    // Gauges and counters outside the op table.
-    assert_eq!(
-        metric(&lines, "simseq_connections_total"),
-        stats.connections
-    );
-    assert_eq!(
-        metric(&lines, "simseq_busy_rejected_total"),
-        stats.busy_rejected
-    );
+    // Counters outside the op table: one connection, no refusals, and the
+    // index's own access counters.
+    assert_eq!(metric(&lines, "simseq_connections_total"), 1);
+    assert_eq!(metric(&lines, "simseq_busy_rejected_total"), 0);
+    assert_eq!(stats.busy_rejected, 0);
+    let c = shared.read().counters();
     assert_eq!(
         metric(&lines, "simseq_index_node_reads_total"),
-        stats.counters_total.0
+        c.node_reads
     );
     assert_eq!(
         metric(&lines, "simseq_index_record_page_reads_total"),
-        stats.counters_total.1
+        c.record_page_reads
     );
     assert_eq!(
         metric(&lines, "simseq_index_record_fetches_total"),
-        stats.counters_total.2
+        c.record_fetches
     );
 
-    // Planner and result-cache counters mirror the PLAN stat line.
+    // The decoded planner and result-cache counters are the exposition's.
     let plan = stats.plan.expect("PLAN line present");
     assert_eq!(metric(&lines, "simseq_plans_built_total"), plan.built);
     assert_eq!(
@@ -202,6 +192,89 @@ fn metrics_and_stats_agree_op_for_op() {
             .any(|l| l.starts_with("simseq_cost_drift_pages{")),
         "pages drift gauge present"
     );
+
+    client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// Every `_total` series of `lines`, with its value.
+fn totals(lines: &[String]) -> Vec<(&str, u64)> {
+    lines
+        .iter()
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| series.split('{').next().unwrap().ends_with("_total"))
+        .map(|(series, v)| (series, v.parse().unwrap()))
+        .collect()
+}
+
+/// `METRICS` is the one counter report: a `STATS` line is refused with a
+/// `BADREQ` that points at it, and no `_total` series ever runs backwards
+/// — not even across a `STATS reset=yes`, which used to zero the op table.
+#[test]
+fn stats_verb_is_refused_and_totals_never_run_backwards() {
+    let _guard = serial();
+    let (_shared, handle) = start(|_| {});
+    let mut client = Client::connect(handle.addr).unwrap();
+
+    // Every verb once; on this in-memory primary SYNC, CHECKPOINT, REPL
+    // and PROMOTE answer errors, which count too.
+    client.query(query_params(0)).unwrap().unwrap();
+    client.query(query_params(0)).unwrap().unwrap(); // cache hit
+    client.knn(3, 4, (4, 10)).unwrap().unwrap();
+    client
+        .join((4, 10), WireThreshold::Rho(0.99))
+        .unwrap()
+        .unwrap();
+    let values = Corpus::generate(CorpusKind::SyntheticWalks, 1, 64, 7).series()[0]
+        .values()
+        .to_vec();
+    let ord = client.insert(values).unwrap().unwrap();
+    assert!(client.delete(ord).unwrap().unwrap());
+    client.sync().unwrap().unwrap_err();
+    client.checkpoint().unwrap().unwrap_err();
+    client.promote().unwrap().unwrap_err();
+    client.info().unwrap().unwrap();
+    client.trace(10).unwrap().unwrap();
+    for line in [
+        "EXPLAIN QUERY ord=1 ma=4..10 rho=0.95",
+        "REPL epoch=0 from=0 wait_ms=0",
+    ] {
+        client.call_raw(line).unwrap();
+    }
+    let earlier = client.metrics().unwrap().unwrap();
+    assert_eq!(metric(&earlier, "simseq_op_total{op=\"query\"}"), 2);
+
+    let refused = [
+        client.call_raw("STATS reset=yes").unwrap(),
+        client.call_raw("STATS").unwrap(),
+        client.stats(true).unwrap().err().unwrap_or(Response::Ok),
+    ];
+    let later = client.metrics().unwrap().unwrap();
+    let later_totals = totals(&later);
+    let earlier_totals = totals(&earlier);
+    assert!(earlier_totals.len() > 20, "{earlier:#?}");
+    for (series, before) in earlier_totals {
+        let after = later_totals
+            .iter()
+            .find(|(s, _)| *s == series)
+            .unwrap_or_else(|| panic!("{series} vanished: {later:#?}"))
+            .1;
+        assert!(
+            after >= before,
+            "{series} ran backwards: {before} -> {after}"
+        );
+    }
+    assert_eq!(metric(&later, "simseq_op_total{op=\"query\"}"), 2);
+
+    for response in refused {
+        match response {
+            Response::Err { code, msg } => {
+                assert_eq!(code, ErrCode::BadRequest);
+                assert!(msg.contains("METRICS"), "names the one report: {msg}");
+            }
+            other => panic!("STATS must be refused, got {other:?}"),
+        }
+    }
 
     client.quit().unwrap();
     handle.shutdown();

@@ -1,14 +1,14 @@
 //! End-to-end durability over loopback TCP: mutate a WAL-backed server,
 //! kill it without a checkpoint, restart on the same directories, and the
 //! wire-visible state comes back exactly. Also exercises `SYNC` and
-//! `CHECKPOINT` as protocol verbs, the WAL keys in `INFO`/`STATS`, and
+//! `CHECKPOINT` as protocol verbs, the WAL keys in `INFO`/`METRICS`, and
 //! the error on a server that runs without durability. Every scenario
 //! runs on a plain index and on a group of four shards
 //! ([`common::SHARDS`]).
 
 mod common;
 
-use common::{fresh_dir, retry_locked, save_corpus, test_config, POOL, SEQ_LEN, SHARDS};
+use common::{fresh_dir, metric, retry_locked, save_corpus, test_config, POOL, SEQ_LEN, SHARDS};
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, Response};
@@ -69,12 +69,18 @@ fn crash_recovery_over_the_wire(shards: usize) {
         let info = c.info().unwrap().unwrap();
         assert_eq!(info_value(&info, "durable"), "true");
         assert_eq!(info_value(&info, "wal_epoch"), "1");
-        let stats = c.stats(false).unwrap().unwrap();
-        let w = stats.wal.expect("durable server reports a WAL stats line");
-        assert_eq!(w.appends, 4, "three inserts and one delete were logged");
-        assert!(w.fsyncs > 0, "EveryN(2) plus SYNC must have fsynced");
-        assert_eq!(w.replayed, 0);
-        assert_eq!(w.epoch, 1);
+        let lines = c.metrics().unwrap().unwrap();
+        assert_eq!(
+            metric(&lines, "simseq_wal_appends_total"),
+            4,
+            "three inserts and one delete were logged"
+        );
+        assert!(
+            metric(&lines, "simseq_wal_fsyncs_total") > 0,
+            "EveryN(2) plus SYNC must have fsynced"
+        );
+        assert_eq!(metric(&lines, "simseq_wal_replayed_total"), 0);
+        assert_eq!(metric(&lines, "simseq_wal_epoch"), 1);
         c.quit().unwrap();
         h.shutdown();
     }
@@ -110,13 +116,13 @@ fn crash_recovery_over_the_wire(shards: usize) {
                 "recovered server diverged from control at ord {ord}"
             );
         }
-        let stats = c.stats(false).unwrap().unwrap();
-        assert_eq!(stats.wal.unwrap().replayed, 4);
+        let lines = c.metrics().unwrap().unwrap();
+        assert_eq!(metric(&lines, "simseq_wal_replayed_total"), 4);
 
         // CHECKPOINT folds the log into a fresh epoch-2 snapshot.
         assert_eq!(c.checkpoint().unwrap().unwrap(), 2);
-        let stats = c.stats(false).unwrap().unwrap();
-        assert_eq!(stats.wal.unwrap().epoch, 2);
+        let lines = c.metrics().unwrap().unwrap();
+        assert_eq!(metric(&lines, "simseq_wal_epoch"), 2);
         c.quit().unwrap();
         h.shutdown();
     }
@@ -178,8 +184,8 @@ fn shard_group_crash_recovery(shards: usize) {
         c.sync().unwrap().unwrap();
         let info = c.info().unwrap().unwrap();
         assert_eq!(info_value(&info, "durable"), "true");
-        let stats = c.stats(false).unwrap().unwrap();
-        assert_eq!(stats.wal.unwrap().appends, 5);
+        let lines = c.metrics().unwrap().unwrap();
+        assert_eq!(metric(&lines, "simseq_wal_appends_total"), 5);
         c.quit().unwrap();
         h.shutdown();
     }
@@ -238,8 +244,11 @@ fn not_durable_refuses_sync_and_checkpoint(shards: usize) {
             other => panic!("expected an error frame, got {other:?}"),
         }
     }
-    let stats = c.stats(false).unwrap().unwrap();
-    assert!(stats.wal.is_none(), "no WAL line on a non-durable server");
+    let lines = c.metrics().unwrap().unwrap();
+    assert!(
+        !lines.iter().any(|l| l.starts_with("simseq_wal_")),
+        "no WAL series on a non-durable server: {lines:#?}"
+    );
     c.quit().unwrap();
     h.shutdown();
 }

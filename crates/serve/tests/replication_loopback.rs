@@ -2,7 +2,7 @@
 //! a follower through the `REPL` verb, and after the lag drains the
 //! follower is answer-identical to the primary for range queries, kNN,
 //! and joins across every engine. Also covers the follower's typed
-//! `ERR READONLY` on writes, the `REPL` stats line on both roles, and
+//! `ERR READONLY` on writes, the `simseq_repl_*` series on both roles, and
 //! the plan-cache regression: a cached result on a lagging follower
 //! must not outlive an applied frame.
 //!
@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{drain, fresh_dir, query_key, save_corpus, POOL, SEQ_LEN, SHARDS};
+use common::{drain, fresh_dir, metric, query_key, save_corpus, POOL, SEQ_LEN, SHARDS};
 use simquery::prelude::*;
 use simquery::shared::DurableError;
 use simserve::client::Client;
@@ -195,24 +195,26 @@ fn follower_converges(shards: usize) {
         n
     });
 
-    // STATS: the follower reports its role and applied position; the
+    // METRICS: the follower reports its role and applied position; the
     // primary reports the follower's acked position and zero lag.
-    let fs = fc.stats(false).unwrap().unwrap();
-    let frl = fs.repl.expect("follower must report a REPL line");
-    assert_eq!(frl.role, "follower");
-    assert_eq!(frl.applied_lsn, 10);
-    assert_eq!(frl.acked_lsn, 10);
-    assert_eq!(frl.lag, 0);
-    assert!(frl.bytes > 0, "shipped frame bytes are accounted");
-    assert_eq!(frl.epoch, 1);
+    let repl = |lines: &[String], role: &str, series: &str| {
+        metric(lines, &format!("simseq_repl_{series}{{role=\"{role}\"}}"))
+    };
+    let f = fc.metrics().unwrap().unwrap();
+    assert_eq!(repl(&f, "follower", "applied_lsn"), 10);
+    assert_eq!(repl(&f, "follower", "acked_lsn"), 10);
+    assert_eq!(repl(&f, "follower", "lag"), 0);
+    assert!(
+        repl(&f, "follower", "bytes_total") > 0,
+        "shipped frame bytes are accounted"
+    );
+    assert_eq!(repl(&f, "follower", "epoch"), 1);
 
-    let ps = pc.stats(false).unwrap().unwrap();
-    let prl = ps.repl.expect("a primary with followers reports REPL");
-    assert_eq!(prl.role, "primary");
-    assert_eq!(prl.followers, 1);
-    assert_eq!(prl.acked_lsn, 10);
-    assert_eq!(prl.lag, 0);
-    assert!(prl.bytes > 0);
+    let p = pc.metrics().unwrap().unwrap();
+    assert_eq!(repl(&p, "primary", "followers"), 1);
+    assert_eq!(repl(&p, "primary", "acked_lsn"), 10);
+    assert_eq!(repl(&p, "primary", "lag"), 0);
+    assert!(repl(&p, "primary", "bytes_total") > 0);
 
     fc.quit().unwrap();
     pc.quit().unwrap();

@@ -1,8 +1,11 @@
 //! The acceptance check from the serving milestone: `simload` against a
 //! live `simserved` with ≥ 8 concurrent connections must see 100 % result
-//! parity with a direct single-threaded engine, and `STATS` must report
+//! parity with a direct single-threaded engine, and `METRICS` must report
 //! non-zero latency percentiles and per-op counts.
 
+mod common;
+
+use common::metric;
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::load::{run, LoadConfig};
@@ -55,7 +58,7 @@ fn eight_connections_full_parity_and_live_stats() {
     assert!(rendered.contains("parity: 100%"), "{rendered}");
     assert!(report.throughput() > 0.0);
 
-    // STATS over the wire: per-op counts and non-zero percentiles.
+    // METRICS over the wire: per-op counts and non-zero percentiles.
     let mut client = Client::connect(handle.addr).unwrap();
     let stats = client.stats(false).unwrap().unwrap();
     let q = stats
@@ -67,8 +70,12 @@ fn eight_connections_full_parity_and_live_stats() {
     assert!(q.p50_us > 0 && q.p95_us > 0 && q.p99_us > 0, "{q:?}");
     assert!(q.p50_us <= q.p95_us && q.p95_us <= q.p99_us, "{q:?}");
     // MT queries walked the index: access-counter totals moved.
-    assert!(stats.counters_total.0 > 0, "{stats:?}");
-    assert!(stats.connections >= 9, "8 load conns + this one: {stats:?}");
+    let lines = client.metrics().unwrap().unwrap();
+    assert!(metric(&lines, "simseq_index_node_reads_total") > 0);
+    assert!(
+        metric(&lines, "simseq_connections_total") >= 9,
+        "8 load conns + this one"
+    );
     client.quit().unwrap();
     handle.shutdown();
 }

@@ -1,10 +1,10 @@
 //! End-to-end tests of the sharded backend over loopback TCP: wire
-//! results identical to the single-index backend, per-shard STATS lines,
+//! results identical to the single-index backend, per-shard METRICS series,
 //! the JOIN restriction, and the mutation path.
 
 mod common;
 
-use common::{corpus, test_config};
+use common::{corpus, metric, test_config};
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
@@ -104,20 +104,32 @@ fn stats_carry_per_shard_breakdown() {
         client.query(params).unwrap().unwrap();
     }
 
-    let stats = client.stats(false).unwrap().unwrap();
-    assert_eq!(stats.shards.len(), 3, "one SHARD line per shard");
-    for (i, line) in stats.shards.iter().enumerate() {
-        assert_eq!(line.id, i);
-        assert_eq!(line.seqs, loads[i] as u64);
+    // One labelled series per shard, and the totals are exactly their sum.
+    let lines = client.metrics().unwrap().unwrap();
+    for series in [
+        "simseq_index_node_reads_total",
+        "simseq_index_record_page_reads_total",
+        "simseq_index_record_fetches_total",
+    ] {
+        let shards: Vec<u64> = (0..3)
+            .map(|i| metric(&lines, &format!("{series}{{shard=\"{i}\"}}")))
+            .collect();
+        assert_eq!(
+            metric(&lines, series),
+            shards.iter().sum::<u64>(),
+            "{series}"
+        );
     }
-    // The COUNTERS totals are exactly the sum of the SHARD lines.
-    let sum_nodes: u64 = stats.shards.iter().map(|s| s.node_reads).sum();
-    let sum_fetches: u64 = stats.shards.iter().map(|s| s.record_fetches).sum();
-    assert_eq!(stats.counters_total.0, sum_nodes);
-    assert_eq!(stats.counters_total.2, sum_fetches);
-    assert!(sum_nodes > 0, "MT queries must touch shard trees");
+    assert!(
+        !lines.iter().any(|l| l.contains("shard=\"3\"")),
+        "three shards, three series each: {lines:#?}"
+    );
+    assert!(
+        metric(&lines, "simseq_index_node_reads_total") > 0,
+        "MT queries must touch shard trees"
+    );
 
-    // INFO reports the sharding shape.
+    // INFO reports the sharding shape and each shard's sequences.
     let info = client.info().unwrap().unwrap();
     let get = |k: &str| -> String {
         info.iter()
@@ -127,6 +139,8 @@ fn stats_carry_per_shard_breakdown() {
     };
     assert_eq!(get("shards"), "3");
     assert_eq!(get("sequences"), "80");
+    let loads: Vec<String> = loads.iter().map(|l| l.to_string()).collect();
+    assert_eq!(get("shard_loads"), loads.join(","));
 
     client.quit().unwrap();
     handle.shutdown();

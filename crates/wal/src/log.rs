@@ -76,7 +76,7 @@ pub struct ReplayReport {
     pub stale_frames: usize,
 }
 
-/// Monotone counters for the `STATS` surface.
+/// Monotone counters for the server's `METRICS` exposition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Frames appended since open.

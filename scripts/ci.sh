@@ -13,7 +13,7 @@
 #                           # (loopback parity on shards {1, 4}, a
 #                           # range-placed primary, crash points, faulted
 #                           # apply, snapshot transfers checked)
-#   scripts/ci.sh obs       # tier-2: METRICS/STATS exactness suite plus
+#   scripts/ci.sh obs       # tier-2: METRICS exactness suite plus
 #                           # the obs_overhead gate (default sampling
 #                           # must cost <= 2% on the hot query path)
 #   scripts/ci.sh failover  # tier-2: epoch-fenced promotion at every
@@ -23,7 +23,7 @@
 #                           # graceful-shutdown drain
 #   scripts/ci.sh serve     # tier-2: the suites that pin admission
 #                           # (workers/queue/BUSY), the shutdown drain
-#                           # and STATS over the wire, plus simserve's
+#                           # and METRICS over the wire, plus simserve's
 #                           # unit tests (the admission gate's among them)
 #   scripts/ci.sh engines   # tier-2: what pins "ST-index is MT-index over
 #                           # singleton rectangles" and "one step 5" — the
@@ -94,14 +94,14 @@ replication|-p simserve --test replication_loopback|loopback convergence + read-
 replication|-p simserve --lib repl::|snapshot transfers checked before anything is built (stub primary); REPLICA bytes pinned, a damaged one re-bootstraps
 replication|-p simserve --test replication_crash|crash at every frame boundary, both roles
 replication|-p simserve --test replication_chaos|faulted follower devices during apply
-obs|-p simobs|metrics/stats parity, slow-query log, trace ring
-obs|-p simserve --test metrics_parity|
+obs|-p simobs|instruments and exposition, slow-query log, trace ring
+obs|-p simserve --test metrics_parity|exact op/index counts, Client::stats decodes METRICS, STATS refused and every _total monotone
 failover|-p simquery --lib shared|promote and fence on the index group (one shard)
 failover|-p simquery --lib shard::|a fenced checkpoint refused and named in INFO
 failover|-p simserve --test failover_promotion|promotion at every frame boundary + fencing
 failover|-p simserve --test failover_chaos|FailoverClient through ChaosProxy (seeds 0xC0FFEE1..3), PROMOTE on shards {1, 4}
 failover|-p simserve --test shutdown_drain|graceful-shutdown drain
-serve|-p simserve --lib|admission gate, protocol and metrics unit tests
+serve|-p simserve --lib|admission gate, protocol, metrics and METRICS render/decode unit tests
 serve|-p simserve --test loopback|every verb, error frames, BUSY at queue depth 0, the lowering memo across shapes, an oversize line refused with the connection kept
 serve|-p simserve --test serve_load|8-connection parity, BUSY counted not fatal
 serve|-p simserve --test sharded_loopback|the same wire over a shard group
